@@ -27,18 +27,15 @@
 //! * `--write-baseline PATH` — merge this run's `grid-*` section into
 //!   PATH (creating it if absent), preserving every non-grid case and
 //!   grid sections at other `n`.
-//! * `--warn-only` — report gate regressions but exit 0 (CI on shared
-//!   hardware). Wrong answers are *never* downgraded: a cell that
-//!   completes with an invalid answer fails the run in every mode.
 //!
-//! Exit codes: 0 ok (or `--warn-only` for gate noise), 1 wrong answer /
-//! artifact invariant violation / gate regression, 2 usage or I/O error.
+//! Exit codes: 0 ok, 1 wrong answer / artifact invariant violation /
+//! model drift or a missing case, 2 usage or I/O error.
 
 use cc_bench::grid::{
     grid_section, merge_grid_section, render_markdown, render_utilization_markdown, run_grid,
     suite_from_grid, GridConfig,
 };
-use cc_profile::{compare, render_comparison, PerfSuite, Tolerance};
+use cc_profile::{compare, render_comparison, PerfSuite};
 
 fn value_of(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -54,7 +51,6 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let warn_only = args.iter().any(|a| a == "--warn-only");
     let n = value_of(&args, "--n")
         .map(|v| {
             v.parse::<usize>()
@@ -113,9 +109,8 @@ fn main() {
         }
     }
 
-    // Wrong answers are the one outcome with zero tolerance in every
-    // mode: the whole point of the grid is that degradation is always
-    // typed, never silent.
+    // Wrong answers fail the run before the gate: the whole point of the
+    // grid is that degradation is always typed, never silent.
     let wrong = artifact.wrong_answers();
     if !wrong.is_empty() {
         eprintln!("wrong answers detected:");
@@ -172,15 +167,9 @@ fn main() {
         );
         return;
     }
-    let tol = Tolerance::default();
-    let cmp = compare(&fresh, &baseline, tol);
-    print!("{}", render_comparison(&cmp, tol));
-    let passed = cmp.regressions().is_empty() && cmp.missing.is_empty();
-    if !passed {
-        if warn_only {
-            eprintln!("regression detected (warn-only mode; not failing)");
-        } else {
-            std::process::exit(1);
-        }
+    let cmp = compare(&fresh, &baseline);
+    print!("{}", render_comparison(&cmp));
+    if !cmp.passed() {
+        std::process::exit(1);
     }
 }

@@ -22,15 +22,14 @@
 //!   `serve-*` cases skips the gate with a note).
 //! * `--update-baseline PATH` — merge the fresh `serve-*` cases into
 //!   PATH, preserving every other case.
-//! * `--warn-only` — report regressions but exit 0.
 //!
-//! Exit codes: 0 ok (or `--warn-only`), 1 regression/model drift or a
-//! broken serving invariant, 2 usage or I/O error.
+//! Exit codes: 0 ok, 1 model drift, a missing case or a broken serving
+//! invariant, 2 usage or I/O error.
 
 use cc_bench::loadgen::{
     merge_serve_section, run_with_responses, serve_section, suite_from_report, LoadgenConfig,
 };
-use cc_profile::{compare, render_comparison, PerfSuite, Tolerance};
+use cc_profile::{compare, render_comparison, PerfSuite};
 
 fn value_of(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -54,7 +53,6 @@ fn num_of(args: &[String], flag: &str) -> Option<usize> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let warn_only = args.iter().any(|a| a == "--warn-only");
     let mut cfg = LoadgenConfig::default();
     if let Some(v) = num_of(&args, "--clients") {
         cfg.clients = v;
@@ -154,15 +152,9 @@ fn main() {
         eprintln!("{baseline_path} has no serve-* cases yet; skipping gate (run with --update-baseline to seed it)");
         return;
     }
-    let tol = Tolerance::default();
-    let cmp = compare(&suite, &baseline, tol);
-    print!("{}", render_comparison(&cmp, tol));
-    let passed = cmp.regressions().is_empty() && cmp.missing.is_empty();
-    if !passed {
-        if warn_only {
-            eprintln!("regression detected (warn-only mode; not failing)");
-        } else {
-            std::process::exit(1);
-        }
+    let cmp = compare(&suite, &baseline);
+    print!("{}", render_comparison(&cmp));
+    if !cmp.passed() {
+        std::process::exit(1);
     }
 }

@@ -1,19 +1,19 @@
 //! `bench perf`: runs the fixed perf suite, writes a dated
-//! `BENCH_<stamp>.json`, and gates against a committed baseline.
+//! `BENCH_<stamp>.json`, and gates its model columns against a committed
+//! baseline.
 //!
 //! ```text
-//! cargo run -p cc-bench --release --bin perf -- --quick
-//! cargo run -p cc-bench --release --bin perf -- --quick --warn-only
-//! cargo run -p cc-bench --release --bin perf -- --write-baseline BENCH_baseline.json
+//! cargo run -p cc-bench --release --bin perf -- --quick --ignore-missing
+//! cargo run -p cc-bench --release --bin perf -- --large --write-baseline BENCH_baseline.json
 //! cargo run -p cc-bench --release --bin perf -- --gate-only CUR.json --baseline BASE.json
 //! ```
 //!
 //! Flags:
 //!
-//! * `--quick` — the CI-sized suite (smaller `n`, 3 repetitions).
+//! * `--quick` — the CI-sized suite (smaller `n`).
 //! * `--large` — also run the large-`n` scaling entries (`route-a2a` and
 //!   `gc-sketch` at `n ∈ {2048, 4096}`, `sketch-build` at
-//!   `n ∈ {16384, 65536}`; seconds per repetition).
+//!   `n ∈ {16384, 65536}`; seconds per case).
 //! * `--large-smoke` — also run just the `route-a2a` `n = 2048` and
 //!   `sketch-build` `n = 16384` entries (the CI scaling smoke).
 //! * `--filter PATTERNS` — gate only cases whose `id/backend/n=N` key
@@ -24,28 +24,22 @@
 //! * `--ignore-missing` — don't fail the gate over baseline cases this
 //!   run did not execute (e.g. gating a `--quick` run against a baseline
 //!   that also carries the large entries).
-//! * `--k N` — override the repetition count.
 //! * `--out PATH` — where to write the dated artifact (default
 //!   `BENCH_<stamp>.json` in the working directory; `-` skips writing).
 //! * `--baseline PATH` — baseline to gate against (default
-//!   `BENCH_baseline.json` when it exists; no baseline → no gate).
+//!   `BENCH_baseline.json` when it exists; no baseline → no gate). A
+//!   measured run is gated against the baseline's perf section only (not
+//!   its `serve-*` or `grid-*` cases).
 //! * `--write-baseline PATH` — also write the fresh results to PATH
 //!   (refreshing the committed baseline).
-//! * `--warn-only` — report regressions but exit 0 (CI on shared
-//!   hardware).
-//! * `--model-gate` — timing regressions only warn, but MODEL-DRIFT
-//!   (rounds/messages/words differing from baseline) or missing cases
-//!   still fail. This is the CI large-smoke mode: shared runners make
-//!   wall-clock untrustworthy, while model quantities are deterministic
-//!   on any machine and a drift is a correctness bug, not a slowdown.
 //! * `--gate-only CUR.json` — skip measuring; replay a saved suite
-//!   against the baseline. This is how the gate itself is tested.
+//!   against the whole baseline. This is how the gate itself is tested.
 //!
-//! Exit codes: 0 ok (or `--warn-only`), 1 regression/model drift,
-//! 2 usage or I/O error.
+//! Exit codes: 0 ok, 1 model drift or a missing case, 2 usage or I/O
+//! error.
 
-use cc_bench::perf::{case_keys, default_k, filter_cases, run_suite_with, stamp_name, Large};
-use cc_profile::{compare, render_comparison, PerfSuite, Tolerance};
+use cc_bench::perf::{case_keys, filter_cases, perf_section, run_suite_with, stamp_name, Large};
+use cc_profile::{compare, render_comparison, PerfSuite};
 
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
@@ -65,8 +59,6 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let warn_only = args.iter().any(|a| a == "--warn-only");
-    let model_gate = args.iter().any(|a| a == "--model-gate");
     let ignore_missing = args.iter().any(|a| a == "--ignore-missing");
     let large = if args.iter().any(|a| a == "--large") {
         Large::Full
@@ -75,12 +67,6 @@ fn main() {
     } else {
         Large::Off
     };
-    let k = value_of(&args, "--k")
-        .map(|v| {
-            v.parse::<usize>()
-                .unwrap_or_else(|_| fail("--k wants a number"))
-        })
-        .unwrap_or_else(|| default_k(quick));
 
     if args.iter().any(|a| a == "--list") {
         // Print the case keys this invocation *would* run (so `--filter`
@@ -99,10 +85,10 @@ fn main() {
         }
         None => {
             eprintln!(
-                "running perf suite ({} mode, k={k}, large={large:?})...",
+                "running perf suite ({} mode, large={large:?})...",
                 if quick { "quick" } else { "full" }
             );
-            run_suite_with(quick, k, large)
+            run_suite_with(quick, large)
         }
     };
     if let Err(problems) = suite.validate() {
@@ -137,6 +123,11 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("cannot read {baseline_path}: {e}")));
     let mut baseline =
         PerfSuite::from_json_str(&text).unwrap_or_else(|e| fail(&format!("{baseline_path}: {e}")));
+    if measuring {
+        // A fresh run only produces perf cases; the serve and grid
+        // sections of a combined baseline are gated by their own binaries.
+        baseline = perf_section(&baseline);
+    }
 
     let mut gated = suite;
     if let Some(patterns) = value_of(&args, "--filter") {
@@ -146,27 +137,9 @@ fn main() {
         filter_cases(&mut gated, &patterns).unwrap_or_else(|e| fail(&e));
         let _ = filter_cases(&mut baseline, &patterns);
     }
-    let tol = Tolerance::default();
-    let cmp = compare(&gated, &baseline, tol);
-    print!("{}", render_comparison(&cmp, tol));
-    let drifted = cmp.deltas.iter().any(|d| !d.model_drift.is_empty());
-    let timing_regressed = !cmp.regressions().is_empty();
-    let missing = !ignore_missing && !cmp.missing.is_empty();
-    let hard_fail = if model_gate {
-        // Only deterministic quantities gate: model drift is a
-        // correctness bug on any hardware; a slow shared runner is not.
-        if timing_regressed && !drifted {
-            eprintln!("timing regression detected (model-gate mode; timing only warns)");
-        }
-        drifted || missing
-    } else {
-        timing_regressed || missing
-    };
-    if hard_fail {
-        if warn_only {
-            eprintln!("regression detected (warn-only mode; not failing)");
-        } else {
-            std::process::exit(1);
-        }
+    let cmp = compare(&gated, &baseline);
+    print!("{}", render_comparison(&cmp));
+    if !cmp.regressions().is_empty() || (!ignore_missing && !cmp.missing.is_empty()) {
+        std::process::exit(1);
     }
 }

@@ -33,7 +33,8 @@
 //! Results are emitted as a schema-versioned [`GridArtifact`]
 //! (`GRID_<stamp>.json`), rendered to the E22 markdown table, and folded
 //! into the `grid-*` section of `BENCH_baseline.json` where the perf
-//! gate holds the model columns at zero tolerance.
+//! gate holds the model columns at zero tolerance. Per-cell wall time
+//! stays in the grid artifact only.
 
 use cc_core::{
     broadcast_gc, exact_mst, gc, run_connectivity, validate_gc, validate_mst_minimal, CoreError,
@@ -52,12 +53,9 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// Version stamp of the grid artifact format. v2 added the per-cell
-/// `utilization` section (the cc-lens communication fold).
+/// `utilization` section (the cc-lens communication fold); v1 documents
+/// are not read.
 pub const GRID_SCHEMA_VERSION: u64 = 2;
-
-/// Oldest grid schema still readable. v1 documents parse with the
-/// `utilization` section absent.
-pub const MIN_GRID_SCHEMA_VERSION: u64 = 1;
 
 /// Round watchdog for every grid run — a cell that slows an algorithm
 /// past this is reported as a typed `round-cap` rejection, not a hang.
@@ -188,9 +186,8 @@ pub struct CellResult {
     /// Machine-level accounting under the cell's mapping.
     pub machine: MachineStats,
     /// The cc-lens communication fold: round-resolved utilization vs
-    /// the cell's budget, headroom, mix, phases, pair skew. `None` only
-    /// when parsed from a v1 document.
-    pub utilization: Option<CommReport>,
+    /// the cell's budget, headroom, mix, phases, pair skew.
+    pub utilization: CommReport,
     /// Wall-clock nanoseconds of the run.
     pub nanos: u64,
 }
@@ -241,13 +238,7 @@ impl CellResult {
             ("remote_words", Json::UInt(self.machine.remote_words)),
             ("max_pair_words", Json::UInt(self.machine.max_pair_words)),
             ("logical_rounds", Json::UInt(self.machine.logical_rounds)),
-            (
-                "utilization",
-                match &self.utilization {
-                    Some(u) => u.to_json(),
-                    None => Json::Null,
-                },
-            ),
+            ("utilization", self.utilization.to_json()),
             ("nanos", Json::UInt(self.nanos)),
         ])
     }
@@ -296,10 +287,9 @@ impl CellResult {
                 remote_words: u("remote_words")?,
                 max_pair_words: u("max_pair_words")?,
             },
-            utilization: match j.get("utilization") {
-                None | Some(Json::Null) => None,
-                Some(u) => Some(CommReport::from_json(u)?),
-            },
+            utilization: CommReport::from_json(
+                j.get("utilization").ok_or("cell missing utilization")?,
+            )?,
             nanos: u("nanos")?,
         })
     }
@@ -365,7 +355,8 @@ impl GridArtifact {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Returns a description of the first malformed field; rejects every
+    /// schema version but [`GRID_SCHEMA_VERSION`].
     pub fn from_json_str(text: &str) -> Result<Self, String> {
         let j = Json::parse(text)?;
         let u = |key: &str| {
@@ -373,6 +364,12 @@ impl GridArtifact {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("artifact missing numeric field {key:?}"))
         };
+        let schema_version = u("schema_version")?;
+        if schema_version != GRID_SCHEMA_VERSION {
+            return Err(format!(
+                "grid artifact: schema_version {schema_version} not supported (expected {GRID_SCHEMA_VERSION})"
+            ));
+        }
         let cells = j
             .get("cells")
             .and_then(Json::as_arr)
@@ -381,7 +378,7 @@ impl GridArtifact {
             .map(CellResult::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(GridArtifact {
-            schema_version: u("schema_version")?,
+            schema_version,
             generator: j
                 .get("generator")
                 .and_then(Json::as_str)
@@ -401,9 +398,9 @@ impl GridArtifact {
     /// Returns every violated invariant.
     pub fn validate(&self) -> Result<(), Vec<String>> {
         let mut problems = Vec::new();
-        if !(MIN_GRID_SCHEMA_VERSION..=GRID_SCHEMA_VERSION).contains(&self.schema_version) {
+        if self.schema_version != GRID_SCHEMA_VERSION {
             problems.push(format!(
-                "schema_version {} outside supported range {MIN_GRID_SCHEMA_VERSION}..={GRID_SCHEMA_VERSION}",
+                "schema_version {} != supported {GRID_SCHEMA_VERSION}",
                 self.schema_version
             ));
         }
@@ -453,38 +450,30 @@ impl GridArtifact {
                     }
                 }
             }
-            // The utilization section is mandatory at v2 and pinned to
-            // the cell's own accounting (zero drift between the lens
-            // fold and the live counters).
-            match &c.utilization {
-                None => {
-                    if self.schema_version >= 2 {
-                        problems.push(format!("{tag}: v2 cell without a utilization section"));
-                    }
+            // The utilization section is pinned to the cell's own
+            // accounting (zero drift between the lens fold and the live
+            // counters).
+            let u = &c.utilization;
+            for p in u.validate() {
+                problems.push(format!("{tag}: utilization: {p}"));
+            }
+            if u.machine != c.machine {
+                problems.push(format!(
+                    "{tag}: utilization machine stats drift from the cell's"
+                ));
+            }
+            if c.status == CellStatus::Ok {
+                if u.words != c.words {
+                    problems.push(format!(
+                        "{tag}: utilization words {} != metered words {}",
+                        u.words, c.words
+                    ));
                 }
-                Some(u) => {
-                    for p in u.validate() {
-                        problems.push(format!("{tag}: utilization: {p}"));
-                    }
-                    if u.machine != c.machine {
-                        problems.push(format!(
-                            "{tag}: utilization machine stats drift from the cell's"
-                        ));
-                    }
-                    if c.status == CellStatus::Ok {
-                        if u.words != c.words {
-                            problems.push(format!(
-                                "{tag}: utilization words {} != metered words {}",
-                                u.words, c.words
-                            ));
-                        }
-                        if u.rounds + u.fast_forward_rounds != c.rounds {
-                            problems.push(format!(
-                                "{tag}: utilization rounds {} (+{} ff) != metered rounds {}",
-                                u.rounds, u.fast_forward_rounds, c.rounds
-                            ));
-                        }
-                    }
+                if u.rounds + u.fast_forward_rounds != c.rounds {
+                    problems.push(format!(
+                        "{tag}: utilization rounds {} (+{} ff) != metered rounds {}",
+                        u.rounds, u.fast_forward_rounds, c.rounds
+                    ));
                 }
             }
         }
@@ -533,10 +522,6 @@ pub fn render_markdown(artifact: &GridArtifact) -> String {
     );
     out.push_str("|---|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---|\n");
     for c in &artifact.cells {
-        let (peak, headroom) = match &c.utilization {
-            Some(u) => (u.peak_util_milli.to_string(), u.headroom_milli.to_string()),
-            None => ("—".to_string(), "—".to_string()),
-        };
         out.push_str(&format!(
             "| `{}` | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             c.cell_key(),
@@ -552,8 +537,8 @@ pub fn render_markdown(artifact: &GridArtifact) -> String {
             c.words,
             c.machine.remote_words,
             c.machine.local_words,
-            peak,
-            headroom,
+            c.utilization.peak_util_milli,
+            c.utilization.headroom_milli,
             c.error.as_deref().unwrap_or("—"),
         ));
     }
@@ -563,8 +548,7 @@ pub fn render_markdown(artifact: &GridArtifact) -> String {
 /// Renders the E23 utilization-profile table (GitHub-flavored
 /// markdown): per (cell, algorithm), how the per-link budget is
 /// actually spent — peak and quantile utilization, headroom, the
-/// broadcast/unicast mix, and machine-pair skew. Cells parsed from v1
-/// documents (no utilization section) are skipped.
+/// broadcast/unicast mix, and machine-pair skew.
 pub fn render_utilization_markdown(artifact: &GridArtifact) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -576,7 +560,7 @@ pub fn render_utilization_markdown(artifact: &GridArtifact) -> String {
     );
     out.push_str("|---|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
     for c in &artifact.cells {
-        let Some(u) = &c.utilization else { continue };
+        let u = &c.utilization;
         out.push_str(&format!(
             "| `{}` | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             c.cell_key(),
@@ -694,7 +678,7 @@ where
         messages: cost.messages,
         words: cost.words,
         machine,
-        utilization: Some(lens.report()),
+        utilization: lens.report(),
         nanos,
     }
 }
@@ -803,7 +787,7 @@ fn rt_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
         messages: cost.messages,
         words: cost.words,
         machine,
-        utilization: Some(lens.report()),
+        utilization: lens.report(),
         nanos,
     }
 }
@@ -830,9 +814,8 @@ pub fn run_grid(cfg: &GridConfig) -> GridArtifact {
 /// Folds an artifact into the `grid-*` [`PerfSuite`] section the perf
 /// gate compares: deterministic grid quantities (machine rounds /
 /// messages / words, partial up to any rejection point) in the
-/// zero-tolerance model columns, wall clock in the noise-tolerant timing
-/// column. The cell key becomes the `backend` coordinate, so every cell
-/// gates independently.
+/// zero-tolerance model columns. The cell key becomes the `backend`
+/// coordinate, so every cell gates independently.
 pub fn suite_from_grid(artifact: &GridArtifact) -> PerfSuite {
     let mut suite = PerfSuite::new("cc-bench grid")
         .with_meta("grid_n", &artifact.n.to_string())
@@ -844,10 +827,6 @@ pub fn suite_from_grid(artifact: &GridArtifact) -> PerfSuite {
             id: format!("grid-{}", c.algorithm),
             backend: c.cell_key(),
             n: artifact.n,
-            runs: 1,
-            nanos_median: c.nanos.max(1),
-            nanos_min: c.nanos.max(1),
-            nanos_max: c.nanos.max(1),
             rounds: c.machine.machine_rounds,
             messages: c.messages,
             words: c.words,
@@ -1001,10 +980,7 @@ mod tests {
     fn utilization_sections_are_present_consistent_and_within_budget() {
         let art = small_grid();
         for c in &art.cells {
-            let u = c
-                .utilization
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}/{}: no utilization", c.cell_key(), c.algorithm));
+            let u = &c.utilization;
             assert!(
                 u.validate().is_empty(),
                 "{}: {:?}",
@@ -1026,45 +1002,22 @@ mod tests {
             .cells
             .iter()
             .filter(|c| c.status == CellStatus::Ok)
-            .filter_map(|c| c.utilization.as_ref())
-            .map(|u| u.peak_util_milli)
+            .map(|c| c.utilization.peak_util_milli)
             .collect();
         assert!(!ok_peaks.is_empty());
         assert!(ok_peaks.iter().all(|&p| p > 0), "ok runs carry traffic");
         assert!(
-            ok_peaks.iter().any(|&p| p == 1000),
+            ok_peaks.contains(&1000),
             "some run saturates a link: {ok_peaks:?}"
         );
     }
 
     #[test]
-    fn v1_documents_still_parse_and_validate() {
-        // A v1-shaped document: today's schema minus the utilization
-        // sections, stamped with the old version.
+    fn v1_documents_are_rejected_with_a_schema_error() {
         let mut art = small_grid();
         art.schema_version = 1;
-        for c in &mut art.cells {
-            c.utilization = None;
-        }
-        let text = art.to_json_string();
-        assert!(!text.contains("peak_util_milli"), "v1 carries no lens data");
-        let back = GridArtifact::from_json_str(&text).expect("v1 parses");
-        assert_eq!(back.schema_version, MIN_GRID_SCHEMA_VERSION);
-        assert!(back.cells.iter().all(|c| c.utilization.is_none()));
-        back.validate()
-            .expect("v1 validates in the supported range");
-        // Below the floor or above the ceiling is rejected.
-        for bad in [MIN_GRID_SCHEMA_VERSION - 1, GRID_SCHEMA_VERSION + 1] {
-            let mut out_of_range = back.clone();
-            out_of_range.schema_version = bad;
-            let problems = out_of_range.validate().unwrap_err();
-            assert!(problems.iter().any(|p| p.contains("supported range")));
-        }
-        // A v2 document missing its utilization sections is malformed.
-        let mut v2_missing = back.clone();
-        v2_missing.schema_version = GRID_SCHEMA_VERSION;
-        let problems = v2_missing.validate().unwrap_err();
-        assert!(problems.iter().any(|p| p.contains("without a utilization")));
+        let err = GridArtifact::from_json_str(&art.to_json_string()).unwrap_err();
+        assert!(err.contains("schema_version 1 not supported"), "{err}");
     }
 
     #[test]
@@ -1125,49 +1078,16 @@ mod tests {
         assert!(fresh.validate().is_ok(), "{:?}", fresh.validate());
 
         let mut baseline = PerfSuite::new("combined");
+        let case = |id: &str, backend: &str, n: u64| PerfCase {
+            id: id.into(),
+            backend: backend.into(),
+            n,
+            ..PerfCase::default()
+        };
         baseline.cases = vec![
-            PerfCase {
-                id: "gc-sketch".into(),
-                backend: "net".into(),
-                n: 32,
-                runs: 1,
-                nanos_median: 1,
-                nanos_min: 1,
-                nanos_max: 1,
-                rounds: 1,
-                messages: 1,
-                words: 1,
-                allocs: None,
-                alloc_bytes: None,
-            },
-            PerfCase {
-                id: "grid-rt-conn".into(),
-                backend: "bw9-uni-k2".into(),
-                n: 99,
-                runs: 1,
-                nanos_median: 1,
-                nanos_min: 1,
-                nanos_max: 1,
-                rounds: 1,
-                messages: 1,
-                words: 1,
-                allocs: None,
-                alloc_bytes: None,
-            },
-            PerfCase {
-                id: "grid-rt-conn".into(),
-                backend: "stale".into(),
-                n: 12,
-                runs: 1,
-                nanos_median: 1,
-                nanos_min: 1,
-                nanos_max: 1,
-                rounds: 1,
-                messages: 1,
-                words: 1,
-                allocs: None,
-                alloc_bytes: None,
-            },
+            case("gc-sketch", "net", 32),
+            case("grid-rt-conn", "bw9-uni-k2", 99),
+            case("grid-rt-conn", "stale", 12),
         ];
         merge_grid_section(&mut baseline, &fresh);
         // The perf case and the other-n grid section survive; the stale

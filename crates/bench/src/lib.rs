@@ -10,7 +10,9 @@
 //! cargo run -p cc-bench --release --bin tables -- --quick # small sweeps
 //! ```
 //!
-//! Criterion micro/macro benchmarks live in `crates/bench/benches/`.
+//! The `perf`, `loadgen` and `grid` binaries gate model costs against
+//! the committed `BENCH_baseline.json`; wall-clock timing lives in the
+//! standalone `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,16 +12,14 @@
 //! run-to-run. That makes the serve quantities the bench reports —
 //! total submissions, cold executions, duplicate answers, hit rate —
 //! exactly reproducible, which is what lets them ride in the zero-drift
-//! model columns of the [`PerfSuite`] gate while the percentiles ride in
-//! the noise-tolerant timing column:
+//! model columns of the [`PerfSuite`] gate; the latency percentiles are
+//! printed in the text report only:
 //!
-//! | case          | timing column          | rounds / messages / words |
-//! |---------------|------------------------|---------------------------|
-//! | `serve-load`  | total wall time        | jobs, cold runs, dup answers |
-//! | `serve-p50`   | p50 latency            | summed cold model cost    |
-//! | `serve-p95`   | p95 latency            | summed cold model cost    |
-//! | `serve-p99`   | p99 latency            | summed cold model cost    |
-//! | `serve-cache` | mean latency           | hit rate (‰), rejects, evictions |
+//! | case          | rounds / messages / words        |
+//! |---------------|----------------------------------|
+//! | `serve-load`  | jobs, cold runs, dup answers     |
+//! | `serve-cold`  | summed cold model cost           |
+//! | `serve-cache` | hit rate (‰), rejects, evictions |
 //!
 //! The summed cold model cost is read back out of the artifacts the
 //! server streamed (each carries its `rounds`/`messages`/`words` in the
@@ -350,18 +348,14 @@ pub fn run_with_responses(cfg: &LoadgenConfig) -> Result<(LoadgenReport, Vec<Str
 }
 
 /// Folds a report into the `serve-*` [`PerfSuite`] section the gate
-/// compares: percentiles in the (noise-tolerant) timing column,
-/// deterministic serve quantities in the (zero-drift) model columns.
+/// compares: the deterministic serve quantities, each in the zero-drift
+/// model columns.
 pub fn suite_from_report(report: &LoadgenReport) -> PerfSuite {
     let n = report.cfg.n as u64;
-    let timing_case = |id: &str, nanos: u64, model: (u64, u64, u64)| PerfCase {
+    let model_case = |id: &str, model: (u64, u64, u64)| PerfCase {
         id: id.to_string(),
         backend: "pool".to_string(),
         n,
-        runs: 1,
-        nanos_median: nanos,
-        nanos_min: nanos,
-        nanos_max: nanos,
         rounds: model.0,
         messages: model.1,
         words: model.2,
@@ -385,17 +379,13 @@ pub fn suite_from_report(report: &LoadgenReport) -> PerfSuite {
             &report.comm_peak_util_milli.to_string(),
         );
     suite.cases = vec![
-        timing_case(
+        model_case(
             "serve-load",
-            report.wall_nanos,
             (report.total_jobs, report.cold_runs, report.dup_answers),
         ),
-        timing_case("serve-p50", report.p50_nanos, report.cold_model),
-        timing_case("serve-p95", report.p95_nanos, report.cold_model),
-        timing_case("serve-p99", report.p99_nanos, report.cold_model),
-        timing_case(
+        model_case("serve-cold", report.cold_model),
+        model_case(
             "serve-cache",
-            report.mean_nanos,
             (report.hit_milli, report.rejected, report.evictions),
         ),
     ];
@@ -421,7 +411,7 @@ pub fn serve_section(suite: &PerfSuite) -> PerfSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_profile::{compare, Tolerance};
+    use cc_profile::compare;
 
     fn tiny() -> LoadgenConfig {
         LoadgenConfig {
@@ -458,9 +448,8 @@ mod tests {
         let sa = suite_from_report(&a);
         let sb = suite_from_report(&b);
         assert!(sa.validate().is_ok(), "{:?}", sa.validate());
-        let cmp = compare(&sa, &sb, Tolerance::default());
         assert!(
-            cmp.deltas.iter().all(|d| d.model_drift.is_empty()),
+            compare(&sa, &sb).passed(),
             "serve model columns must be reproducible"
         );
     }
@@ -483,29 +472,13 @@ mod tests {
             id: "gc-sketch".into(),
             backend: "net".into(),
             n: 32,
-            runs: 3,
-            nanos_median: 10,
-            nanos_min: 9,
-            nanos_max: 11,
-            rounds: 5,
-            messages: 6,
-            words: 7,
-            allocs: None,
-            alloc_bytes: None,
+            ..PerfCase::default()
         });
         baseline.cases.push(PerfCase {
             id: "serve-load".into(),
             backend: "pool".into(),
             n: 99,
-            runs: 1,
-            nanos_median: 1,
-            nanos_min: 1,
-            nanos_max: 1,
-            rounds: 1,
-            messages: 1,
-            words: 1,
-            allocs: None,
-            alloc_bytes: None,
+            ..PerfCase::default()
         });
         merge_serve_section(&mut baseline, &fresh);
         assert!(baseline.cases.iter().any(|c| c.id == "gc-sketch"));
@@ -516,10 +489,10 @@ mod tests {
                 .iter()
                 .filter(|c| c.id.starts_with("serve-"))
                 .count(),
-            5
+            3
         );
         let serve_only = serve_section(&baseline);
-        assert_eq!(serve_only.cases.len(), 5);
+        assert_eq!(serve_only.cases.len(), 3);
     }
 
     #[test]

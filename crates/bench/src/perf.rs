@@ -1,20 +1,19 @@
-//! The `bench perf` fixed suite: wall-clock + model-cost measurements of
-//! the reproduction's hot paths, emitted as a schema-versioned
-//! [`PerfSuite`] (`BENCH_<stamp>.json`) and gated against a committed
-//! `BENCH_baseline.json` (see DESIGN.md §12).
+//! The `bench perf` fixed suite: model-cost measurements of the
+//! reproduction's hot paths, emitted as a schema-versioned [`PerfSuite`]
+//! (`BENCH_<stamp>.json`) and gated at zero tolerance against a committed
+//! `BENCH_baseline.json` (see DESIGN.md §12). Wall-clock time lives in
+//! the `benchmark/` package, not here.
 //!
 //! Case selection mirrors the crates the north star cares about: the
 //! Theorem 4 sketch-GC pipeline on the direct simulator, Theorem 7's
 //! EXACT-MST, the Lenzen routing collective the algorithms lean on, and
-//! the runtime port of connectivity on *both* engine backends (so an
-//! accidental serialization in the parallel engine shows up as a timing
-//! regression even while model costs stay identical).
+//! the runtime port of connectivity on *both* engine backends (which must
+//! agree on model cost).
 //!
-//! Every case runs `k` times (median-of-k; the median is what the gate
-//! compares) with a fixed seed, so the model quantities — rounds,
-//! messages, words — must be bit-identical across repetitions; the suite
-//! panics if they are not, because that would mean nondeterminism, a far
-//! worse bug than any slowdown.
+//! Every case runs twice with a fixed seed, so the model quantities —
+//! rounds, messages, words — must be bit-identical across the two runs;
+//! the suite panics if they are not, because that would mean
+//! nondeterminism.
 
 use cc_core::{exact_mst, gc, run_connectivity, ExactMstConfig};
 use cc_graph::{generators, Graph};
@@ -25,23 +24,13 @@ use cc_runtime::Runtime;
 use cc_sketch::{GraphSketchSpace, NeighborhoodScratch};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
-
-/// Repetitions per case: 3 quick (CI), 5 full.
-pub fn default_k(quick: bool) -> usize {
-    if quick {
-        3
-    } else {
-        5
-    }
-}
 
 /// Which large-`n` scaling entries to append to the suite.
 ///
 /// The large cases exist because the delivery loop's allocation behavior
 /// only dominates (and the paper's asymptotics only show their shape) at
 /// `n` in the thousands; they are opt-in because they cost seconds, not
-/// microseconds, per repetition.
+/// microseconds, per run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Large {
     /// No large cases (the PR-4 suite).
@@ -64,52 +53,31 @@ fn alloc_counts() -> (u64, u64) {
     (0, 0)
 }
 
-/// Runs `f` `k` times and folds the timings into a [`PerfCase`].
+/// Runs `f` twice and folds its model cost into a [`PerfCase`].
 ///
 /// # Panics
 ///
-/// Panics if the model cost differs between repetitions (the suite is
-/// seeded; a mismatch means nondeterminism).
-fn measure<F: FnMut() -> Cost>(id: &str, backend: &str, n: usize, k: usize, mut f: F) -> PerfCase {
-    assert!(k >= 1, "at least one repetition");
-    let mut nanos: Vec<u64> = Vec::with_capacity(k);
-    let mut model: Option<Cost> = None;
-    let mut allocs = 0u64;
-    let mut alloc_bytes = 0u64;
-    for rep in 0..k {
-        let (a0, b0) = alloc_counts();
-        let t0 = Instant::now();
-        let cost = f();
-        nanos.push(t0.elapsed().as_nanos() as u64);
-        let (a1, b1) = alloc_counts();
-        if rep == 0 {
-            allocs = a1 - a0;
-            alloc_bytes = b1 - b0;
-        }
-        match &model {
-            None => model = Some(cost),
-            Some(m) => assert_eq!(
-                *m, cost,
-                "case {id}/{backend}/n={n}: model cost drifted between repetitions"
-            ),
-        }
-    }
-    nanos.sort_unstable();
-    let model = model.expect("k >= 1");
+/// Panics if the two runs' model costs differ (the suite is seeded; a
+/// mismatch means nondeterminism).
+fn measure<F: FnMut() -> Cost>(id: &str, backend: &str, n: usize, mut f: F) -> PerfCase {
+    let (a0, b0) = alloc_counts();
+    let model = f();
+    let (a1, b1) = alloc_counts();
+    assert_eq!(
+        model,
+        f(),
+        "case {id}/{backend}/n={n}: model cost drifted between runs"
+    );
     let counting = cfg!(feature = "count-allocs");
     PerfCase {
         id: id.to_string(),
         backend: backend.to_string(),
         n: n as u64,
-        runs: k as u64,
-        nanos_median: nanos[nanos.len() / 2],
-        nanos_min: nanos[0],
-        nanos_max: *nanos.last().expect("non-empty"),
         rounds: model.rounds,
         messages: model.messages,
         words: model.words,
-        allocs: counting.then_some(allocs),
-        alloc_bytes: counting.then_some(alloc_bytes),
+        allocs: counting.then_some(a1 - a0),
+        alloc_bytes: counting.then_some(b1 - b0),
     }
 }
 
@@ -122,13 +90,13 @@ fn adjacency(g: &Graph) -> Vec<Vec<usize>> {
     adj
 }
 
-/// One large-`n` all-to-all case: 8 collectives per repetition on one
+/// One large-`n` all-to-all case: 8 collectives per run on one
 /// `Net`, like the small-`n` entries — the multi-collective region is
 /// exactly what buffer pooling is supposed to make cheap, so a pooled
 /// engine shows up here and a per-round reallocating one does not.
-fn large_a2a_case(n: usize, k: usize) -> PerfCase {
+fn large_a2a_case(n: usize) -> PerfCase {
     let values: Vec<u64> = (0..n as u64).map(|i| i * i + 1).collect();
-    measure("route-a2a", "net", n, k, || {
+    measure("route-a2a", "net", n, || {
         let mut net = Net::new(NetConfig::kt1(n).with_seed(7));
         let before = net.cost();
         for _ in 0..8 {
@@ -140,10 +108,10 @@ fn large_a2a_case(n: usize, k: usize) -> PerfCase {
 }
 
 /// One large-`n` GC-sketch case (full pipeline, direct simulator).
-fn large_gc_case(n: usize, k: usize) -> PerfCase {
+fn large_gc_case(n: usize) -> PerfCase {
     let mut rng = ChaCha8Rng::seed_from_u64(4000 + n as u64);
     let g = generators::random_connected_graph(n, 3.0 / n as f64, &mut rng);
-    measure("gc-sketch", "net", n, k, || {
+    measure("gc-sketch", "net", n, || {
         let run = gc::run(&g, &NetConfig::kt1(n).with_seed(n as u64)).expect("gc run");
         run.cost
     })
@@ -167,10 +135,10 @@ fn large_gc_case(n: usize, k: usize) -> PerfCase {
 ///   scalar-vs-batched proptests pin at small `n` extended to sizes
 ///   proptest cannot reach;
 /// * `rounds` — 0 (no simulator involved).
-fn sketch_build_case(n: usize, k: usize) -> PerfCase {
+fn sketch_build_case(n: usize) -> PerfCase {
     let mut rng = ChaCha8Rng::seed_from_u64(16_000 + n as u64);
     let g = cc_graph::random_connected_csr(n, 2 * n, &mut rng);
-    measure("sketch-build", "kernel", n, k, || {
+    measure("sketch-build", "kernel", n, || {
         let space = GraphSketchSpace::new(n, 9_000 + n as u64);
         let mut scratch = NeighborhoodScratch::default();
         let mut incidences = 0u64;
@@ -196,22 +164,22 @@ fn sketch_build_case(n: usize, k: usize) -> PerfCase {
 }
 
 /// Appends the [`Large`] scaling entries to `cases`.
-fn push_large_cases(cases: &mut Vec<PerfCase>, large: Large, k: usize) {
+fn push_large_cases(cases: &mut Vec<PerfCase>, large: Large) {
     match large {
         Large::Off => {}
         Large::Smoke => {
-            cases.push(large_a2a_case(2048, k));
-            cases.push(sketch_build_case(16_384, k));
+            cases.push(large_a2a_case(2048));
+            cases.push(sketch_build_case(16_384));
         }
         Large::Full => {
             for n in [512, 2048, 4096] {
-                cases.push(large_a2a_case(n, k));
+                cases.push(large_a2a_case(n));
             }
             for n in [2048, 4096] {
-                cases.push(large_gc_case(n, k));
+                cases.push(large_gc_case(n));
             }
             for n in [16_384, 65_536] {
-                cases.push(sketch_build_case(n, k));
+                cases.push(sketch_build_case(n));
             }
         }
     }
@@ -221,12 +189,12 @@ fn push_large_cases(cases: &mut Vec<PerfCase>, large: Large, k: usize) {
 /// (`created_unix` is stamped from the system clock by
 /// [`PerfSuite::new`]). Shorthand for [`run_suite_with`] without large
 /// cases.
-pub fn run_suite(quick: bool, k: usize) -> PerfSuite {
-    run_suite_with(quick, k, Large::Off)
+pub fn run_suite(quick: bool) -> PerfSuite {
+    run_suite_with(quick, Large::Off)
 }
 
 /// Runs the fixed suite plus the requested [`Large`] scaling entries.
-pub fn run_suite_with(quick: bool, k: usize, large: Large) -> PerfSuite {
+pub fn run_suite_with(quick: bool, large: Large) -> PerfSuite {
     let mut cases = Vec::new();
 
     // Theorem 4 sketch-GC, full pipeline on the direct simulator.
@@ -234,7 +202,7 @@ pub fn run_suite_with(quick: bool, k: usize, large: Large) -> PerfSuite {
     for &n in gc_ns {
         let mut rng = ChaCha8Rng::seed_from_u64(4000 + n as u64);
         let g = generators::random_connected_graph(n, 3.0 / n as f64, &mut rng);
-        cases.push(measure("gc-sketch", "net", n, k, || {
+        cases.push(measure("gc-sketch", "net", n, || {
             let run = gc::run(&g, &NetConfig::kt1(n).with_seed(n as u64)).expect("gc run");
             run.cost
         }));
@@ -245,7 +213,7 @@ pub fn run_suite_with(quick: bool, k: usize, large: Large) -> PerfSuite {
     for &n in mst_ns {
         let mut rng = ChaCha8Rng::seed_from_u64(1000 + n as u64);
         let g = generators::complete_wgraph(n, &mut rng);
-        cases.push(measure("exact-mst", "net", n, k, || {
+        cases.push(measure("exact-mst", "net", n, || {
             let mut net = Net::new(NetConfig::kt1(n).with_seed(n as u64));
             let run = exact_mst(&mut net, &g, &ExactMstConfig::default()).expect("mst run");
             run.cost
@@ -257,10 +225,10 @@ pub fn run_suite_with(quick: bool, k: usize, large: Large) -> PerfSuite {
     let a2a_ns: &[usize] = if quick { &[32, 64] } else { &[32, 64, 128] };
     for &n in a2a_ns {
         let values: Vec<u64> = (0..n as u64).map(|i| i * i + 1).collect();
-        cases.push(measure("route-a2a", "net", n, k, || {
+        cases.push(measure("route-a2a", "net", n, || {
             let mut net = Net::new(NetConfig::kt1(n).with_seed(7));
             let before = net.cost();
-            // 8 collectives per repetition so the measured region is not
+            // 8 collectives per run so the measured region is not
             // dominated by Net construction.
             for _ in 0..8 {
                 let shared = all_to_all_share(&mut net, &values).expect("collective");
@@ -271,19 +239,19 @@ pub fn run_suite_with(quick: bool, k: usize, large: Large) -> PerfSuite {
     }
 
     // Runtime connectivity on both backends, same seeds: model costs
-    // must match across engines; only the timing column may differ.
+    // must match across engines.
     let rt_ns: &[usize] = if quick { &[32, 64] } else { &[32, 64, 128] };
     for &n in rt_ns {
         let mut rng = ChaCha8Rng::seed_from_u64(9000 + n as u64);
         let g = generators::random_connected_graph(n, 4.0 / n as f64, &mut rng);
         let adj = adjacency(&g);
-        cases.push(measure("rt-conn", "serial", n, k, || {
+        cases.push(measure("rt-conn", "serial", n, || {
             let mut rt = Runtime::serial(NetConfig::kt1(n).with_seed(n as u64));
             let out = run_connectivity(&mut rt, &adj, None, 200_000).expect("serial gc");
             assert!(out.connected);
             rt.cost()
         }));
-        cases.push(measure("rt-conn", "parallel", n, k, || {
+        cases.push(measure("rt-conn", "parallel", n, || {
             let mut rt = Runtime::parallel(NetConfig::kt1(n).with_seed(n as u64));
             let out = run_connectivity(&mut rt, &adj, None, 200_000).expect("parallel gc");
             assert!(out.connected);
@@ -291,7 +259,7 @@ pub fn run_suite_with(quick: bool, k: usize, large: Large) -> PerfSuite {
         }));
     }
 
-    push_large_cases(&mut cases, large, k);
+    push_large_cases(&mut cases, large);
 
     let mut suite = PerfSuite::new("cc-bench perf")
         .with_meta("mode", if quick { "quick" } else { "full" })
@@ -303,7 +271,6 @@ pub fn run_suite_with(quick: bool, k: usize, large: Large) -> PerfSuite {
                 Large::Full => "full",
             },
         )
-        .with_meta("k", &k.to_string())
         .with_meta("count_allocs", &cfg!(feature = "count-allocs").to_string());
     suite.cases = cases;
     suite
@@ -380,6 +347,16 @@ pub fn filter_cases(suite: &mut PerfSuite, patterns: &str) -> Result<(), String>
     Ok(())
 }
 
+/// Keeps only the cases of `suite` this suite produces — everything but
+/// the `serve-*` and `grid-*` sections `loadgen` and `grid` own (for
+/// gating a fresh run against a combined baseline).
+pub fn perf_section(suite: &PerfSuite) -> PerfSuite {
+    let mut only = suite.clone();
+    only.cases
+        .retain(|c| !c.id.starts_with("serve-") && !c.id.starts_with("grid-"));
+    only
+}
+
 /// `(year, month, day)` in UTC for a unix timestamp — for naming
 /// `BENCH_<stamp>.json` without a date/time dependency. Howard Hinnant's
 /// `civil_from_days` algorithm.
@@ -407,7 +384,7 @@ pub fn stamp_name(created_unix: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_profile::{compare, Tolerance};
+    use cc_profile::compare;
 
     #[test]
     fn filter_zero_match_errors_with_valid_names() {
@@ -417,29 +394,13 @@ mod tests {
                 id: "gc-sketch".into(),
                 backend: "net".into(),
                 n: 32,
-                runs: 1,
-                nanos_median: 1,
-                nanos_min: 1,
-                nanos_max: 1,
-                rounds: 1,
-                messages: 1,
-                words: 1,
-                allocs: None,
-                alloc_bytes: None,
+                ..PerfCase::default()
             },
             PerfCase {
                 id: "rt-conn".into(),
                 backend: "serial".into(),
                 n: 64,
-                runs: 1,
-                nanos_median: 1,
-                nanos_min: 1,
-                nanos_max: 1,
-                rounds: 1,
-                messages: 1,
-                words: 1,
-                allocs: None,
-                alloc_bytes: None,
+                ..PerfCase::default()
             },
         ];
         // A matching filter keeps the matching case and succeeds.
@@ -465,15 +426,13 @@ mod tests {
     }
 
     #[test]
-    fn measure_is_median_of_k_and_rejects_model_drift() {
-        let case = measure("toy", "net", 4, 5, || Cost {
+    fn measure_records_the_model_cost() {
+        let case = measure("toy", "net", 4, || Cost {
             rounds: 2,
             messages: 10,
             words: 20,
             bits: 240,
         });
-        assert_eq!(case.runs, 5);
-        assert!(case.nanos_min <= case.nanos_median && case.nanos_median <= case.nanos_max);
         assert_eq!((case.rounds, case.messages, case.words), (2, 10, 20));
     }
 
@@ -481,7 +440,7 @@ mod tests {
     #[should_panic(expected = "model cost drifted")]
     fn nondeterministic_model_cost_panics() {
         let mut r = 0u64;
-        let _ = measure("toy", "net", 4, 2, || {
+        let _ = measure("toy", "net", 4, || {
             r += 1;
             Cost {
                 rounds: r,
@@ -494,15 +453,14 @@ mod tests {
 
     #[test]
     fn quick_suite_is_deterministic_and_self_consistent() {
-        let suite = run_suite(true, 1);
+        let suite = run_suite(true);
         assert!(suite.validate().is_ok(), "{:?}", suite.validate());
         assert_eq!(suite.cases.len(), 10, "2+2+2 net cases + 2×2 rt cases");
         // A replay with the same seeds must carry identical model costs:
         // the suite gates itself at zero model tolerance.
-        let again = run_suite(true, 1);
-        let cmp = compare(&again, &suite, Tolerance::default());
+        let again = run_suite(true);
         assert!(
-            cmp.deltas.iter().all(|d| d.model_drift.is_empty()),
+            compare(&again, &suite).passed(),
             "model quantities must be reproducible"
         );
         // Both rt backends exist and agree on model cost per n.
@@ -529,12 +487,12 @@ mod tests {
     fn case_keys_enumerates_exactly_what_the_suite_runs() {
         // The static enumeration behind `perf --list` must match the keys
         // an actual run produces, in order.
-        let suite = run_suite(true, 1);
+        let suite = run_suite(true);
         let real: Vec<String> = suite.cases.iter().map(case_key).collect();
         assert_eq!(case_keys(true, Large::Off), real);
         // The other shapes are pinned structurally (running them takes
-        // seconds per repetition): the full suite extends the sizes, the
-        // large tiers only append.
+        // seconds per case): the full suite extends the sizes, the large
+        // tiers only append.
         let full = case_keys(false, Large::Off);
         assert_eq!(full.len(), 15, "3+3+3 net cases + 2×3 rt cases");
         for k in case_keys(true, Large::Off) {
@@ -551,16 +509,11 @@ mod tests {
 
     #[test]
     fn sketch_build_case_model_quantities_are_deterministic() {
-        // Two independent runs at a small n: the fingerprint packed into
-        // `words` must be reproducible (it is what the MODEL-DRIFT gate
-        // compares for this case), and `messages` must equal 2m of the
-        // streamed graph.
-        let a = sketch_build_case(96, 1);
-        let b = sketch_build_case(96, 2);
-        assert_eq!(
-            (a.rounds, a.messages, a.words),
-            (b.rounds, b.messages, b.words)
-        );
+        // The fingerprint packed into `words` must be reproducible (it is
+        // what the MODEL-DRIFT gate compares for this case; `measure`
+        // panics otherwise), and `messages` must equal 2m of the streamed
+        // graph.
+        let a = sketch_build_case(96);
         let mut rng = ChaCha8Rng::seed_from_u64(16_000 + 96);
         let g = cc_graph::random_connected_csr(96, 192, &mut rng);
         assert_eq!(a.messages, 2 * g.m() as u64);

@@ -1,26 +1,24 @@
 //! The perf-baseline store: the versioned `BENCH_<stamp>.json` schema and
-//! the noise-aware regression gate.
+//! the zero-tolerance model-drift gate.
 //!
-//! `bench perf` runs a fixed suite (median-of-k wall-clock per case),
-//! emits a dated [`PerfSuite`] document, and [`compare`]s it against the
-//! committed `BENCH_baseline.json`. The gate is deliberately two-sided
-//! about noise: a case **regresses** only when it exceeds the baseline
-//! median by *both* the relative margin and the absolute margin of the
-//! [`Tolerance`] — a 40 % blow-up of a 40 µs case is jitter, and a 3 ms
-//! drift on a 2 s case is below the relative bar; neither should fail a
-//! build alone. Model quantities (rounds/messages/words) have **zero**
-//! tolerance: they are deterministic, so any drift is a real behavioural
-//! change, not noise.
+//! `bench perf`, `bench loadgen` and `bench grid` emit [`PerfSuite`]
+//! documents whose cases carry only deterministic model quantities
+//! (rounds/messages/words), and [`compare`] them against the committed
+//! `BENCH_baseline.json`. Those quantities are a pure function of the
+//! protocol and the seed, so the gate has **zero** tolerance: any drift is
+//! a real behavioural change, not noise. Wall-clock time is not recorded
+//! here; the `benchmark/` package (`ccbench`) is the one timing harness.
 
 use cc_trace::Json;
 use std::fmt::Write as _;
 
 /// Current `BENCH_*.json` schema version. Bump on any incompatible
-/// change and document the migration in DESIGN.md §12.
-pub const PERF_SCHEMA_VERSION: u64 = 1;
+/// change and document the migration in DESIGN.md §12. v2 dropped the
+/// v1 timing columns (`runs`, `nanos_*`); v1 documents are not read.
+pub const PERF_SCHEMA_VERSION: u64 = 2;
 
-/// One benchmark case: a (workload, engine, size) triple measured
-/// median-of-k.
+/// One baseline case: the model cost of a (workload, engine, size)
+/// triple.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PerfCase {
     /// Workload ID (`gc-sketch`, `exact-mst`, `rt-connectivity`, …).
@@ -29,21 +27,13 @@ pub struct PerfCase {
     pub backend: String,
     /// Clique size.
     pub n: u64,
-    /// Timed repetitions the median was taken over.
-    pub runs: u64,
-    /// Median wall-clock nanoseconds.
-    pub nanos_median: u64,
-    /// Fastest repetition.
-    pub nanos_min: u64,
-    /// Slowest repetition.
-    pub nanos_max: u64,
     /// Metered rounds (deterministic; gated at zero tolerance).
     pub rounds: u64,
     /// Metered messages (deterministic; gated at zero tolerance).
     pub messages: u64,
     /// Metered words (deterministic; gated at zero tolerance).
     pub words: u64,
-    /// Heap allocations during the median run, when the counting
+    /// Heap allocations during the first run, when the counting
     /// allocator was compiled in (`--features count-allocs`).
     pub allocs: Option<u64>,
     /// Bytes requested by those allocations.
@@ -61,10 +51,6 @@ impl PerfCase {
             ("id", Json::Str(self.id.clone())),
             ("backend", Json::Str(self.backend.clone())),
             ("n", Json::UInt(self.n)),
-            ("runs", Json::UInt(self.runs)),
-            ("nanos_median", Json::UInt(self.nanos_median)),
-            ("nanos_min", Json::UInt(self.nanos_min)),
-            ("nanos_max", Json::UInt(self.nanos_max)),
             ("rounds", Json::UInt(self.rounds)),
             ("messages", Json::UInt(self.messages)),
             ("words", Json::UInt(self.words)),
@@ -94,10 +80,6 @@ impl PerfCase {
             id: s("id")?,
             backend: s("backend")?,
             n: u("n")?,
-            runs: u("runs")?,
-            nanos_median: u("nanos_median")?,
-            nanos_min: u("nanos_min")?,
-            nanos_max: u("nanos_max")?,
             rounds: u("rounds")?,
             messages: u("messages")?,
             words: u("words")?,
@@ -118,7 +100,7 @@ pub struct PerfSuite {
     pub generator: String,
     /// Unix timestamp (seconds) of the run; 0 when unavailable.
     pub created_unix: u64,
-    /// Free-form metadata: mode, host, repetition count…
+    /// Free-form metadata: mode, load shape…
     pub meta: Vec<(String, String)>,
     /// The measured cases.
     pub cases: Vec<PerfCase>,
@@ -176,8 +158,8 @@ impl PerfSuite {
     ///
     /// # Errors
     ///
-    /// Describes the first structural problem; rejects unknown schema
-    /// versions.
+    /// Describes the first structural problem; rejects every schema
+    /// version but [`PERF_SCHEMA_VERSION`].
     pub fn from_json_str(text: &str) -> Result<PerfSuite, String> {
         let v = Json::parse(text)?;
         let schema_version = v
@@ -246,47 +228,17 @@ impl PerfSuite {
         if keys.len() != before {
             problems.push("duplicate case keys".into());
         }
-        for c in &self.cases {
-            if c.id.is_empty() || c.backend.is_empty() {
-                problems.push("case with empty id/backend".into());
-            }
-            if c.runs == 0 {
-                problems.push(format!("case {}/{}/{}: zero runs", c.id, c.backend, c.n));
-            }
-            if !(c.nanos_min <= c.nanos_median && c.nanos_median <= c.nanos_max) {
-                problems.push(format!(
-                    "case {}/{}/{}: min {} / median {} / max {} out of order",
-                    c.id, c.backend, c.n, c.nanos_min, c.nanos_median, c.nanos_max
-                ));
-            }
+        if self
+            .cases
+            .iter()
+            .any(|c| c.id.is_empty() || c.backend.is_empty())
+        {
+            problems.push("case with empty id/backend".into());
         }
         if problems.is_empty() {
             Ok(())
         } else {
             Err(problems)
-        }
-    }
-}
-
-/// The regression-gate tolerance band (see the module docs).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Tolerance {
-    /// Relative margin on the median: `current > base * (1 + rel)` is
-    /// necessary for a timing regression.
-    pub rel: f64,
-    /// Absolute margin: `current > base + abs_nanos` is also necessary —
-    /// sub-margin cases can't regress no matter the ratio.
-    pub abs_nanos: u64,
-}
-
-impl Default for Tolerance {
-    /// 40 % relative + 5 ms absolute: calibrated for the CI container,
-    /// where median-of-3 still jitters tens of percent on sub-millisecond
-    /// cases but a real slowdown shows up as both.
-    fn default() -> Self {
-        Tolerance {
-            rel: 0.40,
-            abs_nanos: 5_000_000,
         }
     }
 }
@@ -300,14 +252,6 @@ pub struct CaseDelta {
     pub backend: String,
     /// Clique size.
     pub n: u64,
-    /// Baseline median nanoseconds.
-    pub base_nanos: u64,
-    /// Current median nanoseconds.
-    pub cur_nanos: u64,
-    /// `cur / base` (`inf` when the baseline is 0 and current is not).
-    pub ratio: f64,
-    /// Whether the timing exceeded the tolerance band.
-    pub timing_regressed: bool,
     /// Deterministic-quantity drift (rounds/messages/words changed),
     /// described per field; empty when none.
     pub model_drift: Vec<String>,
@@ -316,7 +260,7 @@ pub struct CaseDelta {
 impl CaseDelta {
     /// Whether this pair fails the gate.
     pub fn regressed(&self) -> bool {
-        self.timing_regressed || !self.model_drift.is_empty()
+        !self.model_drift.is_empty()
     }
 }
 
@@ -338,23 +282,21 @@ impl PerfComparison {
         self.deltas.iter().filter(|d| d.regressed()).collect()
     }
 
-    /// Whether the gate passes (no regressions and no vanished cases).
+    /// Whether the gate passes (no model drift and no vanished cases).
     pub fn passed(&self) -> bool {
         self.regressions().is_empty() && self.missing.is_empty()
     }
 }
 
-/// Compares `current` against `baseline` under `tol` (see the module
-/// docs for the band semantics).
-pub fn compare(current: &PerfSuite, baseline: &PerfSuite, tol: Tolerance) -> PerfComparison {
+/// Compares `current` against `baseline`: every matched case must carry
+/// exactly the baseline's rounds, messages and words.
+pub fn compare(current: &PerfSuite, baseline: &PerfSuite) -> PerfComparison {
     let mut cmp = PerfComparison::default();
     for cur in &current.cases {
         let Some(base) = baseline.cases.iter().find(|b| b.key() == cur.key()) else {
             cmp.new_cases.push(cur.key());
             continue;
         };
-        let over_rel = cur.nanos_median as f64 > base.nanos_median as f64 * (1.0 + tol.rel);
-        let over_abs = cur.nanos_median > base.nanos_median.saturating_add(tol.abs_nanos);
         let mut model_drift = Vec::new();
         for (name, c, b) in [
             ("rounds", cur.rounds, base.rounds),
@@ -369,18 +311,6 @@ pub fn compare(current: &PerfSuite, baseline: &PerfSuite, tol: Tolerance) -> Per
             id: cur.id.clone(),
             backend: cur.backend.clone(),
             n: cur.n,
-            base_nanos: base.nanos_median,
-            cur_nanos: cur.nanos_median,
-            ratio: if base.nanos_median == 0 {
-                if cur.nanos_median == 0 {
-                    1.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                cur.nanos_median as f64 / base.nanos_median as f64
-            },
-            timing_regressed: over_rel && over_abs,
             model_drift,
         });
     }
@@ -393,31 +323,14 @@ pub fn compare(current: &PerfSuite, baseline: &PerfSuite, tol: Tolerance) -> Per
 }
 
 /// Renders a comparison as an aligned text table plus a verdict line.
-pub fn render_comparison(cmp: &PerfComparison, tol: Tolerance) -> String {
-    let mut out = String::from(
-        "case                     backend    n     base_ms      cur_ms   ratio  verdict\n",
-    );
-    out.push_str(
-        "-------------------------------------------------------------------------------\n",
-    );
+pub fn render_comparison(cmp: &PerfComparison) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "{:<24} {:<16} {:>5}  verdict", "case", "backend", "n");
+    out.push_str(&"-".repeat(56));
+    out.push('\n');
     for d in &cmp.deltas {
-        let verdict = if d.timing_regressed {
-            "REGRESSED"
-        } else if !d.model_drift.is_empty() {
-            "MODEL-DRIFT"
-        } else {
-            "ok"
-        };
-        let _ = writeln!(
-            out,
-            "{id:<24} {backend:<8} {n:>4} {base:>11.3} {cur:>11.3} {ratio:>7.2}  {verdict}",
-            id = d.id,
-            backend = d.backend,
-            n = d.n,
-            base = d.base_nanos as f64 / 1e6,
-            cur = d.cur_nanos as f64 / 1e6,
-            ratio = d.ratio,
-        );
+        let verdict = if d.regressed() { "MODEL-DRIFT" } else { "ok" };
+        let _ = writeln!(out, "{:<24} {:<16} {:>5}  {verdict}", d.id, d.backend, d.n);
         for drift in &d.model_drift {
             let _ = writeln!(out, "    model drift: {drift}");
         }
@@ -430,13 +343,7 @@ pub fn render_comparison(cmp: &PerfComparison, tol: Tolerance) -> String {
     }
     let _ = writeln!(
         out,
-        "\ntolerance: +{:.0}% relative AND +{:.1} ms absolute (both required); model quantities exact",
-        tol.rel * 100.0,
-        tol.abs_nanos as f64 / 1e6,
-    );
-    let _ = writeln!(
-        out,
-        "verdict: {}",
+        "\nmodel quantities (rounds/messages/words) gated exactly\nverdict: {}",
         if cmp.passed() { "PASS" } else { "FAIL" }
     );
     out
@@ -446,15 +353,11 @@ pub fn render_comparison(cmp: &PerfComparison, tol: Tolerance) -> String {
 mod tests {
     use super::*;
 
-    fn case(id: &str, backend: &str, n: u64, median: u64) -> PerfCase {
+    fn case(id: &str, backend: &str, n: u64) -> PerfCase {
         PerfCase {
             id: id.into(),
             backend: backend.into(),
             n,
-            runs: 3,
-            nanos_median: median,
-            nanos_min: median.saturating_sub(median / 10),
-            nanos_max: median + median / 10,
             rounds: 30,
             messages: 1000,
             words: 2000,
@@ -471,7 +374,7 @@ mod tests {
 
     #[test]
     fn suite_round_trips_and_validates() {
-        let mut s = suite(vec![case("gc-sketch", "net", 64, 12_000_000)]);
+        let mut s = suite(vec![case("gc-sketch", "net", 64)]);
         s.cases[0].allocs = Some(4242);
         s.cases[0].alloc_bytes = Some(1 << 20);
         let text = s.to_json_string();
@@ -483,92 +386,46 @@ mod tests {
     #[test]
     fn validate_catches_broken_suites() {
         let mut s = suite(vec![
-            case("a", "net", 8, 100),
-            case("a", "net", 8, 100), // duplicate key
+            case("a", "net", 8),
+            case("a", "net", 8), // duplicate key
         ]);
-        s.cases[0].runs = 0;
-        s.cases[0].nanos_min = 500; // min > median
+        s.cases[0].backend.clear();
+        s.cases[1].backend.clear();
         let problems = s.validate().unwrap_err();
         assert!(problems.iter().any(|p| p.contains("duplicate")));
-        assert!(problems.iter().any(|p| p.contains("zero runs")));
-        assert!(problems.iter().any(|p| p.contains("out of order")));
+        assert!(problems.iter().any(|p| p.contains("empty id/backend")));
     }
 
     #[test]
-    fn rejects_unknown_schema_version() {
-        let mut s = suite(vec![]);
-        s.schema_version = 99;
-        assert!(PerfSuite::from_json_str(&s.to_json_string())
-            .unwrap_err()
-            .contains("schema_version"));
-    }
-
-    #[test]
-    fn gate_trips_only_past_both_margins() {
-        let base = suite(vec![
-            case("big", "net", 64, 100_000_000), // 100 ms
-            case("small", "net", 8, 40_000),     // 40 µs
-        ]);
-        let tol = Tolerance::default();
-
-        // 100 ms -> 150 ms: past 40% rel and 5 ms abs — regression.
-        let mut cur = base.clone();
-        cur.cases[0].nanos_median = 150_000_000;
-        let cmp = compare(&cur, &base, tol);
-        assert!(!cmp.passed());
-        assert_eq!(cmp.regressions().len(), 1);
-        assert!(cmp.regressions()[0].timing_regressed);
-
-        // 40 µs -> 400 µs: 10x relative, but under the absolute margin —
-        // jitter, not a regression.
-        let mut cur = base.clone();
-        cur.cases[1].nanos_median = 400_000;
-        assert!(compare(&cur, &base, tol).passed());
-
-        // 100 ms -> 107 ms: past the absolute margin, under the relative
-        // one — drift within band.
-        let mut cur = base.clone();
-        cur.cases[0].nanos_median = 107_000_000;
-        assert!(compare(&cur, &base, tol).passed());
-    }
-
-    #[test]
-    fn artificially_inflated_baseline_replay_fails_the_gate() {
-        // The acceptance scenario: take a recorded suite, inflate its
-        // timing 10x, and replay the comparison — the gate must exit
-        // non-zero (here: report failure).
-        let base = suite(vec![case("gc-sketch", "net", 64, 20_000_000)]);
-        let mut inflated = base.clone();
-        for c in &mut inflated.cases {
-            c.nanos_median *= 10;
-            c.nanos_min *= 10;
-            c.nanos_max *= 10;
+    fn rejects_other_schema_versions() {
+        for version in [1, 99] {
+            let mut s = suite(vec![]);
+            s.schema_version = version;
+            assert!(PerfSuite::from_json_str(&s.to_json_string())
+                .unwrap_err()
+                .contains("schema_version"));
         }
-        let cmp = compare(&inflated, &base, Tolerance::default());
-        assert!(!cmp.passed());
-        let rendered = render_comparison(&cmp, Tolerance::default());
-        assert!(rendered.contains("REGRESSED"), "{rendered}");
-        assert!(rendered.contains("FAIL"), "{rendered}");
-        // The inverse direction (current faster than baseline) passes.
-        assert!(compare(&base, &inflated, Tolerance::default()).passed());
     }
 
     #[test]
     fn deterministic_quantities_have_zero_tolerance() {
-        let base = suite(vec![case("gc-sketch", "net", 64, 10_000_000)]);
+        let base = suite(vec![case("gc-sketch", "net", 64)]);
+        assert!(compare(&base, &base).passed());
         let mut cur = base.clone();
-        cur.cases[0].messages += 1; // timing identical, model drifted
-        let cmp = compare(&cur, &base, Tolerance::default());
+        cur.cases[0].messages += 1;
+        let cmp = compare(&cur, &base);
         assert!(!cmp.passed());
         assert!(cmp.regressions()[0].model_drift[0].contains("messages"));
-        assert!(render_comparison(&cmp, Tolerance::default()).contains("MODEL-DRIFT"));
+        let rendered = render_comparison(&cmp);
+        assert!(rendered.contains("MODEL-DRIFT"), "{rendered}");
+        assert!(rendered.contains("FAIL"), "{rendered}");
     }
 
     #[test]
     fn missing_and_new_cases_are_distinguished() {
-        let base = suite(vec![case("a", "net", 8, 100), case("b", "net", 8, 100)]);
-        let cur = suite(vec![case("a", "net", 8, 100), case("c", "net", 8, 100)]);
-        let cmp = compare(&cur, &base, Tolerance::default());
+        let base = suite(vec![case("a", "net", 8), case("b", "net", 8)]);
+        let cur = suite(vec![case("a", "net", 8), case("c", "net", 8)]);
+        let cmp = compare(&cur, &base);
         assert_eq!(cmp.missing, vec![("b".into(), "net".into(), 8)]);
         assert_eq!(cmp.new_cases, vec![("c".into(), "net".into(), 8)]);
         assert!(!cmp.passed(), "a vanished case fails the gate");

@@ -14,21 +14,20 @@
 //!   events, so the same run profiled on any engine yields an identical
 //!   model view — test-enforced.
 //! * [`baseline`] — the versioned `BENCH_<stamp>.json` schema
-//!   ([`PerfSuite`]), plus [`compare`](baseline::compare): noise-aware
-//!   regression gating against a committed `BENCH_baseline.json` (a case
-//!   regresses only when it exceeds the baseline by *both* a relative and
-//!   an absolute margin).
+//!   ([`PerfSuite`]), plus [`compare`](baseline::compare): zero-tolerance
+//!   model-drift gating (rounds/messages/words) against a committed
+//!   `BENCH_baseline.json`.
 //! * [`diff`] — aligns two runs' model-event streams, pinpoints the first
 //!   divergence (index, round, event), and tabulates per-phase cost and
 //!   wall-time deltas: the debugging tool for backend-equivalence and
 //!   chaos-replay failures.
 //! * [`alloc`] (feature `count-allocs`) — a counting global allocator so
-//!   `bench perf` can report allocations per case alongside wall time.
+//!   `bench perf` can report allocations per case.
 //!
 //! The boundary `cc-trace` draws — model events deterministic per
 //! protocol and seed, timing events not — is load-bearing everywhere
-//! here: profiles split along it, diffs compare only the model half, and
-//! baselines gate only on timing. See DESIGN.md §12.
+//! here: profiles split along it, and diffs and baselines compare only
+//! the model half. See DESIGN.md §12.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +39,7 @@ pub mod diff;
 pub mod profile;
 
 pub use baseline::{
-    compare, render_comparison, CaseDelta, PerfCase, PerfComparison, PerfSuite, Tolerance,
-    PERF_SCHEMA_VERSION,
+    compare, render_comparison, CaseDelta, PerfCase, PerfComparison, PerfSuite, PERF_SCHEMA_VERSION,
 };
 pub use diff::{describe_event, diff_events, render_diff, Divergence, PhaseDelta, TraceDiff};
 pub use profile::{

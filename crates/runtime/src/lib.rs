@@ -31,7 +31,8 @@
 //!
 //! The serial and parallel engines sit behind one [`Backend`] trait so
 //! tests run both and assert bit-for-bit equivalence; see
-//! `tests/equivalence.rs` and the `runtime_scaling` bench in `cc-bench`.
+//! `tests/equivalence.rs`; the benchmark's `rt-engines` workload times
+//! them (`runtime.parallel_over_serial`).
 //! The [`KMachineBackend`] sits behind the same trait: it multiplexes the
 //! `n` logical nodes onto `k` machines, keeping the logical execution
 //! byte-identical (it delegates to the serial engine) while pricing each

@@ -23,12 +23,11 @@
 //! workload by refusing it or slowing it, but never by letting it return
 //! a silently wrong answer.
 //!
-//! Machine-level accounting (the k-machine axis) is computed two ways
-//! that tests pin to each other: `rt-conn` runs on the
-//! [`cc_runtime::KMachineBackend`] and reads its live
-//! [`MachineStats`]; the `CliqueNet`-based workloads record a
-//! [`cc_trace::Event::MessageBatch`] stream and fold it through the same
-//! [`MachineLedger`] ([`fold_machine_stats`]).
+//! Machine-level accounting (the k-machine axis) is one fold: every
+//! workload records its [`cc_trace::Event::MessageBatch`] stream and
+//! [`CommLedger::fold`] prices it through a [`cc_model::MachineLedger`]
+//! under the cell's mapping — the same fold that yields the utilization
+//! section.
 //!
 //! Results are emitted as a schema-versioned [`GridArtifact`]
 //! (`GRID_<stamp>.json`), rendered to the E22 markdown table, and folded
@@ -42,12 +41,12 @@ use cc_core::{
 };
 use cc_graph::{connectivity, generators, Graph, UnionFind, WGraph};
 use cc_lens::{CommLedger, CommReport};
-use cc_model::{LinkMode, MachineLedger, MachineStats, Mapping, ModelSpec};
+use cc_model::{LinkMode, MachineStats, Mapping, ModelSpec};
 use cc_net::NetConfig;
 use cc_profile::{PerfCase, PerfSuite};
 use cc_route::Net;
 use cc_runtime::Runtime;
-use cc_trace::{Event, Json, RecordingTracer};
+use cc_trace::{Json, RecordingTracer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
@@ -580,29 +579,6 @@ pub fn render_utilization_markdown(artifact: &GridArtifact) -> String {
     out
 }
 
-/// Folds a recorded model-event stream into [`MachineStats`] under
-/// `spec` — the trace-side twin of the live accounting the
-/// [`cc_runtime::KMachineBackend`] does (tests assert they agree).
-///
-/// # Panics
-///
-/// Panics if `spec` is invalid for `n`.
-pub fn fold_machine_stats(n: usize, spec: &ModelSpec, events: &[Event]) -> MachineStats {
-    let mut ledger = MachineLedger::new(n, spec).expect("grid cells are pre-validated");
-    for e in events {
-        match e {
-            Event::MessageBatch {
-                src, dst, words, ..
-            } => ledger.record(*src as usize, *dst as usize, *words),
-            Event::RoundEnd { .. } => {
-                ledger.end_round();
-            }
-            _ => {}
-        }
-    }
-    ledger.stats()
-}
-
 fn error_kind(e: &CoreError) -> &'static str {
     match e {
         CoreError::Net(net) => net.kind(),
@@ -640,8 +616,7 @@ where
     let outcome = run(&mut net);
     let nanos = t0.elapsed().as_nanos() as u64;
     let cost = net.cost();
-    // One fold serves both views: the machine stats (the same
-    // `MachineLedger` charges `fold_machine_stats` applies) and the
+    // One fold serves both views: the machine stats and the
     // round-resolved utilization section.
     let lens =
         CommLedger::fold(n, spec, &rec.model_events()).expect("grid cells are pre-validated");
@@ -734,18 +709,15 @@ fn rt_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
     let truth = connectivity::component_labels(g);
     let cfg = NetConfig::kt1(n)
         .with_seed(seed)
-        .with_round_cap(GRID_ROUND_CAP);
-    let mut rt = Runtime::for_model(cfg, spec);
+        .with_round_cap(GRID_ROUND_CAP)
+        .with_model(spec);
+    let mut rt = Runtime::serial(cfg);
     let rec = RecordingTracer::new();
     rt.set_tracer(Box::new(rec.clone()));
     let t0 = Instant::now();
     let outcome = run_connectivity(&mut rt, &adj, None, GRID_ROUND_CAP);
     let nanos = t0.elapsed().as_nanos() as u64;
     let cost = rt.cost();
-    // The machine column stays the *live* KMachineBackend ledger; the
-    // utilization section is the trace fold — `validate` holds the two
-    // bit-identical in every emitted artifact.
-    let machine = rt.backend().stats();
     let lens =
         CommLedger::fold(n, spec, &rec.model_events()).expect("grid cells are pre-validated");
     let (status, error, detail, validated) = match outcome {
@@ -786,7 +758,7 @@ fn rt_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
         rounds: cost.rounds,
         messages: cost.messages,
         words: cost.words,
-        machine,
+        machine: lens.machine_stats(),
         utilization: lens.report(),
         nanos,
     }
@@ -860,7 +832,6 @@ pub fn grid_section(suite: &PerfSuite) -> PerfSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_trace::RecordingTracer;
 
     fn small_grid() -> GridArtifact {
         // n = 12 keeps every workload fast in debug builds while leaving
@@ -940,40 +911,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn backend_stats_agree_with_the_trace_fold() {
-        // The two accounting paths — the KMachineBackend's live ledger
-        // and the MessageBatch trace fold — must produce identical
-        // machine stats for the same run.
-        let n = 10;
-        let spec = ModelSpec::clique().with_bandwidth(8).kmachine(3);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let g = generators::random_connected_graph(n, 0.4, &mut rng);
-        let mut adj = vec![Vec::new(); n];
-        for e in g.edges() {
-            adj[e.u as usize].push(e.v as usize);
-            adj[e.v as usize].push(e.u as usize);
-        }
-        let rec = RecordingTracer::new();
-        let mut rt = Runtime::for_model(NetConfig::kt1(n).with_seed(5), &spec);
-        rt.set_tracer(Box::new(rec.clone()));
-        run_connectivity(&mut rt, &adj, None, GRID_ROUND_CAP).expect("connectivity");
-        let live = rt.backend().stats();
-        let folded = fold_machine_stats(n, &spec, &rec.model_events());
-        assert_eq!(live, folded);
-        assert!(live.machine_rounds >= live.logical_rounds);
-        // The CommLedger embeds the same MachineLedger: its machine view
-        // and its logical totals must both be bit-identical to the live
-        // engine's.
-        let lens = CommLedger::fold(n, &spec, &rec.model_events()).unwrap();
-        assert_eq!(lens.machine_stats(), live);
-        let cost = rt.cost();
-        assert_eq!(lens.words(), cost.words);
-        assert_eq!(lens.messages(), cost.messages);
-        assert_eq!(lens.rounds().len() as u64, cost.rounds);
-        assert_eq!(lens.over_budget(), 0);
     }
 
     #[test]

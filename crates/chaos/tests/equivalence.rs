@@ -10,9 +10,8 @@
 //! crash events.
 
 use cc_chaos::{FaultPlan, LinkSelector, RoundRange};
-use cc_net::program::{run_program, NodeProgram};
-use cc_net::{CliqueNet, Envelope, NetConfig, Outbox};
-use cc_runtime::{adapt_all, Runtime};
+use cc_net::{CliqueNet, Envelope, Mapping, ModelSpec, NetConfig};
+use cc_runtime::{run_program, Ctx, Program, Runtime};
 use cc_trace::{Event, RecordingTracer};
 
 /// A fault-tolerant gossip: each node sends `[counter, me]` to its two
@@ -22,7 +21,6 @@ use cc_trace::{Event, RecordingTracer};
 /// squeezes can never panic it; they only change the digest.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Gossip {
-    n: usize,
     to_send: u64,
     sent: u64,
     received: u64,
@@ -32,7 +30,6 @@ struct Gossip {
 impl Gossip {
     fn new(rounds: u64) -> Self {
         Gossip {
-            n: 0,
             to_send: rounds,
             sent: 0,
             received: 0,
@@ -53,34 +50,29 @@ impl Gossip {
         }
     }
 
-    fn gossip(&mut self, me: usize, out: &mut Outbox<'_, Vec<u64>>) {
+    fn gossip(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
         if self.to_send == 0 {
             return;
         }
+        let me = ctx.me();
         for hop in [1, 2] {
-            let _ = out.send((me + hop) % self.n, vec![self.sent, me as u64]);
+            let _ = ctx.send((me + hop) % ctx.n(), vec![self.sent, me as u64]);
         }
         self.sent += 1;
         self.to_send -= 1;
     }
 }
 
-impl NodeProgram for Gossip {
+impl Program for Gossip {
     type Msg = Vec<u64>;
 
-    fn start(&mut self, me: usize, n: usize, out: &mut Outbox<'_, Vec<u64>>) {
-        self.n = n;
-        self.gossip(me, out);
+    fn start(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
+        self.gossip(ctx);
     }
 
-    fn round(
-        &mut self,
-        me: usize,
-        inbox: &[Envelope<Vec<u64>>],
-        out: &mut Outbox<'_, Vec<u64>>,
-    ) -> bool {
+    fn round(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>, inbox: &[Envelope<Vec<u64>>]) -> bool {
         self.absorb(inbox);
-        self.gossip(me, out);
+        self.gossip(ctx);
         self.to_send == 0
     }
 }
@@ -120,21 +112,15 @@ fn run_three_ways(
     let mut rt = Runtime::serial(cfg.clone());
     rt.set_tracer(Box::new(rec.clone()));
     rt.set_fault_injector(Box::new(plan.injector()));
-    let states = rt
-        .run(adapt_all(programs(n, send_rounds)), max_rounds)
-        .unwrap();
-    let inner: Vec<Gossip> = states.into_iter().map(|a| a.0).collect();
-    results.push((outputs(&inner), rt.cost(), rec.model_events()));
+    let states = rt.run(programs(n, send_rounds), max_rounds).unwrap();
+    results.push((outputs(&states), rt.cost(), rec.model_events()));
 
     let rec = RecordingTracer::new();
     let mut rt = Runtime::parallel_with_threads(cfg, 4);
     rt.set_tracer(Box::new(rec.clone()));
     rt.set_fault_injector(Box::new(plan.injector()));
-    let states = rt
-        .run(adapt_all(programs(n, send_rounds)), max_rounds)
-        .unwrap();
-    let inner: Vec<Gossip> = states.into_iter().map(|a| a.0).collect();
-    results.push((outputs(&inner), rt.cost(), rec.model_events()));
+    let states = rt.run(programs(n, send_rounds), max_rounds).unwrap();
+    results.push((outputs(&states), rt.cost(), rec.model_events()));
 
     results
 }
@@ -248,7 +234,7 @@ fn crashed_nodes_freeze_identically() {
     assert_three_way_identical(&plan, 6, 4);
 }
 
-/// The k-machine engine under chaos: fault decisions are keyed by the
+/// A k-machine mapping under chaos: fault decisions are keyed by the
 /// *logical* `(seed, rule, round, src, dst, index)` coordinates, so the
 /// same plan must replay byte-identically regardless of how the logical
 /// nodes are mapped onto machines. This serializes the model-event
@@ -279,18 +265,22 @@ fn mayhem_replays_byte_identically_on_any_machine_mapping() {
     let mut serial = Runtime::serial(cfg.clone());
     serial.set_tracer(Box::new(rec.clone()));
     serial.set_fault_injector(Box::new(plan.injector()));
-    let states = serial.run(adapt_all(programs(n, send_rounds)), 64).unwrap();
-    let ref_out = outputs(&states.into_iter().map(|a| a.0).collect::<Vec<_>>());
+    let states = serial.run(programs(n, send_rounds), 64).unwrap();
+    let ref_out = outputs(&states);
     let ref_record = record(&rec.model_events());
     assert!(!ref_record.is_empty());
 
     for k in [1, 4, n] {
         let rec = RecordingTracer::new();
-        let mut rt = Runtime::kmachine(cfg.clone(), k);
+        let spec = ModelSpec {
+            mapping: Mapping::KMachine(k),
+            ..cfg.model()
+        };
+        let mut rt = Runtime::serial(cfg.clone().with_model(&spec));
         rt.set_tracer(Box::new(rec.clone()));
         rt.set_fault_injector(Box::new(plan.injector()));
-        let states = rt.run(adapt_all(programs(n, send_rounds)), 64).unwrap();
-        let out = outputs(&states.into_iter().map(|a| a.0).collect::<Vec<_>>());
+        let states = rt.run(programs(n, send_rounds), 64).unwrap();
+        let out = outputs(&states);
         assert_eq!(out, ref_out, "k={k}: outputs diverged under faults");
         assert_eq!(rt.cost(), serial.cost(), "k={k}: cost diverged");
         assert_eq!(
@@ -298,9 +288,6 @@ fn mayhem_replays_byte_identically_on_any_machine_mapping() {
             ref_record,
             "k={k}: serialized robustness record diverged"
         );
-        // The mapping still prices the (pre-fault) sends: the ledger saw
-        // every logical round.
-        assert_eq!(rt.backend().stats().logical_rounds, rt.cost().rounds);
     }
 }
 

@@ -114,7 +114,7 @@ impl SketchConnectivity {
     }
 
     /// Ships the next budget-sized fragment toward the coordinator.
-    fn push_upload(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
+    fn push_upload(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
         let budget = ctx.budget_left(Self::COORD) as usize;
         let remaining = self.upload.len() - self.upload_pos;
         let take = budget.min(remaining);
@@ -127,7 +127,7 @@ impl SketchConnectivity {
 
     /// Coordinator: once every sender's bundle is complete, solve locally
     /// and queue the label broadcast.
-    fn try_finish(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
+    fn try_finish(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
         if !self.label_words.is_empty() || self.label.is_some() {
             return; // already solved
         }
@@ -169,7 +169,7 @@ impl SketchConnectivity {
 
     /// Coordinator: broadcasts the next label chunk; `true` when all label
     /// words are out.
-    fn push_labels(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) -> bool {
+    fn push_labels(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) -> bool {
         if self.label.is_none() {
             return false; // not solved yet
         }
@@ -188,7 +188,7 @@ impl SketchConnectivity {
 impl Program for SketchConnectivity {
     type Msg = Vec<u64>;
 
-    fn start(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
+    fn start(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
         if ctx.me() == Self::COORD {
             // Theorem 1 preprocessing: one node draws the hash seed and
             // announces it (the runtime analogue of
@@ -201,7 +201,7 @@ impl Program for SketchConnectivity {
         }
     }
 
-    fn round(&mut self, ctx: &mut Ctx<'_, Vec<u64>>, inbox: &[Envelope<Vec<u64>>]) -> bool {
+    fn round(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>, inbox: &[Envelope<Vec<u64>>]) -> bool {
         if ctx.me() == Self::COORD {
             for env in inbox {
                 self.received[env.src].extend_from_slice(&env.msg);

@@ -4,9 +4,8 @@
 //! second bookkeeping path to the engines. Every quantity it reports is
 //! derived from the same `MessageBatch`/`RoundStart`/`RoundEnd`/`Fault`
 //! stream the engines already emit, and the machine-level numbers come
-//! from folding each batch through the *same* [`cc_model::MachineLedger`]
-//! the live `KMachineBackend` charges — so agreement with the live
-//! accounting is by construction, and the zero-drift tests pin it.
+//! from folding each batch through a [`cc_model::MachineLedger`] — the
+//! only k-machine price in the workspace.
 //!
 //! Event contract (identical across `CliqueNet` and both runtime
 //! backends, see their emission sites): per executed round, `RoundStart`
@@ -218,8 +217,7 @@ impl CommLedger {
         if let Some(r) = self.node_recv.get_mut(dst as usize) {
             *r += words;
         }
-        // Machine accounting: the identical fold the live KMachineBackend
-        // applies to the identical batch stream.
+        // Machine accounting: each batch is one pair charge.
         self.machine.record(src as usize, dst as usize, words);
         let k = self.spec.machines(self.n);
         let (ms, md) = (
@@ -367,9 +365,8 @@ impl CommLedger {
         self.over_budget
     }
 
-    /// Machine-level accounting under the spec's mapping — bit-identical
-    /// to the live `KMachineBackend`'s stats for the same run, because it
-    /// is the same [`MachineLedger`] fed the same charges.
+    /// Machine-level accounting under the spec's mapping: the
+    /// [`MachineLedger`] fed every batch of the stream.
     pub fn machine_stats(&self) -> MachineStats {
         self.machine.stats()
     }

@@ -16,10 +16,11 @@
 //!    broadcast/unicast mix.
 //! 2. **Phase** — the `route:*`/`kt1-mst:*` scope events attribute every
 //!    word to the innermost open phase.
-//! 3. **Machine** — each batch is folded through the *same*
-//!    [`cc_model::MachineLedger`] the live `KMachineBackend` charges, so
-//!    machine rounds, local/remote splits, and pair skew agree with the
-//!    live accounting bit for bit (test-enforced, zero drift).
+//! 3. **Machine** — each batch is folded through a
+//!    [`cc_model::MachineLedger`] under the spec's mapping, which makes
+//!    this fold the one k-machine price: machine rounds, local/remote
+//!    splits, and pair skew (the k-machine invariants are test-enforced
+//!    on it).
 //!
 //! There is deliberately no second bookkeeping path: everything here is
 //! derived, after the fact, from the one trace stream — the same

@@ -1,18 +1,19 @@
 //! Zero-drift contract: a [`CommLedger`] folded from a recorded event
 //! stream is bit-identical to the live accounting of the engine that
-//! produced it — on `CliqueNet`, on both runtime backends, and on the
-//! k-machine backend, clean or under chaos.
+//! produced it — on `CliqueNet` and on both runtime backends, clean or
+//! under chaos.
 //!
 //! The observatory is a *view*, not a second measurement: if these
-//! folds ever disagree with `Cost` / `MachineLedger`, every utilization
-//! column the grid, serve, and cc-top surfaces would be a lie.
+//! folds ever disagree with `Cost`, every utilization column the grid,
+//! serve, and cc-top surfaces would be a lie. Under a k-machine mapping
+//! the fold is also the only machine price there is, so the k-machine
+//! model's pricing invariants are asserted on it here.
 
 use cc_chaos::{FaultPlan, LinkSelector, RoundRange};
 use cc_lens::CommLedger;
-use cc_model::ModelSpec;
-use cc_net::program::{run_program, NodeProgram};
-use cc_net::{CliqueNet, Cost, Envelope, NetConfig, Outbox};
-use cc_runtime::{adapt_all, Runtime};
+use cc_model::{MachineStats, ModelSpec};
+use cc_net::{CliqueNet, Cost, Envelope, NetConfig};
+use cc_runtime::{run_program, Ctx, Program, Runtime};
 use cc_trace::{Event, RecordingTracer};
 
 /// A two-successor pulse: each node sends `[me, beat]` (two words) to
@@ -22,7 +23,6 @@ use cc_trace::{Event, RecordingTracer};
 /// changes the digest — never panics the program.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Pulse {
-    n: usize,
     beats: u64,
     beat: u64,
     digest: u64,
@@ -31,41 +31,35 @@ struct Pulse {
 impl Pulse {
     fn new(beats: u64) -> Self {
         Pulse {
-            n: 0,
             beats,
             beat: 0,
             digest: 0,
         }
     }
 
-    fn emit(&mut self, me: usize, out: &mut Outbox<'_, Vec<u64>>) {
+    fn emit(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
         if self.beat >= self.beats {
             return;
         }
+        let me = ctx.me();
         for hop in [1, 2] {
             // Sends may be refused under a squeezed budget; the pulse
             // shrugs and keeps beating (the refusal is the test's
             // subject, not a failure).
-            let _ = out.send((me + hop) % self.n, vec![me as u64, self.beat]);
+            let _ = ctx.send((me + hop) % ctx.n(), vec![me as u64, self.beat]);
         }
         self.beat += 1;
     }
 }
 
-impl NodeProgram for Pulse {
+impl Program for Pulse {
     type Msg = Vec<u64>;
 
-    fn start(&mut self, me: usize, n: usize, out: &mut Outbox<'_, Vec<u64>>) {
-        self.n = n;
-        self.emit(me, out);
+    fn start(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
+        self.emit(ctx);
     }
 
-    fn round(
-        &mut self,
-        me: usize,
-        inbox: &[Envelope<Vec<u64>>],
-        out: &mut Outbox<'_, Vec<u64>>,
-    ) -> bool {
+    fn round(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>, inbox: &[Envelope<Vec<u64>>]) -> bool {
         for env in inbox {
             self.digest = self
                 .digest
@@ -73,7 +67,7 @@ impl NodeProgram for Pulse {
                 .wrapping_add(env.src as u64)
                 .wrapping_add(env.msg.iter().fold(0, |a, &w| a.rotate_left(3) ^ w));
         }
-        self.emit(me, out);
+        self.emit(ctx);
         self.beat >= self.beats
     }
 }
@@ -120,7 +114,7 @@ fn run_three_ways(n: usize, beats: u64, plan: &FaultPlan) -> Vec<(&'static str, 
     if !plan.is_empty() {
         rt.set_fault_injector(Box::new(plan.injector()));
     }
-    rt.run(adapt_all(pulses(n, beats)), 64).unwrap();
+    rt.run(pulses(n, beats), 64).unwrap();
     out.push(("serial backend", rec.model_events(), rt.cost()));
 
     let rec = RecordingTracer::new();
@@ -129,7 +123,7 @@ fn run_three_ways(n: usize, beats: u64, plan: &FaultPlan) -> Vec<(&'static str, 
     if !plan.is_empty() {
         rt.set_fault_injector(Box::new(plan.injector()));
     }
-    rt.run(adapt_all(pulses(n, beats)), 64).unwrap();
+    rt.run(pulses(n, beats), 64).unwrap();
     out.push(("parallel backend", rec.model_events(), rt.cost()));
 
     out
@@ -172,49 +166,64 @@ fn chaos_replay_folds_bit_identical_on_every_engine() {
     }
 }
 
-#[test]
-fn kmachine_fold_matches_the_live_backend_ledger_exactly() {
-    let n = 8;
-    for k in [1, 3, n] {
-        let spec = ModelSpec::clique().kmachine(k);
-        let rec = RecordingTracer::new();
-        let mut rt = Runtime::for_model(NetConfig::kt1(n), &spec);
-        rt.set_tracer(Box::new(rec.clone()));
-        rt.run(adapt_all(pulses(n, 4)), 64).unwrap();
-        let lens = CommLedger::fold(n, &spec, &rec.model_events()).unwrap();
-        assert_fold_matches_cost(&format!("k={k}"), &lens, &rt.cost());
-        // Bit-identical machine accounting: the fold embeds a real
-        // MachineLedger charged with the same sends the live backend
-        // priced, so the stats structs compare equal field-for-field.
-        assert_eq!(
-            lens.machine_stats(),
-            rt.backend().stats(),
-            "k={k}: machine ledger drift"
-        );
+/// Runs the pulse on the serial engine under `spec` (and `plan`, unless
+/// it is empty) and prices it by folding the trace.
+fn fold_pulse(n: usize, beats: u64, spec: &ModelSpec, plan: &FaultPlan) -> (CommLedger, Cost) {
+    let rec = RecordingTracer::new();
+    let mut rt = Runtime::serial(NetConfig::kt1(n).with_model(spec));
+    rt.set_tracer(Box::new(rec.clone()));
+    if !plan.is_empty() {
+        rt.set_fault_injector(Box::new(plan.injector()));
     }
+    rt.run(pulses(n, beats), 64).unwrap();
+    let lens = CommLedger::fold(n, spec, &rec.model_events()).unwrap();
+    (lens, rt.cost())
 }
 
 #[test]
-fn kmachine_fold_matches_under_chaos_too() {
+fn kmachine_pricing_invariants_hold_on_the_fold() {
     let n = 8;
-    let plan = FaultPlan::new(7)
+    let chaos = FaultPlan::new(7)
         .drop_messages(RoundRange::all(), LinkSelector::From(2), 0.5)
         .crash(1, 2)
         .squeeze(RoundRange::starting_at(3), 3);
-    for k in [1, 4, n] {
-        let spec = ModelSpec::clique().kmachine(k);
-        let rec = RecordingTracer::new();
-        let mut rt = Runtime::for_model(NetConfig::kt1(n), &spec);
-        rt.set_tracer(Box::new(rec.clone()));
-        rt.set_fault_injector(Box::new(plan.injector()));
-        rt.run(adapt_all(pulses(n, 5)), 64).unwrap();
-        let lens = CommLedger::fold(n, &spec, &rec.model_events()).unwrap();
-        assert_fold_matches_cost(&format!("chaos k={k}"), &lens, &rt.cost());
+    for (label, plan) in [("clean", FaultPlan::new(0)), ("chaos", chaos)] {
+        let stats: Vec<MachineStats> = (1..=n)
+            .map(|k| {
+                let spec = ModelSpec::clique().kmachine(k);
+                let (lens, cost) = fold_pulse(n, 5, &spec, &plan);
+                assert_fold_matches_cost(&format!("{label} k={k}"), &lens, &cost);
+                let s = lens.machine_stats();
+                assert_eq!(s.logical_rounds, cost.rounds, "{label} k={k}");
+                assert!(s.machine_rounds >= s.logical_rounds, "{label} k={k}");
+                s
+            })
+            .collect();
+        let (single, full) = (stats[0], stats[n - 1]);
+        // k = n: every logical link is its own machine pair, already
+        // capped at the bandwidth by send admission.
+        assert_eq!(full.machine_rounds, full.logical_rounds, "{label} k=n");
+        assert_eq!(full.local_words, 0, "{label}: no co-located nodes at k = n");
+        // k = 1: everything is co-located.
         assert_eq!(
-            lens.machine_stats(),
-            rt.backend().stats(),
-            "chaos k={k}: machine ledger drift"
+            single.remote_words, 0,
+            "{label}: nothing is remote at k = 1"
         );
+        assert_eq!(single.machine_rounds, single.logical_rounds, "{label} k=1");
+        for (i, s) in stats.iter().enumerate() {
+            let k = i + 1;
+            assert_eq!(
+                s.local_words + s.remote_words,
+                single.local_words,
+                "{label} k={k}: total traffic is mapping-invariant"
+            );
+            if 1 < k && k < n {
+                assert!(
+                    s.local_words > 0 && s.remote_words > 0,
+                    "{label} k={k}: an intermediate mapping splits traffic"
+                );
+            }
+        }
     }
 }
 
@@ -226,7 +235,8 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Random workload shapes, bandwidths, fault mixes, and machine
-        /// counts: the fold never drifts from the live accounting.
+        /// counts: the fold never drifts from the live cost, and its
+        /// machine price conserves every metered word.
         #[test]
         fn folds_never_drift_from_live_accounting(
             n in 4usize..10,
@@ -247,16 +257,11 @@ mod proptests {
                 .duplicate_messages(RoundRange::all(), LinkSelector::All, f64::from(p_dup) / 20.0)
                 .squeeze(RoundRange::starting_at(squeeze_from), squeeze_to);
 
-            let cfg = NetConfig::from_model(n, &spec).unwrap();
-            let rec = RecordingTracer::new();
-            let mut rt = Runtime::for_model(cfg, &spec);
-            rt.set_tracer(Box::new(rec.clone()));
-            rt.set_fault_injector(Box::new(plan.injector()));
-            rt.run(adapt_all(pulses(n, beats)), 64).unwrap();
-
-            let lens = CommLedger::fold(n, &spec, &rec.model_events()).unwrap();
-            assert_fold_matches_cost("proptest", &lens, &rt.cost());
-            prop_assert_eq!(lens.machine_stats(), rt.backend().stats());
+            let (lens, cost) = fold_pulse(n, beats, &spec, &plan);
+            assert_fold_matches_cost("proptest", &lens, &cost);
+            let machine = lens.machine_stats();
+            prop_assert_eq!(machine.logical_rounds, cost.rounds);
+            prop_assert_eq!(machine.local_words + machine.remote_words, cost.words);
             // Utilization never exceeds the (possibly squeezed) budget.
             let report = lens.report();
             prop_assert!(report.peak_util_milli <= 1000);

@@ -19,10 +19,10 @@
 //! logical round. In between, machine rounds measure how badly an
 //! algorithm's traffic pattern congests the narrower machine graph.
 //!
-//! [`MachineLedger`] is that rule as code. It is deliberately the *only*
-//! implementation: `cc-runtime`'s `KMachineBackend` feeds it live per
-//! round, and `cc-bench`'s grid runner feeds it from recorded
-//! `MessageBatch` trace events — tests assert the two agree.
+//! [`MachineLedger`] is that rule as code, and deliberately the *only*
+//! implementation: `cc-lens`'s `CommLedger` feeds it the recorded
+//! `MessageBatch` trace events of a run, which is how every k-machine
+//! number in the workspace is priced.
 
 use crate::{ModelError, ModelSpec};
 

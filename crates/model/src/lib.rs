@@ -11,8 +11,8 @@
 //! * [`ModelSpec`] — `{ bandwidth_words_per_link, link_mode, mapping }`,
 //!   validated at construction. `cc-net` derives its send rules from a
 //!   spec (admission, metering, and `Outbox` legality are checked
-//!   against it), and `cc-runtime`'s `KMachineBackend` derives its
-//!   machine-pair capacity from the same spec.
+//!   against it), and [`MachineLedger`] derives its machine-pair
+//!   capacity from the same spec.
 //! * [`LinkMode`] — [`Unicast`](LinkMode::Unicast) (the standard model)
 //!   vs [`BroadcastOnly`](LinkMode::BroadcastOnly) (footnote 1 of the
 //!   paper: a node sends one message on *all* links or nothing).
@@ -22,9 +22,8 @@
 //!   co-located nodes are free, and each ordered machine pair carries at
 //!   most the spec's bandwidth per machine round.
 //! * [`MachineLedger`] — the per-machine-pair bandwidth accounting rule,
-//!   shared verbatim by the live `KMachineBackend` and the post-hoc
-//!   trace fold in `cc-bench`'s grid runner, so the two can be asserted
-//!   equal instead of merely believed equal.
+//!   applied after the fact to a run's recorded sends by `cc-lens`'s
+//!   `CommLedger` fold (the one k-machine price).
 //!
 //! Logical semantics never depend on the mapping: programs, RNG streams,
 //! fault decisions, inboxes, and metered cost are functions of the

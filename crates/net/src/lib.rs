@@ -33,7 +33,6 @@ pub mod fault;
 pub mod net;
 pub mod packet;
 pub mod ports;
-pub mod program;
 pub mod wire;
 
 pub use batch::{BatchEntry, RoundBatches};
@@ -46,5 +45,4 @@ pub use fault::{apply_faults, FaultDecision, FaultInjector, FaultOutcome, FaultR
 pub use net::{CliqueNet, Envelope, Outbox};
 pub use packet::{WordVec, INLINE_WORDS};
 pub use ports::PortMap;
-pub use program::{run_program, NodeProgram};
 pub use wire::{decode_frame, encode_frame, Wire, WireError};

@@ -76,22 +76,17 @@ pub struct Outbox<'a, M> {
 }
 
 impl<'a, M: Wire> Outbox<'a, M> {
-    /// Assembles a standalone outbox for one sender.
+    /// Assembles a standalone outbox for one sender, staging into a
+    /// caller-supplied (empty) buffer.
     ///
     /// This is how external drivers (the `cc-runtime` execution engine)
     /// obtain the same budget enforcement [`CliqueNet::step`] applies:
     /// build an outbox per node against a reusable [`LinkUse`] ledger,
     /// hand it to the node's program, then recover the staged envelopes
     /// with [`Outbox::finish`] and [`LinkUse::reset`] the ledger for the
-    /// next sender.
-    pub fn assemble(node: usize, rules: SendRules, links: &'a mut LinkUse) -> Self {
-        Self::assemble_in(node, rules, links, Vec::new())
-    }
-
-    /// [`assemble`](Outbox::assemble) with a caller-supplied staging
-    /// buffer (must be empty). Pooled drivers pass the drained buffer of
-    /// the previous node back in, so steady-state staging allocates
-    /// nothing; [`Outbox::finish`] returns the same buffer.
+    /// next sender. Pooled drivers pass the drained buffer of the
+    /// previous node back in, so steady-state staging allocates nothing;
+    /// [`Outbox::finish`] returns the same buffer.
     pub fn assemble_in(
         node: usize,
         rules: SendRules,
@@ -305,8 +300,8 @@ impl<M: Wire> CliqueNet<M> {
     }
 
     /// Whether `node` has fail-stop crashed in a round that has already
-    /// executed. Drivers ([`run_program`](crate::run_program)) treat
-    /// crashed nodes as trivially done so protocols can still terminate.
+    /// executed. Drivers (`cc_runtime::run_program`) treat crashed nodes
+    /// as trivially done so protocols can still terminate.
     pub fn is_crashed(&self, node: usize) -> bool {
         self.crashed_seen.get(node).copied().unwrap_or(false)
     }

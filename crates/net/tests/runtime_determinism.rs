@@ -1,7 +1,7 @@
-//! Property test: for *arbitrary* node programs, the `cc-runtime` serial,
-//! parallel, and k-machine engines deliver bit-identical inboxes and
-//! meter identical cost — and all agree with the reference `CliqueNet`
-//! driver.
+//! Property test: for *arbitrary* node programs, the `cc-runtime` serial
+//! and parallel engines deliver bit-identical inboxes and meter identical
+//! cost — and agree with the reference `CliqueNet` driver — under every
+//! node-to-machine mapping.
 //!
 //! The generated program is adversarial on purpose: every node sends a
 //! pseudo-random (but budget-respecting) pattern of variable-width
@@ -9,9 +9,8 @@
 //! ordering, metering, or budget divergence between engines shows up as a
 //! log or cost mismatch.
 
-use cc_net::program::{run_program, NodeProgram};
-use cc_net::{CliqueNet, Envelope, NetConfig, Outbox};
-use cc_runtime::{adapt_all, Runtime};
+use cc_net::{CliqueNet, Envelope, Mapping, ModelSpec, NetConfig};
+use cc_runtime::{run_program, Ctx, Program, Runtime};
 use proptest::prelude::*;
 
 /// SplitMix64 finalizer — gives every (instance, node, round, slot) an
@@ -31,7 +30,6 @@ struct Chatter {
     rounds: u64,
     attempts: u64,
     elapsed: u64,
-    n: usize,
     log: Vec<(u64, usize, Vec<u64>)>,
 }
 
@@ -42,12 +40,12 @@ impl Chatter {
             rounds,
             attempts,
             elapsed: 0,
-            n: 0,
             log: Vec::new(),
         }
     }
 
-    fn chat(&self, me: usize, n: usize, out: &mut Outbox<'_, Vec<u64>>) {
+    fn chat(&self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
+        let (me, n) = (ctx.me(), ctx.n());
         for slot in 0..self.attempts {
             let h = mix(self
                 .instance
@@ -56,35 +54,29 @@ impl Chatter {
                 .wrapping_add(slot));
             let dst = (h % n as u64) as usize;
             let words = 1 + (h >> 8) % 3;
-            if dst == me || out.budget_left(dst) < words {
+            if dst == me || ctx.budget_left(dst) < words {
                 continue;
             }
             let payload: Vec<u64> = (0..words).map(|i| mix(h.wrapping_add(i))).collect();
-            out.send(dst, payload).expect("send fits the budget");
+            ctx.send(dst, payload).expect("send fits the budget");
         }
     }
 }
 
-impl NodeProgram for Chatter {
+impl Program for Chatter {
     type Msg = Vec<u64>;
 
-    fn start(&mut self, me: usize, n: usize, out: &mut Outbox<'_, Vec<u64>>) {
-        self.n = n;
-        self.chat(me, n, out);
+    fn start(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
+        self.chat(ctx);
     }
 
-    fn round(
-        &mut self,
-        me: usize,
-        inbox: &[Envelope<Vec<u64>>],
-        out: &mut Outbox<'_, Vec<u64>>,
-    ) -> bool {
+    fn round(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>, inbox: &[Envelope<Vec<u64>>]) -> bool {
         for env in inbox {
             self.log.push((self.elapsed, env.src, env.msg.clone()));
         }
         self.elapsed += 1;
         if self.elapsed < self.rounds {
-            self.chat(me, self.n, out);
+            self.chat(ctx);
             false
         } else {
             true
@@ -112,44 +104,29 @@ proptest! {
         let reference = run_program(&mut net, fresh(), 1000).unwrap();
 
         let mut serial = Runtime::serial(cfg.clone());
-        let s = serial.run(adapt_all(fresh()), 1000).unwrap();
+        let s = serial.run(fresh(), 1000).unwrap();
 
         let mut parallel = Runtime::parallel_with_threads(cfg.clone(), 3);
-        let p = parallel.run(adapt_all(fresh()), 1000).unwrap();
+        let p = parallel.run(fresh(), 1000).unwrap();
 
-        let ref_logs: Vec<_> = reference.iter().map(|c| c.log.clone()).collect();
-        let s_logs: Vec<_> = s.iter().map(|a| a.0.log.clone()).collect();
-        let p_logs: Vec<_> = p.iter().map(|a| a.0.log.clone()).collect();
-        prop_assert_eq!(&s_logs, &ref_logs);
-        prop_assert_eq!(&p_logs, &ref_logs);
+        let logs = |states: &[Chatter]| -> Vec<_> { states.iter().map(|c| c.log.clone()).collect() };
+        let ref_logs = logs(&reference);
+        prop_assert_eq!(&logs(&s), &ref_logs);
+        prop_assert_eq!(&logs(&p), &ref_logs);
         prop_assert_eq!(serial.cost(), net.cost());
         prop_assert_eq!(parallel.cost(), net.cost());
 
-        // The k-machine engine at the extreme mappings (k = n recovers
-        // the clique, k = 1 co-locates everything) and one random k in
-        // between: the mapping must change no log and no logical cost,
-        // only the machine-level accounting.
+        // A k-machine mapping at the extremes (k = n recovers the clique,
+        // k = 1 co-locates everything) and one random k in between: the
+        // mapping must change no log and no logical cost. Its machine
+        // price is a fold over the send trace (`cc-lens`), not an engine.
         let k_mid = 1 + (k_seed % n as u64) as usize;
         for k in [n, 1, k_mid] {
-            let mut km = Runtime::kmachine(cfg.clone(), k);
-            let out = km.run(adapt_all(fresh()), 1000).unwrap();
-            let km_logs: Vec<_> = out.iter().map(|a| a.0.log.clone()).collect();
-            prop_assert_eq!(&km_logs, &ref_logs, "k={} logs drifted", k);
+            let spec = ModelSpec { mapping: Mapping::KMachine(k), ..cfg.model() };
+            let mut km = Runtime::serial(cfg.clone().with_model(&spec));
+            let out = km.run(fresh(), 1000).unwrap();
+            prop_assert_eq!(&logs(&out), &ref_logs, "k={} logs drifted", k);
             prop_assert_eq!(km.cost(), net.cost(), "k={} cost drifted", k);
-            let stats = km.backend().stats();
-            prop_assert_eq!(stats.logical_rounds, km.cost().rounds);
-            prop_assert!(stats.machine_rounds >= stats.logical_rounds);
-            if k == n {
-                // Every logical link is its own machine pair, and send
-                // admission already caps each link at the bandwidth: the
-                // clique's round count is recovered exactly.
-                prop_assert_eq!(stats.machine_rounds, stats.logical_rounds);
-                prop_assert_eq!(stats.local_words, 0);
-            }
-            if k == 1 {
-                prop_assert_eq!(stats.machine_rounds, stats.logical_rounds);
-                prop_assert_eq!(stats.remote_words, 0);
-            }
         }
     }
 }

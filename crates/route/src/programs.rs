@@ -37,7 +37,7 @@ impl GatherProgram {
     }
 
     /// Fills this round's link budget toward `dst`.
-    fn pump(&mut self, ctx: &mut Ctx<'_, Packet>) {
+    fn pump(&mut self, ctx: &mut Ctx<'_, '_, Packet>) {
         while let Some(front) = self.queue.front() {
             let w = (front.len() as u64).max(1);
             if w > ctx.budget_left(self.dst) {
@@ -52,13 +52,13 @@ impl GatherProgram {
 impl Program for GatherProgram {
     type Msg = Packet;
 
-    fn start(&mut self, ctx: &mut Ctx<'_, Packet>) {
+    fn start(&mut self, ctx: &mut Ctx<'_, '_, Packet>) {
         if ctx.me() != self.dst {
             self.pump(ctx);
         }
     }
 
-    fn round(&mut self, ctx: &mut Ctx<'_, Packet>, inbox: &[Envelope<Packet>]) -> bool {
+    fn round(&mut self, ctx: &mut Ctx<'_, '_, Packet>, inbox: &[Envelope<Packet>]) -> bool {
         if ctx.me() == self.dst {
             for env in inbox {
                 self.received.push((env.src, env.msg.clone()));

@@ -14,25 +14,25 @@ use rand_chacha::ChaCha8Rng;
 
 /// A per-node protocol state machine, runnable on any backend.
 ///
-/// The runtime's analogue of [`cc_net::NodeProgram`]: the same
-/// start/round shape, but `Send` (states migrate to worker threads) with
-/// messages that are `Clone + Send + Sync` (the lock-free exchange phase
-/// reads staged envelopes from all workers). Use
-/// [`Adapted`](crate::Adapted) to run an existing
-/// [`cc_net::NodeProgram`] unchanged.
+/// Each node owns one value of the program type and every callback sees
+/// exactly one node's state, so reading a neighbor's state is not
+/// expressible. Programs are `Send` (states migrate to worker threads)
+/// with messages that are `Clone + Send + Sync` (the lock-free exchange
+/// phase reads staged envelopes from all workers). The same program also
+/// runs on the direct simulator through [`run_program`](crate::run_program).
 pub trait Program: Send {
     /// Message type exchanged by the protocol.
     type Msg: Wire + Clone + Send + Sync;
 
     /// Called once in round 0, before any delivery, to send initial
     /// messages.
-    fn start(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
+    fn start(&mut self, ctx: &mut Ctx<'_, '_, Self::Msg>);
 
     /// Called every subsequent round with the node's inbox (sorted by
     /// `(src, send-index)`). Return `true` once this node has terminated;
     /// the driver stops when every node has terminated and no messages
     /// are in flight.
-    fn round(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[Envelope<Self::Msg>]) -> bool;
+    fn round(&mut self, ctx: &mut Ctx<'_, '_, Self::Msg>, inbox: &[Envelope<Self::Msg>]) -> bool;
 }
 
 /// Which callback a round executes.
@@ -45,16 +45,38 @@ pub enum Phase {
 }
 
 /// One node's view of the current round: identity, sends, randomness.
-pub struct Ctx<'a, M: Wire> {
+///
+/// Borrows the engine's [`Outbox`] for the node, so sends go through the
+/// same budget enforcement whichever engine runs the round.
+pub struct Ctx<'a, 'b, M: Wire> {
     node: usize,
     n: usize,
     round: u64,
     seed: u64,
-    outbox: Outbox<'a, M>,
+    outbox: &'a mut Outbox<'b, M>,
     rng: Option<ChaCha8Rng>,
 }
 
-impl<'a, M: Wire> Ctx<'a, M> {
+impl<'a, 'b, M: Wire> Ctx<'a, 'b, M> {
+    /// Node `node`'s view of round `round` of an `n`-node run seeded
+    /// with `seed`, sending through `outbox`.
+    pub(crate) fn new(
+        node: usize,
+        n: usize,
+        round: u64,
+        seed: u64,
+        outbox: &'a mut Outbox<'b, M>,
+    ) -> Self {
+        Ctx {
+            node,
+            n,
+            round,
+            seed,
+            outbox,
+            rng: None,
+        }
+    }
+
     /// This node's ID.
     pub fn me(&self) -> usize {
         self.node
@@ -86,15 +108,10 @@ impl<'a, M: Wire> Ctx<'a, M> {
         self.outbox.budget_left(dst)
     }
 
-    /// The underlying outbox — lets [`cc_net::NodeProgram`] code run
-    /// unchanged (see [`Adapted`](crate::Adapted)).
-    pub fn outbox(&mut self) -> &mut Outbox<'a, M> {
-        &mut self.outbox
-    }
-
     /// This node's private randomness for *this round*: an independent
     /// `ChaCha8` stream derived from `(seed, node, round)`, identical on
-    /// every backend (see [`crate::rng::node_round_rng`]).
+    /// every engine, [`run_program`](crate::run_program) included (see
+    /// [`crate::rng::node_round_rng`]).
     pub fn rng(&mut self) -> &mut ChaCha8Rng {
         let (seed, node, round) = (self.seed, self.node, self.round);
         self.rng
@@ -102,7 +119,7 @@ impl<'a, M: Wire> Ctx<'a, M> {
     }
 }
 
-impl<'a, M: Wire + Clone> Ctx<'a, M> {
+impl<M: Wire + Clone> Ctx<'_, '_, M> {
     /// Sends the same message along every link (the broadcast-model
     /// primitive; also valid, and counted as `n − 1` messages, under
     /// unicast).
@@ -224,14 +241,8 @@ pub(crate) fn run_node<P: Program>(
     inbox: &[Envelope<P::Msg>],
     buf: Vec<Envelope<P::Msg>>,
 ) -> (Vec<Envelope<P::Msg>>, Option<NetError>, bool) {
-    let mut ctx = Ctx {
-        node,
-        n: cfg.n,
-        round,
-        seed: cfg.seed,
-        outbox: Outbox::assemble_in(node, rules, links, buf),
-        rng: None,
-    };
+    let mut outbox = Outbox::assemble_in(node, rules, links, buf);
+    let mut ctx = Ctx::new(node, cfg.n, round, cfg.seed, &mut outbox);
     let done = match phase {
         Phase::Start => {
             program.start(&mut ctx);
@@ -239,7 +250,7 @@ pub(crate) fn run_node<P: Program>(
         }
         Phase::Round => program.round(&mut ctx, inbox),
     };
-    let (staged, error) = ctx.outbox.finish();
+    let (staged, error) = outbox.finish();
     links.reset();
     (staged, error, done)
 }

@@ -4,12 +4,11 @@
 //! The `cc-net` simulator executes every node's step sequentially in ID
 //! order, so wall-clock time scales as `O(n · per-node-work)` even though
 //! the Congested Clique model is embarrassingly parallel *within* a round:
-//! node states are structurally isolated (see
-//! [`cc_net::program::NodeProgram`]) and messages only move at round
-//! boundaries. This crate exploits that: node callbacks fan out across a
-//! thread pool, each worker collects its nodes' outboxes locally, and a
-//! deterministic exchange phase partitions envelopes into per-destination
-//! inboxes without a global lock.
+//! node states are structurally isolated (see [`Program`]) and messages
+//! only move at round boundaries. This crate exploits that: node callbacks
+//! fan out across a thread pool, each worker collects its nodes' outboxes
+//! locally, and a deterministic exchange phase partitions envelopes into
+//! per-destination inboxes without a global lock.
 //!
 //! # Determinism contract
 //!
@@ -32,19 +31,21 @@
 //! The serial and parallel engines sit behind one [`Backend`] trait so
 //! tests run both and assert bit-for-bit equivalence; see
 //! `tests/equivalence.rs`; the benchmark's `rt-engines` workload times
-//! them (`runtime.parallel_over_serial`).
-//! The [`KMachineBackend`] sits behind the same trait: it multiplexes the
-//! `n` logical nodes onto `k` machines, keeping the logical execution
-//! byte-identical (it delegates to the serial engine) while pricing each
-//! round against per-machine-pair bandwidth (see
-//! [`cc_model::MachineLedger`]).
+//! them (`runtime.parallel_over_serial`). [`run_program`] drives the same
+//! [`Program`]s on a [`cc_net::CliqueNet`], the reference the engines are
+//! compared against.
+//!
+//! Machine-level pricing under a k-machine mapping is not an engine: run
+//! the protocol on [`Runtime::serial`] with the mapping in its config
+//! (`NetConfig::with_model`) and fold the traced sends with
+//! `cc_lens::CommLedger::fold(..).machine_stats()`.
 //!
 //! # Example
 //!
 //! ```
-//! use cc_net::program::examples::FloodEcho;
 //! use cc_net::NetConfig;
-//! use cc_runtime::{adapt_all, Runtime};
+//! use cc_runtime::program::examples::FloodEcho;
+//! use cc_runtime::Runtime;
 //!
 //! // Path 0-1-2-3: flood/echo from node 0 over the runtime.
 //! let adj = vec![vec![1], vec![0, 2], vec![1, 3], vec![2]];
@@ -54,8 +55,8 @@
 //!     .map(|(v, nb)| FloodEcho::new(nb.clone(), v == 0))
 //!     .collect();
 //! let mut rt = Runtime::parallel(NetConfig::kt1(4));
-//! let out = rt.run(adapt_all(programs), 100).unwrap();
-//! assert_eq!(out[0].0.subtree, 4);
+//! let out = rt.run(programs, 100).unwrap();
+//! assert_eq!(out[0].subtree, 4);
 //! ```
 //!
 //! # Picking a backend
@@ -69,17 +70,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapter;
 pub mod backend;
-pub mod kmachine;
 pub mod parallel;
+pub mod program;
 pub mod rng;
 pub mod runtime;
 pub mod serial;
 
-pub use adapter::{adapt_all, Adapted};
 pub use backend::{Backend, Ctx, Phase, Program, RoundOutput};
-pub use kmachine::KMachineBackend;
 pub use parallel::ParallelBackend;
+pub use program::run_program;
 pub use runtime::Runtime;
 pub use serial::SerialBackend;

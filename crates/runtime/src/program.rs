@@ -1,12 +1,11 @@
-//! Typed node programs: an alternative, stricter way to drive the
-//! simulator.
+//! Running [`Program`]s on the direct simulator, and reference programs.
 //!
-//! The closure API of [`CliqueNet::step`] keeps per-node state in vectors
-//! the driver owns; nothing but discipline stops a closure from peeking at
-//! another node's entry. A [`NodeProgram`] makes the isolation structural:
-//! each node owns a value of the program type, and the [`run_program`]
-//! driver hands every callback exactly one node's state — reading a
-//! neighbor's state is not expressible.
+//! [`run_program`] drives one program instance per node on a
+//! [`CliqueNet`] — the closure-based reference engine the runtime
+//! backends are tested against. It builds each node's [`Ctx`] around the
+//! [`cc_net::Outbox`] that [`CliqueNet::step`] hands out, with the same
+//! `(seed, node, round)` randomness the backends derive, so a program's
+//! observable behavior does not depend on which engine runs it.
 //!
 //! The paper's big algorithms in `cc-core` use the closure API (they are
 //! driver-orchestrated by nature: coordinator steps, collectives, phase
@@ -17,32 +16,11 @@
 //! (one message per edge per direction, `O(diameter)` rounds) is easy to
 //! assert.
 
-use crate::net::{CliqueNet, Envelope, Outbox};
-use crate::wire::Wire;
-use crate::NetError;
+use crate::backend::{Ctx, Program};
+use cc_net::{CliqueNet, NetError};
 
-/// A per-node protocol state machine.
-pub trait NodeProgram {
-    /// Message type exchanged by the protocol.
-    type Msg: Wire;
-
-    /// Called once in round 0, before any delivery, to send initial
-    /// messages.
-    fn start(&mut self, me: usize, n: usize, out: &mut Outbox<'_, Self::Msg>);
-
-    /// Called every subsequent round with the node's inbox. Return `true`
-    /// when this node has terminated (the driver stops when every node has
-    /// terminated and no messages are in flight).
-    fn round(
-        &mut self,
-        me: usize,
-        inbox: &[Envelope<Self::Msg>],
-        out: &mut Outbox<'_, Self::Msg>,
-    ) -> bool;
-}
-
-/// Runs one program instance per node until every node reports done and
-/// the network is quiet, or `max_rounds` elapses.
+/// Runs one program instance per node on `net` until every node reports
+/// done and the network is quiet, or `max_rounds` elapses.
 ///
 /// Returns the final program states (so callers can extract outputs).
 ///
@@ -50,19 +28,22 @@ pub trait NodeProgram {
 ///
 /// Propagates simulator errors; returns [`NetError::RoundCapExceeded`]
 /// if the protocol does not terminate within `max_rounds`.
-pub fn run_program<P: NodeProgram>(
+///
+/// # Panics
+///
+/// Panics unless `programs.len() == net.n()`.
+pub fn run_program<P: Program>(
     net: &mut CliqueNet<P::Msg>,
     mut programs: Vec<P>,
     max_rounds: u64,
-) -> Result<Vec<P>, NetError>
-where
-    P::Msg: Clone,
-{
+) -> Result<Vec<P>, NetError> {
     let n = net.n();
+    let seed = net.config().seed;
     assert_eq!(programs.len(), n, "one program per node");
     let mut done = vec![false; n];
+    let round = net.cost().rounds;
     net.step(|node, _inbox, out| {
-        programs[node].start(node, n, out);
+        programs[node].start(&mut Ctx::new(node, n, round, seed, out));
     })?;
     let mut rounds = 1u64;
     loop {
@@ -78,8 +59,9 @@ where
         if rounds >= max_rounds {
             return Err(NetError::RoundCapExceeded { cap: max_rounds });
         }
+        let round = net.cost().rounds;
         net.step(|node, inbox, out| {
-            if programs[node].round(node, inbox, out) {
+            if programs[node].round(&mut Ctx::new(node, n, round, seed, out), inbox) {
                 done[node] = true;
             }
         })?;
@@ -89,7 +71,8 @@ where
 
 /// Reference programs.
 pub mod examples {
-    use super::*;
+    use crate::backend::{Ctx, Program};
+    use cc_net::Envelope;
 
     /// Flood/echo spanning tree from a root over a *subgraph* of the
     /// clique (the input graph): the root floods, nodes adopt the first
@@ -131,7 +114,7 @@ pub mod examples {
             }
         }
 
-        fn begin_flood(&mut self, me: usize, out: &mut Outbox<'_, Vec<u64>>) {
+        fn begin_flood(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
             self.started = true;
             self.awaiting = self
                 .neighbors
@@ -139,17 +122,12 @@ pub mod examples {
                 .copied()
                 .filter(|&v| Some(v) != self.parent)
                 .collect();
-            for &v in &self.awaiting.clone() {
-                let _ = out.send(v, vec![FLOOD]);
+            for &v in &self.awaiting {
+                let _ = ctx.send(v, vec![FLOOD]);
             }
-            let _ = me;
             if self.awaiting.is_empty() {
-                self.echo_ready();
+                self.terminated = true;
             }
-        }
-
-        fn echo_ready(&mut self) {
-            self.terminated = true;
         }
 
         /// Whether this node ended up in the root's flood tree.
@@ -158,38 +136,33 @@ pub mod examples {
         }
     }
 
-    impl NodeProgram for FloodEcho {
+    impl Program for FloodEcho {
         type Msg = Vec<u64>;
 
-        fn start(&mut self, me: usize, _n: usize, out: &mut Outbox<'_, Vec<u64>>) {
+        fn start(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
             if self.root {
-                self.begin_flood(me, out);
+                self.begin_flood(ctx);
             }
         }
 
-        fn round(
-            &mut self,
-            me: usize,
-            inbox: &[Envelope<Vec<u64>>],
-            out: &mut Outbox<'_, Vec<u64>>,
-        ) -> bool {
+        fn round(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>, inbox: &[Envelope<Vec<u64>>]) -> bool {
             for env in inbox {
                 match env.msg[0] {
                     FLOOD => {
                         if self.root || self.parent.is_some() {
                             // Already in the tree: immediately echo 0 so the
                             // sender does not wait for us.
-                            let _ = out.send(env.src, vec![ECHO, 0]);
+                            let _ = ctx.send(env.src, vec![ECHO, 0]);
                         } else {
                             self.parent = Some(env.src);
-                            self.begin_flood(me, out);
+                            self.begin_flood(ctx);
                         }
                     }
                     ECHO => {
                         self.awaiting.retain(|&v| v != env.src);
                         self.subtree += env.msg[1];
-                        if self.started && self.awaiting.is_empty() && !self.terminated {
-                            self.echo_ready();
+                        if self.started && self.awaiting.is_empty() {
+                            self.terminated = true;
                         }
                     }
                     _ => unreachable!("unknown message tag"),
@@ -200,7 +173,7 @@ pub mod examples {
                     if !self.echoed {
                         // Send the echo exactly once.
                         self.echoed = true;
-                        let _ = out.send(p, vec![ECHO, self.subtree]);
+                        let _ = ctx.send(p, vec![ECHO, self.subtree]);
                     }
                 }
                 return true;
@@ -216,7 +189,7 @@ pub mod examples {
 mod tests {
     use super::examples::FloodEcho;
     use super::*;
-    use crate::NetConfig;
+    use cc_net::{Envelope, NetConfig};
 
     fn programs_for(g: &[Vec<usize>], root: usize) -> Vec<FloodEcho> {
         g.iter()
@@ -263,18 +236,13 @@ mod tests {
     fn nontermination_is_caught_by_the_cap() {
         #[derive(Debug)]
         struct Chatter;
-        impl NodeProgram for Chatter {
+        impl Program for Chatter {
             type Msg = Vec<u64>;
-            fn start(&mut self, me: usize, n: usize, out: &mut Outbox<'_, Vec<u64>>) {
-                let _ = out.send((me + 1) % n, vec![0]);
+            fn start(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
+                let _ = ctx.send((ctx.me() + 1) % ctx.n(), vec![0]);
             }
-            fn round(
-                &mut self,
-                me: usize,
-                _inbox: &[Envelope<Vec<u64>>],
-                out: &mut Outbox<'_, Vec<u64>>,
-            ) -> bool {
-                let _ = out.send((me + 1) % 4, vec![0]);
+            fn round(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>, _: &[Envelope<Vec<u64>>]) -> bool {
+                let _ = ctx.send((ctx.me() + 1) % ctx.n(), vec![0]);
                 false // never done
             }
         }

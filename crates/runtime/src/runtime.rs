@@ -1,15 +1,13 @@
 //! The [`Runtime`] facade: one cross-round driver loop over any backend.
 //!
-//! Mirrors [`cc_net::program::run_program`] exactly — same start round,
+//! Mirrors [`crate::run_program`] exactly — same start round,
 //! same termination condition (every node done *and* no messages in
 //! flight), same round-cap errors — so a protocol's observable behavior
 //! is a function of the protocol alone, never of the engine under it.
 
 use crate::backend::{Backend, Phase, Program, RoundOutput};
-use crate::kmachine::KMachineBackend;
 use crate::parallel::ParallelBackend;
 use crate::serial::SerialBackend;
-use cc_model::{Mapping, ModelSpec};
 use cc_net::fault::FaultInjector;
 use cc_net::{Cost, Counters, Envelope, NetConfig, NetError, Wire};
 use cc_trace::{Event, FaultKind, NullTracer, Tracer};
@@ -71,39 +69,6 @@ impl Runtime<ParallelBackend> {
     /// Panics if `threads == 0`.
     pub fn parallel_with_threads(cfg: NetConfig, threads: usize) -> Self {
         Runtime::new(cfg, ParallelBackend::with_threads(threads))
-    }
-}
-
-impl Runtime<KMachineBackend> {
-    /// A runtime multiplexing the `cfg.n` logical nodes onto `k`
-    /// machines (contiguous blocks; see [`Mapping::machine_of`]). The
-    /// logical execution is identical to [`Runtime::serial`] for every
-    /// `k`; machine-level accounting is exposed via
-    /// `rt.backend().stats()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ k ≤ cfg.n`.
-    pub fn kmachine(cfg: NetConfig, k: usize) -> Self {
-        let spec = ModelSpec {
-            mapping: Mapping::KMachine(k),
-            ..cfg.model()
-        };
-        Self::for_model(cfg, &spec)
-    }
-
-    /// A runtime enforcing and pricing exactly `spec`: the config's
-    /// bandwidth / link-mode / mapping are replaced by the spec's, and
-    /// the backend accounts machine rounds under the spec's mapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` is invalid for `cfg.n` nodes.
-    pub fn for_model(cfg: NetConfig, spec: &ModelSpec) -> Self {
-        let cfg = cfg.with_model(spec);
-        let backend =
-            KMachineBackend::new(cfg.n, spec).expect("with_model already validated the spec");
-        Runtime::new(cfg, backend)
     }
 }
 

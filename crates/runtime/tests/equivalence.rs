@@ -2,10 +2,9 @@
 //! and the parallel runtime backend must produce identical program states
 //! and identical cost totals on the same inputs.
 
-use cc_net::program::examples::FloodEcho;
-use cc_net::program::run_program;
 use cc_net::{CliqueNet, Cost, NetConfig};
-use cc_runtime::{adapt_all, Runtime};
+use cc_runtime::program::examples::FloodEcho;
+use cc_runtime::{run_program, Runtime};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -50,20 +49,14 @@ fn assert_three_way(adj: &[Vec<usize>], root: usize, max_rounds: u64) {
     let ref_cost = net.cost();
 
     let mut serial = Runtime::serial(cfg.clone());
-    let s = serial
-        .run(adapt_all(flood_programs(adj, root)), max_rounds)
-        .unwrap();
+    let s = serial.run(flood_programs(adj, root), max_rounds).unwrap();
 
     let mut parallel = Runtime::parallel_with_threads(cfg, 4);
-    let p = parallel
-        .run(adapt_all(flood_programs(adj, root)), max_rounds)
-        .unwrap();
+    let p = parallel.run(flood_programs(adj, root), max_rounds).unwrap();
 
     let want = outputs(&reference);
-    let s_out: Vec<FloodEcho> = s.into_iter().map(|a| a.0).collect();
-    let p_out: Vec<FloodEcho> = p.into_iter().map(|a| a.0).collect();
-    assert_eq!(outputs(&s_out), want, "serial backend diverged");
-    assert_eq!(outputs(&p_out), want, "parallel backend diverged");
+    assert_eq!(outputs(&s), want, "serial backend diverged");
+    assert_eq!(outputs(&p), want, "parallel backend diverged");
     assert_eq!(serial.cost(), ref_cost, "serial cost diverged");
     assert_eq!(parallel.cost(), ref_cost, "parallel cost diverged");
 }
@@ -100,9 +93,8 @@ fn flood_echo_worker_count_is_invisible() {
 
     let run_with = |threads: usize| -> (Vec<(Option<usize>, u64, bool)>, Cost) {
         let mut rt = Runtime::parallel_with_threads(cfg.clone(), threads);
-        let out = rt.run(adapt_all(flood_programs(&adj, 0)), 200).unwrap();
-        let inner: Vec<FloodEcho> = out.into_iter().map(|a| a.0).collect();
-        (outputs(&inner), rt.cost())
+        let out = rt.run(flood_programs(&adj, 0), 200).unwrap();
+        (outputs(&out), rt.cost())
     };
 
     let base = run_with(1);
@@ -117,12 +109,10 @@ fn transcripts_match_between_backends() {
     let cfg = NetConfig::kt1(adj.len()).with_transcript();
 
     let mut serial = Runtime::serial(cfg.clone());
-    serial.run(adapt_all(flood_programs(&adj, 0)), 200).unwrap();
+    serial.run(flood_programs(&adj, 0), 200).unwrap();
 
     let mut parallel = Runtime::parallel_with_threads(cfg, 5);
-    parallel
-        .run(adapt_all(flood_programs(&adj, 0)), 200)
-        .unwrap();
+    parallel.run(flood_programs(&adj, 0), 200).unwrap();
 
     assert!(!serial.transcript().is_empty());
     assert_eq!(serial.transcript(), parallel.transcript());
@@ -140,14 +130,12 @@ fn model_event_streams_match_between_backends() {
     let rec_s = cc_trace::RecordingTracer::new();
     let mut serial = Runtime::serial(cfg.clone());
     serial.set_tracer(Box::new(rec_s.clone()));
-    serial.run(adapt_all(flood_programs(&adj, 0)), 200).unwrap();
+    serial.run(flood_programs(&adj, 0), 200).unwrap();
 
     let rec_p = cc_trace::RecordingTracer::new();
     let mut parallel = Runtime::parallel_with_threads(cfg, 5);
     parallel.set_tracer(Box::new(rec_p.clone()));
-    parallel
-        .run(adapt_all(flood_programs(&adj, 0)), 200)
-        .unwrap();
+    parallel.run(flood_programs(&adj, 0), 200).unwrap();
 
     let s_model = rec_s.model_events();
     let p_model = rec_p.model_events();
@@ -199,6 +187,6 @@ fn graph_helper_agrees_with_component_count() {
     let component_size = labels.iter().filter(|&&l| l == labels[0]).count() as u64;
 
     let mut rt = Runtime::parallel_with_threads(NetConfig::kt1(30), 4);
-    let out = rt.run(adapt_all(flood_programs(&adj, 0)), 400).unwrap();
-    assert_eq!(out[0].0.subtree, component_size);
+    let out = rt.run(flood_programs(&adj, 0), 400).unwrap();
+    assert_eq!(out[0].subtree, component_size);
 }

@@ -23,14 +23,10 @@ use crate::metrics::MetricsSnapshot;
 ///
 /// v3 (serve): adds the per-job `queued_unix_nanos` / `started_unix_nanos`
 /// / `finished_unix_nanos` wall-clock fields so a served job's latency is
-/// attributable to queueing vs compute (DESIGN.md §14). v2 documents still
-/// parse ([`MIN_SCHEMA_VERSION`]); the three fields read as 0.
+/// attributable to queueing vs compute (DESIGN.md §14).
+///
+/// Only this version is read: older documents are refused, not migrated.
 pub const SCHEMA_VERSION: u64 = 3;
-
-/// Oldest schema version [`RunArtifact::from_json_str`] still reads. The
-/// v2 → v3 change is purely additive, so v2 documents load with the job
-/// timestamps zeroed.
-pub const MIN_SCHEMA_VERSION: u64 = 2;
 
 /// The canonical outcome labels of the robustness taxonomy (DESIGN.md
 /// §11): a faulted run is *correct*, a *detected failure* (an error was
@@ -130,8 +126,7 @@ pub struct RunArtifact {
     /// Unix timestamp (seconds) of the run; 0 when unavailable.
     pub created_unix: u64,
     /// When the producing job was admitted to a serve queue (unix
-    /// nanoseconds; 0 when the artifact was not produced by a job, or
-    /// when read from a v2 document).
+    /// nanoseconds; 0 when the artifact was not produced by a job).
     pub queued_unix_nanos: u64,
     /// When a worker started executing the job (unix nanoseconds; 0 as
     /// above).
@@ -356,14 +351,17 @@ impl RunArtifact {
             .get("schema_version")
             .and_then(Json::as_u64)
             .ok_or("artifact: missing `schema_version`")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema_version) {
+        if schema_version != SCHEMA_VERSION {
             return Err(format!(
                 "artifact: schema_version {schema_version} not supported \
-                 (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                 (expected {SCHEMA_VERSION})"
             ));
         }
-        // v3 additive fields: absent in v2 documents, read as 0.
-        let u_or_zero = |name: &str| v.get(name).and_then(Json::as_u64).unwrap_or(0);
+        let u64_field = |name: &str| -> Result<u64, String> {
+            v.get(name)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("artifact: missing u64 field `{name}`"))
+        };
         let str_field = |name: &str| -> Result<String, String> {
             v.get(name)
                 .and_then(Json::as_str)
@@ -454,13 +452,10 @@ impl RunArtifact {
         Ok(RunArtifact {
             schema_version,
             generator: str_field("generator")?,
-            created_unix: v
-                .get("created_unix")
-                .and_then(Json::as_u64)
-                .ok_or("artifact: missing `created_unix`")?,
-            queued_unix_nanos: u_or_zero("queued_unix_nanos"),
-            started_unix_nanos: u_or_zero("started_unix_nanos"),
-            finished_unix_nanos: u_or_zero("finished_unix_nanos"),
+            created_unix: u64_field("created_unix")?,
+            queued_unix_nanos: u64_field("queued_unix_nanos")?,
+            started_unix_nanos: u64_field("started_unix_nanos")?,
+            finished_unix_nanos: u64_field("finished_unix_nanos")?,
             meta,
             experiments,
             claims,
@@ -479,9 +474,9 @@ impl RunArtifact {
     /// Every violation found, one message each.
     pub fn validate(&self) -> Result<(), Vec<String>> {
         let mut problems = Vec::new();
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&self.schema_version) {
+        if self.schema_version != SCHEMA_VERSION {
             problems.push(format!(
-                "schema_version {} outside supported {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}",
+                "schema_version {} != supported {SCHEMA_VERSION}",
                 self.schema_version
             ));
         }
@@ -813,32 +808,19 @@ mod tests {
     }
 
     /// A v2 document — the pre-serve on-disk form, with no job timestamp
-    /// fields — must still parse, with the v3 fields reading as zero.
+    /// fields — is refused with an error naming the schema version.
     #[test]
-    fn reads_v2_documents_without_job_timestamps() {
+    fn refuses_v2_documents() {
         let mut v2 = sample().with_job_timestamps(0, 0, 0);
         v2.schema_version = 2;
-        // Emit, then strip the v3 fields entirely so the text is exactly
-        // what a v2 writer produced.
         let text: String = v2
             .to_json_string()
             .lines()
             .filter(|l| !l.contains("_unix_nanos"))
             .collect::<Vec<_>>()
             .join("\n");
-        assert!(!text.contains("queued_unix_nanos"));
-        let parsed = RunArtifact::from_json_str(&text).unwrap();
-        assert_eq!(parsed.schema_version, 2);
-        assert_eq!(
-            (
-                parsed.queued_unix_nanos,
-                parsed.started_unix_nanos,
-                parsed.finished_unix_nanos
-            ),
-            (0, 0, 0)
-        );
-        assert_eq!(parsed.experiments, v2.experiments);
-        assert_eq!(parsed.robustness, v2.robustness);
-        parsed.validate().unwrap();
+        let err = RunArtifact::from_json_str(&text).unwrap_err();
+        assert!(err.contains("schema_version 2"), "{err}");
+        assert!(v2.validate().unwrap_err()[0].contains("schema_version"));
     }
 }

@@ -11,6 +11,12 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the cap is what keeps a hostile line of
+/// `[`s from overflowing the stack; the documents this workspace emits
+/// nest only a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -178,10 +184,16 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable message with the byte offset of the first problem.
+    /// A human-readable message with the byte offset of the first problem
+    /// — including arrays and objects nested more than 128 deep, which are
+    /// refused rather than recursed into.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -213,6 +225,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -254,8 +268,22 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -444,6 +472,20 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nulla").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_refused_not_recursed_into() {
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = Json::parse(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        // The cap itself is accepted.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
     }
 
     #[test]

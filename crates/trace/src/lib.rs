@@ -41,7 +41,7 @@ pub mod tracer;
 
 pub use artifact::{
     ClaimRecord, ExperimentRecord, PhaseBreakdown, RobustnessRecord, RunArtifact, WhpPoint,
-    MIN_SCHEMA_VERSION, ROBUSTNESS_OUTCOMES, SCHEMA_VERSION,
+    ROBUSTNESS_OUTCOMES, SCHEMA_VERSION,
 };
 pub use event::{CostSnapshot, Event, FaultKind, SpanTiming};
 pub use json::Json;

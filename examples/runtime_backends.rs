@@ -2,7 +2,9 @@
 //! spanning-tree construction and the sketch-based connectivity phase run
 //! on the serial reference backend and the parallel engine; the model's
 //! determinism contract says the outputs and metered costs must be
-//! identical, so the example checks and prints both.
+//! identical, so the example checks and prints both. It then prices the
+//! flood on 4 machines: a k-machine mapping changes no logical step, so
+//! its machine rounds are a fold over the run's traced sends.
 //!
 //! ```text
 //! cargo run --release --example runtime_backends
@@ -11,9 +13,12 @@
 
 use congested_clique::core::run_connectivity;
 use congested_clique::graph::generators;
-use congested_clique::net::program::examples::FloodEcho;
+use congested_clique::lens::CommLedger;
+use congested_clique::model::ModelSpec;
 use congested_clique::net::NetConfig;
-use congested_clique::runtime::{adapt_all, Runtime};
+use congested_clique::runtime::program::examples::FloodEcho;
+use congested_clique::runtime::Runtime;
+use congested_clique::trace::RecordingTracer;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -45,10 +50,8 @@ fn main() {
         // surface as RoundCapExceeded, identically on both backends.
         let mut serial = Runtime::serial(cfg.clone());
         let mut parallel = Runtime::parallel(cfg);
-        let s = serial.run(adapt_all(flood_programs(&adj)), 2).unwrap_err();
-        let p = parallel
-            .run(adapt_all(flood_programs(&adj)), 2)
-            .unwrap_err();
+        let s = serial.run(flood_programs(&adj), 2).unwrap_err();
+        let p = parallel.run(flood_programs(&adj), 2).unwrap_err();
         println!("serial   error: {s}");
         println!("parallel error: {p}");
         assert_eq!(s, p, "backends must fail identically");
@@ -58,13 +61,11 @@ fn main() {
     // Flood/echo from node 0: every reached node reports its BFS parent
     // and subtree size back up the tree.
     let mut serial = Runtime::serial(cfg.clone());
-    let out_s = serial.run(adapt_all(flood_programs(&adj)), 10_000).unwrap();
+    let out_s = serial.run(flood_programs(&adj), 10_000).unwrap();
     let mut parallel = Runtime::parallel(cfg.clone());
-    let out_p = parallel
-        .run(adapt_all(flood_programs(&adj)), 10_000)
-        .unwrap();
+    let out_p = parallel.run(flood_programs(&adj), 10_000).unwrap();
 
-    let reached = out_s.iter().filter(|p| p.0.reached()).count();
+    let reached = out_s.iter().filter(|p| p.reached()).count();
     println!("flood/echo on G(n={n}, p=0.06): {reached}/{n} nodes reached");
     println!(
         "  serial   ({}): {:?}",
@@ -77,12 +78,33 @@ fn main() {
         parallel.backend().threads(),
         parallel.cost()
     );
-    let same = out_s.iter().zip(&out_p).all(|(a, b)| {
-        (a.0.parent, a.0.subtree, a.0.reached()) == (b.0.parent, b.0.subtree, b.0.reached())
-    });
+    let same = out_s
+        .iter()
+        .zip(&out_p)
+        .all(|(a, b)| (a.parent, a.subtree, a.reached()) == (b.parent, b.subtree, b.reached()));
     assert!(same, "per-node outputs must be identical");
     assert_eq!(serial.cost(), parallel.cost(), "costs must be identical");
     println!("  outputs and costs identical: yes");
+
+    // The same flood on 4 machines: run it serially under the mapping
+    // and fold the traced sends into machine-level accounting.
+    let spec = ModelSpec::clique().kmachine(4);
+    let rec = RecordingTracer::new();
+    let mut mapped = Runtime::serial(cfg.clone().with_model(&spec));
+    mapped.set_tracer(Box::new(rec.clone()));
+    mapped.run(flood_programs(&adj), 10_000).unwrap();
+    assert_eq!(
+        mapped.cost(),
+        serial.cost(),
+        "a mapping changes no logical cost"
+    );
+    let machine = CommLedger::fold(n, &spec, &rec.model_events())
+        .unwrap()
+        .machine_stats();
+    println!(
+        "  on 4 machines: {} machine rounds for {} logical, {} remote / {} local words",
+        machine.machine_rounds, machine.logical_rounds, machine.remote_words, machine.local_words
+    );
 
     // Sketch-based connectivity as a runtime program (cc-core port).
     let mut serial = Runtime::serial(cfg.clone());

@@ -127,7 +127,7 @@ struct TrafficNode {
 impl Program for TrafficNode {
     type Msg = Vec<u64>;
 
-    fn start(&mut self, ctx: &mut Ctx<'_, Vec<u64>>) {
+    fn start(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
         for (dst, payload) in traffic(self.seed, self.n, 0, ctx.me()) {
             ctx.send(dst, payload).unwrap();
         }
@@ -135,7 +135,7 @@ impl Program for TrafficNode {
 
     fn round(
         &mut self,
-        ctx: &mut Ctx<'_, Vec<u64>>,
+        ctx: &mut Ctx<'_, '_, Vec<u64>>,
         inbox: &[congested_clique::net::Envelope<Vec<u64>>],
     ) -> bool {
         let round = ctx.round();

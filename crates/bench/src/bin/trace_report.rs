@@ -8,9 +8,8 @@
 //! cargo run -p cc-bench --release --bin trace_report -- run.json
 //! cargo run -p cc-bench --release --bin trace_report -- run.json --render-docs docs
 //! cargo run -p cc-bench --release --bin trace_report -- diff a.jsonl b.jsonl
-//! cargo run -p cc-bench --release --bin trace_report -- top-links t.jsonl --k 20
 //! cargo run -p cc-bench --release --bin trace_report -- profile t.jsonl
-//! cargo run -p cc-bench --release --bin trace_report -- links t.jsonl --bw 8
+//! cargo run -p cc-bench --release --bin trace_report -- links t.jsonl --bw 8 --top 20
 //! cargo run -p cc-bench --release --bin trace_report -- heatmap t.jsonl --bw 8
 //! ```
 //!
@@ -20,13 +19,13 @@
 //!
 //! `diff` aligns two traces' model-event streams, reports the first
 //! divergence (round, event) and a per-phase cost/wall delta table, and
-//! exits 1 when the traces diverge. `top-links` prints the hottest
-//! directed links by words. `profile` folds a trace into the
+//! exits 1 when the traces diverge. `profile` folds a trace into the
 //! hierarchical phase-tree profile of `cc-profile`.
 //!
 //! `links` folds a trace through `cc-lens` into the full communication
 //! report (utilization quantiles, headroom, phase attribution, machine
-//! skew); `heatmap` renders the round×link utilization heatmap. Both
+//! skew, and the `--top` hottest directed links by words); `heatmap`
+//! renders the round×link utilization heatmap. Both
 //! take `--n` (node count, inferred from the trace when omitted),
 //! `--bw` (budget words/link), `--machines K` (k-machine mapping), and
 //! `--broadcast` (broadcast-only links); `links` also takes `--top N`
@@ -37,7 +36,7 @@
 use cc_bench::artifact::{
     breakdown_table, render_checklist_txt, render_tables_txt, robustness_table, whp_table,
 };
-use cc_profile::{diff_events, profile_table, render_diff, top_links_table, Profile};
+use cc_profile::{diff_events, profile_table, render_diff, Profile};
 use cc_trace::export::events_from_jsonl;
 use cc_trace::{Event, RunArtifact};
 
@@ -88,20 +87,6 @@ fn main() {
             let d = diff_events(&read_events(a), &read_events(b));
             print!("{}", render_diff(&d, a, b));
             std::process::exit(if d.model_identical() { 0 } else { 1 });
-        }
-        Some("top-links") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: trace_report top-links TRACE.jsonl [--k N]");
-                std::process::exit(2);
-            };
-            let k = args
-                .iter()
-                .position(|a| a == "--k")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(10);
-            print!("{}", top_links_table(&read_events(path), k));
-            return;
         }
         Some("links") => {
             let Some(path) = args.get(1) else {

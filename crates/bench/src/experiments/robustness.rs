@@ -241,7 +241,7 @@ const STARVED_FAMILIES: usize = 3;
 
 /// The whp seed sweep (the artifact's `whp_sweep` section): sketch
 /// connectivity with zero Lotker phases (all merging rides on sketches)
-/// and a *fixed* [`STARVED_FAMILIES`] family budget, run across
+/// and a *fixed* `STARVED_FAMILIES` family budget, run across
 /// `trials` seeds per clique size. A *failure* is a loud error or a
 /// wrong labelling. With `t` families the union-bound failure
 /// probability scales like `n · 2^{-Θ(t)}`: holding `t` fixed, the

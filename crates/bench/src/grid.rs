@@ -11,9 +11,10 @@
 //!   an independent checker ([`cc_core::validate_gc`],
 //!   [`cc_core::validate_mst_minimal`], or sequential component labels).
 //! * **model-reject** — the simulator refused the run with a typed
-//!   [`NetError`] naming the round and link where the algorithm first
-//!   stepped outside the cell's model (e.g. `exact-mst` unicasting in a
-//!   broadcast-only cell, or a 3-word weighted edge in a 2-word cell).
+//!   [`NetError`](cc_net::NetError) naming the round and link where the
+//!   algorithm first stepped outside the cell's model (e.g. `exact-mst`
+//!   unicasting in a broadcast-only cell, or a 3-word weighted edge in a
+//!   2-word cell).
 //! * **failed** — the run completed but the answer did not validate
 //!   (a *wrong answer* — the one outcome the harness treats as fatal),
 //!   or the Monte Carlo sampler was exhausted (`sketch-exhausted`, a

@@ -4,7 +4,7 @@
 //! rules, crashes, bandwidth squeezes — that fully determine every fault
 //! an execution will see. Plans are `Clone`, cheap to build with the
 //! fluent constructors, and turn into a live
-//! [`ChaosInjector`](crate::ChaosInjector) with [`FaultPlan::injector`].
+//! [`ChaosInjector`] with [`FaultPlan::injector`].
 
 use crate::inject::ChaosInjector;
 

@@ -1,6 +1,6 @@
 //! Independent `ChaCha8` streams per fault-decision coordinate.
 //!
-//! Mirrors [`cc_runtime`]'s `node_round_rng` construction: the decision
+//! Mirrors `cc_runtime`'s `node_round_rng` construction: the decision
 //! coordinates are chained through SplitMix64 into a 32-byte ChaCha key,
 //! so distinct `(seed, rule, round, src, dst, index)` tuples draw from
 //! unrelated streams and equal tuples draw identical ones — on every

@@ -1,17 +1,16 @@
-//! Cross-engine fault replay: one [`FaultPlan`] must produce identical
+//! Cross-backend fault replay: one [`FaultPlan`] must produce identical
 //! model-event streams, identical cost totals, and identical final
-//! program states on the serial simulator (`CliqueNet` + `run_program`),
-//! the serial runtime backend, and the parallel runtime backend.
+//! program states on the serial and the parallel runtime backend.
 //!
 //! This is the chaos extension of `cc-runtime`'s equivalence suite: the
-//! fault layer interposes on all three engines, so the determinism
+//! fault layer interposes on both backends' rounds, so the determinism
 //! contract — same plan + seed ⇒ same faults — is only worth anything if
-//! the engines agree byte-for-byte *including* the injected fault and
+//! the backends agree byte-for-byte *including* the injected fault and
 //! crash events.
 
 use cc_chaos::{FaultPlan, LinkSelector, RoundRange};
-use cc_net::{CliqueNet, Envelope, Mapping, ModelSpec, NetConfig};
-use cc_runtime::{run_program, Ctx, Program, Runtime};
+use cc_net::{Envelope, Mapping, ModelSpec, NetConfig};
+use cc_runtime::{Ctx, Program, Runtime};
 use cc_trace::{Event, RecordingTracer};
 
 /// A fault-tolerant gossip: each node sends `[counter, me]` to its two
@@ -89,10 +88,10 @@ fn outputs(programs: &[Gossip]) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
-/// Runs the plan on all three engines; returns per-engine
+/// Runs the plan on both backends; returns per-backend
 /// `(outputs, cost, model events)` and asserts nothing itself.
 #[allow(clippy::type_complexity)]
-fn run_three_ways(
+fn run_both_ways(
     n: usize,
     send_rounds: u64,
     max_rounds: u64,
@@ -100,13 +99,6 @@ fn run_three_ways(
 ) -> Vec<(Vec<(u64, u64, u64)>, cc_net::Cost, Vec<Event>)> {
     let cfg = NetConfig::kt1(n);
     let mut results = Vec::new();
-
-    let rec = RecordingTracer::new();
-    let mut net: CliqueNet<Vec<u64>> = CliqueNet::new(cfg.clone());
-    net.set_tracer(Box::new(rec.clone()));
-    net.set_fault_injector(Box::new(plan.injector()));
-    let states = run_program(&mut net, programs(n, send_rounds), max_rounds).unwrap();
-    results.push((outputs(&states), net.cost(), rec.model_events()));
 
     let rec = RecordingTracer::new();
     let mut rt = Runtime::serial(cfg.clone());
@@ -125,25 +117,24 @@ fn run_three_ways(
     results
 }
 
-fn assert_three_way_identical(plan: &FaultPlan, n: usize, send_rounds: u64) -> Vec<Event> {
-    let runs = run_three_ways(n, send_rounds, 64, plan);
+fn assert_backends_identical(plan: &FaultPlan, n: usize, send_rounds: u64) -> Vec<Event> {
+    let runs = run_both_ways(n, send_rounds, 64, plan);
     let (ref_out, ref_cost, ref_events) = &runs[0];
     assert!(!ref_events.is_empty());
-    for (name, (out, cost, events)) in ["serial backend", "parallel backend"]
-        .iter()
-        .zip(&runs[1..])
-    {
-        assert_eq!(out, ref_out, "{name}: final states diverged");
-        assert_eq!(cost, ref_cost, "{name}: cost diverged");
-        assert_eq!(events, ref_events, "{name}: model-event streams diverged");
-    }
+    let (out, cost, events) = &runs[1];
+    assert_eq!(out, ref_out, "parallel backend: final states diverged");
+    assert_eq!(cost, ref_cost, "parallel backend: cost diverged");
+    assert_eq!(
+        events, ref_events,
+        "parallel backend: model-event streams diverged"
+    );
     ref_events.clone()
 }
 
 /// The headline test: a plan exercising *all six* fault kinds replays
-/// identically on all three engines, and each kind demonstrably occurred.
+/// identically on both backends, and each kind demonstrably occurred.
 #[test]
-fn all_fault_kinds_replay_identically_on_all_three_engines() {
+fn all_fault_kinds_replay_identically_on_both_backends() {
     let n = 8;
     let plan = FaultPlan::new(0xC1A0)
         .drop_messages(RoundRange::all(), LinkSelector::All, 0.2)
@@ -152,7 +143,7 @@ fn all_fault_kinds_replay_identically_on_all_three_engines() {
         .defer_messages(RoundRange::all(), LinkSelector::All, 0.2, 2)
         .crash(5, 2)
         .squeeze(RoundRange::between(1, 2), 2);
-    let events = assert_three_way_identical(&plan, n, 4);
+    let events = assert_backends_identical(&plan, n, 4);
 
     let mut kinds: Vec<&str> = events
         .iter()
@@ -181,7 +172,7 @@ fn targeted_rules_replay_identically() {
         .drop_messages(RoundRange::between(1, 3), LinkSelector::From(2), 1.0)
         .duplicate_messages(RoundRange::all(), LinkSelector::To(0), 0.5)
         .corrupt_messages(RoundRange::only(2), LinkSelector::Link(3, 4), 1.0);
-    assert_three_way_identical(&plan, 6, 5);
+    assert_backends_identical(&plan, 6, 5);
 }
 
 #[test]
@@ -192,18 +183,15 @@ fn a_noop_plan_is_observationally_invisible() {
     let cfg = NetConfig::kt1(n);
 
     let rec_clean = RecordingTracer::new();
-    let mut net: CliqueNet<Vec<u64>> = CliqueNet::new(cfg.clone());
-    net.set_tracer(Box::new(rec_clean.clone()));
-    let clean = run_program(&mut net, programs(n, 3), 64).unwrap();
-    let clean_cost = net.cost();
+    let mut rt = Runtime::serial(cfg);
+    rt.set_tracer(Box::new(rec_clean.clone()));
+    let clean = rt.run(programs(n, 3), 64).unwrap();
+    let clean_cost = rt.cost();
 
     let noop = FaultPlan::new(123);
     assert!(noop.is_empty());
-    let runs = run_three_ways(n, 3, 64, &noop);
-    for (name, (out, cost, events)) in ["simulator", "serial backend", "parallel backend"]
-        .iter()
-        .zip(&runs)
-    {
+    let runs = run_both_ways(n, 3, 64, &noop);
+    for (name, (out, cost, events)) in ["serial backend", "parallel backend"].iter().zip(&runs) {
         assert_eq!(out, &outputs(&clean), "{name}: noop plan changed outputs");
         assert_eq!(cost, &clean_cost, "{name}: noop plan changed cost");
         assert_eq!(
@@ -217,7 +205,7 @@ fn a_noop_plan_is_observationally_invisible() {
 #[test]
 fn crashed_nodes_freeze_identically() {
     let plan = FaultPlan::new(9).crash(1, 1).crash(4, 3);
-    let runs = run_three_ways(6, 4, 64, &plan);
+    let runs = run_both_ways(6, 4, 64, &plan);
     // Node 1 crashed before its first `round` call: it sent only its
     // start-round messages and received nothing.
     let (out, _, events) = &runs[0];
@@ -231,7 +219,7 @@ fn crashed_nodes_freeze_identically() {
         })
         .collect();
     assert_eq!(crashes, vec![(1, 1), (3, 4)]);
-    assert_three_way_identical(&plan, 6, 4);
+    assert_backends_identical(&plan, 6, 4);
 }
 
 /// A k-machine mapping under chaos: fault decisions are keyed by the
@@ -298,7 +286,7 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Random plans replay identically across all three engines.
+        /// Random plans replay identically on both backends.
         #[test]
         fn random_plans_replay_identically(
             seed in any::<u64>(),
@@ -318,13 +306,12 @@ mod proptests {
                 .defer_messages(RoundRange::all(), LinkSelector::All, f64::from(p_defer) / 20.0, defer_by)
                 .crash(crash_node, crash_round)
                 .squeeze(RoundRange::between(1, 3), cap);
-            let runs = run_three_ways(6, 4, 64, &plan);
+            let runs = run_both_ways(6, 4, 64, &plan);
             let (ref_out, ref_cost, ref_events) = &runs[0];
-            for (out, cost, events) in &runs[1..] {
-                prop_assert_eq!(out, ref_out);
-                prop_assert_eq!(cost, ref_cost);
-                prop_assert_eq!(events, ref_events);
-            }
+            let (out, cost, events) = &runs[1];
+            prop_assert_eq!(out, ref_out);
+            prop_assert_eq!(cost, ref_cost);
+            prop_assert_eq!(events, ref_events);
         }
     }
 }

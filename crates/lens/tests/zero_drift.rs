@@ -1,7 +1,6 @@
 //! Zero-drift contract: a [`CommLedger`] folded from a recorded event
 //! stream is bit-identical to the live accounting of the engine that
-//! produced it — on `CliqueNet` and on both runtime backends, clean or
-//! under chaos.
+//! produced it — on both runtime backends, clean or under chaos.
 //!
 //! The observatory is a *view*, not a second measurement: if these
 //! folds ever disagree with `Cost`, every utilization column the grid,
@@ -12,8 +11,8 @@
 use cc_chaos::{FaultPlan, LinkSelector, RoundRange};
 use cc_lens::CommLedger;
 use cc_model::{MachineStats, ModelSpec};
-use cc_net::{CliqueNet, Cost, Envelope, NetConfig};
-use cc_runtime::{run_program, Ctx, Program, Runtime};
+use cc_net::{Cost, Envelope, NetConfig};
+use cc_runtime::{Ctx, Program, Runtime};
 use cc_trace::{Event, RecordingTracer};
 
 /// A two-successor pulse: each node sends `[me, beat]` (two words) to
@@ -93,20 +92,11 @@ fn assert_fold_matches_cost(engine: &str, lens: &CommLedger, cost: &Cost) {
     assert_eq!(recv, cost.words, "{engine}: per-node recv attribution");
 }
 
-/// Runs the pulse under `plan` on the three logical engines; returns
-/// per-engine `(events, cost)` for the caller to fold and compare.
-fn run_three_ways(n: usize, beats: u64, plan: &FaultPlan) -> Vec<(&'static str, Vec<Event>, Cost)> {
+/// Runs the pulse under `plan` on both backends; returns per-backend
+/// `(events, cost)` for the caller to fold and compare.
+fn run_both_ways(n: usize, beats: u64, plan: &FaultPlan) -> Vec<(&'static str, Vec<Event>, Cost)> {
     let cfg = NetConfig::kt1(n);
     let mut out = Vec::new();
-
-    let rec = RecordingTracer::new();
-    let mut net: CliqueNet<Vec<u64>> = CliqueNet::new(cfg.clone());
-    net.set_tracer(Box::new(rec.clone()));
-    if !plan.is_empty() {
-        net.set_fault_injector(Box::new(plan.injector()));
-    }
-    run_program(&mut net, pulses(n, beats), 64).unwrap();
-    out.push(("CliqueNet", rec.model_events(), net.cost()));
 
     let rec = RecordingTracer::new();
     let mut rt = Runtime::serial(cfg.clone());
@@ -130,17 +120,17 @@ fn run_three_ways(n: usize, beats: u64, plan: &FaultPlan) -> Vec<(&'static str, 
 }
 
 #[test]
-fn clean_runs_fold_bit_identical_on_all_three_engines() {
+fn clean_runs_fold_bit_identical_on_both_backends() {
     let n = 8;
     let spec = ModelSpec::clique();
-    let runs = run_three_ways(n, 4, &FaultPlan::new(0));
+    let runs = run_both_ways(n, 4, &FaultPlan::new(0));
     let reference = CommLedger::fold(n, &spec, &runs[0].1).unwrap();
     assert!(reference.messages() > 0);
     for (engine, events, cost) in &runs {
         let lens = CommLedger::fold(n, &spec, events).unwrap();
         assert_fold_matches_cost(engine, &lens, cost);
-        // The engines agree with each other too, so one report serves
-        // for all three streams.
+        // The backends agree with each other too, so one report serves
+        // for both streams.
         assert_eq!(lens.report(), reference.report(), "{engine}: report drift");
     }
 }
@@ -160,7 +150,7 @@ fn chaos_replay_folds_bit_identical_on_every_engine() {
         .crash(5, 2)
         .squeeze(RoundRange::between(1, 2), 2);
     let spec = ModelSpec::clique();
-    for (engine, events, cost) in &run_three_ways(n, 4, &plan) {
+    for (engine, events, cost) in &run_both_ways(n, 4, &plan) {
         let lens = CommLedger::fold(n, &spec, events).unwrap();
         assert_fold_matches_cost(engine, &lens, cost);
     }

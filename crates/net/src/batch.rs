@@ -9,22 +9,17 @@
 //! an output vector the finished rows append to.
 //!
 //! The sortedness contract is structural instead of tree-enforced:
-//! senders stage contiguously and in ascending ID order (that is how
-//! every engine executes a round), so flushing each sender's row in
-//! destination order yields a globally `(src, dst)`-sorted stream with no
-//! per-round allocation in steady state.
-
-/// One finalized batch row: `((src, dst), (count, words))` — the shape
-/// the runtime's `RoundOutput::batches` carries.
-pub type BatchEntry = ((u32, u32), (u32, u64));
+//! [`CliqueNet`](crate::CliqueNet) delivers senders contiguously and in
+//! ascending ID order (both `step` and `step_staged`), so flushing each
+//! sender's row in destination order yields a globally `(src, dst)`-sorted
+//! stream with no per-round allocation in steady state.
 
 /// Pooled flat accumulator for one round's per-link batches.
 ///
 /// Usage per round: [`begin_round`](RoundBatches::begin_round), then per
 /// sender any number of [`add`](RoundBatches::add) calls followed by one
 /// [`flush_sender`](RoundBatches::flush_sender) (senders in ascending ID
-/// order), then read [`entries`](RoundBatches::entries) or
-/// [`take_entries`](RoundBatches::take_entries).
+/// order), then read [`entries`](RoundBatches::entries).
 #[derive(Debug, Default)]
 pub struct RoundBatches {
     /// `(count, words)` toward each destination for the current sender.
@@ -80,15 +75,6 @@ impl RoundBatches {
     pub fn entries(&self) -> &[(u32, u32, u32, u64)] {
         &self.out
     }
-
-    /// Drains the round's entries in the [`BatchEntry`] shape the
-    /// runtime's `RoundOutput` carries.
-    pub fn take_entries(&mut self) -> Vec<BatchEntry> {
-        self.out
-            .drain(..)
-            .map(|(src, dst, count, words)| ((src, dst), (count, words)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -130,16 +116,6 @@ mod tests {
         b.begin_round(2);
         b.flush_sender(0);
         b.flush_sender(1);
-        assert!(b.entries().is_empty());
-    }
-
-    #[test]
-    fn take_entries_matches_the_round_output_shape() {
-        let mut b = RoundBatches::new();
-        b.begin_round(3);
-        b.add(1, 2);
-        b.flush_sender(0);
-        assert_eq!(b.take_entries(), vec![((0, 1), (1, 2))]);
         assert!(b.entries().is_empty());
     }
 }

@@ -54,9 +54,9 @@ pub struct NetConfig {
     /// Node-to-machine mapping of the model ([`Mapping::OneToOne`] is
     /// the clique proper). `CliqueNet` itself always executes the
     /// *logical* model — the mapping changes no inbox, cost, or fault
-    /// decision — but it travels with the config so execution engines
-    /// (the `cc-runtime` k-machine backend) and harnesses can account
-    /// machine rounds for the very spec the run was admitted under.
+    /// decision — but it travels with the config so harnesses (the
+    /// `cc-lens` fold) can account machine rounds for the very spec the
+    /// run was admitted under.
     pub mapping: Mapping,
 }
 

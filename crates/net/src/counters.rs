@@ -127,16 +127,6 @@ impl Counters {
         self.total.bits += words * word_bits;
     }
 
-    /// Merges a pre-aggregated cost delta.
-    ///
-    /// Sharded drivers (the parallel backend in `cc-runtime`) meter each
-    /// worker into its own `Counters` and fold the shards in here at the
-    /// round barrier; addition is commutative, so totals stay exact
-    /// regardless of thread scheduling.
-    pub fn merge(&mut self, delta: Cost) {
-        self.total += delta;
-    }
-
     /// Opens a named scope; costs accrued until the matching
     /// [`end_scope`](Self::end_scope) are attributed to it.
     pub fn begin_scope(&mut self, name: impl Into<String>) {

@@ -13,12 +13,15 @@
 //! `(round, src, dst, index)` (for per-message decisions), `(round,
 //! node)` (for crashes), and `round` (for squeezes) — no interior
 //! mutability, no iteration-order dependence. Under that contract the
-//! same plan replays byte-identically on [`CliqueNet::step`] and on both
-//! `cc-runtime` backends, which the cross-engine equivalence tests
+//! same plan replays byte-identically however a round's callbacks run —
+//! [`CliqueNet::step`] or the worker threads behind
+//! [`CliqueNet::step_staged`] — which the cross-backend equivalence tests
 //! enforce. The `cc-chaos` crate provides the declarative plan → injector
 //! implementation; this module only defines the seam.
 //!
 //! [`CliqueNet::set_fault_injector`]: crate::CliqueNet::set_fault_injector
+//! [`CliqueNet::step`]: crate::CliqueNet::step
+//! [`CliqueNet::step_staged`]: crate::CliqueNet::step_staged
 
 use crate::net::Envelope;
 use crate::wire::Wire;

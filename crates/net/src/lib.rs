@@ -10,7 +10,10 @@
 //! * [`NetConfig`] — size, bandwidth (in `⌈log₂ n⌉`-bit words), knowledge
 //!   variant, seed.
 //! * [`CliqueNet`] — the synchronous stepper with per-link budget
-//!   enforcement ([`CliqueNet::step`]) and silent-round fast-forwarding.
+//!   enforcement ([`CliqueNet::step`], or [`CliqueNet::step_staged`] when
+//!   the node callbacks run elsewhere) and silent-round fast-forwarding.
+//!   It is the workspace's one round engine; `cc-runtime`'s backends run
+//!   their rounds through it.
 //! * [`Counters`] / [`Cost`] — metering with named scopes so experiments
 //!   can attribute cost to algorithm phases.
 //! * [`Wire`] — message-size declaration every payload type provides.
@@ -24,7 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
+mod batch;
 pub mod budget;
 pub mod config;
 pub mod counters;
@@ -35,14 +38,13 @@ pub mod packet;
 pub mod ports;
 pub mod wire;
 
-pub use batch::{BatchEntry, RoundBatches};
 pub use budget::{LinkUse, SendRules};
 pub use cc_model::{LinkMode, Mapping, ModelError, ModelSpec};
 pub use config::{Knowledge, NetConfig, DEFAULT_LINK_WORDS};
 pub use counters::{Cost, Counters};
 pub use error::NetError;
 pub use fault::{apply_faults, FaultDecision, FaultInjector, FaultOutcome, FaultRecord, NoFaults};
-pub use net::{CliqueNet, Envelope, Outbox};
+pub use net::{CliqueNet, Envelope, Outbox, RoundPlan, StagedRound};
 pub use packet::{WordVec, INLINE_WORDS};
 pub use ports::PortMap;
 pub use wire::{decode_frame, encode_frame, Wire, WireError};

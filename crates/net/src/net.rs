@@ -46,7 +46,7 @@ use crate::fault::{apply_faults, FaultInjector, FaultRecord};
 use crate::ports::PortMap;
 use crate::wire::Wire;
 use cc_model::LinkMode;
-use cc_trace::{Event, FaultKind, NullTracer, Tracer};
+use cc_trace::{Event, FaultKind, NullTracer, SpanTiming, Tracer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -79,8 +79,9 @@ impl<'a, M: Wire> Outbox<'a, M> {
     /// Assembles a standalone outbox for one sender, staging into a
     /// caller-supplied (empty) buffer.
     ///
-    /// This is how external drivers (the `cc-runtime` execution engine)
-    /// obtain the same budget enforcement [`CliqueNet::step`] applies:
+    /// This is how [`CliqueNet::step_staged`] callers (the `cc-runtime`
+    /// parallel backend) obtain the same budget enforcement
+    /// [`CliqueNet::step`] applies:
     /// build an outbox per node against a reusable [`LinkUse`] ledger,
     /// hand it to the node's program, then recover the staged envelopes
     /// with [`Outbox::finish`] and [`LinkUse::reset`] the ledger for the
@@ -300,7 +301,7 @@ impl<M: Wire> CliqueNet<M> {
     }
 
     /// Whether `node` has fail-stop crashed in a round that has already
-    /// executed. Drivers (`cc_runtime::run_program`) treat crashed nodes
+    /// executed. Drivers (`cc_runtime::Runtime::run`) treat crashed nodes
     /// as trivially done so protocols can still terminate.
     pub fn is_crashed(&self, node: usize) -> bool {
         self.crashed_seen.get(node).copied().unwrap_or(false)
@@ -431,6 +432,54 @@ impl<M: Wire> CliqueNet<M> {
     }
 }
 
+/// What [`CliqueNet::step_staged`] tells its compute callback about the
+/// round: everything a node needs to stage its sends away from the net.
+#[derive(Clone, Copy, Debug)]
+pub struct RoundPlan<'a> {
+    /// Rounds completed before this one.
+    pub round: u64,
+    /// This round's effective send rules (round-stamped, squeeze applied).
+    pub rules: SendRules,
+    /// Fail-stopped nodes this round; empty without an injector.
+    crashed: &'a [bool],
+}
+
+impl RoundPlan<'_> {
+    /// Whether `node` is fail-stopped this round: its callback must not
+    /// run and it stages nothing.
+    pub fn is_crashed(&self, node: usize) -> bool {
+        self.crashed.get(node).copied().unwrap_or(false)
+    }
+}
+
+/// What a [`CliqueNet::step_staged`] compute callback hands back.
+#[derive(Debug)]
+pub struct StagedRound<M> {
+    /// Each sender's staged envelopes in send order, indexed by node ID:
+    /// all `n` senders, or with an `error` at least every sender below
+    /// the offender. Crashed senders stage nothing.
+    pub staged: Vec<Vec<Envelope<M>>>,
+    /// Wall-clock span of each compute worker, emitted as
+    /// [`Event::WorkerSpan`]s when the tracer wants timing.
+    pub spans: Vec<SpanTiming>,
+    /// The lowest-ID node whose sends broke the model, with its first
+    /// violation.
+    pub error: Option<(usize, NetError)>,
+}
+
+/// A round between its prologue ([`CliqueNet::open_round`]) and its
+/// epilogue ([`CliqueNet::close_round`]).
+struct OpenRound<M> {
+    round: u64,
+    before: Cost,
+    t0: Option<Instant>,
+    rules: SendRules,
+    /// Fail-stopped nodes this round (empty without an injector).
+    crashed: Vec<bool>,
+    /// This round's inboxes.
+    delivered: Vec<Vec<Envelope<M>>>,
+}
+
 impl<M: Wire + Clone> CliqueNet<M> {
     /// Executes one synchronous round: delivers last round's messages and
     /// collects this round's sends.
@@ -451,6 +500,94 @@ impl<M: Wire + Clone> CliqueNet<M> {
     where
         F: FnMut(usize, &[Envelope<M>], &mut Outbox<'_, M>),
     {
+        let open = self.open_round()?;
+        let round = open.round;
+        let mut links = LinkUse::new(self.cfg.n);
+        let mut fault_records: Vec<FaultRecord> = Vec::new();
+        for (node, inbox) in open.delivered.iter().enumerate() {
+            if self.faulty && open.crashed[node] {
+                // Fail-stop: the node computes nothing and sends nothing;
+                // messages addressed to it die in its discarded inbox.
+                continue;
+            }
+            let buf = std::mem::take(&mut self.staged_pool);
+            let mut outbox = Outbox::assemble_in(node, open.rules, &mut links, buf);
+            let t0 = if self.timing {
+                Some(Instant::now())
+            } else {
+                None
+            };
+            f(node, inbox, &mut outbox);
+            if let Some(t0) = t0 {
+                self.tracer.record(Event::NodeCompute {
+                    round,
+                    node: node as u32,
+                    nanos: t0.elapsed().as_nanos() as u64,
+                });
+            }
+            let (staged, error) = outbox.finish();
+            if let Some(e) = error {
+                return Err(e);
+            }
+            links.reset();
+            self.deliver_sender(node, round, staged, &mut fault_records);
+        }
+        self.close_round(open, &fault_records, &[]);
+        Ok(())
+    }
+
+    /// Executes one synchronous round whose node callbacks run outside
+    /// the net — the seam for drivers that compute a round's sends
+    /// elsewhere (the `cc-runtime` parallel backend fans them out over
+    /// worker threads).
+    ///
+    /// Everything but the callbacks is [`step`](Self::step)'s: the same
+    /// round cap, prologue events, crash and squeeze decisions, and
+    /// deferred-message merge. `compute` receives this round's inboxes
+    /// and a [`RoundPlan`] and returns every sender's staged envelopes;
+    /// the net then meters, aggregates batches, applies faults, and
+    /// delivers them in sender-ID order through the per-sender code
+    /// `step` uses, so the two are observationally identical.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::RoundCapExceeded`] from the watchdog, or the violation
+    /// `compute` reports. Like `step`, an aborted round still meters and
+    /// delivers every sender below the offender.
+    pub fn step_staged<C>(&mut self, compute: C) -> Result<(), NetError>
+    where
+        C: FnOnce(&[Vec<Envelope<M>>], RoundPlan<'_>) -> StagedRound<M>,
+    {
+        let open = self.open_round()?;
+        let plan = RoundPlan {
+            round: open.round,
+            rules: open.rules,
+            crashed: &open.crashed,
+        };
+        let StagedRound {
+            staged,
+            spans,
+            error,
+        } = compute(&open.delivered, plan);
+        let senders = error.as_ref().map_or(self.cfg.n, |&(node, _)| node);
+        debug_assert!(staged.len() >= senders, "compute staged every sender");
+        let mut fault_records: Vec<FaultRecord> = Vec::new();
+        for (node, sent) in staged.into_iter().enumerate().take(senders) {
+            debug_assert!(sent.is_empty() || !plan.is_crashed(node));
+            self.deliver_sender(node, open.round, sent, &mut fault_records);
+        }
+        if let Some((_, e)) = error {
+            return Err(e);
+        }
+        self.close_round(open, &fault_records, &spans);
+        Ok(())
+    }
+
+    /// The round prologue shared by [`step`](Self::step) and
+    /// [`step_staged`](Self::step_staged): watchdog, `RoundStart`,
+    /// squeeze and crash decisions (with their events), and this round's
+    /// delivered inboxes with any due deferred messages merged in.
+    fn open_round(&mut self) -> Result<OpenRound<M>, NetError> {
         if let Some(cap) = self.cfg.round_cap {
             if self.counters.total().rounds >= cap {
                 return Err(NetError::RoundCapExceeded { cap });
@@ -462,7 +599,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
         // Whole-round wall clock: the gap between this and the per-node
         // compute spans is simulator overhead (routing, metering, fault
         // injection) — see `cc_trace::Event::RoundWall`.
-        let round_t0 = if self.timing {
+        let t0 = if self.timing {
             Some(Instant::now())
         } else {
             None
@@ -472,7 +609,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
         }
         // Fault pre-pass: effective rules (squeeze), newly crashed nodes.
         let mut rules = SendRules::from_config(&self.cfg).for_round(round);
-        let mut crashed_now: Vec<bool> = Vec::new();
+        let mut crashed: Vec<bool> = Vec::new();
         if self.faulty {
             let inj = self.fault.as_deref().expect("faulty implies injector");
             if let Some(cap) = inj.link_words(round) {
@@ -490,9 +627,9 @@ impl<M: Wire + Clone> CliqueNet<M> {
                     }
                 }
             }
-            crashed_now = (0..n).map(|v| inj.crashed(round, v)).collect();
+            crashed = (0..n).map(|v| inj.crashed(round, v)).collect();
             for (v, seen) in self.crashed_seen.iter_mut().enumerate() {
-                if crashed_now[v] && !*seen {
+                if crashed[v] && !*seen {
                     *seen = true;
                     if self.tracing {
                         self.tracer.record(Event::NodeCrash {
@@ -511,99 +648,107 @@ impl<M: Wire + Clone> CliqueNet<M> {
         let mut delivered = std::mem::take(&mut self.pool);
         // Fault-deferred messages due this round join the regular
         // deliveries; re-sorting keeps the per-sender inbox order stable.
-        if self.faulty {
-            if let Some(late) = self.deferred.remove(&round) {
-                for env in late {
-                    delivered[env.dst].push(env);
-                }
-                for q in &mut delivered {
-                    q.sort_by_key(|e| e.src);
-                }
+        // Checked with or without an injector: messages deferred before
+        // `take_fault_injector` stay scheduled.
+        if let Some(late) = self.deferred.remove(&round) {
+            for env in late {
+                delivered[env.dst].push(env);
+            }
+            for q in &mut delivered {
+                q.sort_by_key(|e| e.src);
             }
         }
-        let mut links = LinkUse::new(n);
         // Per-link batches are aggregated flat and pre-fault: the stream
-        // is a deterministic function of the sends alone (the same
-        // normalization the runtime driver applies), and the send
+        // is a deterministic function of the sends alone, and the send
         // happened and was charged whatever a fault does to it later.
         if self.tracing {
             self.batches.begin_round(n);
         }
-        let mut fault_records: Vec<FaultRecord> = Vec::new();
-        for (node, inbox) in delivered.iter().enumerate() {
-            if self.faulty && crashed_now[node] {
-                // Fail-stop: the node computes nothing and sends nothing;
-                // messages addressed to it die in its discarded inbox.
-                continue;
-            }
-            let buf = std::mem::take(&mut self.staged_pool);
-            let mut outbox = Outbox::assemble_in(node, rules, &mut links, buf);
-            let t0 = if self.timing {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            f(node, inbox, &mut outbox);
-            if let Some(t0) = t0 {
-                self.tracer.record(Event::NodeCompute {
-                    round,
-                    node: node as u32,
-                    nanos: t0.elapsed().as_nanos() as u64,
-                });
-            }
-            let (mut staged, error) = outbox.finish();
-            if let Some(e) = error {
-                return Err(e);
-            }
-            links.reset();
-            if self.faulty {
-                for env in &staged {
-                    let words = env.msg.words().max(1);
-                    self.counters.add_message(words, self.word_bits);
-                    if self.tracing {
-                        self.batches.add(env.dst as u32, words);
-                    }
-                    if self.cfg.record_transcript {
-                        self.transcript
-                            .push((round, env.src as u32, env.dst as u32));
-                    }
-                }
+        Ok(OpenRound {
+            round,
+            before,
+            t0,
+            rules,
+            crashed,
+            delivered,
+        })
+    }
+
+    /// Meters one sender's staged envelopes, folds them into the round's
+    /// batches and transcript, passes them through the injector if one
+    /// is attached, and delivers them. Senders must arrive in ascending
+    /// ID order, which is what makes every inbox `(src, send-index)`
+    /// sorted by construction.
+    #[inline]
+    fn deliver_sender(
+        &mut self,
+        node: usize,
+        round: u64,
+        mut staged: Vec<Envelope<M>>,
+        fault_records: &mut Vec<FaultRecord>,
+    ) {
+        if self.faulty {
+            for env in &staged {
+                let words = env.msg.words().max(1);
+                self.counters.add_message(words, self.word_bits);
                 if self.tracing {
-                    self.batches.flush_sender(node as u32);
+                    self.batches.add(env.dst as u32, words);
                 }
-                let inj = self.fault.as_deref().expect("faulty implies injector");
-                let outcome = apply_faults(inj, round, staged);
-                for env in outcome.deliver {
-                    self.inboxes[env.dst].push(env);
+                if self.cfg.record_transcript {
+                    self.transcript
+                        .push((round, env.src as u32, env.dst as u32));
                 }
-                for (due, env) in outcome.deferred {
-                    self.deferred.entry(due).or_default().push(env);
-                }
-                fault_records.extend(outcome.records);
-            } else {
-                // Senders run in ID order and stage in send order, so
-                // these pushes arrive (src, send-index)-sorted by
-                // construction — no per-round normalization sort needed.
-                // Metering is fused into the delivery drain: this loop
-                // runs once per message and dominates dense rounds.
-                for env in staged.drain(..) {
-                    let words = env.msg.words().max(1);
-                    self.counters.add_message(words, self.word_bits);
-                    if self.tracing {
-                        self.batches.add(env.dst as u32, words);
-                    }
-                    if self.cfg.record_transcript {
-                        self.transcript
-                            .push((round, env.src as u32, env.dst as u32));
-                    }
-                    self.inboxes[env.dst].push(env);
-                }
-                if self.tracing {
-                    self.batches.flush_sender(node as u32);
-                }
-                self.staged_pool = staged;
             }
+            if self.tracing {
+                self.batches.flush_sender(node as u32);
+            }
+            let inj = self.fault.as_deref().expect("faulty implies injector");
+            let outcome = apply_faults(inj, round, staged);
+            for env in outcome.deliver {
+                self.inboxes[env.dst].push(env);
+            }
+            for (due, env) in outcome.deferred {
+                self.deferred.entry(due).or_default().push(env);
+            }
+            fault_records.extend(outcome.records);
+        } else {
+            // Metering is fused into the delivery drain: this loop runs
+            // once per message and dominates dense rounds.
+            for env in staged.drain(..) {
+                let words = env.msg.words().max(1);
+                self.counters.add_message(words, self.word_bits);
+                if self.tracing {
+                    self.batches.add(env.dst as u32, words);
+                }
+                if self.cfg.record_transcript {
+                    self.transcript
+                        .push((round, env.src as u32, env.dst as u32));
+                }
+                self.inboxes[env.dst].push(env);
+            }
+            if self.tracing {
+                self.batches.flush_sender(node as u32);
+            }
+            self.staged_pool = staged;
         }
+    }
+
+    /// The round epilogue: recycles the delivered buffers, counts the
+    /// round, and emits its batches, faults, worker spans, wall time and
+    /// `RoundEnd`.
+    fn close_round(
+        &mut self,
+        open: OpenRound<M>,
+        fault_records: &[FaultRecord],
+        spans: &[SpanTiming],
+    ) {
+        let OpenRound {
+            round,
+            before,
+            t0,
+            mut delivered,
+            ..
+        } = open;
         // Recycle the delivered buffers for the round after next.
         for q in &mut delivered {
             q.clear();
@@ -620,10 +765,21 @@ impl<M: Wire + Clone> CliqueNet<M> {
                     words,
                 });
             }
-            for rec in &fault_records {
+            for rec in fault_records {
                 self.tracer.record(rec.to_event());
             }
-            if let Some(t0) = round_t0 {
+            if self.timing {
+                for span in spans {
+                    self.tracer.record(Event::WorkerSpan {
+                        round,
+                        worker: span.worker,
+                        node_lo: span.node_lo,
+                        node_hi: span.node_hi,
+                        nanos: span.nanos,
+                    });
+                }
+            }
+            if let Some(t0) = t0 {
                 self.tracer.record(Event::RoundWall {
                     round,
                     nanos: t0.elapsed().as_nanos() as u64,
@@ -636,7 +792,6 @@ impl<M: Wire + Clone> CliqueNet<M> {
                 words: after.words - before.words,
             });
         }
-        Ok(())
     }
 }
 
@@ -1153,6 +1308,35 @@ mod fault_tests {
             arrivals,
             vec![(3, 7)],
             "sent in round 0, deferred 2 → arrives in round 3"
+        );
+        assert!(!nt.has_pending());
+    }
+
+    #[test]
+    fn deferred_messages_survive_detaching_the_injector() {
+        let mut nt: CliqueNet<u64> = CliqueNet::new(NetConfig::kt1(3).with_seed(1));
+        nt.set_fault_injector(Box::new(DeferAll));
+        nt.step(|node, _, out| {
+            if node == 0 {
+                out.send(1, 7).unwrap();
+            }
+        })
+        .unwrap();
+        assert!(nt.take_fault_injector().is_some());
+        let mut arrivals = Vec::new();
+        for _ in 0..4 {
+            let round = nt.cost().rounds;
+            nt.step(|node, inbox, _| {
+                if node == 1 {
+                    arrivals.extend(inbox.iter().map(|e| (round, e.msg)));
+                }
+            })
+            .unwrap();
+        }
+        assert_eq!(
+            arrivals,
+            vec![(3, 7)],
+            "deferred before the detach, still delivered in round 3"
         );
         assert!(!nt.has_pending());
     }

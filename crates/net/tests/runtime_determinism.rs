@@ -1,7 +1,6 @@
 //! Property test: for *arbitrary* node programs, the `cc-runtime` serial
 //! and parallel engines deliver bit-identical inboxes and meter identical
-//! cost — and agree with the reference `CliqueNet` driver — under every
-//! node-to-machine mapping.
+//! cost under every node-to-machine mapping.
 //!
 //! The generated program is adversarial on purpose: every node sends a
 //! pseudo-random (but budget-respecting) pattern of variable-width
@@ -9,8 +8,8 @@
 //! ordering, metering, or budget divergence between engines shows up as a
 //! log or cost mismatch.
 
-use cc_net::{CliqueNet, Envelope, Mapping, ModelSpec, NetConfig};
-use cc_runtime::{run_program, Ctx, Program, Runtime};
+use cc_net::{Envelope, Mapping, ModelSpec, NetConfig};
+use cc_runtime::{Ctx, Program, Runtime};
 use proptest::prelude::*;
 
 /// SplitMix64 finalizer — gives every (instance, node, round, slot) an
@@ -100,9 +99,6 @@ proptest! {
             (0..n).map(|_| Chatter::new(instance, rounds, attempts)).collect()
         };
 
-        let mut net: CliqueNet<Vec<u64>> = CliqueNet::new(cfg.clone());
-        let reference = run_program(&mut net, fresh(), 1000).unwrap();
-
         let mut serial = Runtime::serial(cfg.clone());
         let s = serial.run(fresh(), 1000).unwrap();
 
@@ -110,11 +106,9 @@ proptest! {
         let p = parallel.run(fresh(), 1000).unwrap();
 
         let logs = |states: &[Chatter]| -> Vec<_> { states.iter().map(|c| c.log.clone()).collect() };
-        let ref_logs = logs(&reference);
-        prop_assert_eq!(&logs(&s), &ref_logs);
+        let ref_logs = logs(&s);
         prop_assert_eq!(&logs(&p), &ref_logs);
-        prop_assert_eq!(serial.cost(), net.cost());
-        prop_assert_eq!(parallel.cost(), net.cost());
+        prop_assert_eq!(parallel.cost(), serial.cost());
 
         // A k-machine mapping at the extremes (k = n recovers the clique,
         // k = 1 co-locates everything) and one random k in between: the
@@ -126,7 +120,7 @@ proptest! {
             let mut km = Runtime::serial(cfg.clone().with_model(&spec));
             let out = km.run(fresh(), 1000).unwrap();
             prop_assert_eq!(&logs(&out), &ref_logs, "k={} logs drifted", k);
-            prop_assert_eq!(km.cost(), net.cost(), "k={} cost drifted", k);
+            prop_assert_eq!(km.cost(), serial.cost(), "k={} cost drifted", k);
         }
     }
 }

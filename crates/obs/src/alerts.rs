@@ -5,8 +5,9 @@
 //! function of the windowed snapshot, the admission scalars, and the
 //! previous firing set: it returns only the *transitions* (newly firing,
 //! newly resolved) as structured [`AlertEvent`]s, so a steady burn emits
-//! one event, not one per poll. Driven by a [`ManualClock`]
-//! (crate::ManualClock) the whole life cycle is deterministic.
+//! one event, not one per poll. Driven by a
+//! [`ManualClock`](crate::ManualClock) the whole life cycle is
+//! deterministic.
 
 use crate::window::WindowedSnapshot;
 use cc_trace::Json;

@@ -14,14 +14,14 @@
 //!   events, so the same run profiled on any engine yields an identical
 //!   model view — test-enforced.
 //! * [`baseline`] — the versioned `BENCH_<stamp>.json` schema
-//!   ([`PerfSuite`]), plus [`compare`](baseline::compare): zero-tolerance
+//!   ([`PerfSuite`]), plus [`compare`]: zero-tolerance
 //!   model-drift gating (rounds/messages/words) against a committed
 //!   `BENCH_baseline.json`.
 //! * [`diff`] — aligns two runs' model-event streams, pinpoints the first
 //!   divergence (index, round, event), and tabulates per-phase cost and
 //!   wall-time deltas: the debugging tool for backend-equivalence and
 //!   chaos-replay failures.
-//! * [`alloc`] (feature `count-allocs`) — a counting global allocator so
+//! * `alloc` (feature `count-allocs`) — a counting global allocator so
 //!   `bench perf` can report allocations per case.
 //!
 //! The boundary `cc-trace` draws — model events deterministic per
@@ -42,7 +42,4 @@ pub use baseline::{
     compare, render_comparison, CaseDelta, PerfCase, PerfComparison, PerfSuite, PERF_SCHEMA_VERSION,
 };
 pub use diff::{describe_event, diff_events, render_diff, Divergence, PhaseDelta, TraceDiff};
-pub use profile::{
-    profile_table, top_links, top_links_table, LinkStat, ModelPhase, ModelProfile, PhaseNode,
-    Profile,
-};
+pub use profile::{profile_table, ModelPhase, ModelProfile, PhaseNode, Profile};

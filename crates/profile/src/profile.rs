@@ -363,79 +363,6 @@ pub fn profile_table(p: &Profile) -> String {
     out
 }
 
-/// Per-link traffic totals for one directed clique link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkStat {
-    /// Sending node.
-    pub src: u32,
-    /// Receiving node.
-    pub dst: u32,
-    /// Messages delivered over the link.
-    pub messages: u64,
-    /// Words delivered over the link.
-    pub words: u64,
-}
-
-/// The `k` hottest directed links by words (ties broken by messages,
-/// then `(src, dst)` for determinism), aggregated from the
-/// `MessageBatch` events of a per-link trace.
-///
-/// Returns an empty vector for traces recorded without per-link batches
-/// (batching is optional in the tracer config).
-pub fn top_links(events: &[Event], k: usize) -> Vec<LinkStat> {
-    let mut agg: std::collections::BTreeMap<(u32, u32), (u64, u64)> = Default::default();
-    for ev in events {
-        if let Event::MessageBatch {
-            src,
-            dst,
-            count,
-            words,
-            ..
-        } = ev
-        {
-            let e = agg.entry((*src, *dst)).or_default();
-            e.0 += u64::from(*count);
-            e.1 += *words;
-        }
-    }
-    let mut links: Vec<LinkStat> = agg
-        .into_iter()
-        .map(|((src, dst), (messages, words))| LinkStat {
-            src,
-            dst,
-            messages,
-            words,
-        })
-        .collect();
-    links.sort_by(|a, b| {
-        b.words
-            .cmp(&a.words)
-            .then(b.messages.cmp(&a.messages))
-            .then((a.src, a.dst).cmp(&(b.src, b.dst)))
-    });
-    links.truncate(k);
-    links
-}
-
-/// Renders [`top_links`] as an aligned table.
-pub fn top_links_table(events: &[Event], k: usize) -> String {
-    let links = top_links(events, k);
-    if links.is_empty() {
-        return "no per-link message batches in this trace (record with batching enabled)\n"
-            .to_string();
-    }
-    let mut out = String::from("link            messages        words\n");
-    out.push_str("-------------------------------------\n");
-    for l in &links {
-        let _ = writeln!(
-            out,
-            "{:>4} -> {:<4} {:>10} {:>12}",
-            l.src, l.dst, l.messages, l.words
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,39 +597,5 @@ mod tests {
             delta: cost(0, 0),
         });
         assert_ne!(Profile::from_events(&a).model_view(), pb.model_view());
-    }
-
-    #[test]
-    fn top_links_ranks_by_words_and_merges_repeats() {
-        let batch = |src: u32, dst: u32, count: u32, words: u64| Event::MessageBatch {
-            round: 0,
-            src,
-            dst,
-            count,
-            words,
-        };
-        let events = vec![
-            batch(0, 1, 1, 10),
-            batch(2, 3, 1, 50),
-            batch(0, 1, 1, 30), // merges with the first 0->1 batch: 40 words
-            batch(1, 0, 1, 40), // ties 0->1 on words but loses on messages
-            Event::RoundStart { round: 0 },
-        ];
-        let links = top_links(&events, 2);
-        assert_eq!(links.len(), 2);
-        assert_eq!((links[0].src, links[0].dst, links[0].words), (2, 3, 50));
-        // 0->1 (2 msgs, 40 words) outranks 1->0 (1 msg, 40 words).
-        assert_eq!(
-            (
-                links[1].src,
-                links[1].dst,
-                links[1].messages,
-                links[1].words
-            ),
-            (0, 1, 2, 40)
-        );
-        let table = top_links_table(&events, 10);
-        assert!(table.contains("2 -> 3"), "{table}");
-        assert!(top_links(&[], 5).is_empty());
     }
 }

@@ -1,39 +1,34 @@
-//! `cc-runtime`: a parallel, deterministic execution engine for node
-//! programs.
+//! `cc-runtime`: serial and parallel execution of per-node programs on
+//! the one round engine, [`cc_net::CliqueNet`].
 //!
-//! The `cc-net` simulator executes every node's step sequentially in ID
-//! order, so wall-clock time scales as `O(n · per-node-work)` even though
-//! the Congested Clique model is embarrassingly parallel *within* a round:
-//! node states are structurally isolated (see [`Program`]) and messages
-//! only move at round boundaries. This crate exploits that: node callbacks
-//! fan out across a thread pool, each worker collects its nodes' outboxes
-//! locally, and a deterministic exchange phase partitions envelopes into
-//! per-destination inboxes without a global lock.
+//! The Congested Clique model is embarrassingly parallel *within* a
+//! round: node states are structurally isolated (see [`Program`]) and
+//! messages only move at round boundaries. This crate exploits that
+//! without owning a round of its own. [`Runtime::run`] drives a fresh
+//! `CliqueNet` round by round, and a [`Backend`] only decides how each
+//! round's node callbacks run: [`SerialBackend`] in ID order inside
+//! [`cc_net::CliqueNet::step`], [`ParallelBackend`] across worker threads
+//! inside [`cc_net::CliqueNet::step_staged`].
 //!
 //! # Determinism contract
 //!
-//! The engine preserves the model's semantics exactly, independent of
-//! thread count and scheduling:
+//! The backends agree exactly, independent of thread count and
+//! scheduling, because everything but the callbacks is the net's:
 //!
 //! * **Budgets** — per-link word budgets are enforced at send time through
-//!   the same [`cc_net::SendRules`]/[`cc_net::LinkUse`] pieces
-//!   [`cc_net::CliqueNet::step`] uses.
-//! * **Inbox order** — each inbox is normalized to `(src, send-index)`
-//!   order by construction (the exchange scans senders in ID order), never
-//!   by thread arrival order.
-//! * **Cost** — every worker meters into its own
-//!   [`cc_net::Counters`] shard; shards fold at the round barrier, so
-//!   rounds/messages/words/bits equal the serial driver's *exactly*.
+//!   the same [`cc_net::SendRules`]/[`cc_net::LinkUse`] pieces the net
+//!   uses, with one ledger per worker.
+//! * **Inbox order, cost, faults, events** — the net meters, applies
+//!   faults, and delivers every sender's staged sends in sender-ID order,
+//!   so inboxes are `(src, send-index)` sorted and the counters and the
+//!   model-event stream are identical by construction.
 //! * **Randomness** — [`rng::node_round_rng`] derives an independent
 //!   `ChaCha8` stream from `(seed, node, round)`, so a node's draws do not
 //!   depend on which worker ran it or on other nodes' consumption.
 //!
-//! The serial and parallel engines sit behind one [`Backend`] trait so
-//! tests run both and assert bit-for-bit equivalence; see
-//! `tests/equivalence.rs`; the benchmark's `rt-engines` workload times
-//! them (`runtime.parallel_over_serial`). [`run_program`] drives the same
-//! [`Program`]s on a [`cc_net::CliqueNet`], the reference the engines are
-//! compared against.
+//! `tests/equivalence.rs` holds the two backends to bit-for-bit
+//! equivalence; the benchmark's `rt-engines` workload times them
+//! (`runtime.parallel_over_serial`).
 //!
 //! Machine-level pricing under a k-machine mapping is not an engine: run
 //! the protocol on [`Runtime::serial`] with the mapping in its config
@@ -63,7 +58,7 @@
 //!
 //! [`Runtime::serial`] has zero threading overhead and is right for small
 //! `n` or message-dominated protocols; [`Runtime::parallel`] wins when
-//! per-node compute × `n` dwarfs the per-round synchronization cost
+//! per-node compute × `n` dwarfs the per-round cost of one thread scope
 //! (large cliques, sketch-heavy rounds). Both produce identical results,
 //! so the choice is purely a performance knob.
 
@@ -77,8 +72,7 @@ pub mod rng;
 pub mod runtime;
 pub mod serial;
 
-pub use backend::{Backend, Ctx, Phase, Program, RoundOutput};
+pub use backend::{Backend, Ctx, Phase, Program};
 pub use parallel::ParallelBackend;
-pub use program::run_program;
 pub use runtime::Runtime;
 pub use serial::SerialBackend;

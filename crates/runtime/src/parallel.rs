@@ -1,37 +1,29 @@
-//! The parallel backend: fan-out across a thread pool, lock-free
-//! deterministic exchange, sharded cost counters.
+//! The parallel backend: a round's node callbacks fan out across a
+//! thread pool; the round itself stays the net's.
 //!
-//! One round is two barriers:
+//! Each round is one [`CliqueNet::step_staged`] call with one thread
+//! scope inside it. Nodes are split into contiguous ID chunks, one per
+//! worker; each worker runs its nodes' callbacks with a *private*
+//! [`LinkUse`] ledger (budgets are per-sender, so no sharing is needed)
+//! and stages every node's sends. No lock is taken anywhere. The net
+//! then meters, applies faults, and delivers the staged sends in
+//! sender-ID order — the same per-sender code [`CliqueNet::step`] runs —
+//! so every inbox, cost, and event is the serial backend's by
+//! construction, whatever the thread count or scheduling.
 //!
-//! 1. **Compute** — nodes are split into contiguous ID chunks, one per
-//!    worker. Each worker runs its nodes' callbacks with a *private*
-//!    [`LinkUse`] ledger (budgets are per-sender, so no sharing is
-//!    needed), stages outgoing envelopes per node, and meters into a
-//!    *private* [`Counters`] shard. No lock is taken anywhere.
-//! 2. **Exchange** — workers are re-assigned contiguous *destination*
-//!    ranges — disjoint slices of the driver's pooled inbox buffer. Each
-//!    scans the staged outboxes of all senders in ID order and copies out
-//!    the envelopes addressed to its range, so every inbox comes out in
-//!    `(src, send-index)` order by construction — thread arrival order
-//!    never matters. Counter shards and transcript chunks fold in worker
-//!    (= ID) order at the barrier.
-//!
-//! Violations abort a worker's chunk at the first offending node (the
-//! serial engine's behavior within a chunk), and the lowest-ID offender's
-//! error is reported — the same error the serial engine would return,
-//! because a node's behavior in a round cannot depend on higher-ID nodes'
-//! sends of the *same* round.
+//! A violation stops a worker's chunk at the offending node, and only
+//! the lowest-ID offender is reported — the error the serial backend
+//! would return, because a node's behavior in a round cannot depend on
+//! higher-ID nodes' sends of the *same* round.
 
-use crate::backend::{meter, round_rules, run_node, Backend, Phase, Program, RoundOutput};
+use crate::backend::{run_node, Backend, Ctx, Phase, Program};
 use crate::serial::SerialBackend;
 use cc_net::budget::LinkUse;
-use cc_net::fault::{apply_faults, FaultInjector, FaultRecord};
-use cc_net::{Cost, Counters, Envelope, NetConfig, NetError, RoundBatches, Wire};
+use cc_net::{CliqueNet, Envelope, NetError, Outbox, StagedRound};
 use cc_trace::SpanTiming;
 use std::time::Instant;
 
-/// Multi-threaded engine; observationally identical to
-/// [`SerialBackend`](crate::SerialBackend).
+/// Multi-threaded engine; observationally identical to [`SerialBackend`].
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelBackend {
     threads: usize,
@@ -66,26 +58,14 @@ impl ParallelBackend {
     }
 }
 
-/// What one compute-phase worker hands back at the barrier.
-struct ComputeShard<M> {
-    /// Staged outbox per node of the chunk, in node order. Post-fault
-    /// when an injector is active (the exchange phase distributes what
-    /// is actually delivered).
+/// What one worker hands back at the barrier.
+struct Shard<M> {
+    /// Staged sends per node of the chunk, in node order, up to (not
+    /// including) the first offender.
     staged: Vec<Vec<Envelope<M>>>,
-    cost: Cost,
-    transcript: Vec<(u64, u32, u32)>,
-    /// First violation in the chunk, with the offending node's ID.
+    /// The chunk's first violation, with the offending node's ID.
     error: Option<(usize, NetError)>,
-    /// Wall-clock span of this worker's compute phase.
     span: SpanTiming,
-    /// Faults injected in this chunk, in `(node, send-index)` order.
-    faults: Vec<FaultRecord>,
-    /// Fault-deferred envelopes from this chunk.
-    deferred: Vec<(u64, Envelope<M>)>,
-    /// Pre-fault batch entries for this chunk, `(src, dst)`-sorted
-    /// (`Some` iff injecting). Senders of a chunk are contiguous, so
-    /// concatenating shard entries in worker order is globally sorted.
-    batches: Option<Vec<cc_net::BatchEntry>>,
 }
 
 impl Backend for ParallelBackend {
@@ -93,186 +73,87 @@ impl Backend for ParallelBackend {
         "parallel"
     }
 
-    fn execute<P: Program>(
+    fn step<P: Program>(
         &mut self,
-        cfg: &NetConfig,
-        round: u64,
+        net: &mut CliqueNet<P::Msg>,
         phase: Phase,
         programs: &mut [P],
-        delivered: &[Vec<Envelope<P::Msg>>],
-        inboxes: &mut [Vec<Envelope<P::Msg>>],
         done: &mut [bool],
-        fault: Option<&dyn FaultInjector>,
-    ) -> Result<RoundOutput<P::Msg>, NetError> {
-        let n = cfg.n;
+    ) -> Result<(), NetError> {
+        let n = net.n();
         let workers = self.threads.min(n);
         if workers <= 1 {
             // One worker is the serial engine; skip the fan-out cost.
-            return SerialBackend
-                .execute(cfg, round, phase, programs, delivered, inboxes, done, fault);
+            return SerialBackend.step(net, phase, programs, done);
         }
-        debug_assert_eq!(inboxes.len(), n, "driver provides one buffer per node");
         let chunk = n.div_ceil(workers);
-        let rules = round_rules(cfg, round, fault);
-
-        // ---- Barrier 1: compute. ----
-        let shards: Vec<ComputeShard<P::Msg>> = std::thread::scope(|s| {
-            let handles: Vec<_> = programs
-                .chunks_mut(chunk)
-                .zip(done.chunks_mut(chunk))
-                .zip(delivered.chunks(chunk))
-                .enumerate()
-                .map(|(w, ((progs, done_chunk), del_chunk))| {
-                    let base = w * chunk;
-                    s.spawn(move || {
-                        let t0 = Instant::now();
-                        let mut links = LinkUse::new(n);
-                        let mut counters = Counters::new();
-                        let mut transcript = Vec::new();
-                        let mut staged_per_node = Vec::with_capacity(progs.len());
-                        let chunk_len = progs.len();
-                        let mut error = None;
-                        let mut faults = Vec::new();
-                        let mut deferred = Vec::new();
-                        let mut batches: Option<RoundBatches> = fault.map(|_| {
-                            let mut b = RoundBatches::new();
-                            b.begin_round(n);
-                            b
-                        });
-                        for (i, program) in progs.iter_mut().enumerate() {
-                            let node = base + i;
-                            if let Some(inj) = fault {
-                                if inj.crashed(round, node) {
-                                    // Fail-stop (see SerialBackend): no
-                                    // compute, no sends, marked done.
-                                    done_chunk[i] = true;
+        let seed = net.config().seed;
+        net.step_staged(|delivered, plan| {
+            let shards: Vec<Shard<P::Msg>> = std::thread::scope(|s| {
+                let handles: Vec<_> = programs
+                    .chunks_mut(chunk)
+                    .zip(done.chunks_mut(chunk))
+                    .zip(delivered.chunks(chunk))
+                    .enumerate()
+                    .map(|(w, ((progs, done), inboxes))| {
+                        let base = w * chunk;
+                        s.spawn(move || {
+                            let t0 = Instant::now();
+                            let mut links = LinkUse::new(n);
+                            let mut staged = Vec::with_capacity(progs.len());
+                            let mut error = None;
+                            for (i, program) in progs.iter_mut().enumerate() {
+                                let node = base + i;
+                                if plan.is_crashed(node) {
+                                    staged.push(Vec::new());
                                     continue;
                                 }
-                            }
-                            let (staged, err, node_done) = run_node(
-                                program,
-                                node,
-                                cfg,
-                                rules,
-                                &mut links,
-                                round,
-                                phase,
-                                &del_chunk[i],
-                                Vec::new(),
-                            );
-                            if let Some(e) = err {
-                                error = Some((node, e));
-                                break;
-                            }
-                            if phase == Phase::Round {
-                                done_chunk[i] = node_done;
-                            }
-                            meter(&staged, cfg, round, &mut counters, &mut transcript);
-                            if let Some(b) = batches.as_mut() {
-                                for env in &staged {
-                                    b.add(env.dst as u32, env.msg.words().max(1));
+                                let mut outbox =
+                                    Outbox::assemble_in(node, plan.rules, &mut links, Vec::new());
+                                let mut ctx = Ctx::new(node, n, plan.round, seed, &mut outbox);
+                                run_node(program, phase, &mut ctx, &inboxes[i], &mut done[i]);
+                                let (sent, err) = outbox.finish();
+                                links.reset();
+                                if let Some(e) = err {
+                                    error = Some((node, e));
+                                    break;
                                 }
-                                b.flush_sender(node as u32);
+                                staged.push(sent);
                             }
-                            if let Some(inj) = fault {
-                                let outcome = apply_faults(inj, round, staged);
-                                staged_per_node.push(outcome.deliver);
-                                deferred.extend(outcome.deferred);
-                                faults.extend(outcome.records);
-                            } else {
-                                staged_per_node.push(staged);
+                            Shard {
+                                staged,
+                                error,
+                                span: SpanTiming {
+                                    worker: w as u32,
+                                    node_lo: base as u32,
+                                    node_hi: (base + progs.len()) as u32,
+                                    nanos: t0.elapsed().as_nanos() as u64,
+                                },
                             }
-                        }
-                        ComputeShard {
-                            staged: staged_per_node,
-                            cost: counters.total(),
-                            transcript,
-                            error,
-                            span: SpanTiming {
-                                worker: w as u32,
-                                node_lo: base as u32,
-                                node_hi: (base + chunk_len) as u32,
-                                nanos: t0.elapsed().as_nanos() as u64,
-                            },
-                            faults,
-                            deferred,
-                            batches: batches.map(|mut b| b.take_entries()),
-                        }
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-
-        // Fold shards in worker (= node) order: lowest offender wins, cost
-        // addition is commutative so totals are exact, transcript chunks
-        // concatenate into sender-ID order, and (src, dst)-sorted batch
-        // chunks concatenate into globally sorted order (disjoint,
-        // ascending sender ranges).
-        if let Some((_, e)) = shards
-            .iter()
-            .filter_map(|sh| sh.error.as_ref())
-            .min_by_key(|(node, _)| *node)
-        {
-            return Err(e.clone());
-        }
-        let mut cost = Cost::default();
-        let mut transcript = Vec::new();
-        let mut staged_all: Vec<Vec<Envelope<P::Msg>>> = Vec::with_capacity(n);
-        let mut worker_spans = Vec::with_capacity(shards.len());
-        let mut faults = Vec::new();
-        let mut deferred = Vec::new();
-        let mut batches: Option<Vec<cc_net::BatchEntry>> = fault.map(|_| Vec::new());
-        for shard in shards {
-            cost += shard.cost;
-            transcript.extend(shard.transcript);
-            staged_all.extend(shard.staged);
-            worker_spans.push(shard.span);
-            faults.extend(shard.faults);
-            deferred.extend(shard.deferred);
-            if let (Some(acc), Some(part)) = (batches.as_mut(), shard.batches) {
-                acc.extend(part);
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            });
+            // Chunks are contiguous and in ID order, so concatenating
+            // them up to the first offending chunk lines `staged` up with
+            // node IDs, and that chunk's offender is the lowest one.
+            let mut round = StagedRound {
+                staged: Vec::with_capacity(n),
+                spans: Vec::with_capacity(shards.len()),
+                error: None,
+            };
+            for shard in shards {
+                round.spans.push(shard.span);
+                if round.error.is_none() {
+                    round.staged.extend(shard.staged);
+                    round.error = shard.error;
+                }
             }
-        }
-
-        // ---- Barrier 2: exchange. ----
-        // Workers own disjoint destination ranges — disjoint `chunks_mut`
-        // slices of the pooled inbox buffer — and pull from the shared
-        // staged outboxes: no queue, no lock, and the (src, send-index)
-        // scan order *is* the normalized inbox order.
-        let staged_ref = &staged_all;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = inboxes
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(w, part)| {
-                    let lo = w * chunk;
-                    s.spawn(move || {
-                        for src_staged in staged_ref {
-                            for env in src_staged {
-                                if (lo..lo + part.len()).contains(&env.dst) {
-                                    part[env.dst - lo].push(env.clone());
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            }
-        });
-
-        Ok(RoundOutput {
-            cost,
-            transcript,
-            worker_spans,
-            faults,
-            deferred,
-            batches,
+            round
         })
     }
 }

@@ -1,73 +1,14 @@
-//! Running [`Program`]s on the direct simulator, and reference programs.
+//! Reference programs.
 //!
-//! [`run_program`] drives one program instance per node on a
-//! [`CliqueNet`] — the closure-based reference engine the runtime
-//! backends are tested against. It builds each node's [`Ctx`] around the
-//! [`cc_net::Outbox`] that [`CliqueNet::step`] hands out, with the same
-//! `(seed, node, round)` randomness the backends derive, so a program's
-//! observable behavior does not depend on which engine runs it.
-//!
-//! The paper's big algorithms in `cc-core` use the closure API (they are
-//! driver-orchestrated by nature: coordinator steps, collectives, phase
-//! barriers). The program API is the right shape for *reactive* protocols —
-//! flooding, echo, token passing — and for tests that want the type system
-//! to enforce locality. [`examples::FloodEcho`] is the reference user: a
-//! spanning-tree flood/echo from a root, a classic whose message pattern
-//! (one message per edge per direction, `O(diameter)` rounds) is easy to
-//! assert.
-
-use crate::backend::{Ctx, Program};
-use cc_net::{CliqueNet, NetError};
-
-/// Runs one program instance per node on `net` until every node reports
-/// done and the network is quiet, or `max_rounds` elapses.
-///
-/// Returns the final program states (so callers can extract outputs).
-///
-/// # Errors
-///
-/// Propagates simulator errors; returns [`NetError::RoundCapExceeded`]
-/// if the protocol does not terminate within `max_rounds`.
-///
-/// # Panics
-///
-/// Panics unless `programs.len() == net.n()`.
-pub fn run_program<P: Program>(
-    net: &mut CliqueNet<P::Msg>,
-    mut programs: Vec<P>,
-    max_rounds: u64,
-) -> Result<Vec<P>, NetError> {
-    let n = net.n();
-    let seed = net.config().seed;
-    assert_eq!(programs.len(), n, "one program per node");
-    let mut done = vec![false; n];
-    let round = net.cost().rounds;
-    net.step(|node, _inbox, out| {
-        programs[node].start(&mut Ctx::new(node, n, round, seed, out));
-    })?;
-    let mut rounds = 1u64;
-    loop {
-        // A fail-stop-crashed node can never report done; counting it as
-        // done keeps fault-injected protocols terminating.
-        let all_done = done
-            .iter()
-            .enumerate()
-            .all(|(v, &d)| d || net.is_crashed(v));
-        if all_done && !net.has_pending() {
-            return Ok(programs);
-        }
-        if rounds >= max_rounds {
-            return Err(NetError::RoundCapExceeded { cap: max_rounds });
-        }
-        let round = net.cost().rounds;
-        net.step(|node, inbox, out| {
-            if programs[node].round(&mut Ctx::new(node, n, round, seed, out), inbox) {
-                done[node] = true;
-            }
-        })?;
-        rounds += 1;
-    }
-}
+//! The paper's big algorithms in `cc-core` use the closure API of
+//! [`cc_net::CliqueNet::step`] (they are driver-orchestrated by nature:
+//! coordinator steps, collectives, phase barriers). The
+//! [`Program`](crate::Program) API is the right shape for *reactive*
+//! protocols — flooding, echo, token passing — and for tests that want
+//! the type system to enforce locality. [`examples::FloodEcho`] is the
+//! reference user: a spanning-tree flood/echo from a root, a classic
+//! whose message pattern (one message per edge per direction,
+//! `O(diameter)` rounds) is easy to assert.
 
 /// Reference programs.
 pub mod examples {
@@ -188,8 +129,8 @@ pub mod examples {
 #[cfg(test)]
 mod tests {
     use super::examples::FloodEcho;
-    use super::*;
-    use cc_net::{Envelope, NetConfig};
+    use crate::{Ctx, Program, Runtime};
+    use cc_net::{Envelope, NetConfig, NetError};
 
     fn programs_for(g: &[Vec<usize>], root: usize) -> Vec<FloodEcho> {
         g.iter()
@@ -211,8 +152,8 @@ mod tests {
     fn flood_echo_counts_component_size() {
         // Path 0-1-2-3 plus isolated node 4.
         let adj = adjacency(5, &[(0, 1), (1, 2), (2, 3)]);
-        let mut net: CliqueNet<Vec<u64>> = CliqueNet::new(NetConfig::kt1(5));
-        let programs = run_program(&mut net, programs_for(&adj, 0), 100).unwrap();
+        let mut rt = Runtime::serial(NetConfig::kt1(5));
+        let programs = rt.run(programs_for(&adj, 0), 100).unwrap();
         assert_eq!(programs[0].subtree, 4, "root counts its component");
         assert!(programs[1].reached() && programs[3].reached());
         assert!(!programs[4].reached(), "isolated node untouched");
@@ -223,13 +164,13 @@ mod tests {
         let n = 8;
         let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
         let adj = adjacency(n, &edges);
-        let mut net: CliqueNet<Vec<u64>> = CliqueNet::new(NetConfig::kt1(n));
-        let programs = run_program(&mut net, programs_for(&adj, 3), 100).unwrap();
+        let mut rt = Runtime::serial(NetConfig::kt1(n));
+        let programs = rt.run(programs_for(&adj, 3), 100).unwrap();
         assert_eq!(programs[3].subtree, n as u64);
         // Flood + echo: at most 2 messages per edge direction.
-        assert!(net.cost().messages <= 4 * edges.len() as u64);
+        assert!(rt.cost().messages <= 4 * edges.len() as u64);
         // Rounds ~ diameter, far below n rounds for a ring of 8.
-        assert!(net.cost().rounds <= 3 + n as u64);
+        assert!(rt.cost().rounds <= 3 + n as u64);
     }
 
     #[test]
@@ -246,16 +187,19 @@ mod tests {
                 false // never done
             }
         }
-        let mut net: CliqueNet<Vec<u64>> = CliqueNet::new(NetConfig::kt1(4));
-        let err = run_program(&mut net, vec![Chatter, Chatter, Chatter, Chatter], 20).unwrap_err();
+        let mut rt = Runtime::serial(NetConfig::kt1(4));
+        let err = rt
+            .run(vec![Chatter, Chatter, Chatter, Chatter], 20)
+            .unwrap_err();
         assert_eq!(err, NetError::RoundCapExceeded { cap: 20 });
+        assert_eq!(rt.cost().rounds, 20, "the failed run's rounds are kept");
     }
 
     #[test]
     fn two_node_edge() {
         let adj = adjacency(2, &[(0, 1)]);
-        let mut net: CliqueNet<Vec<u64>> = CliqueNet::new(NetConfig::kt1(2));
-        let programs = run_program(&mut net, programs_for(&adj, 1), 50).unwrap();
+        let mut rt = Runtime::serial(NetConfig::kt1(2));
+        let programs = rt.run(programs_for(&adj, 1), 50).unwrap();
         assert_eq!(programs[1].subtree, 2);
     }
 }

@@ -1,24 +1,13 @@
-//! The serial reference backend.
+//! The serial backend: the net's own round, node callbacks in ID order
+//! on the calling thread.
 //!
-//! Executes nodes in ID order on the calling thread, exactly like
-//! [`cc_net::CliqueNet::step`]: same send validation, same
-//! abort-on-first-violation behavior, same inbox normalization, same
-//! fault interposition. This is the semantic baseline the parallel
-//! backend is tested against — and the faster choice when
-//! `n · per-node-work` is small enough that thread fan-out costs more
-//! than it saves.
-//!
-//! Like the direct simulator, the fault-free path is allocation-free in
-//! steady state: the next-round inboxes land in the driver's pooled
-//! buffer, and one staging buffer is drained and reused across all `n`
-//! nodes of a round.
+//! This is [`CliqueNet::step`] with each node's [`Ctx`] built around the
+//! [`cc_net::Outbox`] it hands out — the fused, allocation-free round the
+//! paper's algorithms run on, and the faster choice whenever
+//! `n · per-node-work` is too small for thread fan-out to pay.
 
-use crate::backend::{meter, round_rules, run_node, Backend, Phase, Program, RoundOutput};
-use cc_net::budget::LinkUse;
-use cc_net::fault::{apply_faults, FaultInjector};
-use cc_net::{Counters, Envelope, NetConfig, NetError, RoundBatches, Wire};
-use cc_trace::SpanTiming;
-use std::time::Instant;
+use crate::backend::{run_node, Backend, Ctx, Phase, Program};
+use cc_net::{CliqueNet, NetError};
 
 /// Single-threaded engine; the reference implementation.
 #[derive(Clone, Copy, Debug, Default)]
@@ -29,104 +18,17 @@ impl Backend for SerialBackend {
         "serial"
     }
 
-    fn execute<P: Program>(
+    fn step<P: Program>(
         &mut self,
-        cfg: &NetConfig,
-        round: u64,
+        net: &mut CliqueNet<P::Msg>,
         phase: Phase,
         programs: &mut [P],
-        delivered: &[Vec<Envelope<P::Msg>>],
-        inboxes: &mut [Vec<Envelope<P::Msg>>],
         done: &mut [bool],
-        fault: Option<&dyn FaultInjector>,
-    ) -> Result<RoundOutput<P::Msg>, NetError> {
-        let n = cfg.n;
-        debug_assert_eq!(inboxes.len(), n, "driver provides one buffer per node");
-        debug_assert!(inboxes.iter().all(Vec::is_empty), "buffers arrive drained");
-        let rules = round_rules(cfg, round, fault);
-        let mut links = LinkUse::new(n);
-        let mut counters = Counters::new();
-        let mut transcript = Vec::new();
-        let mut faults = Vec::new();
-        let mut deferred = Vec::new();
-        // Reused staging buffer for the fault-free path (the fault path
-        // hands each node's staged sends to `apply_faults` by value, so
-        // it re-allocates; chaos runs are correctness harnesses, not the
-        // hot path).
-        let mut staged_buf: Vec<Envelope<P::Msg>> = Vec::new();
-        // Pre-fault batches, tracked only under an injector (without one
-        // the driver reconstructs identical batches from the inboxes).
-        let mut batches: Option<RoundBatches> = fault.map(|_| {
-            let mut b = RoundBatches::new();
-            b.begin_round(n);
-            b
-        });
-
-        let t0 = Instant::now();
-        for (node, program) in programs.iter_mut().enumerate() {
-            if let Some(inj) = fault {
-                if inj.crashed(round, node) {
-                    // Fail-stop: no compute, no sends, inbox discarded.
-                    // Marked done so the driver's termination check can
-                    // still converge.
-                    done[node] = true;
-                    continue;
-                }
-            }
-            let (mut staged, error, node_done) = run_node(
-                program,
-                node,
-                cfg,
-                rules,
-                &mut links,
-                round,
-                phase,
-                &delivered[node],
-                std::mem::take(&mut staged_buf),
-            );
-            if let Some(e) = error {
-                return Err(e);
-            }
-            if phase == Phase::Round {
-                done[node] = node_done;
-            }
-            meter(&staged, cfg, round, &mut counters, &mut transcript);
-            if let Some(b) = batches.as_mut() {
-                for env in &staged {
-                    b.add(env.dst as u32, env.msg.words().max(1));
-                }
-                b.flush_sender(node as u32);
-            }
-            if let Some(inj) = fault {
-                let outcome = apply_faults(inj, round, staged);
-                for env in outcome.deliver {
-                    inboxes[env.dst].push(env);
-                }
-                deferred.extend(outcome.deferred);
-                faults.extend(outcome.records);
-            } else {
-                // Senders run in ID order and stage in send order, so
-                // pushing here yields (src, send-index)-sorted inboxes by
-                // construction.
-                for env in staged.drain(..) {
-                    inboxes[env.dst].push(env);
-                }
-                staged_buf = staged;
-            }
-        }
-
-        Ok(RoundOutput {
-            cost: counters.total(),
-            transcript,
-            worker_spans: vec![SpanTiming {
-                worker: 0,
-                node_lo: 0,
-                node_hi: n as u32,
-                nanos: t0.elapsed().as_nanos() as u64,
-            }],
-            faults,
-            deferred,
-            batches: batches.map(|mut b| b.take_entries()),
+    ) -> Result<(), NetError> {
+        let (n, seed, round) = (net.n(), net.config().seed, net.cost().rounds);
+        net.step(|node, inbox, out| {
+            let mut ctx = Ctx::new(node, n, round, seed, out);
+            run_node(&mut programs[node], phase, &mut ctx, inbox, &mut done[node]);
         })
     }
 }

@@ -1,10 +1,10 @@
-//! Backend equivalence: the serial simulator, the serial runtime backend,
-//! and the parallel runtime backend must produce identical program states
-//! and identical cost totals on the same inputs.
+//! Backend equivalence: the serial and parallel runtime backends must
+//! produce identical program states, identical cost totals, and identical
+//! errors on the same inputs.
 
-use cc_net::{CliqueNet, Cost, NetConfig};
+use cc_net::{Cost, Envelope, NetConfig, NetError};
 use cc_runtime::program::examples::FloodEcho;
-use cc_runtime::{run_program, Runtime};
+use cc_runtime::{Ctx, Program, Runtime};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -38,15 +38,11 @@ fn random_adjacency(n: usize, edge_prob: f64, seed: u64) -> Vec<Vec<usize>> {
     adj
 }
 
-/// Runs FloodEcho on all three engines and asserts identical outputs and
+/// Runs FloodEcho on both backends and asserts identical outputs and
 /// identical cost.
-fn assert_three_way(adj: &[Vec<usize>], root: usize, max_rounds: u64) {
+fn assert_backends_agree(adj: &[Vec<usize>], root: usize, max_rounds: u64) {
     let n = adj.len();
     let cfg = NetConfig::kt1(n);
-
-    let mut net: CliqueNet<Vec<u64>> = CliqueNet::new(cfg.clone());
-    let reference = run_program(&mut net, flood_programs(adj, root), max_rounds).unwrap();
-    let ref_cost = net.cost();
 
     let mut serial = Runtime::serial(cfg.clone());
     let s = serial.run(flood_programs(adj, root), max_rounds).unwrap();
@@ -54,17 +50,18 @@ fn assert_three_way(adj: &[Vec<usize>], root: usize, max_rounds: u64) {
     let mut parallel = Runtime::parallel_with_threads(cfg, 4);
     let p = parallel.run(flood_programs(adj, root), max_rounds).unwrap();
 
-    let want = outputs(&reference);
-    assert_eq!(outputs(&s), want, "serial backend diverged");
-    assert_eq!(outputs(&p), want, "parallel backend diverged");
-    assert_eq!(serial.cost(), ref_cost, "serial cost diverged");
-    assert_eq!(parallel.cost(), ref_cost, "parallel cost diverged");
+    assert_eq!(outputs(&p), outputs(&s), "parallel backend diverged");
+    assert_eq!(parallel.cost(), serial.cost(), "parallel cost diverged");
 }
 
 #[test]
 fn flood_echo_path_with_isolated_node() {
     let adj = vec![vec![1], vec![0, 2], vec![1, 3], vec![2], vec![]];
-    assert_three_way(&adj, 0, 100);
+    assert_backends_agree(&adj, 0, 100);
+    let mut rt = Runtime::serial(NetConfig::kt1(adj.len()));
+    let out = rt.run(flood_programs(&adj, 0), 100).unwrap();
+    assert_eq!(out[0].subtree, 4, "root counts its component");
+    assert!(!out[4].reached(), "isolated node untouched");
 }
 
 #[test]
@@ -75,14 +72,14 @@ fn flood_echo_ring() {
         adj[v].push((v + 1) % n);
         adj[(v + 1) % n].push(v);
     }
-    assert_three_way(&adj, 5, 100);
+    assert_backends_agree(&adj, 5, 100);
 }
 
 #[test]
 fn flood_echo_random_graphs() {
     for (seed, prob) in [(1u64, 0.05), (2, 0.15), (3, 0.4)] {
         let adj = random_adjacency(24, prob, seed);
-        assert_three_way(&adj, 0, 200);
+        assert_backends_agree(&adj, 0, 200);
     }
 }
 
@@ -120,9 +117,9 @@ fn transcripts_match_between_backends() {
 
 #[test]
 fn model_event_streams_match_between_backends() {
-    // The driver emits all model events centrally from RoundOutput, so the
-    // two engines must produce byte-identical model streams — rounds,
-    // per-link message batches, totals. (Timing events — WorkerSpan — are
+    // The net emits every model event for both backends, so the two must
+    // produce byte-identical model streams — rounds, per-link message
+    // batches, totals. (Timing events — NodeCompute, WorkerSpan — are
     // backend-shaped by design and excluded by `is_model`.)
     let adj = random_adjacency(18, 0.25, 11);
     let cfg = NetConfig::kt1(adj.len());
@@ -154,7 +151,8 @@ fn model_event_streams_match_between_backends() {
     assert_eq!(serial.cost(), parallel.cost());
 
     // The parallel engine reported spans from more than one worker, and the
-    // serial engine exactly one per round — the only allowed divergence.
+    // serial engine per-node compute spans instead — the only allowed
+    // divergence.
     let workers = |rec: &cc_trace::RecordingTracer| {
         let mut ws: Vec<u32> = rec
             .events()
@@ -168,8 +166,80 @@ fn model_event_streams_match_between_backends() {
         ws.dedup();
         ws
     };
-    assert_eq!(workers(&rec_s), vec![0]);
+    assert!(workers(&rec_s).is_empty());
+    assert!(rec_s
+        .events()
+        .iter()
+        .any(|e| matches!(e, cc_trace::Event::NodeCompute { .. })));
     assert!(workers(&rec_p).len() > 1);
+}
+
+/// Node 1 and the last node send one legal message every round; from
+/// round `bad` on, node `hog` (between them) sends two full-budget
+/// messages to the same destination, which the second overruns.
+#[derive(Debug)]
+struct Overrun {
+    bad: u64,
+    hog: usize,
+}
+
+impl Overrun {
+    fn send(&self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
+        let dst = (ctx.me() + 1) % ctx.n();
+        if ctx.me() == 1 || ctx.me() == ctx.n() - 1 {
+            let _ = ctx.send(dst, vec![ctx.round()]);
+        }
+        if ctx.me() == self.hog && ctx.round() >= self.bad {
+            let full = vec![0; ctx.budget_left(dst) as usize];
+            let _ = ctx.send(dst, full.clone());
+            let _ = ctx.send(dst, full);
+        }
+    }
+}
+
+impl Program for Overrun {
+    type Msg = Vec<u64>;
+
+    fn start(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
+        self.send(ctx);
+    }
+
+    fn round(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>, _: &[Envelope<Vec<u64>>]) -> bool {
+        self.send(ctx);
+        false
+    }
+}
+
+#[test]
+fn an_aborted_round_fails_and_meters_identically_on_every_thread_count() {
+    let n = 9;
+    let (bad, hog) = (3, 6);
+    let cfg = NetConfig::kt1(n);
+    let programs = || (0..n).map(|_| Overrun { bad, hog }).collect::<Vec<_>>();
+
+    let mut serial = Runtime::serial(cfg.clone());
+    let err = serial.run(programs(), 100).unwrap_err();
+    assert!(
+        matches!(err, NetError::LinkBusy { round, src, .. } if round == bad && src == hog),
+        "{err:?}"
+    );
+    let cost = serial.cost();
+    assert_eq!(cost.rounds, bad, "the aborted round is not counted");
+    assert_eq!(
+        cost.messages,
+        2 * bad + 1,
+        "in the aborted round only the sender below the offender is metered"
+    );
+
+    for threads in [1, 3, n] {
+        let mut rt = Runtime::parallel_with_threads(cfg.clone(), threads);
+        assert_eq!(
+            rt.run(programs(), 100).unwrap_err(),
+            err,
+            "threads={threads}"
+        );
+        assert_eq!(rt.cost(), cost, "threads={threads}");
+    }
 }
 
 #[test]

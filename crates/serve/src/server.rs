@@ -13,7 +13,7 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! Responses are the [`Response`](crate::pool::Response) lines documented
+//! Responses are the [`Response`] lines documented
 //! in [`crate::pool`]: a submission streams `queued` → `running` →
 //! `progress`… → `result` (or terminates early with `rejected` /
 //! `error`); `stats` answers with one `stats` line; `shutdown` answers

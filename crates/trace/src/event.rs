@@ -59,10 +59,9 @@ impl CostSnapshot {
     }
 }
 
-/// A per-worker compute span for one executed round, reported by runtime
-/// backends (the serial backend reports a single worker covering all
-/// nodes). Carried out-of-band in `RoundOutput` so worker threads never
-/// touch the tracer; the driver turns these into
+/// A per-worker compute span for one executed round, reported by the
+/// parallel runtime backend. Handed back to the net out-of-band so worker
+/// threads never touch the tracer; the net turns these into
 /// [`Event::WorkerSpan`] events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanTiming {

@@ -11,8 +11,10 @@
 
 use congested_clique::core::{gc, run_connectivity, GcConfig};
 use congested_clique::graph::{generators, Graph};
+use congested_clique::lens::CommLedger;
+use congested_clique::model::ModelSpec;
 use congested_clique::net::NetConfig;
-use congested_clique::profile::{diff_events, top_links, Profile};
+use congested_clique::profile::{diff_events, Profile};
 use congested_clique::route::Net;
 use congested_clique::runtime::Runtime;
 use congested_clique::trace::export::{events_from_jsonl, to_chrome_trace, to_jsonl};
@@ -184,9 +186,11 @@ fn chrome_export_of_a_recorded_gc_run_is_well_formed() {
         }
     }
 
-    // The same recorded run feeds top-links: the clique actually used
-    // directed links, and totals are consistent with the metered cost.
-    let links = top_links(&events, usize::MAX);
+    // The same recorded run feeds the lens's top links: the clique
+    // actually used directed links, and totals are consistent with the
+    // metered cost.
+    let ledger = CommLedger::fold(20, &ModelSpec::clique(), &events).expect("clique spec");
+    let links = ledger.top_links(usize::MAX);
     assert!(!links.is_empty(), "gc traffic shows up per link");
     let words: u64 = links.iter().map(|l| l.words).sum();
     assert_eq!(words, net.cost().words, "per-link words sum to the meter");

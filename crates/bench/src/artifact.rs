@@ -13,11 +13,12 @@ use cc_core::exact_mst::{exact_mst, ExactMstConfig};
 use cc_core::gc::{self, GcConfig};
 use cc_core::kt1_mst::{kt1_mst, Kt1MstConfig};
 use cc_graph::generators;
+use cc_lens::{comm_metrics, CommLedger};
+use cc_model::ModelSpec;
 use cc_net::{Cost, NetConfig};
 use cc_route::Net;
 use cc_trace::{
-    metrics_from_events, ClaimRecord, CostSnapshot, ExperimentRecord, PhaseBreakdown,
-    RecordingTracer, RunArtifact,
+    ClaimRecord, CostSnapshot, ExperimentRecord, PhaseBreakdown, RecordingTracer, RunArtifact,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -152,8 +153,9 @@ pub fn headline_breakdowns(quick: bool) -> Vec<PhaseBreakdown> {
     out
 }
 
-/// Runs GC once under a [`RecordingTracer`] and returns the derived
-/// metrics snapshot (the artifact's `metrics` section).
+/// Runs GC once under a [`RecordingTracer`] and returns its `comm.*`
+/// snapshot (the artifact's `metrics` section): the cc-lens fold under
+/// `ModelSpec::clique()`, the spec `NetConfig::kt1` admits sends under.
 pub fn traced_gc_metrics(quick: bool) -> (String, cc_trace::MetricsSnapshot) {
     let n = if quick { 64 } else { 128 };
     let mut rng = ChaCha8Rng::seed_from_u64(4);
@@ -163,10 +165,9 @@ pub fn traced_gc_metrics(quick: bool) -> (String, cc_trace::MetricsSnapshot) {
     net.set_tracer(Box::new(rec.clone()));
     gc::run_on(&mut net, &g, &GcConfig::default()).expect("gc run");
     net.take_tracer();
-    (
-        format!("gc-n{n}"),
-        metrics_from_events(&rec.events()).snapshot(),
-    )
+    let lens = CommLedger::fold(n, &ModelSpec::clique(), &rec.events())
+        .expect("a completed run's recorded stream always folds");
+    (format!("gc-n{n}"), comm_metrics(&lens))
 }
 
 /// Assembles the full artifact: tables, claims, headline breakdowns, and

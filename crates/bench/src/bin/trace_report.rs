@@ -31,7 +31,8 @@
 //! `--broadcast` (broadcast-only links); `links` also takes `--top N`
 //! and `heatmap` takes `--rows`/`--cols`.
 //!
-//! Exits 2 on usage errors and 3 if the artifact fails schema validation.
+//! Exits 2 on usage errors, and 3 if the artifact fails schema validation
+//! or a trace does not fold (e.g. it names a node outside `--n`).
 
 use cc_bench::artifact::{
     breakdown_table, render_checklist_txt, render_tables_txt, robustness_table, whp_table,
@@ -76,6 +77,18 @@ fn lens_setup(args: &[String], events: &[cc_trace::Event]) -> (usize, cc_model::
     (n, spec)
 }
 
+/// Prints a lens rendering, or exits 3 when the trace does not fold
+/// (e.g. it names a node outside the `--n` clique).
+fn print_folded(path: &str, rendered: Result<String, cc_model::ModelError>) {
+    match rendered {
+        Ok(text) => print!("{text}"),
+        Err(e) => {
+            eprintln!("error: cannot fold {path}: {e}");
+            std::process::exit(3);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -98,13 +111,7 @@ fn main() {
             let events = read_events(path);
             let (n, spec) = lens_setup(&args, &events);
             let top = flag_num(&args, "--top", 10usize);
-            match cc_lens::links_report(n, &spec, &events, top) {
-                Ok(text) => print!("{text}"),
-                Err(e) => {
-                    eprintln!("error: cannot fold {path}: {e}");
-                    std::process::exit(3);
-                }
-            }
+            print_folded(path, cc_lens::links_report(n, &spec, &events, top));
             return;
         }
         Some("heatmap") => {
@@ -118,7 +125,7 @@ fn main() {
             let (n, spec) = lens_setup(&args, &events);
             let rows = flag_num(&args, "--rows", 24usize);
             let cols = flag_num(&args, "--cols", 72usize);
-            print!("{}", cc_lens::render_heatmap(n, &spec, &events, rows, cols));
+            print_folded(path, cc_lens::render_heatmap(n, &spec, &events, rows, cols));
             return;
         }
         Some("profile") => {

@@ -24,9 +24,13 @@
 //! The summed cold model cost is read back out of the artifacts the
 //! server streamed (each carries its `rounds`/`messages`/`words` in the
 //! `job-summary` table), so the gate also re-checks, end to end, that
-//! the serving layer did not perturb the simulations it wraps. Byte
+//! the serving layer did not perturb the simulations it wraps. The job,
+//! hit and link counts come from [`summarize_lines`] over the response
+//! lines the clients received — the same summary `cc-top --once` prints
+//! — and are cross-checked against the server's own counters. Byte
 //! identity across duplicate answers is asserted on every run.
 
+use crate::top::summarize_lines;
 use cc_profile::{PerfCase, PerfSuite};
 use cc_serve::job::{Algorithm, Engine, GraphSpec, JobSpec};
 use cc_serve::pool::{Response, ServeConfig, Server};
@@ -109,8 +113,7 @@ pub struct LoadgenReport {
     /// artifacts: `(rounds, messages, words)`.
     pub cold_model: (u64, u64, u64),
     /// Summed `comm.words` over the cold artifacts' embedded cc-lens
-    /// folds — the same numbers `cc-top --once` aggregates from the
-    /// response stream, pinned equal in CI.
+    /// folds.
     pub comm_words: u64,
     /// Max `comm.peak_util_milli` over the cold artifacts.
     pub comm_peak_util_milli: u64,
@@ -222,26 +225,6 @@ fn model_of_artifact(text: &str) -> Result<(u64, u64, u64), String> {
     Ok((field("rounds")?, field("messages")?, field("words")?))
 }
 
-/// Reads the cc-lens fold back out of an artifact's `comm` metrics
-/// snapshot: `(comm.words, comm.peak_util_milli)`.
-fn comm_of_artifact(text: &str) -> Result<(u64, u64), String> {
-    let artifact = RunArtifact::from_json_str(text)?;
-    let comm = artifact
-        .metrics
-        .iter()
-        .find(|(name, _)| name == "comm")
-        .map(|(_, snap)| snap)
-        .ok_or("artifact lacks a comm metrics snapshot")?;
-    let counter = |name: &str| -> Result<u64, String> {
-        comm.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("comm snapshot lacks {name}"))
-    };
-    Ok((counter("comm.words")?, counter("comm.peak_util_milli")?))
-}
-
 /// Runs the load bench: starts a server, drives it with the configured
 /// concurrent clients, verifies the duplicate-answer byte-identity
 /// invariant, and folds latencies into percentile estimates.
@@ -251,8 +234,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
 
 /// Like [`run`], but also returns every response the clients received as
 /// protocol lines (concatenated in client index order). This is the
-/// stream `loadgen --log` writes and `cc-top --once` summarizes; a test
-/// below pins that the summary counts match the report exactly.
+/// stream `loadgen --log` writes, and the report's counts are its
+/// `cc-top --once` summary.
 pub fn run_with_responses(cfg: &LoadgenConfig) -> Result<(LoadgenReport, Vec<String>), String> {
     if cfg.clients == 0 || cfg.jobs_per_client == 0 || cfg.distinct == 0 {
         return Err("clients, jobs-per-client, and distinct must be positive".into());
@@ -279,11 +262,9 @@ pub fn run_with_responses(cfg: &LoadgenConfig) -> Result<(LoadgenReport, Vec<Str
 
     let mut hist = LogHistogram::new();
     let mut by_key: HashMap<u64, Vec<String>> = HashMap::new();
-    let mut total_jobs = 0u64;
     let mut lines = Vec::new();
     for run in runs {
         let mut run = run?;
-        total_jobs += run.latencies.len() as u64;
         for l in run.latencies {
             hist.observe(l);
         }
@@ -296,8 +277,6 @@ pub fn run_with_responses(cfg: &LoadgenConfig) -> Result<(LoadgenReport, Vec<Str
     // The serving guarantee, re-checked on every load run: all answers
     // for a key are byte-identical.
     let mut cold_model = (0u64, 0u64, 0u64);
-    let mut comm_words = 0u64;
-    let mut comm_peak_util_milli = 0u64;
     for (key, answers) in &by_key {
         if let Some(diff) = answers.windows(2).find(|w| w[0] != w[1]) {
             let _ = diff;
@@ -307,42 +286,44 @@ pub fn run_with_responses(cfg: &LoadgenConfig) -> Result<(LoadgenReport, Vec<Str
         cold_model.0 += r;
         cold_model.1 += m;
         cold_model.2 += w;
-        let (cw, cp) = comm_of_artifact(&answers[0])?;
-        comm_words += cw;
-        comm_peak_util_milli = comm_peak_util_milli.max(cp);
     }
 
-    let cold_runs = stats.completed;
-    if cold_runs != by_key.len() as u64 {
+    let summary = summarize_lines(&lines)?;
+    let distinct = by_key.len() as u64;
+    if summary.cold_runs != distinct || stats.completed != distinct {
         return Err(format!(
-            "cold runs {cold_runs} != distinct keys drawn {} — coalescing broke",
-            by_key.len()
+            "cold runs {} (server: {}) != distinct keys drawn {distinct} — coalescing broke",
+            summary.cold_runs, stats.completed
         ));
     }
-    let dup_answers = stats.cache.hits + stats.coalesced;
-    let looked_up = stats.cache.hits + stats.cache.misses;
+    if stats.cache.hits + stats.coalesced != summary.dup_answers {
+        return Err(format!(
+            "duplicate answers {} != server cache hits {} + coalesced {}",
+            summary.dup_answers, stats.cache.hits, stats.coalesced
+        ));
+    }
     let snap = hist.snapshot();
     let report = LoadgenReport {
         cfg: *cfg,
-        total_jobs,
-        cold_runs,
-        dup_answers,
-        hit_milli: (dup_answers * 1000).checked_div(looked_up).unwrap_or(0),
-        rejected: stats.rejected,
+        total_jobs: summary.jobs,
+        cold_runs: summary.cold_runs,
+        dup_answers: summary.dup_answers,
+        hit_milli: summary.hit_milli,
+        rejected: summary.rejected,
         evictions: stats.cache.evictions,
         wall_nanos,
         jobs_per_sec: if wall_nanos == 0 {
             0.0
         } else {
-            total_jobs as f64 * 1e9 / wall_nanos as f64
+            summary.jobs as f64 * 1e9 / wall_nanos as f64
         },
         p50_nanos: snap.quantile(0.50),
         p95_nanos: snap.quantile(0.95),
         p99_nanos: snap.quantile(0.99),
         mean_nanos: snap.mean() as u64,
         cold_model,
-        comm_words,
-        comm_peak_util_milli,
+        comm_words: summary.comm_words,
+        comm_peak_util_milli: summary.comm_peak_util_milli,
     };
     Ok((report, lines))
 }
@@ -371,8 +352,7 @@ pub fn suite_from_report(report: &LoadgenReport) -> PerfSuite {
         .with_meta("jobs_per_sec", &format!("{:.1}", report.jobs_per_sec))
         .with_meta("hit_milli", &report.hit_milli.to_string())
         // The lens aggregates ride in meta (not a PerfCase) so the
-        // committed baseline's case set is untouched; CI still pins them
-        // against `cc-top --once` over the same stream.
+        // committed baseline's case set is untouched.
         .with_meta("comm_words", &report.comm_words.to_string())
         .with_meta(
             "comm_peak_util_milli",

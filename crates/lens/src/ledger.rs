@@ -77,6 +77,7 @@ pub struct CommLedger {
     current_round: u64,
     round_budget: u64,
     round_links: BTreeMap<(u32, u32), u64>,
+    closed_links: BTreeMap<(u32, u32), u64>,
     round_messages: u64,
     round_words: u64,
     phase_stack: Vec<String>,
@@ -88,7 +89,6 @@ pub struct CommLedger {
     node_sent: Vec<u64>,
     node_recv: Vec<u64>,
     link_totals: BTreeMap<(u32, u32), LinkTotal>,
-    pair_words: Vec<u64>,
     phases: BTreeMap<String, PhaseComm>,
     util: LogHistogram,
     link_round_words: LogHistogram,
@@ -112,7 +112,6 @@ impl CommLedger {
     /// [`MachineLedger`]).
     pub fn new(n: usize, spec: &ModelSpec) -> Result<Self, ModelError> {
         let machine = MachineLedger::new(n, spec)?;
-        let k = spec.machines(n);
         Ok(CommLedger {
             n,
             spec: *spec,
@@ -120,6 +119,7 @@ impl CommLedger {
             current_round: 0,
             round_budget: spec.bandwidth_words_per_link,
             round_links: BTreeMap::new(),
+            closed_links: BTreeMap::new(),
             round_messages: 0,
             round_words: 0,
             phase_stack: Vec::new(),
@@ -130,7 +130,6 @@ impl CommLedger {
             node_sent: vec![0; n],
             node_recv: vec![0; n],
             link_totals: BTreeMap::new(),
-            pair_words: vec![0; k * k],
             phases: BTreeMap::new(),
             util: LogHistogram::new(),
             link_round_words: LogHistogram::new(),
@@ -150,22 +149,22 @@ impl CommLedger {
     ///
     /// # Errors
     ///
-    /// Propagates [`CommLedger::new`].
+    /// Propagates [`CommLedger::new`] and [`CommLedger::record`].
     pub fn fold(n: usize, spec: &ModelSpec, events: &[Event]) -> Result<Self, ModelError> {
         let mut ledger = CommLedger::new(n, spec)?;
-        ledger.record_all(events);
+        for ev in events {
+            ledger.record(ev)?;
+        }
         Ok(ledger)
     }
 
-    /// Folds a batch of events in stream order.
-    pub fn record_all(&mut self, events: &[Event]) {
-        for ev in events {
-            self.record(ev);
-        }
-    }
-
     /// Folds one event.
-    pub fn record(&mut self, ev: &Event) {
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::NodeOutOfRange`] for a batch naming a node outside
+    /// the `n`-clique; the batch is not counted.
+    pub fn record(&mut self, ev: &Event) -> Result<(), ModelError> {
         match ev {
             Event::RoundStart { round } => {
                 self.current_round = *round;
@@ -186,7 +185,7 @@ impl CommLedger {
                 dst,
                 count,
                 words,
-            } => self.record_batch(*round, *src, *dst, u64::from(*count), *words),
+            } => self.record_batch(*round, *src, *dst, u64::from(*count), *words)?,
             Event::RoundEnd { round, .. } => self.close_round(*round),
             Event::FastForward { rounds, .. } => self.fast_forward_rounds += *rounds,
             _ => {}
@@ -202,31 +201,28 @@ impl CommLedger {
             }
             _ => {}
         }
+        Ok(())
     }
 
-    fn record_batch(&mut self, round: u64, src: u32, dst: u32, count: u64, words: u64) {
+    fn record_batch(
+        &mut self,
+        round: u64,
+        src: u32,
+        dst: u32,
+        count: u64,
+        words: u64,
+    ) -> Result<(), ModelError> {
+        // Machine accounting first: it refuses out-of-clique nodes before
+        // anything is counted. Each batch is one pair charge.
+        self.machine.record(src as usize, dst as usize, words)?;
         self.current_round = round;
         self.round_messages += count;
         self.round_words += words;
         self.messages += count;
         self.words += words;
         *self.round_links.entry((src, dst)).or_insert(0) += words;
-        if let Some(s) = self.node_sent.get_mut(src as usize) {
-            *s += words;
-        }
-        if let Some(r) = self.node_recv.get_mut(dst as usize) {
-            *r += words;
-        }
-        // Machine accounting: each batch is one pair charge.
-        self.machine.record(src as usize, dst as usize, words);
-        let k = self.spec.machines(self.n);
-        let (ms, md) = (
-            self.spec.machine_of(self.n, src as usize),
-            self.spec.machine_of(self.n, dst as usize),
-        );
-        if ms != md {
-            self.pair_words[ms * k + md] += words;
-        }
+        self.node_sent[src as usize] += words;
+        self.node_recv[dst as usize] += words;
         let phase = self
             .phase_stack
             .last()
@@ -235,6 +231,7 @@ impl CommLedger {
         let p = self.phases.entry(phase).or_default();
         p.messages += count;
         p.words += words;
+        Ok(())
     }
 
     fn close_round(&mut self, round: u64) {
@@ -312,6 +309,8 @@ impl CommLedger {
             budget_words: budget,
             machine_rounds,
         });
+        // The closed round's links stay readable until the next close.
+        std::mem::swap(&mut self.round_links, &mut self.closed_links);
         self.round_links.clear();
         self.round_messages = 0;
         self.round_words = 0;
@@ -331,6 +330,14 @@ impl CommLedger {
     /// Executed rounds, in stream order.
     pub fn rounds(&self) -> &[RoundComm] {
         &self.rounds
+    }
+
+    /// The most recently closed round's `((src, dst), words)` link loads,
+    /// in `(src, dst)` order (empty before the first `RoundEnd`).
+    pub fn closed_round_links(&self) -> impl Iterator<Item = ((u32, u32), u64)> + '_ {
+        self.closed_links
+            .iter()
+            .map(|(&link, &words)| (link, words))
     }
 
     /// Rounds skipped via fast-forward (no traffic by construction).
@@ -381,12 +388,6 @@ impl CommLedger {
         &self.link_round_words
     }
 
-    /// Cumulative ordered machine-pair remote words (`k × k`,
-    /// row-major, diagonal zero).
-    pub fn pair_words(&self) -> &[u64] {
-        &self.pair_words
-    }
-
     /// The `k` busiest links by cumulative words, descending (ties by
     /// `(src, dst)`).
     pub fn top_links(&self, k: usize) -> Vec<LinkTotal> {
@@ -409,8 +410,8 @@ impl CommLedger {
     pub fn report(&self) -> CommReport {
         let util = self.util.snapshot();
         let k = self.spec.machines(self.n) as u64;
-        let remote: u64 = self.pair_words.iter().sum();
-        let max_pair = self.pair_words.iter().copied().max().unwrap_or(0);
+        let remote = self.machine.stats().remote_words;
+        let max_pair = self.machine.pair_words().iter().copied().max().unwrap_or(0);
         // Cumulative pair skew: worst ordered pair vs the mean over all
         // k(k−1) ordered remote pairs, in thousandths (1000 = perfectly
         // balanced; 0 = no remote traffic at all).
@@ -624,7 +625,6 @@ mod tests {
             round_end(0, 3, 15),
         ];
         let lg = CommLedger::fold(4, &spec, &events).unwrap();
-        assert_eq!(lg.pair_words(), &[0, 5, 7, 0]);
         let s = lg.machine_stats();
         assert_eq!(s.local_words, 3);
         assert_eq!(s.remote_words, 12);
@@ -668,6 +668,18 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!((top[0].src, top[0].dst, top[0].words), (1, 2, 8));
         assert_eq!((top[1].src, top[1].dst), (0, 1), "tie broken by (src, dst)");
+    }
+
+    #[test]
+    fn a_batch_outside_the_clique_is_refused() {
+        let events = vec![
+            Event::RoundStart { round: 0 },
+            batch(0, 0, 6, 1, 1),
+            round_end(0, 1, 1),
+        ];
+        let err = CommLedger::fold(4, &ModelSpec::clique(), &events).unwrap_err();
+        assert_eq!(err, ModelError::NodeOutOfRange { node: 6, n: 4 });
+        assert!(err.to_string().contains("node 6"), "{err}");
     }
 
     #[test]

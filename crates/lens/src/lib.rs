@@ -24,7 +24,10 @@
 //!
 //! There is deliberately no second bookkeeping path: everything here is
 //! derived, after the fact, from the one trace stream — the same
-//! philosophy as `cc-obs`, one layer down.
+//! philosophy as `cc-obs`, one layer down. [`CommLedger`] is also the
+//! workspace's only traffic fold: the links report, the heatmap, the
+//! grid's utilization section, and the `comm` snapshot in serve and
+//! `--emit-json` artifacts ([`comm_metrics`]) are all views of it.
 
 mod ledger;
 mod render;

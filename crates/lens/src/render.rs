@@ -1,16 +1,17 @@
 //! ASCII renderings: the round×link heatmap and the links report.
 //!
-//! Both render from a recorded event stream (the heatmap needs two
-//! passes — round count first, then bucketed folding — so it takes the
-//! events rather than a finished ledger). Intensity is peak utilization
-//! within the bucket, on a ten-level ramp from `' '` (idle) to `'@'` (a
-//! link at exactly its budget).
+//! Both are views of one [`CommLedger`] fold. The heatmap feeds the
+//! events through the ledger itself (it needs the round count up front
+//! to bucket rows, so it takes the events rather than a finished ledger)
+//! and reads each round's squeeze-aware budget and link loads as the
+//! ledger closes it. Intensity is peak utilization within the bucket, on
+//! a ten-level ramp from `' '` (idle) to `'@'` (a link at exactly its
+//! budget).
 
 use crate::ledger::{CommLedger, LinkTotal};
 use crate::report::CommReport;
 use cc_model::{ModelError, ModelSpec};
-use cc_trace::{Event, FaultKind};
-use std::collections::BTreeMap;
+use cc_trace::Event;
 use std::fmt::Write as _;
 
 /// Intensity ramp: index 0 is idle, index 9 is a link at full budget.
@@ -28,51 +29,44 @@ fn level(util_milli: u64) -> char {
 /// rounds (in stream order), columns bucket directed links (by
 /// `src·n + dst`), and each cell shows the *peak* per-(round, link)
 /// utilization inside its bucket.
+///
+/// # Errors
+///
+/// Propagates [`CommLedger::new`] and [`CommLedger::record`].
 pub fn render_heatmap(
     n: usize,
     spec: &ModelSpec,
     events: &[Event],
     max_rows: usize,
     max_cols: usize,
-) -> String {
+) -> Result<String, ModelError> {
+    let mut ledger = CommLedger::new(n, spec)?;
     let total_rounds = events
         .iter()
         .filter(|e| matches!(e, Event::RoundEnd { .. }))
         .count();
     if total_rounds == 0 {
-        return "heatmap: no executed rounds in the trace\n".to_string();
+        return Ok("heatmap: no executed rounds in the trace\n".to_string());
     }
     let rows = max_rows.clamp(1, total_rounds);
-    let links = (n * n).max(1);
+    let links = n * n;
     let cols = max_cols.clamp(1, links);
     let mut grid = vec![vec![0u64; cols]; rows];
-    let mut round_budget = spec.bandwidth_words_per_link;
-    let mut scratch: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    let mut round_idx = 0usize;
     for ev in events {
-        match ev {
-            Event::RoundStart { .. } => round_budget = spec.bandwidth_words_per_link,
-            Event::Fault {
-                kind: FaultKind::Squeeze,
-                info,
-                ..
-            } => round_budget = round_budget.min((*info).max(1)),
-            Event::MessageBatch {
-                src, dst, words, ..
-            } => *scratch.entry((*src, *dst)).or_insert(0) += *words,
-            Event::RoundEnd { .. } => {
-                let row = round_idx * rows / total_rounds;
-                let budget = round_budget.max(1);
-                for (&(src, dst), &words) in &scratch {
-                    let col = (src as usize * n + dst as usize).min(links - 1) * cols / links;
-                    let util = words * 1000 / budget;
-                    let cell = &mut grid[row][col];
-                    *cell = (*cell).max(util);
-                }
-                scratch.clear();
-                round_idx += 1;
-            }
-            _ => {}
+        ledger.record(ev)?;
+        if !matches!(ev, Event::RoundEnd { .. }) {
+            continue;
+        }
+        let row = (ledger.rounds().len() - 1) * rows / total_rounds;
+        let budget = ledger
+            .rounds()
+            .last()
+            .expect("RoundEnd closes a round")
+            .budget_words;
+        for ((src, dst), words) in ledger.closed_round_links() {
+            let col = (src as usize * n + dst as usize) * cols / links;
+            let cell = &mut grid[row][col];
+            *cell = (*cell).max(words * 1000 / budget);
         }
     }
     let mut out = String::new();
@@ -98,7 +92,7 @@ pub fn render_heatmap(
         let body: String = cells.iter().map(|&u| level(u)).collect();
         let _ = writeln!(out, "{label:>10} |{body}|");
     }
-    out
+    Ok(out)
 }
 
 /// Renders the links report: fold summary, per-phase attribution, and
@@ -226,7 +220,7 @@ mod tests {
     #[test]
     fn heatmap_has_one_row_per_round_bucket() {
         let spec = ModelSpec::clique().with_bandwidth(4);
-        let map = render_heatmap(3, &spec, &sample_events(), 2, 16);
+        let map = render_heatmap(3, &spec, &sample_events(), 2, 16).unwrap();
         let rows: Vec<&str> = map.lines().filter(|l| l.contains('|')).collect();
         assert_eq!(rows.len(), 2, "4 rounds bucketed into 2 rows:\n{map}");
         assert!(map.contains("4 rounds"), "{map}");
@@ -237,8 +231,72 @@ mod tests {
     #[test]
     fn heatmap_of_an_empty_trace_says_so() {
         let spec = ModelSpec::clique();
-        let map = render_heatmap(4, &spec, &[], 8, 8);
+        let map = render_heatmap(4, &spec, &[], 8, 8).unwrap();
         assert!(map.contains("no executed rounds"));
+    }
+
+    #[test]
+    fn heatmap_honours_a_squeezed_round() {
+        // 2 words on 0→1 in both rounds: round 0 is squeezed to a budget
+        // of 2 (at budget), round 1 runs at the configured 8 (a quarter).
+        let batch = |round| Event::MessageBatch {
+            round,
+            src: 0,
+            dst: 1,
+            count: 1,
+            words: 2,
+        };
+        let end = |round| Event::RoundEnd {
+            round,
+            messages: 1,
+            words: 2,
+        };
+        let events = vec![
+            Event::RoundStart { round: 0 },
+            Event::Fault {
+                round: 0,
+                kind: cc_trace::FaultKind::Squeeze,
+                src: 0,
+                dst: 0,
+                index: 0,
+                info: 2,
+            },
+            batch(0),
+            end(0),
+            Event::RoundStart { round: 1 },
+            batch(1),
+            end(1),
+        ];
+        let spec = ModelSpec::clique().with_bandwidth(8);
+        let map = render_heatmap(2, &spec, &events, 2, 4).unwrap();
+        let rows: Vec<&str> = map.lines().filter(|l| l.contains('|')).collect();
+        assert_eq!(rows.len(), 2, "{map}");
+        assert!(rows[0].contains('@'), "squeezed round is at budget:\n{map}");
+        assert!(rows[1].contains(level(250)), "round 1 at 250‰:\n{map}");
+        assert!(!rows[1].contains('@'), "{map}");
+    }
+
+    #[test]
+    fn heatmap_refuses_a_node_outside_the_clique() {
+        let events = [
+            Event::RoundStart { round: 0 },
+            Event::MessageBatch {
+                round: 0,
+                src: 0,
+                dst: 6,
+                count: 1,
+                words: 1,
+            },
+            Event::RoundEnd {
+                round: 0,
+                messages: 1,
+                words: 1,
+            },
+        ];
+        assert_eq!(
+            render_heatmap(4, &ModelSpec::clique(), &events, 4, 4),
+            Err(ModelError::NodeOutOfRange { node: 6, n: 4 })
+        );
     }
 
     #[test]

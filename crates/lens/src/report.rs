@@ -326,8 +326,8 @@ impl CommAggregate {
 }
 
 /// The comm fold as a named metrics snapshot, for embedding in a
-/// [`cc_trace::RunArtifact`]'s `metrics` vector next to the `"job"`
-/// snapshot (counters prefixed `comm.`, plus the utilization histogram).
+/// [`cc_trace::RunArtifact`]'s `metrics` vector: counters prefixed
+/// `comm.`, plus the per-(round, link) utilization and word histograms.
 pub fn comm_metrics(ledger: &CommLedger) -> MetricsSnapshot {
     let report = ledger.report();
     let mut reg = MetricsRegistry::new();
@@ -344,6 +344,7 @@ pub fn comm_metrics(ledger: &CommLedger) -> MetricsSnapshot {
     reg.counter_add("comm.machine_rounds", report.machine.machine_rounds);
     reg.counter_add("comm.local_words", report.machine.local_words);
     reg.counter_add("comm.remote_words", report.machine.remote_words);
+    reg.counter_add("comm.pair_skew_milli", report.pair_skew_milli);
     let mut snap = reg.snapshot();
     snap.histograms.push((
         "comm.link_util_milli".to_string(),
@@ -446,6 +447,10 @@ mod tests {
         };
         assert_eq!(counter("comm.words"), ledger.words());
         assert_eq!(counter("comm.rounds"), ledger.rounds().len() as u64);
+        assert_eq!(
+            counter("comm.pair_skew_milli"),
+            ledger.report().pair_skew_milli
+        );
         let hist = snap
             .histograms
             .iter()

@@ -54,6 +54,8 @@ pub struct MachineLedger {
     /// Indices of touched entries (sparse reset, like
     /// `cc_net::LinkUse`).
     touched: Vec<usize>,
+    /// Cumulative ordered machine-pair remote words, laid out as `loads`.
+    pair_words: Vec<u64>,
     stats: MachineStats,
 }
 
@@ -73,6 +75,7 @@ impl MachineLedger {
             spec: *spec,
             loads: vec![0; k * k],
             touched: Vec::new(),
+            pair_words: vec![0; k * k],
             stats: MachineStats::default(),
         })
     }
@@ -83,14 +86,22 @@ impl MachineLedger {
     }
 
     /// Records one logical send of `words` words.
-    pub fn record(&mut self, src: usize, dst: usize, words: u64) {
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::NodeOutOfRange`] if `src` or `dst` is not a node of
+    /// the clique; nothing is recorded then.
+    pub fn record(&mut self, src: usize, dst: usize, words: u64) -> Result<(), ModelError> {
+        if let Some(node) = [src, dst].into_iter().find(|&v| v >= self.n) {
+            return Err(ModelError::NodeOutOfRange { node, n: self.n });
+        }
         let (ms, md) = (
             self.spec.machine_of(self.n, src),
             self.spec.machine_of(self.n, dst),
         );
         if ms == md {
             self.stats.local_words += words;
-            return;
+            return Ok(());
         }
         self.stats.remote_words += words;
         let slot = ms * self.k + md;
@@ -98,6 +109,8 @@ impl MachineLedger {
             self.touched.push(slot);
         }
         self.loads[slot] += words;
+        self.pair_words[slot] += words;
+        Ok(())
     }
 
     /// Closes the current logical round; returns the machine rounds it
@@ -118,6 +131,12 @@ impl MachineLedger {
     pub fn stats(&self) -> MachineStats {
         self.stats
     }
+
+    /// Cumulative ordered machine-pair remote words (`k × k`, row-major,
+    /// diagonal zero).
+    pub fn pair_words(&self) -> &[u64] {
+        &self.pair_words
+    }
 }
 
 #[cfg(test)]
@@ -132,8 +151,8 @@ mod tests {
     fn local_traffic_is_free() {
         // n = 8 on 2 machines: 0..4 and 4..8.
         let mut led = MachineLedger::new(8, &spec_k(4, 2)).unwrap();
-        led.record(0, 3, 100);
-        led.record(5, 7, 50);
+        led.record(0, 3, 100).unwrap();
+        led.record(5, 7, 50).unwrap();
         assert_eq!(led.end_round(), 1, "local-only round costs one");
         let s = led.stats();
         assert_eq!((s.local_words, s.remote_words), (150, 0));
@@ -145,14 +164,20 @@ mod tests {
         let mut led = MachineLedger::new(8, &spec_k(4, 2)).unwrap();
         // 0→4 and 1→5 share the ordered pair (0, 1): 9 words / bw 4 → 3
         // machine rounds. The reverse pair carries 4 words → 1 round.
-        led.record(0, 4, 5);
-        led.record(1, 5, 4);
-        led.record(6, 2, 4);
+        led.record(0, 4, 5).unwrap();
+        led.record(1, 5, 4).unwrap();
+        led.record(6, 2, 4).unwrap();
         assert_eq!(led.end_round(), 3);
         let s = led.stats();
         assert_eq!(s.remote_words, 13);
         assert_eq!(s.max_pair_words, 9);
         assert_eq!(s.machine_rounds, 3);
+        assert_eq!(led.pair_words(), &[0, 9, 4, 0], "cumulative, row-major");
+        assert_eq!(
+            led.record(2, 8, 1),
+            Err(ModelError::NodeOutOfRange { node: 8, n: 8 })
+        );
+        assert_eq!(led.stats(), s, "a refused send records nothing");
     }
 
     #[test]
@@ -161,8 +186,8 @@ mod tests {
         // link at the bandwidth, so every round costs exactly 1.
         let mut led = MachineLedger::new(4, &spec_k(8, 4)).unwrap();
         for r in 0..5 {
-            led.record(0, 1, 8);
-            led.record(2, 3, 8);
+            led.record(0, 1, 8).unwrap();
+            led.record(2, 3, 8).unwrap();
             assert_eq!(led.end_round(), 1, "round {r}");
         }
         let s = led.stats();
@@ -176,7 +201,7 @@ mod tests {
         for src in 0..6 {
             for dst in 0..6 {
                 if src != dst {
-                    led.record(src, dst, 2);
+                    led.record(src, dst, 2).unwrap();
                 }
             }
         }
@@ -191,7 +216,7 @@ mod tests {
         let one = ModelSpec::clique().with_bandwidth(3);
         let mut led = MachineLedger::new(5, &one).unwrap();
         assert_eq!(led.machines(), 5);
-        led.record(0, 4, 3);
+        led.record(0, 4, 3).unwrap();
         assert_eq!(led.end_round(), 1);
     }
 

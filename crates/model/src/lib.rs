@@ -124,6 +124,14 @@ pub enum ModelError {
         /// Offending size.
         n: usize,
     },
+    /// A send names a node outside the clique (e.g. a trace folded
+    /// with too small an `n`).
+    NodeOutOfRange {
+        /// Offending node ID.
+        node: usize,
+        /// Clique size.
+        n: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -138,6 +146,9 @@ impl fmt::Display for ModelError {
             }
             ModelError::CliqueTooSmall { n } => {
                 write!(f, "a clique needs at least 2 nodes, got {n}")
+            }
+            ModelError::NodeOutOfRange { node, n } => {
+                write!(f, "node {node} is outside the {n}-node clique")
             }
         }
     }
@@ -369,6 +380,7 @@ mod tests {
             ModelError::NoMachines,
             ModelError::MoreMachinesThanNodes { k: 9, n: 4 },
             ModelError::CliqueTooSmall { n: 1 },
+            ModelError::NodeOutOfRange { node: 16, n: 4 },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -41,8 +41,8 @@ impl Divergence {
 /// side means the phase never ran there.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseDelta {
-    /// Phase (scope) name; nested phases are flattened with the summed
-    /// semantics of `export::phase_summary`.
+    /// Phase (scope) name; nested phases are flattened by summing
+    /// same-named scopes across the tree (see `flat_phase_totals`).
     pub name: String,
     /// Run A's summed cost for the phase.
     pub cost_a: Option<CostSnapshot>,
@@ -141,8 +141,8 @@ pub fn describe_event(ev: &Event) -> String {
 }
 
 fn flat_phase_totals(p: &Profile) -> Vec<(String, CostSnapshot, u64)> {
-    // Flatten the tree with `phase_summary` semantics: same-named scopes
-    // summed across the whole tree, first-appearance (pre-order) order.
+    // The one flattening of the phase tree: same-named scopes summed
+    // across the whole tree, first-appearance (pre-order) order.
     fn walk(
         nodes: &[crate::profile::PhaseNode],
         order: &mut Vec<String>,

@@ -34,9 +34,7 @@ use cc_obs::{
     render_prometheus, AlertEngine, AlertEvent, HealthReport, SharedClock, SloKind, SloRule,
     SpanBook, SpanOutcome, WallClock, WindowSpec, WindowedRegistry, WindowedSnapshot,
 };
-use cc_trace::{
-    metrics_from_events, Event, ExperimentRecord, Json, RecordingTracer, RunArtifact, Tracer,
-};
+use cc_trace::{Event, ExperimentRecord, Json, RecordingTracer, RunArtifact, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -881,10 +879,11 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             // Every engine runs under `NetConfig::kt1(n)` with the default
             // link budget, which is exactly `ModelSpec::clique()` — so the
             // lens fold measures utilization against the budget the run
-            // was actually admitted under.
+            // was actually admitted under. This is the job's one traffic
+            // fold: the artifact's `comm` snapshot and the live `links`
+            // aggregate both read it.
             let lens = CommLedger::fold(job.spec.graph.n(), &ModelSpec::clique(), &events)
                 .expect("a completed run's recorded stream always folds");
-            let comm_report = lens.report();
             let mut artifact = RunArtifact::new("cc-serve")
                 .with_meta("algorithm", job.spec.algorithm.tag())
                 .with_meta("engine", job.spec.engine.tag())
@@ -911,40 +910,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                     .map(|(name, round)| vec![name.clone(), round.to_string()])
                     .collect(),
             });
-            artifact.experiments.push(ExperimentRecord {
-                id: "job-comm".into(),
-                caption: "communication summary (cc-lens fold)".into(),
-                headers: vec!["metric".into(), "value".into()],
-                rows: vec![
-                    vec!["rounds".into(), comm_report.rounds.to_string()],
-                    vec!["messages".into(), comm_report.messages.to_string()],
-                    vec!["words".into(), comm_report.words.to_string()],
-                    vec!["active_links".into(), comm_report.active_links.to_string()],
-                    vec![
-                        "peak_util_milli".into(),
-                        comm_report.peak_util_milli.to_string(),
-                    ],
-                    vec![
-                        "headroom_milli".into(),
-                        comm_report.headroom_milli.to_string(),
-                    ],
-                    vec![
-                        "broadcast_words".into(),
-                        comm_report.broadcast_words.to_string(),
-                    ],
-                    vec![
-                        "unicast_words".into(),
-                        comm_report.unicast_words.to_string(),
-                    ],
-                    vec![
-                        "pair_skew_milli".into(),
-                        comm_report.pair_skew_milli.to_string(),
-                    ],
-                ],
-            });
-            artifact
-                .metrics
-                .push(("job".into(), metrics_from_events(&events).snapshot()));
             artifact.metrics.push(("comm".into(), comm_metrics(&lens)));
             debug_assert!(artifact.validate().is_ok(), "{:?}", artifact.validate());
             let text: Arc<str> = Arc::from(artifact.to_json().emit());
@@ -1449,25 +1414,14 @@ mod tests {
                 .map(|(_, v)| *v)
                 .unwrap_or_else(|| panic!("comm snapshot missing {name}"))
         };
-        let record = parsed
-            .experiments
-            .iter()
-            .find(|e| e.id == "job-comm")
-            .expect("artifacts embed the job-comm record");
-        let row = |metric: &str| {
-            record
-                .rows
-                .iter()
-                .find(|r| r[0] == metric)
-                .map(|r| r[1].clone())
-                .unwrap_or_else(|| panic!("job-comm missing {metric}"))
-        };
-        // The human-readable record and the machine snapshot are two
-        // renderings of the same fold.
-        assert_eq!(row("words"), counter("comm.words").to_string());
-        assert_eq!(
-            row("peak_util_milli"),
-            counter("comm.peak_util_milli").to_string()
+        // One fold per job: the `comm` snapshot is the artifact's only
+        // metrics section, and no experiment record re-prints it.
+        assert_eq!(parsed.metrics.len(), 1);
+        let ids: Vec<&str> = parsed.experiments.iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(ids, ["job-summary", "job-span"]);
+        assert!(
+            counter("comm.pair_skew_milli") >= 1000,
+            "the worst machine pair carries at least the mean"
         );
 
         // One cold execution absorbed exactly once — the live aggregate

@@ -1,5 +1,6 @@
-//! Exporters: JSONL, Chrome trace-event JSON (Perfetto-loadable), and
-//! human-readable per-phase / per-node tables.
+//! Exporters: JSONL and Chrome trace-event JSON (Perfetto-loadable).
+//! Text views of a trace live with their folds: `cc-profile`'s phase
+//! table and `cc-lens`'s links report.
 //!
 //! The Chrome export maps *model time* (rounds) onto the trace clock at 1
 //! round = 1 ms on process 0 — scopes become nested `B`/`E` duration
@@ -8,10 +9,9 @@
 //! spans laid end to end. Load the file at <https://ui.perfetto.dev> or
 //! `chrome://tracing`.
 
-use crate::event::{CostSnapshot, Event};
+use crate::event::Event;
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Renders events as JSONL (one compact object per line).
 pub fn to_jsonl(events: &[Event]) -> String {
@@ -173,102 +173,10 @@ pub fn events_from_jsonl(text: &str) -> Result<Vec<Event>, String> {
         .collect()
 }
 
-/// Per-phase cost summary derived from scope events: same-named scopes
-/// are summed (e.g. the per-call `route` scopes inside a phase), in first
-/// -appearance order.
-pub fn phase_summary(events: &[Event]) -> Vec<(String, CostSnapshot, u64)> {
-    let mut order: Vec<String> = Vec::new();
-    let mut acc: BTreeMap<String, (CostSnapshot, u64)> = BTreeMap::new();
-    for ev in events {
-        if let Event::ScopeExit { name, delta } = ev {
-            let slot = acc.entry(name.clone()).or_insert_with(|| {
-                order.push(name.clone());
-                (CostSnapshot::default(), 0)
-            });
-            slot.0.rounds += delta.rounds;
-            slot.0.messages += delta.messages;
-            slot.0.words += delta.words;
-            slot.0.bits += delta.bits;
-            slot.1 += 1;
-        }
-    }
-    order
-        .into_iter()
-        .map(|name| {
-            let (cost, calls) = acc[&name];
-            (name, cost, calls)
-        })
-        .collect()
-}
-
-/// Renders [`phase_summary`] as an aligned text table.
-pub fn phase_table(events: &[Event]) -> String {
-    let rows = phase_summary(events);
-    let mut out =
-        String::from("phase                            calls   rounds     messages        words\n");
-    out.push_str("---------------------------------------------------------------------------\n");
-    for (name, cost, calls) in rows {
-        let _ = writeln!(
-            out,
-            "{name:<32} {calls:>5} {rounds:>8} {messages:>12} {words:>12}",
-            rounds = cost.rounds,
-            messages = cost.messages,
-            words = cost.words,
-        );
-    }
-    out
-}
-
-/// Per-node traffic summary from message-batch events:
-/// `(node, msgs_sent, words_sent, msgs_recv, words_recv, compute_nanos)`.
-pub fn node_summary(events: &[Event]) -> Vec<(u32, u64, u64, u64, u64, u64)> {
-    let mut nodes: BTreeMap<u32, [u64; 5]> = BTreeMap::new();
-    for ev in events {
-        match ev {
-            Event::MessageBatch {
-                src,
-                dst,
-                count,
-                words,
-                ..
-            } => {
-                let s = nodes.entry(*src).or_default();
-                s[0] += *count as u64;
-                s[1] += *words;
-                let d = nodes.entry(*dst).or_default();
-                d[2] += *count as u64;
-                d[3] += *words;
-            }
-            Event::NodeCompute { node, nanos, .. } => {
-                nodes.entry(*node).or_default()[4] += *nanos;
-            }
-            _ => {}
-        }
-    }
-    nodes
-        .into_iter()
-        .map(|(n, [ms, ws, mr, wr, ns])| (n, ms, ws, mr, wr, ns))
-        .collect()
-}
-
-/// Renders [`node_summary`] as an aligned text table.
-pub fn node_table(events: &[Event]) -> String {
-    let mut out =
-        String::from("node   msgs_sent   words_sent   msgs_recv   words_recv   compute_ms\n");
-    out.push_str("--------------------------------------------------------------------\n");
-    for (node, ms, ws, mr, wr, ns) in node_summary(events) {
-        let _ = writeln!(
-            out,
-            "{node:>4} {ms:>11} {ws:>12} {mr:>11} {wr:>12} {ms_f:>12.3}",
-            ms_f = ns as f64 / 1e6,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CostSnapshot;
 
     fn sample() -> Vec<Event> {
         vec![
@@ -342,38 +250,5 @@ mod tests {
             phases.iter().filter(|&&p| p == "E").count()
         );
         assert!(phases.contains(&"X") && phases.contains(&"i"));
-    }
-
-    #[test]
-    fn phase_summary_aggregates_same_named_scopes() {
-        let mut events = sample();
-        events.push(Event::ScopeExit {
-            name: "phase1".into(),
-            delta: CostSnapshot {
-                rounds: 2,
-                messages: 1,
-                words: 1,
-                bits: 6,
-            },
-        });
-        let rows = phase_summary(&events);
-        assert_eq!(rows.len(), 1);
-        let (name, cost, calls) = &rows[0];
-        assert_eq!(name, "phase1");
-        assert_eq!(calls, &2);
-        assert_eq!(cost.rounds, 3);
-        assert_eq!(cost.messages, 3);
-    }
-
-    #[test]
-    fn tables_render() {
-        let pt = phase_table(&sample());
-        assert!(pt.contains("phase1"));
-        let nt = node_table(&sample());
-        assert!(nt.contains("2.000"), "2ms of compute on node 0:\n{nt}");
-        let rows = node_summary(&sample());
-        // node 0 sent 2 msgs / 4 words, node 1 received them.
-        assert_eq!(rows[0], (0, 2, 4, 0, 0, 2_000_000));
-        assert_eq!(rows[1], (1, 0, 0, 2, 4, 0));
     }
 }

@@ -17,10 +17,10 @@
 //!   [`RecordingTracer`] (shared in-memory buffer), and [`JsonlTracer`]
 //!   (streaming JSONL file).
 //! * [`MetricsRegistry`] — monotonic counters plus log-scaled
-//!   [`LogHistogram`]s (per-link load, inbox sizes, per-round message
-//!   counts), snapshotable as JSON.
-//! * [`export`] — JSONL, Chrome trace-event JSON (load in Perfetto), and
-//!   per-phase / per-node text tables.
+//!   [`LogHistogram`]s, built directly and snapshotable as JSON. The
+//!   traffic views of a recorded stream are `cc-lens`'s `CommLedger`
+//!   fold, and its phase views are `cc-profile`'s `Profile`.
+//! * [`export`] — JSONL and Chrome trace-event JSON (load in Perfetto).
 //! * [`RunArtifact`] — the versioned JSON file format
 //!   (`schema_version` = [`SCHEMA_VERSION`]) that `cc-bench` emits and
 //!   `trace_report` consumes; text tables are rendered from it so the
@@ -45,7 +45,5 @@ pub use artifact::{
 };
 pub use event::{CostSnapshot, Event, FaultKind, SpanTiming};
 pub use json::Json;
-pub use metrics::{
-    metrics_from_events, HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot};
 pub use tracer::{JsonlTracer, NullTracer, RecordingTracer, Tracer};

@@ -3,12 +3,11 @@
 //! The registry is deliberately simple: counters are `u64` adds,
 //! histograms bucket by `⌊log₂ v⌋ + 1` (bucket 0 holds zeros), which is
 //! the right resolution for the heavy-tailed quantities the experiments
-//! care about — per-link load, inbox sizes, per-round message counts.
-//! [`metrics_from_events`] derives the standard distributions from a
-//! recorded event stream so any traced run can be summarized after the
-//! fact.
+//! care about — per-link load, latencies, per-round message counts.
+//! Metrics are built directly by their producers; the traffic views of a
+//! recorded event stream come from `cc-lens`'s `CommLedger` fold, and the
+//! phase views from `cc-profile`.
 
-use crate::event::Event;
 use crate::json::Json;
 use std::collections::BTreeMap;
 
@@ -353,59 +352,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Derives the standard run metrics from a recorded event stream:
-///
-/// * counters `rounds`, `messages`, `words`, `fast_forward_rounds`;
-/// * histogram `link_words` — total words per directed `(src, dst)` link;
-/// * histogram `inbox_messages` — messages per `(round, dst)` inbox;
-/// * histogram `round_messages` — messages per executed round;
-/// * histogram `node_compute_nanos` — per-node wall-clock, when timing
-///   events are present;
-/// * histogram `round_wall_nanos` — whole-round wall-clock, when timing
-///   events are present.
-pub fn metrics_from_events(events: &[Event]) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    let mut link_words: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    let mut inbox: BTreeMap<(u64, u32), u64> = BTreeMap::new();
-    for ev in events {
-        match ev {
-            Event::RoundStart { .. } => reg.counter_add("rounds", 1),
-            Event::RoundEnd {
-                messages, words, ..
-            } => {
-                reg.counter_add("messages", *messages);
-                reg.counter_add("words", *words);
-                reg.observe("round_messages", *messages);
-            }
-            Event::MessageBatch {
-                round,
-                src,
-                dst,
-                count,
-                words,
-            } => {
-                *link_words.entry((*src, *dst)).or_insert(0) += *words;
-                *inbox.entry((*round, *dst)).or_insert(0) += *count as u64;
-            }
-            Event::FastForward { rounds, .. } => {
-                reg.counter_add("fast_forward_rounds", *rounds);
-            }
-            Event::NodeCompute { nanos, .. } => reg.observe("node_compute_nanos", *nanos),
-            Event::RoundWall { nanos, .. } => reg.observe("round_wall_nanos", *nanos),
-            Event::Fault { .. } => reg.counter_add("faults_injected", 1),
-            Event::NodeCrash { .. } => reg.counter_add("node_crashes", 1),
-            Event::ScopeEnter { .. } | Event::ScopeExit { .. } | Event::WorkerSpan { .. } => {}
-        }
-    }
-    for (_, words) in link_words {
-        reg.observe("link_words", words);
-    }
-    for (_, count) in inbox {
-        reg.observe("inbox_messages", count);
-    }
-    reg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,48 +495,5 @@ mod tests {
         assert_eq!(snap.histograms[0].1.count, 2);
         let parsed = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn metrics_from_event_stream() {
-        let events = vec![
-            Event::RoundStart { round: 0 },
-            Event::MessageBatch {
-                round: 0,
-                src: 0,
-                dst: 1,
-                count: 2,
-                words: 6,
-            },
-            Event::MessageBatch {
-                round: 0,
-                src: 2,
-                dst: 1,
-                count: 1,
-                words: 1,
-            },
-            Event::RoundEnd {
-                round: 0,
-                messages: 3,
-                words: 7,
-            },
-            Event::FastForward {
-                from_round: 1,
-                rounds: 100,
-            },
-        ];
-        let reg = metrics_from_events(&events);
-        assert_eq!(reg.counter("rounds"), 1);
-        assert_eq!(reg.counter("messages"), 3);
-        assert_eq!(reg.counter("fast_forward_rounds"), 100);
-        let snap = reg.snapshot();
-        let inbox = &snap
-            .histograms
-            .iter()
-            .find(|(k, _)| k == "inbox_messages")
-            .unwrap()
-            .1;
-        assert_eq!(inbox.count, 1, "one (round, dst) inbox");
-        assert_eq!(inbox.max, 3, "both batches landed in it");
     }
 }

@@ -1,9 +1,10 @@
 //! Scenario: an auditable connectivity run. GC (the paper's Theorem 4
 //! algorithm) runs under two tracer sinks: a streaming [`JsonlTracer`]
 //! that writes one JSON event per line as the protocol executes, and a
-//! [`RecordingTracer`] whose in-memory buffer feeds the per-phase and
-//! per-node text tables, the derived metrics registry, and a Chrome
-//! trace-event file you can load in Perfetto (ui.perfetto.dev).
+//! [`RecordingTracer`] whose in-memory buffer feeds the two folds of a
+//! trace — `cc-profile`'s phase-tree table and `cc-lens`'s `comm.*`
+//! communication metrics — and a Chrome trace-event file you can load in
+//! Perfetto (ui.perfetto.dev).
 //!
 //! ```text
 //! cargo run --release --example traced_run
@@ -15,9 +16,12 @@
 
 use congested_clique::core::gc::{self, GcConfig};
 use congested_clique::graph::generators;
+use congested_clique::lens::{comm_metrics, CommLedger};
+use congested_clique::model::ModelSpec;
 use congested_clique::net::NetConfig;
+use congested_clique::profile::{profile_table, Profile};
 use congested_clique::route::Net;
-use congested_clique::trace::{export, metrics_from_events, JsonlTracer, RecordingTracer};
+use congested_clique::trace::{export, JsonlTracer, RecordingTracer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -58,14 +62,15 @@ fn main() {
     let events = rec.events();
     println!("recorded {} events\n", events.len());
 
-    // Per-phase cost table: where the rounds/messages/words accrued.
-    print!("{}", export::phase_table(&events));
+    // Phase-tree profile: where the rounds/messages/words accrued.
+    print!("{}", profile_table(&Profile::from_events(&events)));
     println!();
 
-    // Derived metrics: counters plus log-scaled histograms of per-link
-    // load, inbox sizes, and per-round message counts.
-    let metrics = metrics_from_events(&events).snapshot();
-    println!("derived metrics:");
+    // Communication metrics from the lens fold: counters plus log-scaled
+    // histograms of per-(round, link) words and utilization.
+    let lens = CommLedger::fold(n, &ModelSpec::clique(), &events).expect("fold the recorded run");
+    let metrics = comm_metrics(&lens);
+    println!("communication metrics:");
     for (name, value) in &metrics.counters {
         println!("  {name:<24} {value}");
     }

@@ -20,46 +20,36 @@
 //!
 //! Exit codes: 0 ok, 1 summarize/poll failure, 2 usage error.
 
+use cc_bench::cli::{Args, Usage};
 use cc_bench::top::{render_links_pane, render_live_frame, summarize_lines};
 use cc_obs::{HealthReport, WindowedSnapshot};
 use cc_trace::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cc-top --once [--json] [FILE]\n\
-         \u{20}      cc-top --connect ADDR [--interval MS] [--iterations K]"
-    );
-    std::process::exit(2);
-}
+const USAGE: Usage = Usage {
+    line: "cc-top --once [--json] [FILE]\n\
+           \u{20}      cc-top --connect ADDR [--interval MS] [--iterations K]",
+    switches: &["--once", "--json"],
+    valued: &["--connect", "--interval", "--iterations"],
+    positional: true,
+};
 
-fn value_of(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn once(args: &[String]) -> Result<(), String> {
-    let json = args.iter().any(|a| a == "--json");
-    let file = args
-        .iter()
-        .skip_while(|a| *a != "--once")
-        .skip(1)
-        .find(|a| !a.starts_with("--"));
+fn once(args: &Args) -> Result<(), String> {
     let mut text = String::new();
-    match file {
-        Some(path) => {
+    match args.positional.as_slice() {
+        [path] => {
             text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         }
-        None => {
+        [] => {
             std::io::stdin()
                 .read_to_string(&mut text)
                 .map_err(|e| format!("stdin: {e}"))?;
         }
+        _ => args.fail("--once reads at most one FILE"),
     }
     let summary = summarize_lines(text.lines())?;
-    if json {
+    if args.has("--json") {
         println!("{}", summary.to_json().emit());
     } else {
         print!("{}", summary.render_text());
@@ -100,15 +90,13 @@ fn ask(
     }
 }
 
-fn connect(args: &[String]) -> Result<(), String> {
-    let addr = value_of(args, "--connect").unwrap_or_else(|| usage());
-    let interval_ms: u64 = value_of(args, "--interval")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(1000);
-    let iterations: u64 = value_of(args, "--iterations")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(0);
-    let mut stream = TcpStream::connect(&addr).map_err(|e| format!("{addr}: {e}"))?;
+fn connect(args: &Args, addr: &str) -> Result<(), String> {
+    let interval_ms: u64 = args.number("--interval").unwrap_or(1000);
+    let iterations: u64 = args.number("--iterations").unwrap_or(0);
+    if !args.positional.is_empty() {
+        args.fail("--connect takes no FILE");
+    }
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     let mut reader = BufReader::new(
         stream
             .try_clone()
@@ -142,13 +130,13 @@ fn connect(args: &[String]) -> Result<(), String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = if args.iter().any(|a| a == "--once") {
+    let args = USAGE.parse();
+    let result = if args.has("--once") {
         once(&args)
-    } else if args.iter().any(|a| a == "--connect") {
-        connect(&args)
+    } else if let Some(addr) = args.value("--connect") {
+        connect(&args, addr)
     } else {
-        usage()
+        args.fail("pick --once or --connect")
     };
     if let Err(e) = result {
         eprintln!("cc-top: {e}");

@@ -15,18 +15,20 @@
 //! sections), so the JSON and the text can never drift apart.
 
 use cc_bench::artifact::{record_to_table, robustness_table};
+use cc_bench::cli::Usage;
 use cc_bench::experiments::robustness::{e17b_whp_sweep, robustness_records, whp_points};
 use cc_trace::RunArtifact;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let emit_json: Option<String> = args
-        .iter()
-        .position(|a| a == "--emit-json")
-        .and_then(|i| args.get(i + 1).cloned());
+const USAGE: Usage = Usage {
+    line: "chaos [--full] [--emit-json FILE]",
+    switches: &["--full"],
+    valued: &["--emit-json"],
+    positional: false,
+};
 
-    let quick = !full;
+fn main() {
+    let args = USAGE.parse();
+    let quick = !args.has("--full");
     let mut artifact = RunArtifact::new("chaos")
         .with_meta("mode", if quick { "quick" } else { "full" })
         .with_meta("schema", "cc-trace RunArtifact v2");
@@ -53,8 +55,8 @@ fn main() {
         println!();
     }
 
-    if let Some(path) = emit_json {
-        std::fs::write(&path, artifact.to_json_string()).expect("write artifact");
+    if let Some(path) = args.value("--emit-json") {
+        std::fs::write(path, artifact.to_json_string()).expect("write artifact");
         eprintln!("wrote {path}");
     }
 

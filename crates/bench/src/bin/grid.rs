@@ -1,71 +1,60 @@
 //! `bench grid`: sweeps the model grid (bandwidth × link mode ×
-//! machine count), writes the schema-versioned `GRID_<stamp>.json`
-//! artifact, renders the E22 degradation table, and gates the `grid-*`
-//! section against the committed baseline.
+//! machine count, 18 cells × 3 algorithms), optionally writes the
+//! schema-versioned grid artifact, and renders the E22 degradation and
+//! E23 utilization tables.
 //!
 //! ```text
-//! cargo run -p cc-bench --release --bin grid -- --quick
-//! cargo run -p cc-bench --release --bin grid -- --n 32 --markdown E22.md
-//! cargo run -p cc-bench --release --bin grid -- --quick --write-baseline BENCH_baseline.json
+//! cargo run -p cc-bench --release --bin grid -- --markdown - --util-markdown -
+//! cargo run -p cc-bench --release --bin grid -- --n 48 --out GRID.json
 //! ```
 //!
 //! Flags:
 //!
-//! * `--quick` — the CI-sized 8-cell sweep (default is the full 18-cell
-//!   E22 sweep).
-//! * `--n N` — clique size (default 16 quick, 32 full).
+//! * `--n N` — clique size (default 32).
 //! * `--seed S` — base seed (default `0xE22`).
-//! * `--out PATH` — where to write the grid artifact (default
-//!   `GRID_<stamp>.json`; `-` skips writing).
-//! * `--markdown PATH` — also render the E22 table to PATH (`-` prints
-//!   to stdout).
-//! * `--util-markdown PATH` — also render the E23 utilization-profile
-//!   table (peak/quantile link utilization, headroom, broadcast mix,
-//!   pair skew per cell) to PATH (`-` prints to stdout).
-//! * `--baseline PATH` — perf baseline to gate the `grid-*` section
-//!   against (default `BENCH_baseline.json` when it exists).
-//! * `--write-baseline PATH` — merge this run's `grid-*` section into
-//!   PATH (creating it if absent), preserving every non-grid case and
-//!   grid sections at other `n`.
+//! * `--out PATH` — write the grid artifact (JSON) to PATH.
+//! * `--markdown PATH` — render the E22 table to PATH (`-` prints to
+//!   stdout).
+//! * `--util-markdown PATH` — render the E23 utilization-profile table
+//!   (peak/quantile link utilization, headroom, broadcast mix, pair skew
+//!   per cell) to PATH (`-` prints to stdout).
 //!
-//! Exit codes: 0 ok, 1 wrong answer / artifact invariant violation /
-//! model drift or a missing case, 2 usage or I/O error.
+//! At the defaults the two tables are the committed `docs/grid_e22.md`
+//! and `docs/grid_e23.md` (see `scripts/model_record.sh`).
+//!
+//! Exit codes: 0 ok, 1 wrong answer or artifact invariant violation,
+//! 2 usage or I/O error.
 
-use cc_bench::grid::{
-    grid_section, merge_grid_section, render_markdown, render_utilization_markdown, run_grid,
-    suite_from_grid, GridConfig,
+use cc_bench::cli::{Args, Usage};
+use cc_bench::grid::{render_markdown, render_utilization_markdown, run_grid, GridConfig};
+
+const USAGE: Usage = Usage {
+    line: "grid [--n N] [--seed S] [--out PATH] [--markdown PATH] [--util-markdown PATH]",
+    switches: &[],
+    valued: &["--n", "--seed", "--out", "--markdown", "--util-markdown"],
+    positional: false,
 };
-use cc_profile::{compare, render_comparison, PerfSuite};
 
-fn value_of(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+/// Writes `text` to `path`, or prints it when `path` is `-`.
+fn emit(args: &Args, path: &str, text: &str) {
+    if path == "-" {
+        print!("{text}");
+    } else {
+        std::fs::write(path, text)
+            .unwrap_or_else(|e| args.fail(&format!("cannot write {path}: {e}")));
+        eprintln!("wrote {path}");
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let n = value_of(&args, "--n")
-        .map(|v| {
-            v.parse::<usize>()
-                .unwrap_or_else(|_| fail("--n wants a number"))
-        })
-        .unwrap_or(if quick { 16 } else { 32 });
-    let mut cfg = if quick {
-        GridConfig::quick(n)
-    } else {
-        GridConfig::full(n)
-    };
-    if let Some(seed) = value_of(&args, "--seed") {
-        cfg.seed = seed
-            .parse::<u64>()
-            .unwrap_or_else(|_| fail("--seed wants a number"));
+    let args = USAGE.parse();
+    let n: usize = args.number("--n").unwrap_or(32);
+    if n < 8 {
+        args.fail("--n must be at least 8");
+    }
+    let mut cfg = GridConfig::full(n);
+    if let Some(seed) = args.number("--seed") {
+        cfg.seed = seed;
     }
 
     eprintln!(
@@ -82,35 +71,18 @@ fn main() {
         std::process::exit(1);
     }
 
-    let out = value_of(&args, "--out").unwrap_or_else(|| artifact.stamp_name());
-    if out != "-" {
-        std::fs::write(&out, artifact.to_json_string())
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-        eprintln!("wrote {out}");
+    if let Some(path) = args.value("--out") {
+        emit(&args, path, &artifact.to_json_string());
     }
-    if let Some(path) = value_of(&args, "--markdown") {
-        let md = render_markdown(&artifact);
-        if path == "-" {
-            print!("{md}");
-        } else {
-            std::fs::write(&path, &md)
-                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {path}");
-        }
+    if let Some(path) = args.value("--markdown") {
+        emit(&args, path, &render_markdown(&artifact));
     }
-    if let Some(path) = value_of(&args, "--util-markdown") {
-        let md = render_utilization_markdown(&artifact);
-        if path == "-" {
-            print!("{md}");
-        } else {
-            std::fs::write(&path, &md)
-                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {path}");
-        }
+    if let Some(path) = args.value("--util-markdown") {
+        emit(&args, path, &render_utilization_markdown(&artifact));
     }
 
-    // Wrong answers fail the run before the gate: the whole point of the
-    // grid is that degradation is always typed, never silent.
+    // The whole point of the grid is that degradation is always typed,
+    // never silent: a wrong answer fails the run.
     let wrong = artifact.wrong_answers();
     if !wrong.is_empty() {
         eprintln!("wrong answers detected:");
@@ -122,54 +94,6 @@ fn main() {
                 c.detail.as_deref().unwrap_or("answer failed validation")
             );
         }
-        std::process::exit(1);
-    }
-    let fresh = suite_from_grid(&artifact);
-    if let Err(problems) = fresh.validate() {
-        fail(&format!("grid suite failed validation: {problems:?}"));
-    }
-
-    if let Some(path) = value_of(&args, "--write-baseline") {
-        let mut baseline = match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                PerfSuite::from_json_str(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
-            }
-            Err(_) => PerfSuite::new(&fresh.generator),
-        };
-        merge_grid_section(&mut baseline, &fresh);
-        std::fs::write(&path, baseline.to_json_string())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        eprintln!("merged grid section into {path}");
-    }
-
-    let baseline_path = value_of(&args, "--baseline").or_else(|| {
-        std::path::Path::new("BENCH_baseline.json")
-            .exists()
-            .then(|| "BENCH_baseline.json".to_string())
-    });
-    let Some(baseline_path) = baseline_path else {
-        eprintln!("no baseline to gate against; done");
-        return;
-    };
-    let text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {baseline_path}: {e}")));
-    let full =
-        PerfSuite::from_json_str(&text).unwrap_or_else(|e| fail(&format!("{baseline_path}: {e}")));
-    // Gate only against the baseline's grid section at this sweep's n —
-    // the combined baseline also carries the perf/serve sections and
-    // grid sections at other sizes.
-    let mut baseline = grid_section(&full);
-    baseline.cases.retain(|c| c.n == artifact.n);
-    if baseline.cases.is_empty() {
-        eprintln!(
-            "{baseline_path} has no grid-* cases at n={}; done",
-            artifact.n
-        );
-        return;
-    }
-    let cmp = compare(&fresh, &baseline);
-    print!("{}", render_comparison(&cmp));
-    if !cmp.passed() {
         std::process::exit(1);
     }
 }

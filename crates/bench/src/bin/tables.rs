@@ -8,56 +8,41 @@
 //!   tables --csv DIR       # additionally write one CSV per table to DIR
 //!   tables --emit-json F   # additionally write a RunArtifact JSON to F
 //!
+//! An unknown experiment ID or flag exits 2. The full run's stdout is
+//! the committed `docs/experiment_tables.txt` (see
+//! `scripts/model_record.sh`).
+//!
 //! The printed text is rendered *from* the assembled
 //! [`cc_trace::RunArtifact`], so the `--emit-json` document and the text
 //! tables are by construction the same data.
 
-use cc_bench::all_experiments;
 use cc_bench::artifact::{build_artifact, record_to_table, render_tables_txt};
+use cc_bench::cli::Usage;
 use cc_bench::experiments::messages::e6_transcript_audit;
-use cc_bench::Table;
+use cc_bench::{select_experiments, Table};
+
+const USAGE: Usage = Usage {
+    line: "tables [--quick] [--csv DIR] [--emit-json FILE] [EXPERIMENT_ID...]",
+    switches: &["--quick"],
+    valued: &["--csv", "--emit-json"],
+    positional: true,
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let value_of = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let csv_dir = value_of("--csv");
-    let emit_json = value_of("--emit-json");
-    if let Some(dir) = &csv_dir {
+    let args = USAGE.parse();
+    let quick = args.has("--quick");
+    let wanted: Vec<String> = args.positional.iter().map(|a| a.to_lowercase()).collect();
+    let selected = select_experiments(&wanted).unwrap_or_else(|e| args.fail(&e));
+    let csv_dir = args.value("--csv");
+    if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir).expect("create csv directory");
     }
-    let mut positional: Vec<String> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--csv" || a == "--emit-json" {
-            skip_next = true;
-        } else if !a.starts_with("--") {
-            positional.push(a.to_lowercase());
-        }
-    }
-    let wanted = positional;
-    let run_all = wanted.is_empty();
     let mut tables: Vec<Table> = Vec::new();
-    for (id, f, _) in all_experiments(quick) {
-        if run_all || wanted.iter().any(|w| w == id) {
-            tables.push(f(quick));
-            if id == "e6" {
-                tables.push(e6_transcript_audit());
-            }
+    for (id, f) in selected {
+        tables.push(f(quick));
+        if id == "e6" {
+            tables.push(e6_transcript_audit());
         }
-    }
-    if tables.is_empty() {
-        eprintln!("unknown experiment id(s): {wanted:?}");
-        eprintln!("known: e1 e2 e3 e4 e5 e6 e7 e8 e9 e10a e10b e11 e12 e13 f1");
-        std::process::exit(2);
     }
 
     // No claims here: the tables run is an artifact of tables alone.
@@ -70,15 +55,15 @@ fn main() {
         std::process::exit(3);
     }
     print!("{}", render_tables_txt(&artifact));
-    if let Some(dir) = &csv_dir {
+    if let Some(dir) = csv_dir {
         for rec in &artifact.experiments {
             let table = record_to_table(rec);
             let path = format!("{dir}/{}.csv", table.id.to_lowercase());
             std::fs::write(&path, table.to_csv()).expect("write csv");
         }
     }
-    if let Some(path) = emit_json {
-        std::fs::write(&path, artifact.to_json_string()).expect("write artifact");
+    if let Some(path) = args.value("--emit-json") {
+        std::fs::write(path, artifact.to_json_string()).expect("write artifact");
         eprintln!("wrote {path}");
     }
 }

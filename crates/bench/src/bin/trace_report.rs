@@ -6,16 +6,11 @@
 //! ```text
 //! cargo run -p cc-bench --release --bin verify_claims -- --emit-json run.json
 //! cargo run -p cc-bench --release --bin trace_report -- run.json
-//! cargo run -p cc-bench --release --bin trace_report -- run.json --render-docs docs
 //! cargo run -p cc-bench --release --bin trace_report -- diff a.jsonl b.jsonl
 //! cargo run -p cc-bench --release --bin trace_report -- profile t.jsonl
 //! cargo run -p cc-bench --release --bin trace_report -- links t.jsonl --bw 8 --top 20
 //! cargo run -p cc-bench --release --bin trace_report -- heatmap t.jsonl --bw 8
 //! ```
-//!
-//! `--render-docs DIR` regenerates `experiment_tables.txt` and
-//! `claims_checklist.txt` in DIR from the artifact, so the committed docs
-//! are provably derived from a machine-readable run record.
 //!
 //! `diff` aligns two traces' model-event streams, reports the first
 //! divergence (round, event) and a per-phase cost/wall delta table, and
@@ -34,9 +29,8 @@
 //! Exits 2 on usage errors, and 3 if the artifact fails schema validation
 //! or a trace does not fold (e.g. it names a node outside `--n`).
 
-use cc_bench::artifact::{
-    breakdown_table, render_checklist_txt, render_tables_txt, robustness_table, whp_table,
-};
+use cc_bench::artifact::{breakdown_table, render_checklist_txt, robustness_table, whp_table};
+use cc_bench::cli::{Args, Usage};
 use cc_profile::{diff_events, profile_table, render_diff, Profile};
 use cc_trace::export::events_from_jsonl;
 use cc_trace::{Event, RunArtifact};
@@ -52,26 +46,30 @@ fn read_events(path: &str) -> Vec<Event> {
     })
 }
 
-/// Parses `--flag VALUE` as a number, with a default.
-fn flag_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<T>().ok())
-        .unwrap_or(default)
-}
+const USAGE: Usage = Usage {
+    line: "trace_report ARTIFACT.json\n\
+           \u{20}      trace_report diff A.jsonl B.jsonl\n\
+           \u{20}      trace_report profile TRACE.jsonl\n\
+           \u{20}      trace_report links TRACE.jsonl [--n N] [--bw W] [--machines K] [--broadcast] [--top K]\n\
+           \u{20}      trace_report heatmap TRACE.jsonl [--n N] [--bw W] [--machines K] [--broadcast] [--rows R] [--cols C]",
+    switches: &["--broadcast"],
+    valued: &["--n", "--bw", "--machines", "--top", "--rows", "--cols"],
+    positional: true,
+};
 
 /// Builds the `ModelSpec` the lens subcommands measure against from
 /// `--bw`, `--machines`, and `--broadcast`, plus the node count from
 /// `--n` (falling back to [`cc_lens::infer_n`] over the trace).
-fn lens_setup(args: &[String], events: &[cc_trace::Event]) -> (usize, cc_model::ModelSpec) {
-    let n = flag_num(args, "--n", cc_lens::infer_n(events));
-    let mut spec = cc_model::ModelSpec::clique().with_bandwidth(flag_num(args, "--bw", 8));
-    let machines: usize = flag_num(args, "--machines", 0);
+fn lens_setup(args: &Args, events: &[cc_trace::Event]) -> (usize, cc_model::ModelSpec) {
+    let n = args
+        .number("--n")
+        .unwrap_or_else(|| cc_lens::infer_n(events));
+    let mut spec = cc_model::ModelSpec::clique().with_bandwidth(args.number("--bw").unwrap_or(8));
+    let machines: usize = args.number("--machines").unwrap_or(0);
     if machines > 0 {
         spec = spec.kmachine(machines);
     }
-    if args.iter().any(|a| a == "--broadcast") {
+    if args.has("--broadcast") {
         spec = spec.broadcast_only();
     }
     (n, spec)
@@ -90,70 +88,37 @@ fn print_folded(path: &str, rendered: Result<String, cc_model::ModelError>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("diff") => {
-            let (Some(a), Some(b)) = (args.get(1), args.get(2)) else {
-                eprintln!("usage: trace_report diff A.jsonl B.jsonl");
-                std::process::exit(2);
-            };
+    let args = USAGE.parse();
+    let path = match args.positional.as_slice() {
+        [cmd, a, b] if cmd == "diff" => {
             let d = diff_events(&read_events(a), &read_events(b));
             print!("{}", render_diff(&d, a, b));
             std::process::exit(if d.model_identical() { 0 } else { 1 });
         }
-        Some("links") => {
-            let Some(path) = args.get(1) else {
-                eprintln!(
-                    "usage: trace_report links TRACE.jsonl [--n N] [--bw W] [--machines K] [--broadcast] [--top K]"
-                );
-                std::process::exit(2);
-            };
+        [cmd, path] if cmd == "links" => {
             let events = read_events(path);
             let (n, spec) = lens_setup(&args, &events);
-            let top = flag_num(&args, "--top", 10usize);
+            let top = args.number("--top").unwrap_or(10);
             print_folded(path, cc_lens::links_report(n, &spec, &events, top));
             return;
         }
-        Some("heatmap") => {
-            let Some(path) = args.get(1) else {
-                eprintln!(
-                    "usage: trace_report heatmap TRACE.jsonl [--n N] [--bw W] [--machines K] [--broadcast] [--rows R] [--cols C]"
-                );
-                std::process::exit(2);
-            };
+        [cmd, path] if cmd == "heatmap" => {
             let events = read_events(path);
             let (n, spec) = lens_setup(&args, &events);
-            let rows = flag_num(&args, "--rows", 24usize);
-            let cols = flag_num(&args, "--cols", 72usize);
+            let rows = args.number("--rows").unwrap_or(24);
+            let cols = args.number("--cols").unwrap_or(72);
             print_folded(path, cc_lens::render_heatmap(n, &spec, &events, rows, cols));
             return;
         }
-        Some("profile") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: trace_report profile TRACE.jsonl");
-                std::process::exit(2);
-            };
+        [cmd, path] if cmd == "profile" => {
             print!(
                 "{}",
                 profile_table(&Profile::from_events(&read_events(path)))
             );
             return;
         }
-        _ => {}
-    }
-    let render_docs: Option<String> = args
-        .iter()
-        .position(|a| a == "--render-docs")
-        .and_then(|i| args.get(i + 1).cloned());
-    let path = match args
-        .iter()
-        .find(|a| !a.starts_with("--") && Some(a.as_str()) != render_docs.as_deref())
-    {
-        Some(p) => p.clone(),
-        None => {
-            eprintln!("usage: trace_report ARTIFACT.json [--render-docs DIR]");
-            std::process::exit(2);
-        }
+        [path] if !["diff", "links", "heatmap", "profile"].contains(&path.as_str()) => path.clone(),
+        _ => args.fail("wrong arguments"),
     };
 
     let text = match std::fs::read_to_string(&path) {
@@ -237,23 +202,5 @@ fn main() {
             );
         }
         println!();
-    }
-
-    if let Some(dir) = render_docs {
-        std::fs::create_dir_all(&dir).expect("create docs directory");
-        // Only render sections the artifact actually carries: a `tables`
-        // artifact has no claims, a claims-only artifact should not
-        // clobber the full experiment tables.
-        if !artifact.experiments.is_empty() {
-            let tables_path = format!("{dir}/experiment_tables.txt");
-            std::fs::write(&tables_path, render_tables_txt(&artifact)).expect("write tables");
-            eprintln!("wrote {tables_path}");
-        }
-        if !artifact.claims.is_empty() {
-            let checklist_path = format!("{dir}/claims_checklist.txt");
-            std::fs::write(&checklist_path, render_checklist_txt(&artifact))
-                .expect("write checklist");
-            eprintln!("wrote {checklist_path}");
-        }
     }
 }

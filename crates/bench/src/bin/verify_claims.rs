@@ -10,20 +10,23 @@
 //!
 //! The checklist text is rendered *from* the [`cc_trace::RunArtifact`]
 //! the run assembles, so `--emit-json` output and the printed text are by
-//! construction the same data.
+//! construction the same data. The quick run's stdout is the committed
+//! `docs/claims_checklist.txt` (see `scripts/model_record.sh`).
 
 use cc_bench::artifact::{build_artifact, render_checklist_txt};
 use cc_bench::claims::verify_all_with_tables;
+use cc_bench::cli::Usage;
+
+const USAGE: Usage = Usage {
+    line: "verify_claims [--full] [--emit-json FILE]",
+    switches: &["--full"],
+    valued: &["--emit-json"],
+    positional: false,
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let emit_json: Option<String> = args
-        .iter()
-        .position(|a| a == "--emit-json")
-        .and_then(|i| args.get(i + 1).cloned());
-
-    let quick = !full;
+    let args = USAGE.parse();
+    let quick = !args.has("--full");
     let (results, tables) = verify_all_with_tables(quick);
     let artifact = build_artifact("verify_claims", quick, &tables, &results);
     if let Err(problems) = artifact.validate() {
@@ -34,8 +37,8 @@ fn main() {
         std::process::exit(3);
     }
     print!("{}", render_checklist_txt(&artifact));
-    if let Some(path) = emit_json {
-        std::fs::write(&path, artifact.to_json_string()).expect("write artifact");
+    if let Some(path) = args.value("--emit-json") {
+        std::fs::write(path, artifact.to_json_string()).expect("write artifact");
         eprintln!("wrote {path}");
     }
     if artifact.claims.iter().any(|c| !c.pass) {

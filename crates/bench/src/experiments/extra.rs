@@ -9,7 +9,7 @@ use cc_core::{gc, kt1_gc, Kt1MstConfig};
 use cc_graph::generators;
 use cc_net::NetConfig;
 use cc_route::Net;
-use cc_sketch::{Sample, SketchParams, SketchSpace};
+use cc_sketch::{BatchScratch, Sample, SketchParams, SketchSpace};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -91,6 +91,8 @@ pub fn e13_sketch_ablation(quick: bool) -> Table {
         "Ablation: l0 failure rate vs sketch size across parameter shapes (wrong answers: impossible by contract)",
         &["shape", "words", "bits", "fail_rate", "wrong_answers"],
     );
+    let mut items = Vec::new();
+    let mut scratch = BatchScratch::default();
     for (name, params) in shapes {
         let mut rng = ChaCha8Rng::seed_from_u64(41);
         let mut fails = 0u64;
@@ -99,12 +101,14 @@ pub fn e13_sketch_ablation(quick: bool) -> Table {
             let space = SketchSpace::new(universe, params, 5000 + seed);
             let mut sk = space.zero_sketch();
             let mut support = std::collections::BTreeSet::new();
+            items.clear();
             for _ in 0..64 {
                 let i = rng.gen_range(0..universe);
                 if support.insert(i) {
-                    space.insert(&mut sk, i, 1);
+                    items.push((i, 1));
                 }
             }
+            space.insert_batch_with(&mut sk, &items, &mut scratch);
             match space.sample(&sk) {
                 Sample::Item(i, _) => {
                     if !support.contains(&i) {

@@ -30,11 +30,10 @@
 //! under the cell's mapping — the same fold that yields the utilization
 //! section.
 //!
-//! Results are emitted as a schema-versioned [`GridArtifact`]
-//! (`GRID_<stamp>.json`), rendered to the E22 markdown table, and folded
-//! into the `grid-*` section of `BENCH_baseline.json` where the perf
-//! gate holds the model columns at zero tolerance. Per-cell wall time
-//! stays in the grid artifact only.
+//! Results are emitted as a schema-versioned [`GridArtifact`] and
+//! rendered to the E22 and E23 markdown tables, whose committed copies
+//! (`docs/grid_e22.md`, `docs/grid_e23.md`) CI diffs against a fresh
+//! sweep. Per-cell wall time stays in the grid artifact only.
 
 use cc_core::{
     broadcast_gc, exact_mst, gc, run_connectivity, validate_gc, validate_mst_minimal, CoreError,
@@ -44,7 +43,6 @@ use cc_graph::{connectivity, generators, Graph, UnionFind, WGraph};
 use cc_lens::{CommLedger, CommReport};
 use cc_model::{LinkMode, MachineStats, Mapping, ModelSpec};
 use cc_net::NetConfig;
-use cc_profile::{PerfCase, PerfSuite};
 use cc_route::Net;
 use cc_runtime::Runtime;
 use cc_trace::{Json, RecordingTracer};
@@ -78,21 +76,6 @@ pub struct GridConfig {
 }
 
 impl GridConfig {
-    /// The CI-sized sweep: 2 bandwidths × 2 link modes × 2 mappings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 4` (the mapping axis needs room).
-    pub fn quick(n: usize) -> Self {
-        assert!(n >= 4, "grid sweeps need n >= 4");
-        GridConfig {
-            n,
-            seed: 0xE22,
-            bandwidths: vec![2, 8],
-            machine_counts: vec![1, n],
-        }
-    }
-
     /// The full E22 sweep: 3 bandwidths × 2 link modes × 3 mappings
     /// (18 cells).
     ///
@@ -494,12 +477,6 @@ impl GridArtifact {
             })
             .collect()
     }
-
-    /// The dated artifact filename for this run: `GRID_YYYYMMDD.json`.
-    pub fn stamp_name(&self) -> String {
-        let (y, m, d) = crate::perf::civil_from_unix(self.created_unix);
-        format!("GRID_{y:04}{m:02}{d:02}.json")
-    }
 }
 
 /// Renders the E22 degradation table (GitHub-flavored markdown).
@@ -784,52 +761,6 @@ pub fn run_grid(cfg: &GridConfig) -> GridArtifact {
     artifact
 }
 
-/// Folds an artifact into the `grid-*` [`PerfSuite`] section the perf
-/// gate compares: deterministic grid quantities (machine rounds /
-/// messages / words, partial up to any rejection point) in the
-/// zero-tolerance model columns. The cell key becomes the `backend`
-/// coordinate, so every cell gates independently.
-pub fn suite_from_grid(artifact: &GridArtifact) -> PerfSuite {
-    let mut suite = PerfSuite::new("cc-bench grid")
-        .with_meta("grid_n", &artifact.n.to_string())
-        .with_meta("grid_seed", &artifact.seed.to_string());
-    suite.cases = artifact
-        .cells
-        .iter()
-        .map(|c| PerfCase {
-            id: format!("grid-{}", c.algorithm),
-            backend: c.cell_key(),
-            n: artifact.n,
-            rounds: c.machine.machine_rounds,
-            messages: c.messages,
-            words: c.words,
-            allocs: None,
-            alloc_bytes: None,
-        })
-        .collect();
-    suite
-}
-
-/// Replaces the `grid-*` cases of `baseline` *at the sizes `fresh`
-/// measured* with `fresh`'s cases, preserving every other case — the
-/// perf section, the serve section, and grid sections at other `n`
-/// (quick and full sweeps coexist in one baseline).
-pub fn merge_grid_section(baseline: &mut PerfSuite, fresh: &PerfSuite) {
-    let ns: std::collections::BTreeSet<u64> = fresh.cases.iter().map(|c| c.n).collect();
-    baseline
-        .cases
-        .retain(|c| !c.id.starts_with("grid-") || !ns.contains(&c.n));
-    baseline.cases.extend(fresh.cases.iter().cloned());
-}
-
-/// Keeps only the `grid-*` cases of `suite` (for gating a grid run
-/// against a combined baseline).
-pub fn grid_section(suite: &PerfSuite) -> PerfSuite {
-    let mut only = suite.clone();
-    only.cases.retain(|c| c.id.starts_with("grid-"));
-    only
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1009,38 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn suite_merge_replaces_only_the_matching_grid_section() {
-        let art = small_grid();
-        let fresh = suite_from_grid(&art);
-        assert_eq!(fresh.cases.len(), art.cells.len());
-        assert!(fresh.validate().is_ok(), "{:?}", fresh.validate());
-
-        let mut baseline = PerfSuite::new("combined");
-        let case = |id: &str, backend: &str, n: u64| PerfCase {
-            id: id.into(),
-            backend: backend.into(),
-            n,
-            ..PerfCase::default()
-        };
-        baseline.cases = vec![
-            case("gc-sketch", "net", 32),
-            case("grid-rt-conn", "bw9-uni-k2", 99),
-            case("grid-rt-conn", "stale", 12),
-        ];
-        merge_grid_section(&mut baseline, &fresh);
-        // The perf case and the other-n grid section survive; the stale
-        // same-n grid case is replaced by the fresh section.
-        assert!(baseline.cases.iter().any(|c| c.id == "gc-sketch"));
-        assert!(baseline.cases.iter().any(|c| c.n == 99));
-        assert!(!baseline.cases.iter().any(|c| c.backend == "stale"));
-        assert_eq!(baseline.cases.len(), 2 + fresh.cases.len());
-
-        let only = grid_section(&baseline);
-        assert!(only.cases.iter().all(|c| c.id.starts_with("grid-")));
-        assert_eq!(only.cases.len(), 1 + fresh.cases.len());
-    }
-
-    #[test]
     fn markdown_names_every_cell_and_outcome() {
         let art = small_grid();
         let md = render_markdown(&art);
@@ -1053,8 +952,7 @@ mod tests {
     }
 
     #[test]
-    fn quick_and_full_configs_have_the_documented_shape() {
-        assert_eq!(GridConfig::quick(16).cells().len(), 8);
+    fn full_config_has_the_documented_shape() {
         assert_eq!(GridConfig::full(32).cells().len(), 18);
         // Cell keys are unique within a sweep.
         let keys: std::collections::BTreeSet<String> = GridConfig::full(32)

@@ -10,20 +10,15 @@
 //! `ChaCha8Rng` stream over a small `distinct` universe, so the mix is
 //! duplicate-heavy by construction and *which* jobs run is reproducible
 //! run-to-run. That makes the serve quantities the bench reports —
-//! total submissions, cold executions, duplicate answers, hit rate —
-//! exactly reproducible, which is what lets them ride in the zero-drift
-//! model columns of the [`PerfSuite`] gate; the latency percentiles are
-//! printed in the text report only:
-//!
-//! | case          | rounds / messages / words        |
-//! |---------------|----------------------------------|
-//! | `serve-load`  | jobs, cold runs, dup answers     |
-//! | `serve-cold`  | summed cold model cost           |
-//! | `serve-cache` | hit rate (‰), rejects, evictions |
+//! total submissions, cold executions, duplicate answers, hit rate,
+//! rejections, evictions — exactly reproducible, so the `perf` record
+//! (`docs/perf_tables.txt`, table P3) carries them next to the summed
+//! model cost of the cold runs. The latency percentiles are printed by
+//! the `loadgen` binary only.
 //!
 //! The summed cold model cost is read back out of the artifacts the
 //! server streamed (each carries its `rounds`/`messages`/`words` in the
-//! `job-summary` table), so the gate also re-checks, end to end, that
+//! `job-summary` table), so the record also re-checks, end to end, that
 //! the serving layer did not perturb the simulations it wraps. The job,
 //! hit and link counts come from [`summarize_lines`] over the response
 //! lines the clients received — the same summary `cc-top --once` prints
@@ -31,7 +26,6 @@
 //! identity across duplicate answers is asserted on every run.
 
 use crate::top::summarize_lines;
-use cc_profile::{PerfCase, PerfSuite};
 use cc_serve::job::{Algorithm, Engine, GraphSpec, JobSpec};
 use cc_serve::pool::{Response, ServeConfig, Server};
 use cc_trace::{LogHistogram, RunArtifact};
@@ -328,70 +322,9 @@ pub fn run_with_responses(cfg: &LoadgenConfig) -> Result<(LoadgenReport, Vec<Str
     Ok((report, lines))
 }
 
-/// Folds a report into the `serve-*` [`PerfSuite`] section the gate
-/// compares: the deterministic serve quantities, each in the zero-drift
-/// model columns.
-pub fn suite_from_report(report: &LoadgenReport) -> PerfSuite {
-    let n = report.cfg.n as u64;
-    let model_case = |id: &str, model: (u64, u64, u64)| PerfCase {
-        id: id.to_string(),
-        backend: "pool".to_string(),
-        n,
-        rounds: model.0,
-        messages: model.1,
-        words: model.2,
-        allocs: None,
-        alloc_bytes: None,
-    };
-    let mut suite = PerfSuite::new("cc-bench loadgen")
-        .with_meta("clients", &report.cfg.clients.to_string())
-        .with_meta("jobs_per_client", &report.cfg.jobs_per_client.to_string())
-        .with_meta("distinct", &report.cfg.distinct.to_string())
-        .with_meta("seed", &report.cfg.seed.to_string())
-        .with_meta("workers", &report.cfg.serve.workers.to_string())
-        .with_meta("jobs_per_sec", &format!("{:.1}", report.jobs_per_sec))
-        .with_meta("hit_milli", &report.hit_milli.to_string())
-        // The lens aggregates ride in meta (not a PerfCase) so the
-        // committed baseline's case set is untouched.
-        .with_meta("comm_words", &report.comm_words.to_string())
-        .with_meta(
-            "comm_peak_util_milli",
-            &report.comm_peak_util_milli.to_string(),
-        );
-    suite.cases = vec![
-        model_case(
-            "serve-load",
-            (report.total_jobs, report.cold_runs, report.dup_answers),
-        ),
-        model_case("serve-cold", report.cold_model),
-        model_case(
-            "serve-cache",
-            (report.hit_milli, report.rejected, report.evictions),
-        ),
-    ];
-    suite
-}
-
-/// Replaces the `serve-*` section of `baseline` with the cases of
-/// `fresh`, preserving every other case (the `perf` suite's entries) and
-/// the baseline's metadata.
-pub fn merge_serve_section(baseline: &mut PerfSuite, fresh: &PerfSuite) {
-    baseline.cases.retain(|c| !c.id.starts_with("serve-"));
-    baseline.cases.extend(fresh.cases.iter().cloned());
-}
-
-/// Keeps only the `serve-*` cases of `suite` (for gating a loadgen run
-/// against a combined baseline).
-pub fn serve_section(suite: &PerfSuite) -> PerfSuite {
-    let mut only = suite.clone();
-    only.cases.retain(|c| c.id.starts_with("serve-"));
-    only
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_profile::compare;
 
     fn tiny() -> LoadgenConfig {
         LoadgenConfig {
@@ -424,14 +357,7 @@ mod tests {
         assert_eq!(a.rejected, 0);
         assert_eq!(a.evictions, 0);
         assert!(a.cold_runs <= 4);
-        // The gate sees zero model drift between two runs.
-        let sa = suite_from_report(&a);
-        let sb = suite_from_report(&b);
-        assert!(sa.validate().is_ok(), "{:?}", sa.validate());
-        assert!(
-            compare(&sa, &sb).passed(),
-            "serve model columns must be reproducible"
-        );
+        assert_eq!(a.cold_runs + a.dup_answers, a.total_jobs);
     }
 
     #[test]
@@ -441,38 +367,6 @@ mod tests {
         assert!(r.p50_nanos <= r.p95_nanos);
         assert!(r.p95_nanos <= r.p99_nanos);
         assert!(r.jobs_per_sec > 0.0);
-    }
-
-    #[test]
-    fn merge_preserves_foreign_cases() {
-        let r = run(&tiny()).expect("load run");
-        let fresh = suite_from_report(&r);
-        let mut baseline = PerfSuite::new("combined");
-        baseline.cases.push(PerfCase {
-            id: "gc-sketch".into(),
-            backend: "net".into(),
-            n: 32,
-            ..PerfCase::default()
-        });
-        baseline.cases.push(PerfCase {
-            id: "serve-load".into(),
-            backend: "pool".into(),
-            n: 99,
-            ..PerfCase::default()
-        });
-        merge_serve_section(&mut baseline, &fresh);
-        assert!(baseline.cases.iter().any(|c| c.id == "gc-sketch"));
-        assert!(!baseline.cases.iter().any(|c| c.n == 99), "stale replaced");
-        assert_eq!(
-            baseline
-                .cases
-                .iter()
-                .filter(|c| c.id.starts_with("serve-"))
-                .count(),
-            3
-        );
-        let serve_only = serve_section(&baseline);
-        assert_eq!(serve_only.cases.len(), 3);
     }
 
     #[test]

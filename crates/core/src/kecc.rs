@@ -169,12 +169,22 @@ pub fn k_edge_connectivity_sketch(
     let ids: Vec<usize> = (0..n).collect();
     let mut certificate: Vec<Edge> = Vec::new();
     for p in 0..k {
-        // Subtract all previously peeled edges from this peel's sketches.
+        // Subtract all previously peeled edges from this peel's sketches,
+        // one batch per (vertex, family).
+        let mut peeled: Vec<Vec<usize>> = vec![Vec::new(); n];
         for e in &certificate {
             let (u, v) = e.endpoints();
+            peeled[u].push(v);
+            peeled[v].push(u);
+        }
+        for (v, nbrs) in peeled.iter().enumerate().filter(|(_, nb)| !nb.is_empty()) {
             for f in 0..t {
-                spaces[p][f].remove_incidence(&mut sketches[p][f][u], u, v);
-                spaces[p][f].remove_incidence(&mut sketches[p][f][v], v, u);
+                spaces[p][f].remove_incidences_with(
+                    &mut sketches[p][f][v],
+                    v,
+                    nbrs.iter().copied(),
+                    &mut scratch,
+                );
             }
         }
         let res = spanning_forest_via_sketches(&spaces[p], &ids, &sketches[p]);

@@ -13,10 +13,6 @@
 //!   profile ([`Profile::model_view`]) is a pure function of the model
 //!   events, so the same run profiled on any engine yields an identical
 //!   model view — test-enforced.
-//! * [`baseline`] — the versioned `BENCH_<stamp>.json` schema
-//!   ([`PerfSuite`]), plus [`compare`]: zero-tolerance
-//!   model-drift gating (rounds/messages/words) against a committed
-//!   `BENCH_baseline.json`.
 //! * [`diff`] — aligns two runs' model-event streams, pinpoints the first
 //!   divergence (index, round, event), and tabulates per-phase cost and
 //!   wall-time deltas: the debugging tool for backend-equivalence and
@@ -26,20 +22,17 @@
 //!
 //! The boundary `cc-trace` draws — model events deterministic per
 //! protocol and seed, timing events not — is load-bearing everywhere
-//! here: profiles split along it, and diffs and baselines compare only
-//! the model half. See DESIGN.md §12.
+//! here: profiles split along it, and diffs compare only the model half.
+//! The committed model record (`docs/`, see DESIGN.md §12) lives in
+//! `cc-bench`, not here.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 #[cfg(feature = "count-allocs")]
 pub mod alloc;
-pub mod baseline;
 pub mod diff;
 pub mod profile;
 
-pub use baseline::{
-    compare, render_comparison, CaseDelta, PerfCase, PerfComparison, PerfSuite, PERF_SCHEMA_VERSION,
-};
 pub use diff::{describe_event, diff_events, render_diff, Divergence, PhaseDelta, TraceDiff};
 pub use profile::{profile_table, ModelPhase, ModelProfile, PhaseNode, Profile};

@@ -164,34 +164,43 @@ impl GraphSketchSpace {
         neighbors: impl IntoIterator<Item = usize>,
         scratch: &mut NeighborhoodScratch,
     ) {
-        scratch.items.clear();
-        for u in neighbors {
-            let idx = edge_index(v, u, self.n);
-            let sign = if v < u { 1 } else { -1 };
-            scratch.items.push((idx, sign));
-        }
-        self.inner
-            .insert_batch_with(sketch, &scratch.items, &mut scratch.batch);
+        self.insert_incidences(sketch, v, neighbors, 1, scratch);
     }
 
-    /// Adds the single incidence `a_v({v,u})` into an existing sketch.
+    /// Removes every incidence `a_v({v,u})`, `u ∈ neighbors`, from an
+    /// existing sketch (used by k-edge-connectivity's peeling, which
+    /// subtracts already-certified edges — subtracting is adding the
+    /// opposite sign).
     ///
     /// # Panics
     ///
-    /// Panics if `u == v` or `u ≥ n` or `v ≥ n`.
-    pub fn add_incidence(&self, sketch: &mut Sketch, v: usize, u: usize) {
-        let idx = edge_index(v, u, self.n);
-        let sign = if v < u { 1 } else { -1 };
-        self.inner.insert(sketch, idx, sign);
+    /// Panics if a neighbor equals `v` or is `≥ n`.
+    pub fn remove_incidences_with(
+        &self,
+        sketch: &mut Sketch,
+        v: usize,
+        neighbors: impl IntoIterator<Item = usize>,
+        scratch: &mut NeighborhoodScratch,
+    ) {
+        self.insert_incidences(sketch, v, neighbors, -1, scratch);
     }
 
-    /// Removes the single incidence `a_v({v,u})` (used by the KT1 MST's
-    /// weight-threshold pruning, which re-sketches restricted
-    /// neighborhoods — subtracting is adding the opposite sign).
-    pub fn remove_incidence(&self, sketch: &mut Sketch, v: usize, u: usize) {
-        let idx = edge_index(v, u, self.n);
-        let sign = if v < u { -1 } else { 1 };
-        self.inner.insert(sketch, idx, sign);
+    /// Inserts `sign · a_v({v,u})` for every `u ∈ neighbors` in one batch.
+    fn insert_incidences(
+        &self,
+        sketch: &mut Sketch,
+        v: usize,
+        neighbors: impl IntoIterator<Item = usize>,
+        sign: i64,
+        scratch: &mut NeighborhoodScratch,
+    ) {
+        scratch.items.clear();
+        for u in neighbors {
+            let idx = edge_index(v, u, self.n);
+            scratch.items.push((idx, if v < u { sign } else { -sign }));
+        }
+        self.inner
+            .insert_batch_with(sketch, &scratch.items, &mut scratch.batch);
     }
 
     /// All cut edges recoverable from a (summed) sketch. For small cuts
@@ -307,14 +316,14 @@ mod tests {
     }
 
     #[test]
-    fn remove_incidence_inverts_add() {
+    fn remove_incidences_inverts_add() {
         let space = GraphSketchSpace::new(12, 6);
+        let mut scratch = NeighborhoodScratch::default();
         let mut sk = space.zero_sketch();
-        space.add_incidence(&mut sk, 4, 9);
-        space.add_incidence(&mut sk, 4, 2);
-        space.remove_incidence(&mut sk, 4, 9);
+        space.add_incidences_with(&mut sk, 4, [9, 2], &mut scratch);
+        space.remove_incidences_with(&mut sk, 4, [9], &mut scratch);
         assert_eq!(space.sample_edge(&sk), EdgeSample::Edge(2, 4));
-        space.remove_incidence(&mut sk, 4, 2);
+        space.remove_incidences_with(&mut sk, 4, [2], &mut scratch);
         assert!(sk.is_zero());
     }
 
@@ -339,7 +348,7 @@ mod tests {
         for v in 0..32usize {
             let mut scalar = space.zero_sketch();
             for &u in g.neighbors(v) {
-                space.add_incidence(&mut scalar, v, u as usize);
+                space.add_incidences_with(&mut scalar, v, [u as usize], &mut scratch);
             }
             let batched = space.sketch_neighborhood_with(
                 v,

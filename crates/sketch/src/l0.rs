@@ -28,7 +28,8 @@
 //! from a 4-bit windowed table ([`field::PowTable`]), and contributions are
 //! scattered into the planes. Field addition is exact, commutative, and
 //! associative, so the batched path produces **bit-identical** sketches to
-//! repeated scalar [`SketchSpace::insert`] calls — pinned by proptest below.
+//! repeated scalar `insert` calls — pinned by proptest below. The scalar
+//! `insert` is test-only: every production path inserts in batches.
 
 use crate::cell::{cell_decode_with, cell_insert_parts, CellDecode, CELL_WORDS};
 use crate::field;
@@ -286,11 +287,13 @@ impl SketchSpace {
         (level * self.params.rows + row) * self.params.buckets + bucket as usize
     }
 
-    /// Adds `sign · eᵢ` to the sketch.
+    /// Adds `sign · eᵢ` to the sketch, one item at a time: the scalar
+    /// reference the batched path is pinned against in tests.
     ///
     /// # Panics
     ///
     /// Panics if `i ≥ universe` or `sign ∉ {−1, +1}`.
+    #[cfg(test)]
     pub fn insert(&self, sketch: &mut Sketch, i: u64, sign: i64) {
         assert!(i < self.universe, "item outside the universe");
         assert!(sign == 1 || sign == -1, "signs are ±1");
@@ -318,8 +321,8 @@ impl SketchSpace {
     /// Adds a whole signed multiset to the sketch through the batched
     /// kernel path, reusing `scratch` buffers across calls.
     ///
-    /// Bit-identical to inserting the items one at a time with
-    /// [`insert`](Self::insert): the per-cell counters are exact field sums
+    /// Bit-identical to inserting the items one at a time (the scalar
+    /// reference lives in this module's tests): the per-cell counters are exact field sums
     /// of per-item contributions, and sums do not depend on insertion order
     /// or batching. The win is purely computational — level and bucket
     /// hashes are evaluated by batched Horner kernels over the whole batch,

@@ -1,14 +1,16 @@
 //! Docs that execute: every `cargo run` / `cargo test` / `cargo bench`
-//! command quoted in README.md, benchmark/README.md and the verify skill
-//! must name a package, and `--bin` / `--example` / `--test` / `--bench`
+//! command quoted in README.md, DESIGN.md, EXPERIMENTS.md,
+//! benchmark/README.md and the verify skill must name a package, and `--bin` / `--example` / `--test` / `--bench`
 //! targets, that exist in this checkout. A deleted binary, example or
 //! bench then cannot linger in the docs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-const DOCS: [&str; 3] = [
+const DOCS: [&str; 5] = [
     "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
     "benchmark/README.md",
     ".claude/skills/verify/SKILL.md",
 ];

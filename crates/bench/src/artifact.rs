@@ -13,13 +13,11 @@ use cc_core::exact_mst::{exact_mst, ExactMstConfig};
 use cc_core::gc::{self, GcConfig};
 use cc_core::kt1_mst::{kt1_mst, Kt1MstConfig};
 use cc_graph::generators;
-use cc_lens::{comm_metrics, CommLedger};
+use cc_lens::{comm_metrics, LedgerTracer};
 use cc_model::ModelSpec;
 use cc_net::{Cost, NetConfig};
 use cc_route::Net;
-use cc_trace::{
-    ClaimRecord, CostSnapshot, ExperimentRecord, PhaseBreakdown, RecordingTracer, RunArtifact,
-};
+use cc_trace::{ClaimRecord, CostSnapshot, ExperimentRecord, PhaseBreakdown, RunArtifact};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -153,20 +151,21 @@ pub fn headline_breakdowns(quick: bool) -> Vec<PhaseBreakdown> {
     out
 }
 
-/// Runs GC once under a [`RecordingTracer`] and returns its `comm.*`
+/// Runs GC once under a [`LedgerTracer`] and returns its `comm.*`
 /// snapshot (the artifact's `metrics` section): the cc-lens fold under
 /// `ModelSpec::clique()`, the spec `NetConfig::kt1` admits sends under.
 pub fn traced_gc_metrics(quick: bool) -> (String, cc_trace::MetricsSnapshot) {
     let n = if quick { 64 } else { 128 };
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let g = generators::random_connected_graph(n, 0.1, &mut rng);
-    let rec = RecordingTracer::new();
+    let fold = LedgerTracer::new(n, &ModelSpec::clique()).expect("n ≥ 2 is a valid clique");
     let mut net = Net::new(NetConfig::kt1(n).with_seed(9));
-    net.set_tracer(Box::new(rec.clone()));
+    net.set_tracer(Box::new(fold.clone()));
     gc::run_on(&mut net, &g, &GcConfig::default()).expect("gc run");
     net.take_tracer();
-    let lens = CommLedger::fold(n, &ModelSpec::clique(), &rec.events())
-        .expect("a completed run's recorded stream always folds");
+    let lens = fold
+        .finish()
+        .expect("an engine's batches stay inside its clique");
     (format!("gc-n{n}"), comm_metrics(&lens))
 }
 

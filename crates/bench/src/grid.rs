@@ -25,10 +25,10 @@
 //! a silently wrong answer.
 //!
 //! Machine-level accounting (the k-machine axis) is one fold: every
-//! workload records its [`cc_trace::Event::MessageBatch`] stream and
-//! [`CommLedger::fold`] prices it through a [`cc_model::MachineLedger`]
-//! under the cell's mapping — the same fold that yields the utilization
-//! section.
+//! workload runs under a [`LedgerTracer`], whose `CommLedger` prices each
+//! [`cc_trace::Event::MessageBatch`] through a [`cc_model::MachineLedger`]
+//! under the cell's mapping as it is emitted — the same fold that yields
+//! the utilization section.
 //!
 //! Results are emitted as a schema-versioned [`GridArtifact`] and
 //! rendered to the E22 and E23 markdown tables, whose committed copies
@@ -40,12 +40,12 @@ use cc_core::{
     ExactMstConfig, GcConfig, GcOutput,
 };
 use cc_graph::{connectivity, generators, Graph, UnionFind, WGraph};
-use cc_lens::{CommLedger, CommReport};
+use cc_lens::{CommReport, LedgerTracer};
 use cc_model::{LinkMode, MachineStats, Mapping, ModelSpec};
 use cc_net::NetConfig;
 use cc_route::Net;
 use cc_runtime::Runtime;
-use cc_trace::{Json, RecordingTracer};
+use cc_trace::Json;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
@@ -587,17 +587,19 @@ where
         .expect("grid cells are pre-validated")
         .with_seed(seed)
         .with_round_cap(GRID_ROUND_CAP);
-    let rec = RecordingTracer::new();
+    let fold = LedgerTracer::new(n, spec).expect("grid cells are pre-validated");
     let mut net = Net::new(cfg);
-    net.set_tracer(Box::new(rec.clone()));
+    net.set_tracer(Box::new(fold.clone()));
     let t0 = Instant::now();
     let outcome = run(&mut net);
     let nanos = t0.elapsed().as_nanos() as u64;
     let cost = net.cost();
+    drop(net);
     // One fold serves both views: the machine stats and the
     // round-resolved utilization section.
-    let lens =
-        CommLedger::fold(n, spec, &rec.model_events()).expect("grid cells are pre-validated");
+    let lens = fold
+        .finish()
+        .expect("an engine's batches stay inside its clique");
     let machine = lens.machine_stats();
     let (status, error, detail, validated) = match outcome {
         Ok((true, _)) => (CellStatus::Ok, None, None, true),
@@ -690,14 +692,16 @@ fn rt_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
         .with_round_cap(GRID_ROUND_CAP)
         .with_model(spec);
     let mut rt = Runtime::serial(cfg);
-    let rec = RecordingTracer::new();
-    rt.set_tracer(Box::new(rec.clone()));
+    let fold = LedgerTracer::new(n, spec).expect("grid cells are pre-validated");
+    rt.set_tracer(Box::new(fold.clone()));
     let t0 = Instant::now();
     let outcome = run_connectivity(&mut rt, &adj, None, GRID_ROUND_CAP);
     let nanos = t0.elapsed().as_nanos() as u64;
     let cost = rt.cost();
-    let lens =
-        CommLedger::fold(n, spec, &rec.model_events()).expect("grid cells are pre-validated");
+    drop(rt);
+    let lens = fold
+        .finish()
+        .expect("an engine's batches stay inside its clique");
     let (status, error, detail, validated) = match outcome {
         Ok(out) if out.labels == truth => (CellStatus::Ok, None, None, true),
         Ok(out) => (
@@ -764,6 +768,8 @@ pub fn run_grid(cfg: &GridConfig) -> GridArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_lens::CommLedger;
+    use cc_trace::RecordingTracer;
 
     fn small_grid() -> GridArtifact {
         // n = 12 keeps every workload fast in debug builds while leaving

@@ -16,9 +16,9 @@
 //! the round counter without traffic. Scope events bracket rounds.
 
 use crate::report::{CommReport, PhaseComm};
-use cc_model::{MachineLedger, MachineStats, ModelError, ModelSpec};
+use cc_model::{MachineLedger, MachineStats, ModelError, ModelSpec, PairRows};
 use cc_trace::{Event, FaultKind, LogHistogram};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Scope label charged for traffic outside any phase scope.
 pub const UNSCOPED: &str = "(unscoped)";
@@ -64,23 +64,39 @@ pub struct LinkTotal {
     pub peak_round: u64,
 }
 
+/// One link's running totals (a [`LinkTotal`] without its key).
+#[derive(Clone, Copy, Debug, Default)]
+struct LinkStat {
+    words: u64,
+    peak_round_words: u64,
+    peak_round: u64,
+}
+
 /// Folds model events into round-resolved communication accounting:
 /// per-link and per-node word counts, utilization vs the spec's budget,
 /// broadcast/unicast mix, per-phase attribution, and machine-pair skew
 /// under the spec's mapping.
+///
+/// Per batch the fold does no tree lookup and no allocation beyond
+/// amortized `Vec` growth: the batch is appended to the open round's
+/// link list and charged to an interned phase. At the round's close its
+/// sorted links fold into one [`PairRows`] row per sender. Storage grows
+/// with the links that carried traffic, never with `n²`.
 #[derive(Clone, Debug)]
 pub struct CommLedger {
     n: usize,
     spec: ModelSpec,
     machine: MachineLedger,
     // --- open-round state ---
-    current_round: u64,
     round_budget: u64,
-    round_links: BTreeMap<(u32, u32), u64>,
-    closed_links: BTreeMap<(u32, u32), u64>,
+    /// The open round's `(src, dst, words)` batches in arrival order.
+    round_links: Vec<(u32, u32, u64)>,
+    /// The last closed round's links: `(src, dst)`-sorted, one per link.
+    closed_links: Vec<(u32, u32, u64)>,
     round_messages: u64,
     round_words: u64,
-    phase_stack: Vec<String>,
+    /// Open scopes, innermost last, as indices into `phases`.
+    phase_stack: Vec<usize>,
     // --- cumulative ---
     rounds: Vec<RoundComm>,
     fast_forward_rounds: u64,
@@ -88,8 +104,13 @@ pub struct CommLedger {
     words: u64,
     node_sent: Vec<u64>,
     node_recv: Vec<u64>,
-    link_totals: BTreeMap<(u32, u32), LinkTotal>,
-    phases: BTreeMap<String, PhaseComm>,
+    /// Cumulative traffic per link that ever carried any.
+    link_totals: PairRows<LinkStat>,
+    /// Interned scope names: index into `phases` by name.
+    phase_ids: HashMap<String, usize>,
+    /// Per interned scope: its name and, once it carried a batch, its
+    /// traffic. Index 0 is [`UNSCOPED`].
+    phases: Vec<(String, Option<PhaseComm>)>,
     util: LogHistogram,
     link_round_words: LogHistogram,
     broadcast_words: u64,
@@ -116,10 +137,9 @@ impl CommLedger {
             n,
             spec: *spec,
             machine,
-            current_round: 0,
             round_budget: spec.bandwidth_words_per_link,
-            round_links: BTreeMap::new(),
-            closed_links: BTreeMap::new(),
+            round_links: Vec::new(),
+            closed_links: Vec::new(),
             round_messages: 0,
             round_words: 0,
             phase_stack: Vec::new(),
@@ -129,8 +149,9 @@ impl CommLedger {
             words: 0,
             node_sent: vec![0; n],
             node_recv: vec![0; n],
-            link_totals: BTreeMap::new(),
-            phases: BTreeMap::new(),
+            link_totals: PairRows::new(n),
+            phase_ids: HashMap::from([(UNSCOPED.to_string(), 0)]),
+            phases: vec![(UNSCOPED.to_string(), None)],
             util: LogHistogram::new(),
             link_round_words: LogHistogram::new(),
             broadcast_words: 0,
@@ -166,8 +187,7 @@ impl CommLedger {
     /// the `n`-clique; the batch is not counted.
     pub fn record(&mut self, ev: &Event) -> Result<(), ModelError> {
         match ev {
-            Event::RoundStart { round } => {
-                self.current_round = *round;
+            Event::RoundStart { .. } => {
                 self.round_budget = self.spec.bandwidth_words_per_link;
             }
             Event::Fault {
@@ -180,22 +200,33 @@ impl CommLedger {
                 self.round_budget = self.round_budget.min((*info).max(1));
             }
             Event::MessageBatch {
-                round,
                 src,
                 dst,
                 count,
                 words,
-            } => self.record_batch(*round, *src, *dst, u64::from(*count), *words)?,
+                ..
+            } => self.record_batch(*src, *dst, u64::from(*count), *words)?,
             Event::RoundEnd { round, .. } => self.close_round(*round),
             Event::FastForward { rounds, .. } => self.fast_forward_rounds += *rounds,
-            _ => {}
-        }
-        // Scope events are matched separately so a scope wrapping a
-        // squeeze fault round still attributes correctly.
-        match ev {
-            Event::ScopeEnter { name, .. } => self.phase_stack.push(name.clone()),
+            // Phases are interned here, once per scope, so a batch
+            // charges its phase by index.
+            Event::ScopeEnter { name, .. } => {
+                let id = match self.phase_ids.get(name.as_str()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = self.phases.len();
+                        self.phase_ids.insert(name.clone(), id);
+                        self.phases.push((name.clone(), None));
+                        id
+                    }
+                };
+                self.phase_stack.push(id);
+            }
             Event::ScopeExit { name, .. }
-                if self.phase_stack.last().map(String::as_str) == Some(name.as_str()) =>
+                if self
+                    .phase_stack
+                    .last()
+                    .is_some_and(|&id| self.phases[id].0 == *name) =>
             {
                 self.phase_stack.pop();
             }
@@ -206,7 +237,6 @@ impl CommLedger {
 
     fn record_batch(
         &mut self,
-        round: u64,
         src: u32,
         dst: u32,
         count: u64,
@@ -215,20 +245,15 @@ impl CommLedger {
         // Machine accounting first: it refuses out-of-clique nodes before
         // anything is counted. Each batch is one pair charge.
         self.machine.record(src as usize, dst as usize, words)?;
-        self.current_round = round;
         self.round_messages += count;
         self.round_words += words;
         self.messages += count;
         self.words += words;
-        *self.round_links.entry((src, dst)).or_insert(0) += words;
+        self.round_links.push((src, dst, words));
         self.node_sent[src as usize] += words;
         self.node_recv[dst as usize] += words;
-        let phase = self
-            .phase_stack
-            .last()
-            .map_or(UNSCOPED, String::as_str)
-            .to_string();
-        let p = self.phases.entry(phase).or_default();
+        let phase = self.phase_stack.last().copied().unwrap_or(0);
+        let p = self.phases[phase].1.get_or_insert_with(PhaseComm::default);
         p.messages += count;
         p.words += words;
         Ok(())
@@ -236,62 +261,64 @@ impl CommLedger {
 
     fn close_round(&mut self, round: u64) {
         let budget = self.round_budget.max(1);
+        let mut links = std::mem::take(&mut self.round_links);
+        // The engines emit one batch per link, `(src, dst)`-sorted, so
+        // this check is the whole cost for them; an out-of-order or
+        // repeated link (a hand-built file) is sorted and merged.
+        if !links.is_sorted_by(|a, b| (a.0, a.1) < (b.0, b.1)) {
+            links.sort_unstable_by_key(|&(src, dst, _)| (src, dst));
+            links.dedup_by(|later, kept| {
+                let same = (later.0, later.1) == (kept.0, kept.1);
+                if same {
+                    kept.2 += later.2;
+                }
+                same
+            });
+        }
         // Broadcast heuristic: a sender that reaches all n−1 peers with
         // identical per-link words this round is counted as broadcasting
         // (exact under broadcast-only send rules, a structural heuristic
-        // under unicast).
-        let mut src_fanout: BTreeMap<u32, (u64, u64, u64, bool)> = BTreeMap::new();
-        let mut peak_words = 0u64;
-        for (&(src, dst), &words) in &self.round_links {
-            self.link_round_words.observe(words);
-            let util = words * 1000 / budget;
-            self.util.observe(util);
-            if words > budget {
-                self.over_budget += 1;
-            }
-            if words > peak_words {
-                peak_words = words;
-            }
-            self.peak_link_words = self.peak_link_words.max(words);
-            // The reported peak location is the most *utilized*
-            // (round, link) observation — words break ties, and the
-            // earliest such observation wins (deterministic fold).
-            if util > self.peak_util_milli
-                || (util == self.peak_util_milli && words > self.peak_obs_words)
-            {
-                self.peak_util_milli = util;
-                self.peak_obs_words = words;
-                self.peak_round = round;
-                self.peak_src = src;
-                self.peak_dst = dst;
-            }
-            let e = self
-                .link_totals
-                .entry((src, dst))
-                .or_insert_with(|| LinkTotal {
-                    src,
-                    dst,
-                    words: 0,
-                    peak_round_words: 0,
-                    peak_round: 0,
-                });
-            e.words += words;
-            if words > e.peak_round_words {
-                e.peak_round_words = words;
-                e.peak_round = round;
-            }
-            let f = src_fanout.entry(src).or_insert((0, 0, 0, true));
-            f.0 += 1;
-            f.1 += words;
-            if f.0 == 1 {
-                f.2 = words;
-            } else if f.2 != words {
-                f.3 = false;
-            }
-        }
+        // under unicast). Sorted links group by sender.
         let full = (self.n as u64).saturating_sub(1);
-        for (_, (fanout, total, _, uniform)) in src_fanout {
-            if fanout == full && full > 0 && uniform {
+        let mut peak_words = 0u64;
+        for fanout in links.chunk_by(|a, b| a.0 == b.0) {
+            let mut total = 0u64;
+            for &(src, dst, words) in fanout {
+                total += words;
+                self.link_round_words.observe(words);
+                let util = words * 1000 / budget;
+                self.util.observe(util);
+                if words > budget {
+                    self.over_budget += 1;
+                }
+                peak_words = peak_words.max(words);
+                self.peak_link_words = self.peak_link_words.max(words);
+                // The reported peak location is the most *utilized*
+                // (round, link) observation — words break ties, and the
+                // earliest such observation wins (deterministic fold).
+                if util > self.peak_util_milli
+                    || (util == self.peak_util_milli && words > self.peak_obs_words)
+                {
+                    self.peak_util_milli = util;
+                    self.peak_obs_words = words;
+                    self.peak_round = round;
+                    self.peak_src = src;
+                    self.peak_dst = dst;
+                }
+            }
+            self.link_totals.fold_run(
+                fanout[0].0,
+                fanout.iter().map(|&(_, dst, words)| (dst, words)),
+                |link, words| {
+                    link.words += words;
+                    if words > link.peak_round_words {
+                        link.peak_round_words = words;
+                        link.peak_round = round;
+                    }
+                },
+            );
+            let uniform = fanout.iter().all(|&(_, _, words)| words == fanout[0].2);
+            if fanout.len() as u64 == full && full > 0 && uniform {
                 self.broadcast_words += total;
             } else {
                 self.unicast_words += total;
@@ -304,13 +331,14 @@ impl CommLedger {
             round,
             messages: self.round_messages,
             words: self.round_words,
-            links: self.round_links.len() as u64,
+            links: links.len() as u64,
             peak_link_words: peak_words,
             budget_words: budget,
             machine_rounds,
         });
-        // The closed round's links stay readable until the next close.
-        std::mem::swap(&mut self.round_links, &mut self.closed_links);
+        // The closed round's links stay readable until the next close;
+        // both buffers are reused.
+        self.round_links = std::mem::replace(&mut self.closed_links, links);
         self.round_links.clear();
         self.round_messages = 0;
         self.round_words = 0;
@@ -337,7 +365,7 @@ impl CommLedger {
     pub fn closed_round_links(&self) -> impl Iterator<Item = ((u32, u32), u64)> + '_ {
         self.closed_links
             .iter()
-            .map(|(&link, &words)| (link, words))
+            .map(|&(src, dst, words)| ((src, dst), words))
     }
 
     /// Rounds skipped via fast-forward (no traffic by construction).
@@ -391,7 +419,17 @@ impl CommLedger {
     /// The `k` busiest links by cumulative words, descending (ties by
     /// `(src, dst)`).
     pub fn top_links(&self, k: usize) -> Vec<LinkTotal> {
-        let mut all: Vec<LinkTotal> = self.link_totals.values().cloned().collect();
+        let mut all: Vec<LinkTotal> = self
+            .link_totals
+            .iter()
+            .map(|(src, dst, link)| LinkTotal {
+                src,
+                dst,
+                words: link.words,
+                peak_round_words: link.peak_round_words,
+                peak_round: link.peak_round,
+            })
+            .collect();
         all.sort_by(|a, b| {
             b.words
                 .cmp(&a.words)
@@ -411,7 +449,7 @@ impl CommLedger {
         let util = self.util.snapshot();
         let k = self.spec.machines(self.n) as u64;
         let remote = self.machine.stats().remote_words;
-        let max_pair = self.machine.pair_words().iter().copied().max().unwrap_or(0);
+        let max_pair = self.machine.max_pair_total();
         // Cumulative pair skew: worst ordered pair vs the mean over all
         // k(k−1) ordered remote pairs, in thousandths (1000 = perfectly
         // balanced; 0 = no remote traffic at all).
@@ -445,14 +483,22 @@ impl CommLedger {
             broadcast_words: self.broadcast_words,
             unicast_words: self.unicast_words,
             over_budget: self.over_budget,
-            phases: self
-                .phases
-                .iter()
-                .map(|(name, p)| (name.clone(), p.clone()))
-                .collect(),
+            phases: self.phase_report(),
             machine: self.machine.stats(),
             pair_skew_milli,
         }
+    }
+
+    /// Phases that carried at least one batch, sorted by name (names are
+    /// interned, so the order is total).
+    fn phase_report(&self) -> Vec<(String, PhaseComm)> {
+        let mut phases: Vec<(String, PhaseComm)> = self
+            .phases
+            .iter()
+            .filter_map(|(name, p)| Some((name.clone(), p.clone()?)))
+            .collect();
+        phases.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        phases
     }
 }
 
@@ -474,6 +520,7 @@ pub fn infer_n(events: &[Event]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn batch(round: u64, src: u32, dst: u32, count: u32, words: u64) -> Event {
         Event::MessageBatch {

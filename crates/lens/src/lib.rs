@@ -23,16 +23,21 @@
 //!    on it).
 //!
 //! There is deliberately no second bookkeeping path: everything here is
-//! derived, after the fact, from the one trace stream — the same
-//! philosophy as `cc-obs`, one layer down. [`CommLedger`] is also the
-//! workspace's only traffic fold: the links report, the heatmap, the
-//! grid's utilization section, and the `comm` snapshot in serve and
-//! `--emit-json` artifacts ([`comm_metrics`]) are all views of it.
+//! derived from the one trace stream — the same philosophy as `cc-obs`,
+//! one layer down. The fold runs after the fact over a recorded file
+//! ([`CommLedger::fold`]) or live, event by event, as a tracer
+//! ([`LedgerTracer`]), so a traced run need not keep its stream.
+//! [`CommLedger`] is also the workspace's only traffic fold: the links
+//! report, the heatmap, the grid's utilization section, and the `comm`
+//! snapshot in serve and `--emit-json` artifacts ([`comm_metrics`]) are
+//! all views of it.
 
 mod ledger;
 mod render;
 mod report;
+mod tracer;
 
 pub use ledger::{infer_n, CommLedger, LinkTotal, RoundComm, UNSCOPED};
 pub use render::{links_report, render_heatmap, render_links_report};
 pub use report::{comm_metrics, CommAggregate, CommReport, PhaseComm};
+pub use tracer::LedgerTracer;

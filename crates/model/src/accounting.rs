@@ -20,11 +20,11 @@
 //! algorithm's traffic pattern congests the narrower machine graph.
 //!
 //! [`MachineLedger`] is that rule as code, and deliberately the *only*
-//! implementation: `cc-lens`'s `CommLedger` feeds it the recorded
-//! `MessageBatch` trace events of a run, which is how every k-machine
-//! number in the workspace is priced.
+//! implementation: `cc-lens`'s `CommLedger` feeds it the `MessageBatch`
+//! trace events of a run, which is how every k-machine number in the
+//! workspace is priced.
 
-use crate::{ModelError, ModelSpec};
+use crate::{ModelError, ModelSpec, PairRows};
 
 /// Cumulative k-machine accounting totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,20 +42,24 @@ pub struct MachineStats {
 }
 
 /// Folds `(src, dst, words)` sends into [`MachineStats`] under one spec.
+///
+/// Storage follows the machine pairs that carry traffic, never `k²`
+/// (see [`PairRows`]): under the one-to-one mapping `k = n`, up to 4096.
 #[derive(Clone, Debug)]
 pub struct MachineLedger {
     n: usize,
     k: usize,
     bandwidth: u64,
     spec: ModelSpec,
-    /// Ordered machine-pair loads for the current logical round,
-    /// `k × k` row-major; the diagonal stays zero (local traffic).
-    loads: Vec<u64>,
-    /// Indices of touched entries (sparse reset, like
-    /// `cc_net::LinkUse`).
-    touched: Vec<usize>,
-    /// Cumulative ordered machine-pair remote words, laid out as `loads`.
-    pair_words: Vec<u64>,
+    /// The current logical round's remote charges as `(source machine,
+    /// destination machine, words)`, in arrival order; grouped by pair
+    /// at [`end_round`](MachineLedger::end_round).
+    round: Vec<(u32, u32, u64)>,
+    /// Cumulative remote words per ordered machine pair that ever
+    /// carried any.
+    pair_words: PairRows<u64>,
+    /// The largest entry of `pair_words`.
+    max_pair_total: u64,
     stats: MachineStats,
 }
 
@@ -73,9 +77,9 @@ impl MachineLedger {
             k,
             bandwidth: spec.bandwidth_words_per_link,
             spec: *spec,
-            loads: vec![0; k * k],
-            touched: Vec::new(),
-            pair_words: vec![0; k * k],
+            round: Vec::new(),
+            pair_words: PairRows::new(k),
+            max_pair_total: 0,
             stats: MachineStats::default(),
         })
     }
@@ -104,24 +108,33 @@ impl MachineLedger {
             return Ok(());
         }
         self.stats.remote_words += words;
-        let slot = ms * self.k + md;
-        if self.loads[slot] == 0 {
-            self.touched.push(slot);
-        }
-        self.loads[slot] += words;
-        self.pair_words[slot] += words;
+        self.round.push((ms as u32, md as u32, words));
         Ok(())
     }
 
     /// Closes the current logical round; returns the machine rounds it
     /// cost (≥ 1: a round happens even if nothing crossed machines).
     pub fn end_round(&mut self) -> u64 {
-        let mut needed = 1u64;
-        for slot in self.touched.drain(..) {
-            let load = std::mem::take(&mut self.loads[slot]);
-            self.stats.max_pair_words = self.stats.max_pair_words.max(load);
-            needed = needed.max(load.div_ceil(self.bandwidth));
+        // Under the one-to-one mapping a `(src, dst)`-sorted batch
+        // stream is already pair-sorted, so the sort runs only for
+        // k-machine mappings and hand-built streams.
+        if !self.round.is_sorted_by_key(|&(from, to, _)| (from, to)) {
+            self.round.sort_unstable_by_key(|&(from, to, _)| (from, to));
         }
+        let mut needed = 1u64;
+        for from in self.round.chunk_by(|a, b| a.0 == b.0) {
+            let loads = from
+                .chunk_by(|a, b| a.1 == b.1)
+                .map(|pair| (pair[0].1, pair.iter().map(|&(_, _, words)| words).sum()));
+            self.pair_words
+                .fold_run(from[0].0, loads, |total, load: u64| {
+                    self.stats.max_pair_words = self.stats.max_pair_words.max(load);
+                    needed = needed.max(load.div_ceil(self.bandwidth));
+                    *total += load;
+                    self.max_pair_total = self.max_pair_total.max(*total);
+                });
+        }
+        self.round.clear();
         self.stats.logical_rounds += 1;
         self.stats.machine_rounds += needed;
         needed
@@ -132,10 +145,10 @@ impl MachineLedger {
         self.stats
     }
 
-    /// Cumulative ordered machine-pair remote words (`k × k`, row-major,
-    /// diagonal zero).
-    pub fn pair_words(&self) -> &[u64] {
-        &self.pair_words
+    /// The largest cumulative load on any ordered machine pair over
+    /// every closed round.
+    pub fn max_pair_total(&self) -> u64 {
+        self.max_pair_total
     }
 }
 
@@ -172,12 +185,16 @@ mod tests {
         assert_eq!(s.remote_words, 13);
         assert_eq!(s.max_pair_words, 9);
         assert_eq!(s.machine_rounds, 3);
-        assert_eq!(led.pair_words(), &[0, 9, 4, 0], "cumulative, row-major");
+        assert_eq!(led.max_pair_total(), 9);
         assert_eq!(
             led.record(2, 8, 1),
             Err(ModelError::NodeOutOfRange { node: 8, n: 8 })
         );
         assert_eq!(led.stats(), s, "a refused send records nothing");
+        // The reverse pair accumulates on its own: 4 + 6 = 10 words.
+        led.record(7, 3, 6).unwrap();
+        assert_eq!(led.end_round(), 2);
+        assert_eq!(led.max_pair_total(), 10, "cumulative, per ordered pair");
     }
 
     #[test]

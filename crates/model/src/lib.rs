@@ -22,8 +22,10 @@
 //!   co-located nodes are free, and each ordered machine pair carries at
 //!   most the spec's bandwidth per machine round.
 //! * [`MachineLedger`] — the per-machine-pair bandwidth accounting rule,
-//!   applied after the fact to a run's recorded sends by `cc-lens`'s
-//!   `CommLedger` fold (the one k-machine price).
+//!   applied to a run's sends by `cc-lens`'s `CommLedger` fold (the one
+//!   k-machine price), live or over a recorded trace.
+//! * [`PairRows`] — per-ordered-pair values stored as one sorted row per
+//!   source, the storage behind both ledgers' pair totals.
 //!
 //! Logical semantics never depend on the mapping: programs, RNG streams,
 //! fault decisions, inboxes, and metered cost are functions of the
@@ -35,8 +37,10 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
+mod pairs;
 
 pub use accounting::{MachineLedger, MachineStats};
+pub use pairs::PairRows;
 
 use std::error::Error;
 use std::fmt;

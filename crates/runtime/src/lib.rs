@@ -32,8 +32,8 @@
 //!
 //! Machine-level pricing under a k-machine mapping is not an engine: run
 //! the protocol on [`Runtime::serial`] with the mapping in its config
-//! (`NetConfig::with_model`) and fold the traced sends with
-//! `cc_lens::CommLedger::fold(..).machine_stats()`.
+//! (`NetConfig::with_model`) under a `cc_lens::LedgerTracer`, and read
+//! `finish()?.machine_stats()`.
 //!
 //! # Example
 //!

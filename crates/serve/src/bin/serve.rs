@@ -83,6 +83,14 @@ fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
             break;
         }
         let stream = stream?;
+        // Responses are single complete lines; send each at once. A
+        // stream that refuses the option still works, only slower.
+        if let Err(e) = stream.set_nodelay(true) {
+            log_line(
+                "serve-nodelay-failed",
+                vec![("error", Json::Str(e.to_string()))],
+            );
+        }
         let server = Arc::clone(&server);
         let closing = Arc::clone(&closing);
         sessions.push(std::thread::spawn(move || {

@@ -28,13 +28,13 @@
 use crate::cache::{CacheStats, ResultCache};
 use crate::hash::Digest;
 use crate::job::{execute, JobSpec};
-use cc_lens::{comm_metrics, CommAggregate, CommLedger};
+use cc_lens::{comm_metrics, CommAggregate, LedgerTracer};
 use cc_model::ModelSpec;
 use cc_obs::{
     render_prometheus, AlertEngine, AlertEvent, HealthReport, SharedClock, SloKind, SloRule,
     SpanBook, SpanOutcome, WallClock, WindowSpec, WindowedRegistry, WindowedSnapshot,
 };
-use cc_trace::{Event, ExperimentRecord, Json, RecordingTracer, RunArtifact, Tracer};
+use cc_trace::{Event, ExperimentRecord, Json, RunArtifact, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -472,11 +472,19 @@ pub fn default_slo_rules() -> Vec<SloRule> {
     ]
 }
 
-/// The tracer workers attach: records model events for the artifact's
-/// metrics section and forwards phase boundaries (plus coarse round
-/// milestones) as streamed `progress` responses.
+/// Compute-phase boundaries of a run: every scope the tracer saw, in
+/// order, with the round it opened at. Model events only, so the marks
+/// are deterministic per spec — the artifact record built from them
+/// keeps cache hits byte-identical.
+type PhaseMarks = Arc<Mutex<Vec<(String, u64)>>>;
+
+/// The tracer workers attach: folds every event into the job's
+/// [`LedgerTracer`] as it arrives, collects the phase marks, and
+/// forwards phase boundaries (plus coarse round milestones) as streamed
+/// `progress` responses.
 struct StreamTracer {
-    rec: RecordingTracer,
+    ledger: LedgerTracer,
+    marks: PhaseMarks,
     reply: Sender<Response>,
     id: String,
 }
@@ -487,7 +495,7 @@ const PROGRESS_ROUND_STRIDE: u64 = 512;
 
 impl Tracer for StreamTracer {
     fn wants_timing(&self) -> bool {
-        // Keep the recorded stream model-only: the artifact's metrics are
+        // Keep the folded stream model-only: the artifact's metrics are
         // then deterministic per spec, and the clock reads are skipped.
         false
     }
@@ -500,6 +508,10 @@ impl Tracer for StreamTracer {
                     phase: name.clone(),
                     round: *round,
                 });
+                self.marks
+                    .lock()
+                    .expect("phase marks poisoned")
+                    .push((name.clone(), *round));
             }
             Event::RoundStart { round } if *round > 0 && round % PROGRESS_ROUND_STRIDE == 0 => {
                 let _ = self.reply.send(Response::Progress {
@@ -510,7 +522,7 @@ impl Tracer for StreamTracer {
             }
             _ => {}
         }
-        self.rec.record(event);
+        self.ledger.record(event);
     }
 }
 
@@ -794,20 +806,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Compute-phase boundaries of a recorded run: every scope the tracer
-/// saw, in order, with the round it opened at. Model events only, so the
-/// marks are deterministic per spec — the artifact record built from
-/// them keeps cache hits byte-identical.
-fn phase_marks(events: &[Event]) -> Vec<(String, u64)> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            Event::ScopeEnter { name, round } => Some((name.clone(), *round)),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Renders a caught panic payload as one line (`&str` and `String`
 /// payloads cover `panic!`/`assert!`; anything else is opaque).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -820,20 +818,37 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Test-only fault injection: arming [`INJECT`](test_panic::INJECT)
-/// makes the next job any worker executes panic inside the contained
-/// region, exactly where a real algorithm bug would.
+/// Test-only fault injection at the points a real bug would strike.
 #[cfg(test)]
-pub(crate) mod test_panic {
+pub(crate) mod test_faults {
+    use cc_trace::{Event, Tracer};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// One-shot trigger; `maybe_panic` disarms it as it fires.
+    /// One-shot trigger: arming it makes the next job any worker executes
+    /// panic inside the contained region; `maybe_panic` disarms it.
     pub static INJECT: AtomicBool = AtomicBool::new(false);
+
+    /// A job submitted under this id gets a batch naming node `n` fed to
+    /// its tracer before it runs, as a miswired engine would emit.
+    pub const BAD_BATCH_ID: &str = "bad-batch";
 
     pub fn maybe_panic() {
         if INJECT.swap(false, Ordering::SeqCst) {
             panic!("injected worker panic");
         }
+    }
+
+    pub fn maybe_bad_batch<T: Tracer>(id: &str, n: usize, mut tracer: T) -> T {
+        if id == BAD_BATCH_ID {
+            tracer.record(Event::MessageBatch {
+                round: 0,
+                src: 0,
+                dst: n as u32,
+                count: 1,
+                words: 1,
+            });
+        }
+        tracer
     }
 }
 
@@ -850,40 +865,53 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         id: job.id.clone(),
         queue_nanos,
     });
-    let rec = RecordingTracer::new();
-    let tracer = StreamTracer {
-        rec: rec.clone(),
-        reply: job.reply.clone(),
-        id: job.id.clone(),
-    };
-    // Contain panics at the job boundary: `execute` runs lock-free, so a
-    // panic here (an algorithm bug, a poisoned-input assert) must cost
-    // exactly one job — it folds into the ordinary `Err` path below,
-    // which decrements `running`, retires the pending entry, and answers
-    // this submitter and every coalesced waiter with an `error` response.
-    // Without this, the worker thread dies: the pool quietly loses a
-    // thread per bad job until the daemon stops serving.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        #[cfg(test)]
-        test_panic::maybe_panic();
-        execute(&job.spec, Box::new(tracer))
-    }))
-    .unwrap_or_else(|payload| Err(format!("worker panicked: {}", panic_message(&*payload))));
+    // Every engine runs under `NetConfig::kt1(n)` with the default link
+    // budget, which is exactly `ModelSpec::clique()` — so the lens fold
+    // measures utilization against the budget the run was actually
+    // admitted under. The job's one traffic fold runs live, inside
+    // `execute`: the artifact's `comm` snapshot and the live `links`
+    // aggregate both read the finished ledger.
+    let n = job.spec.graph.n();
+    let marks = PhaseMarks::default();
+    let outcome = LedgerTracer::new(n, &ModelSpec::clique())
+        .map_err(|e| format!("comm fold: {e}"))
+        .and_then(|ledger| {
+            let tracer = StreamTracer {
+                ledger: ledger.clone(),
+                marks: Arc::clone(&marks),
+                reply: job.reply.clone(),
+                id: job.id.clone(),
+            };
+            #[cfg(test)]
+            let tracer = test_faults::maybe_bad_batch(&job.id, n, tracer);
+            // Contain panics at the job boundary: `execute` runs
+            // lock-free, so a panic here (an algorithm bug, a
+            // poisoned-input assert) must cost exactly one job — it folds
+            // into the ordinary `Err` path below, which decrements
+            // `running`, retires the pending entry, and answers this
+            // submitter and every coalesced waiter with an `error`
+            // response. Without this, the worker thread dies: the pool
+            // quietly loses a thread per bad job until the daemon stops
+            // serving.
+            let exec = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                #[cfg(test)]
+                test_faults::maybe_panic();
+                execute(&job.spec, Box::new(tracer))
+            }))
+            .unwrap_or_else(|payload| {
+                Err(format!("worker panicked: {}", panic_message(&*payload)))
+            })?;
+            // A refused batch is a job error like any other, never a
+            // panic outside the contained region.
+            let lens = ledger.finish().map_err(|e| format!("comm fold: {e}"))?;
+            Ok((exec, lens))
+        });
     let finished_unix = shared.clock.now_nanos().max(started_unix);
     let compute_nanos = finished_unix - started_unix;
 
     match outcome {
-        Ok(exec) => {
-            let events = rec.events();
-            let phases = phase_marks(&events);
-            // Every engine runs under `NetConfig::kt1(n)` with the default
-            // link budget, which is exactly `ModelSpec::clique()` — so the
-            // lens fold measures utilization against the budget the run
-            // was actually admitted under. This is the job's one traffic
-            // fold: the artifact's `comm` snapshot and the live `links`
-            // aggregate both read it.
-            let lens = CommLedger::fold(job.spec.graph.n(), &ModelSpec::clique(), &events)
-                .expect("a completed run's recorded stream always folds");
+        Ok((exec, lens)) => {
+            let phases = std::mem::take(&mut *marks.lock().expect("phase marks poisoned"));
             let mut artifact = RunArtifact::new("cc-serve")
                 .with_meta("algorithm", job.spec.algorithm.tag())
                 .with_meta("engine", job.spec.engine.tag())
@@ -1059,7 +1087,7 @@ mod tests {
 
         // Arm the one-shot fault: the next executed job panics inside
         // the contained region of `run_job`.
-        test_panic::INJECT.store(true, std::sync::atomic::Ordering::SeqCst);
+        test_faults::INJECT.store(true, std::sync::atomic::Ordering::SeqCst);
         assert_eq!(server.submit("boom", spec(1), &tx), SubmitOutcome::Enqueued);
         match drain_terminal(&rx) {
             Response::Error { id, error } => {
@@ -1101,6 +1129,43 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.completed, 2);
+        server.join();
+    }
+
+    #[test]
+    fn a_refused_batch_is_a_job_error_and_the_worker_survives() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let (tx, rx) = channel();
+        // The tracer of this job sees a batch naming node n = 16.
+        assert_eq!(
+            server.submit(test_faults::BAD_BATCH_ID, spec(3), &tx),
+            SubmitOutcome::Enqueued
+        );
+        match drain_terminal(&rx) {
+            Response::Error { id, error } => {
+                assert_eq!(id, test_faults::BAD_BATCH_ID);
+                assert!(
+                    error.starts_with("comm fold: ") && error.contains("node 16"),
+                    "error should name the fold and the node, got {error:?}"
+                );
+            }
+            other => panic!("expected error, got {other:?}"),
+        }
+        // The only worker is still there, and the same spec is not
+        // cached as a failure.
+        assert_eq!(server.submit("next", spec(3), &tx), SubmitOutcome::Enqueued);
+        match drain_terminal(&rx) {
+            Response::Result { cached, .. } => assert!(!cached),
+            other => panic!("expected result, got {other:?}"),
+        }
+        let health = server.health();
+        assert_eq!(health.workers_alive, 1);
+        assert_eq!(health.in_flight, 0);
+        let stats = server.stats();
+        assert_eq!((stats.failed, stats.completed), (1, 1));
         server.join();
     }
 

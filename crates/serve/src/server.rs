@@ -115,7 +115,11 @@ pub fn run_session<R: BufRead, W: Write + Send + 'static>(
     let writer_thread = std::thread::spawn(move || -> std::io::Result<W> {
         let mut w = writer;
         for response in rx {
-            writeln!(w, "{}", response.to_line())?;
+            // One buffer, one write: a line split over two sends makes
+            // the second wait out the peer's delayed ACK on TCP.
+            let mut line = response.to_line();
+            line.push('\n');
+            w.write_all(line.as_bytes())?;
             w.flush()?;
         }
         Ok(w)
@@ -262,6 +266,55 @@ mod tests {
             .filter(|r| r.get("id").and_then(Json::as_str) == Some(id))
             .map(|r| r.get("kind").and_then(Json::as_str).unwrap())
             .collect()
+    }
+
+    /// A writer that keeps every `write` call's bytes separately.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_is_one_write_of_one_line() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        // Cold job, duplicate (hit or coalesced), probes, a parse error.
+        let input = [
+            submit_line("a", 1),
+            submit_line("b", 1),
+            "{\"op\":\"stats\"}".to_string(),
+            "{\"op\":\"health\"}".to_string(),
+            "not json".to_string(),
+        ]
+        .join("\n");
+        let log = run_session(&server, Cursor::new(input), WriteLog::default(), true).unwrap();
+        server.join();
+        assert!(
+            log.0.len() >= 7,
+            "queued/running/result + probes: {}",
+            log.0.len()
+        );
+        for call in &log.0 {
+            let text = std::str::from_utf8(call).unwrap();
+            assert!(text.ends_with('\n'), "a write must end its line: {text:?}");
+            assert_eq!(
+                text.matches('\n').count(),
+                1,
+                "one line per write: {text:?}"
+            );
+            Json::parse(text.trim_end()).unwrap();
+        }
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! End-to-end serve tests: hash canonicalization properties, worker-pool
-//! shutdown semantics under load, in-flight capacity, and the duplicate
-//! cache-hit guarantee.
+//! shutdown semantics under load, in-flight capacity, the duplicate
+//! cache-hit guarantee, and the live comm fold matching a recorded one.
 //!
 //! The load-shaped tests gate at runtime like `tests/stress.rs`: they run
 //! in release builds (CI's smoke check) and skip in debug unless
 //! `CC_STRESS=1`.
 
+use cc_lens::{comm_metrics, CommLedger};
+use cc_model::ModelSpec;
 use cc_serve::hash::{graph_digest, mix64, wgraph_digest};
-use cc_serve::job::{Algorithm, Engine, GraphSpec, JobSpec};
+use cc_serve::job::{execute, Algorithm, Engine, GraphSpec, JobSpec};
 use cc_serve::pool::{Response, ServeConfig, Server, SubmitOutcome};
+use cc_trace::{RecordingTracer, RunArtifact};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::mpsc::channel;
@@ -340,5 +343,50 @@ fn small_mix_smoke() {
         }
     }
     assert_eq!(results, 6);
+    server.join();
+}
+
+/// The live fold a worker runs while the job executes gives exactly the
+/// `comm` snapshot that folding a separately recorded run of the same
+/// spec gives, for every job kind.
+#[test]
+fn live_comm_snapshot_equals_the_fold_of_a_recorded_run() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let (tx, rx) = channel();
+    let specs = [gc_job(16, 1, 1), mst_job(12, 2, 1), rt_job(12, 3, 1)];
+    for (i, spec) in specs.iter().enumerate() {
+        assert_eq!(
+            server.submit(&format!("j{i}"), spec.clone(), &tx),
+            SubmitOutcome::Enqueued
+        );
+        let artifact = loop {
+            match rx.recv().expect("a terminal response must arrive") {
+                Response::Result { artifact, .. } => break artifact,
+                r if r.terminal() => panic!("expected a result, got {r:?}"),
+                _ => {}
+            }
+        };
+        let artifact = RunArtifact::from_json_str(&artifact).unwrap();
+        let served = artifact
+            .metrics
+            .iter()
+            .find(|(name, _)| name == "comm")
+            .map(|(_, m)| m.to_json().emit())
+            .expect("a comm snapshot");
+
+        let rec = RecordingTracer::new();
+        execute(spec, Box::new(rec.clone())).unwrap();
+        let n = spec.graph.n();
+        let folded = CommLedger::fold(n, &ModelSpec::clique(), &rec.events()).unwrap();
+        assert_eq!(
+            served,
+            comm_metrics(&folded).to_json().emit(),
+            "{}",
+            spec.algorithm.tag()
+        );
+    }
     server.join();
 }

@@ -13,12 +13,11 @@
 
 use congested_clique::core::run_connectivity;
 use congested_clique::graph::generators;
-use congested_clique::lens::CommLedger;
+use congested_clique::lens::LedgerTracer;
 use congested_clique::model::ModelSpec;
 use congested_clique::net::NetConfig;
 use congested_clique::runtime::program::examples::FloodEcho;
 use congested_clique::runtime::Runtime;
-use congested_clique::trace::RecordingTracer;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -89,18 +88,17 @@ fn main() {
     // The same flood on 4 machines: run it serially under the mapping
     // and fold the traced sends into machine-level accounting.
     let spec = ModelSpec::clique().kmachine(4);
-    let rec = RecordingTracer::new();
+    let fold = LedgerTracer::new(n, &spec).unwrap();
     let mut mapped = Runtime::serial(cfg.clone().with_model(&spec));
-    mapped.set_tracer(Box::new(rec.clone()));
+    mapped.set_tracer(Box::new(fold.clone()));
     mapped.run(flood_programs(&adj), 10_000).unwrap();
     assert_eq!(
         mapped.cost(),
         serial.cost(),
         "a mapping changes no logical cost"
     );
-    let machine = CommLedger::fold(n, &spec, &rec.model_events())
-        .unwrap()
-        .machine_stats();
+    drop(mapped);
+    let machine = fold.finish().unwrap().machine_stats();
     println!(
         "  on 4 machines: {} machine rounds for {} logical, {} remote / {} local words",
         machine.machine_rounds, machine.logical_rounds, machine.remote_words, machine.local_words

@@ -9,9 +9,8 @@
 
 use crate::claims::ClaimResult;
 use crate::table::Table;
-use cc_core::exact_mst::{exact_mst, ExactMstConfig};
+use cc_core::catalog::Entry;
 use cc_core::gc::{self, GcConfig};
-use cc_core::kt1_mst::{kt1_mst, Kt1MstConfig};
 use cc_graph::generators;
 use cc_lens::{comm_metrics, LedgerTracer};
 use cc_model::ModelSpec;
@@ -95,60 +94,48 @@ pub const KT1_MST_PHASES: &[&str] = &[
 ];
 
 /// Runs the three headline algorithms (GC, EXACT-MST, KT1-MST) at small
-/// scale and captures per-phase cost breakdowns from their scope counters.
+/// scale through [`cc_core::catalog`] and captures per-phase cost
+/// breakdowns from their scope counters.
 ///
 /// # Panics
 ///
-/// Panics if any of the runs fails (fixed seeds; a failure is a bug).
+/// Panics if any of the runs fails or its answer fails its check (fixed
+/// seeds; a failure is a bug).
 pub fn headline_breakdowns(quick: bool) -> Vec<PhaseBreakdown> {
     let (n_gc, n_mst) = if quick { (64, 32) } else { (128, 64) };
-    let mut out = Vec::new();
-
-    // GC.
-    {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let g = generators::random_connected_graph(n_gc, 0.1, &mut rng);
-        let mut net = Net::new(NetConfig::kt1(n_gc).with_seed(9));
-        gc::run_on(&mut net, &g, &GcConfig::default()).expect("gc run");
-        out.push(PhaseBreakdown {
-            algo: "gc".into(),
-            n: n_gc as u64,
+    let rng = ChaCha8Rng::seed_from_u64;
+    let g_gc = generators::random_connected_graph(n_gc, 0.1, &mut rng(1));
+    let g_mst = generators::random_connected_wgraph(n_mst, 0.3, 10_000, &mut rng(2));
+    let sparse = 4.0 / n_mst as f64;
+    let g_kt1 = generators::random_connected_wgraph(n_mst, sparse, 10_000, &mut rng(3));
+    [
+        ("gc", Entry::GcSketch(&g_gc), n_gc, 9, GC_PHASES),
+        (
+            "exact-mst",
+            Entry::ExactMst(&g_mst),
+            n_mst,
+            5,
+            EXACT_MST_PHASES,
+        ),
+        ("kt1-mst", Entry::Kt1Mst(&g_kt1), n_mst, 7, KT1_MST_PHASES),
+    ]
+    .into_iter()
+    .map(|(algo, entry, n, seed, phases)| {
+        let mut net = Net::new(NetConfig::kt1(n).with_seed(seed));
+        let answer = entry
+            .run(&mut net)
+            .unwrap_or_else(|e| panic!("{algo}: {e}"));
+        entry
+            .check(&answer)
+            .unwrap_or_else(|why| panic!("{algo}: {why}"));
+        PhaseBreakdown {
+            algo: algo.into(),
+            n: n as u64,
             total: net.cost().snapshot(),
-            phases: phases_from_scopes(net.counters().scopes(), GC_PHASES),
-        });
-    }
-
-    // EXACT-MST.
-    {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let g = generators::random_connected_wgraph(n_mst, 0.3, 10_000, &mut rng);
-        let mut net = Net::new(NetConfig::kt1(n_mst).with_seed(5));
-        let start = net.cost();
-        exact_mst(&mut net, &g, &ExactMstConfig::default()).expect("exact-mst run");
-        out.push(PhaseBreakdown {
-            algo: "exact-mst".into(),
-            n: n_mst as u64,
-            total: net.cost().since(&start).snapshot(),
-            phases: phases_from_scopes(net.counters().scopes(), EXACT_MST_PHASES),
-        });
-    }
-
-    // KT1-MST.
-    {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let g = generators::random_connected_wgraph(n_mst, 4.0 / n_mst as f64, 10_000, &mut rng);
-        let mut net = Net::new(NetConfig::kt1(n_mst).with_seed(7));
-        let start = net.cost();
-        kt1_mst(&mut net, &g, &Kt1MstConfig::default()).expect("kt1-mst run");
-        out.push(PhaseBreakdown {
-            algo: "kt1-mst".into(),
-            n: n_mst as u64,
-            total: net.cost().since(&start).snapshot(),
-            phases: phases_from_scopes(net.counters().scopes(), KT1_MST_PHASES),
-        });
-    }
-
-    out
+            phases: phases_from_scopes(net.counters().scopes(), phases),
+        }
+    })
+    .collect()
 }
 
 /// Runs GC once under a [`LedgerTracer`] and returns its `comm.*`

@@ -22,8 +22,8 @@
 //! At the defaults the two tables are the committed `docs/grid_e22.md`
 //! and `docs/grid_e23.md` (see `scripts/model_record.sh`).
 //!
-//! Exit codes: 0 ok, 1 wrong answer or artifact invariant violation,
-//! 2 usage or I/O error.
+//! Exit codes: 0 ok, 1 failed cell (wrong answer or exhausted sketch)
+//! or artifact invariant violation, 2 usage or I/O error.
 
 use cc_bench::cli::{Args, Usage};
 use cc_bench::grid::{render_markdown, render_utilization_markdown, run_grid, GridConfig};
@@ -82,11 +82,12 @@ fn main() {
     }
 
     // The whole point of the grid is that degradation is always typed,
-    // never silent: a wrong answer fails the run.
-    let wrong = artifact.wrong_answers();
-    if !wrong.is_empty() {
-        eprintln!("wrong answers detected:");
-        for c in &wrong {
+    // never silent: a failed cell — a wrong answer or an exhausted
+    // sketch — fails the run.
+    let failed = artifact.failed();
+    if !failed.is_empty() {
+        eprintln!("failed cells:");
+        for c in &failed {
             eprintln!(
                 "  - {}/{}: {}",
                 c.cell_key(),

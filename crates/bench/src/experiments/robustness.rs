@@ -8,16 +8,16 @@
 //! The harness is the consumer the `cc-chaos` subsystem exists for: a
 //! fault plan interposes on the very same `CliqueNet` the algorithms
 //! run on, every run is replayable from `(schedule, seed)`, and the
-//! headline claim — **zero silent wrong answers for GC and EXACT-MST
-//! with validation enabled** — is enforced by `verify the table` tests
-//! and the `chaos` binary's exit code.
+//! headline claim — **zero silent wrong answers with validation
+//! enabled** — is enforced by `verify the table` tests and the `chaos`
+//! binary's exit code. Each row runs and checks one
+//! [`cc_core::catalog`] entry; the Kruskal / component-label reference
+//! comparison stays here as the independent differential.
 
 use crate::table::{f, Table};
 use cc_chaos::{FaultPlan, LinkSelector, Outcome, RoundRange};
-use cc_core::exact_mst::{exact_mst, ExactMstConfig};
+use cc_core::catalog::{Answer, Entry};
 use cc_core::gc::{self, GcConfig};
-use cc_core::kt1_mst::{kt1_mst, Kt1MstConfig};
-use cc_core::{validate_gc, validate_mst_minimal, CoreError};
 use cc_graph::connectivity::component_labels;
 use cc_graph::{generators, WGraph};
 use cc_net::NetConfig;
@@ -76,30 +76,19 @@ pub fn ci_schedules(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// One faulted algorithm run, fully classified.
-struct Classified {
-    outcome: Outcome,
-    faults: u64,
-    detail: String,
-}
-
-/// Runs `algo` on a fresh faulted net and classifies the result.
+/// Runs `entry` on a fresh faulted net and classifies the result as
+/// `(outcome, injected faults, detail)`.
 ///
 /// `finished` = the run returned `Ok` (panics are caught and count as
-/// loud failures); `accepted` = the output validator said yes;
-/// `matches` = the differential check against the sequential reference
-/// agreed. [`Outcome::classify`] folds the three into the taxonomy.
-fn classify<T>(
-    net_cfg: NetConfig,
-    plan: &FaultPlan,
-    algo: impl FnOnce(&mut Net) -> Result<T, CoreError>,
-    check: impl FnOnce(&T) -> (bool, bool, String),
-) -> Classified {
+/// loud failures); `accepted` = the entry's check said yes; `matches` =
+/// the differential check against the sequential reference agreed.
+/// [`Outcome::classify`] folds the three into the taxonomy.
+fn classify(net_cfg: NetConfig, plan: &FaultPlan, entry: &Entry) -> (Outcome, u64, String) {
     let rec = RecordingTracer::new();
     let mut net = Net::new(net_cfg);
     net.set_tracer(Box::new(rec.clone()));
     net.set_fault_injector(Box::new(plan.injector()));
-    let result = catch_unwind(AssertUnwindSafe(|| algo(&mut net)));
+    let result = catch_unwind(AssertUnwindSafe(|| entry.run(&mut net)));
     let faults = rec
         .events()
         .iter()
@@ -115,20 +104,33 @@ fn classify<T>(
             (Outcome::DetectedFailure, format!("panic: {msg}"))
         }
         Ok(Err(e)) => (Outcome::DetectedFailure, format!("error: {e}")),
-        Ok(Ok(out)) => {
-            let (accepted, matches, detail) = check(&out);
-            (Outcome::classify(true, accepted, matches), detail)
+        Ok(Ok(answer)) => {
+            let accepted = entry.check(&answer);
+            let matches = matches_reference(entry, &answer);
+            (
+                Outcome::classify(true, accepted.is_ok(), matches),
+                accepted.err().unwrap_or_default(),
+            )
         }
     };
-    Classified {
-        outcome,
-        faults,
-        detail,
+    (outcome, faults, detail)
+}
+
+/// The independent differential: does `answer` agree with the
+/// sequential reference (component labels for GC, Kruskal's weight for
+/// both MSTs)?
+fn matches_reference(entry: &Entry, answer: &Answer) -> bool {
+    let kruskal = |g| WGraph::total_weight(&cc_graph::mst::kruskal(g));
+    match (*entry, answer) {
+        (Entry::GcSketch(g), Answer::Gc(out)) => out.labels == component_labels(g),
+        (Entry::ExactMst(g), Answer::ExactMst(run)) => WGraph::total_weight(&run.mst) == kruskal(g),
+        (Entry::Kt1Mst(g), Answer::Kt1Mst(run)) => WGraph::total_weight(&run.mst) == kruskal(g),
+        _ => false,
     }
 }
 
-/// Runs every algorithm under every CI schedule and returns one record
-/// per run (the artifact's `robustness` section).
+/// Runs every catalog entry under every CI schedule and returns one
+/// record per run (the artifact's `robustness` section).
 pub fn robustness_records(quick: bool) -> Vec<RobustnessRecord> {
     let n = if quick { 24 } else { 48 };
     let seed = 0xC1A05u64;
@@ -136,71 +138,26 @@ pub fn robustness_records(quick: bool) -> Vec<RobustnessRecord> {
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let g_gc = generators::random_connected_graph(n, 0.15, &mut rng);
-    let gc_reference = component_labels(&g_gc);
     let g_mst = generators::random_connected_wgraph(n, 0.3, 10_000, &mut rng);
-    let mst_reference = WGraph::total_weight(&cc_graph::mst::kruskal(&g_mst));
     let g_kt1 = generators::random_connected_wgraph(n, 4.0 / n as f64, 10_000, &mut rng);
-    let kt1_reference = WGraph::total_weight(&cc_graph::mst::kruskal(&g_kt1));
+    let rows = [
+        ("gc", Entry::GcSketch(&g_gc)),
+        ("exact-mst", Entry::ExactMst(&g_mst)),
+        ("kt1-mst", Entry::Kt1Mst(&g_kt1)),
+    ];
 
     let mut records = Vec::new();
     for (schedule, plan) in ci_schedules(seed) {
-        let runs: Vec<(&str, Classified)> = vec![
-            (
-                "gc",
-                classify(
-                    net_cfg(),
-                    &plan,
-                    |net| gc::run_on(net, &g_gc, &GcConfig::default()),
-                    |out| {
-                        let accepted = validate_gc(&g_gc, out);
-                        let matches = out.labels == gc_reference;
-                        let detail = accepted.clone().err().unwrap_or_default();
-                        (accepted.is_ok(), matches, detail)
-                    },
-                ),
-            ),
-            (
-                "exact-mst",
-                classify(
-                    net_cfg(),
-                    &plan,
-                    |net| exact_mst(net, &g_mst, &ExactMstConfig::default()),
-                    |run| {
-                        let accepted = validate_mst_minimal(&g_mst, &run.mst);
-                        let matches = WGraph::total_weight(&run.mst) == mst_reference;
-                        let detail = accepted.clone().err().unwrap_or_default();
-                        (accepted.is_ok(), matches, detail)
-                    },
-                ),
-            ),
-            (
-                "kt1-mst",
-                classify(
-                    net_cfg(),
-                    &plan,
-                    |net| kt1_mst(net, &g_kt1, &Kt1MstConfig::default()),
-                    |run| {
-                        let accepted = if run.complete {
-                            validate_mst_minimal(&g_kt1, &run.mst)
-                        } else {
-                            Err("run did not converge within the phase cap".into())
-                        };
-                        let matches = WGraph::total_weight(&run.mst) == kt1_reference;
-                        let detail = accepted.clone().err().unwrap_or_default();
-                        (accepted.is_ok(), matches, detail)
-                    },
-                ),
-            ),
-        ];
-        for (algo, c) in runs {
+        for (algo, entry) in &rows {
+            let (outcome, faults, detail) = classify(net_cfg(), &plan, entry);
             records.push(RobustnessRecord {
-                algo: algo.into(),
+                algo: (*algo).into(),
                 schedule: schedule.into(),
                 n: n as u64,
                 seed,
-                outcome: c.outcome.as_str().into(),
-                faults: c.faults,
-                detail: c.detail,
+                outcome: outcome.as_str().into(),
+                faults,
+                detail,
             });
         }
     }
@@ -258,28 +215,29 @@ pub fn whp_points(quick: bool) -> Vec<WhpPoint> {
         phases: Some(0),
         families: Some(STARVED_FAMILIES),
     };
-    let mut points = Vec::new();
-    for &n in ns {
-        let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
-        let g = generators::random_connected_graph(n, 0.2, &mut rng);
-        let reference = component_labels(&g);
-        let mut failures = 0u64;
-        for trial in 0..trials {
-            let cfg = NetConfig::kt1(n)
-                .with_seed(0x5EED + 977 * trial + n as u64)
-                .with_round_cap(ROUND_CAP);
-            match gc::run_with(&g, &cfg, &starved) {
-                Ok(run) if run.output.labels == reference => {}
-                _ => failures += 1,
-            }
-        }
-        points.push(WhpPoint {
+    ns.iter()
+        .map(|&n| WhpPoint {
             n: n as u64,
             trials,
-            failures,
-        });
-    }
-    points
+            failures: sweep_failures(n, trials, &starved),
+        })
+        .collect()
+}
+
+/// Failed GC runs (a loud error or a wrong labelling) over `trials`
+/// seeds at clique size `n` under `cfg`, on the sweep's fixed graph.
+fn sweep_failures(n: usize, trials: u64, cfg: &GcConfig) -> u64 {
+    let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
+    let g = generators::random_connected_graph(n, 0.2, &mut rng);
+    let reference = component_labels(&g);
+    (0..trials)
+        .filter(|trial| {
+            let net_cfg = NetConfig::kt1(n)
+                .with_seed(0x5EED + 977 * trial + n as u64)
+                .with_round_cap(ROUND_CAP);
+            !matches!(gc::run_with(&g, &net_cfg, cfg), Ok(run) if run.output.labels == reference)
+        })
+        .count() as u64
 }
 
 /// E17b — the whp sweep rendered from [`whp_points`], with the paper's
@@ -297,24 +255,10 @@ pub fn e17b_whp_sweep(quick: bool) -> Table {
             "paper_failures",
         ],
     );
-    let points = whp_points(quick);
-    for p in &points {
+    for p in &whp_points(quick) {
         // Control: same sweep under the paper's defaults (failures here
         // would indicate a harness bug, not a sketch property).
-        let mut rng = ChaCha8Rng::seed_from_u64(p.n);
-        let g = generators::random_connected_graph(p.n as usize, 0.2, &mut rng);
-        let reference = component_labels(&g);
-        let control_trials = p.trials.min(20);
-        let mut control_failures = 0u64;
-        for trial in 0..control_trials {
-            let cfg = NetConfig::kt1(p.n as usize)
-                .with_seed(0x5EED + 977 * trial + p.n)
-                .with_round_cap(ROUND_CAP);
-            match gc::run_with(&g, &cfg, &GcConfig::default()) {
-                Ok(run) if run.output.labels == reference => {}
-                _ => control_failures += 1,
-            }
-        }
+        let control_failures = sweep_failures(p.n as usize, p.trials.min(20), &GcConfig::default());
         t.push_row(vec![
             p.n.to_string(),
             p.trials.to_string(),
@@ -349,14 +293,12 @@ mod tests {
                 assert_eq!(r.faults, 0, "{}: clean run saw faults", r.algo);
             }
             // The headline acceptance criterion: with validation enabled,
-            // GC and EXACT-MST never silently lie.
-            if r.algo != "kt1-mst" {
-                assert_ne!(
-                    r.outcome, "silent-wrong-answer",
-                    "{} under {} returned a silent wrong answer",
-                    r.algo, r.schedule
-                );
-            }
+            // no catalog entry ever silently lies.
+            assert_ne!(
+                r.outcome, "silent-wrong-answer",
+                "{} under {} returned a silent wrong answer",
+                r.algo, r.schedule
+            );
         }
         // At least one schedule must actually have injected faults.
         assert!(records.iter().any(|r| r.faults > 0));

@@ -8,8 +8,11 @@
 //! cell, exactly one of three *typed* outcomes:
 //!
 //! * **ok** — the run completed *and its answer was validated* against
-//!   an independent checker ([`cc_core::validate_gc`],
-//!   [`cc_core::validate_mst_minimal`], or sequential component labels).
+//!   an independent checker. `gc-sketch` (unicast cells) and `exact-mst`
+//!   run and check through [`cc_core::catalog`]; the two special cases
+//!   outside it are broadcast-only `gc-sketch` (label propagation,
+//!   checked by [`cc_core::validate_gc`]) and `rt-conn` (checked against
+//!   sequential component labels).
 //! * **model-reject** — the simulator refused the run with a typed
 //!   [`NetError`](cc_net::NetError) naming the round and link where the
 //!   algorithm first stepped outside the cell's model (e.g. `exact-mst`
@@ -18,7 +21,8 @@
 //! * **failed** — the run completed but the answer did not validate
 //!   (a *wrong answer* — the one outcome the harness treats as fatal),
 //!   or the Monte Carlo sampler was exhausted (`sketch-exhausted`, a
-//!   detected failure the paper bounds by `1/n^{Ω(1)}`).
+//!   detected failure the paper bounds by `1/n^{Ω(1)}`). The `grid`
+//!   binary exits 1 on any failed cell.
 //!
 //! There is deliberately no fourth category: a cell can degrade a
 //! workload by refusing it or slowing it, but never by letting it return
@@ -35,14 +39,12 @@
 //! (`docs/grid_e22.md`, `docs/grid_e23.md`) CI diffs against a fresh
 //! sweep. Per-cell wall time stays in the grid artifact only.
 
-use cc_core::{
-    broadcast_gc, exact_mst, gc, run_connectivity, validate_gc, validate_mst_minimal, CoreError,
-    ExactMstConfig, GcConfig, GcOutput,
-};
-use cc_graph::{connectivity, generators, Graph, UnionFind, WGraph};
+use cc_core::catalog::Entry;
+use cc_core::{broadcast_gc, run_connectivity, validate_gc, CoreError, GcOutput};
+use cc_graph::{connectivity, generators, Edge, Graph};
 use cc_lens::{CommReport, LedgerTracer};
 use cc_model::{LinkMode, MachineStats, Mapping, ModelSpec};
-use cc_net::NetConfig;
+use cc_net::{Cost, NetConfig};
 use cc_route::Net;
 use cc_runtime::Runtime;
 use cc_trace::Json;
@@ -467,14 +469,12 @@ impl GridArtifact {
         }
     }
 
-    /// Cells that completed with a wrong answer — the outcomes the grid
-    /// binary refuses to exit 0 over.
-    pub fn wrong_answers(&self) -> Vec<&CellResult> {
+    /// Failed cells (a wrong answer or an exhausted sketch) — the
+    /// outcomes the grid binary refuses to exit 0 over.
+    pub fn failed(&self) -> Vec<&CellResult> {
         self.cells
             .iter()
-            .filter(|c| {
-                c.status == CellStatus::Failed && c.error.as_deref() == Some("wrong-answer")
-            })
+            .filter(|c| c.status == CellStatus::Failed)
             .collect()
     }
 }
@@ -557,31 +557,52 @@ pub fn render_utilization_markdown(artifact: &GridArtifact) -> String {
     out
 }
 
-fn error_kind(e: &CoreError) -> &'static str {
-    match e {
-        CoreError::Net(net) => net.kind(),
-        CoreError::SketchExhausted { .. } => "sketch-exhausted",
+/// Folds one run (its engine already dropped) into its cell: a checked
+/// answer is `ok`, a rejected one `failed` with kind `wrong-answer`, and
+/// a [`CoreError`] a typed `model-reject` (or `failed` `sketch-exhausted`).
+fn classify(
+    spec: &ModelSpec,
+    algorithm: &str,
+    outcome: Result<Result<(), String>, CoreError>,
+    cost: Cost,
+    fold: LedgerTracer,
+    nanos: u64,
+) -> CellResult {
+    let lens = fold
+        .finish()
+        .expect("an engine's batches stay inside its clique");
+    let (status, error, detail) = match outcome {
+        Ok(Ok(())) => (CellStatus::Ok, None, None),
+        Ok(Err(why)) => (CellStatus::Failed, Some("wrong-answer"), Some(why)),
+        Err(e) => {
+            let (status, kind) = match &e {
+                CoreError::Net(net) => (CellStatus::ModelReject, net.kind()),
+                CoreError::SketchExhausted { .. } => (CellStatus::Failed, "sketch-exhausted"),
+            };
+            (status, Some(kind), Some(e.to_string()))
+        }
+    };
+    CellResult {
+        spec: *spec,
+        algorithm: algorithm.to_string(),
+        status,
+        error: error.map(str::to_string),
+        detail,
+        validated: status == CellStatus::Ok,
+        rounds: cost.rounds,
+        messages: cost.messages,
+        words: cost.words,
+        machine: lens.machine_stats(),
+        utilization: lens.report(),
+        nanos,
     }
 }
 
-/// A maximal spanning forest of `g` (union-find over its edge list) —
-/// completes `broadcast_gc`'s label-only output into the full
-/// [`GcOutput`] shape [`validate_gc`] checks, pinning the labels to the
-/// true components.
-fn maximal_forest(g: &Graph) -> Vec<cc_graph::Edge> {
-    let mut uf = UnionFind::new(g.n());
-    g.edges()
-        .into_iter()
-        .filter(|e| uf.union(e.u as usize, e.v as usize))
-        .collect()
-}
-
-/// Runs one `CliqueNet`-based workload in one cell: builds the net from
-/// the spec, traces it, times it, classifies the outcome, and folds the
-/// trace into machine stats.
+/// Runs one `CliqueNet`-based workload in one cell and classifies what
+/// `run` returns: its run error, or its answer's check verdict.
 fn net_cell<F>(n: usize, seed: u64, spec: &ModelSpec, algorithm: &str, run: F) -> CellResult
 where
-    F: FnOnce(&mut Net) -> Result<(bool, Option<String>), CoreError>,
+    F: FnOnce(&mut Net) -> Result<Result<(), String>, CoreError>,
 {
     let cfg = NetConfig::from_model(n, spec)
         .expect("grid cells are pre-validated")
@@ -595,97 +616,43 @@ where
     let nanos = t0.elapsed().as_nanos() as u64;
     let cost = net.cost();
     drop(net);
-    // One fold serves both views: the machine stats and the
-    // round-resolved utilization section.
-    let lens = fold
-        .finish()
-        .expect("an engine's batches stay inside its clique");
-    let machine = lens.machine_stats();
-    let (status, error, detail, validated) = match outcome {
-        Ok((true, _)) => (CellStatus::Ok, None, None, true),
-        Ok((false, why)) => (
-            CellStatus::Failed,
-            Some("wrong-answer".to_string()),
-            why,
-            false,
-        ),
-        Err(e) => {
-            let status = match &e {
-                CoreError::Net(_) => CellStatus::ModelReject,
-                CoreError::SketchExhausted { .. } => CellStatus::Failed,
-            };
-            (
-                status,
-                Some(error_kind(&e).to_string()),
-                Some(e.to_string()),
-                false,
-            )
-        }
-    };
-    CellResult {
-        spec: *spec,
-        algorithm: algorithm.to_string(),
-        status,
-        error,
-        detail,
-        validated,
-        rounds: cost.rounds,
-        messages: cost.messages,
-        words: cost.words,
-        machine,
-        utilization: lens.report(),
-        nanos,
-    }
+    classify(spec, algorithm, outcome, cost, fold, nanos)
 }
 
-fn gc_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
-    let forest = maximal_forest(g);
-    net_cell(n, seed, spec, "gc-sketch", |net| {
-        if spec.allows_unicast() {
-            let out = gc::run_on(net, g, &GcConfig::default())?;
-            Ok(match validate_gc(g, &out) {
-                Ok(()) => (true, None),
-                Err(why) => (false, Some(why)),
-            })
-        } else {
-            // The broadcast-only cell runs the label-propagation GC
-            // (the paper's footnote-1 algorithm); its label output is
-            // completed with an independently built spanning forest so
-            // `validate_gc` pins the labels to the true components.
-            let run = broadcast_gc(net, g)?;
-            let out = GcOutput {
-                connected: run.connected,
-                component_count: run.component_count,
-                labels: run.labels,
-                spanning_forest: forest.clone(),
-            };
-            Ok(match validate_gc(g, &out) {
-                Ok(()) => (true, None),
-                Err(why) => (false, Some(why)),
-            })
-        }
+/// One catalog entry in one cell.
+fn catalog_cell(n: usize, seed: u64, spec: &ModelSpec, entry: Entry) -> CellResult {
+    net_cell(n, seed, spec, entry.id(), |net| {
+        let answer = entry.run(net)?;
+        Ok(entry.check(&answer))
     })
 }
 
-fn mst_cell(n: usize, seed: u64, g: &WGraph, spec: &ModelSpec) -> CellResult {
-    net_cell(n, seed, spec, "exact-mst", |net| {
-        // EXACT-MST is a unicast protocol: in broadcast-only cells the
-        // first point-to-point send is the typed rejection the grid
-        // documents (there is no broadcast-only MST in the paper).
-        let run = exact_mst(net, g, &ExactMstConfig::default())?;
-        Ok(match validate_mst_minimal(g, &run.mst) {
-            Ok(()) => (true, None),
-            Err(why) => (false, Some(why)),
-        })
+/// `gc-sketch` in one cell. Broadcast-only cells run the
+/// label-propagation GC (the paper's footnote-1 algorithm) instead of
+/// the catalog entry; its label output is completed with an
+/// independently built spanning forest ([`connectivity::spanning_forest`])
+/// so `validate_gc` pins the labels to the true components.
+fn gc_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
+    if spec.allows_unicast() {
+        return catalog_cell(n, seed, spec, Entry::GcSketch(g));
+    }
+    net_cell(n, seed, spec, "gc-sketch", |net| {
+        let run = broadcast_gc(net, g)?;
+        let out = GcOutput {
+            connected: run.connected,
+            component_count: run.component_count,
+            labels: run.labels,
+            spanning_forest: connectivity::spanning_forest(g)
+                .into_iter()
+                .map(|(u, v)| Edge::new(u, v))
+                .collect(),
+        };
+        Ok(validate_gc(g, &out))
     })
 }
 
 fn rt_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
-    let mut adj = vec![Vec::new(); n];
-    for e in g.edges() {
-        adj[e.u as usize].push(e.v as usize);
-        adj[e.v as usize].push(e.u as usize);
-    }
+    let adj = g.adjacency_lists();
     let truth = connectivity::component_labels(g);
     let cfg = NetConfig::kt1(n)
         .with_seed(seed)
@@ -695,55 +662,25 @@ fn rt_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
     let fold = LedgerTracer::new(n, spec).expect("grid cells are pre-validated");
     rt.set_tracer(Box::new(fold.clone()));
     let t0 = Instant::now();
-    let outcome = run_connectivity(&mut rt, &adj, None, GRID_ROUND_CAP);
+    let result = run_connectivity(&mut rt, &adj, None, GRID_ROUND_CAP);
     let nanos = t0.elapsed().as_nanos() as u64;
     let cost = rt.cost();
     drop(rt);
-    let lens = fold
-        .finish()
-        .expect("an engine's batches stay inside its clique");
-    let (status, error, detail, validated) = match outcome {
-        Ok(out) if out.labels == truth => (CellStatus::Ok, None, None, true),
-        Ok(out) => (
-            CellStatus::Failed,
-            Some("wrong-answer".to_string()),
-            Some(format!(
+    let outcome = result.map(|out| {
+        if out.labels == truth {
+            Ok(())
+        } else {
+            Err(format!(
                 "labels disagree with sequential components ({} vs {} classes)",
                 out.component_count,
                 truth
                     .iter()
                     .collect::<std::collections::BTreeSet<_>>()
                     .len()
-            )),
-            false,
-        ),
-        Err(e) => {
-            let status = match &e {
-                CoreError::Net(_) => CellStatus::ModelReject,
-                CoreError::SketchExhausted { .. } => CellStatus::Failed,
-            };
-            (
-                status,
-                Some(error_kind(&e).to_string()),
-                Some(e.to_string()),
-                false,
-            )
+            ))
         }
-    };
-    CellResult {
-        spec: *spec,
-        algorithm: "rt-conn".to_string(),
-        status,
-        error,
-        detail,
-        validated,
-        rounds: cost.rounds,
-        messages: cost.messages,
-        words: cost.words,
-        machine: lens.machine_stats(),
-        utilization: lens.report(),
-        nanos,
-    }
+    });
+    classify(spec, "rt-conn", outcome, cost, fold, nanos)
 }
 
 /// Runs the full sweep: every cell × every algorithm on fixed seeded
@@ -759,7 +696,12 @@ pub fn run_grid(cfg: &GridConfig) -> GridArtifact {
     let mut artifact = GridArtifact::new(n, cfg.seed);
     for spec in cfg.cells() {
         artifact.cells.push(gc_cell(n, cfg.seed, &g, &spec));
-        artifact.cells.push(mst_cell(n, cfg.seed, &wg, &spec));
+        // EXACT-MST is a unicast protocol: in broadcast-only cells its
+        // first point-to-point send is the typed rejection the grid
+        // documents (there is no broadcast-only MST in the paper).
+        artifact
+            .cells
+            .push(catalog_cell(n, cfg.seed, &spec, Entry::ExactMst(&wg)));
         artifact.cells.push(rt_cell(n, cfg.seed, &g, &spec));
     }
     artifact
@@ -788,7 +730,7 @@ mod tests {
         let art = small_grid();
         assert_eq!(art.cells.len(), 2 * 2 * 3 * 3, "cells × algorithms");
         art.validate().expect("artifact validates");
-        assert!(art.wrong_answers().is_empty(), "{:?}", art.wrong_answers());
+        assert!(art.failed().is_empty(), "{:?}", art.failed());
 
         // Broadcast-only GC must be ok and validated in every bc cell
         // (label propagation is broadcast-native, one word per message).
@@ -907,7 +849,7 @@ mod tests {
         let rec = RecordingTracer::new();
         let mut net = Net::new(cfg);
         net.set_tracer(Box::new(rec.clone()));
-        gc::run_on(&mut net, &g, &GcConfig::default()).expect("gc");
+        Entry::GcSketch(&g).run(&mut net).expect("gc");
         let cost = net.cost();
         let lens = CommLedger::fold(n, &spec, &rec.model_events()).unwrap();
         assert_eq!(lens.words(), cost.words);

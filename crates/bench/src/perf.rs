@@ -15,13 +15,16 @@
 //! Every network and kernel case runs twice with a fixed seed, so the
 //! model quantities — rounds, messages, words — must be bit-identical
 //! across the two runs; [`perf_tables`] panics if they are not, because
-//! that would mean nondeterminism. Built with `--features count-allocs`,
-//! the cost and sketch tables gain the first run's allocation columns.
+//! that would mean nondeterminism. The sketch-GC and EXACT-MST cases run
+//! through [`cc_core::catalog`], so a wrong answer panics too. Built
+//! with `--features count-allocs`, the cost and sketch tables gain the
+//! first run's allocation columns.
 
 use crate::loadgen::{run, LoadgenConfig};
 use crate::Table;
-use cc_core::{exact_mst, gc, run_connectivity, ExactMstConfig};
-use cc_graph::{generators, Graph};
+use cc_core::catalog::Entry;
+use cc_core::run_connectivity;
+use cc_graph::generators;
 use cc_net::{Cost, NetConfig};
 use cc_route::{all_to_all_share, Net};
 use cc_runtime::{Backend, Runtime};
@@ -83,36 +86,35 @@ fn push(t: &mut Table, mut cells: Vec<String>, m: &Measured) {
     t.push_row(cells);
 }
 
-fn adjacency(g: &Graph) -> Vec<Vec<usize>> {
-    let mut adj = vec![Vec::new(); g.n()];
-    for e in g.edges() {
-        adj[e.u as usize].push(e.v as usize);
-        adj[e.v as usize].push(e.u as usize);
-    }
-    adj
+/// Runs `entry` on a fresh seeded net via [`measure`], then panics unless
+/// its answer passes the entry's check (outside the measured region, so
+/// the allocation columns stay the algorithm's own).
+fn catalog_case(n: usize, entry: Entry) -> Measured {
+    let key = format!("{}/n={n}", entry.id());
+    let mut answer = None;
+    let measured = measure(&key, || {
+        let mut net = Net::new(NetConfig::kt1(n).with_seed(n as u64));
+        answer = Some(entry.run(&mut net).unwrap_or_else(|e| panic!("{key}: {e}")));
+        net.cost()
+    });
+    entry
+        .check(&answer.expect("measure runs the case"))
+        .unwrap_or_else(|why| panic!("{key}: {why}"));
+    measured
 }
 
 /// Theorem 4 sketch-GC, full pipeline on the direct simulator.
 fn gc_case(n: usize) -> Measured {
     let mut rng = ChaCha8Rng::seed_from_u64(4000 + n as u64);
     let g = generators::random_connected_graph(n, 3.0 / n as f64, &mut rng);
-    measure(&format!("gc-sketch/n={n}"), || {
-        gc::run(&g, &NetConfig::kt1(n).with_seed(n as u64))
-            .expect("gc run")
-            .cost
-    })
+    catalog_case(n, Entry::GcSketch(&g))
 }
 
 /// Theorem 7 EXACT-MST on a random weighted clique.
 fn mst_case(n: usize) -> Measured {
     let mut rng = ChaCha8Rng::seed_from_u64(1000 + n as u64);
     let g = generators::complete_wgraph(n, &mut rng);
-    measure(&format!("exact-mst/n={n}"), || {
-        let mut net = Net::new(NetConfig::kt1(n).with_seed(n as u64));
-        exact_mst(&mut net, &g, &ExactMstConfig::default())
-            .expect("mst run")
-            .cost
-    })
+    catalog_case(n, Entry::ExactMst(&g))
 }
 
 /// The all-to-all collective (1 round, Θ(n²) messages), 8 times on one
@@ -134,7 +136,7 @@ fn a2a_case(n: usize) -> Measured {
 fn rt_case<B: Backend>(n: usize, runtime: fn(NetConfig) -> Runtime<B>) -> Measured {
     let mut rng = ChaCha8Rng::seed_from_u64(9000 + n as u64);
     let g = generators::random_connected_graph(n, 4.0 / n as f64, &mut rng);
-    let adj = adjacency(&g);
+    let adj = g.adjacency_lists();
     measure(&format!("rt-conn/n={n}"), || {
         let mut rt = runtime(NetConfig::kt1(n).with_seed(n as u64));
         let out = run_connectivity(&mut rt, &adj, None, 200_000).expect("rt gc");

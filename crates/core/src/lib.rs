@@ -22,12 +22,15 @@
 //!   [`cc_runtime`] program (runs on the serial or parallel engine).
 //! * [`time_encoding`] — the Section 4 observation that `O(n)` bits
 //!   suffice for anything in KT1 given super-polynomially many rounds.
+//! * [`catalog`] — runs `gc-sketch`, `exact-mst` and `kt1-mst` at their
+//!   defaults and checks each answer with the [`validate`] oracles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bipartiteness;
 pub mod broadcast_gc;
+pub mod catalog;
 pub mod component_graph;
 pub mod error;
 pub mod exact_mst;

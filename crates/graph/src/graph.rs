@@ -98,6 +98,17 @@ impl Graph {
         self.adj[v].len()
     }
 
+    /// Adjacency lists filled from [`Graph::edges`] in ascending edge
+    /// order — the input shape of the runtime connectivity programs.
+    pub fn adjacency_lists(&self) -> Vec<Vec<usize>> {
+        let mut adj = vec![Vec::new(); self.n];
+        for e in self.edges() {
+            adj[e.u as usize].push(e.v as usize);
+            adj[e.v as usize].push(e.u as usize);
+        }
+        adj
+    }
+
     /// All edges in canonical orientation, ascending.
     pub fn edges(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.m);

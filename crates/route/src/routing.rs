@@ -88,10 +88,15 @@ fn route_inner(
     let total = packets.len();
     let mut results: Vec<Vec<(usize, Packet)>> = vec![Vec::new(); n];
 
-    // Validate sizes and split per sender; deliver src == dst locally.
+    // Deliver src == dst locally (it crosses no link, so no width
+    // applies), then validate sizes and split per sender.
     let mut spread_q: Vec<VecDeque<RoutedPacket>> = vec![VecDeque::new(); n];
     for p in packets {
         assert!(p.src < n && p.dst < n, "packet endpoint out of range");
+        if p.src == p.dst {
+            results[p.dst].push((p.src, p.payload));
+            continue;
+        }
         let w = wire_words(&p);
         if w > link_words {
             return Err(NetError::MessageTooLarge {
@@ -102,11 +107,7 @@ fn route_inner(
                 budget: link_words,
             });
         }
-        if p.src == p.dst {
-            results[p.dst].push((p.src, p.payload));
-        } else {
-            spread_q[p.src].push_back(p);
-        }
+        spread_q[p.src].push_back(p);
     }
 
     net.begin_scope("route:route");
@@ -305,6 +306,35 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NetError::MessageTooLarge { .. }));
+    }
+
+    #[test]
+    fn over_wide_self_packet_is_delivered_locally() {
+        // 5 wire words at link_words = 4: too wide for any link, but a
+        // packet to itself never crosses one.
+        let wide = |dst| RoutedPacket {
+            src: 2,
+            dst,
+            payload: Packet::of(&[9; 3]),
+        };
+        let mut nt = Net::new(NetConfig::kt1(4).with_link_words(4));
+        check_delivery(4, vec![wide(2)], &mut nt);
+        assert_eq!(nt.cost().messages, 0);
+
+        let err = route(&mut nt, vec![wide(1)]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                NetError::MessageTooLarge {
+                    src: 2,
+                    dst: 1,
+                    words: 5,
+                    budget: 4,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

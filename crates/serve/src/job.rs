@@ -13,8 +13,9 @@
 //! progress from the same event stream it later folds into metrics.
 
 use crate::hash::{generated_digest, graph_digest, job_digest, wgraph_digest, Digest};
-use cc_core::{exact_mst, gc, run_connectivity, ExactMstConfig};
-use cc_graph::{generators, Edge, Graph, WGraph};
+use cc_core::catalog::{Answer, Entry};
+use cc_core::run_connectivity;
+use cc_graph::{generators, Graph, WGraph};
 use cc_net::NetConfig;
 use cc_route::Net;
 use cc_runtime::Runtime;
@@ -435,14 +436,21 @@ pub struct ExecOutcome {
     pub cost: CostSnapshot,
 }
 
-fn built_graphs(spec: &GraphSpec) -> Result<(Option<Graph>, Option<WGraph>), String> {
+/// The graph a spec builds: unweighted for `gc-sketch` and `rt-conn`,
+/// weighted for `exact-mst`.
+enum Built {
+    Plain(Graph),
+    Weighted(WGraph),
+}
+
+fn build_graph(spec: &GraphSpec) -> Result<Built, String> {
     match spec {
         GraphSpec::Edges { n, edges } => {
             let mut g = Graph::new(*n);
             for &(u, v) in edges {
                 g.add_edge(u as usize, v as usize);
             }
-            Ok((Some(g), None))
+            Ok(Built::Plain(g))
         }
         GraphSpec::WEdges { n, edges } => {
             let mut g = WGraph::new(*n);
@@ -457,7 +465,7 @@ fn built_graphs(spec: &GraphSpec) -> Result<(Option<Graph>, Option<WGraph>), Str
                 }
                 g.add_edge(u as usize, v as usize, w);
             }
-            Ok((None, Some(g)))
+            Ok(Built::Weighted(g))
         }
         GraphSpec::RandomConnected {
             n,
@@ -466,113 +474,125 @@ fn built_graphs(spec: &GraphSpec) -> Result<(Option<Graph>, Option<WGraph>), Str
         } => {
             let p = (*degree_milli as f64 / 1000.0) / *n as f64;
             let mut rng = ChaCha8Rng::seed_from_u64(*seed);
-            Ok((
-                Some(generators::random_connected_graph(*n, p, &mut rng)),
-                None,
-            ))
+            Ok(Built::Plain(generators::random_connected_graph(
+                *n, p, &mut rng,
+            )))
         }
         GraphSpec::CompleteWeighted { n, seed } => {
             let mut rng = ChaCha8Rng::seed_from_u64(*seed);
-            Ok((None, Some(generators::complete_wgraph(*n, &mut rng))))
+            Ok(Built::Weighted(generators::complete_wgraph(*n, &mut rng)))
         }
     }
 }
 
-fn cost_snapshot(c: cc_net::Cost) -> CostSnapshot {
-    CostSnapshot {
-        rounds: c.rounds,
-        messages: c.messages,
-        words: c.words,
-        bits: c.bits,
-    }
+/// Runs one catalog entry on the direct simulator and checks its answer.
+/// A failed check is a job error, so the daemon never caches an answer
+/// its oracle rejected.
+fn run_entry(
+    entry: Entry,
+    cfg: NetConfig,
+    tracer: Box<dyn Tracer>,
+    summary: &mut Vec<(String, String)>,
+) -> Result<cc_net::Cost, String> {
+    let id = entry.id();
+    let mut net = Net::new(cfg);
+    net.set_tracer(tracer);
+    let answer = entry.run(&mut net).map_err(|e| format!("{id}: {e}"))?;
+    entry
+        .check(&answer)
+        .map_err(|why| format!("{id}: answer failed its check: {why}"))?;
+    let rows = match &answer {
+        Answer::Gc(out) => [
+            ("connected", out.connected.to_string()),
+            ("components", out.component_count.to_string()),
+            ("forest_edges", out.spanning_forest.len().to_string()),
+        ],
+        Answer::ExactMst(run) => [
+            ("mst_edges", run.mst.len().to_string()),
+            ("mst_weight", WGraph::total_weight(&run.mst).to_string()),
+            ("lotker_phases", run.phases.to_string()),
+        ],
+        Answer::Kt1Mst(run) => [
+            ("mst_edges", run.mst.len().to_string()),
+            ("mst_weight", WGraph::total_weight(&run.mst).to_string()),
+            ("boruvka_phases", run.phases.to_string()),
+        ],
+    };
+    summary.extend(rows.map(|(k, v)| (k.to_string(), v)));
+    Ok(net.cost())
+}
+
+/// Runs the reactive connectivity port on the runtime engine `rt`.
+fn run_rt_conn<B: cc_runtime::Backend>(
+    mut rt: Runtime<B>,
+    tracer: Box<dyn Tracer>,
+    g: &Graph,
+    summary: &mut Vec<(String, String)>,
+) -> Result<cc_net::Cost, String> {
+    rt.set_tracer(tracer);
+    let out = run_connectivity(&mut rt, &g.adjacency_lists(), None, SERVE_ROUND_CAP)
+        .map_err(|e| format!("rt-conn: {e}"))?;
+    summary.push(("connected".into(), out.connected.to_string()));
+    summary.push(("components".into(), out.component_count.to_string()));
+    Ok(rt.cost())
 }
 
 /// Executes a **validated** spec with `tracer` attached to the engine.
 ///
 /// Model-event streams (and therefore everything in the returned
 /// [`ExecOutcome`]) are deterministic per spec; only wall-clock varies.
+/// `gc-sketch` and `exact-mst` run through [`cc_core::catalog`], and
+/// their answers are checked before they are returned.
 ///
 /// # Errors
 ///
 /// Graph-construction problems, simulator violations, round-cap overruns,
-/// and Monte Carlo sketch exhaustion, rendered as one line.
+/// Monte Carlo sketch exhaustion, and answers that fail their check,
+/// rendered as one line.
 pub fn execute(spec: &JobSpec, tracer: Box<dyn Tracer>) -> Result<ExecOutcome, String> {
     let n = spec.graph.n();
     let cfg = NetConfig::kt1(n)
         .with_seed(spec.seed)
         .with_round_cap(SERVE_ROUND_CAP);
-    let (unweighted, weighted) = built_graphs(&spec.graph)?;
+    let built = build_graph(&spec.graph)?;
+    let m = match &built {
+        Built::Plain(g) => g.m(),
+        Built::Weighted(g) => g.m(),
+    };
     let mut summary: Vec<(String, String)> = vec![
         ("algorithm".into(), spec.algorithm.tag().into()),
         ("engine".into(), spec.engine.tag().into()),
         ("n".into(), n.to_string()),
         ("seed".into(), spec.seed.to_string()),
+        ("m".into(), m.to_string()),
     ];
-    let cost = match spec.algorithm {
-        Algorithm::GcSketch => {
-            let g = unweighted.expect("validated: unweighted");
-            let mut net = Net::new(cfg);
-            net.set_tracer(tracer);
-            let out = gc::run_on(&mut net, &g, &gc::GcConfig::default())
-                .map_err(|e| format!("gc-sketch: {e}"))?;
-            summary.push(("m".into(), g.m().to_string()));
-            summary.push(("connected".into(), out.connected.to_string()));
-            summary.push(("components".into(), out.component_count.to_string()));
-            summary.push(("forest_edges".into(), out.spanning_forest.len().to_string()));
-            cost_snapshot(net.cost())
+    let cost = match (spec.algorithm, spec.engine, &built) {
+        (Algorithm::GcSketch, Engine::Net, Built::Plain(g)) => {
+            run_entry(Entry::GcSketch(g), cfg, tracer, &mut summary)?
         }
-        Algorithm::ExactMst => {
-            let g = weighted.expect("validated: weighted");
-            let mut net = Net::new(cfg);
-            net.set_tracer(tracer);
-            let run = exact_mst(&mut net, &g, &ExactMstConfig::default())
-                .map_err(|e| format!("exact-mst: {e}"))?;
-            summary.push(("m".into(), g.m().to_string()));
-            summary.push(("mst_edges".into(), run.mst.len().to_string()));
-            summary.push((
-                "mst_weight".into(),
-                WGraph::total_weight(&run.mst).to_string(),
-            ));
-            summary.push(("lotker_phases".into(), run.phases.to_string()));
-            cost_snapshot(run.cost)
+        (Algorithm::ExactMst, Engine::Net, Built::Weighted(g)) => {
+            run_entry(Entry::ExactMst(g), cfg, tracer, &mut summary)?
         }
-        Algorithm::RtConn => {
-            let g = unweighted.expect("validated: unweighted");
-            let mut adj = vec![Vec::new(); g.n()];
-            for Edge { u, v } in g.edges() {
-                adj[u as usize].push(v as usize);
-                adj[v as usize].push(u as usize);
-            }
-            fn run<B: cc_runtime::Backend>(
-                tracer: Box<dyn Tracer>,
-                mut rt: Runtime<B>,
-                adj: &[Vec<usize>],
-            ) -> Result<(cc_core::RtGcOutput, cc_net::Cost), String> {
-                rt.set_tracer(tracer);
-                let out = run_connectivity(&mut rt, adj, None, SERVE_ROUND_CAP)
-                    .map_err(|e| format!("rt-conn: {e}"))?;
-                Ok((out, rt.cost()))
-            }
-            let (out, cost) = match spec.engine {
-                Engine::Serial => run(tracer, Runtime::serial(cfg), &adj)?,
-                Engine::Parallel => run(tracer, Runtime::parallel(cfg), &adj)?,
-                Engine::Net => unreachable!("validated: rt-conn never runs on net"),
-            };
-            summary.push(("m".into(), g.m().to_string()));
-            summary.push(("connected".into(), out.connected.to_string()));
-            summary.push(("components".into(), out.component_count.to_string()));
-            cost_snapshot(cost)
+        (Algorithm::RtConn, Engine::Serial, Built::Plain(g)) => {
+            run_rt_conn(Runtime::serial(cfg), tracer, g, &mut summary)?
         }
-    };
+        (Algorithm::RtConn, Engine::Parallel, Built::Plain(g)) => {
+            run_rt_conn(Runtime::parallel(cfg), tracer, g, &mut summary)?
+        }
+        // `JobSpec::validate` refuses every other combination first.
+        _ => {
+            return Err(format!(
+                "{} cannot run on this engine or graph",
+                spec.algorithm.tag()
+            ))
+        }
+    }
+    .snapshot();
     summary.push(("rounds".into(), cost.rounds.to_string()));
     summary.push(("messages".into(), cost.messages.to_string()));
     summary.push(("words".into(), cost.words.to_string()));
     Ok(ExecOutcome { summary, cost })
 }
-
-/// Summary of one WEdge list for tests: `WEdge` is re-exported so callers
-/// building explicit weighted specs don't need `cc-graph` directly.
-pub use cc_graph::WEdge as WeightedEdge;
 
 #[cfg(test)]
 mod tests {

@@ -23,13 +23,7 @@ use rand_chacha::ChaCha8Rng;
 
 fn adjacency(n: usize, p: f64, seed: u64) -> Vec<Vec<usize>> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let g = generators::gnp(n, p, &mut rng);
-    let mut adj = vec![Vec::new(); n];
-    for e in g.edges() {
-        adj[e.u as usize].push(e.v as usize);
-        adj[e.v as usize].push(e.u as usize);
-    }
-    adj
+    generators::gnp(n, p, &mut rng).adjacency_lists()
 }
 
 fn flood_programs(adj: &[Vec<usize>]) -> Vec<FloodEcho> {

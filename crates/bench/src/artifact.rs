@@ -8,12 +8,11 @@
 //! artifact.
 
 use crate::claims::ClaimResult;
+use crate::guard::{self, Verdict};
 use crate::table::Table;
 use cc_core::catalog::Entry;
-use cc_core::gc::{self, GcConfig};
 use cc_graph::generators;
-use cc_lens::{comm_metrics, LedgerTracer};
-use cc_model::ModelSpec;
+use cc_lens::comm_metrics;
 use cc_net::{Cost, NetConfig};
 use cc_route::Net;
 use cc_trace::{ClaimRecord, CostSnapshot, ExperimentRecord, PhaseBreakdown, RunArtifact};
@@ -138,22 +137,21 @@ pub fn headline_breakdowns(quick: bool) -> Vec<PhaseBreakdown> {
     .collect()
 }
 
-/// Runs GC once under a [`LedgerTracer`] and returns its `comm.*`
-/// snapshot (the artifact's `metrics` section): the cc-lens fold under
-/// `ModelSpec::clique()`, the spec `NetConfig::kt1` admits sends under.
+/// Runs GC once as a [`guard::run`] and returns its `comm.*` snapshot
+/// (the artifact's `metrics` section): the cc-lens fold under the spec
+/// `NetConfig::kt1` admits sends under.
+///
+/// # Panics
+///
+/// Panics unless the run is [`Verdict::Ok`] (fixed seeds; anything else
+/// is a bug).
 pub fn traced_gc_metrics(quick: bool) -> (String, cc_trace::MetricsSnapshot) {
     let n = if quick { 64 } else { 128 };
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let g = generators::random_connected_graph(n, 0.1, &mut rng);
-    let fold = LedgerTracer::new(n, &ModelSpec::clique()).expect("n ≥ 2 is a valid clique");
-    let mut net = Net::new(NetConfig::kt1(n).with_seed(9));
-    net.set_tracer(Box::new(fold.clone()));
-    gc::run_on(&mut net, &g, &GcConfig::default()).expect("gc run");
-    net.take_tracer();
-    let lens = fold
-        .finish()
-        .expect("an engine's batches stay inside its clique");
-    (format!("gc-n{n}"), comm_metrics(&lens))
+    let run = guard::run(NetConfig::kt1(n).with_seed(9), None, Entry::GcSketch(&g));
+    assert_eq!(run.verdict, Verdict::Ok, "gc-n{n}");
+    (format!("gc-n{n}"), comm_metrics(&run.ledger))
 }
 
 /// Assembles the full artifact: tables, claims, headline breakdowns, and
@@ -210,26 +208,6 @@ pub fn render_checklist_txt(artifact: &RunArtifact) -> String {
         artifact.claims.len()
     ));
     out
-}
-
-/// Renders the robustness section as the E17 outcome table (used by the
-/// `chaos` and `trace_report` binaries, so their text output matches).
-pub fn robustness_table(records: &[cc_trace::RobustnessRecord]) -> Table {
-    let mut t = Table::new(
-        "E17",
-        "Robustness harness: outcome per (algorithm, fault schedule)",
-        &["algo", "schedule", "n", "outcome", "faults"],
-    );
-    for r in records {
-        t.push_row(vec![
-            r.algo.clone(),
-            r.schedule.clone(),
-            r.n.to_string(),
-            r.outcome.clone(),
-            r.faults.to_string(),
-        ]);
-    }
-    t
 }
 
 /// Renders the whp seed-sweep section as a [`Table`] (used by

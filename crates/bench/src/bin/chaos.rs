@@ -1,8 +1,9 @@
 //! The robustness harness entry point: runs GC, EXACT-MST, and KT1-MST
-//! (the `cc_core::catalog` entries) under every CI fault schedule plus
-//! the whp seed sweep, prints the outcome tables, and exits non-zero if
-//! any of them ever produced a **silent wrong answer** — the failure
-//! mode validation is supposed to make impossible (DESIGN.md §11).
+//! (the `cc_core::catalog` entries, each a `cc_bench::guard` run) under
+//! every CI fault schedule plus the whp seed sweep, prints the E17 and
+//! E17b tables and the caught-panic total, and exits non-zero if any
+//! entry ever produced a **silent wrong answer** — the failure mode
+//! validation is supposed to make impossible (DESIGN.md §11).
 //!
 //! ```text
 //! cargo run -p cc-bench --release --bin chaos            # quick schedules
@@ -12,11 +13,13 @@
 //!
 //! The printed tables are rendered *from* the emitted
 //! [`cc_trace::RunArtifact`] (schema v2: `robustness` + `whp_sweep`
-//! sections), so the JSON and the text can never drift apart.
+//! sections), so the JSON and the text can never drift apart. The panic
+//! line counts the `Panic` verdicts among the detected failures.
 
-use cc_bench::artifact::{record_to_table, robustness_table};
+use cc_bench::artifact::experiment_record;
 use cc_bench::cli::Usage;
-use cc_bench::experiments::robustness::{e17b_whp_sweep, robustness_records, whp_points};
+use cc_bench::experiments::robustness::{e17_table, e17b_table, fault_matrix, whp_points};
+use cc_bench::guard::Verdict;
 use cc_trace::RunArtifact;
 
 const USAGE: Usage = Usage {
@@ -32,13 +35,12 @@ fn main() {
     let mut artifact = RunArtifact::new("chaos")
         .with_meta("mode", if quick { "quick" } else { "full" })
         .with_meta("schema", "cc-trace RunArtifact v2");
-    artifact.robustness = robustness_records(quick);
+    let (records, verdicts): (Vec<_>, Vec<_>) = fault_matrix(quick).into_iter().unzip();
+    artifact.robustness = records;
     artifact.whp_sweep = whp_points(quick);
-    // E17b re-renders the sweep with its paper-budget control column.
-    let e17b = e17b_whp_sweep(quick);
-    artifact
-        .experiments
-        .push(cc_bench::artifact::experiment_record(&e17b));
+    // E17b renders the sweep with its paper-budget control column.
+    let e17b = e17b_table(&artifact.whp_sweep);
+    artifact.experiments.push(experiment_record(&e17b));
 
     if let Err(problems) = artifact.validate() {
         eprintln!("internal error: artifact failed validation:");
@@ -48,12 +50,19 @@ fn main() {
         std::process::exit(3);
     }
 
-    print!("{}", robustness_table(&artifact.robustness));
+    print!("{}", e17_table(&artifact.robustness));
+    let detected = verdicts
+        .iter()
+        .filter(|v| v.outcome() == "detected-failure")
+        .count();
+    let panics = verdicts
+        .iter()
+        .filter(|v| matches!(v, Verdict::Panic { .. }))
+        .count();
+    println!("caught panics: {panics} of {detected} detected failures");
     println!();
-    for rec in &artifact.experiments {
-        print!("{}", record_to_table(rec));
-        println!();
-    }
+    print!("{e17b}");
+    println!();
 
     if let Some(path) = args.value("--emit-json") {
         std::fs::write(path, artifact.to_json_string()).expect("write artifact");

@@ -22,8 +22,9 @@
 //! At the defaults the two tables are the committed `docs/grid_e22.md`
 //! and `docs/grid_e23.md` (see `scripts/model_record.sh`).
 //!
-//! Exit codes: 0 ok, 1 failed cell (wrong answer or exhausted sketch)
-//! or artifact invariant violation, 2 usage or I/O error.
+//! Exit codes: 0 ok, 1 failed cell (a rejected or silently wrong answer,
+//! an exhausted sketch, or a panic) or artifact invariant violation, 2
+//! usage or I/O error.
 
 use cc_bench::cli::{Args, Usage};
 use cc_bench::grid::{render_markdown, render_utilization_markdown, run_grid, GridConfig};
@@ -82,8 +83,7 @@ fn main() {
     }
 
     // The whole point of the grid is that degradation is always typed,
-    // never silent: a failed cell — a wrong answer or an exhausted
-    // sketch — fails the run.
+    // never silent: a failed cell fails the run.
     let failed = artifact.failed();
     if !failed.is_empty() {
         eprintln!("failed cells:");
@@ -92,7 +92,7 @@ fn main() {
                 "  - {}/{}: {}",
                 c.cell_key(),
                 c.algorithm,
-                c.detail.as_deref().unwrap_or("answer failed validation")
+                c.verdict.detail().unwrap_or_default()
             );
         }
         std::process::exit(1);

@@ -29,8 +29,9 @@
 //! Exits 2 on usage errors, and 3 if the artifact fails schema validation
 //! or a trace does not fold (e.g. it names a node outside `--n`).
 
-use cc_bench::artifact::{breakdown_table, render_checklist_txt, robustness_table, whp_table};
+use cc_bench::artifact::{breakdown_table, render_checklist_txt, whp_table};
 use cc_bench::cli::{Args, Usage};
+use cc_bench::experiments::robustness::e17_table;
 use cc_profile::{diff_events, profile_table, render_diff, Profile};
 use cc_trace::export::events_from_jsonl;
 use cc_trace::{Event, RunArtifact};
@@ -178,7 +179,7 @@ fn main() {
     }
 
     if !artifact.robustness.is_empty() {
-        print!("{}", robustness_table(&artifact.robustness));
+        print!("{}", e17_table(&artifact.robustness));
         println!();
     }
     if !artifact.whp_sweep.is_empty() {

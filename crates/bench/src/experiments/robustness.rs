@@ -1,36 +1,30 @@
 //! E17 — the robustness harness: GC, EXACT-MST, and KT1-MST under the CI
-//! fault schedules, each run classified *correct* / *detected-failure* /
-//! *silent-wrong-answer* against the sequential reference; E17b — the
-//! whp seed sweep: sketch-connectivity failure rate across seeds and
-//! clique sizes with a deliberately starved sketch budget, probing the
-//! `1/n^c` shape of Theorem 1's failure bound.
+//! fault schedules, each run rendered as *correct* / *detected-failure* /
+//! *silent-wrong-answer*; E17b — the whp seed sweep: sketch-connectivity
+//! failure rate across seeds and clique sizes with a deliberately starved
+//! sketch budget, probing the `1/n^c` shape of Theorem 1's failure bound.
 //!
 //! The harness is the consumer the `cc-chaos` subsystem exists for: a
 //! fault plan interposes on the very same `CliqueNet` the algorithms
 //! run on, every run is replayable from `(schedule, seed)`, and the
 //! headline claim — **zero silent wrong answers with validation
 //! enabled** — is enforced by `verify the table` tests and the `chaos`
-//! binary's exit code. Each row runs and checks one
-//! [`cc_core::catalog`] entry; the Kruskal / component-label reference
-//! comparison stays here as the independent differential.
+//! binary's exit code. Each row is one [`guard::run`] of one
+//! [`cc_core::catalog`] entry (check and reference differential
+//! included); E17 only renders its [`Verdict`], and its `faults` column
+//! is the run's [`CommLedger::faults`](cc_lens::CommLedger::faults).
 
+use crate::guard::{self, Verdict};
 use crate::table::{f, Table};
-use cc_chaos::{FaultPlan, LinkSelector, Outcome, RoundRange};
-use cc_core::catalog::{Answer, Entry};
+use cc_chaos::{FaultPlan, LinkSelector, RoundRange};
+use cc_core::catalog::Entry;
 use cc_core::gc::{self, GcConfig};
 use cc_graph::connectivity::component_labels;
-use cc_graph::{generators, WGraph};
+use cc_graph::generators;
 use cc_net::NetConfig;
-use cc_route::Net;
-use cc_trace::{Event, RecordingTracer, RobustnessRecord, WhpPoint};
+use cc_trace::{RobustnessRecord, WhpPoint};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Round watchdog for faulted runs: a fault schedule must never hang the
-/// harness, so every net carries a generous cap and a blown cap counts
-/// as a detected failure.
-const ROUND_CAP: u64 = 100_000;
 
 /// The CI fault schedules: one clean control plus one schedule per fault
 /// kind, plus a combined "mayhem" schedule. Every plan is seeded from
@@ -76,65 +70,12 @@ pub fn ci_schedules(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// Runs `entry` on a fresh faulted net and classifies the result as
-/// `(outcome, injected faults, detail)`.
-///
-/// `finished` = the run returned `Ok` (panics are caught and count as
-/// loud failures); `accepted` = the entry's check said yes; `matches` =
-/// the differential check against the sequential reference agreed.
-/// [`Outcome::classify`] folds the three into the taxonomy.
-fn classify(net_cfg: NetConfig, plan: &FaultPlan, entry: &Entry) -> (Outcome, u64, String) {
-    let rec = RecordingTracer::new();
-    let mut net = Net::new(net_cfg);
-    net.set_tracer(Box::new(rec.clone()));
-    net.set_fault_injector(Box::new(plan.injector()));
-    let result = catch_unwind(AssertUnwindSafe(|| entry.run(&mut net)));
-    let faults = rec
-        .events()
-        .iter()
-        .filter(|e| matches!(e, Event::Fault { .. } | Event::NodeCrash { .. }))
-        .count() as u64;
-    let (outcome, detail) = match result {
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic");
-            (Outcome::DetectedFailure, format!("panic: {msg}"))
-        }
-        Ok(Err(e)) => (Outcome::DetectedFailure, format!("error: {e}")),
-        Ok(Ok(answer)) => {
-            let accepted = entry.check(&answer);
-            let matches = matches_reference(entry, &answer);
-            (
-                Outcome::classify(true, accepted.is_ok(), matches),
-                accepted.err().unwrap_or_default(),
-            )
-        }
-    };
-    (outcome, faults, detail)
-}
-
-/// The independent differential: does `answer` agree with the
-/// sequential reference (component labels for GC, Kruskal's weight for
-/// both MSTs)?
-fn matches_reference(entry: &Entry, answer: &Answer) -> bool {
-    let kruskal = |g| WGraph::total_weight(&cc_graph::mst::kruskal(g));
-    match (*entry, answer) {
-        (Entry::GcSketch(g), Answer::Gc(out)) => out.labels == component_labels(g),
-        (Entry::ExactMst(g), Answer::ExactMst(run)) => WGraph::total_weight(&run.mst) == kruskal(g),
-        (Entry::Kt1Mst(g), Answer::Kt1Mst(run)) => WGraph::total_weight(&run.mst) == kruskal(g),
-        _ => false,
-    }
-}
-
-/// Runs every catalog entry under every CI schedule and returns one
-/// record per run (the artifact's `robustness` section).
-pub fn robustness_records(quick: bool) -> Vec<RobustnessRecord> {
+/// Runs every catalog entry under every CI schedule through
+/// [`guard::run`]: one record per run (the artifact's `robustness`
+/// section), each with the verdict it renders.
+pub fn fault_matrix(quick: bool) -> Vec<(RobustnessRecord, Verdict)> {
     let n = if quick { 24 } else { 48 };
     let seed = 0xC1A05u64;
-    let net_cfg = || NetConfig::kt1(n).with_seed(seed).with_round_cap(ROUND_CAP);
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let g_gc = generators::random_connected_graph(n, 0.15, &mut rng);
@@ -146,44 +87,54 @@ pub fn robustness_records(quick: bool) -> Vec<RobustnessRecord> {
         ("kt1-mst", Entry::Kt1Mst(&g_kt1)),
     ];
 
-    let mut records = Vec::new();
+    let mut matrix = Vec::new();
     for (schedule, plan) in ci_schedules(seed) {
-        for (algo, entry) in &rows {
-            let (outcome, faults, detail) = classify(net_cfg(), &plan, entry);
-            records.push(RobustnessRecord {
-                algo: (*algo).into(),
+        for &(algo, entry) in &rows {
+            let run = guard::run(NetConfig::kt1(n).with_seed(seed), Some(&plan), entry);
+            let record = RobustnessRecord {
+                algo: algo.into(),
                 schedule: schedule.into(),
                 n: n as u64,
                 seed,
-                outcome: outcome.as_str().into(),
-                faults,
-                detail,
-            });
+                outcome: run.verdict.outcome().into(),
+                faults: run.ledger.faults(),
+                detail: run.verdict.outcome_detail(),
+            };
+            matrix.push((record, run.verdict));
         }
     }
-    records
+    matrix
 }
 
-/// E17 — the robustness table rendered from [`robustness_records`].
+/// E17 — the fault matrix rendered by [`e17_table`] (the `tables`
+/// registry entry).
 pub fn e17_robustness(quick: bool) -> Table {
+    let records: Vec<RobustnessRecord> = fault_matrix(quick).into_iter().map(|(r, _)| r).collect();
+    e17_table(&records)
+}
+
+/// Renders robustness records as the E17 table (`detail` cut at 48
+/// characters) — the one renderer `tables`, `chaos` and `trace_report`
+/// share.
+pub fn e17_table(records: &[RobustnessRecord]) -> Table {
     let mut t = Table::new(
         "E17",
         "Robustness harness: outcome per (algorithm, fault schedule); \
          silent-wrong-answer must never appear with validation on",
         &["algo", "schedule", "n", "outcome", "faults", "detail"],
     );
-    for r in robustness_records(quick) {
+    for r in records {
         t.push_row(vec![
-            r.algo,
-            r.schedule,
+            r.algo.clone(),
+            r.schedule.clone(),
             r.n.to_string(),
-            r.outcome,
+            r.outcome.clone(),
             r.faults.to_string(),
             if r.detail.chars().count() > 48 {
                 let head: String = r.detail.chars().take(48).collect();
                 format!("{head}…")
             } else {
-                r.detail
+                r.detail.clone()
             },
         ]);
     }
@@ -234,15 +185,20 @@ fn sweep_failures(n: usize, trials: u64, cfg: &GcConfig) -> u64 {
         .filter(|trial| {
             let net_cfg = NetConfig::kt1(n)
                 .with_seed(0x5EED + 977 * trial + n as u64)
-                .with_round_cap(ROUND_CAP);
+                .with_round_cap(guard::ROUND_CAP);
             !matches!(gc::run_with(&g, &net_cfg, cfg), Ok(run) if run.output.labels == reference)
         })
         .count() as u64
 }
 
-/// E17b — the whp sweep rendered from [`whp_points`], with the paper's
-/// `Θ(log n)`-family configuration as the control column.
+/// E17b — the whp sweep as `tables` prints it.
 pub fn e17b_whp_sweep(quick: bool) -> Table {
+    e17b_table(&whp_points(quick))
+}
+
+/// Renders whp sweep points as the E17b table, with the paper's
+/// `Θ(log n)`-family configuration as the control column.
+pub fn e17b_table(points: &[WhpPoint]) -> Table {
     let mut t = Table::new(
         "E17b",
         "Thm 1 whp shape: sketch-GC failure rate across seeds — fixed t=3 \
@@ -255,7 +211,7 @@ pub fn e17b_whp_sweep(quick: bool) -> Table {
             "paper_failures",
         ],
     );
-    for p in &whp_points(quick) {
+    for p in points {
         // Control: same sweep under the paper's defaults (failures here
         // would indicate a harness bug, not a sketch property).
         let control_failures = sweep_failures(p.n as usize, p.trials.min(20), &GcConfig::default());
@@ -276,8 +232,9 @@ mod tests {
 
     #[test]
     fn clean_schedule_is_all_correct_and_faulted_runs_never_lie() {
-        let records = robustness_records(true);
-        assert_eq!(records.len(), ci_schedules(0).len() * 3);
+        let matrix = fault_matrix(true);
+        assert_eq!(matrix.len(), ci_schedules(0).len() * 3);
+        let records: Vec<&RobustnessRecord> = matrix.iter().map(|(r, _)| r).collect();
         for r in &records {
             assert!(
                 cc_trace::ROBUSTNESS_OUTCOMES.contains(&r.outcome.as_str()),

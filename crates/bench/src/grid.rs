@@ -4,29 +4,31 @@
 //! A *cell* is one [`ModelSpec`] — a bandwidth budget × a link mode
 //! (unicast or broadcast-only) × a node-to-machine mapping. The grid
 //! runner executes the reproduction's three flagship workloads
-//! (`gc-sketch`, `exact-mst`, `rt-conn`) in every cell and records, per
-//! cell, exactly one of three *typed* outcomes:
+//! (`gc-sketch`, `exact-mst`, `rt-conn`) in every cell. `gc-sketch` and
+//! `exact-mst` are [`guard::run`]s of their [`cc_core::catalog`] entries:
+//! checked, compared with the sequential reference, and panics caught.
+//! The two special cases are broadcast-only `gc-sketch` (label
+//! propagation, passed to [`guard::run_with`] as its runner and judged by
+//! the `gc-sketch` entry) and `rt-conn` (judged against sequential
+//! component labels by [`Verdict::returned`]). Each cell renders its
+//! [`Verdict`] as exactly one of three statuses:
 //!
-//! * **ok** — the run completed *and its answer was validated* against
-//!   an independent checker. `gc-sketch` (unicast cells) and `exact-mst`
-//!   run and check through [`cc_core::catalog`]; the two special cases
-//!   outside it are broadcast-only `gc-sketch` (label propagation,
-//!   checked by [`cc_core::validate_gc`]) and `rt-conn` (checked against
-//!   sequential component labels).
+//! * **ok** — the run completed, its check accepted the answer, and the
+//!   answer equals the sequential reference.
 //! * **model-reject** — the simulator refused the run with a typed
 //!   [`NetError`](cc_net::NetError) naming the round and link where the
 //!   algorithm first stepped outside the cell's model (e.g. `exact-mst`
 //!   unicasting in a broadcast-only cell, or a 3-word weighted edge in a
 //!   2-word cell).
-//! * **failed** — the run completed but the answer did not validate
-//!   (a *wrong answer* — the one outcome the harness treats as fatal),
-//!   or the Monte Carlo sampler was exhausted (`sketch-exhausted`, a
-//!   detected failure the paper bounds by `1/n^{Ω(1)}`). The `grid`
-//!   binary exits 1 on any failed cell.
+//! * **failed** — everything a weaker model must never cause: a rejected
+//!   answer (`wrong-answer`), an exhausted Monte Carlo sampler
+//!   (`sketch-exhausted`, a detected failure the paper bounds by
+//!   `1/n^{Ω(1)}`), a `panic`, or an accepted answer that disagrees with
+//!   the reference (`silent-wrong`). The `grid` binary exits 1 on any
+//!   failed cell.
 //!
-//! There is deliberately no fourth category: a cell can degrade a
-//! workload by refusing it or slowing it, but never by letting it return
-//! a silently wrong answer.
+//! A cell can degrade a workload by refusing it or slowing it, but never
+//! by letting it return a silently wrong answer.
 //!
 //! Machine-level accounting (the k-machine axis) is one fold: every
 //! workload runs under a [`LedgerTracer`], whose `CommLedger` prices each
@@ -34,17 +36,19 @@
 //! under the cell's mapping as it is emitted — the same fold that yields
 //! the utilization section.
 //!
-//! Results are emitted as a schema-versioned [`GridArtifact`] and
-//! rendered to the E22 and E23 markdown tables, whose committed copies
-//! (`docs/grid_e22.md`, `docs/grid_e23.md`) CI diffs against a fresh
-//! sweep. Per-cell wall time stays in the grid artifact only.
+//! Results are emitted as a schema-versioned [`GridArtifact`] (written
+//! by `grid --out`; nothing reads it back) and rendered to the E22 and
+//! E23 markdown tables, whose committed copies (`docs/grid_e22.md`,
+//! `docs/grid_e23.md`) CI diffs against a fresh sweep. Per-cell wall
+//! time stays in the grid artifact only.
 
-use cc_core::catalog::Entry;
-use cc_core::{broadcast_gc, run_connectivity, validate_gc, CoreError, GcOutput};
+use crate::guard::{self, Run, Verdict};
+use cc_core::catalog::{Answer, Entry};
+use cc_core::{broadcast_gc, run_connectivity, CoreError, GcOutput, RtGcOutput};
 use cc_graph::{connectivity, generators, Edge, Graph};
 use cc_lens::{CommReport, LedgerTracer};
 use cc_model::{LinkMode, MachineStats, Mapping, ModelSpec};
-use cc_net::{Cost, NetConfig};
+use cc_net::NetConfig;
 use cc_route::Net;
 use cc_runtime::Runtime;
 use cc_trace::Json;
@@ -53,13 +57,8 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// Version stamp of the grid artifact format. v2 added the per-cell
-/// `utilization` section (the cc-lens communication fold); v1 documents
-/// are not read.
+/// `utilization` section (the cc-lens communication fold).
 pub const GRID_SCHEMA_VERSION: u64 = 2;
-
-/// Round watchdog for every grid run — a cell that slows an algorithm
-/// past this is reported as a typed `round-cap` rejection, not a hang.
-pub const GRID_ROUND_CAP: u64 = 100_000;
 
 /// The three workloads every cell runs.
 pub const GRID_ALGORITHMS: [&str; 3] = ["gc-sketch", "exact-mst", "rt-conn"];
@@ -113,54 +112,16 @@ impl GridConfig {
     }
 }
 
-/// Outcome category of one (cell, algorithm) run. See the module docs
-/// for the exact semantics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CellStatus {
-    /// Completed and validated.
-    Ok,
-    /// Refused by the model with a typed error.
-    ModelReject,
-    /// Wrong answer or detected Monte Carlo failure — fatal.
-    Failed,
-}
-
-impl CellStatus {
-    /// Stable string tag.
-    pub fn key(self) -> &'static str {
-        match self {
-            CellStatus::Ok => "ok",
-            CellStatus::ModelReject => "model-reject",
-            CellStatus::Failed => "failed",
-        }
-    }
-
-    fn from_key(key: &str) -> Result<Self, String> {
-        match key {
-            "ok" => Ok(CellStatus::Ok),
-            "model-reject" => Ok(CellStatus::ModelReject),
-            "failed" => Ok(CellStatus::Failed),
-            other => Err(format!("unknown cell status {other:?}")),
-        }
-    }
-}
-
 /// One (cell, algorithm) measurement.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct CellResult {
     /// The model cell.
     pub spec: ModelSpec,
     /// Workload ID (one of [`GRID_ALGORITHMS`]).
     pub algorithm: String,
-    /// Outcome category.
-    pub status: CellStatus,
-    /// Machine-readable error kind (`unicast-in-broadcast`,
-    /// `message-too-large`, `wrong-answer`, …) for non-ok outcomes.
-    pub error: Option<String>,
-    /// Human-readable detail (the full error display).
-    pub detail: Option<String>,
-    /// Whether the answer was checked and correct (implies `Ok`).
-    pub validated: bool,
+    /// How the run ended; its status, kind and detail are the JSON's
+    /// `status`, `error`, `detail` and `validated` keys.
+    pub verdict: Verdict,
     /// Logical rounds metered (partial up to the rejection point for
     /// non-ok runs — still deterministic under the fixed seed).
     pub rounds: u64,
@@ -178,6 +139,21 @@ pub struct CellResult {
 }
 
 impl CellResult {
+    /// Folds one guarded run into its cell.
+    pub fn new(spec: ModelSpec, algorithm: &str, run: Run) -> Self {
+        CellResult {
+            spec,
+            algorithm: algorithm.to_string(),
+            verdict: run.verdict,
+            rounds: run.cost.rounds,
+            messages: run.cost.messages,
+            words: run.cost.words,
+            machine: run.ledger.machine_stats(),
+            utilization: run.ledger.report(),
+            nanos: run.nanos,
+        }
+    }
+
     /// The `bw{B}-{uni|bc}-k{K}` cell key.
     pub fn cell_key(&self) -> String {
         self.spec.cell_key()
@@ -199,22 +175,20 @@ impl CellResult {
                 },
             ),
             ("algorithm", Json::Str(self.algorithm.clone())),
-            ("status", Json::Str(self.status.key().to_string())),
+            ("status", Json::Str(self.verdict.status().to_string())),
             (
                 "error",
-                match &self.error {
-                    Some(e) => Json::Str(e.clone()),
-                    None => Json::Null,
-                },
+                self.verdict
+                    .kind()
+                    .map_or(Json::Null, |k| Json::Str(k.to_string())),
             ),
             (
                 "detail",
-                match &self.detail {
-                    Some(d) => Json::Str(d.clone()),
-                    None => Json::Null,
-                },
+                self.verdict
+                    .detail()
+                    .map_or(Json::Null, |d| Json::Str(d.to_string())),
             ),
-            ("validated", Json::Bool(self.validated)),
+            ("validated", Json::Bool(self.verdict == Verdict::Ok)),
             ("rounds", Json::UInt(self.rounds)),
             ("messages", Json::UInt(self.messages)),
             ("words", Json::UInt(self.words)),
@@ -227,66 +201,12 @@ impl CellResult {
             ("nanos", Json::UInt(self.nanos)),
         ])
     }
-
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let u = |key: &str| {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("cell missing numeric field {key:?}"))
-        };
-        let s = |key: &str| {
-            j.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("cell missing string field {key:?}"))
-        };
-        let opt_s = |key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
-        let mapping = match j.get("machines").and_then(Json::as_u64) {
-            Some(k) => Mapping::KMachine(k as usize),
-            None => Mapping::OneToOne,
-        };
-        let link_mode = match s("link_mode")?.as_str() {
-            "uni" => LinkMode::Unicast,
-            "bc" => LinkMode::BroadcastOnly,
-            other => return Err(format!("unknown link mode {other:?}")),
-        };
-        let spec =
-            ModelSpec::new(u("bandwidth")?, link_mode, mapping).map_err(|e| e.to_string())?;
-        Ok(CellResult {
-            spec,
-            algorithm: s("algorithm")?,
-            status: CellStatus::from_key(&s("status")?)?,
-            error: opt_s("error"),
-            detail: opt_s("detail"),
-            validated: j
-                .get("validated")
-                .and_then(Json::as_bool)
-                .ok_or("cell missing validated")?,
-            rounds: u("rounds")?,
-            messages: u("messages")?,
-            words: u("words")?,
-            machine: MachineStats {
-                logical_rounds: u("logical_rounds")?,
-                machine_rounds: u("machine_rounds")?,
-                local_words: u("local_words")?,
-                remote_words: u("remote_words")?,
-                max_pair_words: u("max_pair_words")?,
-            },
-            utilization: CommReport::from_json(
-                j.get("utilization").ok_or("cell missing utilization")?,
-            )?,
-            nanos: u("nanos")?,
-        })
-    }
 }
 
-/// The schema-versioned artifact one grid sweep emits.
-#[derive(Clone, Debug, PartialEq)]
+/// The artifact one grid sweep emits, stamped [`GRID_SCHEMA_VERSION`]
+/// and generator `cc-bench grid` in its JSON form.
+#[derive(Clone, Debug)]
 pub struct GridArtifact {
-    /// [`GRID_SCHEMA_VERSION`] on emit.
-    pub schema_version: u64,
-    /// What produced the document.
-    pub generator: String,
     /// Unix timestamp (seconds) of the run; 0 when unavailable.
     pub created_unix: u64,
     /// Clique size every cell ran at.
@@ -298,15 +218,13 @@ pub struct GridArtifact {
 }
 
 impl GridArtifact {
-    /// A fresh artifact stamped with the current schema version and time.
+    /// A fresh artifact stamped with the current time.
     pub fn new(n: usize, seed: u64) -> Self {
         let created_unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
         GridArtifact {
-            schema_version: GRID_SCHEMA_VERSION,
-            generator: "cc-bench grid".to_string(),
             created_unix,
             n: n as u64,
             seed,
@@ -317,8 +235,8 @@ impl GridArtifact {
     /// JSON form.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema_version", Json::UInt(self.schema_version)),
-            ("generator", Json::Str(self.generator.clone())),
+            ("schema_version", Json::UInt(GRID_SCHEMA_VERSION)),
+            ("generator", Json::Str("cc-bench grid".to_string())),
             ("created_unix", Json::UInt(self.created_unix)),
             ("n", Json::UInt(self.n)),
             ("seed", Json::UInt(self.seed)),
@@ -336,46 +254,6 @@ impl GridArtifact {
         s
     }
 
-    /// Parses and structurally checks a document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field; rejects every
-    /// schema version but [`GRID_SCHEMA_VERSION`].
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let j = Json::parse(text)?;
-        let u = |key: &str| {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("artifact missing numeric field {key:?}"))
-        };
-        let schema_version = u("schema_version")?;
-        if schema_version != GRID_SCHEMA_VERSION {
-            return Err(format!(
-                "grid artifact: schema_version {schema_version} not supported (expected {GRID_SCHEMA_VERSION})"
-            ));
-        }
-        let cells = j
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("artifact missing cells array")?
-            .iter()
-            .map(CellResult::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(GridArtifact {
-            schema_version,
-            generator: j
-                .get("generator")
-                .and_then(Json::as_str)
-                .ok_or("artifact missing generator")?
-                .to_string(),
-            created_unix: u("created_unix")?,
-            n: u("n")?,
-            seed: u("seed")?,
-            cells,
-        })
-    }
-
     /// Structural invariants every grid document must satisfy.
     ///
     /// # Errors
@@ -383,12 +261,6 @@ impl GridArtifact {
     /// Returns every violated invariant.
     pub fn validate(&self) -> Result<(), Vec<String>> {
         let mut problems = Vec::new();
-        if self.schema_version != GRID_SCHEMA_VERSION {
-            problems.push(format!(
-                "schema_version {} != supported {GRID_SCHEMA_VERSION}",
-                self.schema_version
-            ));
-        }
         if self.cells.is_empty() {
             problems.push("no cells".into());
         }
@@ -411,29 +283,11 @@ impl GridArtifact {
             if c.spec.validate_for(self.n as usize).is_err() {
                 problems.push(format!("{tag}: spec invalid for n={}", self.n));
             }
-            match c.status {
-                CellStatus::Ok => {
-                    if !c.validated {
-                        problems.push(format!("{tag}: ok but not validated"));
-                    }
-                    if c.error.is_some() {
-                        problems.push(format!("{tag}: ok with an error kind"));
-                    }
-                    if c.machine.machine_rounds < c.rounds {
-                        problems.push(format!(
-                            "{tag}: machine rounds {} < logical rounds {}",
-                            c.machine.machine_rounds, c.rounds
-                        ));
-                    }
-                }
-                CellStatus::ModelReject | CellStatus::Failed => {
-                    if c.validated {
-                        problems.push(format!("{tag}: non-ok but validated"));
-                    }
-                    if c.error.is_none() {
-                        problems.push(format!("{tag}: non-ok without an error kind"));
-                    }
-                }
+            if c.verdict == Verdict::Ok && c.machine.machine_rounds < c.rounds {
+                problems.push(format!(
+                    "{tag}: machine rounds {} < logical rounds {}",
+                    c.machine.machine_rounds, c.rounds
+                ));
             }
             // The utilization section is pinned to the cell's own
             // accounting (zero drift between the lens fold and the live
@@ -447,7 +301,7 @@ impl GridArtifact {
                     "{tag}: utilization machine stats drift from the cell's"
                 ));
             }
-            if c.status == CellStatus::Ok {
+            if c.verdict == Verdict::Ok {
                 if u.words != c.words {
                     problems.push(format!(
                         "{tag}: utilization words {} != metered words {}",
@@ -469,12 +323,12 @@ impl GridArtifact {
         }
     }
 
-    /// Failed cells (a wrong answer or an exhausted sketch) — the
-    /// outcomes the grid binary refuses to exit 0 over.
+    /// Failed cells — the outcomes the grid binary refuses to exit 0
+    /// over.
     pub fn failed(&self) -> Vec<&CellResult> {
         self.cells
             .iter()
-            .filter(|c| c.status == CellStatus::Failed)
+            .filter(|c| c.verdict.status() == "failed")
             .collect()
     }
 }
@@ -503,10 +357,10 @@ pub fn render_markdown(artifact: &GridArtifact) -> String {
             "| `{}` | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             c.cell_key(),
             c.algorithm,
-            if c.status == CellStatus::Ok {
-                "ok ✓".to_string()
+            if c.verdict == Verdict::Ok {
+                "ok ✓"
             } else {
-                c.status.key().to_string()
+                c.verdict.status()
             },
             c.rounds,
             c.machine.machine_rounds,
@@ -516,7 +370,7 @@ pub fn render_markdown(artifact: &GridArtifact) -> String {
             c.machine.local_words,
             c.utilization.peak_util_milli,
             c.utilization.headroom_milli,
-            c.error.as_deref().unwrap_or("—"),
+            c.verdict.kind().unwrap_or("—"),
         ));
     }
     out
@@ -542,7 +396,7 @@ pub fn render_utilization_markdown(artifact: &GridArtifact) -> String {
             "| `{}` | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             c.cell_key(),
             c.algorithm,
-            c.status.key(),
+            c.verdict.status(),
             u.peak_util_milli,
             u.p50_util_milli,
             u.p95_util_milli,
@@ -557,116 +411,41 @@ pub fn render_utilization_markdown(artifact: &GridArtifact) -> String {
     out
 }
 
-/// Folds one run (its engine already dropped) into its cell: a checked
-/// answer is `ok`, a rejected one `failed` with kind `wrong-answer`, and
-/// a [`CoreError`] a typed `model-reject` (or `failed` `sketch-exhausted`).
-fn classify(
-    spec: &ModelSpec,
-    algorithm: &str,
-    outcome: Result<Result<(), String>, CoreError>,
-    cost: Cost,
-    fold: LedgerTracer,
-    nanos: u64,
-) -> CellResult {
-    let lens = fold
-        .finish()
-        .expect("an engine's batches stay inside its clique");
-    let (status, error, detail) = match outcome {
-        Ok(Ok(())) => (CellStatus::Ok, None, None),
-        Ok(Err(why)) => (CellStatus::Failed, Some("wrong-answer"), Some(why)),
-        Err(e) => {
-            let (status, kind) = match &e {
-                CoreError::Net(net) => (CellStatus::ModelReject, net.kind()),
-                CoreError::SketchExhausted { .. } => (CellStatus::Failed, "sketch-exhausted"),
-            };
-            (status, Some(kind), Some(e.to_string()))
-        }
-    };
-    CellResult {
-        spec: *spec,
-        algorithm: algorithm.to_string(),
-        status,
-        error: error.map(str::to_string),
-        detail,
-        validated: status == CellStatus::Ok,
-        rounds: cost.rounds,
-        messages: cost.messages,
-        words: cost.words,
-        machine: lens.machine_stats(),
-        utilization: lens.report(),
-        nanos,
-    }
-}
-
-/// Runs one `CliqueNet`-based workload in one cell and classifies what
-/// `run` returns: its run error, or its answer's check verdict.
-fn net_cell<F>(n: usize, seed: u64, spec: &ModelSpec, algorithm: &str, run: F) -> CellResult
-where
-    F: FnOnce(&mut Net) -> Result<Result<(), String>, CoreError>,
-{
-    let cfg = NetConfig::from_model(n, spec)
-        .expect("grid cells are pre-validated")
-        .with_seed(seed)
-        .with_round_cap(GRID_ROUND_CAP);
-    let fold = LedgerTracer::new(n, spec).expect("grid cells are pre-validated");
-    let mut net = Net::new(cfg);
-    net.set_tracer(Box::new(fold.clone()));
-    let t0 = Instant::now();
-    let outcome = run(&mut net);
-    let nanos = t0.elapsed().as_nanos() as u64;
-    let cost = net.cost();
-    drop(net);
-    classify(spec, algorithm, outcome, cost, fold, nanos)
-}
-
-/// One catalog entry in one cell.
-fn catalog_cell(n: usize, seed: u64, spec: &ModelSpec, entry: Entry) -> CellResult {
-    net_cell(n, seed, spec, entry.id(), |net| {
-        let answer = entry.run(net)?;
-        Ok(entry.check(&answer))
-    })
-}
-
-/// `gc-sketch` in one cell. Broadcast-only cells run the
-/// label-propagation GC (the paper's footnote-1 algorithm) instead of
-/// the catalog entry; its label output is completed with an
+/// Label-propagation GC, the broadcast-only cells' `gc-sketch` runner
+/// (the paper's footnote-1 algorithm). Its labels are completed with an
 /// independently built spanning forest ([`connectivity::spanning_forest`])
-/// so `validate_gc` pins the labels to the true components.
-fn gc_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
-    if spec.allows_unicast() {
-        return catalog_cell(n, seed, spec, Entry::GcSketch(g));
-    }
-    net_cell(n, seed, spec, "gc-sketch", |net| {
-        let run = broadcast_gc(net, g)?;
-        let out = GcOutput {
-            connected: run.connected,
-            component_count: run.component_count,
-            labels: run.labels,
-            spanning_forest: connectivity::spanning_forest(g)
-                .into_iter()
-                .map(|(u, v)| Edge::new(u, v))
-                .collect(),
-        };
-        Ok(validate_gc(g, &out))
-    })
+/// so the entry's check pins the labels to the true components.
+fn broadcast_gc_answer(net: &mut Net, g: &Graph) -> Result<Answer, CoreError> {
+    let run = broadcast_gc(net, g)?;
+    Ok(Answer::Gc(GcOutput {
+        connected: run.connected,
+        component_count: run.component_count,
+        labels: run.labels,
+        spanning_forest: connectivity::spanning_forest(g)
+            .into_iter()
+            .map(|(u, v)| Edge::new(u, v))
+            .collect(),
+    }))
 }
 
-fn rt_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
+/// `rt-conn` on the serial `cc-runtime` backend, judged against the
+/// sequential component labels.
+fn rt_run(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> Run {
     let adj = g.adjacency_lists();
     let truth = connectivity::component_labels(g);
     let cfg = NetConfig::kt1(n)
         .with_seed(seed)
-        .with_round_cap(GRID_ROUND_CAP)
+        .with_round_cap(guard::ROUND_CAP)
         .with_model(spec);
     let mut rt = Runtime::serial(cfg);
     let fold = LedgerTracer::new(n, spec).expect("grid cells are pre-validated");
     rt.set_tracer(Box::new(fold.clone()));
     let t0 = Instant::now();
-    let result = run_connectivity(&mut rt, &adj, None, GRID_ROUND_CAP);
+    let result = run_connectivity(&mut rt, &adj, None, guard::ROUND_CAP);
     let nanos = t0.elapsed().as_nanos() as u64;
     let cost = rt.cost();
     drop(rt);
-    let outcome = result.map(|out| {
+    let check = |out: &RtGcOutput| {
         if out.labels == truth {
             Ok(())
         } else {
@@ -679,8 +458,15 @@ fn rt_cell(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> CellResult {
                     .len()
             ))
         }
-    });
-    classify(spec, "rt-conn", outcome, cost, fold, nanos)
+    };
+    Run {
+        verdict: Verdict::returned(result, check, |_| true),
+        cost,
+        ledger: fold
+            .finish()
+            .expect("an engine's batches stay inside its clique"),
+        nanos,
+    }
 }
 
 /// Runs the full sweep: every cell × every algorithm on fixed seeded
@@ -692,17 +478,30 @@ pub fn run_grid(cfg: &GridConfig) -> GridArtifact {
     let g = generators::random_connected_graph(n, (3.0 / n as f64).min(0.5), &mut rng);
     let mut wrng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xABCD);
     let wg = generators::complete_wgraph(n, &mut wrng);
+    let (gc, mst) = (Entry::GcSketch(&g), Entry::ExactMst(&wg));
 
     let mut artifact = GridArtifact::new(n, cfg.seed);
     for spec in cfg.cells() {
-        artifact.cells.push(gc_cell(n, cfg.seed, &g, &spec));
+        let net_cfg = NetConfig::from_model(n, &spec)
+            .expect("grid cells are pre-validated")
+            .with_seed(cfg.seed);
+        let gc_run = if spec.allows_unicast() {
+            guard::run(net_cfg.clone(), None, gc)
+        } else {
+            guard::run_with(net_cfg.clone(), None, gc, |net| {
+                broadcast_gc_answer(net, &g)
+            })
+        };
+        artifact.cells.push(CellResult::new(spec, gc.id(), gc_run));
         // EXACT-MST is a unicast protocol: in broadcast-only cells its
         // first point-to-point send is the typed rejection the grid
         // documents (there is no broadcast-only MST in the paper).
+        let mst_run = guard::run(net_cfg, None, mst);
         artifact
             .cells
-            .push(catalog_cell(n, cfg.seed, &spec, Entry::ExactMst(&wg)));
-        artifact.cells.push(rt_cell(n, cfg.seed, &g, &spec));
+            .push(CellResult::new(spec, mst.id(), mst_run));
+        let rt = rt_run(n, cfg.seed, &g, &spec);
+        artifact.cells.push(CellResult::new(spec, "rt-conn", rt));
     }
     artifact
 }
@@ -739,8 +538,7 @@ mod tests {
             .iter()
             .filter(|c| c.algorithm == "gc-sketch" && !c.spec.allows_unicast())
         {
-            assert_eq!(c.status, CellStatus::Ok, "{}: {:?}", c.cell_key(), c.error);
-            assert!(c.validated);
+            assert_eq!(c.verdict, Verdict::Ok, "{}", c.cell_key());
         }
         // EXACT-MST must be *typed-rejected* in every bc cell: the model
         // names the round and link of the first illegal unicast.
@@ -749,12 +547,12 @@ mod tests {
             .iter()
             .filter(|c| c.algorithm == "exact-mst" && !c.spec.allows_unicast())
         {
-            assert_eq!(c.status, CellStatus::ModelReject, "{}", c.cell_key());
-            assert_eq!(c.error.as_deref(), Some("unicast-in-broadcast"));
+            assert_eq!(c.verdict.status(), "model-reject", "{}", c.cell_key());
+            assert_eq!(c.verdict.kind(), Some("unicast-in-broadcast"));
             assert!(
-                c.detail.as_deref().unwrap_or("").contains("round"),
+                c.verdict.detail().unwrap_or("").contains("round"),
                 "rejection names the round: {:?}",
-                c.detail
+                c.verdict
             );
         }
         // At full bandwidth in the unicast model everything succeeds.
@@ -763,7 +561,7 @@ mod tests {
             .iter()
             .filter(|c| c.spec.bandwidth_words_per_link == 8 && c.spec.allows_unicast())
         {
-            assert_eq!(c.status, CellStatus::Ok, "{}/{}", c.cell_key(), c.algorithm);
+            assert_eq!(c.verdict, Verdict::Ok, "{}/{}", c.cell_key(), c.algorithm);
         }
         // The mapping never changes the logical outcome: group by
         // (bandwidth, mode, algorithm) and check status + logical cost
@@ -783,7 +581,7 @@ mod tests {
         for (key, cells) in groups {
             let first = cells[0];
             for c in &cells[1..] {
-                assert_eq!(c.status, first.status, "{key:?}");
+                assert_eq!(c.verdict.status(), first.verdict.status(), "{key:?}");
                 assert_eq!(
                     (c.rounds, c.messages, c.words),
                     (first.rounds, first.messages, first.words),
@@ -807,7 +605,7 @@ mod tests {
             assert_eq!(u.machine, c.machine, "{}/{}", c.cell_key(), c.algorithm);
             assert!(u.peak_util_milli <= 1000);
             assert_eq!(u.headroom_milli, 1000 - u.peak_util_milli);
-            if c.status == CellStatus::Ok {
+            if c.verdict == Verdict::Ok {
                 assert_eq!(u.words, c.words, "{}/{}", c.cell_key(), c.algorithm);
                 assert_eq!(u.rounds + u.fast_forward_rounds, c.rounds);
             }
@@ -818,7 +616,7 @@ mod tests {
         let ok_peaks: Vec<u64> = art
             .cells
             .iter()
-            .filter(|c| c.status == CellStatus::Ok)
+            .filter(|c| c.verdict == Verdict::Ok)
             .map(|c| c.utilization.peak_util_milli)
             .collect();
         assert!(!ok_peaks.is_empty());
@@ -830,11 +628,33 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_are_rejected_with_a_schema_error() {
-        let mut art = small_grid();
-        art.schema_version = 1;
-        let err = GridArtifact::from_json_str(&art.to_json_string()).unwrap_err();
-        assert!(err.contains("schema_version 1 not supported"), "{err}");
+    fn a_panicking_runner_is_a_failed_cell_not_an_unwind() {
+        // `run_grid`'s cells are guarded runs: a runner that panics ends
+        // as a `failed` cell of kind `panic`, and the sweep goes on.
+        let n = 12;
+        let spec = ModelSpec::clique().with_bandwidth(8).kmachine(4);
+        let mut rng = ChaCha8Rng::seed_from_u64(0xE22);
+        let g = generators::random_connected_graph(n, 0.3, &mut rng);
+        let cfg = NetConfig::from_model(n, &spec).unwrap().with_seed(0xE22);
+        let run = guard::run_with(cfg, None, Entry::GcSketch(&g), |net| {
+            broadcast_gc_answer(net, &g)?;
+            panic!("injected after the broadcast run")
+        });
+        let cell = CellResult::new(spec, "gc-sketch", run);
+        assert_eq!(cell.verdict.status(), "failed");
+        assert_eq!(cell.verdict.kind(), Some("panic"));
+        assert_eq!(
+            cell.verdict.detail(),
+            Some("injected after the broadcast run")
+        );
+        assert!(cell.rounds > 0, "cost is metered up to the panic");
+        let mut art = GridArtifact::new(n, 0xE22);
+        art.cells.push(cell);
+        art.validate().expect("a failed cell is a valid cell");
+        assert_eq!(art.failed().len(), 1);
+        let json = art.to_json_string();
+        assert!(json.contains("\"status\": \"failed\""), "{json}");
+        assert!(json.contains("\"error\": \"panic\""), "{json}");
     }
 
     #[test]
@@ -876,15 +696,6 @@ mod tests {
             "phases: {:?}",
             report.phases
         );
-    }
-
-    #[test]
-    fn artifact_round_trips_through_json() {
-        let art = small_grid();
-        let text = art.to_json_string();
-        let back = GridArtifact::from_json_str(&text).expect("parse");
-        assert_eq!(back, art);
-        back.validate().expect("parsed artifact validates");
     }
 
     #[test]

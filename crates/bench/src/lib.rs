@@ -32,6 +32,7 @@ pub mod artifact;
 pub mod claims;
 pub mod cli;
 pub mod grid;
+pub mod guard;
 pub mod loadgen;
 pub mod perf;
 pub mod table;

@@ -32,15 +32,6 @@
 //! plan exercising all six fault kinds on all three engines and asserts
 //! identical model-event streams, costs, and final program states.
 //!
-//! # Outcome taxonomy
-//!
-//! The robustness harness in `cc-bench` classifies each faulted run with
-//! [`Outcome`]: `Correct` (output matches the fault-free reference),
-//! `DetectedFailure` (the run errored, panicked, or failed validation —
-//! the acceptable failure mode), or `SilentWrongAnswer` (validation
-//! passed but the output is wrong — the failure mode that must never
-//! happen when validation is on).
-//!
 //! # Example
 //!
 //! ```
@@ -59,10 +50,8 @@
 #![warn(missing_docs)]
 
 pub mod inject;
-pub mod outcome;
 pub mod plan;
 pub mod rng;
 
 pub use inject::ChaosInjector;
-pub use outcome::Outcome;
 pub use plan::{Crash, FaultPlan, LinkFault, LinkRule, LinkSelector, RoundRange, Squeeze};

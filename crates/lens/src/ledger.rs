@@ -122,6 +122,7 @@ pub struct CommLedger {
     peak_src: u32,
     peak_dst: u32,
     over_budget: u64,
+    faults: u64,
 }
 
 impl CommLedger {
@@ -163,6 +164,7 @@ impl CommLedger {
             peak_src: 0,
             peak_dst: 0,
             over_budget: 0,
+            faults: 0,
         })
     }
 
@@ -190,15 +192,15 @@ impl CommLedger {
             Event::RoundStart { .. } => {
                 self.round_budget = self.spec.bandwidth_words_per_link;
             }
-            Event::Fault {
-                kind: FaultKind::Squeeze,
-                info,
-                ..
-            } => {
-                // The engines stamp `info` with the effective (already
-                // floored and capped) budget for the round being opened.
-                self.round_budget = self.round_budget.min((*info).max(1));
+            Event::Fault { kind, info, .. } => {
+                self.faults += 1;
+                if *kind == FaultKind::Squeeze {
+                    // The engines stamp `info` with the effective (already
+                    // floored and capped) budget for the round being opened.
+                    self.round_budget = self.round_budget.min((*info).max(1));
+                }
             }
+            Event::NodeCrash { .. } => self.faults += 1,
             Event::MessageBatch {
                 src,
                 dst,
@@ -398,6 +400,12 @@ impl CommLedger {
     /// `SendRules` refuse such sends (the zero-drift tests pin this).
     pub fn over_budget(&self) -> u64 {
         self.over_budget
+    }
+
+    /// Injected faults seen: every `Fault` event (squeezes included) and
+    /// every `NodeCrash`.
+    pub fn faults(&self) -> u64 {
+        self.faults
     }
 
     /// Machine-level accounting under the spec's mapping: the

@@ -153,6 +153,12 @@ fn chaos_replay_folds_bit_identical_on_every_engine() {
     for (engine, events, cost) in &run_both_ways(n, 4, &plan) {
         let lens = CommLedger::fold(n, &spec, events).unwrap();
         assert_fold_matches_cost(engine, &lens, cost);
+        let injected = events
+            .iter()
+            .filter(|e| matches!(e, Event::Fault { .. } | Event::NodeCrash { .. }))
+            .count() as u64;
+        assert!(injected > 0, "{engine}: the plan injected nothing");
+        assert_eq!(lens.faults(), injected, "{engine}");
     }
 }
 

@@ -13,9 +13,10 @@ use crate::table::Table;
 use cc_core::catalog::Entry;
 use cc_graph::generators;
 use cc_lens::comm_metrics;
-use cc_net::{Cost, NetConfig};
+use cc_net::NetConfig;
+use cc_profile::Profile;
 use cc_route::Net;
-use cc_trace::{ClaimRecord, CostSnapshot, ExperimentRecord, PhaseBreakdown, RunArtifact};
+use cc_trace::{ClaimRecord, ExperimentRecord, PhaseBreakdown, RecordingTracer, RunArtifact};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -50,51 +51,12 @@ pub fn claim_record(c: &ClaimResult) -> ClaimRecord {
     }
 }
 
-/// Aggregates completed scopes by name (first-appearance order), keeping
-/// only `keep` — the algorithm's *top-level* phases. Scopes nest (the
-/// collectives add `route:*` under every algorithm phase), so summing
-/// everything would double-count; the curated top-level set partitions the
-/// metered traffic instead.
-pub fn phases_from_scopes(scopes: &[(String, Cost)], keep: &[&str]) -> Vec<(String, CostSnapshot)> {
-    let mut out: Vec<(String, CostSnapshot)> = Vec::new();
-    for (name, cost) in scopes {
-        if !keep.contains(&name.as_str()) {
-            continue;
-        }
-        let snap = cost.snapshot();
-        if let Some((_, acc)) = out.iter_mut().find(|(n, _)| n == name) {
-            acc.rounds += snap.rounds;
-            acc.messages += snap.messages;
-            acc.words += snap.words;
-            acc.bits += snap.bits;
-        } else {
-            out.push((name.clone(), snap));
-        }
-    }
-    out
-}
-
-/// GC's top-level phase scopes.
-pub const GC_PHASES: &[&str] = &["kt0-bootstrap", "phase1", "phase2", "output-broadcast"];
-/// EXACT-MST's top-level phase scopes.
-pub const EXACT_MST_PHASES: &[&str] = &[
-    "kt0-bootstrap",
-    "exact-mst:lotker",
-    "exact-mst:component-graph",
-    "exact-mst:sq-mst-sample",
-    "exact-mst:sq-mst-light",
-];
-/// KT1-MST's top-level phase scopes.
-pub const KT1_MST_PHASES: &[&str] = &[
-    "kt1-mst:mwoe-search",
-    "kt1-mst:merge-report",
-    "kt1-mst:relabel",
-    "kt1-mst:output",
-];
-
 /// Runs the three headline algorithms (GC, EXACT-MST, KT1-MST) at small
 /// scale through [`cc_core::catalog`] and captures per-phase cost
-/// breakdowns from their scope counters.
+/// breakdowns from their event streams: the top-level phases of
+/// [`Profile::from_events`], same-named scopes merged in first-appearance
+/// order. Scopes nest (the collectives add `route:*` under every
+/// algorithm phase), so only the roots partition the metered traffic.
 ///
 /// # Panics
 ///
@@ -108,19 +70,15 @@ pub fn headline_breakdowns(quick: bool) -> Vec<PhaseBreakdown> {
     let sparse = 4.0 / n_mst as f64;
     let g_kt1 = generators::random_connected_wgraph(n_mst, sparse, 10_000, &mut rng(3));
     [
-        ("gc", Entry::GcSketch(&g_gc), n_gc, 9, GC_PHASES),
-        (
-            "exact-mst",
-            Entry::ExactMst(&g_mst),
-            n_mst,
-            5,
-            EXACT_MST_PHASES,
-        ),
-        ("kt1-mst", Entry::Kt1Mst(&g_kt1), n_mst, 7, KT1_MST_PHASES),
+        ("gc", Entry::GcSketch(&g_gc), n_gc, 9),
+        ("exact-mst", Entry::ExactMst(&g_mst), n_mst, 5),
+        ("kt1-mst", Entry::Kt1Mst(&g_kt1), n_mst, 7),
     ]
     .into_iter()
-    .map(|(algo, entry, n, seed, phases)| {
+    .map(|(algo, entry, n, seed)| {
         let mut net = Net::new(NetConfig::kt1(n).with_seed(seed));
+        let rec = RecordingTracer::new();
+        net.set_tracer(Box::new(rec.clone()));
         let answer = entry
             .run(&mut net)
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
@@ -131,7 +89,11 @@ pub fn headline_breakdowns(quick: bool) -> Vec<PhaseBreakdown> {
             algo: algo.into(),
             n: n as u64,
             total: net.cost().snapshot(),
-            phases: phases_from_scopes(net.counters().scopes(), phases),
+            phases: Profile::from_events(&rec.take_events())
+                .roots
+                .into_iter()
+                .map(|phase| (phase.name, phase.cost))
+                .collect(),
         }
     })
     .collect()
@@ -259,6 +221,7 @@ pub fn breakdown_table(b: &PhaseBreakdown) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_trace::CostSnapshot;
 
     #[test]
     fn table_round_trips_through_record() {
@@ -272,56 +235,23 @@ mod tests {
     }
 
     #[test]
-    fn phases_filter_and_aggregate() {
-        let scopes = vec![
-            (
-                "phase1".to_string(),
-                Cost {
-                    rounds: 3,
-                    messages: 10,
-                    words: 20,
-                    bits: 200,
-                },
-            ),
-            (
-                "route:route".to_string(),
-                Cost {
-                    rounds: 2,
-                    messages: 8,
-                    words: 16,
-                    bits: 160,
-                },
-            ),
-            (
-                "phase1".to_string(),
-                Cost {
-                    rounds: 1,
-                    messages: 2,
-                    words: 4,
-                    bits: 40,
-                },
-            ),
-        ];
-        let phases = phases_from_scopes(&scopes, &["phase1"]);
-        assert_eq!(phases.len(), 1);
-        assert_eq!(phases[0].0, "phase1");
-        assert_eq!(phases[0].1.rounds, 4);
-        assert_eq!(phases[0].1.messages, 12);
-    }
-
-    #[test]
     fn headline_breakdowns_cover_the_three_algorithms_and_validate() {
         let breakdowns = headline_breakdowns(true);
         let algos: Vec<&str> = breakdowns.iter().map(|b| b.algo.as_str()).collect();
         assert_eq!(algos, vec!["gc", "exact-mst", "kt1-mst"]);
         for b in &breakdowns {
             assert!(!b.phases.is_empty(), "{}: no phases captured", b.algo);
-            let phase_msgs: u64 = b.phases.iter().map(|(_, c)| c.messages).sum();
-            assert!(
-                phase_msgs <= b.total.messages,
-                "{}: top-level phases over-count the total",
+            // The top-level phases partition the run: a renamed scope or an
+            // unscoped collective shows up here as a gap.
+            let sum = |f: fn(&CostSnapshot) -> u64| b.phases.iter().map(|(_, c)| f(c)).sum::<u64>();
+            assert_eq!(sum(|c| c.rounds), b.total.rounds, "{}: rounds", b.algo);
+            assert_eq!(
+                sum(|c| c.messages),
+                b.total.messages,
+                "{}: messages",
                 b.algo
             );
+            assert_eq!(sum(|c| c.words), b.total.words, "{}: words", b.algo);
         }
         let mut artifact = RunArtifact::new("test");
         artifact.breakdowns = breakdowns;

@@ -18,7 +18,7 @@
 
 use cc_bench::artifact::{build_artifact, record_to_table, render_tables_txt};
 use cc_bench::cli::Usage;
-use cc_bench::experiments::messages::e6_transcript_audit;
+use cc_bench::experiments::messages::e6b_link_audit;
 use cc_bench::{select_experiments, Table};
 
 const USAGE: Usage = Usage {
@@ -41,7 +41,7 @@ fn main() {
     for (id, f) in selected {
         tables.push(f(quick));
         if id == "e6" {
-            tables.push(e6_transcript_audit());
+            tables.push(e6b_link_audit());
         }
     }
 

@@ -7,6 +7,7 @@ use cc_graph::generators;
 use cc_lb::{edge_disjoint_squares, find_untouched_square, hard_instance, links_used};
 use cc_net::NetConfig;
 use cc_route::Net;
+use cc_trace::RecordingTracer;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
@@ -85,8 +86,8 @@ pub fn e7_kt1_family(quick: bool) -> Table {
         assert!(r0.connected);
         let r1 = cc_lb::run_report_protocol(&cc_lb::g_ij(i, i + 1), 3).expect("run");
         assert!(!r1.connected);
-        let crossed: HashSet<usize> = cc_lb::crossed_partitions(i, &r0.transcript)
-            .union(&cc_lb::crossed_partitions(i, &r1.transcript))
+        let crossed: HashSet<usize> = cc_lb::crossed_partitions(i, &r0.events)
+            .union(&cc_lb::crossed_partitions(i, &r1.events))
             .copied()
             .collect();
         t.push_row(vec![
@@ -175,18 +176,20 @@ pub fn e11_time_encoding(quick: bool) -> Table {
     t
 }
 
-/// Auxiliary audit for E6: the full GC transcript on a small hard instance
-/// touches (nearly) every clique link, which is exactly why the adversary
-/// cannot fool it — while a sub-quadratic star profile is fooled.
-pub fn e6_transcript_audit() -> Table {
+/// Auxiliary audit for E6 (table E6b): the links of a full GC run's
+/// recorded message batches on a small hard instance touch (nearly) every
+/// clique link, which is exactly why the adversary cannot fool it — while
+/// a sub-quadratic star profile is fooled.
+pub fn e6b_link_audit() -> Table {
     let (n, m) = (16usize, 40usize);
     let inst = hard_instance(n, m);
     let squares = edge_disjoint_squares(&inst);
-    let cfg = NetConfig::kt1(n).with_seed(3).with_transcript();
-    let mut net = Net::new(cfg);
+    let mut net = Net::new(NetConfig::kt1(n).with_seed(3));
+    let rec = RecordingTracer::new();
+    net.set_tracer(Box::new(rec.clone()));
     let out = gc::run_on(&mut net, &inst.graph, &GcConfig::default()).expect("gc");
     assert!(!out.connected);
-    let used = links_used(net.transcript());
+    let used = links_used(&rec.take_events());
     let untouched = find_untouched_square(&squares, &used);
     let mut t = Table::new(
         "E6b",
@@ -252,7 +255,7 @@ mod tests {
 
     #[test]
     fn e6b_audit_contrast() {
-        let t = e6_transcript_audit();
+        let t = e6b_link_audit();
         assert_eq!(t.rows[0][3], "false", "full GC leaves no square");
         assert_eq!(t.rows[1][3], "true", "star profile is fooled");
     }

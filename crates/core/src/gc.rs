@@ -198,6 +198,15 @@ pub fn sketch_and_span(
 ///
 /// See [`sketch_and_span`].
 pub fn run_on(net: &mut Net, g: &Graph, cfg: &GcConfig) -> Result<GcOutput, CoreError> {
+    run_phases(net, g, cfg).map(|(output, _, _)| output)
+}
+
+/// [`run_on`], also returning the `phase1` and `phase2` scope deltas.
+fn run_phases(
+    net: &mut Net,
+    g: &Graph,
+    cfg: &GcConfig,
+) -> Result<(GcOutput, Cost, Cost), CoreError> {
     let n = net.n();
     let coordinator = 0usize;
     // Under KT0 the algorithm first buys KT1 knowledge with an ID
@@ -209,11 +218,11 @@ pub fn run_on(net: &mut Net, g: &Graph, cfg: &GcConfig) -> Result<GcOutput, Core
     }
     net.begin_scope("phase1");
     let ReduceOutcome { t1, g1, .. } = reduce_components(net, g, cfg.phases)?;
-    net.end_scope();
+    let phase1 = net.end_scope();
 
     net.begin_scope("phase2");
     let span = sketch_and_span(net, &g1, cfg.families)?;
-    net.end_scope();
+    let phase2 = net.end_scope();
 
     // Assemble the maximal spanning forest and broadcast it so every node
     // knows it (the paper's output requirement for the forest version).
@@ -236,12 +245,13 @@ pub fn run_on(net: &mut Net, g: &Graph, cfg: &GcConfig) -> Result<GcOutput, Core
     }
     let labels = uf.min_labels();
     let component_count = uf.set_count();
-    Ok(GcOutput {
+    let output = GcOutput {
         connected: component_count == 1,
         component_count,
         labels,
         spanning_forest: forest,
-    })
+    };
+    Ok((output, phase1, phase2))
 }
 
 /// Convenience: run GC on a fresh network built from `net_cfg` with default
@@ -261,12 +271,12 @@ pub fn run(g: &Graph, net_cfg: &NetConfig) -> Result<GcRun, CoreError> {
 /// See [`sketch_and_span`].
 pub fn run_with(g: &Graph, net_cfg: &NetConfig, cfg: &GcConfig) -> Result<GcRun, CoreError> {
     let mut net = Net::new(net_cfg.clone());
-    let output = run_on(&mut net, g, cfg)?;
+    let (output, phase1, phase2) = run_phases(&mut net, g, cfg)?;
     Ok(GcRun {
         output,
         cost: net.cost(),
-        phase1: net.counters().scope("phase1").unwrap_or_default(),
-        phase2: net.counters().scope("phase2").unwrap_or_default(),
+        phase1,
+        phase2,
     })
 }
 

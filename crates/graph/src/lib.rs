@@ -47,7 +47,6 @@ pub mod connectivity;
 pub mod edge;
 pub mod generators;
 pub mod graph;
-pub mod io;
 pub mod mst;
 pub mod stream;
 pub mod tree;

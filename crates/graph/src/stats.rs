@@ -1,47 +1,8 @@
 //! Graph statistics used by the experiment harness and examples:
-//! degree summaries, density, eccentricity-style measures via BFS.
+//! density and eccentricity-style measures via BFS.
 
 use crate::graph::Graph;
 use std::collections::VecDeque;
-
-/// Degree summary of a graph.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree (`2m/n`).
-    pub mean: f64,
-}
-
-/// Degree summary (`min = max = 0` and `mean = 0` for the empty graph).
-pub fn degree_stats(g: &Graph) -> DegreeStats {
-    if g.n() == 0 {
-        return DegreeStats {
-            min: 0,
-            max: 0,
-            mean: 0.0,
-        };
-    }
-    let degs: Vec<usize> = (0..g.n()).map(|v| g.degree(v)).collect();
-    DegreeStats {
-        min: *degs.iter().min().unwrap(),
-        max: *degs.iter().max().unwrap(),
-        mean: 2.0 * g.m() as f64 / g.n() as f64,
-    }
-}
-
-/// Whether the graph is near-regular in the Section 3 sense: every degree
-/// is `⌊2m/n⌋` or `⌈2m/n⌉` (within `slack` of the band).
-pub fn is_near_regular(g: &Graph, slack: usize) -> bool {
-    if g.n() == 0 {
-        return true;
-    }
-    let lo = (2 * g.m() / g.n()).saturating_sub(slack);
-    let hi = 2 * g.m() / g.n() + 1 + slack;
-    (0..g.n()).all(|v| (lo..=hi).contains(&g.degree(v)))
-}
 
 /// Edge density `m / C(n,2)` (0 for `n < 2`).
 pub fn density(g: &Graph) -> f64 {
@@ -79,40 +40,10 @@ pub fn diameter(g: &Graph) -> Option<usize> {
     Some((0..g.n()).map(|v| eccentricity(g, v)).max().unwrap())
 }
 
-/// Whether the graph is a forest (`m = n − c`).
-pub fn is_forest(g: &Graph) -> bool {
-    g.m() == g.n() - crate::connectivity::component_count(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-
-    #[test]
-    fn degree_stats_basics() {
-        let g = generators::star(5);
-        let s = degree_stats(&g);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 4);
-        assert!((s.mean - 1.6).abs() < 1e-9);
-        assert_eq!(
-            degree_stats(&crate::Graph::new(0)),
-            DegreeStats {
-                min: 0,
-                max: 0,
-                mean: 0.0
-            }
-        );
-    }
-
-    #[test]
-    fn regularity_checks() {
-        assert!(is_near_regular(&generators::cycle(8), 0));
-        assert!(is_near_regular(&generators::circulant(10, &[1, 2]), 0));
-        assert!(!is_near_regular(&generators::star(10), 0));
-        assert!(is_near_regular(&generators::star(10), 10));
-    }
 
     #[test]
     fn density_extremes() {
@@ -131,13 +62,6 @@ mod tests {
     }
 
     #[test]
-    fn forest_detection() {
-        assert!(is_forest(&generators::path(6)));
-        assert!(is_forest(&crate::Graph::new(4)));
-        assert!(!is_forest(&generators::cycle(4)));
-    }
-
-    #[test]
     fn new_generators_are_sane() {
         use crate::connectivity;
         use rand::SeedableRng;
@@ -153,16 +77,15 @@ mod tests {
         assert_eq!(connectivity::bridges(&bb).len(), 2);
 
         let cat = generators::caterpillar(5, 3);
-        assert!(is_forest(&cat));
+        assert!(connectivity::is_connected(&cat));
         assert_eq!(cat.n(), 20);
         assert_eq!(cat.m(), 19);
 
         let sw = generators::small_world(30, 2, 0.2, &mut rng);
         assert!(sw.m() > 0);
-        let s = degree_stats(&sw);
-        assert!(s.mean > 2.0);
+        assert!(sw.m() > sw.n(), "mean degree above 2");
 
         let reg = generators::near_regular(20, 4, &mut rng);
-        assert!(degree_stats(&reg).max <= 4);
+        assert!((0..reg.n()).all(|v| reg.degree(v) <= 4));
     }
 }

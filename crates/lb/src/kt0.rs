@@ -17,6 +17,7 @@
 //! squares explicitly and [`find_untouched_square`] plays the adversary.
 
 use cc_graph::{connectivity, Edge, Graph};
+use cc_trace::Event;
 use rand::Rng;
 use std::collections::HashSet;
 
@@ -262,15 +263,11 @@ pub fn find_untouched_square<'a>(
         .find(|sq| sq.links().iter().all(|l| !used.contains(l)))
 }
 
-/// Canonicalizes a transcript of `(round, src, dst)` records into the set
-/// of links used.
-pub fn links_used(transcript: &[(u64, u32, u32)]) -> HashSet<(usize, usize)> {
-    transcript
-        .iter()
-        .map(|&(_, s, d)| {
-            let (s, d) = (s as usize, d as usize);
-            (s.min(d), s.max(d))
-        })
+/// The set of links a recorded run used: the `(src, dst)` of every
+/// `MessageBatch` event, canonicalized to `(min, max)`.
+pub fn links_used(events: &[Event]) -> HashSet<(usize, usize)> {
+    crate::message_links(events)
+        .map(|(s, d)| (s.min(d), s.max(d)))
         .collect()
 }
 
@@ -431,10 +428,33 @@ mod tests {
 
     #[test]
     fn links_used_canonicalizes() {
-        let t = vec![(1u64, 3u32, 7u32), (2, 7, 3), (3, 0, 1)];
-        let set = links_used(&t);
-        assert_eq!(set.len(), 2);
-        assert!(set.contains(&(3, 7)));
+        let batch = |round, src, dst| Event::MessageBatch {
+            round,
+            src,
+            dst,
+            count: 1,
+            words: 1,
+        };
+        let events = vec![
+            Event::ScopeEnter {
+                name: "phase1".into(),
+                round: 0,
+            },
+            batch(0, 3, 7),
+            batch(1, 7, 3),
+            batch(2, 0, 1),
+            batch(3, 0, 1),
+            Event::Fault {
+                round: 3,
+                kind: cc_trace::FaultKind::Drop,
+                src: 5,
+                dst: 6,
+                index: 0,
+                info: 0,
+            },
+        ];
+        let set = links_used(&events);
+        assert_eq!(set, HashSet::from([(3, 7), (0, 1)]));
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! rest and argues every partition must be *crossed* by a message on
 //! `G_{i,0}` or on `G_{i,i+1}` — since one message crosses at most two
 //! partitions (the sets `{u_j, v_j}` are pairwise disjoint), that is
-//! `Ω(n)` messages. This module builds the family, counts crossings of
-//! recorded transcripts, and runs a natural deterministic `GC(u₀,v₀)`
-//! protocol whose crossing profile the experiments audit.
+//! `Ω(n)` messages. This module builds the family, counts crossings in
+//! recorded runs' message batches, and runs a natural deterministic
+//! `GC(u₀,v₀)` protocol whose crossing profile the experiments audit.
 
 use cc_graph::{connectivity, Graph};
 use cc_net::{NetConfig, NetError};
 use cc_route::{Net, Packet};
+use cc_trace::{Event, RecordingTracer};
 use std::collections::HashSet;
 
 /// Node index of `u_k` in the `G_{i,·}` layout.
@@ -60,12 +61,12 @@ pub fn partition_pair(i: usize, j: usize) -> (usize, usize) {
     (u(i, j), v(i, j))
 }
 
-/// Which partitions a transcript crosses: `j` is crossed iff some message
-/// runs between `{u_j, v_j}` and the complement.
-pub fn crossed_partitions(i: usize, transcript: &[(u64, u32, u32)]) -> HashSet<usize> {
+/// Which partitions a recorded run crosses: `j` is crossed iff some
+/// `MessageBatch` in `events` runs between `{u_j, v_j}` and the
+/// complement.
+pub fn crossed_partitions(i: usize, events: &[Event]) -> HashSet<usize> {
     let mut crossed = HashSet::new();
-    for &(_, s, d) in transcript {
-        let (s, d) = (s as usize, d as usize);
+    for (s, d) in crate::message_links(events) {
         for j in 1..=i {
             let (a, b) = partition_pair(i, j);
             let s_in = s == a || s == b;
@@ -88,8 +89,8 @@ pub struct Gc2Run {
     pub messages: u64,
     /// Rounds used.
     pub rounds: u64,
-    /// The full transcript (the run always records).
-    pub transcript: Vec<(u64, u32, u32)>,
+    /// The run's model events (the run always records them).
+    pub events: Vec<Event>,
 }
 
 /// A natural deterministic KT1 protocol for `GC(u₀, v₀)`: every node
@@ -105,8 +106,10 @@ pub struct Gc2Run {
 /// Propagates simulator errors.
 pub fn run_report_protocol(g: &Graph, seed: u64) -> Result<Gc2Run, NetError> {
     let n = g.n();
-    let cfg = NetConfig::kt1(n).with_seed(seed).with_transcript();
+    let cfg = NetConfig::kt1(n).with_seed(seed);
     let mut net: Net = Net::new(cfg);
+    let rec = RecordingTracer::new();
+    net.set_tracer(Box::new(rec.clone()));
     let u0 = 0usize;
     let v0 = g.n() / 2; // v_0 in the G_{i,·} layout (n = 2i + 2)
     let link_words = net.config().link_words as usize;
@@ -168,7 +171,7 @@ pub fn run_report_protocol(g: &Graph, seed: u64) -> Result<Gc2Run, NetError> {
         connected,
         messages: net.cost().messages,
         rounds: net.cost().rounds,
-        transcript: net.transcript().to_vec(),
+        events: rec.model_events(),
     })
 }
 
@@ -228,15 +231,27 @@ mod tests {
     #[test]
     fn crossing_counter() {
         let i = 3;
+        let batch = |src: usize, dst: usize| {
+            vec![Event::MessageBatch {
+                round: 1,
+                src: src as u32,
+                dst: dst as u32,
+                count: 1,
+                words: 1,
+            }]
+        };
         // Message u1 → v0 crosses partition 1 only.
-        let t = vec![(1u64, u(i, 1) as u32, v(i, 0) as u32)];
-        assert_eq!(crossed_partitions(i, &t), HashSet::from([1]));
+        assert_eq!(
+            crossed_partitions(i, &batch(u(i, 1), v(i, 0))),
+            HashSet::from([1])
+        );
         // Message u2 → v2 stays inside partition 2: crosses nothing.
-        let t2 = vec![(1u64, u(i, 2) as u32, v(i, 2) as u32)];
-        assert!(crossed_partitions(i, &t2).is_empty());
+        assert!(crossed_partitions(i, &batch(u(i, 2), v(i, 2))).is_empty());
         // Message u1 → v3 crosses partitions 1 and 3 (two at most!).
-        let t3 = vec![(1u64, u(i, 1) as u32, v(i, 3) as u32)];
-        assert_eq!(crossed_partitions(i, &t3), HashSet::from([1, 3]));
+        assert_eq!(
+            crossed_partitions(i, &batch(u(i, 1), v(i, 3))),
+            HashSet::from([1, 3])
+        );
     }
 
     #[test]
@@ -257,8 +272,8 @@ mod tests {
         let i = 8;
         let r0 = run_report_protocol(&g_ij(i, 0), 2).unwrap();
         let r1 = run_report_protocol(&g_ij(i, i + 1), 2).unwrap();
-        let crossed: HashSet<usize> = crossed_partitions(i, &r0.transcript)
-            .union(&crossed_partitions(i, &r1.transcript))
+        let crossed: HashSet<usize> = crossed_partitions(i, &r0.events)
+            .union(&crossed_partitions(i, &r1.events))
             .copied()
             .collect();
         assert_eq!(crossed.len(), i, "all partitions crossed");

@@ -12,8 +12,12 @@
 //!   protocol cannot distinguish from the disconnected one.
 //! * [`kt1`] — the Section 4 / Figure 1 family `G_{i,j}` for the KT1
 //!   `Ω(n)` bound: the forests, the partitions `P_{i,j}`, a
-//!   partition-crossing auditor for recorded transcripts, and a concrete
+//!   partition-crossing auditor for recorded runs, and a concrete
 //!   deterministic `GC(u₀, v₀)` protocol to audit.
+//!
+//! Both audits read a run's recorded event stream (a
+//! `cc_trace::RecordingTracer` attached to the net): the links used are
+//! the `(src, dst)` pairs of its `MessageBatch` events.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,3 +32,14 @@ pub use kt0::{
 };
 pub use kt1::{crossed_partitions, g_ij, partition_pair, run_report_protocol, Gc2Run};
 pub use port_view::{port_view, views_identical_after_swap, PortView};
+
+use cc_trace::Event;
+
+/// The `(src, dst)` of every `MessageBatch` in `events`; other events
+/// are ignored.
+fn message_links(events: &[Event]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    events.iter().filter_map(|e| match *e {
+        Event::MessageBatch { src, dst, .. } => Some((src as usize, dst as usize)),
+        _ => None,
+    })
+}

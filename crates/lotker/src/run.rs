@@ -441,9 +441,19 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         let g = generators::complete_wgraph(16, &mut rng);
         let mut nt = net(16, 4);
+        let rec = cc_trace::RecordingTracer::new();
+        nt.set_tracer(Box::new(rec.clone()));
         let run = cc_mst(&mut nt, &g, None).unwrap();
+        let events = rec.take_events();
         for k in 1..=run.phases_run {
-            let c = nt.counters().scope(&format!("lotker-phase-{k}")).unwrap();
+            let phase = format!("lotker-phase-{k}");
+            let c = events
+                .iter()
+                .find_map(|e| match e {
+                    cc_trace::Event::ScopeExit { name, delta } if *name == phase => Some(*delta),
+                    _ => None,
+                })
+                .unwrap();
             assert!(c.rounds > 0);
             assert!(c.messages > 0);
         }

@@ -3,7 +3,7 @@
 //! The bandwidth / link-mode / mapping axes are owned by
 //! [`cc_model::ModelSpec`]; a [`NetConfig`] binds a spec to a concrete
 //! clique size (plus simulator-local concerns: knowledge, seed,
-//! transcripts, watchdogs). [`NetConfig::from_model`] is the validated
+//! watchdogs). [`NetConfig::from_model`] is the validated
 //! entry point, and [`NetConfig::model`] recovers the spec that send
 //! admission ([`crate::SendRules`]) is enforced against.
 
@@ -38,10 +38,6 @@ pub struct NetConfig {
     /// Seed for all simulator randomness (per-node private RNG streams and
     /// the hidden KT0 port permutations).
     pub seed: u64,
-    /// Record every message's `(round, src, dst)` for post-hoc audits
-    /// (partition-crossing analyses of the Section 3/4 lower bounds).
-    /// Off by default — transcripts of large runs are big.
-    pub record_transcript: bool,
     /// Optional watchdog: error out if a run exceeds this many rounds
     /// (catches non-terminating protocols in tests and CI). `None` (the
     /// default) means unlimited.
@@ -73,7 +69,6 @@ impl NetConfig {
             knowledge: Knowledge::Kt1,
             link_words: DEFAULT_LINK_WORDS,
             seed: 0,
-            record_transcript: false,
             round_cap: None,
             broadcast_only: false,
             mapping: Mapping::OneToOne,
@@ -107,12 +102,6 @@ impl NetConfig {
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables transcript recording (see `record_transcript`).
-    pub fn with_transcript(mut self) -> Self {
-        self.record_transcript = true;
         self
     }
 

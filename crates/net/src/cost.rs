@@ -3,9 +3,11 @@
 //! *Time complexity* is the number of synchronous rounds; *message
 //! complexity* is the total number of messages (each of `O(log n)` bits)
 //! sent by all machines. The simulator additionally tracks words and bits so
-//! that bandwidth ablations (Theorems 4/7 "furthermore") stay honest, and it
-//! supports named scopes so experiments can attribute cost to algorithm
-//! phases ("Phase 1: Lotker preprocessing" vs "Phase 2: sketching").
+//! that bandwidth ablations (Theorems 4/7 "furthermore") stay honest.
+//! [`CliqueNet`](crate::CliqueNet) keeps one running [`Cost`] total;
+//! its named scopes return their deltas and emit them as
+//! `ScopeExit` events, so phases ("Phase 1: Lotker preprocessing" vs
+//! "Phase 2: sketching") are read from the event stream.
 
 use std::fmt;
 
@@ -91,123 +93,9 @@ impl fmt::Display for Cost {
     }
 }
 
-/// Running counters plus named scopes.
-#[derive(Clone, Debug, Default)]
-pub struct Counters {
-    total: Cost,
-    open: Vec<(String, Cost)>,
-    closed: Vec<(String, Cost)>,
-}
-
-impl Counters {
-    /// Fresh counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current totals.
-    pub fn total(&self) -> Cost {
-        self.total
-    }
-
-    /// Records one completed round.
-    pub fn add_round(&mut self) {
-        self.total.rounds += 1;
-    }
-
-    /// Records `r` rounds at once (fast-forward).
-    pub fn add_rounds(&mut self, r: u64) {
-        self.total.rounds += r;
-    }
-
-    /// Records one message of `words` words (`word_bits` bits each).
-    pub fn add_message(&mut self, words: u64, word_bits: u64) {
-        self.total.messages += 1;
-        self.total.words += words;
-        self.total.bits += words * word_bits;
-    }
-
-    /// Opens a named scope; costs accrued until the matching
-    /// [`end_scope`](Self::end_scope) are attributed to it.
-    pub fn begin_scope(&mut self, name: impl Into<String>) {
-        self.open.push((name.into(), self.total));
-    }
-
-    /// Closes the innermost scope and records its delta.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no scope is open.
-    pub fn end_scope(&mut self) -> Cost {
-        let (name, start) = self.open.pop().expect("no open scope");
-        let delta = self.total.since(&start);
-        self.closed.push((name, delta));
-        delta
-    }
-
-    /// Completed scopes in closing order.
-    pub fn scopes(&self) -> &[(String, Cost)] {
-        &self.closed
-    }
-
-    /// Delta of the first completed scope with this name, if any.
-    pub fn scope(&self, name: &str) -> Option<Cost> {
-        self.closed.iter().find(|(n, _)| n == name).map(|&(_, c)| c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulates() {
-        let mut c = Counters::new();
-        c.add_round();
-        c.add_message(3, 10);
-        c.add_message(1, 10);
-        let t = c.total();
-        assert_eq!(t.rounds, 1);
-        assert_eq!(t.messages, 2);
-        assert_eq!(t.words, 4);
-        assert_eq!(t.bits, 40);
-    }
-
-    #[test]
-    fn scopes_capture_deltas() {
-        let mut c = Counters::new();
-        c.add_round();
-        c.begin_scope("phase1");
-        c.add_round();
-        c.add_message(2, 8);
-        let d = c.end_scope();
-        assert_eq!(d.rounds, 1);
-        assert_eq!(d.messages, 1);
-        assert_eq!(d.words, 2);
-        assert_eq!(c.scope("phase1"), Some(d));
-        assert_eq!(c.scope("missing"), None);
-        assert_eq!(c.total().rounds, 2);
-    }
-
-    #[test]
-    fn nested_scopes() {
-        let mut c = Counters::new();
-        c.begin_scope("outer");
-        c.add_round();
-        c.begin_scope("inner");
-        c.add_round();
-        c.end_scope();
-        c.add_round();
-        let outer = c.end_scope();
-        assert_eq!(c.scope("inner").unwrap().rounds, 1);
-        assert_eq!(outer.rounds, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "no open scope")]
-    fn unbalanced_end_panics() {
-        Counters::new().end_scope();
-    }
 
     #[test]
     fn since_subtracts() {
@@ -278,13 +166,5 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert!(!Cost::default().to_string().is_empty());
-    }
-
-    #[test]
-    fn fast_forward_rounds() {
-        let mut c = Counters::new();
-        c.add_rounds(1_000_000_007);
-        assert_eq!(c.total().rounds, 1_000_000_007);
-        assert_eq!(c.total().messages, 0);
     }
 }

@@ -14,8 +14,10 @@
 //!   the node callbacks run elsewhere) and silent-round fast-forwarding.
 //!   It is the workspace's one round engine; `cc-runtime`'s backends run
 //!   their rounds through it.
-//! * [`Counters`] / [`Cost`] — metering with named scopes so experiments
-//!   can attribute cost to algorithm phases.
+//! * [`Cost`] — the metered totals; [`CliqueNet::begin_scope`] /
+//!   [`CliqueNet::end_scope`] attribute cost to algorithm phases, and the
+//!   attached [`cc_trace::Tracer`]'s event stream is the run's one
+//!   per-link, per-phase record.
 //! * [`Wire`] — message-size declaration every payload type provides.
 //! * [`PortMap`] — the hidden port permutation of the KT0 variant.
 //! * [`ModelSpec`] (re-exported from `cc-model`) — the bandwidth /
@@ -30,7 +32,7 @@
 mod batch;
 pub mod budget;
 pub mod config;
-pub mod counters;
+pub mod cost;
 pub mod error;
 pub mod fault;
 pub mod net;
@@ -41,7 +43,7 @@ pub mod wire;
 pub use budget::{LinkUse, SendRules};
 pub use cc_model::{LinkMode, Mapping, ModelError, ModelSpec};
 pub use config::{Knowledge, NetConfig, DEFAULT_LINK_WORDS};
-pub use counters::{Cost, Counters};
+pub use cost::Cost;
 pub use error::NetError;
 pub use fault::{apply_faults, FaultDecision, FaultInjector, FaultOutcome, FaultRecord, NoFaults};
 pub use net::{CliqueNet, Envelope, Outbox, RoundPlan, StagedRound};

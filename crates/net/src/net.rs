@@ -40,7 +40,7 @@
 use crate::batch::RoundBatches;
 use crate::budget::{LinkUse, SendRules};
 use crate::config::{Knowledge, NetConfig};
-use crate::counters::{Cost, Counters};
+use crate::cost::Cost;
 use crate::error::NetError;
 use crate::fault::{apply_faults, FaultInjector, FaultRecord};
 use crate::ports::PortMap;
@@ -212,11 +212,13 @@ impl<M: Wire + Clone> Outbox<'_, M> {
 pub struct CliqueNet<M> {
     cfg: NetConfig,
     word_bits: u64,
-    counters: Counters,
+    /// Running totals (the paper's complexity measures).
+    cost: Cost,
+    /// Open scopes, innermost last: name and the total at entry.
+    scopes: Vec<(String, Cost)>,
     inboxes: Vec<Vec<Envelope<M>>>,
     rngs: Vec<ChaCha8Rng>,
     ports: Option<PortMap>,
-    transcript: Vec<(u64, u32, u32)>,
     tracer: Box<dyn Tracer>,
     /// `tracer.enabled()`, cached at attach time so the disabled path is
     /// one predictable branch per emission site (no virtual call).
@@ -265,11 +267,11 @@ impl<M: Wire> CliqueNet<M> {
         CliqueNet {
             cfg,
             word_bits,
-            counters: Counters::new(),
+            cost: Cost::default(),
+            scopes: Vec::new(),
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             rngs,
             ports,
-            transcript: Vec::new(),
             tracer: Box::new(NullTracer),
             tracing: false,
             timing: false,
@@ -327,12 +329,6 @@ impl<M: Wire> CliqueNet<M> {
         t
     }
 
-    /// The recorded `(round, src, dst)` transcript (empty unless
-    /// [`NetConfig::record_transcript`] is set).
-    pub fn transcript(&self) -> &[(u64, u32, u32)] {
-        &self.transcript
-    }
-
     /// Clique size.
     pub fn n(&self) -> usize {
         self.cfg.n
@@ -345,36 +341,32 @@ impl<M: Wire> CliqueNet<M> {
 
     /// Accumulated cost so far.
     pub fn cost(&self) -> Cost {
-        self.counters.total()
+        self.cost
     }
 
-    /// The cost counters (for scope queries).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Opens a named cost scope (see [`Counters::begin_scope`]).
+    /// Opens a named cost scope: costs accrued until the matching
+    /// [`end_scope`](Self::end_scope) are attributed to it. Scopes nest.
     pub fn begin_scope(&mut self, name: impl Into<String>) {
         let name = name.into();
         if self.tracing {
             self.tracer.record(Event::ScopeEnter {
                 name: name.clone(),
-                round: self.counters.total().rounds,
+                round: self.cost.rounds,
             });
         }
-        self.counters.begin_scope(name);
+        self.scopes.push((name, self.cost));
     }
 
-    /// Closes the innermost cost scope and returns its delta.
+    /// Closes the innermost cost scope and returns its delta (also
+    /// emitted as the `ScopeExit` event, the one per-phase record).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no scope is open.
     pub fn end_scope(&mut self) -> Cost {
-        let delta = self.counters.end_scope();
+        let (name, start) = self.scopes.pop().expect("no open scope");
+        let delta = self.cost.since(&start);
         if self.tracing {
-            let name = self
-                .counters
-                .scopes()
-                .last()
-                .map(|(n, _)| n.clone())
-                .unwrap_or_default();
             self.tracer.record(Event::ScopeExit {
                 name,
                 delta: delta.snapshot(),
@@ -423,11 +415,11 @@ impl<M: Wire> CliqueNet<M> {
         }
         if self.tracing {
             self.tracer.record(Event::FastForward {
-                from_round: self.counters.total().rounds,
+                from_round: self.cost.rounds,
                 rounds,
             });
         }
-        self.counters.add_rounds(rounds);
+        self.cost.rounds += rounds;
         Ok(())
     }
 }
@@ -589,13 +581,13 @@ impl<M: Wire + Clone> CliqueNet<M> {
     /// delivered inboxes with any due deferred messages merged in.
     fn open_round(&mut self) -> Result<OpenRound<M>, NetError> {
         if let Some(cap) = self.cfg.round_cap {
-            if self.counters.total().rounds >= cap {
+            if self.cost.rounds >= cap {
                 return Err(NetError::RoundCapExceeded { cap });
             }
         }
         let n = self.cfg.n;
-        let round = self.counters.total().rounds;
-        let before = self.counters.total();
+        let round = self.cost.rounds;
+        let before = self.cost;
         // Whole-round wall clock: the gap between this and the per-node
         // compute spans is simulator overhead (routing, metering, fault
         // injection) — see `cc_trace::Event::RoundWall`.
@@ -675,10 +667,9 @@ impl<M: Wire + Clone> CliqueNet<M> {
     }
 
     /// Meters one sender's staged envelopes, folds them into the round's
-    /// batches and transcript, passes them through the injector if one
-    /// is attached, and delivers them. Senders must arrive in ascending
-    /// ID order, which is what makes every inbox `(src, send-index)`
-    /// sorted by construction.
+    /// batches, passes them through the injector if one is attached, and
+    /// delivers them. Senders must arrive in ascending ID order, which is
+    /// what makes every inbox `(src, send-index)` sorted by construction.
     #[inline]
     fn deliver_sender(
         &mut self,
@@ -690,13 +681,9 @@ impl<M: Wire + Clone> CliqueNet<M> {
         if self.faulty {
             for env in &staged {
                 let words = env.msg.words().max(1);
-                self.counters.add_message(words, self.word_bits);
+                self.charge(words);
                 if self.tracing {
                     self.batches.add(env.dst as u32, words);
-                }
-                if self.cfg.record_transcript {
-                    self.transcript
-                        .push((round, env.src as u32, env.dst as u32));
                 }
             }
             if self.tracing {
@@ -716,13 +703,9 @@ impl<M: Wire + Clone> CliqueNet<M> {
             // once per message and dominates dense rounds.
             for env in staged.drain(..) {
                 let words = env.msg.words().max(1);
-                self.counters.add_message(words, self.word_bits);
+                self.charge(words);
                 if self.tracing {
                     self.batches.add(env.dst as u32, words);
-                }
-                if self.cfg.record_transcript {
-                    self.transcript
-                        .push((round, env.src as u32, env.dst as u32));
                 }
                 self.inboxes[env.dst].push(env);
             }
@@ -731,6 +714,14 @@ impl<M: Wire + Clone> CliqueNet<M> {
             }
             self.staged_pool = staged;
         }
+    }
+
+    /// Charges one message of `words` words to the running totals.
+    #[inline]
+    fn charge(&mut self, words: u64) {
+        self.cost.messages += 1;
+        self.cost.words += words;
+        self.cost.bits += words * self.word_bits;
     }
 
     /// The round epilogue: recycles the delivered buffers, counts the
@@ -754,7 +745,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
             q.clear();
         }
         self.pool = delivered;
-        self.counters.add_round();
+        self.cost.rounds += 1;
         if self.tracing {
             for &(src, dst, count, words) in self.batches.entries() {
                 self.tracer.record(Event::MessageBatch {
@@ -785,7 +776,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
                     nanos: t0.elapsed().as_nanos() as u64,
                 });
             }
-            let after = self.counters.total();
+            let after = self.cost;
             self.tracer.record(Event::RoundEnd {
                 round,
                 messages: after.messages - before.messages,
@@ -1004,7 +995,7 @@ mod tests {
         let mut nt = net(4);
         nt.begin_scope("warmup");
         nt.step(|_, _, _| {}).unwrap();
-        nt.end_scope();
+        let warmup = nt.end_scope();
         nt.begin_scope("work");
         nt.step(|node, _, out| {
             if node == 0 {
@@ -1012,9 +1003,9 @@ mod tests {
             }
         })
         .unwrap();
-        nt.end_scope();
-        assert_eq!(nt.counters().scope("warmup").unwrap().messages, 0);
-        assert_eq!(nt.counters().scope("work").unwrap().messages, 1);
+        let work = nt.end_scope();
+        assert_eq!((warmup.rounds, warmup.messages), (1, 0));
+        assert_eq!((work.rounds, work.messages), (1, 1));
     }
 
     #[test]
@@ -1043,8 +1034,7 @@ mod tests {
         // The outer scope contains the inner one: 3 rounds, all 3 messages.
         assert_eq!(outer.rounds, 3);
         assert_eq!(outer.messages, 3);
-        assert_eq!(nt.counters().scope("inner"), Some(inner));
-        assert_eq!(nt.counters().scope("outer"), Some(outer));
+        assert_eq!(outer, nt.cost());
     }
 
     #[test]
@@ -1131,25 +1121,6 @@ mod trace_tests {
         assert_eq!(batch_msgs, cost.messages, "batch counts == counter");
         assert_eq!(batch_words, cost.words, "batch words == counter");
         assert_eq!(end_msgs, cost.messages, "round-end deltas == counter");
-    }
-
-    #[test]
-    fn scope_events_carry_the_scope_delta() {
-        let (mut nt, rec) = traced_net(4);
-        drive(&mut nt);
-        let events = rec.events();
-        let enter = events
-            .iter()
-            .find(|e| matches!(e, Event::ScopeEnter { name, .. } if name == "work"));
-        assert!(enter.is_some());
-        let exit = events.iter().find_map(|e| match e {
-            Event::ScopeExit { name, delta } if name == "work" => Some(*delta),
-            _ => None,
-        });
-        let delta = exit.expect("scope exit recorded");
-        assert_eq!(delta.rounds, 2);
-        assert_eq!(delta.messages, 4);
-        assert_eq!(delta, nt.counters().scope("work").unwrap().snapshot());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub enum SloKind {
     /// Fires when the windowed hit rate over the named counters falls
     /// below `min_milli`/1000, given at least `min_samples` lookups.
     HitRateFloor {
-        /// Counters that count as hits.
+        /// Names of the counters that count as hits.
         hits: Vec<String>,
         /// Counter that counts misses.
         misses: String,

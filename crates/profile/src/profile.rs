@@ -26,7 +26,7 @@ pub struct PhaseNode {
     /// Times this scope was entered at this position.
     pub calls: u64,
     /// Metered cost summed over the scope's exit deltas. Scope deltas
-    /// nest in `cc-net`'s counters, so this already *includes* children.
+    /// nest in `cc-net`, so this already *includes* children.
     pub cost: CostSnapshot,
     /// Wall-clock nanoseconds ([`Event::RoundWall`]) attributed to this
     /// scope alone — rounds executed while it was the innermost open

@@ -33,7 +33,6 @@
 pub mod collectives;
 pub mod fragment;
 pub mod kt0_boot;
-pub mod programs;
 pub mod routing;
 pub mod shared_rand;
 pub mod sort;
@@ -53,7 +52,6 @@ pub use collectives::{
 };
 pub use fragment::{fragment, reassemble};
 pub use kt0_boot::kt0_bootstrap;
-pub use programs::{gather_on, GatherProgram};
 pub use routing::{route, route_deterministic, RoutedPacket};
 pub use shared_rand::shared_seed;
 pub use sort::{distributed_sort, SortItem};

@@ -24,7 +24,6 @@ pub struct Runtime<B: Backend> {
     fault: Option<Box<dyn FaultInjector>>,
     /// Accumulated over every `run`.
     cost: Cost,
-    transcript: Vec<(u64, u32, u32)>,
 }
 
 impl<B: Backend + fmt::Debug> fmt::Debug for Runtime<B> {
@@ -69,7 +68,6 @@ impl<B: Backend> Runtime<B> {
             tracer: Box::new(NullTracer),
             fault: None,
             cost: Cost::default(),
-            transcript: Vec::new(),
         }
     }
 
@@ -113,19 +111,13 @@ impl<B: Backend> Runtime<B> {
         self.cost
     }
 
-    /// The recorded `(round, src, dst)` transcript (empty unless
-    /// [`NetConfig::record_transcript`] is set).
-    pub fn transcript(&self) -> &[(u64, u32, u32)] {
-        &self.transcript
-    }
-
     /// Runs one program instance per node on a fresh network until every
     /// node reports done (or has crashed) and no message is in flight,
     /// or `max_rounds` elapses.
     ///
     /// Returns the final program states (so callers can extract outputs).
-    /// The run's cost and transcript are added to the runtime's whether
-    /// it succeeds or not.
+    /// The run's cost is added to the runtime's whether it succeeds or
+    /// not.
     ///
     /// # Errors
     ///
@@ -152,7 +144,6 @@ impl<B: Backend> Runtime<B> {
         self.tracer = net.take_tracer();
         self.fault = net.take_fault_injector();
         self.cost += net.cost();
-        self.transcript.extend_from_slice(net.transcript());
         outcome.map(|()| programs)
     }
 }

@@ -101,21 +101,6 @@ fn flood_echo_worker_count_is_invisible() {
 }
 
 #[test]
-fn transcripts_match_between_backends() {
-    let adj = random_adjacency(12, 0.3, 7);
-    let cfg = NetConfig::kt1(adj.len()).with_transcript();
-
-    let mut serial = Runtime::serial(cfg.clone());
-    serial.run(flood_programs(&adj, 0), 200).unwrap();
-
-    let mut parallel = Runtime::parallel_with_threads(cfg, 5);
-    parallel.run(flood_programs(&adj, 0), 200).unwrap();
-
-    assert!(!serial.transcript().is_empty());
-    assert_eq!(serial.transcript(), parallel.transcript());
-}
-
-#[test]
 fn model_event_streams_match_between_backends() {
     // The net emits every model event for both backends, so the two must
     // produce byte-identical model streams — rounds, per-link message

@@ -77,12 +77,25 @@ fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
     let local = listener.local_addr()?;
     eprintln!("serve: listening on {local}");
     let closing = Arc::new(AtomicBool::new(false));
-    let mut sessions = Vec::new();
+    let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if closing.load(Ordering::SeqCst) {
             break;
         }
-        let stream = stream?;
+        // Finished sessions need no join; dropping their handles keeps
+        // `sessions` at the number of live connections.
+        sessions.retain(|s| !s.is_finished());
+        // One failed accept costs one connection, never the daemon.
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                log_line(
+                    "serve-accept-failed",
+                    vec![("error", Json::Str(e.to_string()))],
+                );
+                continue;
+            }
+        };
         // Responses are single complete lines; send each at once. A
         // stream that refuses the option still works, only slower.
         if let Err(e) = stream.set_nodelay(true) {
@@ -91,10 +104,20 @@ fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
                 vec![("error", Json::Str(e.to_string()))],
             );
         }
+        let reader = match stream.try_clone() {
+            Ok(read_half) => BufReader::new(read_half),
+            Err(e) => {
+                // Dropping `stream` closes the connection.
+                log_line(
+                    "serve-clone-failed",
+                    vec![("error", Json::Str(e.to_string()))],
+                );
+                continue;
+            }
+        };
         let server = Arc::clone(&server);
         let closing = Arc::clone(&closing);
         sessions.push(std::thread::spawn(move || {
-            let reader = BufReader::new(stream.try_clone().expect("clone tcp stream"));
             let _ = run_session(&server, reader, stream, false);
             if !server.stats().accepting {
                 // A shutdown op arrived on this session: wake the accept

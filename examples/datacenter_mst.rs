@@ -4,7 +4,8 @@
 //!
 //! The example runs the paper-default pipeline and a phase-limited variant
 //! that forces the KKT-sampling + SQ-MST machinery, verifies both against
-//! Kruskal, and prints the per-stage cost breakdown.
+//! Kruskal, and prints the default run's phase-tree profile (folded from
+//! its recorded event stream).
 //!
 //! ```text
 //! cargo run --release --example datacenter_mst
@@ -13,7 +14,9 @@
 use congested_clique::core::{exact_mst, ExactMstConfig};
 use congested_clique::graph::{mst, WGraph};
 use congested_clique::net::NetConfig;
+use congested_clique::profile::{profile_table, Profile};
 use congested_clique::route::Net;
+use congested_clique::trace::RecordingTracer;
 
 /// Synthetic fabric: racks on a 2-D floor grid; link cost = Manhattan
 /// distance × congestion factor (deterministic, so runs are reproducible).
@@ -42,6 +45,8 @@ fn main() {
 
     // Paper-default run.
     let mut net = Net::new(NetConfig::kt1(n).with_seed(1));
+    let rec = RecordingTracer::new();
+    net.set_tracer(Box::new(rec.clone()));
     let run = exact_mst(&mut net, &g, &ExactMstConfig::default()).expect("simulation failed");
     println!(
         "EXACT-MST (default {} Lotker phases): cost {}, {}",
@@ -50,9 +55,10 @@ fn main() {
         run.cost
     );
     assert_eq!(WGraph::total_weight(&run.mst), ref_cost);
-    for (name, cost) in net.counters().scopes() {
-        println!("  {name:<28} {cost}");
-    }
+    print!(
+        "{}",
+        profile_table(&Profile::from_events(&rec.take_events()))
+    );
 
     // Force the sampling pipeline with a single preprocessing phase.
     let forced = ExactMstConfig {

@@ -22,6 +22,7 @@ use congested_clique::graph::connectivity;
 use congested_clique::lb;
 use congested_clique::net::NetConfig;
 use congested_clique::route::Net;
+use congested_clique::trace::RecordingTracer;
 use std::collections::HashSet;
 
 fn main() {
@@ -63,12 +64,13 @@ fn main() {
     assert!(!connectivity::is_connected(&inst.graph));
     assert!(connectivity::is_connected(&swapped));
 
-    // The real algorithm's transcript touches every square.
-    let cfg = NetConfig::kt1(n).with_seed(5).with_transcript();
-    let mut net = Net::new(cfg);
+    // The real algorithm's recorded message batches touch every square.
+    let mut net = Net::new(NetConfig::kt1(n).with_seed(5));
+    let rec = RecordingTracer::new();
+    net.set_tracer(Box::new(rec.clone()));
     let out = gc::run_on(&mut net, &inst.graph, &GcConfig::default()).expect("simulation failed");
     assert!(!out.connected);
-    let used = lb::links_used(net.transcript());
+    let used = lb::links_used(&rec.take_events());
     println!(
         "Theorem 4 GC used {} distinct links ({} messages) — untouched square: {:?}",
         used.len(),
@@ -80,8 +82,8 @@ fn main() {
     let i = 12;
     let r0 = lb::run_report_protocol(&lb::g_ij(i, 0), 1).expect("run");
     let r1 = lb::run_report_protocol(&lb::g_ij(i, i + 1), 1).expect("run");
-    let crossed: HashSet<usize> = lb::crossed_partitions(i, &r0.transcript)
-        .union(&lb::crossed_partitions(i, &r1.transcript))
+    let crossed: HashSet<usize> = lb::crossed_partitions(i, &r0.events)
+        .union(&lb::crossed_partitions(i, &r1.events))
         .copied()
         .collect();
     println!(

@@ -102,8 +102,8 @@ fn main() {
     let i = 6;
     let r0 = lb::run_report_protocol(&lb::g_ij(i, 0), 1).unwrap();
     let r1 = lb::run_report_protocol(&lb::g_ij(i, i + 1), 1).unwrap();
-    let crossed: HashSet<usize> = lb::crossed_partitions(i, &r0.transcript)
-        .union(&lb::crossed_partitions(i, &r1.transcript))
+    let crossed: HashSet<usize> = lb::crossed_partitions(i, &r0.events)
+        .union(&lb::crossed_partitions(i, &r1.events))
         .copied()
         .collect();
     println!(

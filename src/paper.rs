@@ -12,7 +12,7 @@
 //! | `n` machines, complete network, synchronous rounds | [`cc_net::CliqueNet::step`] |
 //! | `O(log n)` bits per link per round | [`cc_net::NetConfig::link_words`] × [`cc_net::NetConfig::word_bits`], enforced by [`cc_net::Outbox::send`] |
 //! | KT0 / KT1 initial knowledge | [`cc_net::Knowledge`], hidden ports in [`cc_net::PortMap`], bootstrap in [`cc_route::kt0_bootstrap`] |
-//! | time / message complexity | [`cc_net::Cost`] (`rounds` / `messages`), scoped via [`cc_net::Counters`] |
+//! | time / message complexity | [`cc_net::Cost`] (`rounds` / `messages`), scoped via [`cc_net::CliqueNet::end_scope`] |
 //! | input graph embedded in the clique | algorithms take [`cc_graph::Graph`]/[`cc_graph::WGraph`] with `g.n() == net.n()` |
 //!
 //! ## §2.1 Linear Sketches of a Graph (Theorem 1)
@@ -57,7 +57,7 @@
 //! | `Ω(m)` edge-disjoint squares | [`cc_lb::edge_disjoint_squares`] |
 //! | the "execution proceeds identically" step | [`cc_lb::port_view()`] / [`cc_lb::views_identical_after_swap`] — executable indistinguishability |
 //! | the adversary | [`cc_lb::find_untouched_square`] |
-//! | experiments | E6 (squares + message audit), E6b (transcript audit), E6c (fooling probability) |
+//! | experiments | E6 (squares + message audit), E6b (link audit), E6c (fooling probability) |
 //!
 //! ## §4 Message Complexity in KT1 (Theorem 10, Corollaries 11–12, Theorem 13)
 //!

@@ -1,13 +1,24 @@
 //! Cross-crate lower-bound integration: the Section 3 adversary against
-//! the *real* Theorem 4 algorithm's transcript, and the Section 4
+//! the links the *real* Theorem 4 algorithm used, and the Section 4
 //! crossing audit applied to recorded runs.
 
-use congested_clique::core::{gc, GcConfig};
-use congested_clique::graph::connectivity;
+use congested_clique::core::{gc, GcConfig, GcOutput};
+use congested_clique::graph::{connectivity, Graph};
 use congested_clique::lb;
 use congested_clique::net::NetConfig;
 use congested_clique::route::Net;
+use congested_clique::trace::{Event, RecordingTracer};
 use std::collections::HashSet;
+
+/// Runs GC on `g` with a recording tracer attached; returns the output
+/// and the run's event stream.
+fn recorded_gc(g: &Graph, seed: u64) -> (GcOutput, Vec<Event>) {
+    let mut net = Net::new(NetConfig::kt1(g.n()).with_seed(seed));
+    let rec = RecordingTracer::new();
+    net.set_tracer(Box::new(rec.clone()));
+    let out = gc::run_on(&mut net, g, &GcConfig::default()).unwrap();
+    (out, rec.take_events())
+}
 
 #[test]
 fn hard_distribution_runs_through_the_real_gc() {
@@ -26,11 +37,9 @@ fn real_gc_transcript_touches_every_square() {
     let inst = lb::hard_instance(16, 48);
     let squares = lb::edge_disjoint_squares(&inst);
     assert!(!squares.is_empty());
-    let cfg = NetConfig::kt1(16).with_seed(2).with_transcript();
-    let mut net = Net::new(cfg);
-    let out = gc::run_on(&mut net, &inst.graph, &GcConfig::default()).unwrap();
+    let (out, events) = recorded_gc(&inst.graph, 2);
     assert!(!out.connected);
-    let used = lb::links_used(net.transcript());
+    let used = lb::links_used(&events);
     assert!(
         lb::find_untouched_square(&squares, &used).is_none(),
         "a correct Θ(n²) algorithm leaves no square silent"
@@ -55,18 +64,17 @@ fn swapping_an_untouched_square_flips_the_answer() {
 
 #[test]
 fn gc_crossing_audit_on_the_kt1_family() {
-    // Run the *paper's* GC on G_{i,0} and G_{i,i+1} with transcripts and
+    // Run the *paper's* GC on G_{i,0} and G_{i,i+1}, recording both, and
     // verify the Theorem 10 crossing structure holds for it too.
     let i = 7;
     let n = 2 * i + 2;
     let mut crossed: HashSet<usize> = HashSet::new();
     for j in [0, i + 1] {
         let g = lb::g_ij(i, j);
-        let cfg = NetConfig::kt1(n).with_seed(4).with_transcript();
-        let mut net = Net::new(cfg);
-        let out = gc::run_on(&mut net, &g, &GcConfig::default()).unwrap();
+        assert_eq!(g.n(), n);
+        let (out, events) = recorded_gc(&g, 4);
         assert_eq!(out.connected, j == 0);
-        crossed.extend(lb::crossed_partitions(i, net.transcript()));
+        crossed.extend(lb::crossed_partitions(i, &events));
     }
     assert_eq!(crossed.len(), i, "every partition crossed");
 }

@@ -114,29 +114,6 @@ fn collectives_compose_on_one_network() {
 }
 
 #[test]
-fn transcript_matches_counters() {
-    let cfg = NetConfig::kt1(5).with_seed(3).with_transcript();
-    let mut net: CliqueNet<u64> = CliqueNet::new(cfg);
-    for _ in 0..3 {
-        net.step(|node, _, out| {
-            for dst in 0..5 {
-                if dst != node {
-                    out.send(dst, 1).unwrap();
-                }
-            }
-        })
-        .unwrap();
-    }
-    assert_eq!(net.transcript().len() as u64, net.cost().messages);
-    // Every record is a valid (round, src, dst) triple; rounds are stamped
-    // with the pre-increment counter, so the three send rounds are 0..=2.
-    for &(r, s, d) in net.transcript() {
-        assert!(r <= 2);
-        assert!(s != d && (s as usize) < 5 && (d as usize) < 5);
-    }
-}
-
-#[test]
 fn broadcast_model_is_strictly_weaker() {
     // The same protocol body: legal in unicast, rejected in broadcast.
     let body = |net: &mut CliqueNet<u64>| {
@@ -195,28 +172,22 @@ fn round_cap_propagates_through_algorithms() {
 fn deterministic_everything_across_identical_configs() {
     use congested_clique::core::gc;
     use congested_clique::graph::generators;
+    use congested_clique::trace::RecordingTracer;
     let g = generators::cycle(20);
-    let cfg = NetConfig::kt1(20).with_seed(77).with_transcript();
+    let cfg = NetConfig::kt1(20).with_seed(77);
     let run = |cfg: &NetConfig| {
         let mut net = Net::new(cfg.clone());
+        let rec = RecordingTracer::new();
+        net.set_tracer(Box::new(rec.clone()));
         let out = gc::run_on(&mut net, &g, &Default::default()).unwrap();
-        (out, net.cost(), net.transcript().to_vec())
+        (out, net.cost(), rec.model_events())
     };
     let a = run(&cfg);
     let b = run(&cfg);
     assert_eq!(a.0, b.0);
     assert_eq!(a.1, b.1);
-    // The transcript's *content per round* is deterministic; the order in
-    // which one round's sends were staged follows driver-side hash-map
-    // iteration and is not part of the model's semantics, so compare as
-    // multisets.
-    let canon = |mut t: Vec<(u64, u32, u32)>| {
-        t.sort_unstable();
-        t
-    };
-    assert_eq!(
-        canon(a.2),
-        canon(b.2),
-        "per-round transcript content is identical"
-    );
+    // Each round's message batches are `(src, dst)`-sorted, so two runs'
+    // model event streams match exactly.
+    assert!(!a.2.is_empty());
+    assert_eq!(a.2, b.2, "model event streams are identical");
 }

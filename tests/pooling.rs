@@ -1,6 +1,6 @@
 //! Buffer pooling is invisible: the pooled delivery path (recycled inbox
 //! buffers, reused staging, flat batch accumulation, clone-free
-//! broadcast) must produce byte-identical inboxes, transcript, and cost
+//! broadcast) must produce byte-identical inboxes and cost
 //! against a straightforward pre-pool reference — on the direct
 //! simulator and on both runtime backends.
 //!
@@ -48,7 +48,6 @@ struct Expected {
     /// `inboxes[round][node]` = the `(src, payload)` list delivered to
     /// `node` at the start of `round` (round 0 is empty).
     inboxes: Vec<RoundInboxes>,
-    transcript: Vec<(u64, u32, u32)>,
     messages: u64,
     words: u64,
     bits: u64,
@@ -59,7 +58,6 @@ struct Expected {
 /// sender-ID order, metered in send order.
 fn reference(seed: u64, n: usize, word_bits: u64) -> Expected {
     let mut inboxes: Vec<RoundInboxes> = vec![vec![Vec::new(); n]];
-    let mut transcript = Vec::new();
     let (mut messages, mut words) = (0u64, 0u64);
     for round in 0..ROUNDS {
         let mut next: Vec<Vec<(usize, Vec<u64>)>> = (0..n).map(|_| Vec::new()).collect();
@@ -67,7 +65,6 @@ fn reference(seed: u64, n: usize, word_bits: u64) -> Expected {
             for (dst, payload) in traffic(seed, n, round, src) {
                 messages += 1;
                 words += (payload.len() as u64).max(1);
-                transcript.push((round, src as u32, dst as u32));
                 next[dst].push((src, payload));
             }
         }
@@ -75,7 +72,6 @@ fn reference(seed: u64, n: usize, word_bits: u64) -> Expected {
     }
     Expected {
         inboxes,
-        transcript,
         messages,
         words,
         bits: words * word_bits,
@@ -86,10 +82,7 @@ fn reference(seed: u64, n: usize, word_bits: u64) -> Expected {
 /// Drives the traffic pattern through the direct simulator, recording
 /// every delivered inbox.
 fn run_cliquenet(seed: u64, n: usize) -> Expected {
-    let cfg = NetConfig::kt1(n)
-        .with_seed(seed)
-        .with_link_words(16)
-        .with_transcript();
+    let cfg = NetConfig::kt1(n).with_seed(seed).with_link_words(16);
     let mut nt: CliqueNet<Vec<u64>> = CliqueNet::new(cfg);
     let mut inboxes = Vec::new();
     for round in 0..=ROUNDS {
@@ -108,7 +101,6 @@ fn run_cliquenet(seed: u64, n: usize) -> Expected {
     let c = nt.cost();
     Expected {
         inboxes,
-        transcript: nt.transcript().to_vec(),
         messages: c.messages,
         words: c.words,
         bits: c.bits,
@@ -153,10 +145,7 @@ impl Program for TrafficNode {
 
 /// Drives the traffic pattern through a [`Runtime`] backend.
 fn run_backend(seed: u64, n: usize, parallel: bool) -> Expected {
-    let cfg = NetConfig::kt1(n)
-        .with_seed(seed)
-        .with_link_words(16)
-        .with_transcript();
+    let cfg = NetConfig::kt1(n).with_seed(seed).with_link_words(16);
     let programs: Vec<TrafficNode> = (0..n)
         .map(|_| TrafficNode {
             seed,
@@ -164,14 +153,14 @@ fn run_backend(seed: u64, n: usize, parallel: bool) -> Expected {
             received: Vec::new(),
         })
         .collect();
-    let (finished, cost, transcript) = if parallel {
+    let (finished, cost) = if parallel {
         let mut rt = Runtime::parallel_with_threads(cfg, 4);
         let f = rt.run(programs, ROUNDS + 4).unwrap();
-        (f, rt.cost(), rt.transcript().to_vec())
+        (f, rt.cost())
     } else {
         let mut rt = Runtime::serial(cfg);
         let f = rt.run(programs, ROUNDS + 4).unwrap();
-        (f, rt.cost(), rt.transcript().to_vec())
+        (f, rt.cost())
     };
     // Rebuild the per-round inbox view from each node's receive log.
     let mut inboxes: Vec<RoundInboxes> = (0..=ROUNDS)
@@ -184,7 +173,6 @@ fn run_backend(seed: u64, n: usize, parallel: bool) -> Expected {
     }
     Expected {
         inboxes,
-        transcript,
         messages: cost.messages,
         words: cost.words,
         bits: cost.bits,

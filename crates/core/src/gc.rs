@@ -15,11 +15,11 @@ use crate::error::CoreError;
 use crate::reduce_components::{reduce_components, ReduceOutcome};
 use cc_graph::{Edge, Graph, UnionFind};
 use cc_net::{Cost, NetConfig};
-use cc_route::{
-    broadcast_large, fragment, gather_direct, reassemble, route, shared_seed, Net, Packet,
-    RoutedPacket,
+use cc_route::{broadcast_large, gather_direct, route_bundles, shared_seed, Net, Packet};
+use cc_sketch::{
+    decode_bundle, encode_bundle, recommended_families, spanning_forest_via_sketches,
+    GraphSketchSpace, Sketch,
 };
-use cc_sketch::{recommended_families, spanning_forest_via_sketches, GraphSketchSpace, Sketch};
 use std::collections::HashMap;
 
 /// Tuning knobs for a GC run.
@@ -105,44 +105,28 @@ pub fn sketch_and_span(
     // Theorem 1 preprocessing: shared randomness for the hash functions.
     let seed = shared_seed(net)?;
     let spaces = GraphSketchSpace::family(l_count.max(2), t, seed);
-    let sketch_words = spaces[0].sketch_words();
 
     // Each unfinished leader sketches its neighborhood in the compacted
     // component graph, once per family, and ships the concatenation.
-    let link_words = net.config().link_words as usize;
-    let chunk = link_words.saturating_sub(3).max(1); // seq word + 2 routing header words
-    let mut packets: Vec<RoutedPacket> = Vec::new();
     let mut scratch = cc_sketch::NeighborhoodScratch::default();
-    for &l in &unfinished {
-        let me = compact[&l];
-        let neigh: Vec<usize> = g1.adj[&l].iter().map(|nb| compact[nb]).collect();
-        let mut words: Vec<u64> = Vec::with_capacity(t * sketch_words);
-        for sp in &spaces {
-            let sk = sp.sketch_neighborhood_with(me, neigh.iter().copied(), &mut scratch);
-            words.extend(sk.to_words());
-        }
-        for frag in fragment(&words, chunk) {
-            packets.push(RoutedPacket {
-                src: l,
-                dst: coordinator,
-                payload: frag,
-            });
-        }
-    }
-    let delivered = route(net, packets)?;
+    let bundles = unfinished
+        .iter()
+        .map(|&l| {
+            let neigh: Vec<usize> = g1.adj[&l].iter().map(|nb| compact[nb]).collect();
+            let words = encode_bundle(&spaces, compact[&l], neigh.iter().copied(), &mut scratch);
+            (l, coordinator, words)
+        })
+        .collect();
+    let mut delivered = route_bundles(net, bundles)?;
 
-    // Coordinator reassembles per sender and deserializes t sketches each.
-    let mut per_leader: HashMap<usize, Vec<Packet>> = HashMap::new();
-    for (src, frag) in &delivered[coordinator] {
-        per_leader.entry(*src).or_default().push(frag.clone());
-    }
+    // Coordinator reads each sender's bundle and deserializes t sketches.
     let mut sketches: Vec<Vec<Sketch>> = vec![Vec::with_capacity(l_count); t];
     for &l in &unfinished {
-        let frags = per_leader.remove(&l).expect("leader's sketches missing");
-        let words = reassemble(frags);
-        assert_eq!(words.len(), t * sketch_words, "sketch bundle size mismatch");
-        for (f, piece) in words.chunks(sketch_words).enumerate() {
-            sketches[f].push(spaces[f].sketch_from_words(piece.to_vec()));
+        let words = delivered
+            .take(coordinator, l)
+            .expect("leader's sketches missing");
+        for (f, sk) in decode_bundle(&spaces, &words).into_iter().enumerate() {
+            sketches[f].push(sk);
         }
     }
 

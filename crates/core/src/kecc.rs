@@ -98,11 +98,11 @@ pub fn k_edge_connectivity_sketch(
     net_cfg: &NetConfig,
     families: Option<usize>,
 ) -> Result<KeccRun, CoreError> {
-    use cc_route::{
-        broadcast_large, fragment, reassemble, route, shared_seed, Net, Packet, RoutedPacket,
+    use cc_route::{broadcast_large, route_bundles, shared_seed, Net};
+    use cc_sketch::{
+        decode_bundle, encode_bundle, recommended_families, spanning_forest_via_sketches,
+        GraphSketchSpace, Sketch,
     };
-    use cc_sketch::{recommended_families, spanning_forest_via_sketches, GraphSketchSpace, Sketch};
-    use std::collections::HashMap;
 
     assert!(k >= 1, "k must be positive");
     assert_eq!(net_cfg.n, g.n(), "config must match the graph");
@@ -118,52 +118,28 @@ pub fn k_edge_connectivity_sketch(
             GraphSketchSpace::family(n, t, seed ^ (0xD1B5_4A32_u64.wrapping_mul(p as u64 + 1)))
         })
         .collect();
-    let words_per = spaces[0][0].sketch_words();
 
     // One shipment: every node concatenates its k·t sketches.
-    let link_words = net.config().link_words as usize;
-    let chunk = link_words.saturating_sub(3).max(1);
-    let mut packets = Vec::new();
     let mut scratch = cc_sketch::NeighborhoodScratch::default();
-    for v in 0..n {
-        let mut words: Vec<u64> = Vec::with_capacity(k * t * words_per);
-        for peel in &spaces {
-            for sp in peel {
-                let sk = sp.sketch_neighborhood_with(
-                    v,
-                    g.neighbors(v).iter().map(|&u| u as usize),
-                    &mut scratch,
-                );
-                words.extend(sk.to_words());
-            }
-        }
-        for frag in fragment(&words, chunk) {
-            packets.push(RoutedPacket {
-                src: v,
-                dst: coordinator,
-                payload: frag,
-            });
-        }
-    }
-    let delivered = route(&mut net, packets)?;
+    let bundles = (0..n)
+        .map(|v| {
+            let neigh = g.neighbors(v).iter().map(|&u| u as usize);
+            let words = encode_bundle(spaces.iter().flatten(), v, neigh, &mut scratch);
+            (v, coordinator, words)
+        })
+        .collect();
+    let mut delivered = route_bundles(&mut net, bundles)?;
 
-    // Coordinator: reassemble per node, then peel k forests locally.
-    let mut per_node: HashMap<usize, Vec<Packet>> = HashMap::new();
-    for (src, frag) in &delivered[coordinator] {
-        per_node.entry(*src).or_default().push(frag.clone());
-    }
+    // Coordinator: read each node's bundle, then peel k forests locally.
     // sketches[p][f][v]
     let mut sketches: Vec<Vec<Vec<Sketch>>> = vec![vec![Vec::with_capacity(n); t]; k];
     for v in 0..n {
-        let words = reassemble(per_node.remove(&v).expect("node sketches missing"));
-        assert_eq!(
-            words.len(),
-            k * t * words_per,
-            "sketch bundle size mismatch"
-        );
-        for (j, piece) in words.chunks(words_per).enumerate() {
-            let (p, f) = (j / t, j % t);
-            sketches[p][f].push(spaces[p][f].sketch_from_words(piece.to_vec()));
+        let words = delivered
+            .take(coordinator, v)
+            .expect("node sketches missing");
+        let node_sketches = decode_bundle(spaces.iter().flatten(), &words);
+        for (j, sk) in node_sketches.into_iter().enumerate() {
+            sketches[j / t][j % t].push(sk);
         }
     }
     let ids: Vec<usize> = (0..n).collect();

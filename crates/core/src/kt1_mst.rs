@@ -33,7 +33,7 @@
 use crate::error::CoreError;
 use cc_graph::{UnionFind, WEdge, WGraph, Weight};
 use cc_net::Cost;
-use cc_route::{broadcast_large, route, Net, Packet, RoutedPacket};
+use cc_route::{broadcast_large, route, ship_direct, Net, Packet, RoutedPacket};
 use cc_sketch::{EdgeSample, GraphSketchSpace, Sketch};
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
@@ -91,7 +91,6 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
     let lg = (usize::BITS - (n - 1).leading_zeros()).max(1) as usize;
     let max_phases = cfg.max_phases.unwrap_or(2 * lg + 6);
     let iters = cfg.mwoe_iters.unwrap_or(lg + 4);
-    let link_words = net.config().link_words as usize;
 
     let mut labels: Vec<usize> = (0..n).collect();
     let mut finished_labels: HashSet<usize> = HashSet::new();
@@ -158,7 +157,7 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                 .iter()
                 .map(|(&l, &s)| (l, GraphSketchSpace::new(n, s)))
                 .collect();
-            let mut queues: Vec<Vec<Packet>> = vec![Vec::new(); n]; // fragments to leader
+            let mut uploads = Vec::new();
             let mut leader_sums: HashMap<usize, Sketch> = HashMap::new();
             let mut scratch = cc_sketch::NeighborhoodScratch::default();
             for &l in &searching {
@@ -176,59 +175,21 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                         &mut scratch,
                     );
                     if v == l {
-                        leader_sums
-                            .entry(l)
-                            .and_modify(|acc| acc.add_assign_sketch(&sk))
-                            .or_insert(sk);
+                        leader_sums.insert(l, sk);
                     } else {
-                        let words = sk.to_words();
-                        queues[v] = cc_route::fragment(&words, link_words.saturating_sub(1).max(1));
+                        uploads.push((v, l, sk.to_words()));
                     }
                 }
             }
-            // Pipelined member → leader transfer (one link each).
-            let mut arrived: HashMap<usize, HashMap<usize, Vec<Packet>>> = HashMap::new();
-            while queues.iter().any(|q| !q.is_empty()) {
-                net.step(|node, _inbox, out| {
-                    if queues[node].is_empty() {
-                        return;
-                    }
-                    let leader = labels[node];
-                    let mut used = 0usize;
-                    while let Some(front) = queues[node].first() {
-                        let w = front.len();
-                        if used + w > link_words {
-                            break;
-                        }
-                        used += w;
-                        let frag = queues[node].remove(0);
-                        let _ = out.send(leader, frag);
-                    }
-                })?;
-                net.step(|node, inbox, _out| {
-                    for env in inbox {
-                        arrived
-                            .entry(node)
-                            .or_default()
-                            .entry(env.src)
-                            .or_default()
-                            .push(env.msg.clone());
-                    }
-                })?;
-            }
-            // Leaders reassemble and add member sketches.
+            // Pipelined member → leader transfer (one link each); leaders
+            // read and add member sketches.
+            let mut arrived = ship_direct(net, uploads)?;
             for &l in &searching {
                 let sp = &spaces[&l];
-                if let Some(per_member) = arrived.remove(&l) {
-                    let mut members: Vec<_> = per_member.into_iter().collect();
-                    members.sort_by_key(|&(m, _)| m);
-                    for (_m, frags) in members {
-                        let words = cc_route::reassemble(frags);
-                        let sk = sp.sketch_from_words(words);
-                        leader_sums
-                            .entry(l)
-                            .and_modify(|acc| acc.add_assign_sketch(&sk))
-                            .or_insert(sk);
+                let sum = leader_sums.entry(l).or_insert_with(|| sp.zero_sketch());
+                for &m in &members_of[&l] {
+                    if let Some(words) = arrived.take(l, m) {
+                        sum.add_assign_sketch(&sp.sketch_from_words(words));
                     }
                 }
             }

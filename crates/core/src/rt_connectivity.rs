@@ -4,7 +4,7 @@
 //!
 //! Every node sketches its *own* input-graph neighborhood (`t = Θ(log n)`
 //! independent families, per Theorem 1) and streams the words to the
-//! coordinator over its private link, one budget-sized fragment per round;
+//! coordinator over its private link, one budget-sized chunk per round;
 //! the coordinator runs Borůvka-over-sketches locally
 //! ([`cc_sketch::spanning_forest_via_sketches`]) and broadcasts the
 //! component labels back. Unlike [`crate::gc::sketch_and_span`] there is
@@ -24,7 +24,8 @@ use cc_graph::UnionFind;
 use cc_net::Envelope;
 use cc_runtime::{Backend, Ctx, Program, Runtime};
 use cc_sketch::{
-    recommended_families, spanning_forest_via_sketches, GraphSketchSpace, NeighborhoodScratch,
+    decode_bundle, encode_bundle, recommended_families, spanning_forest_via_sketches,
+    GraphSketchSpace, NeighborhoodScratch,
 };
 use rand::Rng;
 
@@ -105,15 +106,15 @@ impl SketchConnectivity {
     /// all families.
     fn own_bundle(&self, me: usize) -> Vec<u64> {
         let mut scratch = NeighborhoodScratch::default();
-        let mut words = Vec::with_capacity(self.expected_words);
-        for sp in &self.spaces {
-            let sk = sp.sketch_neighborhood_with(me, self.neighbors.iter().copied(), &mut scratch);
-            words.extend(sk.to_words());
-        }
-        words
+        encode_bundle(
+            &self.spaces,
+            me,
+            self.neighbors.iter().copied(),
+            &mut scratch,
+        )
     }
 
-    /// Ships the next budget-sized fragment toward the coordinator.
+    /// Ships the next budget-sized chunk toward the coordinator.
     fn push_upload(&mut self, ctx: &mut Ctx<'_, '_, Vec<u64>>) {
         let budget = ctx.budget_left(Self::COORD) as usize;
         let remaining = self.upload.len() - self.upload_pos;
@@ -142,7 +143,6 @@ impl SketchConnectivity {
         // One sketch row per family, one column per node; node 0's own
         // bundle never crossed the network.
         let own = self.own_bundle(Self::COORD);
-        let sketch_words = self.spaces[0].sketch_words();
         let mut sketches = vec![Vec::with_capacity(n); self.spaces.len()];
         for v in 0..n {
             let bundle = if v == Self::COORD {
@@ -150,8 +150,8 @@ impl SketchConnectivity {
             } else {
                 &self.received[v]
             };
-            for (f, piece) in bundle.chunks(sketch_words).enumerate() {
-                sketches[f].push(self.spaces[f].sketch_from_words(piece.to_vec()));
+            for (f, sk) in decode_bundle(&self.spaces, bundle).into_iter().enumerate() {
+                sketches[f].push(sk);
             }
         }
         let ids: Vec<usize> = (0..n).collect();

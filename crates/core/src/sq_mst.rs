@@ -26,10 +26,12 @@
 use crate::error::CoreError;
 use cc_graph::{UnionFind, WEdge};
 use cc_route::{
-    broadcast_large, distributed_sort, fragment, reassemble, route, shared_seed, Net, Packet,
-    RoutedPacket,
+    broadcast_large, distributed_sort, route, route_bundles, shared_seed, Net, Packet, RoutedPacket,
 };
-use cc_sketch::{recommended_families, spanning_forest_via_sketches, GraphSketchSpace, Sketch};
+use cc_sketch::{
+    decode_bundle, encode_bundle, recommended_families, spanning_forest_via_sketches,
+    GraphSketchSpace, Sketch,
+};
 use std::collections::{HashMap, HashSet};
 
 /// An SQ-MST instance.
@@ -156,9 +158,7 @@ pub fn sq_mst(
             seed ^ (0xA5A5_5A5A_u64.wrapping_mul(i as u64 + 1)),
         )
     };
-    let link_words = net.config().link_words as usize;
-    let chunk = link_words.saturating_sub(3).max(1);
-    let mut sketch_packets = Vec::new();
+    let mut bundles = Vec::new();
     let mut scratch = cc_sketch::NeighborhoodScratch::default();
     let mut all_spaces: Vec<Option<Vec<GraphSketchSpace>>> = vec![None; p];
     for (i, slot) in all_spaces.iter_mut().enumerate().skip(1) {
@@ -175,21 +175,11 @@ pub fn sq_mst(
                 .take_while(|&&(r, _)| r < threshold)
                 .map(|&(_, e)| e.other(v))
                 .collect();
-            let mut words = Vec::with_capacity(t * spaces[0].sketch_words());
-            for sp in spaces {
-                let sk = sp.sketch_neighborhood_with(v, neigh.iter().copied(), &mut scratch);
-                words.extend(sk.to_words());
-            }
-            for frag in fragment(&words, chunk) {
-                sketch_packets.push(RoutedPacket {
-                    src: v,
-                    dst: i,
-                    payload: frag,
-                });
-            }
+            let words = encode_bundle(spaces, v, neigh.iter().copied(), &mut scratch);
+            bundles.push((v, i, words));
         }
     }
-    let sketch_deliveries = route(net, sketch_packets)?;
+    let mut sketch_bundles = route_bundles(net, bundles)?;
     net.end_scope();
 
     // ---- Step 5: guardians filter their groups locally.
@@ -207,18 +197,11 @@ pub fn sq_mst(
         let mut uf = UnionFind::new(n);
         if i > 0 {
             let spaces = all_spaces[i].as_ref().unwrap();
-            let sketch_words = spaces[0].sketch_words();
-            let mut per_vertex: HashMap<usize, Vec<Packet>> = HashMap::new();
-            for (src, frag) in &sketch_deliveries[i] {
-                per_vertex.entry(*src).or_default().push(frag.clone());
-            }
             let mut sketches: Vec<Vec<Sketch>> = vec![Vec::with_capacity(inst.vertices.len()); t];
             for &v in &inst.vertices {
-                let frags = per_vertex.remove(&v).expect("vertex sketches missing");
-                let words = reassemble(frags);
-                assert_eq!(words.len(), t * sketch_words, "sketch bundle size mismatch");
-                for (f, piece) in words.chunks(sketch_words).enumerate() {
-                    sketches[f].push(spaces[f].sketch_from_words(piece.to_vec()));
+                let words = sketch_bundles.take(i, v).expect("vertex sketches missing");
+                for (f, sk) in decode_bundle(spaces, &words).into_iter().enumerate() {
+                    sketches[f].push(sk);
                 }
             }
             let forest = spanning_forest_via_sketches(spaces, &inst.vertices, &sketches);

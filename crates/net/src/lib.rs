@@ -49,4 +49,4 @@ pub use fault::{apply_faults, FaultDecision, FaultInjector, FaultOutcome, FaultR
 pub use net::{CliqueNet, Envelope, Outbox, RoundPlan, StagedRound};
 pub use packet::{WordVec, INLINE_WORDS};
 pub use ports::PortMap;
-pub use wire::{decode_frame, encode_frame, Wire, WireError};
+pub use wire::Wire;

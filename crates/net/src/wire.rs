@@ -1,24 +1,16 @@
-//! Message-size accounting, payload corruption, and the checked frame
-//! codec.
+//! Message-size accounting and payload corruption.
 //!
 //! Every message type an algorithm sends through the simulator must say how
 //! many `⌈log₂ n⌉`-bit words it occupies. The simulator charges this size
 //! against the per-link budget and the global word/bit counters; algorithms
 //! therefore cannot "cheat" by stuffing large payloads into one message.
+//! Payloads wider than one link are fragmented, shipped and reassembled by
+//! `cc-route`'s bundle paths, the workspace's one framing format.
 //!
-//! Two fault-injection hooks live alongside [`Wire`]:
-//!
-//! * [`Wire::corrupt_bit`] lets the chaos layer flip a deterministic bit
-//!   in an in-flight payload (types that cannot express a flip report so
-//!   and the fault degrades to a drop);
-//! * [`encode_frame`] / [`decode_frame`] are a checksummed word-frame
-//!   codec whose decoder returns a typed [`WireError`] on *any*
-//!   single-word corruption — never a panic, and never a silently wrong
-//!   payload (the checksum fold is a bijection in the accumulator, so a
-//!   change to any one word always changes the checksum).
-
-use std::error::Error;
-use std::fmt;
+//! [`Wire::corrupt_bit`] is the fault-injection hook that lives alongside
+//! [`Wire`]: it lets the chaos layer flip a deterministic bit in an
+//! in-flight payload (types that cannot express a flip report so and the
+//! fault degrades to a drop).
 
 /// Types that can cross a clique link.
 pub trait Wire {
@@ -143,155 +135,6 @@ impl<T: Wire + Clone> Wire for std::sync::Arc<T> {
     }
 }
 
-/// A malformed or corrupted frame, reported by [`decode_frame`].
-///
-/// Decoding untrusted words must never panic: every corruption a single
-/// bit flip can produce maps to one of these variants.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// Fewer words than the header demands.
-    Truncated {
-        /// Words present.
-        have: usize,
-        /// Words the frame claims to need (header + payload).
-        need: u64,
-    },
-    /// More words than the header demands (frames are exact-length).
-    TrailingWords {
-        /// Words present.
-        have: usize,
-        /// Words the frame claims to need (header + payload).
-        need: u64,
-    },
-    /// The length header is beyond any frame this codec will produce.
-    LengthOverflow {
-        /// The claimed payload length.
-        len: u64,
-    },
-    /// The payload checksum does not match the header.
-    ChecksumMismatch {
-        /// Checksum recorded in the frame header.
-        expected: u64,
-        /// Checksum recomputed from the payload.
-        found: u64,
-    },
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated { have, need } => {
-                write!(f, "truncated frame: have {have} words, need {need}")
-            }
-            WireError::TrailingWords { have, need } => {
-                write!(f, "trailing words in frame: have {have}, need {need}")
-            }
-            WireError::LengthOverflow { len } => {
-                write!(f, "frame length header {len} overflows the codec limit")
-            }
-            WireError::ChecksumMismatch { expected, found } => write!(
-                f,
-                "frame checksum mismatch: header says {expected:#018x}, payload hashes to {found:#018x}"
-            ),
-        }
-    }
-}
-
-impl Error for WireError {}
-
-/// Largest payload (in words) [`encode_frame`] will produce and
-/// [`decode_frame`] will accept. Far above any congested-clique message
-/// (budgets are `O(log n)` words); its job is to bound allocation when a
-/// bit flip lands in the length header.
-pub const MAX_FRAME_WORDS: u64 = 1 << 32;
-
-/// SplitMix64 finalizer: a bijection on `u64` (constant add, then three
-/// xorshift-multiply rounds, each individually invertible).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Checksum of a payload: fold `acc = mix64(acc ⊕ (wordᵢ + i))`, seeded
-/// with `mix64(len)`.
-///
-/// Each fold step is a bijection in `acc` (for fixed word) and injective
-/// in the word (for fixed `acc`), so changing any single word — in
-/// particular flipping any single bit — always changes the checksum.
-fn frame_checksum(payload: &[u64]) -> u64 {
-    let mut acc = mix64(payload.len() as u64);
-    for (i, w) in payload.iter().enumerate() {
-        acc = mix64(acc ^ w.wrapping_add(i as u64));
-    }
-    acc
-}
-
-/// Encodes `payload` as a self-describing frame:
-/// `[len, checksum, payload...]`.
-///
-/// # Panics
-///
-/// If `payload` exceeds [`MAX_FRAME_WORDS`] words (not reachable through
-/// budgeted sends).
-pub fn encode_frame(payload: &[u64]) -> Vec<u64> {
-    assert!(
-        (payload.len() as u64) < MAX_FRAME_WORDS,
-        "frame payload of {} words exceeds MAX_FRAME_WORDS",
-        payload.len()
-    );
-    let mut out = Vec::with_capacity(payload.len() + 2);
-    out.push(payload.len() as u64);
-    out.push(frame_checksum(payload));
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Decodes a frame produced by [`encode_frame`], verifying length and
-/// checksum. Strict: the slice must be exactly `len + 2` words.
-///
-/// # Errors
-///
-/// A typed [`WireError`] on any malformation; never panics, for any
-/// input. Any single-bit corruption of a well-formed frame is detected:
-/// a flip in the length header fails the length check, a flip in the
-/// checksum or payload fails the (bijective-fold) checksum check.
-pub fn decode_frame(frame: &[u64]) -> Result<Vec<u64>, WireError> {
-    if frame.len() < 2 {
-        return Err(WireError::Truncated {
-            have: frame.len(),
-            need: 2,
-        });
-    }
-    let len = frame[0];
-    if len >= MAX_FRAME_WORDS {
-        return Err(WireError::LengthOverflow { len });
-    }
-    let need = len + 2;
-    if (frame.len() as u64) < need {
-        return Err(WireError::Truncated {
-            have: frame.len(),
-            need,
-        });
-    }
-    if (frame.len() as u64) > need {
-        return Err(WireError::TrailingWords {
-            have: frame.len(),
-            need,
-        });
-    }
-    let payload = &frame[2..];
-    let found = frame_checksum(payload);
-    if found != frame[1] {
-        return Err(WireError::ChecksumMismatch {
-            expected: frame[1],
-            found,
-        });
-    }
-    Ok(payload.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,85 +200,6 @@ mod tests {
         assert_eq!(v, vec![0, 0, 32, 0]);
     }
 
-    #[test]
-    fn frame_round_trips_and_rejects_malformed_shapes() {
-        let payload = vec![3u64, 1, 4, 1, 5];
-        let frame = encode_frame(&payload);
-        assert_eq!(frame.len(), payload.len() + 2);
-        assert_eq!(decode_frame(&frame), Ok(payload.clone()));
-        assert_eq!(decode_frame(&encode_frame(&[])), Ok(vec![]));
-
-        assert!(matches!(
-            decode_frame(&[]),
-            Err(WireError::Truncated { have: 0, need: 2 })
-        ));
-        assert!(matches!(
-            decode_frame(&frame[..4]),
-            Err(WireError::Truncated { .. })
-        ));
-        let mut long = frame.clone();
-        long.push(0);
-        assert!(matches!(
-            decode_frame(&long),
-            Err(WireError::TrailingWords { .. })
-        ));
-        assert!(matches!(
-            decode_frame(&[u64::MAX, 0]),
-            Err(WireError::LengthOverflow { .. })
-        ));
-        let mut bad = frame;
-        bad[1] ^= 1;
-        assert!(matches!(
-            decode_frame(&bad),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
-    }
-
-    /// Length headers at and around the `MAX_FRAME_WORDS` boundary: one
-    /// below the cap is structurally valid (merely truncated here), the
-    /// cap itself and everything above it must be rejected as overflow
-    /// *before* any `len + 2` arithmetic can wrap.
-    #[test]
-    fn length_header_boundary_cases() {
-        assert_eq!(
-            decode_frame(&[MAX_FRAME_WORDS, 0]),
-            Err(WireError::LengthOverflow {
-                len: MAX_FRAME_WORDS
-            })
-        );
-        assert_eq!(
-            decode_frame(&[MAX_FRAME_WORDS - 1, 0]),
-            Err(WireError::Truncated {
-                have: 2,
-                need: MAX_FRAME_WORDS + 1,
-            }),
-            "one under the cap is a valid header, just unsatisfied"
-        );
-        // u64::MAX would wrap `len + 2`; the overflow check must fire
-        // first, for any frame length.
-        assert_eq!(
-            decode_frame(&[u64::MAX, 0, 1, 2, 3]),
-            Err(WireError::LengthOverflow { len: u64::MAX })
-        );
-    }
-
-    /// Zero-length payloads: a frame of exactly two words (header only)
-    /// round-trips, one word is truncated, and the empty payload still
-    /// bills one word through `Wire::words`.
-    #[test]
-    fn zero_length_payload_edges() {
-        let frame = encode_frame(&[]);
-        assert_eq!(frame.len(), 2, "empty payload is a bare header");
-        assert_eq!(decode_frame(&frame), Ok(vec![]));
-        assert_eq!(
-            decode_frame(&frame[..1]),
-            Err(WireError::Truncated { have: 1, need: 2 })
-        );
-        // Model accounting: even an empty message occupies one word slot.
-        assert_eq!(Vec::<u64>::new().words(), 1);
-        assert_eq!(encode_frame(&[]).words(), 2, "header words are real words");
-    }
-
     /// Messages exactly at word boundaries: `words()` sums element sizes
     /// with no rounding, so mixed-width payloads bill exactly.
     #[test]
@@ -447,13 +211,6 @@ mod tests {
             1 + 1 + 2,
             "empty inner vec floors at 1, others bill exactly"
         );
-        // A single-bit flip in a one-word frame's payload is caught.
-        let mut frame = encode_frame(&[0]);
-        frame[2] ^= 1 << 63;
-        assert!(matches!(
-            decode_frame(&frame),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
     }
 
     #[test]
@@ -495,22 +252,6 @@ mod tests {
         let mut b: Arc<Vec<u64>> = Arc::new(Vec::new());
         assert!(!b.corrupt_bit(9));
     }
-
-    #[test]
-    fn wire_error_displays_are_informative() {
-        let cases = [
-            WireError::Truncated { have: 1, need: 5 },
-            WireError::TrailingWords { have: 9, need: 5 },
-            WireError::LengthOverflow { len: u64::MAX },
-            WireError::ChecksumMismatch {
-                expected: 1,
-                found: 2,
-            },
-        ];
-        for e in cases {
-            assert!(!e.to_string().is_empty());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -519,29 +260,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
-        fn frame_codec_round_trips(payload in proptest::collection::vec(any::<u64>(), 0..32)) {
-            let frame = encode_frame(&payload);
-            prop_assert_eq!(decode_frame(&frame), Ok(payload));
-        }
-
-        #[test]
-        fn any_single_bit_flip_is_detected_not_panicking(
-            payload in proptest::collection::vec(any::<u64>(), 0..32),
-            word_pick in any::<u64>(),
-            bit in 0u64..64,
-        ) {
-            let mut frame = encode_frame(&payload);
-            let idx = (word_pick % frame.len() as u64) as usize;
-            frame[idx] ^= 1u64 << bit;
-            prop_assert!(
-                decode_frame(&frame).is_err(),
-                "flip of bit {} in word {} went undetected",
-                bit,
-                idx
-            );
-        }
-
         #[test]
         fn corrupt_bit_changes_vec_payloads(
             payload in proptest::collection::vec(any::<u64>(), 1..16),

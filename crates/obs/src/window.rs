@@ -236,6 +236,11 @@ impl WindowedRegistry {
         self.cumulative.observe(name, v);
     }
 
+    /// The named counter's whole-run total.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.cumulative.counter(name)
+    }
+
     /// The cumulative (whole-run) snapshot — same shape as any other
     /// [`MetricsSnapshot`], so it plugs into artifacts and exposition
     /// unchanged.

@@ -7,35 +7,7 @@
 
 use crate::{Net, Packet};
 use cc_net::NetError;
-
-/// One-round broadcast of a small payload: `src` sends the same
-/// `≤ link_words` words to every other node.
-///
-/// Cost: 1 round, `n − 1` messages.
-///
-/// # Errors
-///
-/// Propagates simulator errors (in particular [`NetError::MessageTooLarge`]
-/// when the payload exceeds one link's budget — use [`broadcast_large`]).
-pub fn broadcast_small(net: &mut Net, src: usize, data: Packet) -> Result<Packet, NetError> {
-    let n = net.n();
-    net.begin_scope("route:broadcast-small");
-    net.step(|node, _inbox, out| {
-        if node == src {
-            for dst in 0..n {
-                if dst != src {
-                    let _ = out.send(dst, data.clone());
-                }
-            }
-        }
-    })?;
-    // Drain the delivery round into the next step the caller performs; the
-    // data is in flight now. To keep primitives self-contained we absorb
-    // the delivery round here.
-    net.step(|_node, _inbox, _out| {})?;
-    net.end_scope();
-    Ok(data)
-}
+use std::collections::VecDeque;
 
 /// Broadcast of up to `n · link_words` words from `src` to everyone via the
 /// paper's standard trick: distribute distinct chunks to distinct nodes,
@@ -156,13 +128,14 @@ pub fn all_to_all_share(net: &mut Net, values: &[u64]) -> Result<Vec<u64>, NetEr
 }
 
 /// Direct gather: node `u` sends its items (each `≤ link_words` words) to
-/// `dst` over its single link, pipelined one per round.
+/// `dst` over its single link, pipelined as in
+/// [`ship_direct`](crate::ship_direct).
 ///
-/// Cost: `max_u ⌈items(u) words / link_words⌉` rounds — linear in the
-/// largest per-sender volume, which is why the algorithms use
-/// [`route`](crate::route) when senders hold many items.
+/// Cost: `max_u ⌈items(u) words / link_words⌉` waves of two rounds —
+/// linear in the largest per-sender volume, which is why the algorithms
+/// use [`route`](crate::route) when senders hold many items.
 ///
-/// Returns `(src, item)` pairs in deterministic order.
+/// Returns `(src, item)` pairs in arrival order.
 ///
 /// # Errors
 ///
@@ -172,48 +145,60 @@ pub fn gather_direct(
     dst: usize,
     items: Vec<Vec<Packet>>,
 ) -> Result<Vec<(usize, Packet)>, NetError> {
-    let n = net.n();
-    assert_eq!(items.len(), n, "one item list per node");
+    assert_eq!(items.len(), net.n(), "one item list per node");
     assert!(
         items[dst].is_empty(),
         "destination gathers, it does not send"
     );
-    let link_words = net.config().link_words;
     net.begin_scope("route:gather");
-    let mut queues = items;
-    let mut collected: Vec<(usize, Packet)> = Vec::new();
-    while queues.iter().any(|q| !q.is_empty()) {
-        // Each sender fills its link budget toward dst this round.
-        let mut sending: Vec<Vec<Packet>> = vec![Vec::new(); n];
+    let queues = items
+        .into_iter()
+        .map(|q| q.into_iter().map(|p| (dst, p)).collect())
+        .collect();
+    let mut arrived = fill_links(net, queues)?;
+    net.end_scope();
+    Ok(std::mem::take(&mut arrived[dst]))
+}
+
+/// The one fill-the-link loop. Each wave, every sender sends `(dst,
+/// packet)` pairs off its queue while they fit in `link_words` words, then
+/// a delivery round follows. A crashed node never sends again, so its
+/// queue is dropped; the loop ends when every live sender is empty.
+/// Returns each receiver's `(src, packet)` arrivals in arrival order.
+pub(crate) fn fill_links(
+    net: &mut Net,
+    mut queues: Vec<VecDeque<(usize, Packet)>>,
+) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
+    let link_words = net.config().link_words;
+    let mut arrived: Vec<Vec<(usize, Packet)>> = vec![Vec::new(); net.n()];
+    loop {
         for (u, q) in queues.iter_mut().enumerate() {
-            if u == dst {
-                continue;
+            if net.is_crashed(u) {
+                q.clear();
             }
+        }
+        if queues.iter().all(VecDeque::is_empty) {
+            return Ok(arrived);
+        }
+        net.step(|node, _inbox, out| {
+            let q = &mut queues[node];
             let mut used = 0u64;
-            while let Some(front) = q.first() {
+            while let Some((_, front)) = q.front() {
+                // A packet wider than the link goes out alone, so the
+                // send reports it instead of the queue stalling forever.
                 let w = (front.len() as u64).max(1);
-                if used + w > link_words {
+                if used > 0 && used + w > link_words {
                     break;
                 }
                 used += w;
-                sending[u].push(q.remove(0));
-            }
-        }
-        net.step(|node, _inbox, out| {
-            for p in sending[node].drain(..) {
+                let (dst, p) = q.pop_front().expect("front exists");
                 let _ = out.send(dst, p);
             }
         })?;
         net.step(|node, inbox, _out| {
-            if node == dst {
-                for env in inbox {
-                    collected.push((env.src, env.msg.clone()));
-                }
-            }
+            arrived[node].extend(inbox.iter().map(|env| (env.src, env.msg.clone())));
         })?;
     }
-    net.end_scope();
-    Ok(collected)
 }
 
 #[cfg(test)]
@@ -223,23 +208,6 @@ mod tests {
 
     fn net(n: usize) -> Net {
         Net::new(NetConfig::kt1(n).with_seed(7))
-    }
-
-    #[test]
-    fn small_broadcast_costs_one_send_round() {
-        let mut nt = net(8);
-        let data = broadcast_small(&mut nt, 3, Packet::of(&[1, 2, 3])).unwrap();
-        assert_eq!(data, vec![1, 2, 3]);
-        let c = nt.cost();
-        assert_eq!(c.messages, 7);
-        assert_eq!(c.rounds, 2, "send + delivery");
-    }
-
-    #[test]
-    fn small_broadcast_rejects_oversize() {
-        let mut nt = Net::new(NetConfig::kt1(4).with_link_words(2));
-        let err = broadcast_small(&mut nt, 0, Packet::of(&[0; 3])).unwrap_err();
-        assert!(matches!(err, NetError::MessageTooLarge { .. }));
     }
 
     #[test]
@@ -320,80 +288,5 @@ mod tests {
         let mut nt = net(3);
         let items = vec![vec![Packet::one(1)], Vec::new(), Vec::new()];
         let _ = gather_direct(&mut nt, 0, items);
-    }
-}
-
-/// Personalized all-to-all: node `u` sends `values[u][v]` to every `v`
-/// (the `Θ(n²)`-message pattern of the Lotker candidate rounds, packaged).
-///
-/// Returns `received[v][u]` = the word `u` sent to `v` (`0` on the
-/// diagonal).
-///
-/// Cost: 1 round (+1 delivery), `n(n−1)` messages.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Panics if the matrix is not `n × n`.
-pub fn all_to_all_personalized(
-    net: &mut Net,
-    values: &[Vec<u64>],
-) -> Result<Vec<Vec<u64>>, NetError> {
-    let n = net.n();
-    assert_eq!(values.len(), n, "one row per node");
-    for row in values {
-        assert_eq!(row.len(), n, "one value per destination");
-    }
-    let mut received = vec![vec![0u64; n]; n];
-    net.begin_scope("route:all-to-all-personalized");
-    net.step(|node, _inbox, out| {
-        for (dst, &val) in values[node].iter().enumerate() {
-            if dst != node {
-                let _ = out.send(dst, Packet::one(val));
-            }
-        }
-    })?;
-    net.step(|node, inbox, _out| {
-        for env in inbox {
-            received[node][env.src] = env.msg[0];
-        }
-    })?;
-    net.end_scope();
-    Ok(received)
-}
-
-#[cfg(test)]
-mod personalized_tests {
-    use super::*;
-    use cc_net::NetConfig;
-
-    #[test]
-    fn transposes_the_matrix() {
-        let n = 5;
-        let mut nt = Net::new(NetConfig::kt1(n).with_seed(1));
-        let values: Vec<Vec<u64>> = (0..n)
-            .map(|u| (0..n).map(|v| (10 * u + v) as u64).collect())
-            .collect();
-        let got = all_to_all_personalized(&mut nt, &values).unwrap();
-        for u in 0..n {
-            for v in 0..n {
-                if u != v {
-                    assert_eq!(got[v][u], values[u][v]);
-                }
-            }
-            assert_eq!(got[u][u], 0);
-        }
-        assert_eq!(nt.cost().messages, (n * (n - 1)) as u64);
-        assert_eq!(nt.cost().rounds, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "one value per destination")]
-    fn rejects_ragged_matrix() {
-        let mut nt = Net::new(NetConfig::kt1(3));
-        let _ = all_to_all_personalized(&mut nt, &[vec![0; 3], vec![0; 2], vec![0; 3]]);
     }
 }

@@ -3,9 +3,12 @@
 //! [`cc_net`] simulator so their round and message costs are *measured*,
 //! never assumed.
 //!
-//! * [`collectives`] — one-round broadcasts, all-to-all shares, direct
-//!   gathers, and the distribute-then-rebroadcast large broadcast the paper
-//!   uses to make `≤ n` words known to everyone in `O(1)` rounds.
+//! * [`collectives`] — the all-to-all share, direct gathers, and the
+//!   distribute-then-rebroadcast large broadcast the paper uses to make
+//!   `≤ n` words known to everyone in `O(1)` rounds.
+//! * [`mod@fragment`] — the one path for payloads wider than a link: word
+//!   bundles are fragmented, shipped routed ([`route_bundles`]) or direct
+//!   ([`ship_direct`]), and reassembled per pair ([`Bundles`]).
 //! * [`routing`] — the "Lenzen contract": any instance where every node
 //!   sends at most `n` messages and every node receives at most `n`
 //!   messages is delivered in `O(1)` rounds. The paper cites Lenzen's
@@ -47,10 +50,8 @@ pub type Packet = cc_net::WordVec;
 /// The network type every collective (and every algorithm crate) runs on.
 pub type Net = CliqueNet<Packet>;
 
-pub use collectives::{
-    all_to_all_personalized, all_to_all_share, broadcast_large, broadcast_small, gather_direct,
-};
-pub use fragment::{fragment, reassemble};
+pub use collectives::{all_to_all_share, broadcast_large, gather_direct};
+pub use fragment::{fragment, reassemble, route_bundles, ship_direct, Bundle, Bundles};
 pub use kt0_boot::kt0_bootstrap;
 pub use routing::{route, route_deterministic, RoutedPacket};
 pub use shared_rand::shared_seed;

@@ -33,13 +33,17 @@ pub struct RoutedPacket {
     pub src: usize,
     /// Final destination.
     pub dst: usize,
-    /// Payload words (header adds 2 words on the wire).
+    /// Payload words (the routing header adds 2 words on the wire).
     pub payload: Packet,
 }
 
+/// Routing header words every routed packet carries on the wire:
+/// `[final_dst, orig_src]`.
+pub(crate) const HEADER_WORDS: u64 = 2;
+
 /// Number of wire words a routed packet occupies.
 fn wire_words(p: &RoutedPacket) -> u64 {
-    2 + p.payload.len() as u64
+    HEADER_WORDS + p.payload.len() as u64
 }
 
 /// Routes all packets; returns, per destination, the delivered
@@ -48,8 +52,8 @@ fn wire_words(p: &RoutedPacket) -> u64 {
 /// # Errors
 ///
 /// Propagates simulator errors; also rejects packets whose wire size
-/// exceeds one link's budget (fragment first — see
-/// [`fragment`](crate::fragment::fragment)).
+/// exceeds one link's budget (ship wide payloads with
+/// [`route_bundles`](crate::route_bundles), which fragments them).
 ///
 /// # Panics
 ///
@@ -169,9 +173,9 @@ fn route_inner(
             //    destinations in ascending order (BTreeMap iteration).
             held[node].retain(|&dst, queue| {
                 if let Some((src, payload)) = queue.front() {
-                    let w = 2 + payload.len() as u64;
+                    let w = HEADER_WORDS + payload.len() as u64;
                     if out.budget_left(dst) >= w {
-                        let mut wire = Packet::with_capacity(payload.len() + 2);
+                        let mut wire = Packet::with_capacity(payload.len() + HEADER_WORDS as usize);
                         wire.push(dst as u64);
                         wire.push(*src as u64);
                         wire.extend_from_slice(payload);
@@ -215,7 +219,7 @@ fn route_inner(
                 let p = spread_q[node].pop_front().unwrap();
                 rr[node] += 1;
                 spread_left -= 1;
-                let mut wire = Packet::with_capacity(p.payload.len() + 2);
+                let mut wire = Packet::with_capacity(p.payload.len() + HEADER_WORDS as usize);
                 wire.push(p.dst as u64);
                 wire.push(p.src as u64);
                 wire.extend_from_slice(&p.payload);

@@ -358,11 +358,6 @@ struct State {
     pending: HashMap<Digest, Vec<Waiter>>,
     accepting: bool,
     running: u64,
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    rejected: u64,
-    coalesced: u64,
     cache: ResultCache,
     /// Windowed metrics wrapping the cumulative registry: both views are
     /// fed by the same calls, so live windows cannot drift from the
@@ -555,11 +550,6 @@ impl Server {
                 pending: HashMap::new(),
                 accepting: true,
                 running: 0,
-                submitted: 0,
-                completed: 0,
-                failed: 0,
-                rejected: 0,
-                coalesced: 0,
                 cache: ResultCache::new(cfg.cache_capacity),
                 metrics: WindowedRegistry::new(WindowSpec::standard()),
                 spans: SpanBook::new(RECENT_SPANS),
@@ -589,9 +579,7 @@ impl Server {
         };
         let now = self.shared.clock.now_nanos();
         let mut st = self.shared.lock_state();
-        st.submitted += 1;
         if let Err(problem) = spec.validate() {
-            st.rejected += 1;
             st.metrics.counter_add("serve.jobs_rejected", now, 1);
             st.spans.finished(id, "", now, SpanOutcome::Rejected);
             send(Response::Rejected {
@@ -619,7 +607,6 @@ impl Server {
                 id: id.into(),
                 reply: reply.clone(),
             });
-            st.coalesced += 1;
             st.metrics.counter_add("serve.coalesced_hits", now, 1);
             st.spans.admitted(id, &key.hex(), now);
             let depth = st.queue.len() as u64;
@@ -631,7 +618,6 @@ impl Server {
             return SubmitOutcome::Coalesced;
         }
         if !st.accepting {
-            st.rejected += 1;
             st.metrics.counter_add("serve.jobs_rejected", now, 1);
             st.spans
                 .finished(id, &key.hex(), now, SpanOutcome::Rejected);
@@ -642,7 +628,6 @@ impl Server {
             return SubmitOutcome::Rejected;
         }
         if st.queue.len() >= self.shared.cfg.queue_capacity {
-            st.rejected += 1;
             st.metrics.counter_add("serve.jobs_rejected", now, 1);
             st.spans
                 .finished(id, &key.hex(), now, SpanOutcome::Rejected);
@@ -707,15 +692,21 @@ impl Server {
     /// A statistics snapshot.
     pub fn stats(&self) -> ServeStats {
         let st = self.shared.lock_state();
+        let count = |name: &str| st.metrics.counter(name);
+        let (rejected, coalesced) = (count("serve.jobs_rejected"), count("serve.coalesced_hits"));
         ServeStats {
             queue_depth: st.queue.len() as u64,
             running: st.running,
             accepting: st.accepting,
-            submitted: st.submitted,
-            completed: st.completed,
-            failed: st.failed,
-            rejected: st.rejected,
-            coalesced: st.coalesced,
+            // Every submission ends in exactly one of these four counters.
+            submitted: rejected
+                + coalesced
+                + count("serve.cache_hits")
+                + count("serve.cache_misses"),
+            completed: count("serve.jobs_completed"),
+            failed: count("serve.jobs_failed"),
+            rejected,
+            coalesced,
             cache: st.cache.stats(),
             metrics: st.metrics.cumulative_snapshot(),
         }
@@ -947,7 +938,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 st.cache.insert(job.key, Arc::clone(&text));
                 st.comm.absorb(&lens);
                 st.running -= 1;
-                st.completed += 1;
                 st.metrics
                     .counter_add("serve.jobs_completed", finished_unix, 1);
                 st.metrics
@@ -990,7 +980,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             let waiters = {
                 let mut st = shared.lock_state();
                 st.running -= 1;
-                st.failed += 1;
                 st.metrics
                     .counter_add("serve.jobs_failed", finished_unix, 1);
                 let key_hex = job.key.hex();

@@ -25,11 +25,18 @@
 //! responses funnel through a single writer thread so concurrent jobs
 //! never tear each other's lines.
 
-use crate::job::JobSpec;
+use crate::job::{JobSpec, MAX_EDGES};
 use crate::pool::{Response, Server};
 use cc_trace::Json;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc::{channel, Sender};
+
+/// Widest compact weighted edge: `[4095,4095,18446744073709551615],`.
+const MAX_EDGE_BYTES: usize = 33;
+
+/// Longest request line a session reads, in bytes before the newline: a
+/// submit of [`MAX_EDGES`] widest edges, plus 64 KiB for the rest.
+pub const MAX_LINE_BYTES: usize = MAX_EDGES * MAX_EDGE_BYTES + (64 << 10);
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,11 +112,26 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 ///
 /// Returns the writer (all responses flushed) so in-process callers can
 /// inspect the bytes.
+///
+/// A line longer than [`MAX_LINE_BYTES`] or not UTF-8 gets one `error`
+/// response and the session continues. A read error ends the input like
+/// EOF does; it is returned once the session has drained.
 pub fn run_session<R: BufRead, W: Write + Send + 'static>(
     server: &Server,
     reader: R,
     writer: W,
     close_on_end: bool,
+) -> std::io::Result<W> {
+    session(server, reader, writer, close_on_end, MAX_LINE_BYTES)
+}
+
+/// [`run_session`] with the line bound as a parameter.
+fn session<R: BufRead, W: Write + Send + 'static>(
+    server: &Server,
+    mut reader: R,
+    writer: W,
+    close_on_end: bool,
+    max_line: usize,
 ) -> std::io::Result<W> {
     let (tx, rx) = channel::<Response>();
     let writer_thread = std::thread::spawn(move || -> std::io::Result<W> {
@@ -126,12 +148,19 @@ pub fn run_session<R: BufRead, W: Write + Send + 'static>(
     });
 
     let mut saw_shutdown = false;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(&line) {
+    let mut read_error = None;
+    loop {
+        let (request, line) = match read_line(&mut reader, max_line) {
+            Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
+            Ok(Some(Ok(line))) => (parse_request(&line), line),
+            Ok(Some(Err(error))) => (Err(error), String::new()),
+            Ok(None) => break,
+            Err(e) => {
+                read_error = Some(e);
+                break;
+            }
+        };
+        match request {
             Ok(Request::Submit { id, job }) => {
                 server.submit(&id, job, &tx);
             }
@@ -187,9 +216,41 @@ pub fn run_session<R: BufRead, W: Write + Send + 'static>(
         eprintln!("{}", event.to_json().emit());
     }
     drop(tx);
-    writer_thread
+    let writer = writer_thread
         .join()
-        .map_err(|_| std::io::Error::other("response writer panicked"))?
+        .map_err(|_| std::io::Error::other("response writer panicked"))??;
+    match read_error {
+        Some(e) => Err(e),
+        None => Ok(writer),
+    }
+}
+
+/// Reads the next line of at most `max_line` bytes before its `\n` (a
+/// trailing `\r` is dropped). `None` at EOF; `Some(Err(reason))` for a
+/// line that is too long (skipped through its newline, never buffered)
+/// or not UTF-8.
+fn read_line<R: BufRead>(
+    reader: &mut R,
+    max_line: usize,
+) -> std::io::Result<Option<Result<String, String>>> {
+    let mut line = Vec::new();
+    let read = reader
+        .take(max_line as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > max_line {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Err(format!("request line exceeds {max_line} bytes"))));
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    let text = String::from_utf8(line).map_err(|_| "request line is not valid UTF-8".to_string());
+    Ok(Some(text))
 }
 
 /// Best-effort id extraction for error responses to unparseable or
@@ -456,6 +517,74 @@ mod tests {
         ]);
         assert_eq!(kinds_for(&responses, "oops"), vec!["error"]);
         assert_eq!(kinds_for(&responses, ""), vec!["error"]);
+    }
+
+    /// A non-UTF-8 line and an over-long line each get one `error`; the
+    /// session keeps reading and answers the requests around them.
+    #[test]
+    fn bad_bytes_and_long_lines_do_not_end_the_session() {
+        let submit = submit_line("ok", 1);
+        let cap = submit.len();
+        let mut input = Vec::new();
+        for line in [
+            submit.as_bytes(),
+            &[0xFF, 0xFE],
+            "x".repeat(cap + 1).as_bytes(),
+            b"{\"op\":\"health\"}",
+        ] {
+            input.extend_from_slice(line);
+            input.push(b'\n');
+        }
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let out = session(&server, Cursor::new(input), Vec::new(), true, cap).unwrap();
+        server.join();
+        let responses: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .collect();
+        assert_eq!(kinds_for(&responses, "ok").last(), Some(&"result"));
+        let errors: Vec<&str> = responses
+            .iter()
+            .filter(|r| r.get("kind").and_then(Json::as_str) == Some("error"))
+            .map(|r| r.get("error").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(
+            errors,
+            vec![
+                "request line is not valid UTF-8".to_string(),
+                format!("request line exceeds {cap} bytes"),
+            ]
+        );
+        assert!(responses
+            .iter()
+            .any(|r| r.get("kind").and_then(Json::as_str) == Some("health")));
+    }
+
+    #[test]
+    fn line_bound_admits_exactly_max_line_bytes() {
+        let cap = 8;
+        for (len, fits) in [(cap - 1, true), (cap, true), (cap + 1, false)] {
+            let input = format!("{}\nnext", "a".repeat(len));
+            let mut reader = Cursor::new(input.into_bytes());
+            let first = read_line(&mut reader, cap).unwrap().unwrap();
+            assert_eq!(first.is_ok(), fits, "len {len}");
+            // Either way the reader resumes right after the newline.
+            let next = read_line(&mut reader, cap).unwrap().unwrap();
+            assert_eq!(next.as_deref(), Ok("next"));
+            assert!(read_line(&mut reader, cap).unwrap().is_none());
+        }
+        let mut crlf = Cursor::new(b"op\r\n".to_vec());
+        assert_eq!(read_line(&mut crlf, cap).unwrap(), Some(Ok("op".into())));
+    }
+
+    #[test]
+    fn a_maximal_compact_edge_fits_the_edge_allowance() {
+        let widest = format!("[{m},{m},{}],", u64::MAX, m = crate::job::MAX_N - 1);
+        assert_eq!(widest.len(), MAX_EDGE_BYTES);
     }
 
     #[test]

@@ -228,6 +228,52 @@ impl GraphSketchSpace {
     }
 }
 
+/// The bundle vertex `v` ships: its neighborhood sketch in each of
+/// `spaces`, as wire words, concatenated in order.
+///
+/// # Panics
+///
+/// As [`GraphSketchSpace::sketch_neighborhood_with`].
+pub fn encode_bundle<'a, S>(
+    spaces: S,
+    v: usize,
+    neighbors: impl Iterator<Item = usize> + Clone,
+    scratch: &mut NeighborhoodScratch,
+) -> Vec<u64>
+where
+    S: IntoIterator<Item = &'a GraphSketchSpace>,
+    S::IntoIter: Clone,
+{
+    let spaces = spaces.into_iter();
+    // Exact capacity: callers keep bundles alive until they are shipped.
+    let mut words = Vec::with_capacity(spaces.clone().map(|sp| sp.sketch_words()).sum());
+    for sp in spaces {
+        let sk = sp.sketch_neighborhood_with(v, neighbors.clone(), scratch);
+        words.extend(sk.to_words());
+    }
+    words
+}
+
+/// Splits an [`encode_bundle`] bundle back into one sketch per space.
+///
+/// # Panics
+///
+/// Panics with "sketch bundle size mismatch" on a wrong word count.
+pub fn decode_bundle<'a>(
+    spaces: impl IntoIterator<Item = &'a GraphSketchSpace>,
+    mut words: &[u64],
+) -> Vec<Sketch> {
+    let spaces: Vec<&GraphSketchSpace> = spaces.into_iter().collect();
+    let total: usize = spaces.iter().map(|sp| sp.sketch_words()).sum();
+    assert_eq!(words.len(), total, "sketch bundle size mismatch");
+    let piece = |sp: &GraphSketchSpace| {
+        let (head, tail) = words.split_at(sp.sketch_words());
+        words = tail;
+        sp.sketch_from_words(head.to_vec())
+    };
+    spaces.into_iter().map(piece).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +410,27 @@ mod tests {
         let space = GraphSketchSpace::new(100, 7);
         let sk = space.zero_sketch();
         assert_eq!(sk.words(), space.sketch_words());
+    }
+
+    #[test]
+    fn bundle_round_trips_one_sketch_per_space() {
+        let spaces = GraphSketchSpace::family(10, 3, 11);
+        let neigh = [2usize, 5, 9];
+        let mut scratch = NeighborhoodScratch::default();
+        let words = encode_bundle(&spaces, 4, neigh.iter().copied(), &mut scratch);
+        assert_eq!(words.len(), 3 * spaces[0].sketch_words());
+        let back = decode_bundle(&spaces, &words);
+        for (sp, sk) in spaces.iter().zip(&back) {
+            assert_eq!(sk, &sp.sketch_neighborhood(4, neigh));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sketch bundle size mismatch")]
+    fn bundle_of_the_wrong_length_is_refused() {
+        let spaces = GraphSketchSpace::family(10, 2, 11);
+        let words = vec![0; 2 * spaces[0].sketch_words() - 1];
+        let _ = decode_bundle(&spaces, &words);
     }
 
     proptest! {

@@ -48,7 +48,9 @@ pub mod hash;
 pub mod l0;
 pub mod spanning;
 
-pub use graph_sketch::{EdgeSample, GraphSketchSpace, NeighborhoodScratch};
+pub use graph_sketch::{
+    decode_bundle, encode_bundle, EdgeSample, GraphSketchSpace, NeighborhoodScratch,
+};
 pub use hash::KWiseHash;
 pub use l0::{BatchScratch, Sample, Sketch, SketchParams, SketchSpace};
 pub use spanning::{recommended_families, spanning_forest_via_sketches, SpanningResult};

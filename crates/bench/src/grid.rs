@@ -23,7 +23,8 @@
 //! * **failed** — everything a weaker model must never cause: a rejected
 //!   answer (`wrong-answer`), an exhausted Monte Carlo sampler
 //!   (`sketch-exhausted`, a detected failure the paper bounds by
-//!   `1/n^{Ω(1)}`), a `panic`, or an accepted answer that disagrees with
+//!   `1/n^{Ω(1)}`), a lost or duplicated fragment (`fragment-lost`), a
+//!   `panic`, or an accepted answer that disagrees with
 //!   the reference (`silent-wrong`). The `grid` binary exits 1 on any
 //!   failed cell.
 //!

@@ -48,10 +48,11 @@ pub enum Verdict {
         detail: String,
     },
     /// The run failed loudly: the sketch budget ran out
-    /// (`sketch-exhausted`) or the check rejected the answer
+    /// (`sketch-exhausted`), a shipped bundle lost or duplicated a
+    /// fragment (`fragment-lost`), or the check rejected the answer
     /// (`wrong-answer`).
     DetectedError {
-        /// `sketch-exhausted` or `wrong-answer`.
+        /// `sketch-exhausted`, `fragment-lost` or `wrong-answer`.
         kind: &'static str,
         /// The error display, or the check's reason.
         detail: String,
@@ -88,6 +89,10 @@ impl Verdict {
                     },
                     CoreError::SketchExhausted { .. } => Verdict::DetectedError {
                         kind: "sketch-exhausted",
+                        detail,
+                    },
+                    CoreError::Fragment(_) => Verdict::DetectedError {
+                        kind: "fragment-lost",
                         detail,
                     },
                 };

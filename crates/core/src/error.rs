@@ -1,6 +1,7 @@
 //! Error type for the algorithm crate.
 
 use cc_net::NetError;
+use cc_route::FragmentError;
 use std::error::Error;
 use std::fmt;
 
@@ -16,6 +17,9 @@ pub enum CoreError {
         /// Sampler failures observed before giving up.
         failures: usize,
     },
+    /// A shipped bundle arrived with a fragment lost or duplicated, so
+    /// its receiver cannot reassemble it.
+    Fragment(FragmentError),
 }
 
 impl fmt::Display for CoreError {
@@ -26,6 +30,7 @@ impl fmt::Display for CoreError {
                 f,
                 "sketch families exhausted after {failures} sampler failures"
             ),
+            CoreError::Fragment(e) => write!(f, "bundle reassembly: {e}"),
         }
     }
 }
@@ -35,6 +40,7 @@ impl Error for CoreError {
         match self {
             CoreError::Net(e) => Some(e),
             CoreError::SketchExhausted { .. } => None,
+            CoreError::Fragment(e) => Some(e),
         }
     }
 }
@@ -42,6 +48,12 @@ impl Error for CoreError {
 impl From<NetError> for CoreError {
     fn from(e: NetError) -> Self {
         CoreError::Net(e)
+    }
+}
+
+impl From<FragmentError> for CoreError {
+    fn from(e: FragmentError) -> Self {
+        CoreError::Fragment(e)
     }
 }
 

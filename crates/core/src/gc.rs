@@ -81,6 +81,8 @@ pub struct SpanOutcome {
 /// * [`CoreError::Net`] on simulator violations.
 /// * [`CoreError::SketchExhausted`] if sampling fails too often (Monte
 ///   Carlo failure, probability `1/n^{Ω(1)}`).
+/// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
+///   fragment on the way.
 pub fn sketch_and_span(
     net: &mut Net,
     g1: &ComponentGraph,
@@ -123,7 +125,7 @@ pub fn sketch_and_span(
     let mut sketches: Vec<Vec<Sketch>> = vec![Vec::with_capacity(l_count); t];
     for &l in &unfinished {
         let words = delivered
-            .take(coordinator, l)
+            .take(coordinator, l)?
             .expect("leader's sketches missing");
         for (f, sk) in decode_bundle(&spaces, &words).into_iter().enumerate() {
             sketches[f].push(sk);

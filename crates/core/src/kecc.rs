@@ -88,6 +88,8 @@ pub fn k_edge_connectivity(
 ///
 /// * [`CoreError::Net`] on simulator violations.
 /// * [`CoreError::SketchExhausted`] on sampler failure.
+/// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
+///   fragment on the way.
 ///
 /// # Panics
 ///
@@ -135,7 +137,7 @@ pub fn k_edge_connectivity_sketch(
     let mut sketches: Vec<Vec<Vec<Sketch>>> = vec![vec![Vec::with_capacity(n); t]; k];
     for v in 0..n {
         let words = delivered
-            .take(coordinator, v)
+            .take(coordinator, v)?
             .expect("node sketches missing");
         let node_sketches = decode_bundle(spaces.iter().flatten(), &words);
         for (j, sk) in node_sketches.into_iter().enumerate() {

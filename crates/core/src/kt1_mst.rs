@@ -72,6 +72,8 @@ pub struct Kt1MstRun {
 /// # Errors
 ///
 /// * [`CoreError::Net`] on simulator violations.
+/// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
+///   fragment on the way.
 ///
 /// # Panics
 ///
@@ -135,11 +137,14 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                 break;
             }
             // (1) Leaders distribute fresh shared randomness to members.
-            let seeds: HashMap<usize, u64> = {
-                let mut s: Vec<usize> = searching.iter().copied().collect();
-                s.sort_unstable();
-                s.into_iter().map(|l| (l, net.node_rng(l).gen())).collect()
-            };
+            // Leaders act in ascending order, so the run (and the first
+            // error it reports) is the same in every process.
+            let mut leaders: Vec<usize> = searching.iter().copied().collect();
+            leaders.sort_unstable();
+            let seeds: HashMap<usize, u64> = leaders
+                .iter()
+                .map(|&l| (l, net.node_rng(l).gen()))
+                .collect();
             net.step(|node, _inbox, out| {
                 if let Some(&seed) = seeds.get(&node) {
                     for &m in &members_of[&node] {
@@ -184,11 +189,11 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
             // Pipelined member → leader transfer (one link each); leaders
             // read and add member sketches.
             let mut arrived = ship_direct(net, uploads)?;
-            for &l in &searching {
+            for &l in &leaders {
                 let sp = &spaces[&l];
                 let sum = leader_sums.entry(l).or_insert_with(|| sp.zero_sketch());
                 for &m in &members_of[&l] {
-                    if let Some(words) = arrived.take(l, m) {
+                    if let Some(words) = arrived.take(l, m)? {
                         sum.add_assign_sketch(&sp.sketch_from_words(words));
                     }
                 }
@@ -198,37 +203,33 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
             let mut queries: HashMap<usize, Vec<(usize, usize, usize)>> = HashMap::new(); // member -> (leader, x, y)
             let mut answers: HashMap<usize, Vec<WEdge>> = HashMap::new();
             let mut zero_now: Vec<usize> = Vec::new();
-            {
-                let mut search_sorted: Vec<usize> = searching.iter().copied().collect();
-                search_sorted.sort_unstable();
-                for &l in &search_sorted {
-                    let sp = &spaces[&l];
-                    let sum = &leader_sums[&l];
-                    let mut cands = sp.decode_all_edges(sum);
-                    if cands.is_empty() {
-                        match sp.sample_edge(sum) {
-                            EdgeSample::Zero => {
-                                zero_now.push(l);
-                                continue;
-                            }
-                            EdgeSample::Fail => continue, // retry next iteration
-                            EdgeSample::Edge(x, y) => cands.push((x, y)),
+            for &l in &leaders {
+                let sp = &spaces[&l];
+                let sum = &leader_sums[&l];
+                let mut cands = sp.decode_all_edges(sum);
+                if cands.is_empty() {
+                    match sp.sample_edge(sum) {
+                        EdgeSample::Zero => {
+                            zero_now.push(l);
+                            continue;
                         }
+                        EdgeSample::Fail => continue, // retry next iteration
+                        EdgeSample::Edge(x, y) => cands.push((x, y)),
                     }
-                    for (x, y) in cands {
-                        let (in_x, in_y) = (labels[x] == l, labels[y] == l);
-                        if in_x == in_y {
-                            continue; // defensive: garbage decode
+                }
+                for (x, y) in cands {
+                    let (in_x, in_y) = (labels[x] == l, labels[y] == l);
+                    if in_x == in_y {
+                        continue; // defensive: garbage decode
+                    }
+                    let member = if in_x { x } else { y };
+                    if member == l {
+                        // Leader answers its own query locally.
+                        if let Some(w) = g.weight_of(x, y) {
+                            answers.entry(l).or_default().push(WEdge::new(x, y, w));
                         }
-                        let member = if in_x { x } else { y };
-                        if member == l {
-                            // Leader answers its own query locally.
-                            if let Some(w) = g.weight_of(x, y) {
-                                answers.entry(l).or_default().push(WEdge::new(x, y, w));
-                            }
-                        } else {
-                            queries.entry(member).or_default().push((l, x, y));
-                        }
+                    } else {
+                        queries.entry(member).or_default().push((l, x, y));
                     }
                 }
             }

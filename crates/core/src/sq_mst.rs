@@ -60,6 +60,8 @@ pub struct SqMstConfig {
 ///
 /// * [`CoreError::Net`] on simulator violations.
 /// * [`CoreError::SketchExhausted`] on Monte Carlo sampler failure.
+/// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
+///   fragment on the way.
 ///
 /// # Panics
 ///
@@ -199,7 +201,7 @@ pub fn sq_mst(
             let spaces = all_spaces[i].as_ref().unwrap();
             let mut sketches: Vec<Vec<Sketch>> = vec![Vec::with_capacity(inst.vertices.len()); t];
             for &v in &inst.vertices {
-                let words = sketch_bundles.take(i, v).expect("vertex sketches missing");
+                let words = sketch_bundles.take(i, v)?.expect("vertex sketches missing");
                 for (f, sk) in decode_bundle(spaces, &words).into_iter().enumerate() {
                     sketches[f].push(sk);
                 }

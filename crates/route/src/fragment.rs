@@ -3,16 +3,26 @@
 //! Sketches are `Θ(log⁴ n)` bits, far larger than one `O(log n)`-bit
 //! message, so the algorithms ship them as many packets (the paper speaks
 //! of "O(log⁴ n) messages of size O(log n) each"). They hand whole word
-//! [`Bundle`]s to [`route_bundles`] or [`ship_direct`], which fragment
-//! them to fill a link exactly, and read them back per (receiver, sender)
-//! pair from [`Bundles`]. Each fragment carries its sequence number in
-//! band — that word is paid for like any other.
+//! [`Bundle`]s to [`route_bundles`] or [`ship_direct`], which cut them
+//! into frames that fill a link exactly, and read them back per
+//! (receiver, sender) pair from [`Bundles`].
+//!
+//! Frame layout: a routed fragment is `[dst, src, seq, chunk…]` — the
+//! routing header, then the fragment's sequence number — and a direct
+//! fragment is `[seq, chunk…]` (its link names the sender). Every word
+//! is paid for. Each frame is built once, at its sender, and shared, so
+//! the router forwards it by refcount. Arrivals are left unsorted:
+//! [`Bundles`] groups a receiver's frames by sender and places each
+//! pair's chunks by sequence number into a pre-sized buffer, and a lost
+//! or duplicated fragment is a [`FragmentError`].
 
 use crate::collectives::fill_links;
-use crate::routing::{route, RoutedPacket, HEADER_WORDS};
+use crate::routing::{route_frames, HEADER_WORDS};
 use crate::{Net, Packet};
 use cc_net::NetError;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::ops::Range;
 
 /// Splits `data` into packets of at most `chunk_payload` payload words,
 /// each prefixed with its sequence number.
@@ -22,18 +32,30 @@ use std::collections::{BTreeMap, VecDeque};
 /// Panics if `chunk_payload == 0`.
 pub fn fragment(data: &[u64], chunk_payload: usize) -> Vec<Packet> {
     assert!(chunk_payload >= 1, "chunks must carry payload");
+    cut(&[], data, chunk_payload)
+}
+
+/// Cuts `data` into frames `[head…, seq, chunk…]` of at most `chunk`
+/// payload words each; empty `data` is one frame with no payload. Each
+/// frame is assembled once in a scratch buffer and copied out inline or
+/// shared.
+fn cut(head: &[u64], data: &[u64], chunk: usize) -> Vec<Packet> {
+    let mut frames = Vec::with_capacity(data.len().div_ceil(chunk).max(1));
+    let mut scratch = Vec::with_capacity(head.len() + 1 + chunk);
+    let mut seal = |seq: usize, c: &[u64]| {
+        scratch.clear();
+        scratch.extend_from_slice(head);
+        scratch.push(seq as u64);
+        scratch.extend_from_slice(c);
+        frames.push(Packet::shared(&scratch));
+    };
     if data.is_empty() {
-        return vec![Packet::one(0)];
+        seal(0, &[]);
     }
-    data.chunks(chunk_payload)
-        .enumerate()
-        .map(|(i, c)| {
-            let mut p = Packet::with_capacity(c.len() + 1);
-            p.push(i as u64);
-            p.extend_from_slice(c);
-            p
-        })
-        .collect()
+    for (seq, c) in data.chunks(chunk).enumerate() {
+        seal(seq, c);
+    }
+    frames
 }
 
 /// Reassembles fragments produced by [`fragment`] (in any arrival order).
@@ -41,16 +63,69 @@ pub fn fragment(data: &[u64], chunk_payload: usize) -> Vec<Packet> {
 /// # Panics
 ///
 /// Panics if a sequence number is missing or duplicated — that indicates a
-/// routing-layer bug, not a recoverable condition.
-pub fn reassemble(mut packets: Vec<Packet>) -> Vec<u64> {
-    packets.sort_by_key(|p| p[0]);
-    let mut out = Vec::new();
-    for (expect, p) in packets.iter().enumerate() {
-        assert_eq!(p[0] as usize, expect, "fragment sequence corrupted");
-        out.extend_from_slice(&p[1..]);
-    }
-    out
+/// routing-layer bug, not a recoverable condition. [`Bundles::take`] is
+/// the checked reader.
+pub fn reassemble(packets: Vec<Packet>) -> Vec<u64> {
+    read(packets.iter().map(Packet::as_slice), 0).unwrap_or_else(|(expected, found)| {
+        panic!("fragment sequence corrupted: expected fragment {expected}, found {found}")
+    })
 }
+
+/// Concatenates the chunks of `frames`, each with its sequence number at
+/// `offset`, in sequence order into one exactly sized buffer. Sequence
+/// numbers other than exactly `0..frames.len()` mean a fragment was lost
+/// or duplicated: the error is the first `(expected, found)` mismatch of
+/// the sorted sequence numbers.
+fn read<'a>(
+    frames: impl Iterator<Item = &'a [u64]>,
+    offset: usize,
+) -> Result<Vec<u64>, (u64, u64)> {
+    let frames: Vec<&[u64]> = frames.collect();
+    let mut chunks: Vec<Option<&[u64]>> = vec![None; frames.len()];
+    for f in &frames {
+        match chunks.get_mut(f[offset] as usize) {
+            Some(slot @ None) => *slot = Some(&f[offset + 1..]),
+            _ => return Err(first_mismatch(&frames, offset)),
+        }
+    }
+    Ok(chunks.into_iter().flatten().collect::<Vec<_>>().concat())
+}
+
+/// The first position where the sorted sequence numbers leave `0..k`.
+fn first_mismatch(frames: &[&[u64]], offset: usize) -> (u64, u64) {
+    let mut seqs: Vec<u64> = frames.iter().map(|f| f[offset]).collect();
+    seqs.sort_unstable();
+    (0..)
+        .zip(seqs)
+        .find(|&(expected, found)| expected != found)
+        .expect("sequence numbers other than 0..k")
+}
+
+/// A bundle whose fragments arrived with sequence numbers other than
+/// exactly `0..k`: a fragment was lost or duplicated on the way.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FragmentError {
+    /// The node reading the bundle.
+    pub receiver: usize,
+    /// The node that sent it.
+    pub sender: usize,
+    /// The first sequence number missing from the sorted arrivals.
+    pub expected: u64,
+    /// The sequence number that arrived in its place.
+    pub found: u64,
+}
+
+impl fmt::Display for FragmentError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "node {} expected fragment {} of node {}'s bundle, found {}",
+            self.receiver, self.expected, self.sender, self.found
+        )
+    }
+}
+
+impl std::error::Error for FragmentError {}
 
 /// A whole payload `(src, dst, words)` of any width.
 pub type Bundle = (usize, usize, Vec<u64>);
@@ -60,25 +135,30 @@ fn chunk_payload(link_words: u64, overhead: u64) -> usize {
     link_words.saturating_sub(overhead).max(1) as usize
 }
 
-/// Ships bundles, at most one per ordered pair, through [`route`]: each
+/// Ships bundles, at most one per ordered pair, through the router: each
 /// fragment plus its sequence word and routing header fills one link.
 ///
 /// # Errors
 ///
-/// As [`route`].
+/// As [`route`](crate::route).
 pub fn route_bundles(net: &mut Net, bundles: Vec<Bundle>) -> Result<Bundles, NetError> {
-    let packets = routed_fragments(net.config().link_words, bundles);
-    Ok(Bundles::collect(route(net, packets)?))
+    let frames = routed_frames(net.config().link_words, bundles);
+    let arrivals = route_frames(net, frames, true)?;
+    Ok(Bundles::new(arrivals, HEADER_WORDS as usize))
 }
 
-/// The packets [`route_bundles`] routes, in bundle order.
-fn routed_fragments(link_words: u64, bundles: Vec<Bundle>) -> Vec<RoutedPacket> {
+/// The frames [`route_bundles`] routes, in bundle order.
+fn routed_frames(link_words: u64, bundles: Vec<Bundle>) -> Vec<Packet> {
     let chunk = chunk_payload(link_words, HEADER_WORDS + 1);
-    let routed = |(src, dst, words): Bundle| {
-        let frags = fragment(&words, chunk).into_iter();
-        frags.map(move |payload| RoutedPacket { src, dst, payload })
-    };
-    bundles.into_iter().flat_map(routed).collect()
+    let total = bundles
+        .iter()
+        .map(|b| b.2.len().div_ceil(chunk).max(1))
+        .sum();
+    let mut frames = Vec::with_capacity(total);
+    for (src, dst, words) in bundles {
+        frames.extend(cut(&[dst as u64, src as u64], &words, chunk));
+    }
+    frames
 }
 
 /// Ships bundles, at most one per ordered pair, each over its sender's
@@ -92,37 +172,71 @@ pub fn ship_direct(net: &mut Net, bundles: Vec<Bundle>) -> Result<Bundles, NetEr
     let chunk = chunk_payload(net.config().link_words, 1);
     let mut queues = vec![VecDeque::new(); net.n()];
     for (src, dst, words) in bundles {
-        queues[src].extend(fragment(&words, chunk).into_iter().map(|p| (dst, p)));
+        queues[src].extend(cut(&[], &words, chunk).into_iter().map(|p| (dst, p)));
     }
-    Ok(Bundles::collect(fill_links(net, queues)?))
+    Ok(Bundles::new(fill_links(net, queues)?, 0))
 }
 
-/// Delivered fragments, grouped per receiver and sender. A pair is
-/// reassembled only when read, so a stray packet nobody reads is never
-/// interpreted.
+/// Delivered fragment frames, per receiver, read per (receiver, sender)
+/// pair. A pair is reassembled only when read, so a stray packet nobody
+/// reads is never interpreted.
 #[derive(Debug)]
-pub struct Bundles(Vec<BTreeMap<usize, Vec<Packet>>>);
+pub struct Bundles {
+    /// Per receiver, its `(sender, frame)` arrivals: in arrival order
+    /// until the receiver is first read, then sorted by sender.
+    arrivals: Vec<Vec<(usize, Packet)>>,
+    /// Per receiver once first read, each unread sender's run of
+    /// `arrivals`.
+    runs: Vec<Option<BTreeMap<usize, Range<usize>>>>,
+    /// Words before a frame's sequence number: the routing header, or
+    /// none for direct frames.
+    offset: usize,
+}
 
 impl Bundles {
-    fn collect(arrivals: Vec<Vec<(usize, Packet)>>) -> Bundles {
-        let group = |per: Vec<(usize, Packet)>| {
-            let mut by_src: BTreeMap<usize, Vec<Packet>> = BTreeMap::new();
-            for (src, p) in per {
-                by_src.entry(src).or_default().push(p);
-            }
-            by_src
-        };
-        Bundles(arrivals.into_iter().map(group).collect())
+    fn new(arrivals: Vec<Vec<(usize, Packet)>>, offset: usize) -> Bundles {
+        Bundles {
+            runs: vec![None; arrivals.len()],
+            arrivals,
+            offset,
+        }
     }
 
-    /// Reassembles `sender`'s bundle at `receiver` (`None` if none of it
-    /// arrived). Each pair reads once.
+    /// Reassembles `sender`'s bundle at `receiver` (`Ok(None)` if none of
+    /// it arrived). Each pair reads once.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// As [`reassemble`].
-    pub fn take(&mut self, receiver: usize, sender: usize) -> Option<Vec<u64>> {
-        self.0[receiver].remove(&sender).map(reassemble)
+    /// [`FragmentError`] if the pair's sequence numbers are not exactly
+    /// `0..k`.
+    pub fn take(
+        &mut self,
+        receiver: usize,
+        sender: usize,
+    ) -> Result<Option<Vec<u64>>, FragmentError> {
+        let per = &mut self.arrivals[receiver];
+        let runs = self.runs[receiver].get_or_insert_with(|| {
+            per.sort_unstable_by_key(|&(src, _)| src);
+            let mut at = 0;
+            let mut runs = BTreeMap::new();
+            for run in per.chunk_by(|a, b| a.0 == b.0) {
+                runs.insert(run[0].0, at..at + run.len());
+                at += run.len();
+            }
+            runs
+        });
+        let Some(run) = runs.remove(&sender) else {
+            return Ok(None);
+        };
+        let frames = per[run].iter().map(|(_, f)| f.as_slice());
+        read(frames, self.offset)
+            .map(Some)
+            .map_err(|(expected, found)| FragmentError {
+                receiver,
+                sender,
+                expected,
+                found,
+            })
     }
 }
 
@@ -200,9 +314,9 @@ mod tests {
         let b: Vec<u64> = vec![7];
         let mut got = ship_direct(&mut nt, vec![(1, 0, a.clone()), (2, 0, b.clone())]).unwrap();
         assert_eq!(nt.cost().rounds, 6, "3 waves × (send + deliver)");
-        assert_eq!(got.take(0, 2), Some(b));
-        assert_eq!(got.take(0, 1), Some(a));
-        assert_eq!(got.take(0, 1), None, "each pair is read once");
+        assert_eq!(got.take(0, 2), Ok(Some(b)));
+        assert_eq!(got.take(0, 1), Ok(Some(a)));
+        assert_eq!(got.take(0, 1), Ok(None), "each pair is read once");
     }
 
     /// The shared fill-the-link loop drops a crashed sender's queue and
@@ -218,18 +332,77 @@ mod tests {
             let mut got = ship_direct(&mut nt, vec![(1, 0, queued), (2, 0, live.clone())]).unwrap();
             assert!(nt.is_crashed(1));
             assert!(nt.cost().rounds <= 6, "crash at {at}: {:?}", nt.cost());
-            assert_eq!(got.take(0, 2), Some(live));
+            assert_eq!(got.take(0, 2), Ok(Some(live)));
         }
     }
 
     #[test]
     fn unread_stray_fragments_never_panic() {
-        let mut got = Bundles::collect(vec![
-            vec![(1, Packet::of(&[0, 5]))],
-            vec![(0, Packet::of(&[9, 9]))], // no sequence 0: unreadable
-        ]);
-        assert_eq!(got.take(0, 1), Some(vec![5]));
-        assert_eq!(got.take(0, 2), None);
+        let mut got = Bundles::new(
+            vec![
+                vec![(1, Packet::of(&[0, 5]))],
+                vec![(0, Packet::of(&[9, 9]))], // no sequence 0: unreadable
+            ],
+            0,
+        );
+        assert_eq!(got.take(0, 1), Ok(Some(vec![5])));
+        assert_eq!(got.take(0, 2), Ok(None));
+    }
+
+    #[test]
+    fn lost_or_duplicated_fragments_are_typed_errors() {
+        let frames = |seqs: &[u64]| {
+            seqs.iter()
+                .map(|&s| (3, Packet::of(&[s, 10 + s])))
+                .collect()
+        };
+        let mut got = Bundles::new(
+            vec![frames(&[2, 0]), frames(&[1, 0, 1]), frames(&[1, 0])],
+            0,
+        );
+        let err = |receiver, expected, found| FragmentError {
+            receiver,
+            sender: 3,
+            expected,
+            found,
+        };
+        assert_eq!(got.take(0, 3), Err(err(0, 1, 2)), "fragment 1 lost");
+        assert_eq!(got.take(1, 3), Err(err(1, 2, 1)), "fragment 1 twice");
+        assert_eq!(got.take(2, 3), Ok(Some(vec![10, 11])));
+        let shown = err(0, 1, 2).to_string();
+        assert!(
+            shown.contains("node 0") && shown.contains("node 3"),
+            "{shown}"
+        );
+    }
+
+    /// The skewed schedule SKETCHANDSPAN runs: every node ships a
+    /// multi-fragment bundle to node 0 (node 0's own bundle stays local,
+    /// node 5's is empty). Every bundle comes back exactly, and the
+    /// schedule costs what it always has.
+    #[test]
+    fn all_to_one_bundles_keep_their_schedule() {
+        use rand::{Rng, SeedableRng};
+        let n = 48;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(48);
+        let bundles: Vec<Bundle> = (0..n)
+            .map(|src| {
+                let len = if src == 5 { 0 } else { 40 + 7 * src };
+                (src, 0, (0..len).map(|_| rng.gen()).collect())
+            })
+            .collect();
+        let mut nt = Net::new(NetConfig::kt1(n).with_seed(41));
+        assert_eq!(
+            nt.config().link_words,
+            8,
+            "5-word chunks, up to 74 per bundle"
+        );
+        let mut got = route_bundles(&mut nt, bundles.clone()).unwrap();
+        for (src, dst, words) in bundles {
+            assert_eq!(got.take(dst, src), Ok(Some(words)), "bundle of node {src}");
+        }
+        let c = nt.cost();
+        assert_eq!((c.rounds, c.messages, c.words), (50, 3838, 30511));
     }
 
     proptest! {
@@ -258,18 +431,19 @@ mod tests {
 
             let chunk = link_words as usize - 3;
             for b in &bundles {
-                let frags = routed_fragments(link_words, vec![b.clone()]);
-                for p in &frags {
-                    prop_assert!(HEADER_WORDS + p.payload.len() as u64 <= link_words);
+                let frames = routed_frames(link_words, vec![b.clone()]);
+                for f in &frames {
+                    prop_assert!(f.len() as u64 <= link_words);
+                    prop_assert_eq!((f[0], f[1]), (b.1 as u64, b.0 as u64));
                 }
                 if b.2.len() >= chunk {
-                    prop_assert_eq!(HEADER_WORDS + frags[0].payload.len() as u64, link_words);
+                    prop_assert_eq!(frames[0].len() as u64, link_words);
                 }
             }
 
             let mut got = route_bundles(&mut net(n, link_words), bundles.clone()).unwrap();
             for (src, dst, words) in bundles {
-                prop_assert_eq!(got.take(dst, src), Some(words));
+                prop_assert_eq!(got.take(dst, src), Ok(Some(words)));
             }
         }
     }

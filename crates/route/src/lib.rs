@@ -7,8 +7,9 @@
 //!   distribute-then-rebroadcast large broadcast the paper uses to make
 //!   `≤ n` words known to everyone in `O(1)` rounds.
 //! * [`mod@fragment`] — the one path for payloads wider than a link: word
-//!   bundles are fragmented, shipped routed ([`route_bundles`]) or direct
-//!   ([`ship_direct`]), and reassembled per pair ([`Bundles`]).
+//!   bundles are cut once into frames, shipped routed ([`route_bundles`])
+//!   or direct ([`ship_direct`]), and reassembled per pair ([`Bundles`]);
+//!   a lost or duplicated fragment is a [`FragmentError`].
 //! * [`routing`] — the "Lenzen contract": any instance where every node
 //!   sends at most `n` messages and every node receives at most `n`
 //!   messages is delivered in `O(1)` rounds. The paper cites Lenzen's
@@ -51,7 +52,9 @@ pub type Packet = cc_net::WordVec;
 pub type Net = CliqueNet<Packet>;
 
 pub use collectives::{all_to_all_share, broadcast_large, gather_direct};
-pub use fragment::{fragment, reassemble, route_bundles, ship_direct, Bundle, Bundles};
+pub use fragment::{
+    fragment, reassemble, route_bundles, ship_direct, Bundle, Bundles, FragmentError,
+};
 pub use kt0_boot::kt0_bootstrap;
 pub use routing::{route, route_deterministic, RoutedPacket};
 pub use shared_rand::shared_seed;

@@ -19,8 +19,14 @@
 //! the routing still delivers, just in more rounds, and the experiment
 //! tables report whatever it actually cost.
 //!
-//! Wire format per packet: `[final_dst, orig_src, payload…]` — the two
-//! header words are charged against the link budget like all payload.
+//! Wire format: every packet travels as one *frame* `[final_dst,
+//! orig_src, payload…]` — the two header words are charged against the
+//! link budget like all payload. A frame is built once, at its sender;
+//! an intermediary holds the frame it received and forwards it by cloning
+//! the handle (a refcount bump for a shared frame), so a packet is never
+//! copied on its way. [`route`] strips the header at the receiver and
+//! sorts; [`route_bundles`](crate::route_bundles) reads its frames where
+//! they arrived, unsorted.
 
 use crate::{Net, Packet};
 use cc_net::NetError;
@@ -37,13 +43,14 @@ pub struct RoutedPacket {
     pub payload: Packet,
 }
 
-/// Routing header words every routed packet carries on the wire:
+/// Routing header words every routed frame carries on the wire:
 /// `[final_dst, orig_src]`.
 pub(crate) const HEADER_WORDS: u64 = 2;
 
-/// Number of wire words a routed packet occupies.
-fn wire_words(p: &RoutedPacket) -> u64 {
-    HEADER_WORDS + p.payload.len() as u64
+/// A frame's `(final_dst, orig_src)` header. A message shorter than the
+/// header can only be a stray from another collective; it panics here.
+pub(crate) fn header(frame: &[u64]) -> (usize, usize) {
+    (frame[0] as usize, frame[1] as usize)
 }
 
 /// Routes all packets; returns, per destination, the delivered
@@ -63,7 +70,7 @@ pub fn route(
     net: &mut Net,
     packets: Vec<RoutedPacket>,
 ) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
-    route_inner(net, packets, true)
+    route_sorted(net, packets, true)
 }
 
 /// Deterministic variant of [`route`]: the spread rotation starts at the
@@ -79,39 +86,89 @@ pub fn route_deterministic(
     net: &mut Net,
     packets: Vec<RoutedPacket>,
 ) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
-    route_inner(net, packets, false)
+    route_sorted(net, packets, false)
 }
 
-fn route_inner(
+/// Frames `packets`, routes them, and strips and sorts the arrivals.
+fn route_sorted(
     net: &mut Net,
     packets: Vec<RoutedPacket>,
     random_offsets: bool,
 ) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
+    // One scratch buffer; each frame is copied out of it once, inline or
+    // shared.
+    let mut scratch = Vec::new();
+    let frames = packets
+        .into_iter()
+        .map(|p| {
+            scratch.clear();
+            scratch.extend_from_slice(&[p.dst as u64, p.src as u64]);
+            scratch.extend_from_slice(&p.payload);
+            Packet::shared(&scratch)
+        })
+        .collect();
+    let arrivals = route_frames(net, frames, random_offsets)?;
+    Ok(arrivals
+        .into_iter()
+        .map(|frames| {
+            let mut per: Vec<(usize, Packet)> = frames
+                .into_iter()
+                .map(|(src, f)| (src, Packet::of(&f[HEADER_WORDS as usize..])))
+                .collect();
+            per.sort();
+            per
+        })
+        .collect())
+}
+
+/// The one routing loop. Routes `[final_dst, orig_src, payload…]` frames
+/// and returns, per destination, the `(orig_src, frame)` arrivals in
+/// arrival order.
+pub(crate) fn route_frames(
+    net: &mut Net,
+    frames: Vec<Packet>,
+    random_offsets: bool,
+) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
     let n = net.n();
     let link_words = net.config().link_words;
-    let total = packets.len();
-    let mut results: Vec<Vec<(usize, Packet)>> = vec![Vec::new(); n];
+    let total = frames.len();
+
+    // Queues sized to their final length up front: a skewed instance
+    // delivers every frame to one node, and doubling that queue would
+    // hold up to twice the frames' handles at the peak.
+    let (mut sends, mut receives) = (vec![0; n], vec![0; n]);
+    for f in &frames {
+        let (dst, src) = header(f);
+        if src < n && dst < n {
+            sends[src] += 1;
+            receives[dst] += 1;
+        }
+    }
+    let mut arrived: Vec<Vec<(usize, Packet)>> =
+        receives.into_iter().map(Vec::with_capacity).collect();
+    let mut spread_q: Vec<VecDeque<Packet>> =
+        sends.into_iter().map(VecDeque::with_capacity).collect();
 
     // Deliver src == dst locally (it crosses no link, so no width
     // applies), then validate sizes and split per sender.
-    let mut spread_q: Vec<VecDeque<RoutedPacket>> = vec![VecDeque::new(); n];
-    for p in packets {
-        assert!(p.src < n && p.dst < n, "packet endpoint out of range");
-        if p.src == p.dst {
-            results[p.dst].push((p.src, p.payload));
+    for f in frames {
+        let (dst, src) = header(&f);
+        assert!(src < n && dst < n, "packet endpoint out of range");
+        if src == dst {
+            arrived[dst].push((src, f));
             continue;
         }
-        let w = wire_words(&p);
+        let w = f.len() as u64;
         if w > link_words {
             return Err(NetError::MessageTooLarge {
                 round: net.cost().rounds,
-                src: p.src,
-                dst: p.dst,
+                src,
+                dst,
                 words: w,
                 budget: link_words,
             });
         }
-        spread_q[p.src].push_back(p);
+        spread_q[src].push_back(f);
     }
 
     net.begin_scope("route:route");
@@ -130,14 +187,14 @@ fn route_inner(
     };
     let mut rr: Vec<usize> = offsets;
 
-    // Held packets awaiting phase-2 delivery: per node, keyed by
+    // Held frames awaiting phase-2 delivery: per node, keyed by
     // destination. A BTreeMap (not a dense `n`-vector) keeps both memory
     // and the per-round sweep proportional to the *active* destination
     // set — a dense grid is `n²` queues, which at `n = 4096` is more
     // wall-clock in initialization and empty-queue scanning than the
     // routing itself. Iteration order (ascending destination) and
     // therefore the send schedule are identical to the dense layout.
-    let mut held: Vec<BTreeMap<usize, VecDeque<(usize, Packet)>>> = vec![BTreeMap::new(); n];
+    let mut held: Vec<BTreeMap<usize, VecDeque<Packet>>> = vec![BTreeMap::new(); n];
     // Live counts, maintained incrementally so the `work_left` check is
     // O(1) instead of an O(n²) scan per round.
     let mut spread_left: usize = spread_q.iter().map(VecDeque::len).sum();
@@ -159,81 +216,59 @@ fn route_inner(
         net.step(|node, inbox, out| {
             // 1. Process arrivals: final deliveries vs. held forwards.
             for env in inbox {
-                let dst = env.msg[0] as usize;
-                let src = env.msg[1] as usize;
-                let payload = Packet::of(&env.msg[2..]);
+                let (dst, src) = header(&env.msg);
                 if dst == node {
-                    results[node].push((src, payload));
+                    arrived[node].push((src, env.msg.clone()));
                 } else {
-                    held[node].entry(dst).or_default().push_back((src, payload));
+                    held[node]
+                        .entry(dst)
+                        .or_default()
+                        .push_back(env.msg.clone());
                     held_left += 1;
                 }
             }
-            // 2. Phase 2 sends: one held packet per destination per round,
+            // 2. Phase 2 sends: one held frame per destination per round,
             //    destinations in ascending order (BTreeMap iteration).
             held[node].retain(|&dst, queue| {
-                if let Some((src, payload)) = queue.front() {
-                    let w = HEADER_WORDS + payload.len() as u64;
-                    if out.budget_left(dst) >= w {
-                        let mut wire = Packet::with_capacity(payload.len() + HEADER_WORDS as usize);
-                        wire.push(dst as u64);
-                        wire.push(*src as u64);
-                        wire.extend_from_slice(payload);
-                        let _ = out.send(dst, wire);
-                        queue.pop_front();
+                if let Some(frame) = queue.front() {
+                    if out.budget_left(dst) >= frame.len() as u64 {
+                        let frame = queue.pop_front().expect("front exists");
+                        let _ = out.send(dst, frame);
                         held_left -= 1;
                     }
                 }
                 !queue.is_empty()
             });
-            // 3. Phase 1 spread: one packet per intermediary per round,
-            //    round-robin; self-assignments transfer locally.
+            // 3. Phase 1 spread: one frame per intermediary per round,
+            //    round-robin; self-assignments are held locally.
             let mut sent_this_round = 0usize;
             while sent_this_round < n {
-                let Some(p) = spread_q[node].front() else {
+                let Some(frame) = spread_q[node].front() else {
                     break;
                 };
                 let inter = rr[node] % n;
-                if inter == node {
-                    let p = spread_q[node].pop_front().unwrap();
-                    rr[node] += 1;
-                    spread_left -= 1;
-                    if p.dst == node {
-                        results[node].push((p.src, p.payload));
-                    } else {
-                        held[node]
-                            .entry(p.dst)
-                            .or_default()
-                            .push_back((p.src, p.payload));
-                        held_left += 1;
-                    }
-                    continue;
-                }
-                let w = wire_words(p);
-                if out.budget_left(inter) < w {
+                if inter != node && out.budget_left(inter) < frame.len() as u64 {
                     // This intermediary's link is full (phase-2 traffic);
                     // try it again next round rather than skipping it, to
                     // preserve the round-robin balance.
                     break;
                 }
-                let p = spread_q[node].pop_front().unwrap();
+                let frame = spread_q[node].pop_front().expect("front exists");
                 rr[node] += 1;
                 spread_left -= 1;
-                let mut wire = Packet::with_capacity(p.payload.len() + HEADER_WORDS as usize);
-                wire.push(p.dst as u64);
-                wire.push(p.src as u64);
-                wire.extend_from_slice(&p.payload);
-                let _ = out.send(inter, wire);
-                sent_this_round += 1;
+                if inter == node {
+                    let (dst, _) = header(&frame);
+                    held[node].entry(dst).or_default().push_back(frame);
+                    held_left += 1;
+                } else {
+                    let _ = out.send(inter, frame);
+                    sent_this_round += 1;
+                }
             }
         })?;
     }
     net.end_scope();
-
-    for per in &mut results {
-        per.sort();
-    }
-    Ok(results)
+    Ok(arrived)
 }
 
 #[cfg(test)]

@@ -18,6 +18,12 @@ use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Pause after a failed accept. A persistent failure (`EMFILE` while the
+/// process is out of descriptors) would otherwise spin a core and flood
+/// the log with one `serve-accept-failed` line per retry.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 struct Options {
     cfg: ServeConfig,
@@ -93,6 +99,7 @@ fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
                     "serve-accept-failed",
                     vec![("error", Json::Str(e.to_string()))],
                 );
+                std::thread::sleep(ACCEPT_BACKOFF);
                 continue;
             }
         };

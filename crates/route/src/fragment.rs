@@ -11,10 +11,11 @@
 //! routing header, then the fragment's sequence number — and a direct
 //! fragment is `[seq, chunk…]` (its link names the sender). Every word
 //! is paid for. Each frame is built once, at its sender, and shared, so
-//! the router forwards it by refcount. Arrivals are left unsorted:
-//! [`Bundles`] groups a receiver's frames by sender and places each
-//! pair's chunks by sequence number into a pre-sized buffer, and a lost
-//! or duplicated fragment is a [`FragmentError`].
+//! the router forwards it by refcount. Arrivals skip the router's
+//! `(src, payload)` sort: [`Bundles`] orders a receiver's frame handles
+//! by sender alone and places each pair's chunks by sequence number into
+//! an exactly sized buffer, and a lost or duplicated fragment is a
+//! [`FragmentError`].
 
 use crate::collectives::fill_links;
 use crate::routing::{route_frames, HEADER_WORDS};
@@ -182,22 +183,33 @@ pub fn ship_direct(net: &mut Net, bundles: Vec<Bundle>) -> Result<Bundles, NetEr
 /// reads is never interpreted.
 #[derive(Debug)]
 pub struct Bundles {
-    /// Per receiver, its `(sender, frame)` arrivals: in arrival order
-    /// until the receiver is first read, then sorted by sender.
+    /// Per receiver, its `(sender, frame)` arrivals sorted by sender.
     arrivals: Vec<Vec<(usize, Packet)>>,
-    /// Per receiver once first read, each unread sender's run of
-    /// `arrivals`.
-    runs: Vec<Option<BTreeMap<usize, Range<usize>>>>,
+    /// Per receiver, each unread sender's run of `arrivals`.
+    runs: Vec<BTreeMap<usize, Range<usize>>>,
     /// Words before a frame's sequence number: the routing header, or
     /// none for direct frames.
     offset: usize,
 }
 
 impl Bundles {
-    fn new(arrivals: Vec<Vec<(usize, Packet)>>, offset: usize) -> Bundles {
+    fn new(mut arrivals: Vec<Vec<(usize, Packet)>>, offset: usize) -> Bundles {
+        let runs = arrivals
+            .iter_mut()
+            .map(|per| {
+                per.sort_unstable_by_key(|&(src, _)| src);
+                let mut at = 0;
+                let mut runs = BTreeMap::new();
+                for run in per.chunk_by(|a, b| a.0 == b.0) {
+                    runs.insert(run[0].0, at..at + run.len());
+                    at += run.len();
+                }
+                runs
+            })
+            .collect();
         Bundles {
-            runs: vec![None; arrivals.len()],
             arrivals,
+            runs,
             offset,
         }
     }
@@ -214,29 +226,20 @@ impl Bundles {
         receiver: usize,
         sender: usize,
     ) -> Result<Option<Vec<u64>>, FragmentError> {
-        let per = &mut self.arrivals[receiver];
-        let runs = self.runs[receiver].get_or_insert_with(|| {
-            per.sort_unstable_by_key(|&(src, _)| src);
-            let mut at = 0;
-            let mut runs = BTreeMap::new();
-            for run in per.chunk_by(|a, b| a.0 == b.0) {
-                runs.insert(run[0].0, at..at + run.len());
-                at += run.len();
-            }
-            runs
-        });
-        let Some(run) = runs.remove(&sender) else {
+        let Some(run) = self.runs[receiver].remove(&sender) else {
             return Ok(None);
         };
-        let frames = per[run].iter().map(|(_, f)| f.as_slice());
-        read(frames, self.offset)
-            .map(Some)
-            .map_err(|(expected, found)| FragmentError {
-                receiver,
-                sender,
-                expected,
-                found,
-            })
+        let frames = &mut self.arrivals[receiver][run];
+        let words = read(frames.iter().map(|(_, f)| f.as_slice()), self.offset);
+        // The pair reads once: release its frames now, not with the
+        // whole shipment.
+        frames.iter_mut().for_each(|(_, f)| *f = Packet::new());
+        words.map(Some).map_err(|(expected, found)| FragmentError {
+            receiver,
+            sender,
+            expected,
+            found,
+        })
     }
 }
 

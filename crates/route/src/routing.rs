@@ -25,8 +25,8 @@
 //! an intermediary holds the frame it received and forwards it by cloning
 //! the handle (a refcount bump for a shared frame), so a packet is never
 //! copied on its way. [`route`] strips the header at the receiver and
-//! sorts; [`route_bundles`](crate::route_bundles) reads its frames where
-//! they arrived, unsorted.
+//! sorts; [`route_bundles`](crate::route_bundles) takes the frames as
+//! they arrived, without that sort.
 
 use crate::{Net, Packet};
 use cc_net::NetError;

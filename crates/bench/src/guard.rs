@@ -49,8 +49,8 @@ pub enum Verdict {
     },
     /// The run failed loudly: the sketch budget ran out
     /// (`sketch-exhausted`), a shipped bundle lost or duplicated a
-    /// fragment (`fragment-lost`), or the check rejected the answer
-    /// (`wrong-answer`).
+    /// fragment or a sketch arrived short (`fragment-lost`), or the check
+    /// rejected the answer (`wrong-answer`).
     DetectedError {
         /// `sketch-exhausted`, `fragment-lost` or `wrong-answer`.
         kind: &'static str,
@@ -91,10 +91,12 @@ impl Verdict {
                         kind: "sketch-exhausted",
                         detail,
                     },
-                    CoreError::Fragment(_) => Verdict::DetectedError {
-                        kind: "fragment-lost",
-                        detail,
-                    },
+                    CoreError::Fragment(_) | CoreError::SketchSize { .. } => {
+                        Verdict::DetectedError {
+                            kind: "fragment-lost",
+                            detail,
+                        }
+                    }
                 };
             }
         };

@@ -20,6 +20,18 @@ pub enum CoreError {
     /// A shipped bundle arrived with a fragment lost or duplicated, so
     /// its receiver cannot reassemble it.
     Fragment(FragmentError),
+    /// A member's sketch reached its leader with the wrong word count —
+    /// a lost *last* fragment, which sequence numbers cannot see.
+    SketchSize {
+        /// The leader reading the sketch.
+        leader: usize,
+        /// The member that shipped it.
+        member: usize,
+        /// Words one sketch occupies.
+        expected: usize,
+        /// Words that arrived.
+        found: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -31,6 +43,15 @@ impl fmt::Display for CoreError {
                 "sketch families exhausted after {failures} sampler failures"
             ),
             CoreError::Fragment(e) => write!(f, "bundle reassembly: {e}"),
+            CoreError::SketchSize {
+                leader,
+                member,
+                expected,
+                found,
+            } => write!(
+                f,
+                "sketch size: leader {leader} got {found} words of member {member}'s sketch, expected {expected}"
+            ),
         }
     }
 }
@@ -39,7 +60,7 @@ impl Error for CoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CoreError::Net(e) => Some(e),
-            CoreError::SketchExhausted { .. } => None,
+            CoreError::SketchExhausted { .. } | CoreError::SketchSize { .. } => None,
             CoreError::Fragment(e) => Some(e),
         }
     }
@@ -67,6 +88,19 @@ mod tests {
         assert!(e.to_string().contains("3"));
         let n: CoreError = NetError::SelfMessage { node: 1 }.into();
         assert!(n.to_string().contains("network"));
+        let short = CoreError::SketchSize {
+            leader: 4,
+            member: 9,
+            expected: 720,
+            found: 714,
+        }
+        .to_string();
+        assert!(
+            ["leader 4", "member 9", "720", "714"]
+                .iter()
+                .all(|part| short.contains(part)),
+            "{short}"
+        );
     }
 
     #[test]

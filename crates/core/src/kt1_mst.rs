@@ -74,6 +74,8 @@ pub struct Kt1MstRun {
 /// * [`CoreError::Net`] on simulator violations.
 /// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
 ///   fragment on the way.
+/// * [`CoreError::SketchSize`] if a member's sketch arrived with the
+///   wrong word count.
 ///
 /// # Panics
 ///
@@ -194,7 +196,15 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                 let sum = leader_sums.entry(l).or_insert_with(|| sp.zero_sketch());
                 for &m in &members_of[&l] {
                     if let Some(words) = arrived.take(l, m)? {
-                        sum.add_assign_sketch(&sp.sketch_from_words(words));
+                        let sk = Sketch::try_from_words(sp.inner(), words).map_err(|e| {
+                            CoreError::SketchSize {
+                                leader: l,
+                                member: m,
+                                expected: e.expected,
+                                found: e.found,
+                            }
+                        })?;
+                        sum.add_assign_sketch(&sk);
                     }
                 }
             }

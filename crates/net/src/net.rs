@@ -239,9 +239,12 @@ pub struct CliqueNet<M> {
     /// (capacity retained) at the end of each step. Steady-state rounds
     /// therefore build the next inboxes without allocating.
     pool: Vec<Vec<Envelope<M>>>,
-    /// Recycled per-node staging buffer (the fault-free path drains it
-    /// into the inboxes and hands it to the next node's outbox).
+    /// Recycled staging buffer of `step`'s outbox (the fault-free path
+    /// drains it into the inboxes after each sender).
     staged_pool: Vec<Envelope<M>>,
+    /// The per-sender link ledger `step`'s outbox charges, reset after
+    /// each sender that sent and kept across rounds.
+    links: LinkUse,
     /// Pooled flat per-link batch accumulator (tracing only).
     batches: RoundBatches,
 }
@@ -281,6 +284,7 @@ impl<M: Wire> CliqueNet<M> {
             crashed_seen: vec![false; n],
             pool: (0..n).map(|_| Vec::new()).collect(),
             staged_pool: Vec::new(),
+            links: LinkUse::new(n),
             batches: RoundBatches::new(),
         }
     }
@@ -494,7 +498,10 @@ impl<M: Wire + Clone> CliqueNet<M> {
     {
         let open = self.open_round()?;
         let round = open.round;
-        let mut links = LinkUse::new(self.cfg.n);
+        let mut links = std::mem::replace(&mut self.links, LinkUse::new(0));
+        let buf = std::mem::take(&mut self.staged_pool);
+        // One outbox, ledger and staging buffer serve the whole round.
+        let mut outbox = Outbox::assemble_in(0, open.rules, &mut links, buf);
         let mut fault_records: Vec<FaultRecord> = Vec::new();
         for (node, inbox) in open.delivered.iter().enumerate() {
             if self.faulty && open.crashed[node] {
@@ -502,8 +509,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
                 // messages addressed to it die in its discarded inbox.
                 continue;
             }
-            let buf = std::mem::take(&mut self.staged_pool);
-            let mut outbox = Outbox::assemble_in(node, open.rules, &mut links, buf);
+            outbox.node = node;
             let t0 = if self.timing {
                 Some(Instant::now())
             } else {
@@ -517,13 +523,20 @@ impl<M: Wire + Clone> CliqueNet<M> {
                     nanos: t0.elapsed().as_nanos() as u64,
                 });
             }
-            let (staged, error) = outbox.finish();
-            if let Some(e) = error {
+            if let Some(e) = outbox.error.take() {
+                outbox.links.reset();
+                self.links = links;
                 return Err(e);
             }
-            links.reset();
-            self.deliver_sender(node, round, staged, &mut fault_records);
+            if outbox.staged.is_empty() {
+                // A silent sender charged nothing and delivers nothing.
+                continue;
+            }
+            outbox.links.reset();
+            self.deliver_sender(node, round, &mut outbox.staged, &mut fault_records);
         }
+        self.staged_pool = outbox.staged;
+        self.links = links;
         self.close_round(open, &fault_records, &[]);
         Ok(())
     }
@@ -564,9 +577,9 @@ impl<M: Wire + Clone> CliqueNet<M> {
         let senders = error.as_ref().map_or(self.cfg.n, |&(node, _)| node);
         debug_assert!(staged.len() >= senders, "compute staged every sender");
         let mut fault_records: Vec<FaultRecord> = Vec::new();
-        for (node, sent) in staged.into_iter().enumerate().take(senders) {
+        for (node, mut sent) in staged.into_iter().enumerate().take(senders) {
             debug_assert!(sent.is_empty() || !plan.is_crashed(node));
-            self.deliver_sender(node, open.round, sent, &mut fault_records);
+            self.deliver_sender(node, open.round, &mut sent, &mut fault_records);
         }
         if let Some((_, e)) = error {
             return Err(e);
@@ -668,18 +681,19 @@ impl<M: Wire + Clone> CliqueNet<M> {
 
     /// Meters one sender's staged envelopes, folds them into the round's
     /// batches, passes them through the injector if one is attached, and
-    /// delivers them. Senders must arrive in ascending ID order, which is
-    /// what makes every inbox `(src, send-index)` sorted by construction.
+    /// delivers them, leaving `staged` empty. Senders must arrive in
+    /// ascending ID order, which is what makes every inbox `(src,
+    /// send-index)` sorted by construction.
     #[inline]
     fn deliver_sender(
         &mut self,
         node: usize,
         round: u64,
-        mut staged: Vec<Envelope<M>>,
+        staged: &mut Vec<Envelope<M>>,
         fault_records: &mut Vec<FaultRecord>,
     ) {
         if self.faulty {
-            for env in &staged {
+            for env in staged.iter() {
                 let words = env.msg.words().max(1);
                 self.charge(words);
                 if self.tracing {
@@ -690,7 +704,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
                 self.batches.flush_sender(node as u32);
             }
             let inj = self.fault.as_deref().expect("faulty implies injector");
-            let outcome = apply_faults(inj, round, staged);
+            let outcome = apply_faults(inj, round, std::mem::take(staged));
             for env in outcome.deliver {
                 self.inboxes[env.dst].push(env);
             }
@@ -712,7 +726,6 @@ impl<M: Wire + Clone> CliqueNet<M> {
             if self.tracing {
                 self.batches.flush_sender(node as u32);
             }
-            self.staged_pool = staged;
         }
     }
 

@@ -9,6 +9,13 @@
 //! only spills to a heap `Vec` beyond that, so the hot collectives send
 //! without touching the allocator at all.
 //!
+//! Wider payloads that many receivers or many frames share ride as a
+//! *view* into one refcounted buffer: a broadcast chunk fanned out to
+//! `n − 1` links, or the frames of one fragmented bundle, which
+//! [`WordVec::shared_views`] lays out back to back in a single
+//! allocation. A clone or a forward is a refcount bump; a write copies
+//! the view alone out first.
+//!
 //! The type is deliberately a drop-in for `Vec<u64>` where payloads are
 //! concerned: it derefs to `[u64]`, compares against `Vec<u64>` and
 //! slices, and its [`Wire`] accounting is **bit-identical** to
@@ -16,6 +23,7 @@
 //! swapping it in cannot move any model cost.
 
 use crate::wire::Wire;
+use std::sync::Arc;
 
 /// Words stored inline before spilling to the heap.
 ///
@@ -29,12 +37,26 @@ enum Repr {
     Inline { len: u8, buf: [u64; INLINE_WORDS] },
     /// Spilled representation for larger payloads.
     Heap(Vec<u64>),
-    /// Immutable shared payload: cloning bumps a refcount instead of
-    /// copying. This is the broadcast shape — one chunk fanned out to
-    /// `n − 1` receivers — where per-message heap clones would otherwise
-    /// dominate the round. Any mutation copies out to `Heap` first
-    /// (copy-on-write), so sharing is invisible to callers.
-    Shared(std::sync::Arc<[u64]>),
+    /// Immutable view of `buf[start..start + len]`: cloning bumps a
+    /// refcount instead of copying. This is the broadcast shape — one
+    /// chunk fanned out to `n − 1` receivers — and the fragment shape —
+    /// every frame of a bundle cut from one buffer — where per-message
+    /// heap copies would otherwise dominate the round. Any mutation
+    /// copies the view out to `Heap` first (copy-on-write), so sharing is
+    /// invisible to callers.
+    Shared {
+        buf: Arc<[u64]>,
+        start: u32,
+        len: u32,
+    },
+}
+
+impl Repr {
+    /// A view of all of `buf`.
+    fn whole(buf: Arc<[u64]>) -> Repr {
+        let len = u32::try_from(buf.len()).expect("shared buffer fits a u32 length");
+        Repr::Shared { buf, start: 0, len }
+    }
 }
 
 /// A vector of `⌈log₂ n⌉`-bit words with small-buffer optimization.
@@ -100,7 +122,7 @@ impl WordVec {
             WordVec::of(words)
         } else {
             WordVec {
-                repr: Repr::Shared(std::sync::Arc::from(words)),
+                repr: Repr::whole(Arc::from(words)),
             }
         }
     }
@@ -112,9 +134,43 @@ impl WordVec {
             WordVec::of(&words)
         } else {
             WordVec {
-                repr: Repr::Shared(std::sync::Arc::from(words)),
+                repr: Repr::whole(Arc::from(words)),
             }
         }
+    }
+
+    /// Cuts `words` into consecutive frames of `lens` words each, in
+    /// order: the first frame is `words[..lens[0]]`, the next starts
+    /// where it ends. Frames wider than [`INLINE_WORDS`] are views into
+    /// one shared buffer, so a whole bundle of fragments costs one
+    /// buffer, not one allocation per frame; narrower frames stay
+    /// inline, as with [`WordVec::shared`].
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics if `lens` asks for more words than `words`
+    /// holds.
+    pub fn shared_views(
+        words: Vec<u64>,
+        lens: impl IntoIterator<Item = usize>,
+    ) -> impl Iterator<Item = WordVec> {
+        let buf: Arc<[u64]> = Arc::from(words);
+        let mut at = 0;
+        lens.into_iter().map(move |len| {
+            let range = at..at + len;
+            at += len;
+            if len <= INLINE_WORDS {
+                return WordVec::of(&buf[range]);
+            }
+            assert!(range.end <= buf.len(), "a view past the end of its buffer");
+            WordVec {
+                repr: Repr::Shared {
+                    buf: Arc::clone(&buf),
+                    start: u32::try_from(range.start).expect("a view starts within u32 words"),
+                    len: u32::try_from(len).expect("a view spans u32 words at most"),
+                },
+            }
+        })
     }
 
     /// An empty buffer that can hold `cap` words before reallocating;
@@ -136,7 +192,7 @@ impl WordVec {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
             Repr::Heap(v) => v.len(),
-            Repr::Shared(a) => a.len(),
+            Repr::Shared { len, .. } => *len as usize,
         }
     }
 
@@ -152,27 +208,33 @@ impl WordVec {
         match &self.repr {
             Repr::Inline { len, buf } => &buf[..*len as usize],
             Repr::Heap(v) => v,
-            Repr::Shared(a) => a,
+            Repr::Shared { buf, start, len } => {
+                &buf[*start as usize..*start as usize + *len as usize]
+            }
         }
     }
 
-    /// The words as a mutable slice (copies a shared buffer out first).
-    pub fn as_mut_slice(&mut self) -> &mut [u64] {
-        if let Repr::Shared(a) = &self.repr {
-            self.repr = Repr::Heap(a.to_vec());
+    /// Copies a shared view out to an owned buffer (copy-on-write); the
+    /// buffer and its other views are untouched.
+    fn unshare(&mut self) {
+        if let Repr::Shared { .. } = self.repr {
+            self.repr = Repr::Heap(self.as_slice().to_vec());
         }
+    }
+
+    /// The words as a mutable slice (copies a shared view out first).
+    pub fn as_mut_slice(&mut self) -> &mut [u64] {
+        self.unshare();
         match &mut self.repr {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
             Repr::Heap(v) => v,
-            Repr::Shared(_) => unreachable!("shared repr copied out above"),
+            Repr::Shared { .. } => unreachable!("shared repr copied out above"),
         }
     }
 
     /// Appends one word, spilling to the heap past [`INLINE_WORDS`].
     pub fn push(&mut self, w: u64) {
-        if let Repr::Shared(a) = &self.repr {
-            self.repr = Repr::Heap(a.to_vec());
-        }
+        self.unshare();
         match &mut self.repr {
             Repr::Inline { len, buf } => {
                 if (*len as usize) < INLINE_WORDS {
@@ -186,16 +248,14 @@ impl WordVec {
                 }
             }
             Repr::Heap(v) => v.push(w),
-            Repr::Shared(_) => unreachable!("shared repr copied out above"),
+            Repr::Shared { .. } => unreachable!("shared repr copied out above"),
         }
     }
 
     /// Appends all of `words`, spilling once if the result outgrows the
     /// inline buffer.
     pub fn extend_from_slice(&mut self, words: &[u64]) {
-        if let Repr::Shared(a) = &self.repr {
-            self.repr = Repr::Heap(a.to_vec());
-        }
+        self.unshare();
         match &mut self.repr {
             Repr::Inline { len, buf } => {
                 let cur = *len as usize;
@@ -210,7 +270,7 @@ impl WordVec {
                 }
             }
             Repr::Heap(v) => v.extend_from_slice(words),
-            Repr::Shared(_) => unreachable!("shared repr copied out above"),
+            Repr::Shared { .. } => unreachable!("shared repr copied out above"),
         }
     }
 
@@ -220,18 +280,17 @@ impl WordVec {
         match &mut self.repr {
             Repr::Inline { len, .. } => *len = 0,
             Repr::Heap(v) => v.clear(),
-            Repr::Shared(_) => *self = WordVec::new(),
+            Repr::Shared { .. } => *self = WordVec::new(),
         }
     }
 
     /// Converts into a plain `Vec<u64>` (allocates when inline; copies a
-    /// shared buffer unless this was the last reference).
+    /// shared view).
     #[must_use]
     pub fn into_vec(self) -> Vec<u64> {
         match self.repr {
-            Repr::Inline { len, buf } => buf[..len as usize].to_vec(),
             Repr::Heap(v) => v,
-            Repr::Shared(a) => a.to_vec(),
+            _ => self.as_slice().to_vec(),
         }
     }
 }
@@ -361,9 +420,11 @@ enum IterRepr {
         len: u8,
     },
     Heap(std::vec::IntoIter<u64>),
+    /// The view's remaining words are `buf[pos..end]`.
     Shared {
-        arc: std::sync::Arc<[u64]>,
+        buf: Arc<[u64]>,
         pos: usize,
+        end: usize,
     },
 }
 
@@ -382,10 +443,13 @@ impl Iterator for WordVecIntoIter {
                 }
             }
             IterRepr::Heap(it) => it.next(),
-            IterRepr::Shared { arc, pos } => {
-                let w = arc.get(*pos).copied();
-                *pos += w.is_some() as usize;
-                w
+            IterRepr::Shared { buf, pos, end } => {
+                if pos < end {
+                    *pos += 1;
+                    Some(buf[*pos - 1])
+                } else {
+                    None
+                }
             }
         }
     }
@@ -394,7 +458,7 @@ impl Iterator for WordVecIntoIter {
         let n = match &self.repr {
             IterRepr::Inline { pos, len, .. } => (*len - *pos) as usize,
             IterRepr::Heap(it) => it.len(),
-            IterRepr::Shared { arc, pos } => arc.len() - *pos,
+            IterRepr::Shared { pos, end, .. } => *end - *pos,
         };
         (n, Some(n))
     }
@@ -411,7 +475,11 @@ impl IntoIterator for WordVec {
             repr: match self.repr {
                 Repr::Inline { len, buf } => IterRepr::Inline { buf, pos: 0, len },
                 Repr::Heap(v) => IterRepr::Heap(v.into_iter()),
-                Repr::Shared(a) => IterRepr::Shared { arc: a, pos: 0 },
+                Repr::Shared { buf, start, len } => IterRepr::Shared {
+                    buf,
+                    pos: start as usize,
+                    end: start as usize + len as usize,
+                },
             },
         }
     }
@@ -475,7 +543,7 @@ mod tests {
     fn shared_repr_is_copy_on_write_and_wire_identical() {
         let words: Vec<u64> = (0..10).collect();
         let a = WordVec::shared(&words);
-        assert!(matches!(a.repr, Repr::Shared(_)));
+        assert!(matches!(a.repr, Repr::Shared { .. }));
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(a.words(), WordVec::of(&words).words());
@@ -534,6 +602,42 @@ mod tests {
     }
 
     #[test]
+    fn corrupting_a_view_leaves_its_siblings_and_the_buffer_alone() {
+        let words: Vec<u64> = (0..12).collect();
+        let mut views: Vec<WordVec> = WordVec::shared_views(words.clone(), [4, 4, 4]).collect();
+        let Repr::Shared { buf, .. } = &views[1].repr else {
+            panic!("a wide frame is a view");
+        };
+        let buf = Arc::clone(buf);
+        assert!(views[1].corrupt_bit(64 + 3));
+        assert_eq!(views[1], vec![4, 5 ^ 8, 6, 7]);
+        assert!(matches!(views[1].repr, Repr::Heap(_)), "copied out");
+        assert_eq!(views[0], vec![0, 1, 2, 3]);
+        assert_eq!(views[2], vec![8, 9, 10, 11]);
+        assert_eq!(&buf[..], &words[..], "the shared buffer is unchanged");
+        views.truncate(1);
+        assert_eq!(Arc::strong_count(&buf), 2, "one view and this handle");
+    }
+
+    #[test]
+    fn views_share_one_buffer_and_narrow_frames_stay_inline() {
+        let views: Vec<WordVec> = WordVec::shared_views((0..11).collect(), [5, 4, 2]).collect();
+        assert_eq!(
+            views,
+            vec![vec![0, 1, 2, 3, 4], vec![5, 6, 7, 8], vec![9, 10]]
+        );
+        let (Repr::Shared { buf: a, .. }, Repr::Shared { buf: b, .. }) =
+            (&views[0].repr, &views[1].repr)
+        else {
+            panic!("wide frames are views");
+        };
+        assert!(Arc::ptr_eq(a, b), "one buffer per cut");
+        assert!(matches!(views[2].repr, Repr::Inline { .. }));
+        let narrow: Vec<WordVec> = WordVec::shared_views(vec![1, 2, 3, 4], [3, 1]).collect();
+        assert!(narrow.iter().all(|v| matches!(v.repr, Repr::Inline { .. })));
+    }
+
+    #[test]
     fn clear_resets_contents() {
         let mut wv = WordVec::of(&[1, 2, 3, 4]);
         wv.clear();
@@ -542,5 +646,40 @@ mod tests {
         let mut inline = WordVec::one(5);
         inline.clear();
         assert!(inline.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A view at any offset and length reads, corrupts, converts and
+        /// iterates exactly like the `Vec<u64>` of its words.
+        #[test]
+        fn views_behave_like_vectors(
+            words in proptest::collection::vec(any::<u64>(), 0..24),
+            start in 0usize..24,
+            len in 0usize..24,
+            bit in any::<u64>(),
+        ) {
+            let start = start.min(words.len());
+            let len = len.min(words.len() - start);
+            let rest = words.len() - start - len;
+            let view = WordVec::shared_views(words.clone(), [start, len, rest])
+                .nth(1)
+                .expect("three frames");
+            let plain = words[start..start + len].to_vec();
+            prop_assert_eq!(&view[..], &plain[..]);
+            prop_assert_eq!(view.words(), plain.words());
+            let (mut a, mut b) = (view.clone(), plain.clone());
+            prop_assert_eq!(a.corrupt_bit(bit), b.corrupt_bit(bit));
+            prop_assert_eq!(&a, &b);
+            prop_assert_eq!(view.clone().into_vec(), plain.clone());
+            let it = view.into_iter();
+            prop_assert_eq!(it.len(), plain.len());
+            prop_assert_eq!(it.collect::<Vec<u64>>(), plain);
+        }
     }
 }

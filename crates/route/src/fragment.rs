@@ -10,18 +10,21 @@
 //! Frame layout: a routed fragment is `[dst, src, seq, chunk…]` — the
 //! routing header, then the fragment's sequence number — and a direct
 //! fragment is `[seq, chunk…]` (its link names the sender). Every word
-//! is paid for. Each frame is built once, at its sender, and shared, so
-//! the router forwards it by refcount. Arrivals skip the router's
-//! `(src, payload)` sort: [`Bundles`] orders a receiver's frame handles
-//! by sender alone and places each pair's chunks by sequence number into
-//! an exactly sized buffer, and a lost or duplicated fragment is a
-//! [`FragmentError`].
+//! is paid for. A bundle's frames are laid out back to back, in wire
+//! order, in one buffer at its sender, and each frame is a view into it
+//! ([`Packet::shared_views`]): cutting a bundle is one allocation, not
+//! one per fragment, and the router forwards a frame by refcount.
+//! Arrivals skip the router's `(src, payload)` sort: [`Bundles`] groups
+//! a receiver's frames by sender with a counting sort over their
+//! indices, puts one pair's frames in sequence order in linear time when
+//! the pair is read and copies each chunk straight into an exactly sized
+//! buffer; a lost or duplicated fragment is a [`FragmentError`].
 
 use crate::collectives::fill_links;
 use crate::routing::{route_frames, HEADER_WORDS};
 use crate::{Net, Packet};
 use cc_net::NetError;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 
@@ -33,30 +36,30 @@ use std::ops::Range;
 /// Panics if `chunk_payload == 0`.
 pub fn fragment(data: &[u64], chunk_payload: usize) -> Vec<Packet> {
     assert!(chunk_payload >= 1, "chunks must carry payload");
-    cut(&[], data, chunk_payload)
+    cut(&[], data, chunk_payload).collect()
 }
 
 /// Cuts `data` into frames `[head…, seq, chunk…]` of at most `chunk`
-/// payload words each; empty `data` is one frame with no payload. Each
-/// frame is assembled once in a scratch buffer and copied out inline or
-/// shared.
-fn cut(head: &[u64], data: &[u64], chunk: usize) -> Vec<Packet> {
-    let mut frames = Vec::with_capacity(data.len().div_ceil(chunk).max(1));
-    let mut scratch = Vec::with_capacity(head.len() + 1 + chunk);
-    let mut seal = |seq: usize, c: &[u64]| {
-        scratch.clear();
-        scratch.extend_from_slice(head);
-        scratch.push(seq as u64);
-        scratch.extend_from_slice(c);
-        frames.push(Packet::shared(&scratch));
-    };
+/// payload words each; empty `data` is one frame with no payload. The
+/// frames are laid out in wire order in one buffer and handed out as
+/// views into it.
+fn cut(head: &[u64], data: &[u64], chunk: usize) -> impl Iterator<Item = Packet> {
+    let frames = data.len().div_ceil(chunk).max(1);
+    let mut words = Vec::with_capacity(frames * (head.len() + 1) + data.len());
     if data.is_empty() {
-        seal(0, &[]);
+        words.extend_from_slice(head);
+        words.push(0);
     }
     for (seq, c) in data.chunks(chunk).enumerate() {
-        seal(seq, c);
+        words.extend_from_slice(head);
+        words.push(seq as u64);
+        words.extend_from_slice(c);
     }
-    frames
+    let (total, width) = (words.len(), head.len() + 1 + chunk);
+    Packet::shared_views(
+        words,
+        (0..frames).map(move |i| width.min(total - i * width)),
+    )
 }
 
 /// Reassembles fragments produced by [`fragment`] (in any arrival order).
@@ -67,39 +70,58 @@ fn cut(head: &[u64], data: &[u64], chunk: usize) -> Vec<Packet> {
 /// routing-layer bug, not a recoverable condition. [`Bundles::take`] is
 /// the checked reader.
 pub fn reassemble(packets: Vec<Packet>) -> Vec<u64> {
-    read(packets.iter().map(Packet::as_slice), 0).unwrap_or_else(|(expected, found)| {
+    let mut order: Vec<usize> = (0..packets.len()).collect();
+    read(&mut order, |i| &packets[i], 0).unwrap_or_else(|(expected, found)| {
         panic!("fragment sequence corrupted: expected fragment {expected}, found {found}")
     })
 }
 
-/// Concatenates the chunks of `frames`, each with its sequence number at
-/// `offset`, in sequence order into one exactly sized buffer. Sequence
-/// numbers other than exactly `0..frames.len()` mean a fragment was lost
-/// or duplicated: the error is the first `(expected, found)` mismatch of
-/// the sorted sequence numbers.
+/// Puts the frame indices `order` in order of the sequence number at
+/// `offset` of each `frame(i)` and concatenates the frames' chunks into
+/// one exactly sized buffer. Sequence numbers other than exactly
+/// `0..order.len()` mean a fragment was lost or duplicated: the error is
+/// the first `(expected, found)` mismatch of the sorted sequence numbers.
 fn read<'a>(
-    frames: impl Iterator<Item = &'a [u64]>,
+    order: &mut [usize],
+    frame: impl Fn(usize) -> &'a [u64],
     offset: usize,
 ) -> Result<Vec<u64>, (u64, u64)> {
-    let frames: Vec<&[u64]> = frames.collect();
-    let mut chunks: Vec<Option<&[u64]>> = vec![None; frames.len()];
-    for f in &frames {
-        match chunks.get_mut(f[offset] as usize) {
-            Some(slot @ None) => *slot = Some(&f[offset + 1..]),
-            _ => return Err(first_mismatch(&frames, offset)),
-        }
+    let seq = |i: usize| frame(i)[offset];
+    if !place_by_seq(order, seq) {
+        order.sort_unstable_by_key(|&i| seq(i));
+        let mismatch = (0..)
+            .zip(order.iter().map(|&i| seq(i)))
+            .find(|&(expected, found)| found != expected)
+            .expect("sequence numbers other than 0..k");
+        return Err(mismatch);
     }
-    Ok(chunks.into_iter().flatten().collect::<Vec<_>>().concat())
+    let total = order.iter().map(|&i| frame(i).len() - offset - 1).sum();
+    let mut words = Vec::with_capacity(total);
+    for &i in order.iter() {
+        words.extend_from_slice(&frame(i)[offset + 1..]);
+    }
+    Ok(words)
 }
 
-/// The first position where the sorted sequence numbers leave `0..k`.
-fn first_mismatch(frames: &[&[u64]], offset: usize) -> (u64, u64) {
-    let mut seqs: Vec<u64> = frames.iter().map(|f| f[offset]).collect();
-    seqs.sort_unstable();
-    (0..)
-        .zip(seqs)
-        .find(|&(expected, found)| expected != found)
-        .expect("sequence numbers other than 0..k")
+/// Swaps each index into the slot its frame's sequence number names, in
+/// linear time (direct frames already arrive in order); `false` if the
+/// sequence numbers are not exactly `0..order.len()`.
+fn place_by_seq(order: &mut [usize], seq: impl Fn(usize) -> u64) -> bool {
+    let k = order.len() as u64;
+    for at in 0..order.len() {
+        loop {
+            let s = seq(order[at]);
+            if s == at as u64 {
+                break;
+            }
+            // Out of range, or a second frame for a slot already filled.
+            if s >= k || seq(order[s as usize]) == s {
+                return false;
+            }
+            order.swap(at, s as usize);
+        }
+    }
+    true
 }
 
 /// A bundle whose fragments arrived with sequence numbers other than
@@ -173,7 +195,7 @@ pub fn ship_direct(net: &mut Net, bundles: Vec<Bundle>) -> Result<Bundles, NetEr
     let chunk = chunk_payload(net.config().link_words, 1);
     let mut queues = vec![VecDeque::new(); net.n()];
     for (src, dst, words) in bundles {
-        queues[src].extend(cut(&[], &words, chunk).into_iter().map(|p| (dst, p)));
+        queues[src].extend(cut(&[], &words, chunk).map(|p| (dst, p)));
     }
     Ok(Bundles::new(fill_links(net, queues)?, 0))
 }
@@ -183,32 +205,57 @@ pub fn ship_direct(net: &mut Net, bundles: Vec<Bundle>) -> Result<Bundles, NetEr
 /// reads is never interpreted.
 #[derive(Debug)]
 pub struct Bundles {
-    /// Per receiver, its `(sender, frame)` arrivals sorted by sender.
+    /// Per receiver, its `(sender, frame)` arrivals in arrival order.
     arrivals: Vec<Vec<(usize, Packet)>>,
-    /// Per receiver, each unread sender's run of `arrivals`.
-    runs: Vec<BTreeMap<usize, Range<usize>>>,
+    /// Indices into a receiver's arrivals, grouped by pair in pair order
+    /// and in arrival order within a pair.
+    order: Vec<usize>,
+    /// `(receiver, sender)` → that pair's run of `order`, sorted by pair;
+    /// a read pair's run is emptied.
+    runs: Vec<((usize, usize), Range<usize>)>,
     /// Words before a frame's sequence number: the routing header, or
     /// none for direct frames.
     offset: usize,
 }
 
 impl Bundles {
-    fn new(mut arrivals: Vec<Vec<(usize, Packet)>>, offset: usize) -> Bundles {
-        let runs = arrivals
-            .iter_mut()
-            .map(|per| {
-                per.sort_unstable_by_key(|&(src, _)| src);
-                let mut at = 0;
-                let mut runs = BTreeMap::new();
-                for run in per.chunk_by(|a, b| a.0 == b.0) {
-                    runs.insert(run[0].0, at..at + run.len());
-                    at += run.len();
+    /// Groups each receiver's arrivals by sender with a counting sort
+    /// over the senders it heard from: linear in the frames, no
+    /// comparison sort over them.
+    fn new(arrivals: Vec<Vec<(usize, Packet)>>, offset: usize) -> Bundles {
+        let mut order = vec![0; arrivals.iter().map(Vec::len).sum()];
+        let mut runs = Vec::new();
+        // Per sender: its frame count, then the next free slot of its run.
+        let mut next: Vec<usize> = Vec::new();
+        let mut senders = Vec::new();
+        let mut at = 0;
+        for (receiver, per) in arrivals.iter().enumerate() {
+            for &(src, _) in per {
+                if src >= next.len() {
+                    next.resize(src + 1, 0);
                 }
-                runs
-            })
-            .collect();
+                if next[src] == 0 {
+                    senders.push(src);
+                }
+                next[src] += 1;
+            }
+            senders.sort_unstable();
+            for &src in &senders {
+                let count = std::mem::replace(&mut next[src], at);
+                runs.push(((receiver, src), at..at + count));
+                at += count;
+            }
+            for (i, &(src, _)) in per.iter().enumerate() {
+                order[next[src]] = i;
+                next[src] += 1;
+            }
+            for src in senders.drain(..) {
+                next[src] = 0;
+            }
+        }
         Bundles {
             arrivals,
+            order,
             runs,
             offset,
         }
@@ -226,14 +273,24 @@ impl Bundles {
         receiver: usize,
         sender: usize,
     ) -> Result<Option<Vec<u64>>, FragmentError> {
-        let Some(run) = self.runs[receiver].remove(&sender) else {
+        let Ok(at) = self
+            .runs
+            .binary_search_by_key(&(receiver, sender), |&(pair, _)| pair)
+        else {
             return Ok(None);
         };
-        let frames = &mut self.arrivals[receiver][run];
-        let words = read(frames.iter().map(|(_, f)| f.as_slice()), self.offset);
+        let run = std::mem::take(&mut self.runs[at].1);
+        if run.is_empty() {
+            return Ok(None);
+        }
+        let per = &mut self.arrivals[receiver];
+        let order = &mut self.order[run];
+        let words = read(order, |i| &per[i].1, self.offset);
         // The pair reads once: release its frames now, not with the
         // whole shipment.
-        frames.iter_mut().for_each(|(_, f)| *f = Packet::new());
+        for &i in order.iter() {
+            per[i].1 = Packet::new();
+        }
         words.map(Some).map_err(|(expected, found)| FragmentError {
             receiver,
             sender,
@@ -295,6 +352,29 @@ mod tests {
         fn roundtrip_random(data in proptest::collection::vec(any::<u64>(), 0..200), chunk in 1usize..16) {
             let frags = fragment(&data, chunk);
             prop_assert_eq!(reassemble(frags), data);
+        }
+
+        /// Frames in any order, with sequence numbers lost, repeated or
+        /// out of range, read exactly as sorting them would: their
+        /// chunks in sequence order, or the first mismatch of the sorted
+        /// sequence numbers against `0..k`.
+        #[test]
+        fn read_matches_the_sorted_reference(
+            seqs in proptest::collection::vec(0u64..12, 0..10),
+            widths in proptest::collection::vec(0usize..4, 10..11),
+        ) {
+            let frame = |s: u64| -> Vec<u64> {
+                std::iter::once(s).chain((0..widths[s as usize % 10] as u64).map(|w| 100 * s + w)).collect()
+            };
+            let mut sorted = seqs.clone();
+            sorted.sort_unstable();
+            let expected = match (0..).zip(&sorted).find(|&(e, &s)| e != s) {
+                Some((e, &s)) => Err((e, s)),
+                None => Ok(sorted.iter().flat_map(|&s| frame(s)[1..].to_vec()).collect::<Vec<u64>>()),
+            };
+            let frames: Vec<Packet> = seqs.iter().map(|&s| Packet::from(frame(s))).collect();
+            let mut order: Vec<usize> = (0..frames.len()).collect();
+            prop_assert_eq!(read(&mut order, |i| &frames[i], 0), expected);
         }
     }
 

@@ -7,8 +7,9 @@
 //!   distribute-then-rebroadcast large broadcast the paper uses to make
 //!   `≤ n` words known to everyone in `O(1)` rounds.
 //! * [`mod@fragment`] — the one path for payloads wider than a link: word
-//!   bundles are cut once into frames, shipped routed ([`route_bundles`])
-//!   or direct ([`ship_direct`]), and reassembled per pair ([`Bundles`]);
+//!   bundles are cut once, into frames sharing one buffer, shipped routed
+//!   ([`route_bundles`]) or direct ([`ship_direct`]), and reassembled per
+//!   pair ([`Bundles`]);
 //!   a lost or duplicated fragment is a [`FragmentError`].
 //! * [`routing`] — the "Lenzen contract": any instance where every node
 //!   sends at most `n` messages and every node receives at most `n`

@@ -21,12 +21,13 @@
 //!
 //! Wire format: every packet travels as one *frame* `[final_dst,
 //! orig_src, payload…]` — the two header words are charged against the
-//! link budget like all payload. A frame is built once, at its sender;
-//! an intermediary holds the frame it received and forwards it by cloning
-//! the handle (a refcount bump for a shared frame), so a packet is never
-//! copied on its way. [`route`] strips the header at the receiver and
-//! sorts; [`route_bundles`](crate::route_bundles) takes the frames as
-//! they arrived, without that sort.
+//! link budget like all payload. A call's frames are built once, in one
+//! buffer ([`Packet::shared_views`]); an intermediary holds the frame it
+//! received and forwards it by cloning the handle (a refcount bump for a
+//! shared frame), so a packet is never copied on its way. [`route`]
+//! strips the header at the receiver and sorts;
+//! [`route_bundles`](crate::route_bundles) takes the frames as they
+//! arrived, without that sort.
 
 use crate::{Net, Packet};
 use cc_net::NetError;
@@ -95,18 +96,16 @@ fn route_sorted(
     packets: Vec<RoutedPacket>,
     random_offsets: bool,
 ) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
-    // One scratch buffer; each frame is copied out of it once, inline or
-    // shared.
-    let mut scratch = Vec::new();
-    let frames = packets
-        .into_iter()
-        .map(|p| {
-            scratch.clear();
-            scratch.extend_from_slice(&[p.dst as u64, p.src as u64]);
-            scratch.extend_from_slice(&p.payload);
-            Packet::shared(&scratch)
-        })
-        .collect();
+    // Every frame is laid out in one buffer and handed out as a view
+    // into it (inline when narrow).
+    let width = |p: &RoutedPacket| HEADER_WORDS as usize + p.payload.len();
+    let mut words = Vec::with_capacity(packets.iter().map(width).sum());
+    for p in &packets {
+        words.extend_from_slice(&[p.dst as u64, p.src as u64]);
+        words.extend_from_slice(&p.payload);
+    }
+    let lens = packets.into_iter().map(|p| width(&p));
+    let frames = Packet::shared_views(words, lens).collect();
     let arrivals = route_frames(net, frames, random_offsets)?;
     Ok(arrivals
         .into_iter()

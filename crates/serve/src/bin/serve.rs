@@ -14,8 +14,8 @@
 use cc_serve::pool::{ServeConfig, Server};
 use cc_serve::server::run_session;
 use cc_trace::Json;
-use std::io::{BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufReader, ErrorKind, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,6 +24,32 @@ use std::time::Duration;
 /// process is out of descriptors) would otherwise spin a core and flood
 /// the log with one `serve-accept-failed` line per retry.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long a TCP session may send nothing before it ends. Jobs it
+/// already submitted still answer on it before it closes.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How long one response write may block on a client that stopped
+/// reading before its session ends.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The write half of a TCP session. A failed write shuts the whole
+/// connection down, so the session's reader sees the end of its input
+/// and the session closes through its usual drain path instead of
+/// reading requests it can no longer answer.
+struct SessionWriter(TcpStream);
+
+impl Write for SessionWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.write(buf).inspect_err(|_| {
+            let _ = self.0.shutdown(Shutdown::Both);
+        })
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
 
 struct Options {
     cfg: ServeConfig,
@@ -111,6 +137,22 @@ fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
                 vec![("error", Json::Str(e.to_string()))],
             );
         }
+        // A client that goes quiet or stops reading holds a session
+        // thread only until a timeout ends it.
+        let timeouts = stream
+            .set_read_timeout(Some(READ_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)));
+        if let Err(e) = timeouts {
+            // Dropping `stream` closes the connection.
+            log_line(
+                "serve-timeout-failed",
+                vec![("error", Json::Str(e.to_string()))],
+            );
+            continue;
+        }
+        let peer = stream
+            .peer_addr()
+            .map_or_else(|_| "unknown".to_string(), |a| a.to_string());
         let reader = match stream.try_clone() {
             Ok(read_half) => BufReader::new(read_half),
             Err(e) => {
@@ -125,7 +167,17 @@ fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
         let server = Arc::clone(&server);
         let closing = Arc::clone(&closing);
         sessions.push(std::thread::spawn(move || {
-            let _ = run_session(&server, reader, stream, false);
+            if let Err(e) = run_session(&server, reader, SessionWriter(stream), false) {
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                    log_line(
+                        "serve-timeout",
+                        vec![
+                            ("peer", Json::Str(peer)),
+                            ("error", Json::Str(e.to_string())),
+                        ],
+                    );
+                }
+            }
             if !server.stats().accepting {
                 // A shutdown op arrived on this session: wake the accept
                 // loop with a no-op connection so the daemon can exit.

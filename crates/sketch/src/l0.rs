@@ -184,13 +184,28 @@ impl Sketch {
     ///
     /// # Panics
     ///
-    /// Panics if the word count does not match the space's shape.
+    /// Panics if the word count does not match the space's shape;
+    /// [`Sketch::try_from_words`] is the checked reader.
     pub fn from_words(space: &SketchSpace, words: Vec<u64>) -> Sketch {
-        assert_eq!(
-            words.len(),
-            space.params().words(),
-            "sketch wire size mismatch"
-        );
+        Sketch::try_from_words(space, words).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Reconstructs a sketch of `space`'s shape from wire words that
+    /// crossed the network, where a lost or extra word is an input
+    /// condition, not a bug.
+    ///
+    /// # Errors
+    ///
+    /// [`SketchSizeError`] if the word count does not match the space's
+    /// shape.
+    pub fn try_from_words(space: &SketchSpace, words: Vec<u64>) -> Result<Sketch, SketchSizeError> {
+        let expected = space.params().words();
+        if words.len() != expected {
+            return Err(SketchSizeError {
+                expected,
+                found: words.len(),
+            });
+        }
         let cells = words.len() / CELL_WORDS;
         let mut sk = Sketch {
             phi: Vec::with_capacity(cells),
@@ -202,9 +217,30 @@ impl Sketch {
             sk.iota.push(cell[1]);
             sk.tau.push(cell[2]);
         }
-        sk
+        Ok(sk)
     }
 }
+
+/// Wire words whose count does not match the sketch space's shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SketchSizeError {
+    /// Words one sketch of the space occupies.
+    pub expected: usize,
+    /// Words that arrived.
+    pub found: usize,
+}
+
+impl std::fmt::Display for SketchSizeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "sketch wire size mismatch: expected {} words, found {}",
+            self.expected, self.found
+        )
+    }
+}
+
+impl std::error::Error for SketchSizeError {}
 
 /// Reusable scratch buffers for [`SketchSpace::insert_batch_with`].
 ///
@@ -666,6 +702,27 @@ mod tests {
         let p = SketchParams::for_universe(1 << 20);
         assert_eq!(p.words(), p.levels * p.rows * p.buckets * 3);
         assert_eq!(p.bits(), p.words() * 64);
+    }
+
+    #[test]
+    fn a_short_or_long_wire_is_a_typed_error() {
+        let s = space(4096, 17);
+        let words = s.zero_sketch().to_words();
+        let expected = words.len();
+        let short = words[..expected - 5].to_vec();
+        assert_eq!(
+            Sketch::try_from_words(&s, short),
+            Err(SketchSizeError {
+                expected,
+                found: expected - 5
+            })
+        );
+        let mut long = words.clone();
+        long.push(0);
+        let err = Sketch::try_from_words(&s, long).unwrap_err();
+        assert_eq!(err.found, expected + 1);
+        assert!(err.to_string().contains("size mismatch"), "{err}");
+        assert_eq!(Sketch::try_from_words(&s, words), Ok(s.zero_sketch()));
     }
 
     #[test]

@@ -52,5 +52,5 @@ pub use graph_sketch::{
     decode_bundle, encode_bundle, EdgeSample, GraphSketchSpace, NeighborhoodScratch,
 };
 pub use hash::KWiseHash;
-pub use l0::{BatchScratch, Sample, Sketch, SketchParams, SketchSpace};
+pub use l0::{BatchScratch, Sample, Sketch, SketchParams, SketchSizeError, SketchSpace};
 pub use spanning::{recommended_families, spanning_forest_via_sketches, SpanningResult};

@@ -24,6 +24,7 @@
 //!   answer (`wrong-answer`), an exhausted Monte Carlo sampler
 //!   (`sketch-exhausted`, a detected failure the paper bounds by
 //!   `1/n^{Ω(1)}`), a lost or duplicated fragment (`fragment-lost`), a
+//!   message its protocol cannot have sent (`malformed-message`), a
 //!   `panic`, or an accepted answer that disagrees with
 //!   the reference (`silent-wrong`). The `grid` binary exits 1 on any
 //!   failed cell.

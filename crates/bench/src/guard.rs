@@ -49,10 +49,12 @@ pub enum Verdict {
     },
     /// The run failed loudly: the sketch budget ran out
     /// (`sketch-exhausted`), a shipped bundle lost or duplicated a
-    /// fragment or a sketch arrived short (`fragment-lost`), or the check
-    /// rejected the answer (`wrong-answer`).
+    /// fragment or a sketch arrived short (`fragment-lost`), a node read
+    /// a message its protocol cannot have sent (`malformed-message`), or
+    /// the check rejected the answer (`wrong-answer`).
     DetectedError {
-        /// `sketch-exhausted`, `fragment-lost` or `wrong-answer`.
+        /// `sketch-exhausted`, `fragment-lost`, `malformed-message` or
+        /// `wrong-answer`.
         kind: &'static str,
         /// The error display, or the check's reason.
         detail: String,
@@ -97,6 +99,10 @@ impl Verdict {
                             detail,
                         }
                     }
+                    CoreError::Malformed(_) => Verdict::DetectedError {
+                        kind: "malformed-message",
+                        detail,
+                    },
                 };
             }
         };
@@ -271,6 +277,12 @@ mod tests {
     fn verdict_truth_table_and_renderings() {
         let refused = CoreError::Net(NetError::RoundCapExceeded { cap: 3 });
         let exhausted = CoreError::SketchExhausted { failures: 2 };
+        let malformed = CoreError::Malformed(cc_lotker::MalformedMessage {
+            round: 4,
+            sender: 1,
+            receiver: 0,
+            defect: cc_lotker::Defect::Length { found: 1 },
+        });
         // (verdict, grid status, grid kind, E17 outcome, E17 detail prefix)
         let cases = [
             (judge(Ok(()), true, true), "ok", None, "correct", ""),
@@ -309,6 +321,13 @@ mod tests {
                 Some("sketch-exhausted"),
                 "detected-failure",
                 "error: sketch families exhausted",
+            ),
+            (
+                judge(Err(malformed), true, true),
+                "failed",
+                Some("malformed-message"),
+                "detected-failure",
+                "error: malformed message: round 4",
             ),
             (
                 Verdict::Panic {

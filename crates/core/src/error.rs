@@ -1,5 +1,6 @@
 //! Error type for the algorithm crate.
 
+use cc_lotker::{LotkerError, MalformedMessage};
 use cc_net::NetError;
 use cc_route::FragmentError;
 use std::error::Error;
@@ -32,6 +33,10 @@ pub enum CoreError {
         /// Words that arrived.
         found: usize,
     },
+    /// A node read a message its protocol cannot have sent (a wrong word
+    /// count, a word that names no node, an edge between the wrong
+    /// fragments) — what a corrupting or deferring fault produces.
+    Malformed(MalformedMessage),
 }
 
 impl fmt::Display for CoreError {
@@ -52,6 +57,7 @@ impl fmt::Display for CoreError {
                 f,
                 "sketch size: leader {leader} got {found} words of member {member}'s sketch, expected {expected}"
             ),
+            CoreError::Malformed(e) => write!(f, "malformed message: {e}"),
         }
     }
 }
@@ -62,6 +68,7 @@ impl Error for CoreError {
             CoreError::Net(e) => Some(e),
             CoreError::SketchExhausted { .. } | CoreError::SketchSize { .. } => None,
             CoreError::Fragment(e) => Some(e),
+            CoreError::Malformed(e) => Some(e),
         }
     }
 }
@@ -69,6 +76,15 @@ impl Error for CoreError {
 impl From<NetError> for CoreError {
     fn from(e: NetError) -> Self {
         CoreError::Net(e)
+    }
+}
+
+impl From<LotkerError> for CoreError {
+    fn from(e: LotkerError) -> Self {
+        match e {
+            LotkerError::Net(e) => CoreError::Net(e),
+            LotkerError::Malformed(e) => CoreError::Malformed(e),
+        }
     }
 }
 
@@ -100,6 +116,18 @@ mod tests {
                 .iter()
                 .all(|part| short.contains(part)),
             "{short}"
+        );
+        let malformed: CoreError = LotkerError::Malformed(MalformedMessage {
+            round: 7,
+            sender: 3,
+            receiver: 0,
+            defect: cc_lotker::Defect::Sender,
+        })
+        .into();
+        let shown = malformed.to_string();
+        assert!(
+            shown.starts_with("malformed message: round 7: link 3->0"),
+            "{shown}"
         );
     }
 

@@ -62,6 +62,8 @@ pub struct ExactMstRun {
 ///
 /// * [`CoreError::Net`] on simulator violations.
 /// * [`CoreError::SketchExhausted`] on Monte Carlo sampler failure.
+/// * [`CoreError::Malformed`] when a node reads a message the Lotker
+///   preprocessing cannot have sent.
 ///
 /// # Panics
 ///

@@ -35,7 +35,8 @@ pub struct ReduceOutcome {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates simulator errors, and [`CoreError::Malformed`] when a node
+/// reads a message CC-MST cannot have sent.
 ///
 /// # Panics
 ///

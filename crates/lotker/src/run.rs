@@ -25,10 +25,14 @@
 //! 6. **Broadcast down** — `v*` broadcasts the relabeling and the chosen
 //!    edges (≤ `O(n)` words) with the distribute-and-rebroadcast
 //!    collective; every node updates its fragment table and forest copy.
+//!
+//! Every edge a node reads in steps 2, 3 and 5 is checked before use: its
+//! word count, its endpoints, its sender, and that it joins the fragments
+//! it was sent between ([`MalformedMessage`]).
 
+use crate::error::{Defect, LotkerError, MalformedMessage};
 use crate::merge::{controlled_boruvka, Candidate};
 use cc_graph::{WEdge, WGraph};
-use cc_net::NetError;
 use cc_route::{all_to_all_share, broadcast_large, route, Net, Packet, RoutedPacket};
 
 /// Result of running CC-MST for some number of phases.
@@ -76,6 +80,58 @@ pub fn reduce_components_phases(n: usize) -> usize {
     v.ceil() as usize + 3
 }
 
+/// The edge a `[w, u, v]` message carries, if it has three words and its
+/// endpoint words name two distinct nodes of an `n`-clique.
+fn read_edge(msg: &[u64], n: usize) -> Result<WEdge, Defect> {
+    let &[w, u, v] = msg else {
+        return Err(Defect::Length { found: msg.len() });
+    };
+    let node = |x: u64| usize::try_from(x).ok().filter(|&x| x < n);
+    match (node(u), node(v)) {
+        (Some(a), Some(b)) if a != b => Ok(WEdge::new(a, b, w)),
+        _ => Err(Defect::Endpoints { u, v }),
+    }
+}
+
+/// `edge` if `joins` holds for its endpoints, else the defect naming it.
+fn joining(edge: WEdge, joins: impl Fn(usize, usize) -> bool) -> Result<WEdge, Defect> {
+    let (u, v) = edge.endpoints();
+    if joins(u, v) {
+        Ok(edge)
+    } else {
+        Err(Defect::Fragments { u, v })
+    }
+}
+
+/// Runs one receive-only round: every message `src → node` is read by
+/// `read(node, src, words)`, and the edges it accepts are appended to
+/// `into[node]`. The first message it refuses (lowest receiver, then
+/// lowest sender) is the error.
+fn receive_edges(
+    net: &mut Net,
+    into: &mut [Vec<WEdge>],
+    read: impl Fn(usize, usize, &[u64]) -> Result<WEdge, Defect>,
+) -> Result<(), LotkerError> {
+    let round = net.cost().rounds;
+    let mut malformed = None;
+    net.step(|node, inbox, _out| {
+        for env in inbox {
+            match read(node, env.src, &env.msg) {
+                Ok(e) => into[node].push(e),
+                Err(defect) => {
+                    malformed.get_or_insert(MalformedMessage {
+                        round,
+                        sender: env.src,
+                        receiver: node,
+                        defect,
+                    });
+                }
+            }
+        }
+    })?;
+    malformed.map_or(Ok(()), |e| Err(e.into()))
+}
+
 /// Runs CC-MST on the weighted-clique closure of `g` (absent clique links
 /// weigh `∞`) for at most `phases` phases (`None` = to completion).
 ///
@@ -83,12 +139,15 @@ pub fn reduce_components_phases(n: usize) -> usize {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// * [`LotkerError::Net`] propagates simulator errors.
+/// * [`LotkerError::Malformed`] names the first message (lowest receiver,
+///   then lowest sender) that the protocol cannot have sent — what a
+///   corrupting or deferring fault plan produces.
 ///
 /// # Panics
 ///
 /// Panics if the graph and network sizes disagree.
-pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstRun, NetError> {
+pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstRun, LotkerError> {
     let n = net.n();
     assert_eq!(g.n(), n, "graph must span the clique");
     let coordinator = 0usize;
@@ -166,14 +225,14 @@ pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstR
                 let _ = out.send(l, Packet::of(&[e.w, e.u as u64, e.v as u64]));
             }
         })?;
-        net.step(|node, inbox, _out| {
-            for env in inbox {
-                inbound[node].push(WEdge::new(
-                    env.msg[1] as usize,
-                    env.msg[2] as usize,
-                    env.msg[0],
-                ));
-            }
+        // An edge from its sender into this leader's fragment.
+        receive_edges(net, &mut inbound, |node, src, msg| {
+            read_edge(msg, n).and_then(|e| {
+                joining(e, |u, v| {
+                    frag_of[src] != node
+                        && ((u == src && frag_of[v] == node) || (v == src && frag_of[u] == node))
+                })
+            })
         })?;
 
         // ---- Step 3: leader of F' reduces per source fragment and returns
@@ -209,14 +268,18 @@ pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstR
                 }
             }
         })?;
-        net.step(|node, inbox, _out| {
-            for env in inbox {
-                rows[node].push(WEdge::new(
-                    env.msg[1] as usize,
-                    env.msg[2] as usize,
-                    env.msg[0],
-                ));
+        // A row entry from another fragment's leader: an edge between
+        // its fragment and this one.
+        receive_edges(net, &mut rows, |node, src, msg| {
+            if frag_of[src] != src {
+                return Err(Defect::Sender);
             }
+            read_edge(msg, n).and_then(|e| {
+                joining(e, |u, v| {
+                    let (fu, fv) = (frag_of[u], frag_of[v]);
+                    (fu == node && fv == src) || (fu == src && fv == node)
+                })
+            })
         })?;
 
         // ---- Step 4: each leader keeps its `cap` lightest row entries and
@@ -236,10 +299,22 @@ pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstR
 
         // ---- Step 5: coordinator merges locally.
         let mut cand_lists: Vec<Vec<Candidate>> = vec![Vec::new(); leaders.len()];
-        for (src, payload) in &delivered[coordinator] {
-            let e = WEdge::new(payload[1] as usize, payload[2] as usize, payload[0]);
+        for &(src, ref payload) in &delivered[coordinator] {
+            // A row entry of leader `src`: an edge leaving its fragment.
+            let edge = if src < n && frag_of[src] == src {
+                read_edge(payload, n)
+                    .and_then(|e| joining(e, |u, v| (frag_of[u] == src) != (frag_of[v] == src)))
+            } else {
+                Err(Defect::Sender)
+            };
+            let e = edge.map_err(|defect| MalformedMessage {
+                round: net.cost().rounds - 1,
+                sender: src,
+                receiver: coordinator,
+                defect,
+            })?;
             let (u, v) = e.endpoints();
-            let src_frag = *src; // sender leader == its fragment label
+            let src_frag = src; // sender leader == its fragment label
             let far = if frag_of[u] == src_frag {
                 frag_of[v]
             } else {
@@ -297,7 +372,7 @@ pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstR
 mod tests {
     use super::*;
     use cc_graph::{generators, mst};
-    use cc_net::NetConfig;
+    use cc_net::{FaultDecision, FaultInjector, NetConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::collections::HashMap;
@@ -424,6 +499,83 @@ mod tests {
         let r2 = cc_mst(&mut net(20, 3), &g, None).unwrap();
         assert_eq!(r1.forest, r2.forest);
         assert_eq!(r1.fragment_of, r2.fragment_of);
+    }
+
+    /// Applies `decision` to the one message `src → dst` sends in
+    /// `round`, and delivers everything else.
+    struct OneFault {
+        round: u64,
+        src: usize,
+        dst: usize,
+        decision: FaultDecision,
+    }
+
+    impl FaultInjector for OneFault {
+        fn decision(&self, round: u64, src: usize, dst: usize, _index: u32) -> FaultDecision {
+            if (round, src, dst) == (self.round, self.src, self.dst) {
+                self.decision
+            } else {
+                FaultDecision::Deliver
+            }
+        }
+    }
+
+    /// Phase 1 at n = 8: round 0 shares labels, round 2 sends every
+    /// node's candidate to every other node (all are leaders), round 3
+    /// reads them, round 4 returns the row entries and round 5 reads
+    /// those. A fault on link 5 → 0 surfaces as a typed error.
+    fn faulted_run(round: u64, decision: FaultDecision) -> LotkerError {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let g = generators::complete_wgraph(8, &mut rng);
+        let mut nt = net(8, 1);
+        nt.set_fault_injector(Box::new(OneFault {
+            round,
+            src: 5,
+            dst: 0,
+            decision,
+        }));
+        cc_mst(&mut nt, &g, None).unwrap_err()
+    }
+
+    #[test]
+    fn malformed_candidates_are_typed_errors() {
+        let at_round_3 = |defect| {
+            LotkerError::Malformed(MalformedMessage {
+                round: 3,
+                sender: 5,
+                receiver: 0,
+                defect,
+            })
+        };
+        // A label deferred into the candidate round: one word, not three.
+        assert_eq!(
+            faulted_run(0, FaultDecision::Defer { rounds: 2 }),
+            at_round_3(Defect::Length { found: 1 })
+        );
+        // Bit 40 of the first endpoint word: no such node.
+        let err = faulted_run(2, FaultDecision::Corrupt { bit: 64 + 40 });
+        assert!(
+            matches!(&err, LotkerError::Malformed(m) if m.round == 3
+                && matches!(m.defect, Defect::Endpoints { u, v: 5 } if u == 1 << 40)),
+            "{err:?}"
+        );
+        // Bit 0 of the second endpoint word: edge {0, 5} becomes {0, 4},
+        // two real nodes, but not the sender's edge into node 0.
+        assert_eq!(
+            faulted_run(2, FaultDecision::Corrupt { bit: 2 * 64 }),
+            at_round_3(Defect::Fragments { u: 0, v: 4 })
+        );
+        // The same flip on leader 5's row entry for leader 0 (round 4,
+        // read in round 5).
+        assert_eq!(
+            faulted_run(4, FaultDecision::Corrupt { bit: 2 * 64 }),
+            LotkerError::Malformed(MalformedMessage {
+                round: 5,
+                sender: 5,
+                receiver: 0,
+                defect: Defect::Fragments { u: 0, v: 4 },
+            })
+        );
     }
 
     #[test]

@@ -84,46 +84,67 @@ impl SendRules {
     /// documents: [`NetError::UnicastInBroadcastModel`],
     /// [`NetError::BadDestination`], [`NetError::SelfMessage`],
     /// [`NetError::MessageTooLarge`], [`NetError::LinkBusy`].
+    #[inline]
     pub fn validate(&self, src: usize, dst: usize, words: u64, used: u64) -> Result<u64, NetError> {
+        let words = words.max(1);
+        let budget = self.link_words();
+        // Accepted iff no rule `violation` checks is broken; `words <=
+        // budget` goes first, so the sum cannot overflow where `violation`
+        // would not have summed either.
+        if !self.broadcast_only()
+            && dst < self.n
+            && dst != src
+            && words <= budget
+            && used + words <= budget
+        {
+            Ok(words)
+        } else {
+            Err(self.violation(src, dst, words, used))
+        }
+    }
+
+    /// The error [`validate`](Self::validate) reports for a send it
+    /// refused, checked in order of precedence. Kept out of line: the
+    /// accept path runs once per message, this once per failed run.
+    #[cold]
+    #[inline(never)]
+    fn violation(&self, src: usize, dst: usize, words: u64, used: u64) -> NetError {
         if self.broadcast_only() {
-            return Err(NetError::UnicastInBroadcastModel {
+            return NetError::UnicastInBroadcastModel {
                 round: self.round,
                 src,
                 dst,
-            });
+            };
         }
         if dst >= self.n {
-            return Err(NetError::BadDestination {
+            return NetError::BadDestination {
                 src,
                 dst,
                 n: self.n,
-            });
+            };
         }
         if dst == src {
-            return Err(NetError::SelfMessage { node: src });
+            return NetError::SelfMessage { node: src };
         }
-        let words = words.max(1);
         let budget = self.link_words();
         if words > budget {
-            return Err(NetError::MessageTooLarge {
+            return NetError::MessageTooLarge {
                 round: self.round,
                 src,
                 dst,
                 words,
                 budget,
-            });
+            };
         }
-        if used + words > budget {
-            return Err(NetError::LinkBusy {
-                round: self.round,
-                src,
-                dst,
-                used,
-                requested: words,
-                budget,
-            });
+        debug_assert!(used + words > budget, "only a refused send gets here");
+        NetError::LinkBusy {
+            round: self.round,
+            src,
+            dst,
+            used,
+            requested: words,
+            budget,
         }
-        Ok(words)
     }
 }
 
@@ -148,11 +169,13 @@ impl LinkUse {
     }
 
     /// Words already charged toward `dst`.
+    #[inline]
     pub fn used(&self, dst: usize) -> u64 {
         self.used[dst]
     }
 
     /// Charges `words` toward `dst`.
+    #[inline]
     pub fn charge(&mut self, dst: usize, words: u64) {
         if self.used[dst] == 0 {
             self.touched.push(dst);
@@ -161,6 +184,7 @@ impl LinkUse {
     }
 
     /// Clears the ledger for the next sender.
+    #[inline]
     pub fn reset(&mut self) {
         for dst in self.touched.drain(..) {
             self.used[dst] = 0;

@@ -137,10 +137,12 @@ impl FaultRecord {
 /// The result of passing staged messages through an injector.
 #[derive(Clone, Debug)]
 pub struct FaultOutcome<M> {
-    /// Envelopes to deliver next round (post-drop/duplicate/corrupt).
-    pub deliver: Vec<Envelope<M>>,
-    /// Envelopes to deliver in a later round: `(delivery_round, env)`.
-    pub deferred: Vec<(u64, Envelope<M>)>,
+    /// `(dst, envelope)` pairs to deliver next round
+    /// (post-drop/duplicate/corrupt).
+    pub deliver: Vec<(usize, Envelope<M>)>,
+    /// Envelopes to deliver in a later round: `(delivery_round, dst,
+    /// envelope)`.
+    pub deferred: Vec<(u64, usize, Envelope<M>)>,
     /// What was injected, in `(src, index)` order.
     pub records: Vec<FaultRecord>,
 }
@@ -148,7 +150,8 @@ pub struct FaultOutcome<M> {
 /// Applies `injector`'s per-message decisions to messages staged in
 /// `round` (normal delivery would be in `round + 1`).
 ///
-/// `staged` is typically one sender's sends, in send order; per-link
+/// `staged` is typically one sender's `(dst, envelope)` sends, in send
+/// order (what [`Outbox::finish`](crate::Outbox::finish) returns); per-link
 /// indices are tracked internally so callers may also pass several
 /// senders' sends concatenated in (node, send) order. Metering is the
 /// caller's job and must happen *before* this call (see the
@@ -156,7 +159,7 @@ pub struct FaultOutcome<M> {
 pub fn apply_faults<M: Wire + Clone>(
     injector: &dyn FaultInjector,
     round: u64,
-    staged: Vec<Envelope<M>>,
+    staged: Vec<(usize, Envelope<M>)>,
 ) -> FaultOutcome<M> {
     let mut out = FaultOutcome {
         deliver: Vec::with_capacity(staged.len()),
@@ -164,30 +167,30 @@ pub fn apply_faults<M: Wire + Clone>(
         records: Vec::new(),
     };
     let mut next_index: BTreeMap<(usize, usize), u32> = BTreeMap::new();
-    for mut env in staged {
-        let slot = next_index.entry((env.src, env.dst)).or_insert(0);
+    for (dst, mut env) in staged {
+        let slot = next_index.entry((env.src, dst)).or_insert(0);
         let index = *slot;
         *slot += 1;
         let record = |kind: FaultKind, info: u64| FaultRecord {
             round,
             kind,
             src: env.src as u32,
-            dst: env.dst as u32,
+            dst: dst as u32,
             index,
             info,
         };
-        match injector.decision(round, env.src, env.dst, index) {
-            FaultDecision::Deliver => out.deliver.push(env),
+        match injector.decision(round, env.src, dst, index) {
+            FaultDecision::Deliver => out.deliver.push((dst, env)),
             FaultDecision::Drop => out.records.push(record(FaultKind::Drop, 0)),
             FaultDecision::Duplicate => {
                 out.records.push(record(FaultKind::Duplicate, 0));
-                out.deliver.push(env.clone());
-                out.deliver.push(env);
+                out.deliver.push((dst, env.clone()));
+                out.deliver.push((dst, env));
             }
             FaultDecision::Corrupt { bit } => {
                 out.records.push(record(FaultKind::Corrupt, bit));
                 if env.msg.corrupt_bit(bit) {
-                    out.deliver.push(env);
+                    out.deliver.push((dst, env));
                 }
                 // else: the payload has no flippable bits — degrade to a
                 // drop (already recorded as a corruption).
@@ -195,7 +198,7 @@ pub fn apply_faults<M: Wire + Clone>(
             FaultDecision::Defer { rounds } => {
                 let delay = rounds.max(1);
                 out.records.push(record(FaultKind::Defer, delay));
-                out.deferred.push((round + 1 + delay, env));
+                out.deferred.push((round + 1 + delay, dst, env));
             }
         }
     }
@@ -206,8 +209,8 @@ pub fn apply_faults<M: Wire + Clone>(
 mod tests {
     use super::*;
 
-    fn env(src: usize, dst: usize, msg: u64) -> Envelope<u64> {
-        Envelope { src, dst, msg }
+    fn env(src: usize, dst: usize, msg: u64) -> (usize, Envelope<u64>) {
+        (dst, Envelope { src, msg })
     }
 
     /// Scripted injector: decisions keyed by (src, dst, index).
@@ -244,7 +247,7 @@ mod tests {
             out.deliver,
             vec![env(0, 2, 20), env(0, 2, 20), env(0, 3, 30 ^ (1 << 5))]
         );
-        assert_eq!(out.deferred, vec![(10, env(0, 4, 40))]);
+        assert_eq!(out.deferred, vec![(10, 4, Envelope { src: 0, msg: 40 })]);
         let kinds: Vec<FaultKind> = out.records.iter().map(|r| r.kind).collect();
         assert_eq!(
             kinds,
@@ -279,11 +282,7 @@ mod tests {
                 FaultDecision::Corrupt { bit: 9 }
             }
         }
-        let staged = vec![Envelope {
-            src: 0,
-            dst: 1,
-            msg: (),
-        }];
+        let staged = vec![(1, Envelope { src: 0, msg: () })];
         let out = apply_faults(&CorruptAll, 0, staged);
         assert!(out.deliver.is_empty(), "unflippable payload dropped");
         assert_eq!(out.records.len(), 1);

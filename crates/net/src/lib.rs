@@ -25,6 +25,16 @@
 //!   spec to a clique size and [`SendRules`] enforces it at send time.
 //!
 //! See [`net`] for the execution model and a worked example.
+//!
+//! The per-message path is built to be compiled where it runs.
+//! [`CliqueNet::step`] is generic, so it is instantiated in the crate
+//! that calls it, closure and all; the non-generic helpers it calls once
+//! per message ([`WordVec`]'s accessors, [`Wire::words`], [`LinkUse`]'s
+//! ledger, [`SendRules::validate`]'s accept test) are `#[inline]`, so
+//! they join it there without link-time optimisation, and building a
+//! refused send's error is kept out of line. Each sender is metered
+//! once, after its last message, and a delivered [`Envelope`] holds only
+//! its sender and payload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

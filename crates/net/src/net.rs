@@ -52,13 +52,17 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// A delivered message.
+/// A delivered message: its sender and payload.
+///
+/// The receiver is implied by the inbox the envelope sits in, so it is
+/// not stored: an inbox entry is the sender and the payload alone (40
+/// bytes for a [`WordVec`](crate::WordVec) payload). On its way there —
+/// staged in an [`Outbox`], through [`apply_faults`], deferred, or handed
+/// back in a [`StagedRound`] — a message travels as `(dst, Envelope)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Envelope<M> {
     /// Sender.
     pub src: usize,
-    /// Receiver.
-    pub dst: usize,
     /// Payload.
     pub msg: M,
 }
@@ -71,7 +75,7 @@ pub struct Outbox<'a, M> {
     node: usize,
     rules: SendRules,
     links: &'a mut LinkUse,
-    staged: Vec<Envelope<M>>,
+    staged: Vec<(usize, Envelope<M>)>,
     error: Option<NetError>,
 }
 
@@ -92,7 +96,7 @@ impl<'a, M: Wire> Outbox<'a, M> {
         node: usize,
         rules: SendRules,
         links: &'a mut LinkUse,
-        staged: Vec<Envelope<M>>,
+        staged: Vec<(usize, Envelope<M>)>,
     ) -> Self {
         debug_assert!(staged.is_empty(), "staging buffer must start empty");
         Outbox {
@@ -104,9 +108,9 @@ impl<'a, M: Wire> Outbox<'a, M> {
         }
     }
 
-    /// Tears the outbox down into its staged envelopes and the first
-    /// latched violation, if any.
-    pub fn finish(self) -> (Vec<Envelope<M>>, Option<NetError>) {
+    /// Tears the outbox down into its staged `(dst, envelope)` pairs, in
+    /// send order, and the first latched violation, if any.
+    pub fn finish(self) -> (Vec<(usize, Envelope<M>)>, Option<NetError>) {
         (self.staged, self.error)
     }
 }
@@ -144,11 +148,13 @@ impl<M: Wire> Outbox<'_, M> {
         };
         let words = self.rules.validate(self.node, dst, msg.words(), used)?;
         self.links.charge(dst, words);
-        self.staged.push(Envelope {
-            src: self.node,
+        self.staged.push((
             dst,
-            msg,
-        });
+            Envelope {
+                src: self.node,
+                msg,
+            },
+        ));
         Ok(())
     }
 
@@ -230,8 +236,8 @@ pub struct CliqueNet<M> {
     /// `fault.is_some()`, cached so the fault-free path costs one
     /// predictable branch per round (the zero-overhead contract).
     faulty: bool,
-    /// Messages deferred by a fault: delivery round → envelopes.
-    deferred: BTreeMap<u64, Vec<Envelope<M>>>,
+    /// Messages deferred by a fault: delivery round → `(dst, envelope)`.
+    deferred: BTreeMap<u64, Vec<(usize, Envelope<M>)>>,
     /// Which nodes have been observed crashed (set when their crash
     /// round executes; also gates the one-time `NodeCrash` event).
     crashed_seen: Vec<bool>,
@@ -241,7 +247,7 @@ pub struct CliqueNet<M> {
     pool: Vec<Vec<Envelope<M>>>,
     /// Recycled staging buffer of `step`'s outbox (the fault-free path
     /// drains it into the inboxes after each sender).
-    staged_pool: Vec<Envelope<M>>,
+    staged_pool: Vec<(usize, Envelope<M>)>,
     /// The per-sender link ledger `step`'s outbox charges, reset after
     /// each sender that sent and kept across rounds.
     links: LinkUse,
@@ -451,10 +457,11 @@ impl RoundPlan<'_> {
 /// What a [`CliqueNet::step_staged`] compute callback hands back.
 #[derive(Debug)]
 pub struct StagedRound<M> {
-    /// Each sender's staged envelopes in send order, indexed by node ID:
-    /// all `n` senders, or with an `error` at least every sender below
-    /// the offender. Crashed senders stage nothing.
-    pub staged: Vec<Vec<Envelope<M>>>,
+    /// Each sender's staged `(dst, envelope)` pairs in send order (what
+    /// [`Outbox::finish`] returns), indexed by node ID: all `n` senders,
+    /// or with an `error` at least every sender below the offender.
+    /// Crashed senders stage nothing.
+    pub staged: Vec<Vec<(usize, Envelope<M>)>>,
     /// Wall-clock span of each compute worker, emitted as
     /// [`Event::WorkerSpan`]s when the tracer wants timing.
     pub spans: Vec<SpanTiming>,
@@ -526,6 +533,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
             if let Some(e) = outbox.error.take() {
                 outbox.links.reset();
                 self.links = links;
+                self.recycle(open.delivered);
                 return Err(e);
             }
             if outbox.staged.is_empty() {
@@ -582,6 +590,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
             self.deliver_sender(node, open.round, &mut sent, &mut fault_records);
         }
         if let Some((_, e)) = error {
+            self.recycle(open.delivered);
             return Err(e);
         }
         self.close_round(open, &fault_records, &spans);
@@ -656,8 +665,8 @@ impl<M: Wire + Clone> CliqueNet<M> {
         // Checked with or without an injector: messages deferred before
         // `take_fault_injector` stay scheduled.
         if let Some(late) = self.deferred.remove(&round) {
-            for env in late {
-                delivered[env.dst].push(env);
+            for (dst, env) in late {
+                delivered[dst].push(env);
             }
             for q in &mut delivered {
                 q.sort_by_key(|e| e.src);
@@ -684,57 +693,64 @@ impl<M: Wire + Clone> CliqueNet<M> {
     /// delivers them, leaving `staged` empty. Senders must arrive in
     /// ascending ID order, which is what makes every inbox `(src,
     /// send-index)` sorted by construction.
+    ///
+    /// The sender's words are summed in a local and added to the running
+    /// totals once, after its last message: the per-message work is one
+    /// `words()` call and one push.
     #[inline]
     fn deliver_sender(
         &mut self,
         node: usize,
         round: u64,
-        staged: &mut Vec<Envelope<M>>,
+        staged: &mut Vec<(usize, Envelope<M>)>,
         fault_records: &mut Vec<FaultRecord>,
     ) {
+        let messages = staged.len() as u64;
+        let mut words = 0u64;
         if self.faulty {
-            for env in staged.iter() {
-                let words = env.msg.words().max(1);
-                self.charge(words);
+            for (dst, env) in staged.iter() {
+                let w = env.msg.words().max(1);
+                words += w;
                 if self.tracing {
-                    self.batches.add(env.dst as u32, words);
+                    self.batches.add(*dst as u32, w);
                 }
-            }
-            if self.tracing {
-                self.batches.flush_sender(node as u32);
             }
             let inj = self.fault.as_deref().expect("faulty implies injector");
             let outcome = apply_faults(inj, round, std::mem::take(staged));
-            for env in outcome.deliver {
-                self.inboxes[env.dst].push(env);
+            for (dst, env) in outcome.deliver {
+                self.inboxes[dst].push(env);
             }
-            for (due, env) in outcome.deferred {
-                self.deferred.entry(due).or_default().push(env);
+            for (due, dst, env) in outcome.deferred {
+                self.deferred.entry(due).or_default().push((dst, env));
             }
             fault_records.extend(outcome.records);
         } else {
-            // Metering is fused into the delivery drain: this loop runs
-            // once per message and dominates dense rounds.
-            for env in staged.drain(..) {
-                let words = env.msg.words().max(1);
-                self.charge(words);
+            for (dst, env) in staged.drain(..) {
+                let w = env.msg.words().max(1);
+                words += w;
                 if self.tracing {
-                    self.batches.add(env.dst as u32, words);
+                    self.batches.add(dst as u32, w);
                 }
-                self.inboxes[env.dst].push(env);
-            }
-            if self.tracing {
-                self.batches.flush_sender(node as u32);
+                self.inboxes[dst].push(env);
             }
         }
-    }
-
-    /// Charges one message of `words` words to the running totals.
-    #[inline]
-    fn charge(&mut self, words: u64) {
-        self.cost.messages += 1;
+        if self.tracing {
+            self.batches.flush_sender(node as u32);
+        }
+        self.cost.messages += messages;
         self.cost.words += words;
         self.cost.bits += words * self.word_bits;
+    }
+
+    /// Empties this round's delivered inboxes (capacity retained) into
+    /// the pool that becomes the inboxes of the round after next. An
+    /// aborted round recycles them too, so the net's buffers stay whole
+    /// if the caller steps on after an error.
+    fn recycle(&mut self, mut delivered: Vec<Vec<Envelope<M>>>) {
+        for q in &mut delivered {
+            q.clear();
+        }
+        self.pool = delivered;
     }
 
     /// The round epilogue: recycles the delivered buffers, counts the
@@ -750,14 +766,10 @@ impl<M: Wire + Clone> CliqueNet<M> {
             round,
             before,
             t0,
-            mut delivered,
+            delivered,
             ..
         } = open;
-        // Recycle the delivered buffers for the round after next.
-        for q in &mut delivered {
-            q.clear();
-        }
-        self.pool = delivered;
+        self.recycle(delivered);
         self.cost.rounds += 1;
         if self.tracing {
             for &(src, dst, count, words) in self.batches.entries() {

@@ -85,6 +85,7 @@ impl WordVec {
     /// A single-word buffer (inline, allocation-free) — the shape of
     /// most collective payloads.
     #[must_use]
+    #[inline]
     pub const fn one(w: u64) -> Self {
         let mut buf = [0; INLINE_WORDS];
         buf[0] = w;
@@ -95,6 +96,7 @@ impl WordVec {
 
     /// Copies `words` into a new buffer; inline when it fits.
     #[must_use]
+    #[inline]
     pub fn of(words: &[u64]) -> Self {
         if words.len() <= INLINE_WORDS {
             let mut buf = [0; INLINE_WORDS];
@@ -188,6 +190,7 @@ impl WordVec {
 
     /// Number of words held.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
@@ -204,6 +207,7 @@ impl WordVec {
 
     /// The words as a slice.
     #[must_use]
+    #[inline]
     pub fn as_slice(&self) -> &[u64] {
         match &self.repr {
             Repr::Inline { len, buf } => &buf[..*len as usize],
@@ -303,6 +307,7 @@ impl Default for WordVec {
 
 impl std::ops::Deref for WordVec {
     type Target = [u64];
+    #[inline]
     fn deref(&self) -> &[u64] {
         self.as_slice()
     }
@@ -499,6 +504,7 @@ impl<'a> IntoIterator for &'a WordVec {
 /// index (`(bit >> 6) % len`) and flips the same bit. The simulator's
 /// metered costs therefore cannot differ between the two payload types.
 impl Wire for WordVec {
+    #[inline]
     fn words(&self) -> u64 {
         (self.len() as u64).max(1)
     }

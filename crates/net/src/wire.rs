@@ -30,6 +30,7 @@ pub trait Wire {
 }
 
 impl Wire for u64 {
+    #[inline]
     fn words(&self) -> u64 {
         1
     }
@@ -41,6 +42,7 @@ impl Wire for u64 {
 }
 
 impl Wire for u32 {
+    #[inline]
     fn words(&self) -> u64 {
         1
     }
@@ -52,6 +54,7 @@ impl Wire for u32 {
 }
 
 impl Wire for usize {
+    #[inline]
     fn words(&self) -> u64 {
         1
     }
@@ -63,12 +66,14 @@ impl Wire for usize {
 }
 
 impl Wire for () {
+    #[inline]
     fn words(&self) -> u64 {
         1
     }
 }
 
 impl Wire for (u64, u64) {
+    #[inline]
     fn words(&self) -> u64 {
         2
     }
@@ -82,6 +87,7 @@ impl Wire for (u64, u64) {
 }
 
 impl Wire for (u64, u64, u64) {
+    #[inline]
     fn words(&self) -> u64 {
         3
     }

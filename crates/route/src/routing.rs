@@ -59,8 +59,10 @@ pub(crate) fn header(frame: &[u64]) -> (usize, usize) {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors; also rejects packets whose wire size
-/// exceeds one link's budget (ship wide payloads with
+/// Propagates simulator errors; also rejects, before any round runs, a
+/// packet with an endpoint outside the clique
+/// ([`NetError::BadDestination`]) and one whose wire size exceeds one
+/// link's budget (ship wide payloads with
 /// [`route_bundles`](crate::route_bundles), which fragments them).
 ///
 /// # Panics
@@ -152,7 +154,9 @@ pub(crate) fn route_frames(
     // applies), then validate sizes and split per sender.
     for f in frames {
         let (dst, src) = header(&f);
-        assert!(src < n && dst < n, "packet endpoint out of range");
+        if src >= n || dst >= n {
+            return Err(NetError::BadDestination { src, dst, n });
+        }
         if src == dst {
             arrived[dst].push((src, f));
             continue;
@@ -193,7 +197,11 @@ pub(crate) fn route_frames(
     // wall-clock in initialization and empty-queue scanning than the
     // routing itself. Iteration order (ascending destination) and
     // therefore the send schedule are identical to the dense layout.
+    // A queue that drains leaves its map for `spare`, and the next
+    // destination to need a queue takes it from there, so a destination
+    // that drains and refills round after round allocates nothing.
     let mut held: Vec<BTreeMap<usize, VecDeque<Packet>>> = vec![BTreeMap::new(); n];
+    let mut spare: Vec<VecDeque<Packet>> = Vec::new();
     // Live counts, maintained incrementally so the `work_left` check is
     // O(1) instead of an O(n²) scan per round.
     let mut spread_left: usize = spread_q.iter().map(VecDeque::len).sum();
@@ -221,7 +229,7 @@ pub(crate) fn route_frames(
                 } else {
                     held[node]
                         .entry(dst)
-                        .or_default()
+                        .or_insert_with(|| spare.pop().unwrap_or_default())
                         .push_back(env.msg.clone());
                     held_left += 1;
                 }
@@ -236,7 +244,11 @@ pub(crate) fn route_frames(
                         held_left -= 1;
                     }
                 }
-                !queue.is_empty()
+                if queue.is_empty() {
+                    spare.push(std::mem::take(queue));
+                    return false;
+                }
+                true
             });
             // 3. Phase 1 spread: one frame per intermediary per round,
             //    round-robin; self-assignments are held locally.
@@ -257,7 +269,10 @@ pub(crate) fn route_frames(
                 spread_left -= 1;
                 if inter == node {
                     let (dst, _) = header(&frame);
-                    held[node].entry(dst).or_default().push_back(frame);
+                    held[node]
+                        .entry(dst)
+                        .or_insert_with(|| spare.pop().unwrap_or_default())
+                        .push_back(frame);
                     held_left += 1;
                 } else {
                     let _ = out.send(inter, frame);
@@ -344,6 +359,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NetError::MessageTooLarge { .. }));
+    }
+
+    #[test]
+    fn out_of_range_endpoints_are_a_typed_error() {
+        let packet = |src, dst| RoutedPacket {
+            src,
+            dst,
+            payload: Packet::one(7),
+        };
+        for (src, dst) in [(0, 4), (9, 1), (4, 4)] {
+            let mut nt = net(4);
+            let err = route(&mut nt, vec![packet(1, 2), packet(src, dst)]).unwrap_err();
+            assert_eq!(err, NetError::BadDestination { src, dst, n: 4 });
+            assert_eq!(nt.cost().rounds, 0, "refused before any round runs");
+        }
     }
 
     #[test]

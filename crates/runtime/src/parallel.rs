@@ -62,7 +62,7 @@ impl ParallelBackend {
 struct Shard<M> {
     /// Staged sends per node of the chunk, in node order, up to (not
     /// including) the first offender.
-    staged: Vec<Vec<Envelope<M>>>,
+    staged: Vec<Vec<(usize, Envelope<M>)>>,
     /// The chunk's first violation, with the offending node's ID.
     error: Option<(usize, NetError)>,
     span: SpanTiming,

@@ -11,14 +11,15 @@
 //! cargo run -p cc-bench --release --bin chaos -- --emit-json chaos.json
 //! ```
 //!
-//! The printed tables are rendered *from* the emitted
-//! [`cc_trace::RunArtifact`] (schema v2: `robustness` + `whp_sweep`
-//! sections), so the JSON and the text can never drift apart. The panic
-//! line counts the `Panic` verdicts among the detected failures.
+//! The emitted [`cc_trace::RunArtifact`] stores the E17 and E17b tables
+//! it prints, so a failure's detail is kept as printed: cut at 48
+//! characters, with no fault-plan seed column. The panic line counts the `Panic` verdicts among the
+//! detected failures, and the exit code comes from the runs' verdicts.
 
-use cc_bench::artifact::experiment_record;
 use cc_bench::cli::Usage;
-use cc_bench::experiments::robustness::{e17_table, e17b_table, fault_matrix, whp_points};
+use cc_bench::experiments::robustness::{
+    e17_table, e17b_table, fault_matrix, silent_wrong, whp_points,
+};
 use cc_bench::guard::Verdict;
 use cc_trace::RunArtifact;
 
@@ -32,15 +33,13 @@ const USAGE: Usage = Usage {
 fn main() {
     let args = USAGE.parse();
     let quick = !args.has("--full");
-    let mut artifact = RunArtifact::new("chaos")
-        .with_meta("mode", if quick { "quick" } else { "full" })
-        .with_meta("schema", "cc-trace RunArtifact v2");
-    let (records, verdicts): (Vec<_>, Vec<_>) = fault_matrix(quick).into_iter().unzip();
-    artifact.robustness = records;
-    artifact.whp_sweep = whp_points(quick);
+    let runs = fault_matrix(quick);
+    let e17 = e17_table(&runs);
     // E17b renders the sweep with its paper-budget control column.
-    let e17b = e17b_table(&artifact.whp_sweep);
-    artifact.experiments.push(experiment_record(&e17b));
+    let e17b = e17b_table(&whp_points(quick));
+    let mut artifact =
+        RunArtifact::new("chaos").with_meta("mode", if quick { "quick" } else { "full" });
+    artifact.experiments = vec![e17.clone(), e17b.clone()];
 
     if let Err(problems) = artifact.validate() {
         eprintln!("internal error: artifact failed validation:");
@@ -50,14 +49,14 @@ fn main() {
         std::process::exit(3);
     }
 
-    print!("{}", e17_table(&artifact.robustness));
-    let detected = verdicts
+    print!("{e17}");
+    let detected = runs
         .iter()
-        .filter(|v| v.outcome() == "detected-failure")
+        .filter(|r| r.verdict.outcome() == "detected-failure")
         .count();
-    let panics = verdicts
+    let panics = runs
         .iter()
-        .filter(|v| matches!(v, Verdict::Panic { .. }))
+        .filter(|r| matches!(r.verdict, Verdict::Panic { .. }))
         .count();
     println!("caught panics: {panics} of {detected} detected failures");
     println!();
@@ -69,11 +68,7 @@ fn main() {
         eprintln!("wrote {path}");
     }
 
-    let silent: Vec<&cc_trace::RobustnessRecord> = artifact
-        .robustness
-        .iter()
-        .filter(|r| r.outcome == "silent-wrong-answer")
-        .collect();
+    let silent = silent_wrong(&runs);
     if !silent.is_empty() {
         for r in &silent {
             eprintln!(

@@ -12,11 +12,10 @@
 //! the committed `docs/experiment_tables.txt` (see
 //! `scripts/model_record.sh`).
 //!
-//! The printed text is rendered *from* the assembled
-//! [`cc_trace::RunArtifact`], so the `--emit-json` document and the text
-//! tables are by construction the same data.
+//! The `--emit-json` [`cc_trace::RunArtifact`] stores the printed tables
+//! themselves, followed by the headline phase breakdowns.
 
-use cc_bench::artifact::{build_artifact, record_to_table, render_tables_txt};
+use cc_bench::artifact::build_artifact;
 use cc_bench::cli::Usage;
 use cc_bench::experiments::messages::e6b_link_audit;
 use cc_bench::{select_experiments, Table};
@@ -45,8 +44,7 @@ fn main() {
         }
     }
 
-    // No claims here: the tables run is an artifact of tables alone.
-    let artifact = build_artifact("tables", quick, &tables, &[]);
+    let artifact = build_artifact("tables", quick, &tables);
     if let Err(problems) = artifact.validate() {
         eprintln!("internal error: artifact failed validation:");
         for p in &problems {
@@ -54,10 +52,11 @@ fn main() {
         }
         std::process::exit(3);
     }
-    print!("{}", render_tables_txt(&artifact));
+    for table in &tables {
+        println!("{table}");
+    }
     if let Some(dir) = csv_dir {
-        for rec in &artifact.experiments {
-            let table = record_to_table(rec);
+        for table in &tables {
             let path = format!("{dir}/{}.csv", table.id.to_lowercase());
             std::fs::write(&path, table.to_csv()).expect("write csv");
         }

@@ -1,7 +1,8 @@
 //! Renders a saved [`cc_trace::RunArtifact`] back into human-readable
-//! reports: a run summary, the claim checklist, and a per-phase cost table
-//! for every recorded algorithm breakdown — plus subcommands over raw
-//! JSONL event traces (as written by `JsonlTracer`).
+//! reports: a run summary, every table it stores (experiment tables, the
+//! claims table, phase breakdowns, E17 and E17b alike) and every metrics
+//! snapshot — plus subcommands over raw JSONL event traces (as written by
+//! `JsonlTracer`).
 //!
 //! ```text
 //! cargo run -p cc-bench --release --bin verify_claims -- --emit-json run.json
@@ -29,9 +30,7 @@
 //! Exits 2 on usage errors, and 3 if the artifact fails schema validation
 //! or a trace does not fold (e.g. it names a node outside `--n`).
 
-use cc_bench::artifact::{breakdown_table, render_checklist_txt, whp_table};
 use cc_bench::cli::{Args, Usage};
-use cc_bench::experiments::robustness::e17_table;
 use cc_profile::{diff_events, profile_table, render_diff, Profile};
 use cc_trace::export::events_from_jsonl;
 use cc_trace::{Event, RunArtifact};
@@ -153,38 +152,14 @@ fn main() {
         println!("  {k}: {v}");
     }
     println!(
-        "  {} experiment table(s), {} claim(s), {} breakdown(s), {} metrics snapshot(s)",
+        "  {} table(s), {} metrics snapshot(s)",
         artifact.experiments.len(),
-        artifact.claims.len(),
-        artifact.breakdowns.len(),
         artifact.metrics.len()
     );
-    if !artifact.robustness.is_empty() || !artifact.whp_sweep.is_empty() {
-        println!(
-            "  {} robustness record(s), {} whp sweep point(s)",
-            artifact.robustness.len(),
-            artifact.whp_sweep.len()
-        );
-    }
     println!();
 
-    if !artifact.claims.is_empty() {
-        print!("{}", render_checklist_txt(&artifact));
-        println!();
-    }
-
-    for b in &artifact.breakdowns {
-        print!("{}", breakdown_table(b));
-        println!();
-    }
-
-    if !artifact.robustness.is_empty() {
-        print!("{}", e17_table(&artifact.robustness));
-        println!();
-    }
-    if !artifact.whp_sweep.is_empty() {
-        print!("{}", whp_table(&artifact.whp_sweep));
-        println!();
+    for table in &artifact.experiments {
+        println!("{table}");
     }
 
     for (name, snap) in &artifact.metrics {

@@ -1,7 +1,8 @@
 //! Machine-checked claims: every paper claim EXPERIMENTS.md reports gets a
 //! programmatic verdict from the (quick-sweep) experiment tables, so
 //! `verify-claims` can print a one-screen PASS/FAIL checklist and CI can
-//! gate on it.
+//! gate on it. The verdicts are stored as one [`claims_table`], and the
+//! checklist is rendered from that table.
 
 use crate::experiments;
 use crate::table::Table;
@@ -23,6 +24,34 @@ fn claim(claim: &str, check: &str, pass: bool) -> ClaimResult {
         check: check.to_string(),
         pass,
     }
+}
+
+/// The verdicts as the artifact's `claims` table: claim, check, and
+/// `PASS` or `FAIL`.
+pub fn claims_table(results: &[ClaimResult]) -> Table {
+    let mut t = Table::new(
+        "claims",
+        "machine-checked paper claims",
+        &["claim", "check", "verdict"],
+    );
+    for c in results {
+        let verdict = if c.pass { "PASS" } else { "FAIL" };
+        t.push_row(vec![c.claim.clone(), c.check.clone(), verdict.into()]);
+    }
+    t
+}
+
+/// Renders a [`claims_table`] as the checklist `verify_claims` prints
+/// (the `docs/claims_checklist.txt` format).
+pub fn render_checklist_txt(quick: bool, claims: &Table) -> String {
+    let mode = if quick { "quick" } else { "full" };
+    let mut out = format!("reproduction checklist ({mode} sweeps):\n\n");
+    for row in &claims.rows {
+        out.push_str(&format!("[{}] {:<28} {}\n", row[2], row[0], row[1]));
+    }
+    let held = claims.rows.iter().filter(|row| row[2] == "PASS").count();
+    out.push_str(&format!("\n{held}/{} claims hold\n", claims.rows.len()));
+    out
 }
 
 /// Runs the quick experiment suite and evaluates every claim.
@@ -169,6 +198,24 @@ pub fn verify_all_with_tables(quick: bool) -> (Vec<ClaimResult>, Vec<Table>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checklist_renders_from_the_claims_table() {
+        let table = claims_table(&[
+            claim("Thm 4 (E1)", "demo", true),
+            claim("Thm 7 (E2)", "other", false),
+        ]);
+        assert_eq!(table.headers, ["claim", "check", "verdict"]);
+        assert_eq!(
+            render_checklist_txt(true, &table),
+            "reproduction checklist (quick sweeps):\n\n\
+             [PASS] Thm 4 (E1)                   demo\n\
+             [FAIL] Thm 7 (E2)                   other\n\
+             \n1/2 claims hold\n"
+        );
+        assert!(render_checklist_txt(false, &table)
+            .starts_with("reproduction checklist (full sweeps):"));
+    }
 
     #[test]
     fn all_claims_pass_quick() {

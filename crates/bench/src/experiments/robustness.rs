@@ -22,7 +22,6 @@ use cc_core::gc::{self, GcConfig};
 use cc_graph::connectivity::component_labels;
 use cc_graph::generators;
 use cc_net::NetConfig;
-use cc_trace::{RobustnessRecord, WhpPoint};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -70,10 +69,27 @@ pub fn ci_schedules(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
+/// One run of the fault matrix: which catalog entry ran under which
+/// schedule, and how it ended.
+#[derive(Clone, Debug)]
+pub struct FaultRun {
+    /// Catalog entry (`gc`, `exact-mst`, `kt1-mst`).
+    pub algo: &'static str,
+    /// Fault-schedule name (`drop-2pct`, `crash-1`, …).
+    pub schedule: &'static str,
+    /// Clique size.
+    pub n: usize,
+    /// Fault-plan seed.
+    pub seed: u64,
+    /// Faults injected during the run (fault + crash events).
+    pub faults: u64,
+    /// How the run ended.
+    pub verdict: Verdict,
+}
+
 /// Runs every catalog entry under every CI schedule through
-/// [`guard::run`]: one record per run (the artifact's `robustness`
-/// section), each with the verdict it renders.
-pub fn fault_matrix(quick: bool) -> Vec<(RobustnessRecord, Verdict)> {
+/// [`guard::run`]: one [`FaultRun`] per run.
+pub fn fault_matrix(quick: bool) -> Vec<FaultRun> {
     let n = if quick { 24 } else { 48 };
     let seed = 0xC1A05u64;
 
@@ -91,50 +107,56 @@ pub fn fault_matrix(quick: bool) -> Vec<(RobustnessRecord, Verdict)> {
     for (schedule, plan) in ci_schedules(seed) {
         for &(algo, entry) in &rows {
             let run = guard::run(NetConfig::kt1(n).with_seed(seed), Some(&plan), entry);
-            let record = RobustnessRecord {
-                algo: algo.into(),
-                schedule: schedule.into(),
-                n: n as u64,
+            matrix.push(FaultRun {
+                algo,
+                schedule,
+                n,
                 seed,
-                outcome: run.verdict.outcome().into(),
                 faults: run.ledger.faults(),
-                detail: run.verdict.outcome_detail(),
-            };
-            matrix.push((record, run.verdict));
+                verdict: run.verdict,
+            });
         }
     }
     matrix
 }
 
+/// The runs that returned a silent wrong answer
+/// ([`Verdict::SilentWrong`]): the failure mode validation exists to rule
+/// out, and what makes `chaos` exit non-zero.
+pub fn silent_wrong(runs: &[FaultRun]) -> Vec<&FaultRun> {
+    runs.iter()
+        .filter(|r| matches!(r.verdict, Verdict::SilentWrong { .. }))
+        .collect()
+}
+
 /// E17 — the fault matrix rendered by [`e17_table`] (the `tables`
 /// registry entry).
 pub fn e17_robustness(quick: bool) -> Table {
-    let records: Vec<RobustnessRecord> = fault_matrix(quick).into_iter().map(|(r, _)| r).collect();
-    e17_table(&records)
+    e17_table(&fault_matrix(quick))
 }
 
-/// Renders robustness records as the E17 table (`detail` cut at 48
-/// characters) — the one renderer `tables`, `chaos` and `trace_report`
-/// share.
-pub fn e17_table(records: &[RobustnessRecord]) -> Table {
+/// Renders the fault matrix as the E17 table (`detail` cut at 48
+/// characters) — the one renderer `tables` and `chaos` share.
+pub fn e17_table(runs: &[FaultRun]) -> Table {
     let mut t = Table::new(
         "E17",
         "Robustness harness: outcome per (algorithm, fault schedule); \
          silent-wrong-answer must never appear with validation on",
         &["algo", "schedule", "n", "outcome", "faults", "detail"],
     );
-    for r in records {
+    for r in runs {
+        let detail = r.verdict.outcome_detail();
         t.push_row(vec![
-            r.algo.clone(),
-            r.schedule.clone(),
+            r.algo.into(),
+            r.schedule.into(),
             r.n.to_string(),
-            r.outcome.clone(),
+            r.verdict.outcome().into(),
             r.faults.to_string(),
-            if r.detail.chars().count() > 48 {
-                let head: String = r.detail.chars().take(48).collect();
+            if detail.chars().count() > 48 {
+                let head: String = detail.chars().take(48).collect();
                 format!("{head}…")
             } else {
-                r.detail.clone()
+                detail
             },
         ]);
     }
@@ -147,7 +169,30 @@ pub fn e17_table(records: &[RobustnessRecord]) -> Table {
 /// every swept `n`.
 const STARVED_FAMILIES: usize = 3;
 
-/// The whp seed sweep (the artifact's `whp_sweep` section): sketch
+/// One point of the whp seed sweep: sketch connectivity run across
+/// `trials` independent seeds at clique size `n`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WhpPoint {
+    /// Clique size.
+    pub n: usize,
+    /// Independent seeds tried.
+    pub trials: u64,
+    /// Runs that failed (a loud error or a wrong labelling).
+    pub failures: u64,
+}
+
+impl WhpPoint {
+    /// Empirical failure rate.
+    pub fn rate(&self) -> f64 {
+        if self.trials == 0 {
+            0.0
+        } else {
+            self.failures as f64 / self.trials as f64
+        }
+    }
+}
+
+/// The whp seed sweep (E17b's starved columns): sketch
 /// connectivity with zero Lotker phases (all merging rides on sketches)
 /// and a *fixed* `STARVED_FAMILIES` family budget, run across
 /// `trials` seeds per clique size. A *failure* is a loud error or a
@@ -168,7 +213,7 @@ pub fn whp_points(quick: bool) -> Vec<WhpPoint> {
     };
     ns.iter()
         .map(|&n| WhpPoint {
-            n: n as u64,
+            n,
             trials,
             failures: sweep_failures(n, trials, &starved),
         })
@@ -214,7 +259,7 @@ pub fn e17b_table(points: &[WhpPoint]) -> Table {
     for p in points {
         // Control: same sweep under the paper's defaults (failures here
         // would indicate a harness bug, not a sketch property).
-        let control_failures = sweep_failures(p.n as usize, p.trials.min(20), &GcConfig::default());
+        let control_failures = sweep_failures(p.n, p.trials.min(20), &GcConfig::default());
         t.push_row(vec![
             p.n.to_string(),
             p.trials.to_string(),
@@ -234,31 +279,89 @@ mod tests {
     fn clean_schedule_is_all_correct_and_faulted_runs_never_lie() {
         let matrix = fault_matrix(true);
         assert_eq!(matrix.len(), ci_schedules(0).len() * 3);
-        let records: Vec<&RobustnessRecord> = matrix.iter().map(|(r, _)| r).collect();
-        for r in &records {
-            assert!(
-                cc_trace::ROBUSTNESS_OUTCOMES.contains(&r.outcome.as_str()),
-                "unknown outcome {}",
-                r.outcome
-            );
+        for r in &matrix {
             if r.schedule == "clean" {
-                assert_eq!(
-                    r.outcome, "correct",
-                    "{}: clean run not correct: {}",
-                    r.algo, r.detail
-                );
+                assert_eq!(r.verdict, Verdict::Ok, "{}: clean run not correct", r.algo);
                 assert_eq!(r.faults, 0, "{}: clean run saw faults", r.algo);
             }
-            // The headline acceptance criterion: with validation enabled,
-            // no catalog entry ever silently lies.
-            assert_ne!(
-                r.outcome, "silent-wrong-answer",
-                "{} under {} returned a silent wrong answer",
-                r.algo, r.schedule
+        }
+        // The headline acceptance criterion: with validation enabled,
+        // no catalog entry ever silently lies.
+        assert!(silent_wrong(&matrix).is_empty());
+        // Every loud failure is a typed error: a corrupted word that
+        // names no node ends KT1-MST with `malformed-message`, not an
+        // index out of bounds.
+        for r in &matrix {
+            assert!(
+                !matches!(r.verdict, Verdict::Panic { .. }),
+                "{} under {}: {:?}",
+                r.algo,
+                r.schedule,
+                r.verdict
             );
+            if r.algo == "kt1-mst" && r.schedule == "corrupt-5pct" {
+                assert_eq!(
+                    r.verdict.kind(),
+                    Some("malformed-message"),
+                    "{:?}",
+                    r.verdict
+                );
+            }
         }
         // At least one schedule must actually have injected faults.
-        assert!(records.iter().any(|r| r.faults > 0));
+        assert!(matrix.iter().any(|r| r.faults > 0));
+    }
+
+    /// `chaos` exits non-zero on exactly the runs whose verdict is
+    /// [`Verdict::SilentWrong`]; a rejected answer is a detected failure.
+    #[test]
+    fn silent_wrong_picks_the_silent_wrong_verdicts() {
+        let run = |schedule, verdict| FaultRun {
+            algo: "gc",
+            schedule,
+            n: 8,
+            seed: 1,
+            faults: 3,
+            verdict,
+        };
+        let runs = [
+            run("clean", Verdict::Ok),
+            run(
+                "drop",
+                Verdict::DetectedError {
+                    kind: "wrong-answer",
+                    detail: "forest weight differs".into(),
+                },
+            ),
+            run(
+                "corrupt",
+                Verdict::SilentWrong {
+                    detail: "labels differ".into(),
+                },
+            ),
+            run(
+                "mayhem",
+                Verdict::Panic {
+                    detail: "boom".into(),
+                },
+            ),
+        ];
+        let silent: Vec<&str> = silent_wrong(&runs).iter().map(|r| r.schedule).collect();
+        assert_eq!(silent, ["corrupt"]);
+        let e17 = e17_table(&runs);
+        assert_eq!(e17.rows[2][3], "silent-wrong-answer");
+        assert_eq!(e17.rows[1][3], "detected-failure");
+    }
+
+    #[test]
+    fn whp_rate_is_failures_over_trials() {
+        let p = |trials, failures| WhpPoint {
+            n: 16,
+            trials,
+            failures,
+        };
+        assert!((p(40, 10).rate() - 0.25).abs() < 1e-12);
+        assert_eq!(p(0, 0).rate(), 0.0);
     }
 
     #[test]

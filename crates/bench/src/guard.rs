@@ -10,7 +10,8 @@
 //! the independent differential against the sequential reference
 //! (component labels for GC, Kruskal's weight for both MSTs). Each
 //! harness only renders the verdict: the grid as `ok` / `model-reject` /
-//! `failed` plus a kind, E17 as one of [`cc_trace::ROBUSTNESS_OUTCOMES`].
+//! `failed` plus a kind, E17 as `correct`, `detected-failure` or
+//! `silent-wrong-answer` ([`Verdict::outcome`]).
 
 use cc_chaos::FaultPlan;
 use cc_core::catalog::{Answer, Entry};
@@ -18,7 +19,7 @@ use cc_core::CoreError;
 use cc_graph::connectivity::component_labels;
 use cc_graph::{mst, WGraph};
 use cc_lens::{CommLedger, LedgerTracer};
-use cc_net::{Cost, NetConfig};
+use cc_net::{Cost, NetConfig, NetError};
 use cc_route::Net;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -38,7 +39,8 @@ pub enum Verdict {
     /// Completed, accepted by its check, and equal to the sequential
     /// reference.
     Ok,
-    /// The simulator refused the run: a [`CoreError::Net`], whose
+    /// The simulator refused the run: a [`CoreError::Net`] other than
+    /// [`NetError::BadHeader`], whose
     /// [`kind`](cc_net::NetError::kind) and display name the round and
     /// link where the run first left the model.
     ModelReject {
@@ -50,11 +52,12 @@ pub enum Verdict {
     /// The run failed loudly: the sketch budget ran out
     /// (`sketch-exhausted`), a shipped bundle lost or duplicated a
     /// fragment or a sketch arrived short (`fragment-lost`), a node read
-    /// a message its protocol cannot have sent (`malformed-message`), or
+    /// a message its protocol cannot have sent (`malformed-message`, or
+    /// `bad-header` for a routed frame whose header names no node), or
     /// the check rejected the answer (`wrong-answer`).
     DetectedError {
-        /// `sketch-exhausted`, `fragment-lost`, `malformed-message` or
-        /// `wrong-answer`.
+        /// `sketch-exhausted`, `fragment-lost`, `malformed-message`,
+        /// `bad-header` or `wrong-answer`.
         kind: &'static str,
         /// The error display, or the check's reason.
         detail: String,
@@ -85,6 +88,12 @@ impl Verdict {
             Err(e) => {
                 let detail = e.to_string();
                 return match e {
+                    // A corrupted routed-frame header is bad input read,
+                    // not a rule the run broke.
+                    CoreError::Net(net @ NetError::BadHeader { .. }) => Verdict::DetectedError {
+                        kind: net.kind(),
+                        detail,
+                    },
                     CoreError::Net(net) => Verdict::ModelReject {
                         kind: net.kind(),
                         detail,
@@ -149,8 +158,9 @@ impl Verdict {
         }
     }
 
-    /// The E17 outcome, one of [`cc_trace::ROBUSTNESS_OUTCOMES`]: every
-    /// loud failure, a model refusal included, is `detected-failure`.
+    /// The E17 outcome: a run is `correct`, a `detected-failure` (every
+    /// loud failure, a model refusal included) or a
+    /// `silent-wrong-answer`.
     pub fn outcome(&self) -> &'static str {
         match self {
             Verdict::Ok => "correct",
@@ -283,6 +293,11 @@ mod tests {
             receiver: 0,
             defect: cc_lotker::Defect::Length { found: 1 },
         });
+        let bad_header = CoreError::Net(NetError::BadHeader {
+            round: 1,
+            node: 2,
+            word: None,
+        });
         // (verdict, grid status, grid kind, E17 outcome, E17 detail prefix)
         let cases = [
             (judge(Ok(()), true, true), "ok", None, "correct", ""),
@@ -329,6 +344,14 @@ mod tests {
                 "detected-failure",
                 "error: malformed message: round 4",
             ),
+            // A corrupted header is read input, not a broken model rule.
+            (
+                judge(Err(bad_header), true, true),
+                "failed",
+                Some("bad-header"),
+                "detected-failure",
+                "error: network error: round 1: node 2",
+            ),
             (
                 Verdict::Panic {
                     detail: "boom".into(),
@@ -344,10 +367,6 @@ mod tests {
             assert_eq!(verdict.kind(), kind, "{verdict:?}");
             assert_eq!(verdict.detail().is_none(), verdict == Verdict::Ok);
             assert_eq!(verdict.outcome(), outcome, "{verdict:?}");
-            assert!(
-                cc_trace::ROBUSTNESS_OUTCOMES.contains(&verdict.outcome()),
-                "{outcome} missing from cc_trace::ROBUSTNESS_OUTCOMES"
-            );
             assert!(
                 verdict.outcome_detail().starts_with(detail),
                 "{verdict:?}: {}",

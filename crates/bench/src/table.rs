@@ -2,97 +2,12 @@
 //!
 //! Every experiment produces a [`Table`]; the `tables` binary prints them
 //! and EXPERIMENTS.md records the measured values next to the paper's
-//! claims. Keeping the type dumb (strings) lets tests assert structural
-//! invariants without parsing formatted output.
+//! claims. A `Table` is `cc-trace`'s
+//! [`ExperimentRecord`](cc_trace::ExperimentRecord), the one table type a
+//! [`RunArtifact`](cc_trace::RunArtifact) stores, so what a binary prints
+//! and what it stores are the same value.
 
-use std::fmt;
-
-/// A titled table with a caption tying it to the paper's claim.
-#[derive(Clone, Debug)]
-pub struct Table {
-    /// Experiment identifier (e.g. "E1").
-    pub id: String,
-    /// What the table shows and which claim it reproduces.
-    pub caption: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Rows of cells (one string per column).
-    pub rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates an empty table.
-    pub fn new(id: &str, caption: &str, headers: &[&str]) -> Self {
-        Table {
-            id: id.to_string(),
-            caption: caption.to_string(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn push_row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Renders the table as CSV (caption as a `#` comment line).
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("# {}: {}\n", self.id, self.caption);
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Column values parsed as `f64` (for shape assertions in tests).
-    pub fn column_f64(&self, name: &str) -> Vec<f64> {
-        let idx = self
-            .headers
-            .iter()
-            .position(|h| h == name)
-            .unwrap_or_else(|| panic!("no column named {name}"));
-        self.rows
-            .iter()
-            .map(|r| r[idx].parse::<f64>().unwrap_or(f64::NAN))
-            .collect()
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "== {}: {} ==", self.id, self.caption)?;
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
-            let parts: Vec<String> = cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>width$}", c, width = widths[i]))
-                .collect();
-            writeln!(f, "| {} |", parts.join(" | "))
-        };
-        line(f, &self.headers)?;
-        let total: usize = widths.iter().sum::<usize>() + 3 * widths.len() + 1;
-        writeln!(f, "{}", "-".repeat(total))?;
-        for row in &self.rows {
-            line(f, row)?;
-        }
-        Ok(())
-    }
-}
+pub use cc_trace::ExperimentRecord as Table;
 
 /// Formats a float compactly.
 pub fn f(x: f64) -> String {
@@ -108,32 +23,6 @@ pub fn f(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn renders_and_parses() {
-        let mut t = Table::new("E0", "demo", &["n", "rounds"]);
-        t.push_row(vec!["8".into(), "12".into()]);
-        t.push_row(vec!["16".into(), "14".into()]);
-        let s = t.to_string();
-        assert!(s.contains("E0") && s.contains("rounds"));
-        assert_eq!(t.column_f64("rounds"), vec![12.0, 14.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn arity_checked() {
-        let mut t = Table::new("E0", "demo", &["a", "b"]);
-        t.push_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new("E0", "demo", &["n", "rounds"]);
-        t.push_row(vec!["8".into(), "12".into()]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("# E0: demo\n"));
-        assert!(csv.contains("n,rounds\n8,12\n"));
-    }
 
     #[test]
     fn float_formatting() {

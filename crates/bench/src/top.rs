@@ -314,7 +314,7 @@ mod tests {
     fn result_line(id: &str, cached: bool, queued: u64, finished: u64) -> String {
         format!(
             "{{\"kind\":\"result\",\"id\":\"{id}\",\"cached\":{cached},\"artifact\":{{\
-             \"schema_version\":3,\"tool\":\"t\",\"queued_unix_nanos\":{queued},\
+             \"schema_version\":4,\"tool\":\"t\",\"queued_unix_nanos\":{queued},\
              \"started_unix_nanos\":{queued},\"finished_unix_nanos\":{finished}}}}}"
         )
     }

@@ -32,6 +32,7 @@
 
 use crate::error::CoreError;
 use cc_graph::{UnionFind, WEdge, WGraph, Weight};
+use cc_lotker::{read_edge, read_pair, MalformedMessage};
 use cc_net::Cost;
 use cc_route::{broadcast_large, route, ship_direct, Net, Packet, RoutedPacket};
 use cc_sketch::{EdgeSample, GraphSketchSpace, Sketch};
@@ -76,6 +77,9 @@ pub struct Kt1MstRun {
 ///   fragment on the way.
 /// * [`CoreError::SketchSize`] if a member's sketch arrived with the
 ///   wrong word count.
+/// * [`CoreError::Malformed`] if a weight query, its answer or a merge
+///   report arrived with the wrong word count or with a word that names
+///   no node (or an edge whose endpoints coincide).
 ///
 /// # Panics
 ///
@@ -262,26 +266,30 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                 if !work {
                     break;
                 }
+                let round = net.cost().rounds;
+                let mut malformed = None;
                 net.step(|node, inbox, out| {
                     // Queue answers for arrived 2-word requests; collect
-                    // 3-word answers.
+                    // 3-word answers. The first message that is neither
+                    // ends the run once the round is over.
                     for env in inbox {
-                        match env.msg.len() {
-                            2 => {
-                                let (x, y) = (env.msg[0] as usize, env.msg[1] as usize);
+                        let read = match *env.msg {
+                            [x, y] => read_pair(x, y, n).map(|(x, y)| {
                                 if let Some(w) = g.weight_of(x, y) {
                                     answer_queues[node]
                                         .push((env.src, Packet::of(&[w, x as u64, y as u64])));
                                 }
-                            }
-                            3 => {
-                                answers.entry(node).or_default().push(WEdge::new(
-                                    env.msg[1] as usize,
-                                    env.msg[2] as usize,
-                                    env.msg[0],
-                                ));
-                            }
-                            _ => {}
+                            }),
+                            _ => read_edge(&env.msg, n)
+                                .map(|e| answers.entry(node).or_default().push(e)),
+                        };
+                        if let Err(defect) = read {
+                            malformed.get_or_insert(MalformedMessage {
+                                round,
+                                sender: env.src,
+                                receiver: node,
+                                defect,
+                            });
                         }
                     }
                     // Send queued answers, then pending requests, under the
@@ -303,6 +311,9 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                         }
                     }
                 })?;
+                if let Some(e) = malformed {
+                    return Err(CoreError::Malformed(e));
+                }
             }
 
             // Threshold update + broadcast to members.
@@ -360,6 +371,7 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                 }
             }
         })?;
+        let report_round = net.cost().rounds;
         net.step(|node, inbox, _out| {
             if node == coordinator {
                 for env in inbox {
@@ -372,10 +384,17 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
         let mut finished_roots: HashSet<usize> =
             finished_labels.iter().map(|&l| uf.find(l)).collect();
         for (src, msg) in received {
-            if msg[0] == FINISHED {
+            if *msg == [FINISHED] {
                 finished_roots.insert(uf.find(src));
             } else {
-                let e = WEdge::new(msg[1] as usize, msg[2] as usize, msg[0]);
+                let e = read_edge(&msg, n).map_err(|defect| {
+                    CoreError::Malformed(MalformedMessage {
+                        round: report_round,
+                        sender: src,
+                        receiver: coordinator,
+                        defect,
+                    })
+                })?;
                 if uf.union(e.u as usize, e.v as usize) {
                     chosen.push(e);
                     merged_any = true;

@@ -6,7 +6,6 @@
 //! blocks of the Section 3 lower bound), planted bipartite / odd-cycle
 //! inputs for Remark 5, and graphs with a prescribed number of components.
 
-use crate::edge::Edge;
 use crate::graph::{Graph, WGraph};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -278,14 +277,6 @@ pub fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
         g.add_edge(a.n() + e.u as usize, a.n() + e.v as usize);
     }
     g
-}
-
-/// All edges of `g` as a `Vec<Edge>` after a random shuffle — handy when a
-/// test needs an arbitrary edge order.
-pub fn shuffled_edges<R: Rng>(g: &Graph, rng: &mut R) -> Vec<Edge> {
-    let mut es = g.edges();
-    es.shuffle(rng);
-    es
 }
 
 /// 2-D grid graph on `rows × cols` vertices (vertex `r·cols + c`).

@@ -19,7 +19,6 @@ const NONE: u32 = u32::MAX;
 pub struct RootedForest {
     n: usize,
     parent: Vec<u32>,
-    parent_w: Vec<Option<Weight>>,
     depth: Vec<u32>,
     tree_id: Vec<u32>,
     /// `up[j][v]` = the `2^j`-th ancestor of `v` (or `NONE`).
@@ -78,7 +77,7 @@ impl RootedForest {
         let mut up = Vec::with_capacity(levels);
         let mut up_max = Vec::with_capacity(levels);
         up.push(parent.clone());
-        up_max.push(parent_w.clone());
+        up_max.push(parent_w);
         for j in 1..levels {
             let (prev_up, prev_max) = (&up[j - 1], &up_max[j - 1]);
             let mut cur_up = vec![NONE; n];
@@ -98,7 +97,6 @@ impl RootedForest {
         RootedForest {
             n,
             parent,
-            parent_w,
             depth,
             tree_id,
             up,
@@ -188,11 +186,6 @@ impl RootedForest {
         }
         debug_assert_eq!(v, anc);
         acc
-    }
-
-    /// Weight of the edge to `v`'s parent (used in tests).
-    pub fn parent_weight(&self, v: usize) -> Option<Weight> {
-        self.parent_w[v]
     }
 }
 

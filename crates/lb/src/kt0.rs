@@ -167,11 +167,6 @@ impl HardInstance {
         g
     }
 
-    /// Size of the swap family `S_G` (two variants per edge pair).
-    pub fn swap_family_size(&self) -> u64 {
-        2 * self.u_edges.len() as u64 * self.v_edges.len() as u64
-    }
-
     /// Draws a uniform member of `S_G`.
     pub fn random_swap<R: Rng + ?Sized>(&self, rng: &mut R) -> Swap {
         Swap {

@@ -42,4 +42,7 @@ pub mod run;
 
 pub use error::{Defect, LotkerError, MalformedMessage};
 pub use merge::{controlled_boruvka, Candidate, MergeOutcome};
-pub use run::{cc_mst, min_fragment_size_before_phase, reduce_components_phases, CcMstRun};
+pub use run::{
+    cc_mst, min_fragment_size_before_phase, read_edge, read_pair, reduce_components_phases,
+    CcMstRun,
+};

@@ -80,17 +80,30 @@ pub fn reduce_components_phases(n: usize) -> usize {
     v.ceil() as usize + 3
 }
 
+/// The words `u`, `v` as two distinct nodes of an `n`-clique.
+///
+/// # Errors
+///
+/// [`Defect::Endpoints`] if either names no node or both name the same.
+pub fn read_pair(u: u64, v: u64, n: usize) -> Result<(usize, usize), Defect> {
+    let node = |x: u64| usize::try_from(x).ok().filter(|&x| x < n);
+    match (node(u), node(v)) {
+        (Some(a), Some(b)) if a != b => Ok((a, b)),
+        _ => Err(Defect::Endpoints { u, v }),
+    }
+}
+
 /// The edge a `[w, u, v]` message carries, if it has three words and its
 /// endpoint words name two distinct nodes of an `n`-clique.
-fn read_edge(msg: &[u64], n: usize) -> Result<WEdge, Defect> {
+///
+/// # Errors
+///
+/// [`Defect::Length`] for any other word count, else as [`read_pair`].
+pub fn read_edge(msg: &[u64], n: usize) -> Result<WEdge, Defect> {
     let &[w, u, v] = msg else {
         return Err(Defect::Length { found: msg.len() });
     };
-    let node = |x: u64| usize::try_from(x).ok().filter(|&x| x < n);
-    match (node(u), node(v)) {
-        (Some(a), Some(b)) if a != b => Ok(WEdge::new(a, b, w)),
-        _ => Err(Defect::Endpoints { u, v }),
-    }
+    read_pair(u, v, n).map(|(a, b)| WEdge::new(a, b, w))
 }
 
 /// `edge` if `joins` holds for its endpoints, else the defect naming it.

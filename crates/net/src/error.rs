@@ -76,6 +76,18 @@ pub enum NetError {
         /// The addressed destination.
         dst: usize,
     },
+    /// A routed frame reached a node with a header word that names no
+    /// node of the clique, or too short to hold its header — what a
+    /// corrupting fault makes of a frame in flight.
+    BadHeader {
+        /// The 0-based round whose inbox held the frame.
+        round: u64,
+        /// The node that read the frame.
+        node: usize,
+        /// The header word that names no node; `None` for a frame
+        /// shorter than its header.
+        word: Option<u64>,
+    },
 }
 
 impl NetError {
@@ -90,6 +102,7 @@ impl NetError {
             NetError::PendingMessages { .. } => "pending-messages",
             NetError::RoundCapExceeded { .. } => "round-cap",
             NetError::UnicastInBroadcastModel { .. } => "unicast-in-broadcast",
+            NetError::BadHeader { .. } => "bad-header",
         }
     }
 }
@@ -136,6 +149,22 @@ impl fmt::Display for NetError {
                     "round {round}: node {src} attempted a point-to-point send to {dst} in the broadcast-only model"
                 )
             }
+            NetError::BadHeader {
+                round,
+                node,
+                word: Some(word),
+            } => write!(
+                f,
+                "round {round}: node {node} read a routed frame whose header word {word} names no node"
+            ),
+            NetError::BadHeader {
+                round,
+                node,
+                word: None,
+            } => write!(
+                f,
+                "round {round}: node {node} read a routed frame shorter than its header"
+            ),
         }
     }
 }
@@ -176,6 +205,16 @@ mod tests {
                 round: 4,
                 src: 2,
                 dst: 3,
+            },
+            NetError::BadHeader {
+                round: 4,
+                node: 2,
+                word: Some(99),
+            },
+            NetError::BadHeader {
+                round: 4,
+                node: 2,
+                word: None,
             },
         ];
         for e in cases {
@@ -218,6 +257,11 @@ mod tests {
                 src: 0,
                 dst: 1,
             },
+            NetError::BadHeader {
+                round: 0,
+                node: 0,
+                word: None,
+            },
         ];
         for e in &witnesses {
             match e {
@@ -227,7 +271,8 @@ mod tests {
                 | NetError::SelfMessage { .. }
                 | NetError::PendingMessages { .. }
                 | NetError::RoundCapExceeded { .. }
-                | NetError::UnicastInBroadcastModel { .. } => {}
+                | NetError::UnicastInBroadcastModel { .. }
+                | NetError::BadHeader { .. } => {}
             }
         }
         // Tags are stable artifact vocabulary: lowercase-kebab, unique.
@@ -250,6 +295,7 @@ mod tests {
             unique.into_iter().collect::<Vec<_>>(),
             vec![
                 "bad-destination",
+                "bad-header",
                 "link-busy",
                 "message-too-large",
                 "pending-messages",

@@ -158,8 +158,12 @@ impl<M: Wire> Outbox<'_, M> {
         Ok(())
     }
 
-    /// Remaining word budget toward `dst` this round.
+    /// Remaining word budget toward `dst` this round; 0 toward a node
+    /// outside the clique, where no send can go.
     pub fn budget_left(&self, dst: usize) -> u64 {
+        if dst >= self.rules.n {
+            return 0;
+        }
         self.rules.link_words().saturating_sub(self.links.used(dst))
     }
 }
@@ -952,6 +956,7 @@ mod tests {
                 out.send(1, 1).unwrap();
                 assert_eq!(out.budget_left(1), 4);
                 assert_eq!(out.budget_left(2), 5);
+                assert_eq!(out.budget_left(3), 0, "no budget outside the clique");
             }
         })
         .unwrap();

@@ -48,10 +48,29 @@ pub struct RoutedPacket {
 /// `[final_dst, orig_src]`.
 pub(crate) const HEADER_WORDS: u64 = 2;
 
-/// A frame's `(final_dst, orig_src)` header. A message shorter than the
-/// header can only be a stray from another collective; it panics here.
+/// A caller-built frame's `(final_dst, orig_src)` header.
 pub(crate) fn header(frame: &[u64]) -> (usize, usize) {
     (frame[0] as usize, frame[1] as usize)
+}
+
+/// The `(final_dst, orig_src)` header of a frame `node` read in `round`,
+/// if the frame holds one and both words name nodes of an `n`-clique. A
+/// frame that fails is a stray from another collective or was corrupted
+/// in flight.
+fn read_header(
+    frame: &[u64],
+    n: usize,
+    round: u64,
+    node: usize,
+) -> Result<(usize, usize), NetError> {
+    let bad = |word| NetError::BadHeader { round, node, word };
+    let &[dst, src, ..] = frame else {
+        return Err(bad(None));
+    };
+    match [dst, src].into_iter().find(|&w| w >= n as u64) {
+        Some(word) => Err(bad(Some(word))),
+        None => Ok((dst as usize, src as usize)),
+    }
 }
 
 /// Routes all packets; returns, per destination, the delivered
@@ -63,7 +82,9 @@ pub(crate) fn header(frame: &[u64]) -> (usize, usize) {
 /// packet with an endpoint outside the clique
 /// ([`NetError::BadDestination`]) and one whose wire size exceeds one
 /// link's budget (ship wide payloads with
-/// [`route_bundles`](crate::route_bundles), which fragments them).
+/// [`route_bundles`](crate::route_bundles), which fragments them). A
+/// frame that arrives with a header naming no node (a fault corrupted
+/// it in flight) ends the call with [`NetError::BadHeader`].
 ///
 /// # Panics
 ///
@@ -220,10 +241,18 @@ pub(crate) fn route_frames(
         );
         rounds_used += 1;
 
+        let round = net.cost().rounds;
+        let mut bad_header = None;
         net.step(|node, inbox, out| {
             // 1. Process arrivals: final deliveries vs. held forwards.
             for env in inbox {
-                let (dst, src) = header(&env.msg);
+                let (dst, src) = match read_header(&env.msg, n, round, node) {
+                    Ok(h) => h,
+                    Err(e) => {
+                        bad_header.get_or_insert(e);
+                        continue;
+                    }
+                };
                 if dst == node {
                     arrived[node].push((src, env.msg.clone()));
                 } else {
@@ -280,6 +309,9 @@ pub(crate) fn route_frames(
                 }
             }
         })?;
+        if let Some(e) = bad_header {
+            return Err(e);
+        }
     }
     net.end_scope();
     Ok(arrived)
@@ -373,6 +405,78 @@ mod tests {
             let err = route(&mut nt, vec![packet(1, 2), packet(src, dst)]).unwrap_err();
             assert_eq!(err, NetError::BadDestination { src, dst, n: 4 });
             assert_eq!(nt.cost().rounds, 0, "refused before any round runs");
+        }
+    }
+
+    /// Flips bit 40 of one frame in flight: the `dst` header word of
+    /// sender 1's first round-0 frame.
+    struct FlipFirstFrameOf1;
+
+    impl cc_net::FaultInjector for FlipFirstFrameOf1 {
+        fn decision(
+            &self,
+            round: u64,
+            src: usize,
+            dst: usize,
+            index: u32,
+        ) -> cc_net::FaultDecision {
+            // The deterministic rotation spreads sender 1's first frame to
+            // intermediary 2.
+            if (round, src, dst, index) == (0, 1, 2, 0) {
+                cc_net::FaultDecision::Corrupt { bit: 40 }
+            } else {
+                cc_net::FaultDecision::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_header_in_flight_is_a_typed_error() {
+        let n = 8;
+        let mut nt = net(n);
+        nt.set_fault_injector(Box::new(FlipFirstFrameOf1));
+        let packets = (0..n)
+            .flat_map(|src| {
+                (0..n).map(move |dst| RoutedPacket {
+                    src,
+                    dst,
+                    payload: Packet::one((src * n + dst) as u64),
+                })
+            })
+            .collect();
+        // Sender 1's first queued frame is bound for node 0; the flip
+        // turns its `dst` word into 2^40, and node 2 reads it in round 1.
+        let err = route_deterministic(&mut nt, packets).unwrap_err();
+        assert_eq!(
+            err,
+            NetError::BadHeader {
+                round: 1,
+                node: 2,
+                word: Some(1 << 40),
+            }
+        );
+    }
+
+    #[test]
+    fn short_or_out_of_range_headers_are_refused() {
+        assert_eq!(read_header(&[3, 1, 9], 4, 5, 2), Ok((3, 1)));
+        assert_eq!(
+            read_header(&[3], 4, 5, 2),
+            Err(NetError::BadHeader {
+                round: 5,
+                node: 2,
+                word: None
+            })
+        );
+        for (frame, word) in [([4, 1], 4), ([3, 7], 7)] {
+            assert_eq!(
+                read_header(&frame, 4, 5, 2),
+                Err(NetError::BadHeader {
+                    round: 5,
+                    node: 2,
+                    word: Some(word)
+                })
+            );
         }
     }
 

@@ -100,7 +100,7 @@ pub enum Response {
         /// Rounds completed when the phase opened.
         round: u64,
     },
-    /// Terminal: the sealed v3 [`RunArtifact`] document (compact JSON).
+    /// Terminal: the sealed v4 [`RunArtifact`] document (compact JSON).
     Result {
         /// Client-chosen job id.
         id: String,

@@ -485,6 +485,26 @@ mod tests {
             artifact.get("schema_version").and_then(Json::as_u64),
             Some(cc_trace::SCHEMA_VERSION)
         );
+        // A served artifact is metadata, tables and metrics: exactly the
+        // v4 top-level keys.
+        let Json::Obj(pairs) = artifact else {
+            panic!("the artifact is not an object: {artifact:?}")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "schema_version",
+                "generator",
+                "created_unix",
+                "queued_unix_nanos",
+                "started_unix_nanos",
+                "finished_unix_nanos",
+                "meta",
+                "experiments",
+                "metrics"
+            ]
+        );
     }
 
     #[test]

@@ -63,15 +63,6 @@ impl GraphSketchSpace {
         }
     }
 
-    /// A space with explicit shape parameters (used by size ablations).
-    pub fn with_params(n: usize, params: SketchParams, seed: u64) -> Self {
-        assert!(n >= 2, "need at least two vertices for an edge universe");
-        GraphSketchSpace {
-            n,
-            inner: SketchSpace::new(num_pairs(n), params, seed),
-        }
-    }
-
     /// `t` independent families from a base seed, as required by Theorem 1
     /// ("an independent collection of t = Θ(log n) sketches").
     pub fn family(n: usize, t: usize, base_seed: u64) -> Vec<GraphSketchSpace> {

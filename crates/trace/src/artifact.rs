@@ -1,118 +1,172 @@
 //! The versioned, machine-readable run artifact.
 //!
 //! A [`RunArtifact`] is the single JSON file a harness run leaves behind:
-//! configuration/metadata, every experiment table, every claim verdict,
-//! per-phase cost breakdowns for the headline algorithms, and metrics
-//! snapshots. The plain-text outputs (`docs/experiment_tables.txt`,
-//! `docs/claims_checklist.txt`) are *rendered from* this artifact, so the
-//! human-readable and machine-readable views cannot drift apart, and the
-//! `BENCH_*.json` performance trajectory is generated from the same file.
+//! metadata, tables and metrics snapshots. Every result a run produces —
+//! an experiment table, the claim checklist, a per-phase cost breakdown,
+//! the fault matrix, the whp sweep — is one [`ExperimentRecord`], the
+//! same value the harness prints, so the plain-text outputs
+//! (`docs/experiment_tables.txt`, `docs/claims_checklist.txt`) and the
+//! JSON cannot drift apart.
 //!
 //! The format is versioned via [`SCHEMA_VERSION`]; [`RunArtifact::validate`]
 //! checks the structural invariants the schema documents (DESIGN.md §10).
 
-use crate::event::CostSnapshot;
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
+use std::fmt;
 
 /// Current artifact schema version. Bump on any incompatible change and
 /// document the migration in DESIGN.md §10.
-///
-/// v2 (chaos): adds the `robustness` and `whp_sweep` sections for the
-/// fault-injection harness (DESIGN.md §11).
 ///
 /// v3 (serve): adds the per-job `queued_unix_nanos` / `started_unix_nanos`
 /// / `finished_unix_nanos` wall-clock fields so a served job's latency is
 /// attributable to queueing vs compute (DESIGN.md §14).
 ///
+/// v4: drops the typed `claims`, `breakdowns`, `robustness` and
+/// `whp_sweep` sections; each is now a table in `experiments`.
+///
 /// Only this version is read: older documents are refused, not migrated.
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
-/// The canonical outcome labels of the robustness taxonomy (DESIGN.md
-/// §11): a faulted run is *correct*, a *detected failure* (an error was
-/// raised, a panic caught, or the output validator rejected), or a
-/// *silent wrong answer* (validation passed but the differential check
-/// against the sequential reference disagrees).
-pub const ROBUSTNESS_OUTCOMES: [&str; 3] = ["correct", "detected-failure", "silent-wrong-answer"];
-
-/// One experiment table (mirror of `cc_bench::Table`, kept stringly so
-/// the artifact layer needs no knowledge of individual experiments).
+/// A titled table with a caption tying it to the paper's claim: one
+/// experiment table, and the one type for every tabular result a run
+/// stores. Cells are strings, so tests can assert structural invariants
+/// without parsing formatted output.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExperimentRecord {
-    /// Experiment ID (e.g. `e1`).
+    /// Table identifier, stored verbatim (e.g. `E6b`).
     pub id: String,
-    /// Caption tying the table to the paper's claim.
+    /// What the table shows and which claim it reproduces.
     pub caption: String,
     /// Column headers.
     pub headers: Vec<String>,
-    /// Rows (each exactly `headers.len()` cells).
+    /// Rows of cells (each exactly `headers.len()` cells).
     pub rows: Vec<Vec<String>>,
 }
 
-/// One machine-checked paper claim.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ClaimRecord {
-    /// Paper reference ("Thm 4 (E1)", …).
-    pub claim: String,
-    /// What was checked, in one sentence.
-    pub check: String,
-    /// Did it hold?
-    pub pass: bool,
-}
-
-/// Per-phase cost breakdown of one algorithm run (same-named scopes
-/// summed, first-appearance order).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PhaseBreakdown {
-    /// Algorithm name (`gc`, `exact-mst`, `kt1-mst`, …).
-    pub algo: String,
-    /// Clique size of the run.
-    pub n: u64,
-    /// Total metered cost.
-    pub total: CostSnapshot,
-    /// `(phase name, cost)` in execution order.
-    pub phases: Vec<(String, CostSnapshot)>,
-}
-
-/// One fault-schedule run of the robustness harness (schema v2).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RobustnessRecord {
-    /// Algorithm under test (`gc`, `exact-mst`, `kt1-mst`, …).
-    pub algo: String,
-    /// Fault-schedule name (`drop-1pct`, `crash-1`, …).
-    pub schedule: String,
-    /// Clique size.
-    pub n: u64,
-    /// Fault-plan seed.
-    pub seed: u64,
-    /// One of [`ROBUSTNESS_OUTCOMES`].
-    pub outcome: String,
-    /// Faults injected during the run (fault + crash events).
-    pub faults: u64,
-    /// Error / mismatch detail; empty for correct runs.
-    pub detail: String,
-}
-
-/// One point of the whp failure-rate seed sweep (schema v2): sketch
-/// connectivity run across `trials` independent seeds at clique size `n`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WhpPoint {
-    /// Clique size.
-    pub n: u64,
-    /// Independent seeds tried.
-    pub trials: u64,
-    /// Runs that failed (sketch exhaustion or a wrong answer).
-    pub failures: u64,
-}
-
-impl WhpPoint {
-    /// Empirical failure rate.
-    pub fn rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.failures as f64 / self.trials as f64
+impl ExperimentRecord {
+    /// Creates an empty table.
+    pub fn new(id: &str, caption: &str, headers: &[&str]) -> Self {
+        ExperimentRecord {
+            id: id.to_string(),
+            caption: caption.to_string(),
+            headers: headers.iter().map(|s| s.to_string()).collect(),
+            rows: Vec::new(),
         }
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell count differs from the header count.
+    pub fn push_row(&mut self, cells: Vec<String>) {
+        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
+        self.rows.push(cells);
+    }
+
+    /// Renders the table as CSV (caption as a `#` comment line).
+    pub fn to_csv(&self) -> String {
+        let mut out = format!("# {}: {}\n", self.id, self.caption);
+        out.push_str(&self.headers.join(","));
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&row.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Column values parsed as `f64` (for shape assertions in tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no column is named `name`.
+    pub fn column_f64(&self, name: &str) -> Vec<f64> {
+        let idx = self
+            .headers
+            .iter()
+            .position(|h| h == name)
+            .unwrap_or_else(|| panic!("no column named {name}"));
+        self.rows
+            .iter()
+            .map(|r| r[idx].parse::<f64>().unwrap_or(f64::NAN))
+            .collect()
+    }
+
+    fn to_json(&self) -> Json {
+        let strings = |cells: &[String]| Json::Arr(cells.iter().cloned().map(Json::Str).collect());
+        Json::obj(vec![
+            ("id", Json::Str(self.id.clone())),
+            ("caption", Json::Str(self.caption.clone())),
+            ("headers", strings(&self.headers)),
+            (
+                "rows",
+                Json::Arr(self.rows.iter().map(|r| strings(r)).collect()),
+            ),
+        ])
+    }
+
+    fn from_json(e: &Json) -> Result<ExperimentRecord, String> {
+        let strings = |v: &Json, what: &str| -> Result<Vec<String>, String> {
+            v.as_arr()
+                .ok_or_else(|| format!("experiment: `{what}` is not an array"))?
+                .iter()
+                .map(|s| {
+                    s.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| format!("experiment: non-string in `{what}`"))
+                })
+                .collect()
+        };
+        let field = |name: &str| {
+            e.get(name)
+                .ok_or_else(|| format!("experiment: missing `{name}`"))
+        };
+        let text = |name: &str| -> Result<String, String> {
+            field(name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("experiment: `{name}` is not a string"))
+        };
+        Ok(ExperimentRecord {
+            id: text("id")?,
+            caption: text("caption")?,
+            headers: strings(field("headers")?, "headers")?,
+            rows: field("rows")?
+                .as_arr()
+                .ok_or("experiment: `rows` is not an array")?
+                .iter()
+                .map(|r| strings(r, "rows"))
+                .collect::<Result<_, _>>()?,
+        })
+    }
+}
+
+impl fmt::Display for ExperimentRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "== {}: {} ==", self.id, self.caption)?;
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (i, c) in row.iter().enumerate() {
+                widths[i] = widths[i].max(c.len());
+            }
+        }
+        let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
+            let parts: Vec<String> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{:>width$}", c, width = widths[i]))
+                .collect();
+            writeln!(f, "| {} |", parts.join(" | "))
+        };
+        line(f, &self.headers)?;
+        let total: usize = widths.iter().sum::<usize>() + 3 * widths.len() + 1;
+        writeln!(f, "{}", "-".repeat(total))?;
+        for row in &self.rows {
+            line(f, row)?;
+        }
+        Ok(())
     }
 }
 
@@ -136,18 +190,10 @@ pub struct RunArtifact {
     pub finished_unix_nanos: u64,
     /// Free-form metadata: git commit, sweep mode, host, seeds…
     pub meta: Vec<(String, String)>,
-    /// Experiment tables.
+    /// Every table the run produced.
     pub experiments: Vec<ExperimentRecord>,
-    /// Claim verdicts.
-    pub claims: Vec<ClaimRecord>,
-    /// Per-algorithm phase breakdowns.
-    pub breakdowns: Vec<PhaseBreakdown>,
     /// Named metrics snapshots (one per traced workload).
     pub metrics: Vec<(String, MetricsSnapshot)>,
-    /// Robustness-harness outcomes (empty when the harness did not run).
-    pub robustness: Vec<RobustnessRecord>,
-    /// whp failure-rate sweep (empty when the sweep did not run).
-    pub whp_sweep: Vec<WhpPoint>,
 }
 
 impl RunArtifact {
@@ -217,73 +263,7 @@ impl RunArtifact {
                 Json::Arr(
                     self.experiments
                         .iter()
-                        .map(|e| {
-                            Json::obj(vec![
-                                ("id", Json::Str(e.id.clone())),
-                                ("caption", Json::Str(e.caption.clone())),
-                                (
-                                    "headers",
-                                    Json::Arr(e.headers.iter().cloned().map(Json::Str).collect()),
-                                ),
-                                (
-                                    "rows",
-                                    Json::Arr(
-                                        e.rows
-                                            .iter()
-                                            .map(|r| {
-                                                Json::Arr(
-                                                    r.iter().cloned().map(Json::Str).collect(),
-                                                )
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "claims",
-                Json::Arr(
-                    self.claims
-                        .iter()
-                        .map(|c| {
-                            Json::obj(vec![
-                                ("claim", Json::Str(c.claim.clone())),
-                                ("check", Json::Str(c.check.clone())),
-                                ("pass", Json::Bool(c.pass)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "breakdowns",
-                Json::Arr(
-                    self.breakdowns
-                        .iter()
-                        .map(|b| {
-                            Json::obj(vec![
-                                ("algo", Json::Str(b.algo.clone())),
-                                ("n", Json::UInt(b.n)),
-                                ("total", b.total.to_json()),
-                                (
-                                    "phases",
-                                    Json::Arr(
-                                        b.phases
-                                            .iter()
-                                            .map(|(name, cost)| {
-                                                Json::obj(vec![
-                                                    ("name", Json::Str(name.clone())),
-                                                    ("cost", cost.to_json()),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
+                        .map(ExperimentRecord::to_json)
                         .collect(),
                 ),
             ),
@@ -293,41 +273,6 @@ impl RunArtifact {
                     self.metrics
                         .iter()
                         .map(|(k, m)| (k.clone(), m.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "robustness",
-                Json::Arr(
-                    self.robustness
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("algo", Json::Str(r.algo.clone())),
-                                ("schedule", Json::Str(r.schedule.clone())),
-                                ("n", Json::UInt(r.n)),
-                                ("seed", Json::UInt(r.seed)),
-                                ("outcome", Json::Str(r.outcome.clone())),
-                                ("faults", Json::UInt(r.faults)),
-                                ("detail", Json::Str(r.detail.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "whp_sweep",
-                Json::Arr(
-                    self.whp_sweep
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("n", Json::UInt(p.n)),
-                                ("trials", Json::UInt(p.trials)),
-                                ("failures", Json::UInt(p.failures)),
-                                ("rate", Json::Float(p.rate())),
-                            ])
-                        })
                         .collect(),
                 ),
             ),
@@ -384,38 +329,7 @@ impl RunArtifact {
             .and_then(Json::as_arr)
             .ok_or("artifact: missing `experiments` array")?
             .iter()
-            .map(parse_experiment)
-            .collect::<Result<Vec<_>, _>>()?;
-        let claims = v
-            .get("claims")
-            .and_then(Json::as_arr)
-            .ok_or("artifact: missing `claims` array")?
-            .iter()
-            .map(|c| {
-                Ok(ClaimRecord {
-                    claim: c
-                        .get("claim")
-                        .and_then(Json::as_str)
-                        .ok_or("claim: missing `claim`")?
-                        .to_string(),
-                    check: c
-                        .get("check")
-                        .and_then(Json::as_str)
-                        .ok_or("claim: missing `check`")?
-                        .to_string(),
-                    pass: c
-                        .get("pass")
-                        .and_then(Json::as_bool)
-                        .ok_or("claim: missing `pass`")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let breakdowns = v
-            .get("breakdowns")
-            .and_then(Json::as_arr)
-            .ok_or("artifact: missing `breakdowns` array")?
-            .iter()
-            .map(parse_breakdown)
+            .map(ExperimentRecord::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         let metrics = match v.get("metrics") {
             Some(Json::Obj(pairs)) => pairs
@@ -424,31 +338,6 @@ impl RunArtifact {
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("artifact: missing `metrics` object".into()),
         };
-        let robustness = v
-            .get("robustness")
-            .and_then(Json::as_arr)
-            .ok_or("artifact: missing `robustness` array")?
-            .iter()
-            .map(parse_robustness)
-            .collect::<Result<Vec<_>, _>>()?;
-        let whp_sweep = v
-            .get("whp_sweep")
-            .and_then(Json::as_arr)
-            .ok_or("artifact: missing `whp_sweep` array")?
-            .iter()
-            .map(|p| {
-                let field = |name: &str| -> Result<u64, String> {
-                    p.get(name)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("whp point: missing u64 field `{name}`"))
-                };
-                Ok(WhpPoint {
-                    n: field("n")?,
-                    trials: field("trials")?,
-                    failures: field("failures")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(RunArtifact {
             schema_version,
             generator: str_field("generator")?,
@@ -458,11 +347,7 @@ impl RunArtifact {
             finished_unix_nanos: u64_field("finished_unix_nanos")?,
             meta,
             experiments,
-            claims,
-            breakdowns,
             metrics,
-            robustness,
-            whp_sweep,
         })
     }
 
@@ -518,51 +403,6 @@ impl RunArtifact {
                 }
             }
         }
-        for c in &self.claims {
-            if c.claim.is_empty() || c.check.is_empty() {
-                problems.push("claim with empty text".into());
-            }
-        }
-        for b in &self.breakdowns {
-            if b.algo.is_empty() {
-                problems.push("breakdown with empty algo name".into());
-            }
-            let phase_msgs: u64 = b.phases.iter().map(|(_, c)| c.messages).sum();
-            if phase_msgs > b.total.messages {
-                // Phases may legitimately under-cover the total (unscoped
-                // traffic), but can never exceed it — unless scopes nest,
-                // in which case inner costs are double-counted by design;
-                // tolerate up to 2× before flagging.
-                if phase_msgs > b.total.messages.saturating_mul(2) {
-                    problems.push(format!(
-                        "breakdown {}: phase messages {} exceed 2x total {}",
-                        b.algo, phase_msgs, b.total.messages
-                    ));
-                }
-            }
-        }
-        for r in &self.robustness {
-            if r.algo.is_empty() || r.schedule.is_empty() {
-                problems.push("robustness record with empty algo/schedule".into());
-            }
-            if !ROBUSTNESS_OUTCOMES.contains(&r.outcome.as_str()) {
-                problems.push(format!(
-                    "robustness {}/{}: unknown outcome `{}`",
-                    r.algo, r.schedule, r.outcome
-                ));
-            }
-        }
-        for p in &self.whp_sweep {
-            if p.trials == 0 {
-                problems.push(format!("whp point n={}: zero trials", p.n));
-            }
-            if p.failures > p.trials {
-                problems.push(format!(
-                    "whp point n={}: {} failures out of {} trials",
-                    p.n, p.failures, p.trials
-                ));
-            }
-        }
         if problems.is_empty() {
             Ok(())
         } else {
@@ -571,160 +411,26 @@ impl RunArtifact {
     }
 }
 
-fn parse_robustness(r: &Json) -> Result<RobustnessRecord, String> {
-    let s = |name: &str| -> Result<String, String> {
-        r.get(name)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("robustness: missing string field `{name}`"))
-    };
-    let u = |name: &str| -> Result<u64, String> {
-        r.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("robustness: missing u64 field `{name}`"))
-    };
-    Ok(RobustnessRecord {
-        algo: s("algo")?,
-        schedule: s("schedule")?,
-        n: u("n")?,
-        seed: u("seed")?,
-        outcome: s("outcome")?,
-        faults: u("faults")?,
-        detail: s("detail")?,
-    })
-}
-
-fn parse_experiment(e: &Json) -> Result<ExperimentRecord, String> {
-    let strings = |name: &str| -> Result<Vec<String>, String> {
-        e.get(name)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("experiment: missing `{name}`"))?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("experiment: non-string in `{name}`"))
-            })
-            .collect()
-    };
-    let rows = e
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("experiment: missing `rows`")?
-        .iter()
-        .map(|r| {
-            r.as_arr()
-                .ok_or("experiment: row is not an array")?
-                .iter()
-                .map(|c| {
-                    c.as_str()
-                        .map(str::to_string)
-                        .ok_or("experiment: non-string cell".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ExperimentRecord {
-        id: e
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or("experiment: missing `id`")?
-            .to_string(),
-        caption: e
-            .get("caption")
-            .and_then(Json::as_str)
-            .ok_or("experiment: missing `caption`")?
-            .to_string(),
-        headers: strings("headers")?,
-        rows,
-    })
-}
-
-fn parse_breakdown(b: &Json) -> Result<PhaseBreakdown, String> {
-    let phases = b
-        .get("phases")
-        .and_then(Json::as_arr)
-        .ok_or("breakdown: missing `phases`")?
-        .iter()
-        .map(|p| {
-            let name = p
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("breakdown: phase missing `name`")?
-                .to_string();
-            let cost =
-                CostSnapshot::from_json(p.get("cost").ok_or("breakdown: phase missing `cost`")?)?;
-            Ok((name, cost))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(PhaseBreakdown {
-        algo: b
-            .get("algo")
-            .and_then(Json::as_str)
-            .ok_or("breakdown: missing `algo`")?
-            .to_string(),
-        n: b.get("n")
-            .and_then(Json::as_u64)
-            .ok_or("breakdown: missing `n`")?,
-        total: CostSnapshot::from_json(b.get("total").ok_or("breakdown: missing `total`")?)?,
-        phases,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample() -> RunArtifact {
         let mut a = RunArtifact::new("test-harness").with_meta("mode", "quick");
-        a.experiments.push(ExperimentRecord {
-            id: "e1".into(),
-            caption: "demo".into(),
-            headers: vec!["n".into(), "rounds".into()],
-            rows: vec![vec!["8".into(), "12".into()]],
-        });
-        a.claims.push(ClaimRecord {
-            claim: "Thm 4".into(),
-            check: "rounds grow slowly".into(),
-            pass: true,
-        });
-        a.breakdowns.push(PhaseBreakdown {
-            algo: "gc".into(),
-            n: 64,
-            total: CostSnapshot {
-                rounds: 30,
-                messages: 1000,
-                words: 2000,
-                bits: 12000,
-            },
-            phases: vec![(
-                "phase1".into(),
-                CostSnapshot {
-                    rounds: 25,
-                    messages: 800,
-                    words: 1600,
-                    bits: 9600,
-                },
-            )],
-        });
+        let mut e1 = ExperimentRecord::new("e1", "demo", &["n", "rounds"]);
+        e1.push_row(vec!["8".into(), "12".into()]);
+        let mut claims =
+            ExperimentRecord::new("claims", "checked claims", &["claim", "check", "verdict"]);
+        claims.push_row(vec![
+            "Thm 4".into(),
+            "rounds grow slowly".into(),
+            "PASS".into(),
+        ]);
+        a.experiments = vec![e1, claims];
         a.metrics.push((
             "gc-n64".into(),
             crate::metrics::MetricsRegistry::new().snapshot(),
         ));
-        a.robustness.push(RobustnessRecord {
-            algo: "gc".into(),
-            schedule: "drop-1pct".into(),
-            n: 32,
-            seed: 7,
-            outcome: "correct".into(),
-            faults: 12,
-            detail: String::new(),
-        });
-        a.whp_sweep.push(WhpPoint {
-            n: 16,
-            trials: 40,
-            failures: 3,
-        });
         a.with_job_timestamps(100, 250, 900)
     }
 
@@ -735,6 +441,25 @@ mod tests {
         let parsed = RunArtifact::from_json_str(&text).unwrap();
         assert_eq!(parsed, a);
         parsed.validate().unwrap();
+        // The v4 document is metadata, tables and metrics, nothing else.
+        let keys: Vec<String> = match Json::parse(&text).unwrap() {
+            Json::Obj(pairs) => pairs.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            [
+                "schema_version",
+                "generator",
+                "created_unix",
+                "queued_unix_nanos",
+                "started_unix_nanos",
+                "finished_unix_nanos",
+                "meta",
+                "experiments",
+                "metrics"
+            ]
+        );
     }
 
     #[test]
@@ -759,34 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_flags_impossible_breakdowns() {
-        let mut a = sample();
-        a.breakdowns[0].phases[0].1.messages = 10_000; // > 2x total
-        assert!(a.validate().is_err());
-    }
-
-    #[test]
-    fn validate_checks_robustness_and_whp_invariants() {
-        let mut a = sample();
-        a.robustness[0].outcome = "mystery".into();
-        a.whp_sweep[0].failures = 99;
-        let problems = a.validate().unwrap_err();
-        assert!(problems.iter().any(|p| p.contains("unknown outcome")));
-        assert!(problems.iter().any(|p| p.contains("99 failures")));
-    }
-
-    #[test]
-    fn whp_rate_is_failures_over_trials() {
-        let p = WhpPoint {
-            n: 16,
-            trials: 40,
-            failures: 10,
-        };
-        assert!((p.rate() - 0.25).abs() < 1e-12);
-        assert_eq!(WhpPoint::default().rate(), 0.0);
-    }
-
-    #[test]
     fn rejects_garbage_documents() {
         assert!(RunArtifact::from_json_str("{}").is_err());
         assert!(RunArtifact::from_json_str("not json").is_err());
@@ -807,20 +504,55 @@ mod tests {
         assert!(problems.iter().any(|p| p.contains("timestamps")));
     }
 
-    /// A v2 document — the pre-serve on-disk form, with no job timestamp
-    /// fields — is refused with an error naming the schema version.
+    /// A v3 document — with the typed `claims`, `breakdowns`,
+    /// `robustness` and `whp_sweep` sections v4 dropped — is refused with
+    /// an error naming the schema version.
     #[test]
-    fn refuses_v2_documents() {
-        let mut v2 = sample().with_job_timestamps(0, 0, 0);
-        v2.schema_version = 2;
-        let text: String = v2
-            .to_json_string()
-            .lines()
-            .filter(|l| !l.contains("_unix_nanos"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let err = RunArtifact::from_json_str(&text).unwrap_err();
-        assert!(err.contains("schema_version 2"), "{err}");
-        assert!(v2.validate().unwrap_err()[0].contains("schema_version"));
+    fn refuses_v3_documents() {
+        let mut v3 = sample().to_json();
+        let Json::Obj(pairs) = &mut v3 else {
+            unreachable!("an artifact is an object")
+        };
+        pairs[0].1 = Json::UInt(3);
+        for section in ["claims", "breakdowns", "robustness", "whp_sweep"] {
+            pairs.push((section.into(), Json::Arr(Vec::new())));
+        }
+        let err = RunArtifact::from_json_str(&v3.emit_pretty()).unwrap_err();
+        assert!(err.contains("schema_version 3"), "{err}");
+        let mut a = sample();
+        a.schema_version = 3;
+        assert!(a.validate().unwrap_err()[0].contains("schema_version"));
+    }
+
+    #[test]
+    fn tables_render_and_parse() {
+        let mut t = ExperimentRecord::new("E0", "demo", &["n", "rounds"]);
+        t.push_row(vec!["8".into(), "12".into()]);
+        t.push_row(vec!["16".into(), "14".into()]);
+        assert_eq!(
+            t.to_string(),
+            "== E0: demo ==\n\
+             |  n | rounds |\n\
+             ---------------\n\
+             |  8 |     12 |\n\
+             | 16 |     14 |\n"
+        );
+        assert_eq!(t.column_f64("rounds"), vec![12.0, 14.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn arity_checked() {
+        let mut t = ExperimentRecord::new("E0", "demo", &["a", "b"]);
+        t.push_row(vec!["1".into()]);
+    }
+
+    #[test]
+    fn csv_rendering() {
+        let mut t = ExperimentRecord::new("E0", "demo", &["n", "rounds"]);
+        t.push_row(vec!["8".into(), "12".into()]);
+        let csv = t.to_csv();
+        assert!(csv.starts_with("# E0: demo\n"));
+        assert!(csv.contains("n,rounds\n8,12\n"));
     }
 }

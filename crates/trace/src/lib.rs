@@ -22,9 +22,10 @@
 //!   fold, and its phase views are `cc-profile`'s `Profile`.
 //! * [`export`] — JSONL and Chrome trace-event JSON (load in Perfetto).
 //! * [`RunArtifact`] — the versioned JSON file format
-//!   (`schema_version` = [`SCHEMA_VERSION`]) that `cc-bench` emits and
-//!   `trace_report` consumes; text tables are rendered from it so the
-//!   two views cannot drift.
+//!   (`schema_version` = [`SCHEMA_VERSION`]) that `cc-bench` and
+//!   `cc-serve` emit and `trace_report` consumes: metadata, tables and
+//!   metrics snapshots. Every table is an [`ExperimentRecord`], the same
+//!   value the harness prints, so the text and the JSON cannot drift.
 //!
 //! See DESIGN.md §10 for the schema documentation and the zero-overhead
 //! guarantee.
@@ -39,10 +40,7 @@ pub mod json;
 pub mod metrics;
 pub mod tracer;
 
-pub use artifact::{
-    ClaimRecord, ExperimentRecord, PhaseBreakdown, RobustnessRecord, RunArtifact, WhpPoint,
-    ROBUSTNESS_OUTCOMES, SCHEMA_VERSION,
-};
+pub use artifact::{ExperimentRecord, RunArtifact, SCHEMA_VERSION};
 pub use event::{CostSnapshot, Event, FaultKind, SpanTiming};
 pub use json::Json;
 pub use metrics::{HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot};

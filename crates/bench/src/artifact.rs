@@ -62,7 +62,7 @@ pub fn headline_breakdowns(quick: bool) -> Vec<Table> {
         );
         let roots = Profile::from_events(&rec.take_events()).roots;
         let phases = roots.into_iter().map(|phase| (phase.name, phase.cost));
-        for (name, c) in phases.chain([("TOTAL".to_string(), net.cost().snapshot())]) {
+        for (name, c) in phases.chain([("TOTAL".to_string(), net.cost())]) {
             t.push_row(vec![
                 name,
                 c.rounds.to_string(),

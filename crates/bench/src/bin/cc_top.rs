@@ -22,6 +22,7 @@
 
 use cc_bench::cli::{Args, Usage};
 use cc_bench::top::{render_links_pane, render_live_frame, summarize_lines};
+use cc_bench::{out, outln};
 use cc_obs::{HealthReport, WindowedSnapshot};
 use cc_trace::Json;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -50,9 +51,9 @@ fn once(args: &Args) -> Result<(), String> {
     }
     let summary = summarize_lines(text.lines())?;
     if args.has("--json") {
-        println!("{}", summary.to_json().emit());
+        outln!("{}", summary.to_json().emit());
     } else {
-        print!("{}", summary.render_text());
+        out!("{}", summary.render_text());
     }
     Ok(())
 }
@@ -116,11 +117,10 @@ fn connect(args: &Args, addr: &str) -> Result<(), String> {
             .map_err(str::to_string)?;
         let health = HealthReport::from_json(&health_json)?;
         // Clear, home, draw.
-        print!("\u{1b}[2J\u{1b}[H{}", render_live_frame(&windows, &health));
+        out!("\u{1b}[2J\u{1b}[H{}", render_live_frame(&windows, &health));
         if let Some(links) = &links {
-            print!("{}", render_links_pane(links));
+            out!("{}", render_links_pane(links));
         }
-        std::io::stdout().flush().map_err(|e| e.to_string())?;
         frame += 1;
         if iterations > 0 && frame >= iterations {
             return Ok(());

@@ -21,6 +21,7 @@ use cc_bench::experiments::robustness::{
     e17_table, e17b_table, fault_matrix, silent_wrong, whp_points,
 };
 use cc_bench::guard::Verdict;
+use cc_bench::{out, outln};
 use cc_trace::RunArtifact;
 
 const USAGE: Usage = Usage {
@@ -49,7 +50,7 @@ fn main() {
         std::process::exit(3);
     }
 
-    print!("{e17}");
+    out!("{e17}");
     let detected = runs
         .iter()
         .filter(|r| r.verdict.outcome() == "detected-failure")
@@ -58,10 +59,10 @@ fn main() {
         .iter()
         .filter(|r| matches!(r.verdict, Verdict::Panic { .. }))
         .count();
-    println!("caught panics: {panics} of {detected} detected failures");
-    println!();
-    print!("{e17b}");
-    println!();
+    outln!("caught panics: {panics} of {detected} detected failures");
+    outln!();
+    out!("{e17b}");
+    outln!();
 
     if let Some(path) = args.value("--emit-json") {
         std::fs::write(path, artifact.to_json_string()).expect("write artifact");

@@ -28,6 +28,7 @@
 
 use cc_bench::cli::{Args, Usage};
 use cc_bench::grid::{render_markdown, render_utilization_markdown, run_grid, GridConfig};
+use cc_bench::out;
 
 const USAGE: Usage = Usage {
     line: "grid [--n N] [--seed S] [--out PATH] [--markdown PATH] [--util-markdown PATH]",
@@ -39,7 +40,7 @@ const USAGE: Usage = Usage {
 /// Writes `text` to `path`, or prints it when `path` is `-`.
 fn emit(args: &Args, path: &str, text: &str) {
     if path == "-" {
-        print!("{text}");
+        out!("{text}");
     } else {
         std::fs::write(path, text)
             .unwrap_or_else(|e| args.fail(&format!("cannot write {path}: {e}")));

@@ -22,6 +22,7 @@
 
 use cc_bench::cli::{Args, Usage};
 use cc_bench::loadgen::{run_with_responses, LoadgenConfig};
+use cc_bench::outln;
 
 const USAGE: Usage = Usage {
     line: "loadgen [--clients N] [--jobs N] [--distinct N] [--seed S] [--n N] [--workers N] [--log PATH]",
@@ -83,23 +84,25 @@ fn main() {
             .unwrap_or_else(|e| args.fail(&format!("cannot write {path}: {e}")));
         eprintln!("logged {} response lines to {path}", lines.len());
     }
-    println!(
+    outln!(
         "jobs            {:>10}   ({} cold, {} duplicate answers)",
-        report.total_jobs, report.cold_runs, report.dup_answers
+        report.total_jobs,
+        report.cold_runs,
+        report.dup_answers
     );
-    println!(
+    outln!(
         "throughput      {:>10.1} jobs/s over {:.1} ms",
         report.jobs_per_sec,
         report.wall_nanos as f64 / 1e6
     );
-    println!(
+    outln!(
         "latency         p50 {:.2} ms   p95 {:.2} ms   p99 {:.2} ms   mean {:.2} ms",
         report.p50_nanos as f64 / 1e6,
         report.p95_nanos as f64 / 1e6,
         report.p99_nanos as f64 / 1e6,
         report.mean_nanos as f64 / 1e6
     );
-    println!(
+    outln!(
         "duplicate hits  {:>9.1}%   (rejected {}, evictions {})",
         report.hit_milli as f64 / 10.0,
         report.rejected,

@@ -13,6 +13,7 @@
 //! record is the default build).
 
 use cc_bench::cli::Usage;
+use cc_bench::outln;
 use cc_bench::perf::perf_tables;
 
 #[cfg(feature = "count-allocs")]
@@ -29,6 +30,6 @@ const USAGE: Usage = Usage {
 fn main() {
     USAGE.parse();
     for table in perf_tables() {
-        println!("{table}");
+        outln!("{table}");
     }
 }

@@ -18,6 +18,7 @@
 use cc_bench::artifact::build_artifact;
 use cc_bench::cli::Usage;
 use cc_bench::experiments::messages::e6b_link_audit;
+use cc_bench::outln;
 use cc_bench::{select_experiments, Table};
 
 const USAGE: Usage = Usage {
@@ -53,7 +54,7 @@ fn main() {
         std::process::exit(3);
     }
     for table in &tables {
-        println!("{table}");
+        outln!("{table}");
     }
     if let Some(dir) = csv_dir {
         for table in &tables {

@@ -31,6 +31,7 @@
 //! or a trace does not fold (e.g. it names a node outside `--n`).
 
 use cc_bench::cli::{Args, Usage};
+use cc_bench::{out, outln};
 use cc_profile::{diff_events, profile_table, render_diff, Profile};
 use cc_trace::export::events_from_jsonl;
 use cc_trace::{Event, RunArtifact};
@@ -79,7 +80,7 @@ fn lens_setup(args: &Args, events: &[cc_trace::Event]) -> (usize, cc_model::Mode
 /// (e.g. it names a node outside the `--n` clique).
 fn print_folded(path: &str, rendered: Result<String, cc_model::ModelError>) {
     match rendered {
-        Ok(text) => print!("{text}"),
+        Ok(text) => out!("{text}"),
         Err(e) => {
             eprintln!("error: cannot fold {path}: {e}");
             std::process::exit(3);
@@ -92,7 +93,7 @@ fn main() {
     let path = match args.positional.as_slice() {
         [cmd, a, b] if cmd == "diff" => {
             let d = diff_events(&read_events(a), &read_events(b));
-            print!("{}", render_diff(&d, a, b));
+            out!("{}", render_diff(&d, a, b));
             std::process::exit(if d.model_identical() { 0 } else { 1 });
         }
         [cmd, path] if cmd == "links" => {
@@ -111,7 +112,7 @@ fn main() {
             return;
         }
         [cmd, path] if cmd == "profile" => {
-            print!(
+            out!(
                 "{}",
                 profile_table(&Profile::from_events(&read_events(path)))
             );
@@ -143,32 +144,34 @@ fn main() {
         std::process::exit(3);
     }
 
-    println!("run artifact: {path}");
-    println!(
+    outln!("run artifact: {path}");
+    outln!(
         "  schema v{}  generator={}  created_unix={}",
-        artifact.schema_version, artifact.generator, artifact.created_unix
+        artifact.schema_version,
+        artifact.generator,
+        artifact.created_unix
     );
     for (k, v) in &artifact.meta {
-        println!("  {k}: {v}");
+        outln!("  {k}: {v}");
     }
-    println!(
+    outln!(
         "  {} table(s), {} metrics snapshot(s)",
         artifact.experiments.len(),
         artifact.metrics.len()
     );
-    println!();
+    outln!();
 
     for table in &artifact.experiments {
-        println!("{table}");
+        outln!("{table}");
     }
 
     for (name, snap) in &artifact.metrics {
-        println!("metrics [{name}]:");
+        outln!("metrics [{name}]:");
         for (counter, value) in &snap.counters {
-            println!("  {counter:<28} {value}");
+            outln!("  {counter:<28} {value}");
         }
         for (hist, h) in &snap.histograms {
-            println!(
+            outln!(
                 "  {hist:<28} count={} sum={} min={} max={} mean={:.1}",
                 h.count,
                 h.sum,
@@ -177,6 +180,6 @@ fn main() {
                 h.mean()
             );
         }
-        println!();
+        outln!();
     }
 }

@@ -17,6 +17,7 @@
 use cc_bench::artifact::build_artifact;
 use cc_bench::claims::{claims_table, render_checklist_txt, verify_all_with_tables};
 use cc_bench::cli::Usage;
+use cc_bench::out;
 
 const USAGE: Usage = Usage {
     line: "verify_claims [--full] [--emit-json FILE]",
@@ -39,7 +40,7 @@ fn main() {
         }
         std::process::exit(3);
     }
-    print!("{}", render_checklist_txt(quick, &records[0]));
+    out!("{}", render_checklist_txt(quick, &records[0]));
     if let Some(path) = args.value("--emit-json") {
         std::fs::write(path, artifact.to_json_string()).expect("write artifact");
         eprintln!("wrote {path}");

@@ -1,4 +1,5 @@
-//! The one argument parser the bench binaries share.
+//! The one argument parser and the one stdout writer the bench binaries
+//! share.
 //!
 //! Each binary declares a [`Usage`]: its usage line, the switches and
 //! valued flags it accepts, and whether it takes positional arguments.
@@ -6,8 +7,52 @@
 //! positional — exits 2 with the usage line instead of being ignored, so
 //! a stale flag in a script fails loudly rather than silently skipping
 //! what it used to do.
+//!
+//! The binaries print with [`out!`](crate::out) and
+//! [`outln!`](crate::outln), which exit quietly with
+//! [`BROKEN_PIPE_STATUS`] when stdout's reader went away (`tables |
+//! head`), where `print!` would panic.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::str::FromStr;
+
+/// The exit status of a bench binary whose stdout reader closed early:
+/// 128 + 13, what a shell reports for a process killed by `SIGPIPE`.
+/// It is not 0, so a gate piped into `head` never reads as a pass.
+pub const BROKEN_PIPE_STATUS: i32 = 141;
+
+/// Writes `args` to stdout and flushes it. A closed reader exits the
+/// process with [`BROKEN_PIPE_STATUS`], any other write error exits 1.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    let mut out = io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(BROKEN_PIPE_STATUS);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`](crate::cli::write_stdout).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`](crate::cli::write_stdout).
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// What one binary accepts on its command line.
 #[derive(Clone, Copy, Debug)]

@@ -2,6 +2,9 @@
 //! usage line, before doing any work. The retired gate flags are the
 //! cases that matter most — a script still passing them must fail, not
 //! silently skip the check it used to run.
+//!
+//! A binary whose stdout reader is gone exits 141, the status of a
+//! process killed by `SIGPIPE`, without a panic.
 
 use std::process::Command;
 
@@ -34,4 +37,35 @@ fn unknown_flags_and_experiment_ids_are_usage_errors() {
     refuses(env!("CARGO_BIN_EXE_verify_claims"), &["--bogus"]);
     refuses(env!("CARGO_BIN_EXE_chaos"), &["--bogus"]);
     refuses(env!("CARGO_BIN_EXE_cc-top"), &["--once", "--bogus"]);
+}
+
+/// Runs `bin` with stdout on a pipe whose read end is already closed, so
+/// its first write finds no reader.
+fn into_a_closed_pipe(bin: &str, args: &[&str]) {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(bin)
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+}
+
+#[test]
+fn a_closed_stdout_exits_141_without_a_panic() {
+    into_a_closed_pipe(env!("CARGO_BIN_EXE_tables"), &["--quick", "e1"]);
+    let trace = format!("{}/closed_pipe.jsonl", env!("CARGO_TARGET_TMPDIR"));
+    let events = [
+        cc_trace::Event::RoundStart { round: 0 },
+        cc_trace::Event::RoundEnd {
+            round: 0,
+            messages: 0,
+            words: 0,
+        },
+    ];
+    std::fs::write(&trace, cc_trace::export::to_jsonl(&events)).expect("write trace");
+    into_a_closed_pipe(env!("CARGO_BIN_EXE_trace_report"), &["profile", &trace]);
 }

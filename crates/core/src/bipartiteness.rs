@@ -66,12 +66,7 @@ pub fn bipartiteness(
     let mut cover_cfg = net_cfg.clone();
     cover_cfg.n = 2 * g.n();
     let run_d = gc::run_with(&cover, &cover_cfg, cfg)?;
-    let cost = Cost {
-        rounds: run_g.cost.rounds + run_d.cost.rounds,
-        messages: run_g.cost.messages + run_d.cost.messages,
-        words: run_g.cost.words + run_d.cost.words,
-        bits: run_g.cost.bits + run_d.cost.bits,
-    };
+    let cost = run_g.cost + run_d.cost;
     Ok(BipartitenessRun {
         bipartite: run_d.output.component_count == 2 * run_g.output.component_count,
         components_g: run_g.output.component_count,

@@ -15,7 +15,7 @@ use crate::error::CoreError;
 use crate::reduce_components::{reduce_components, ReduceOutcome};
 use cc_graph::{Edge, Graph, UnionFind};
 use cc_net::{Cost, NetConfig};
-use cc_route::{broadcast_large, gather_direct, route_bundles, shared_seed, Net, Packet};
+use cc_route::{broadcast_large, gather_direct, route_bundles, shared_seed, Bundles, Net, Packet};
 use cc_sketch::{
     decode_bundle, encode_bundle, recommended_families, spanning_forest_via_sketches,
     GraphSketchSpace, Sketch,
@@ -69,6 +69,38 @@ pub struct SpanOutcome {
     pub witnesses: Vec<Edge>,
 }
 
+/// Reads `sender`'s routed sketch bundle at `referee` and pushes its
+/// sketches, one per space, onto `rows`: the one checked read of every
+/// sketch shipment.
+///
+/// # Errors
+///
+/// * [`CoreError::Fragment`] if the bundle lost or duplicated a middle
+///   fragment.
+/// * [`CoreError::SketchSize`] if it arrived short (its last fragment
+///   lost, which sequence numbers cannot see) or not at all (`found` 0).
+pub(crate) fn take_sketches<'a, 'r>(
+    bundles: &mut Bundles,
+    referee: usize,
+    sender: usize,
+    spaces: impl IntoIterator<Item = &'a GraphSketchSpace>,
+    rows: impl IntoIterator<Item = &'r mut Vec<Sketch>>,
+) -> Result<(), CoreError> {
+    // A bundle that never arrived reads as an empty one; no sketch space
+    // is zero words wide, so the size check catches both.
+    let words = bundles.take(referee, sender)?.unwrap_or_default();
+    let sketches = decode_bundle(spaces, &words).map_err(|e| CoreError::SketchSize {
+        leader: referee,
+        member: sender,
+        expected: e.expected,
+        found: e.found,
+    })?;
+    for (row, sk) in rows.into_iter().zip(sketches) {
+        row.push(sk);
+    }
+    Ok(())
+}
+
 /// Algorithm 2: SKETCHANDSPAN on the component graph `g1`.
 ///
 /// Unfinished leaders compute `t` linear sketches of their component-graph
@@ -83,6 +115,8 @@ pub struct SpanOutcome {
 ///   Carlo failure, probability `1/n^{Ω(1)}`).
 /// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
 ///   fragment on the way.
+/// * [`CoreError::SketchSize`] if a sketch bundle arrived short (its last
+///   fragment lost) or not at all.
 pub fn sketch_and_span(
     net: &mut Net,
     g1: &ComponentGraph,
@@ -124,12 +158,7 @@ pub fn sketch_and_span(
     // Coordinator reads each sender's bundle and deserializes t sketches.
     let mut sketches: Vec<Vec<Sketch>> = vec![Vec::with_capacity(l_count); t];
     for &l in &unfinished {
-        let words = delivered
-            .take(coordinator, l)?
-            .expect("leader's sketches missing");
-        for (f, sk) in decode_bundle(&spaces, &words).into_iter().enumerate() {
-            sketches[f].push(sk);
-        }
+        take_sketches(&mut delivered, coordinator, l, &spaces, &mut sketches)?;
     }
 
     // Local Borůvka over sketches at the coordinator.
@@ -384,6 +413,126 @@ mod tests {
         let b = run_with(&g, &NetConfig::kt1(32).with_seed(5), &cfg).unwrap();
         assert_eq!(a.output, b.output);
         assert_eq!(a.cost, b.cost);
+    }
+
+    /// Drops every message the predicate picks out by `(round, src,
+    /// dst)`.
+    struct DropWhere<F>(F);
+
+    impl<F: Fn(u64, usize, usize) -> bool + Send + Sync> cc_net::FaultInjector for DropWhere<F> {
+        fn decision(&self, round: u64, src: usize, dst: usize, _: u32) -> cc_net::FaultDecision {
+            if (self.0)(round, src, dst) {
+                cc_net::FaultDecision::Drop
+            } else {
+                cc_net::FaultDecision::Deliver
+            }
+        }
+    }
+
+    /// A path at `phases: Some(0)`, where every vertex is an unfinished
+    /// leader and ships its sketches to the coordinator.
+    fn span_setup() -> (Graph, NetConfig, GcConfig) {
+        let cfg = GcConfig {
+            phases: Some(0),
+            families: None,
+        };
+        (generators::path(32), NetConfig::kt1(32).with_seed(5), cfg)
+    }
+
+    /// The first round of the sketch shipment (the first `route:route`
+    /// scope inside `phase2`) and the `(round, dst, words)` batches
+    /// leader 1 sends from it on, in a fault-free run.
+    fn leader1_shipment() -> (u64, Vec<(u64, u32, u64)>) {
+        use cc_trace::{Event, RecordingTracer};
+        let (g, net_cfg, cfg) = span_setup();
+        let mut net = Net::new(net_cfg);
+        let rec = RecordingTracer::new();
+        net.set_tracer(Box::new(rec.clone()));
+        run_on(&mut net, &g, &cfg).unwrap();
+        let events = rec.events();
+        let phase2 = events
+            .iter()
+            .position(|e| matches!(e, Event::ScopeEnter { name, .. } if name == "phase2"))
+            .expect("phase 2 ran");
+        let start = events[phase2..]
+            .iter()
+            .find_map(|e| match e {
+                Event::ScopeEnter { name, round } if name == "route:route" => Some(*round),
+                _ => None,
+            })
+            .expect("phase 2 routed its sketches");
+        let sent = events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::MessageBatch {
+                    round,
+                    src: 1,
+                    dst,
+                    words,
+                    ..
+                } if round >= start => Some((round, dst, words)),
+                _ => None,
+            })
+            .collect();
+        (start, sent)
+    }
+
+    fn run_dropping(pick: impl Fn(u64, usize, usize) -> bool + Send + Sync + 'static) -> CoreError {
+        let (g, net_cfg, cfg) = span_setup();
+        let mut net = Net::new(net_cfg);
+        net.set_fault_injector(Box::new(DropWhere(pick)));
+        run_on(&mut net, &g, &cfg).expect_err("a lost sketch bundle is an error")
+    }
+
+    #[test]
+    fn a_sketch_bundle_that_never_arrives_is_an_error() {
+        // Leader 1's is the first bundle the coordinator reads off the
+        // network; everything it sends from the shipment on is lost.
+        let (start, _) = leader1_shipment();
+        let err = run_dropping(move |round, src, _| src == 1 && round >= start);
+        assert!(
+            matches!(
+                err,
+                CoreError::SketchSize {
+                    leader: 0,
+                    member: 1,
+                    expected,
+                    found: 0,
+                } if expected > 0
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_sketch_bundle_that_arrives_short_is_an_error() {
+        // Leader 1 relays only toward the coordinator, so what it sends
+        // anywhere else is its own frames, one per intermediary per round;
+        // the one shorter frame among them is its bundle's last fragment.
+        let (_, sent) = leader1_shipment();
+        let own: Vec<_> = sent.into_iter().filter(|&(_, dst, _)| dst != 0).collect();
+        let full = own
+            .iter()
+            .map(|&(_, _, w)| w)
+            .max()
+            .expect("leader 1 spread frames");
+        let tails: Vec<_> = own.iter().filter(|&&(_, _, w)| w < full).collect();
+        assert_eq!(tails.len(), 1, "one ragged last fragment: {own:?}");
+        let &(at, to, _) = tails[0];
+        let err =
+            run_dropping(move |round, src, dst| round == at && src == 1 && dst == to as usize);
+        assert!(
+            matches!(
+                err,
+                CoreError::SketchSize {
+                    leader: 0,
+                    member: 1,
+                    expected,
+                    found,
+                } if 0 < found && found < expected
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

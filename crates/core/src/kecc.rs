@@ -53,10 +53,7 @@ pub fn k_edge_connectivity(
         let mut c = net_cfg.clone();
         c.seed = net_cfg.seed.wrapping_add(i as u64 + 1);
         let run = gc::run_with(&remaining, &c, cfg)?;
-        cost.rounds += run.cost.rounds;
-        cost.messages += run.cost.messages;
-        cost.words += run.cost.words;
-        cost.bits += run.cost.bits;
+        cost += run.cost;
         if run.output.spanning_forest.is_empty() {
             break; // nothing left to peel
         }
@@ -90,6 +87,8 @@ pub fn k_edge_connectivity(
 /// * [`CoreError::SketchExhausted`] on sampler failure.
 /// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
 ///   fragment on the way.
+/// * [`CoreError::SketchSize`] if a sketch bundle arrived short (its last
+///   fragment lost) or not at all.
 ///
 /// # Panics
 ///
@@ -102,8 +101,7 @@ pub fn k_edge_connectivity_sketch(
 ) -> Result<KeccRun, CoreError> {
     use cc_route::{broadcast_large, route_bundles, shared_seed, Net};
     use cc_sketch::{
-        decode_bundle, encode_bundle, recommended_families, spanning_forest_via_sketches,
-        GraphSketchSpace, Sketch,
+        encode_bundle, recommended_families, spanning_forest_via_sketches, GraphSketchSpace, Sketch,
     };
 
     assert!(k >= 1, "k must be positive");
@@ -136,13 +134,8 @@ pub fn k_edge_connectivity_sketch(
     // sketches[p][f][v]
     let mut sketches: Vec<Vec<Vec<Sketch>>> = vec![vec![Vec::with_capacity(n); t]; k];
     for v in 0..n {
-        let words = delivered
-            .take(coordinator, v)?
-            .expect("node sketches missing");
-        let node_sketches = decode_bundle(spaces.iter().flatten(), &words);
-        for (j, sk) in node_sketches.into_iter().enumerate() {
-            sketches[j / t][j % t].push(sk);
-        }
+        let (flat, rows) = (spaces.iter().flatten(), sketches.iter_mut().flatten());
+        gc::take_sketches(&mut delivered, coordinator, v, flat, rows)?;
     }
     let ids: Vec<usize> = (0..n).collect();
     let mut certificate: Vec<Edge> = Vec::new();

@@ -150,7 +150,9 @@ impl SketchConnectivity {
             } else {
                 &self.received[v]
             };
-            for (f, sk) in decode_bundle(&self.spaces, bundle).into_iter().enumerate() {
+            let bundle = decode_bundle(&self.spaces, bundle)
+                .expect("every bundle was checked complete above");
+            for (f, sk) in bundle.into_iter().enumerate() {
                 sketches[f].push(sk);
             }
         }

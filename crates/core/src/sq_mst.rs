@@ -24,13 +24,13 @@
 //!    coordinator and broadcast.
 
 use crate::error::CoreError;
+use crate::gc::take_sketches;
 use cc_graph::{UnionFind, WEdge};
 use cc_route::{
     broadcast_large, distributed_sort, route, route_bundles, shared_seed, Net, Packet, RoutedPacket,
 };
 use cc_sketch::{
-    decode_bundle, encode_bundle, recommended_families, spanning_forest_via_sketches,
-    GraphSketchSpace, Sketch,
+    encode_bundle, recommended_families, spanning_forest_via_sketches, GraphSketchSpace, Sketch,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -62,6 +62,8 @@ pub struct SqMstConfig {
 /// * [`CoreError::SketchExhausted`] on Monte Carlo sampler failure.
 /// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
 ///   fragment on the way.
+/// * [`CoreError::SketchSize`] if a sketch bundle arrived short (its last
+///   fragment lost) or not at all.
 ///
 /// # Panics
 ///
@@ -201,10 +203,7 @@ pub fn sq_mst(
             let spaces = all_spaces[i].as_ref().unwrap();
             let mut sketches: Vec<Vec<Sketch>> = vec![Vec::with_capacity(inst.vertices.len()); t];
             for &v in &inst.vertices {
-                let words = sketch_bundles.take(i, v)?.expect("vertex sketches missing");
-                for (f, sk) in decode_bundle(spaces, &words).into_iter().enumerate() {
-                    sketches[f].push(sk);
-                }
+                take_sketches(&mut sketch_bundles, i, v, spaces, &mut sketches)?;
             }
             let forest = spanning_forest_via_sketches(spaces, &inst.vertices, &sketches);
             if forest.exhausted {

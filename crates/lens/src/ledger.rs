@@ -646,11 +646,11 @@ mod tests {
             round_end(1, 1, 2),
             Event::ScopeExit {
                 name: "inner".into(),
-                delta: cc_trace::CostSnapshot::default(),
+                delta: cc_trace::Cost::default(),
             },
             Event::ScopeExit {
                 name: "outer".into(),
-                delta: cc_trace::CostSnapshot::default(),
+                delta: cc_trace::Cost::default(),
             },
             Event::RoundStart { round: 2 },
             batch(2, 1, 0, 1, 4),

@@ -313,7 +313,7 @@ mod tests {
             },
             Event::ScopeExit {
                 name: "route:scatter".into(),
-                delta: cc_trace::CostSnapshot::default(),
+                delta: cc_trace::Cost::default(),
             },
         ];
         CommLedger::fold(4, &spec, &events).unwrap()

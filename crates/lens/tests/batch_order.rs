@@ -8,7 +8,7 @@
 
 use cc_lens::CommLedger;
 use cc_model::ModelSpec;
-use cc_trace::{CostSnapshot, Event, FaultKind};
+use cc_trace::{Cost, Event, FaultKind};
 use proptest::prelude::*;
 
 /// SplitMix64: the stream generator's only source of randomness.
@@ -46,7 +46,7 @@ fn random_run(n: usize, rounds: usize, bw: u64, rng: &mut Mix) -> Run {
         if !open.is_empty() && rng.below(3) == 0 {
             before.push(Event::ScopeExit {
                 name: open.pop().unwrap().into(),
-                delta: CostSnapshot::default(),
+                delta: Cost::default(),
             });
         }
         if rng.below(3) == 0 {

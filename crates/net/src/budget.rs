@@ -6,8 +6,9 @@
 //! as standalone pieces so alternative drivers (notably the parallel
 //! execution engine in `cc-runtime`) enforce *exactly* the same contract:
 //! [`SendRules`] binds a [`cc_model::ModelSpec`] to a clique size and a
-//! round, and [`LinkUse`] is the per-sender scratch ledger of words
-//! already charged toward each destination this round.
+//! round, and [`LinkUse`] is the per-sender scratch ledger of messages
+//! and words already charged toward each destination this round — the
+//! same ledger the net meters its costs and trace batches from.
 //!
 //! [`LinkUse`] is deliberately not thread-safe: every sender's budget is
 //! independent, so a parallel driver gives each worker its own ledger and
@@ -148,14 +149,23 @@ impl SendRules {
     }
 }
 
-/// One sender's per-destination word ledger for the current round.
+/// One sender's per-destination ledger for the current round: the
+/// messages and words it has charged toward each destination.
 ///
-/// Reset between nodes in `O(destinations touched)`, not `O(n)`, so a
-/// driver can reuse one ledger across all nodes of a round (or one per
-/// worker thread) without quadratic clearing cost.
+/// The ledger is the net's one meter. The budget check reads its words;
+/// [`CliqueNet`](crate::CliqueNet) takes the sender's [`Cost`] increments
+/// and, when tracing, its `MessageBatch` rows from it in the pass that
+/// clears it ([`drain`](Self::drain)). Clearing costs `O(destinations
+/// touched)`, not `O(n)`, so a driver can reuse one ledger across all
+/// nodes of a round (or one per worker thread) without quadratic
+/// clearing cost.
+///
+/// [`Cost`]: crate::Cost
 #[derive(Clone, Debug)]
 pub struct LinkUse {
-    used: Vec<u64>,
+    /// `(messages, words)` charged toward each destination.
+    used: Vec<(u32, u64)>,
+    /// Destinations charged since the last clear, unsorted.
     touched: Vec<usize>,
 }
 
@@ -163,7 +173,7 @@ impl LinkUse {
     /// A fresh ledger for an `n`-node clique.
     pub fn new(n: usize) -> Self {
         LinkUse {
-            used: vec![0; n],
+            used: vec![(0, 0); n],
             touched: Vec::new(),
         }
     }
@@ -171,24 +181,49 @@ impl LinkUse {
     /// Words already charged toward `dst`.
     #[inline]
     pub fn used(&self, dst: usize) -> u64 {
-        self.used[dst]
+        self.used[dst].1
     }
 
-    /// Charges `words` toward `dst`.
+    /// Charges one message of `words` words toward `dst`.
     #[inline]
     pub fn charge(&mut self, dst: usize, words: u64) {
-        if self.used[dst] == 0 {
+        let slot = &mut self.used[dst];
+        if slot.0 == 0 {
             self.touched.push(dst);
         }
-        self.used[dst] += words;
+        slot.0 += 1;
+        slot.1 += words;
     }
 
-    /// Clears the ledger for the next sender.
+    /// Clears the ledger for the next sender and returns what `src`
+    /// charged: `(messages, words)`. With `rows`, also appends one
+    /// `(src, dst, messages, words)` row per destination charged, in
+    /// destination order.
+    #[inline]
+    pub fn drain(
+        &mut self,
+        src: usize,
+        mut rows: Option<&mut Vec<(u32, u32, u32, u64)>>,
+    ) -> (u64, u64) {
+        if rows.is_some() {
+            self.touched.sort_unstable();
+        }
+        let (mut messages, mut words) = (0u64, 0u64);
+        for dst in self.touched.drain(..) {
+            let (count, w) = std::mem::take(&mut self.used[dst]);
+            messages += u64::from(count);
+            words += w;
+            if let Some(rows) = rows.as_deref_mut() {
+                rows.push((src as u32, dst as u32, count, w));
+            }
+        }
+        (messages, words)
+    }
+
+    /// Clears the ledger for the next sender, discarding its charges.
     #[inline]
     pub fn reset(&mut self) {
-        for dst in self.touched.drain(..) {
-            self.used[dst] = 0;
-        }
+        self.drain(0, None);
     }
 }
 
@@ -314,5 +349,39 @@ mod tests {
         l.reset();
         assert_eq!(l.used(3), 0);
         assert_eq!(l.used(5), 0);
+    }
+
+    #[test]
+    fn drain_aggregates_per_link_in_destination_order() {
+        let mut l = LinkUse::new(4);
+        let mut rows = Vec::new();
+        // Sender 0: two messages to 3, one to 1 (charged out of dst order).
+        l.charge(3, 2);
+        l.charge(1, 1);
+        l.charge(3, 1);
+        assert_eq!(l.drain(0, Some(&mut rows)), (3, 4));
+        // Sender 2: one message to 0.
+        l.charge(0, 5);
+        assert_eq!(l.drain(2, Some(&mut rows)), (1, 5));
+        assert_eq!(rows, [(0, 1, 1, 1), (0, 3, 2, 3), (2, 0, 1, 5)]);
+        assert_eq!(l.used(3), 0, "drain clears the ledger");
+    }
+
+    #[test]
+    fn drain_of_a_silent_sender_is_empty() {
+        let mut l = LinkUse::new(2);
+        let mut rows = Vec::new();
+        assert_eq!(l.drain(0, Some(&mut rows)), (0, 0));
+        assert_eq!(l.drain(1, None), (0, 0));
+        assert!(rows.is_empty());
+    }
+
+    #[test]
+    fn drain_without_rows_still_totals() {
+        let mut l = LinkUse::new(8);
+        l.charge(7, 3);
+        l.charge(2, 1);
+        assert_eq!(l.drain(5, None), (2, 4));
+        assert_eq!(l.drain(5, None), (0, 0));
     }
 }

@@ -14,7 +14,8 @@
 //!   the node callbacks run elsewhere) and silent-round fast-forwarding.
 //!   It is the workspace's one round engine; `cc-runtime`'s backends run
 //!   their rounds through it.
-//! * [`Cost`] — the metered totals; [`CliqueNet::begin_scope`] /
+//! * [`Cost`] — the metered totals (`cc-trace`'s type, so the events
+//!   carry the same struct); [`CliqueNet::begin_scope`] /
 //!   [`CliqueNet::end_scope`] attribute cost to algorithm phases, and the
 //!   attached [`cc_trace::Tracer`]'s event stream is the run's one
 //!   per-link, per-phase record.
@@ -32,17 +33,18 @@
 //! per message ([`WordVec`]'s accessors, [`Wire::words`], [`LinkUse`]'s
 //! ledger, [`SendRules::validate`]'s accept test) are `#[inline]`, so
 //! they join it there without link-time optimisation, and building a
-//! refused send's error is kept out of line. Each sender is metered
-//! once, after its last message, and a delivered [`Envelope`] holds only
-//! its sender and payload.
+//! refused send's error is kept out of line. Each message is metered
+//! once, as one [`LinkUse`] charge (the one its budget check makes, or
+//! under [`CliqueNet::step_staged`] the one the net makes for it); after
+//! a sender's last message the net drains that ledger into the [`Cost`]
+//! totals and, when tracing, the round's `MessageBatch` rows. A
+//! delivered [`Envelope`] holds only its sender and payload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 pub mod budget;
 pub mod config;
-pub mod cost;
 pub mod error;
 pub mod fault;
 pub mod net;
@@ -52,8 +54,8 @@ pub mod wire;
 
 pub use budget::{LinkUse, SendRules};
 pub use cc_model::{LinkMode, Mapping, ModelError, ModelSpec};
+pub use cc_trace::Cost;
 pub use config::{Knowledge, NetConfig, DEFAULT_LINK_WORDS};
-pub use cost::Cost;
 pub use error::NetError;
 pub use fault::{apply_faults, FaultDecision, FaultInjector, FaultOutcome, FaultRecord, NoFaults};
 pub use net::{CliqueNet, Envelope, Outbox, RoundPlan, StagedRound};

@@ -37,16 +37,14 @@
 //! shape makes non-local reads glaring in review, which is the discipline
 //! this simulator relies on (it does not memory-protect states).
 
-use crate::batch::RoundBatches;
 use crate::budget::{LinkUse, SendRules};
 use crate::config::{Knowledge, NetConfig};
-use crate::cost::Cost;
 use crate::error::NetError;
 use crate::fault::{apply_faults, FaultInjector, FaultRecord};
 use crate::ports::PortMap;
 use crate::wire::Wire;
 use cc_model::LinkMode;
-use cc_trace::{Event, FaultKind, NullTracer, SpanTiming, Tracer};
+use cc_trace::{Cost, Event, FaultKind, NullTracer, SpanTiming, Tracer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -252,11 +250,13 @@ pub struct CliqueNet<M> {
     /// Recycled staging buffer of `step`'s outbox (the fault-free path
     /// drains it into the inboxes after each sender).
     staged_pool: Vec<(usize, Envelope<M>)>,
-    /// The per-sender link ledger `step`'s outbox charges, reset after
-    /// each sender that sent and kept across rounds.
+    /// The per-sender link ledger: `step`'s outbox charges it,
+    /// `step_staged` charges it from the staged sends, and each sender's
+    /// costs and batch rows are drained from it. Kept across rounds.
     links: LinkUse,
-    /// Pooled flat per-link batch accumulator (tracing only).
-    batches: RoundBatches,
+    /// This round's `(src, dst, count, words)` batch rows in `(src, dst)`
+    /// order, drained from the ledger (tracing only; capacity retained).
+    batches: Vec<(u32, u32, u32, u64)>,
 }
 
 impl<M: Wire> CliqueNet<M> {
@@ -295,7 +295,7 @@ impl<M: Wire> CliqueNet<M> {
             pool: (0..n).map(|_| Vec::new()).collect(),
             staged_pool: Vec::new(),
             links: LinkUse::new(n),
-            batches: RoundBatches::new(),
+            batches: Vec::new(),
         }
     }
 
@@ -381,10 +381,7 @@ impl<M: Wire> CliqueNet<M> {
         let (name, start) = self.scopes.pop().expect("no open scope");
         let delta = self.cost.since(&start);
         if self.tracing {
-            self.tracer.record(Event::ScopeExit {
-                name,
-                delta: delta.snapshot(),
-            });
+            self.tracer.record(Event::ScopeExit { name, delta });
         }
         delta
     }
@@ -544,8 +541,13 @@ impl<M: Wire + Clone> CliqueNet<M> {
                 // A silent sender charged nothing and delivers nothing.
                 continue;
             }
-            outbox.links.reset();
-            self.deliver_sender(node, round, &mut outbox.staged, &mut fault_records);
+            self.deliver_sender(
+                node,
+                round,
+                outbox.links,
+                &mut outbox.staged,
+                &mut fault_records,
+            );
         }
         self.staged_pool = outbox.staged;
         self.links = links;
@@ -561,10 +563,12 @@ impl<M: Wire + Clone> CliqueNet<M> {
     /// Everything but the callbacks is [`step`](Self::step)'s: the same
     /// round cap, prologue events, crash and squeeze decisions, and
     /// deferred-message merge. `compute` receives this round's inboxes
-    /// and a [`RoundPlan`] and returns every sender's staged envelopes;
-    /// the net then meters, aggregates batches, applies faults, and
-    /// delivers them in sender-ID order through the per-sender code
-    /// `step` uses, so the two are observationally identical.
+    /// and a [`RoundPlan`] and returns every sender's staged envelopes.
+    /// The callbacks checked their sends against ledgers of their own, so
+    /// the net charges its ledger from the staged sends, then meters,
+    /// applies faults and delivers them in sender-ID order through the
+    /// per-sender code `step` uses: the two are observationally
+    /// identical.
     ///
     /// # Errors
     ///
@@ -589,10 +593,15 @@ impl<M: Wire + Clone> CliqueNet<M> {
         let senders = error.as_ref().map_or(self.cfg.n, |&(node, _)| node);
         debug_assert!(staged.len() >= senders, "compute staged every sender");
         let mut fault_records: Vec<FaultRecord> = Vec::new();
+        let mut links = std::mem::replace(&mut self.links, LinkUse::new(0));
         for (node, mut sent) in staged.into_iter().enumerate().take(senders) {
             debug_assert!(sent.is_empty() || !plan.is_crashed(node));
-            self.deliver_sender(node, open.round, &mut sent, &mut fault_records);
+            for (dst, env) in &sent {
+                links.charge(*dst, env.msg.words().max(1));
+            }
+            self.deliver_sender(node, open.round, &mut links, &mut sent, &mut fault_records);
         }
+        self.links = links;
         if let Some((_, e)) = error {
             self.recycle(open.delivered);
             return Err(e);
@@ -676,12 +685,11 @@ impl<M: Wire + Clone> CliqueNet<M> {
                 q.sort_by_key(|e| e.src);
             }
         }
-        // Per-link batches are aggregated flat and pre-fault: the stream
-        // is a deterministic function of the sends alone, and the send
-        // happened and was charged whatever a fault does to it later.
-        if self.tracing {
-            self.batches.begin_round(n);
-        }
+        // Per-link batches come from the ledger, so they are pre-fault:
+        // the stream is a deterministic function of the sends alone, and
+        // the send happened and was charged whatever a fault does to it
+        // later.
+        self.batches.clear();
         Ok(OpenRound {
             round,
             before,
@@ -692,33 +700,26 @@ impl<M: Wire + Clone> CliqueNet<M> {
         })
     }
 
-    /// Meters one sender's staged envelopes, folds them into the round's
-    /// batches, passes them through the injector if one is attached, and
-    /// delivers them, leaving `staged` empty. Senders must arrive in
-    /// ascending ID order, which is what makes every inbox `(src,
-    /// send-index)` sorted by construction.
+    /// Meters one sender from its drained ledger (and, when tracing,
+    /// appends its batch rows), passes its staged envelopes through the
+    /// injector if one is attached, and delivers them, leaving `staged`
+    /// empty. Senders must arrive in ascending ID order, which is what
+    /// makes every inbox `(src, send-index)` sorted and the batch rows
+    /// `(src, dst)` sorted by construction.
     ///
-    /// The sender's words are summed in a local and added to the running
-    /// totals once, after its last message: the per-message work is one
-    /// `words()` call and one push.
+    /// The ledger already holds the sender's per-link totals, so the
+    /// per-message work here is one push.
     #[inline]
     fn deliver_sender(
         &mut self,
         node: usize,
         round: u64,
+        links: &mut LinkUse,
         staged: &mut Vec<(usize, Envelope<M>)>,
         fault_records: &mut Vec<FaultRecord>,
     ) {
-        let messages = staged.len() as u64;
-        let mut words = 0u64;
+        let (messages, words) = links.drain(node, self.tracing.then_some(&mut self.batches));
         if self.faulty {
-            for (dst, env) in staged.iter() {
-                let w = env.msg.words().max(1);
-                words += w;
-                if self.tracing {
-                    self.batches.add(*dst as u32, w);
-                }
-            }
             let inj = self.fault.as_deref().expect("faulty implies injector");
             let outcome = apply_faults(inj, round, std::mem::take(staged));
             for (dst, env) in outcome.deliver {
@@ -730,16 +731,8 @@ impl<M: Wire + Clone> CliqueNet<M> {
             fault_records.extend(outcome.records);
         } else {
             for (dst, env) in staged.drain(..) {
-                let w = env.msg.words().max(1);
-                words += w;
-                if self.tracing {
-                    self.batches.add(dst as u32, w);
-                }
                 self.inboxes[dst].push(env);
             }
-        }
-        if self.tracing {
-            self.batches.flush_sender(node as u32);
         }
         self.cost.messages += messages;
         self.cost.words += words;
@@ -776,7 +769,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
         self.recycle(delivered);
         self.cost.rounds += 1;
         if self.tracing {
-            for &(src, dst, count, words) in self.batches.entries() {
+            for &(src, dst, count, words) in &self.batches {
                 self.tracer.record(Event::MessageBatch {
                     round,
                     src,
@@ -1178,6 +1171,53 @@ mod trace_tests {
         assert_eq!(spans, 12);
         // Model events exclude the spans.
         assert!(rec.model_events().iter().all(Event::is_model));
+    }
+
+    #[test]
+    fn batches_are_per_round_and_sorted_by_src_then_dst() {
+        let (mut nt, rec) = traced_net(4);
+        nt.step(|node, _, out| match node {
+            // Two messages to 3 and one to 1, sent out of dst order.
+            0 => {
+                out.send(3, 1).unwrap();
+                out.send(1, 2).unwrap();
+                out.send(3, 3).unwrap();
+            }
+            2 => out.send(0, 4).unwrap(),
+            _ => {}
+        })
+        .unwrap();
+        nt.step(|node, _, out| {
+            if node == 3 {
+                out.send(1, 5).unwrap();
+            }
+        })
+        .unwrap();
+        nt.step(|_, _, _| {}).unwrap();
+        let batches: Vec<_> = rec
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::MessageBatch {
+                    round,
+                    src,
+                    dst,
+                    count,
+                    words,
+                } => Some((round, src, dst, count, words)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            batches,
+            [
+                (0, 0, 1, 1, 1),
+                (0, 0, 3, 2, 2),
+                (0, 2, 0, 1, 1),
+                (1, 3, 1, 1, 1)
+            ],
+            "silent senders and the silent round add no rows"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! table, never as a divergence.
 
 use crate::profile::Profile;
-use cc_trace::{CostSnapshot, Event};
+use cc_trace::{Cost, Event};
 use std::fmt::Write as _;
 
 /// The first point where two model-event streams disagree.
@@ -45,9 +45,9 @@ pub struct PhaseDelta {
     /// same-named scopes across the tree (see `flat_phase_totals`).
     pub name: String,
     /// Run A's summed cost for the phase.
-    pub cost_a: Option<CostSnapshot>,
+    pub cost_a: Option<Cost>,
     /// Run B's summed cost.
-    pub cost_b: Option<CostSnapshot>,
+    pub cost_b: Option<Cost>,
     /// Run A's total wall nanoseconds attributed to the phase.
     pub wall_a: u64,
     /// Run B's total wall nanoseconds.
@@ -140,21 +140,18 @@ pub fn describe_event(ev: &Event) -> String {
     }
 }
 
-fn flat_phase_totals(p: &Profile) -> Vec<(String, CostSnapshot, u64)> {
+fn flat_phase_totals(p: &Profile) -> Vec<(String, Cost, u64)> {
     // The one flattening of the phase tree: same-named scopes summed
     // across the whole tree, first-appearance (pre-order) order.
     fn walk(
         nodes: &[crate::profile::PhaseNode],
         order: &mut Vec<String>,
-        acc: &mut Vec<(String, CostSnapshot, u64)>,
+        acc: &mut Vec<(String, Cost, u64)>,
     ) {
         for n in nodes {
             match acc.iter_mut().find(|(name, _, _)| *name == n.name) {
                 Some((_, cost, wall)) => {
-                    cost.rounds += n.cost.rounds;
-                    cost.messages += n.cost.messages;
-                    cost.words += n.cost.words;
-                    cost.bits += n.cost.bits;
+                    *cost += n.cost;
                     *wall += n.total_wall_nanos();
                 }
                 None => {
@@ -267,7 +264,7 @@ pub fn render_diff(d: &TraceDiff, label_a: &str, label_b: &str) -> String {
         out,
         "----------------------------------------------------------------------------------------------"
     );
-    let opt = |c: &Option<CostSnapshot>, f: fn(&CostSnapshot) -> u64| {
+    let opt = |c: &Option<Cost>, f: fn(&Cost) -> u64| {
         c.as_ref().map(|c| f(c).to_string()).unwrap_or("-".into())
     };
     for ph in &d.phases {
@@ -328,7 +325,7 @@ mod tests {
             },
             Event::ScopeExit {
                 name: "p".into(),
-                delta: CostSnapshot {
+                delta: Cost {
                     rounds: 1,
                     messages: 1,
                     words: 2,
@@ -389,7 +386,7 @@ mod tests {
         });
         b.push(Event::ScopeExit {
             name: "extra".into(),
-            delta: CostSnapshot::default(),
+            delta: Cost::default(),
         });
         let d = diff_events(&a, &b);
         assert_eq!(d.phases.len(), 2);

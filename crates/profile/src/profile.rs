@@ -13,7 +13,7 @@
 //! [`Profile::unbalanced_scopes`] rather than by corrupting the tree.
 
 use cc_trace::metrics::{HistogramSnapshot, LogHistogram};
-use cc_trace::{CostSnapshot, Event};
+use cc_trace::{Cost, Event};
 use std::fmt::Write as _;
 
 /// One phase (scope) of the tree. Same-named scopes entered at the same
@@ -27,7 +27,7 @@ pub struct PhaseNode {
     pub calls: u64,
     /// Metered cost summed over the scope's exit deltas. Scope deltas
     /// nest in `cc-net`, so this already *includes* children.
-    pub cost: CostSnapshot,
+    pub cost: Cost,
     /// Wall-clock nanoseconds ([`Event::RoundWall`]) attributed to this
     /// scope alone — rounds executed while it was the innermost open
     /// scope.
@@ -65,15 +65,10 @@ impl PhaseNode {
     /// Metered cost *excluding* children (saturating: nested scope deltas
     /// double-count by design, so a child can meter more than its parent
     /// saw — the floor is 0, never a panic).
-    pub fn self_cost(&self) -> CostSnapshot {
-        let mut c = self.cost;
-        for ch in &self.children {
-            c.rounds = c.rounds.saturating_sub(ch.cost.rounds);
-            c.messages = c.messages.saturating_sub(ch.cost.messages);
-            c.words = c.words.saturating_sub(ch.cost.words);
-            c.bits = c.bits.saturating_sub(ch.cost.bits);
-        }
-        c
+    pub fn self_cost(&self) -> Cost {
+        self.children
+            .iter()
+            .fold(self.cost, |c, ch| c.since(&ch.cost))
     }
 
     fn model_phase(&self) -> ModelPhase {
@@ -95,7 +90,7 @@ pub struct ModelPhase {
     /// Enter count.
     pub calls: u64,
     /// Summed exit deltas.
-    pub cost: CostSnapshot,
+    pub cost: Cost,
     /// Child phases.
     pub children: Vec<ModelPhase>,
 }
@@ -203,10 +198,7 @@ impl Profile {
                         p.unbalanced_scopes += 1;
                     } else {
                         let node = node_at(&mut forest, &path);
-                        node.cost.rounds += delta.rounds;
-                        node.cost.messages += delta.messages;
-                        node.cost.words += delta.words;
-                        node.cost.bits += delta.bits;
+                        node.cost += *delta;
                         path.pop();
                     }
                 }
@@ -367,8 +359,8 @@ pub fn profile_table(p: &Profile) -> String {
 mod tests {
     use super::*;
 
-    fn cost(rounds: u64, messages: u64) -> CostSnapshot {
-        CostSnapshot {
+    fn cost(rounds: u64, messages: u64) -> Cost {
+        Cost {
             rounds,
             messages,
             words: messages,

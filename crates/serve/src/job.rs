@@ -19,7 +19,7 @@ use cc_graph::{generators, Graph, WGraph};
 use cc_net::NetConfig;
 use cc_route::Net;
 use cc_runtime::Runtime;
-use cc_trace::{CostSnapshot, Json, Tracer};
+use cc_trace::{Cost, Json, Tracer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -433,7 +433,7 @@ pub struct ExecOutcome {
     /// `(metric, value)` rows for the artifact's summary table.
     pub summary: Vec<(String, String)>,
     /// Total metered cost of the run.
-    pub cost: CostSnapshot,
+    pub cost: Cost,
 }
 
 /// The graph a spec builds: unweighted for `gc-sketch` and `rt-conn`,
@@ -493,7 +493,7 @@ fn run_entry(
     cfg: NetConfig,
     tracer: Box<dyn Tracer>,
     summary: &mut Vec<(String, String)>,
-) -> Result<cc_net::Cost, String> {
+) -> Result<Cost, String> {
     let id = entry.id();
     let mut net = Net::new(cfg);
     net.set_tracer(tracer);
@@ -528,7 +528,7 @@ fn run_rt_conn<B: cc_runtime::Backend>(
     tracer: Box<dyn Tracer>,
     g: &Graph,
     summary: &mut Vec<(String, String)>,
-) -> Result<cc_net::Cost, String> {
+) -> Result<Cost, String> {
     rt.set_tracer(tracer);
     let out = run_connectivity(&mut rt, &g.adjacency_lists(), None, SERVE_ROUND_CAP)
         .map_err(|e| format!("rt-conn: {e}"))?;
@@ -586,8 +586,7 @@ pub fn execute(spec: &JobSpec, tracer: Box<dyn Tracer>) -> Result<ExecOutcome, S
                 spec.algorithm.tag()
             ))
         }
-    }
-    .snapshot();
+    };
     summary.push(("rounds".into(), cost.rounds.to_string()));
     summary.push(("messages".into(), cost.messages.to_string()));
     summary.push(("words".into(), cost.words.to_string()));

@@ -15,7 +15,7 @@
 //! wraps an ℓ0 [`SketchSpace`] over the edge universe
 //! with this encoding.
 
-use crate::l0::{BatchScratch, Sample, Sketch, SketchParams, SketchSpace};
+use crate::l0::{BatchScratch, Sample, Sketch, SketchParams, SketchSizeError, SketchSpace};
 use cc_graph::{edge_from_index, edge_index, num_pairs};
 
 /// Reusable scratch for batched neighborhood sketching
@@ -247,22 +247,29 @@ where
 
 /// Splits an [`encode_bundle`] bundle back into one sketch per space.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with "sketch bundle size mismatch" on a wrong word count.
+/// [`SketchSizeError`] with the bundle's expected and found word counts
+/// if `words` is not exactly one sketch per space long: a bundle that
+/// lost its last fragment on the way, or arrived empty.
 pub fn decode_bundle<'a>(
     spaces: impl IntoIterator<Item = &'a GraphSketchSpace>,
     mut words: &[u64],
-) -> Vec<Sketch> {
+) -> Result<Vec<Sketch>, SketchSizeError> {
     let spaces: Vec<&GraphSketchSpace> = spaces.into_iter().collect();
-    let total: usize = spaces.iter().map(|sp| sp.sketch_words()).sum();
-    assert_eq!(words.len(), total, "sketch bundle size mismatch");
+    let expected: usize = spaces.iter().map(|sp| sp.sketch_words()).sum();
+    if words.len() != expected {
+        return Err(SketchSizeError {
+            expected,
+            found: words.len(),
+        });
+    }
     let piece = |sp: &GraphSketchSpace| {
         let (head, tail) = words.split_at(sp.sketch_words());
         words = tail;
         sp.sketch_from_words(head.to_vec())
     };
-    spaces.into_iter().map(piece).collect()
+    Ok(spaces.into_iter().map(piece).collect())
 }
 
 #[cfg(test)]
@@ -410,18 +417,29 @@ mod tests {
         let mut scratch = NeighborhoodScratch::default();
         let words = encode_bundle(&spaces, 4, neigh.iter().copied(), &mut scratch);
         assert_eq!(words.len(), 3 * spaces[0].sketch_words());
-        let back = decode_bundle(&spaces, &words);
+        let back = decode_bundle(&spaces, &words).unwrap();
         for (sp, sk) in spaces.iter().zip(&back) {
             assert_eq!(sk, &sp.sketch_neighborhood(4, neigh));
         }
     }
 
     #[test]
-    #[should_panic(expected = "sketch bundle size mismatch")]
     fn bundle_of_the_wrong_length_is_refused() {
         let spaces = GraphSketchSpace::family(10, 2, 11);
-        let words = vec![0; 2 * spaces[0].sketch_words() - 1];
-        let _ = decode_bundle(&spaces, &words);
+        let expected = 2 * spaces[0].sketch_words();
+        let words = vec![0; expected - 1];
+        assert_eq!(
+            decode_bundle(&spaces, &words),
+            Err(SketchSizeError {
+                expected,
+                found: expected - 1
+            })
+        );
+        assert_eq!(
+            decode_bundle(&spaces, &[]).map_err(|e| e.found),
+            Err(0),
+            "an absent bundle is an empty one"
+        );
     }
 
     proptest! {

@@ -4,14 +4,21 @@
 //! complexity* is the total number of messages (each of `O(log n)` bits)
 //! sent by all machines. The simulator additionally tracks words and bits so
 //! that bandwidth ablations (Theorems 4/7 "furthermore") stay honest.
-//! [`CliqueNet`](crate::CliqueNet) keeps one running [`Cost`] total;
-//! its named scopes return their deltas and emit them as
-//! `ScopeExit` events, so phases ("Phase 1: Lotker preprocessing" vs
-//! "Phase 2: sketching") are read from the event stream.
+//! `cc_net::CliqueNet` keeps one running [`Cost`] total; its named scopes
+//! return their deltas and emit them as [`Event::ScopeExit`] events, so
+//! phases ("Phase 1: Lotker preprocessing" vs "Phase 2: sketching") are
+//! read from the event stream.
+//!
+//! The struct lives here, below the simulator in the dependency DAG, so
+//! the net's totals, the events' deltas and the profiles folded from them
+//! are one type. `cc-net` re-exports it.
+//!
+//! [`Event::ScopeExit`]: crate::Event::ScopeExit
 
+use crate::json::Json;
 use std::fmt;
 
-/// A cost snapshot/delta.
+/// A cost total or delta.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Cost {
     /// Synchronous rounds elapsed.
@@ -27,12 +34,10 @@ pub struct Cost {
 impl Cost {
     /// Component-wise difference `self − earlier`, saturating at zero.
     ///
-    /// The saturating behaviour is uniform across debug and release
-    /// builds (this used to panic in debug and wrap in release). Cost
-    /// counters are monotone, so a deficit can only arise from comparing
-    /// snapshots of *different* networks or passing the arguments in the
-    /// wrong order; use [`Cost::checked_since`] to detect that instead of
-    /// silently clamping.
+    /// Cost counters are monotone, so a deficit can only arise from
+    /// comparing totals of *different* networks or passing the arguments
+    /// in the wrong order; the difference then clamps instead of
+    /// wrapping, in every build.
     pub fn since(&self, earlier: &Cost) -> Cost {
         Cost {
             rounds: self.rounds.saturating_sub(earlier.rounds),
@@ -42,26 +47,33 @@ impl Cost {
         }
     }
 
-    /// Component-wise difference `self − earlier`, or `None` if `earlier`
-    /// exceeds `self` in any component (i.e. the snapshots are not an
-    /// ordered pair from one monotone counter).
-    pub fn checked_since(&self, earlier: &Cost) -> Option<Cost> {
-        Some(Cost {
-            rounds: self.rounds.checked_sub(earlier.rounds)?,
-            messages: self.messages.checked_sub(earlier.messages)?,
-            words: self.words.checked_sub(earlier.words)?,
-            bits: self.bits.checked_sub(earlier.bits)?,
-        })
+    /// JSON object form.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("rounds", Json::UInt(self.rounds)),
+            ("messages", Json::UInt(self.messages)),
+            ("words", Json::UInt(self.words)),
+            ("bits", Json::UInt(self.bits)),
+        ])
     }
 
-    /// Conversion to the tracing layer's mirror struct.
-    pub fn snapshot(&self) -> cc_trace::CostSnapshot {
-        cc_trace::CostSnapshot {
-            rounds: self.rounds,
-            messages: self.messages,
-            words: self.words,
-            bits: self.bits,
-        }
+    /// Parses the object form.
+    ///
+    /// # Errors
+    ///
+    /// Names the missing/ill-typed field.
+    pub fn from_json(v: &Json) -> Result<Cost, String> {
+        let field = |name: &str| -> Result<u64, String> {
+            v.get(name)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("cost snapshot: missing u64 field `{name}`"))
+        };
+        Ok(Cost {
+            rounds: field("rounds")?,
+            messages: field("messages")?,
+            words: field("words")?,
+            bits: field("bits")?,
+        })
     }
 }
 
@@ -114,7 +126,7 @@ mod tests {
         let d = a.since(&b);
         assert_eq!(d.rounds, 3);
         assert_eq!(d.messages, 6);
-        assert_eq!(a.checked_since(&b), Some(d));
+        assert_eq!(d + b, a);
     }
 
     #[test]
@@ -137,9 +149,6 @@ mod tests {
         assert_eq!(d.messages, 1);
         assert_eq!(d.words, 0);
         assert_eq!(d.bits, 0);
-        // The checked variant surfaces the mistake instead.
-        assert_eq!(small.checked_since(&big), None);
-        assert_eq!(big.checked_since(&small), None, "messages deficit");
     }
 
     #[test]
@@ -164,7 +173,25 @@ mod tests {
     }
 
     #[test]
-    fn display_is_nonempty() {
-        assert!(!Cost::default().to_string().is_empty());
+    fn display_names_every_field() {
+        let c = Cost {
+            rounds: 1,
+            messages: 2,
+            words: 3,
+            bits: 4,
+        };
+        assert_eq!(c.to_string(), "rounds=1 messages=2 words=3 bits=4");
+    }
+
+    #[test]
+    fn json_round_trip() {
+        let c = Cost {
+            rounds: u64::MAX,
+            messages: 1,
+            words: 2,
+            bits: 3,
+        };
+        assert_eq!(Cost::from_json(&c.to_json()).unwrap(), c);
+        assert!(Cost::from_json(&Json::Null).is_err());
     }
 }

@@ -11,53 +11,8 @@
 //!   per-worker round spans). These legitimately differ run to run and are
 //!   excluded from equivalence checks via [`Event::is_model`].
 
+use crate::cost::Cost;
 use crate::json::Json;
-
-/// A rounds/messages/words/bits quadruple (mirror of `cc_net::Cost`,
-/// duplicated here so the tracing layer sits *below* the simulator in the
-/// dependency DAG).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostSnapshot {
-    /// Synchronous rounds.
-    pub rounds: u64,
-    /// Messages sent.
-    pub messages: u64,
-    /// Words sent.
-    pub words: u64,
-    /// Bits sent.
-    pub bits: u64,
-}
-
-impl CostSnapshot {
-    /// JSON object form.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("rounds", Json::UInt(self.rounds)),
-            ("messages", Json::UInt(self.messages)),
-            ("words", Json::UInt(self.words)),
-            ("bits", Json::UInt(self.bits)),
-        ])
-    }
-
-    /// Parses the object form.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing/ill-typed field.
-    pub fn from_json(v: &Json) -> Result<CostSnapshot, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("cost snapshot: missing u64 field `{name}`"))
-        };
-        Ok(CostSnapshot {
-            rounds: field("rounds")?,
-            messages: field("messages")?,
-            words: field("words")?,
-            bits: field("bits")?,
-        })
-    }
-}
 
 /// A per-worker compute span for one executed round, reported by the
 /// parallel runtime backend. Handed back to the net out-of-band so worker
@@ -153,7 +108,7 @@ pub enum Event {
         /// Scope name.
         name: String,
         /// Cost accrued inside the scope.
-        delta: CostSnapshot,
+        delta: Cost,
     },
     /// All same-destination messages one node sent in one round.
     MessageBatch {
@@ -398,7 +353,7 @@ impl Event {
             }),
             "scope_exit" => Ok(Event::ScopeExit {
                 name: s("name")?,
-                delta: CostSnapshot::from_json(
+                delta: Cost::from_json(
                     v.get("delta")
                         .ok_or("event `scope_exit`: missing `delta`")?,
                 )?,
@@ -482,7 +437,7 @@ mod tests {
     fn json_form_carries_kind_and_fields() {
         let ev = Event::ScopeExit {
             name: "phase1".into(),
-            delta: CostSnapshot {
+            delta: Cost {
                 rounds: 2,
                 messages: 3,
                 words: 4,
@@ -491,7 +446,7 @@ mod tests {
         };
         let j = ev.to_json();
         assert_eq!(j.get("ev").unwrap().as_str(), Some("scope_exit"));
-        let delta = CostSnapshot::from_json(j.get("delta").unwrap()).unwrap();
+        let delta = Cost::from_json(j.get("delta").unwrap()).unwrap();
         assert_eq!(delta.messages, 3);
     }
 
@@ -544,7 +499,7 @@ mod tests {
             },
             Event::ScopeExit {
                 name: "phase1".into(),
-                delta: CostSnapshot {
+                delta: Cost {
                     rounds: 1,
                     messages: 2,
                     words: 3,
@@ -601,17 +556,5 @@ mod tests {
         let ev = Event::RoundWall { round: 3, nanos: 5 };
         assert!(!ev.is_model());
         assert_eq!(ev.kind(), "round_wall");
-    }
-
-    #[test]
-    fn cost_snapshot_round_trip() {
-        let c = CostSnapshot {
-            rounds: u64::MAX,
-            messages: 1,
-            words: 2,
-            bits: 3,
-        };
-        assert_eq!(CostSnapshot::from_json(&c.to_json()).unwrap(), c);
-        assert!(CostSnapshot::from_json(&Json::Null).is_err());
     }
 }

@@ -176,7 +176,7 @@ pub fn events_from_jsonl(text: &str) -> Result<Vec<Event>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CostSnapshot;
+    use crate::cost::Cost;
 
     fn sample() -> Vec<Event> {
         vec![
@@ -204,7 +204,7 @@ mod tests {
             },
             Event::ScopeExit {
                 name: "phase1".into(),
-                delta: CostSnapshot {
+                delta: Cost {
                     rounds: 1,
                     messages: 2,
                     words: 4,

@@ -8,6 +8,8 @@
 //! nothing: `cc-net` (and everything above it) depends on `cc-trace`, not
 //! the other way around.
 //!
+//! * [`Cost`] — rounds, messages, words and bits: the simulator's
+//!   running totals and every scope delta an event carries.
 //! * [`Event`] — typed events: round start/end, scope (phase)
 //!   enter/exit, per-(src, dst) message batches, fast-forward jumps, and
 //!   wall-clock compute spans. Model events are deterministic per
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+pub mod cost;
 pub mod event;
 pub mod export;
 pub mod json;
@@ -41,7 +44,11 @@ pub mod metrics;
 pub mod tracer;
 
 pub use artifact::{ExperimentRecord, RunArtifact, SCHEMA_VERSION};
-pub use event::{CostSnapshot, Event, FaultKind, SpanTiming};
+pub use cost::Cost;
+/// [`Cost`] under its former name, which the `benchmark/` package still
+/// uses.
+pub use cost::Cost as CostSnapshot;
+pub use event::{Event, FaultKind, SpanTiming};
 pub use json::Json;
 pub use metrics::{HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot};
 pub use tracer::{JsonlTracer, NullTracer, RecordingTracer, Tracer};

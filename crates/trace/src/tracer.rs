@@ -169,7 +169,7 @@ impl<W: Write + Send> Tracer for JsonlTracer<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CostSnapshot;
+    use crate::cost::Cost;
 
     #[test]
     fn null_tracer_is_disabled() {
@@ -200,7 +200,7 @@ mod tests {
         let mut t = JsonlTracer::new(Vec::new());
         t.record(Event::ScopeExit {
             name: "p".into(),
-            delta: CostSnapshot::default(),
+            delta: Cost::default(),
         });
         t.record(Event::RoundEnd {
             round: 3,

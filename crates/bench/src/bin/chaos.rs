@@ -50,6 +50,12 @@ fn main() {
         std::process::exit(3);
     }
 
+    // The file first: a stdout reader that closes early ends the run.
+    if let Some(path) = args.value("--emit-json") {
+        std::fs::write(path, artifact.to_json_string()).expect("write artifact");
+        eprintln!("wrote {path}");
+    }
+
     out!("{e17}");
     let detected = runs
         .iter()
@@ -63,11 +69,6 @@ fn main() {
     outln!();
     out!("{e17b}");
     outln!();
-
-    if let Some(path) = args.value("--emit-json") {
-        std::fs::write(path, artifact.to_json_string()).expect("write artifact");
-        eprintln!("wrote {path}");
-    }
 
     let silent = silent_wrong(&runs);
     if !silent.is_empty() {

@@ -53,9 +53,7 @@ fn main() {
         }
         std::process::exit(3);
     }
-    for table in &tables {
-        outln!("{table}");
-    }
+    // Files first: a stdout reader that closes early ends the run.
     if let Some(dir) = csv_dir {
         for table in &tables {
             let path = format!("{dir}/{}.csv", table.id.to_lowercase());
@@ -65,5 +63,8 @@ fn main() {
     if let Some(path) = args.value("--emit-json") {
         std::fs::write(path, artifact.to_json_string()).expect("write artifact");
         eprintln!("wrote {path}");
+    }
+    for table in &tables {
+        outln!("{table}");
     }
 }

@@ -40,11 +40,12 @@ fn main() {
         }
         std::process::exit(3);
     }
-    out!("{}", render_checklist_txt(quick, &records[0]));
+    // The file first: a stdout reader that closes early ends the run.
     if let Some(path) = args.value("--emit-json") {
         std::fs::write(path, artifact.to_json_string()).expect("write artifact");
         eprintln!("wrote {path}");
     }
+    out!("{}", render_checklist_txt(quick, &records[0]));
     if results.iter().any(|c| !c.pass) {
         std::process::exit(1);
     }

@@ -34,9 +34,9 @@
 //!
 //! Machine-level accounting (the k-machine axis) is one fold: every
 //! workload runs under a [`LedgerTracer`], whose `CommLedger` prices each
-//! [`cc_trace::Event::MessageBatch`] through a [`cc_model::MachineLedger`]
-//! under the cell's mapping as it is emitted — the same fold that yields
-//! the utilization section.
+//! round's link table through a [`cc_model::MachineLedger`] under the
+//! cell's mapping as the round closes — the same fold that yields the
+//! utilization section.
 //!
 //! Results are emitted as a schema-versioned [`GridArtifact`] (written
 //! by `grid --out`; nothing reads it back) and rendered to the E22 and

@@ -40,7 +40,7 @@ pub enum Verdict {
     /// reference.
     Ok,
     /// The simulator refused the run: a [`CoreError::Net`] other than
-    /// [`NetError::BadHeader`], whose
+    /// [`NetError::BadHeader`] and [`NetError::BadAnnouncement`], whose
     /// [`kind`](cc_net::NetError::kind) and display name the round and
     /// link where the run first left the model.
     ModelReject {
@@ -52,12 +52,13 @@ pub enum Verdict {
     /// The run failed loudly: the sketch budget ran out
     /// (`sketch-exhausted`), a shipped bundle lost or duplicated a
     /// fragment or a sketch arrived short (`fragment-lost`), a node read
-    /// a message its protocol cannot have sent (`malformed-message`, or
-    /// `bad-header` for a routed frame whose header names no node), or
+    /// a message its protocol cannot have sent (`malformed-message`,
+    /// `bad-header` for a routed frame whose header names no node, or
+    /// `bad-announcement` for a KT0 ID announcement that names none), or
     /// the check rejected the answer (`wrong-answer`).
     DetectedError {
         /// `sketch-exhausted`, `fragment-lost`, `malformed-message`,
-        /// `bad-header` or `wrong-answer`.
+        /// `bad-header`, `bad-announcement` or `wrong-answer`.
         kind: &'static str,
         /// The error display, or the check's reason.
         detail: String,
@@ -88,9 +89,11 @@ impl Verdict {
             Err(e) => {
                 let detail = e.to_string();
                 return match e {
-                    // A corrupted routed-frame header is bad input read,
-                    // not a rule the run broke.
-                    CoreError::Net(net @ NetError::BadHeader { .. }) => Verdict::DetectedError {
+                    // A corrupted routed-frame header or KT0 announcement
+                    // is bad input read, not a rule the run broke.
+                    CoreError::Net(
+                        net @ (NetError::BadHeader { .. } | NetError::BadAnnouncement { .. }),
+                    ) => Verdict::DetectedError {
                         kind: net.kind(),
                         detail,
                     },
@@ -291,12 +294,21 @@ mod tests {
             round: 4,
             sender: 1,
             receiver: 0,
-            defect: cc_lotker::Defect::Length { found: 1 },
+            defect: cc_lotker::Defect::Length {
+                found: 1,
+                expected: 3,
+            },
         });
         let bad_header = CoreError::Net(NetError::BadHeader {
             round: 1,
             node: 2,
             word: None,
+        });
+        let bad_announcement = CoreError::Net(NetError::BadAnnouncement {
+            round: 1,
+            node: 3,
+            src: 0,
+            word: Some(9),
         });
         // (verdict, grid status, grid kind, E17 outcome, E17 detail prefix)
         let cases = [
@@ -351,6 +363,13 @@ mod tests {
                 Some("bad-header"),
                 "detected-failure",
                 "error: network error: round 1: node 2",
+            ),
+            (
+                judge(Err(bad_announcement), true, true),
+                "failed",
+                Some("bad-announcement"),
+                "detected-failure",
+                "error: network error: round 1: node 3",
             ),
             (
                 Verdict::Panic {

@@ -4,7 +4,8 @@
 //! silently skip the check it used to run.
 //!
 //! A binary whose stdout reader is gone exits 141, the status of a
-//! process killed by `SIGPIPE`, without a panic.
+//! process killed by `SIGPIPE`, without a panic, and the files it was
+//! asked to write are already written.
 
 use std::process::Command;
 
@@ -68,4 +69,23 @@ fn a_closed_stdout_exits_141_without_a_panic() {
     ];
     std::fs::write(&trace, cc_trace::export::to_jsonl(&events)).expect("write trace");
     into_a_closed_pipe(env!("CARGO_BIN_EXE_trace_report"), &["profile", &trace]);
+}
+
+#[test]
+fn a_closed_stdout_still_leaves_the_requested_files() {
+    let dir = format!("{}/closed_pipe_files", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let json = format!("{dir}/tables.json");
+    std::fs::create_dir_all(&dir).expect("create dir");
+    into_a_closed_pipe(
+        env!("CARGO_BIN_EXE_tables"),
+        &["--quick", "--csv", &dir, "--emit-json", &json, "e1"],
+    );
+    let text = std::fs::read_to_string(&json).expect("artifact written");
+    let artifact = cc_trace::RunArtifact::from_json_str(&text).expect("artifact parses");
+    assert_eq!(artifact.validate(), Ok(()));
+    assert!(
+        std::fs::metadata(format!("{dir}/e1.csv")).is_ok(),
+        "csv written"
+    );
 }

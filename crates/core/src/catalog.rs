@@ -158,4 +158,49 @@ mod tests {
         run.complete = false;
         assert!(entry.check(&Answer::Kt1Mst(run)).is_err());
     }
+
+    /// Defers one message: link `src → dst`'s first send of `round`.
+    struct DeferOne {
+        round: u64,
+        src: usize,
+        dst: usize,
+        rounds: u64,
+    }
+
+    impl cc_net::FaultInjector for DeferOne {
+        fn decision(
+            &self,
+            round: u64,
+            src: usize,
+            dst: usize,
+            index: u32,
+        ) -> cc_net::FaultDecision {
+            if (round, src, dst, index) == (self.round, self.src, self.dst, 0) {
+                cc_net::FaultDecision::Defer {
+                    rounds: self.rounds,
+                }
+            } else {
+                cc_net::FaultDecision::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn a_deferred_witness_edge_is_a_malformed_message() {
+        // Round 10's message 0 → 1 is a component-graph witness edge;
+        // deferred four rounds, leader 1 reads it in a later receive.
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let g = generators::random_connected_graph(4, 0.5, &mut rng);
+        let mut net = Net::new(NetConfig::kt1(4).with_seed(3));
+        net.set_fault_injector(Box::new(DeferOne {
+            round: 10,
+            src: 0,
+            dst: 1,
+            rounds: 4,
+        }));
+        let err = Entry::GcSketch(&g)
+            .run(&mut net)
+            .expect_err("a deferred witness edge cannot be read as sent");
+        assert!(matches!(err, CoreError::Malformed(_)), "{err}");
+    }
 }

@@ -12,8 +12,9 @@
 //!   the per-pair minimum and exchange rows so both endpoints' leaders know
 //!   the weight (and witness) of every incident component-graph edge.
 
+use crate::error::CoreError;
 use cc_graph::{Graph, WEdge, WGraph};
-use cc_net::NetError;
+use cc_lotker::{read_edge, read_inbox, read_pair, Defect};
 use cc_route::{Net, Packet};
 use std::collections::{BTreeSet, HashMap};
 
@@ -66,7 +67,9 @@ impl ComponentGraph {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates simulator errors. A received witness that is not two
+/// nodes `[u, v]` with `v` in the receiving leader's component and `u`
+/// in the sender's (another component) is [`CoreError::Malformed`].
 ///
 /// # Panics
 ///
@@ -75,7 +78,7 @@ pub fn build_component_graph(
     net: &mut Net,
     g: &Graph,
     label_of: &[usize],
-) -> Result<ComponentGraph, NetError> {
+) -> Result<ComponentGraph, CoreError> {
     let n = net.n();
     assert_eq!(g.n(), n, "graph must span the clique");
     assert_eq!(label_of.len(), n);
@@ -114,19 +117,36 @@ pub fn build_component_graph(
             let _ = out.send(leader, Packet::of(&[u as u64, v as u64]));
         }
     })?;
-    net.step(|node, inbox, _out| {
-        for env in inbox {
-            let (u, v) = (env.msg[0] as usize, env.msg[1] as usize);
-            // The receiving leader `node` leads v's component; the sender's
-            // component is u's.
-            let (this, other) = (label_of[v], label_of[u]);
-            debug_assert_eq!(this, node);
-            adj.entry(this).or_default().insert(other);
-            adj.entry(other).or_default().insert(this);
-            let key = (this.min(other), this.max(other));
+    read_inbox(
+        net,
+        |node, src, msg| {
+            let &[u, v] = msg else {
+                return Err(Defect::Length {
+                    found: msg.len(),
+                    expected: 2,
+                });
+            };
+            // The receiving leader `node` leads v's component; the
+            // sender's component is u's, and another one.
+            let (u, v) = read_pair(u, v, n)?;
+            let sender = label_of[src];
+            if label_of[v] == node && label_of[u] == sender && sender != node {
+                Ok((u, v))
+            } else {
+                Err(Defect::Fragments {
+                    u: u.min(v),
+                    v: u.max(v),
+                })
+            }
+        },
+        |node, (u, v)| {
+            let other = label_of[u];
+            adj.entry(node).or_default().insert(other);
+            adj.entry(other).or_default().insert(node);
+            let key = (node.min(other), node.max(other));
             min_edge.entry(key).or_insert_with(|| WEdge::new(u, v, 1));
-        }
-    })?;
+        },
+    )?;
 
     Ok(ComponentGraph {
         leaders,
@@ -143,7 +163,9 @@ pub fn build_component_graph(
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates simulator errors. A received edge that is not `[w, u, v]`
+/// with one endpoint in the receiving leader's component and the other
+/// in the sender's (another component) is [`CoreError::Malformed`].
 ///
 /// # Panics
 ///
@@ -152,7 +174,7 @@ pub fn build_weighted_component_graph(
     net: &mut Net,
     g: &WGraph,
     label_of: &[usize],
-) -> Result<ComponentGraph, NetError> {
+) -> Result<ComponentGraph, CoreError> {
     let n = net.n();
     assert_eq!(g.n(), n, "graph must span the clique");
     assert_eq!(label_of.len(), n);
@@ -196,15 +218,22 @@ pub fn build_weighted_component_graph(
             let _ = out.send(leader, Packet::of(&[e.w, e.u as u64, e.v as u64]));
         }
     })?;
-    net.step(|node, inbox, _out| {
-        for env in inbox {
-            received[node].push(WEdge::new(
-                env.msg[1] as usize,
-                env.msg[2] as usize,
-                env.msg[0],
-            ));
-        }
-    })?;
+    read_inbox(
+        net,
+        |node, src, msg| {
+            let e = read_edge(msg, n)?;
+            let (u, v) = e.endpoints();
+            let sender = label_of[src];
+            let joins =
+                |here: usize, there: usize| label_of[here] == node && label_of[there] == sender;
+            if sender != node && (joins(u, v) || joins(v, u)) {
+                Ok(e)
+            } else {
+                Err(Defect::Fragments { u, v })
+            }
+        },
+        |node, e| received[node].push(e),
+    )?;
 
     // Leaders reduce per source component.
     let mut reduced: Vec<Vec<(usize, WEdge)>> = vec![Vec::new(); n]; // (src leader, min edge)

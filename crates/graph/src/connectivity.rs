@@ -157,13 +157,6 @@ pub fn bridges(g: &Graph) -> Vec<(usize, usize)> {
     out
 }
 
-/// Whether the graph is 2-edge-connected: connected, at least 2 vertices,
-/// and bridgeless. (The Section 3 swap argument needs exactly this from
-/// `G_U` and `G_V`: removing any one edge keeps them connected.)
-pub fn is_two_edge_connected(g: &Graph) -> bool {
-    g.n() >= 2 && is_connected(g) && bridges(g).is_empty()
-}
-
 /// Articulation points (cut vertices), iterative DFS low-link.
 pub fn articulation_points(g: &Graph) -> Vec<usize> {
     let n = g.n();
@@ -342,14 +335,12 @@ mod tests {
     fn bridges_of_a_path_are_all_edges() {
         let g = generators::path(5);
         assert_eq!(bridges(&g).len(), 4);
-        assert!(!is_two_edge_connected(&g));
     }
 
     #[test]
     fn cycles_are_bridgeless_and_biconnected() {
         let g = generators::cycle(7);
         assert!(bridges(&g).is_empty());
-        assert!(is_two_edge_connected(&g));
         assert!(is_biconnected(&g));
     }
 
@@ -368,7 +359,7 @@ mod tests {
     fn circulant_12_is_biconnected() {
         let g = generators::circulant(12, &[1, 2]);
         assert!(is_biconnected(&g));
-        assert!(is_two_edge_connected(&g));
+        assert!(bridges(&g).is_empty());
     }
 
     #[test]

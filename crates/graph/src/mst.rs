@@ -140,14 +140,6 @@ pub fn is_spanning_forest(g: &WGraph, edges: &[WEdge]) -> bool {
     true
 }
 
-/// Checks that `edges` is *the* minimum spanning forest of `g` under the
-/// tie-broken order (unique, so equality with Kruskal's output).
-pub fn is_minimum_spanning_forest(g: &WGraph, edges: &[WEdge]) -> bool {
-    let mut sorted = edges.to_vec();
-    sorted.sort();
-    sorted == kruskal(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +170,6 @@ mod tests {
             ]
         );
         assert!(is_spanning_forest(&g, &t));
-        assert!(is_minimum_spanning_forest(&g, &t));
     }
 
     #[test]
@@ -257,14 +248,14 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_suboptimal_forest() {
+    fn a_spanning_forest_need_not_be_minimum() {
         let mut g = WGraph::new(3);
         g.add_edge(0, 1, 1);
         g.add_edge(1, 2, 2);
         g.add_edge(0, 2, 3);
         let sub = vec![WEdge::new(1, 2, 2), WEdge::new(0, 2, 3)];
         assert!(is_spanning_forest(&g, &sub));
-        assert!(!is_minimum_spanning_forest(&g, &sub));
+        assert!(WGraph::total_weight(&sub) > WGraph::total_weight(&kruskal(&g)));
     }
 
     proptest! {

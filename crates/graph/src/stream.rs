@@ -20,7 +20,6 @@
 //! the same graph every run, every machine.
 
 use crate::edge::{edge_from_index, edge_index, num_pairs};
-use crate::graph::Graph;
 use rand::Rng;
 
 /// Compressed-sparse-row adjacency for an undirected simple graph on
@@ -100,20 +99,6 @@ impl CsrGraph {
     pub fn degree(&self, v: usize) -> usize {
         self.offsets[v + 1] - self.offsets[v]
     }
-
-    /// Expands into the pointer-per-vertex [`Graph`] form (small `n`
-    /// interop — tests and cross-checks; defeats the point at large `n`).
-    pub fn to_graph(&self) -> Graph {
-        let mut g = Graph::new(self.n);
-        for u in 0..self.n {
-            for &v in self.neighbors(u) {
-                if (v as usize) > u {
-                    g.add_edge(u, v as usize);
-                }
-            }
-        }
-        g
-    }
 }
 
 /// Canonical edge indices of a random connected graph, in `O(n + extra)`
@@ -150,6 +135,7 @@ pub fn random_connected_csr<R: Rng>(n: usize, extra: usize, rng: &mut R) -> CsrG
 mod tests {
     use super::*;
     use crate::connectivity;
+    use crate::graph::Graph;
     use crate::union_find::UnionFind;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -163,7 +149,13 @@ mod tests {
         let mut r = rng(1);
         let idx = random_connected_edge_indices(60, 90, &mut r);
         let csr = CsrGraph::from_edge_indices(60, idx.clone());
-        let g = csr.to_graph();
+        let mut g = Graph::new(60);
+        for &i in &idx {
+            let (u, v) = edge_from_index(i, 60);
+            if !g.has_edge(u, v) {
+                g.add_edge(u, v);
+            }
+        }
         assert_eq!(g.m(), csr.m());
         for v in 0..60 {
             let mut from_g: Vec<u32> = g.neighbors(v).to_vec();
@@ -211,7 +203,12 @@ mod tests {
     #[test]
     fn small_world_agrees_with_dense_connectivity_check() {
         let csr = random_connected_csr(80, 40, &mut rng(9));
-        let g = csr.to_graph();
+        let mut g = Graph::new(80);
+        for u in 0..80 {
+            for &v in csr.neighbors(u).iter().filter(|&&v| v as usize > u) {
+                g.add_edge(u, v as usize);
+            }
+        }
         assert_eq!(connectivity::component_count(&g), 1);
     }
 

@@ -4,16 +4,29 @@
 //! second bookkeeping path to the engines. Every quantity it reports is
 //! derived from the same `MessageBatch`/`RoundStart`/`RoundEnd`/`Fault`
 //! stream the engines already emit, and the machine-level numbers come
-//! from folding each batch through a [`cc_model::MachineLedger`] — the
-//! only k-machine price in the workspace.
+//! from pricing each closed round's link table through a
+//! [`cc_model::MachineLedger`] — the only k-machine price in the
+//! workspace.
 //!
 //! Event contract (identical across `CliqueNet` and both runtime
 //! backends, see their emission sites): per executed round, `RoundStart`
 //! → optional `Fault { kind: Squeeze, info: effective budget }` →
 //! `NodeCrash`* → `MessageBatch`* (pre-fault sends, `(src, dst)`-sorted,
-//! words already floored at 1 per message exactly as `SendRules` meters
-//! them) → delivery-fault records → `RoundEnd`. `FastForward` advances
-//! the round counter without traffic. Scope events bracket rounds.
+//! one per link, words already floored at 1 per message exactly as
+//! `SendRules` meters them) → delivery-fault records → `RoundEnd`.
+//! `FastForward` advances the round counter without traffic. Scope
+//! events bracket rounds.
+//!
+//! The fold is per round. A round's batches only append rows to its link
+//! table, whether they arrive one [`Event::MessageBatch`] at a time
+//! ([`CommLedger::record`], the path of a recorded stream) or as the
+//! engine's whole row slice ([`CommLedger::record_batches`], the path of
+//! a live run through [`LedgerTracer`](crate::LedgerTracer)). Every
+//! per-link quantity — totals, per-node words, both histograms, the
+//! peak, the broadcast mix, cumulative link totals and the machine price
+//! — is computed in one walk over the sorted table at `RoundEnd`. A
+//! round's traffic therefore counts once its `RoundEnd` is folded; rows
+//! of a round that never closes are never counted.
 
 use crate::report::{CommReport, PhaseComm};
 use cc_model::{MachineLedger, MachineStats, ModelError, ModelSpec, PairRows};
@@ -22,6 +35,15 @@ use std::collections::HashMap;
 
 /// Scope label charged for traffic outside any phase scope.
 pub const UNSCOPED: &str = "(unscoped)";
+
+/// Per-link word counts below this are tallied per round before they
+/// reach the histograms (a link rarely carries more than its budget of 8
+/// words); larger ones are observed directly.
+const TALLIED: usize = 64;
+
+/// One link's traffic in one round, as the engines hand it to a tracer:
+/// `(src, dst, count, words)`.
+pub type LinkRow = (u32, u32, u32, u64);
 
 /// One executed round's communication, resolved at fold time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,10 +99,9 @@ struct LinkStat {
 /// broadcast/unicast mix, per-phase attribution, and machine-pair skew
 /// under the spec's mapping.
 ///
-/// Per batch the fold does no tree lookup and no allocation beyond
-/// amortized `Vec` growth: the batch is appended to the open round's
-/// link list and charged to an interned phase. At the round's close its
-/// sorted links fold into one [`PairRows`] row per sender. Storage grows
+/// Per batch the fold does a range check and one append: no tree lookup,
+/// no allocation beyond amortized `Vec` growth. At the round's close its
+/// sorted links are walked once (see the module docs). Storage grows
 /// with the links that carried traffic, never with `n²`.
 #[derive(Clone, Debug)]
 pub struct CommLedger {
@@ -89,12 +110,14 @@ pub struct CommLedger {
     machine: MachineLedger,
     // --- open-round state ---
     round_budget: u64,
-    /// The open round's `(src, dst, words)` batches in arrival order.
-    round_links: Vec<(u32, u32, u64)>,
+    /// The open round's rows in arrival order.
+    round_links: Vec<LinkRow>,
+    /// How many of `round_links` a scope change mid-round already
+    /// charged to a phase (0 for every engine stream: scopes bracket
+    /// rounds).
+    charged: usize,
     /// The last closed round's links: `(src, dst)`-sorted, one per link.
-    closed_links: Vec<(u32, u32, u64)>,
-    round_messages: u64,
-    round_words: u64,
+    closed_links: Vec<LinkRow>,
     /// Open scopes, innermost last, as indices into `phases`.
     phase_stack: Vec<usize>,
     // --- cumulative ---
@@ -140,9 +163,8 @@ impl CommLedger {
             machine,
             round_budget: spec.bandwidth_words_per_link,
             round_links: Vec::new(),
+            charged: 0,
             closed_links: Vec::new(),
-            round_messages: 0,
-            round_words: 0,
             phase_stack: Vec::new(),
             rounds: Vec::new(),
             fast_forward_rounds: 0,
@@ -207,12 +229,16 @@ impl CommLedger {
                 count,
                 words,
                 ..
-            } => self.record_batch(*src, *dst, u64::from(*count), *words)?,
+            } => {
+                self.check_row((*src, *dst))?;
+                self.round_links.push((*src, *dst, *count, *words));
+            }
             Event::RoundEnd { round, .. } => self.close_round(*round),
             Event::FastForward { rounds, .. } => self.fast_forward_rounds += *rounds,
-            // Phases are interned here, once per scope, so a batch
+            // Phases are interned here, once per scope, so a round
             // charges its phase by index.
             Event::ScopeEnter { name, .. } => {
+                self.charge_open_rows();
                 let id = match self.phase_ids.get(name.as_str()) {
                     Some(&id) => id,
                     None => {
@@ -230,6 +256,7 @@ impl CommLedger {
                     .last()
                     .is_some_and(|&id| self.phases[id].0 == *name) =>
             {
+                self.charge_open_rows();
                 self.phase_stack.pop();
             }
             _ => {}
@@ -237,42 +264,82 @@ impl CommLedger {
         Ok(())
     }
 
-    fn record_batch(
-        &mut self,
-        src: u32,
-        dst: u32,
-        count: u64,
-        words: u64,
-    ) -> Result<(), ModelError> {
-        // Machine accounting first: it refuses out-of-clique nodes before
-        // anything is counted. Each batch is one pair charge.
-        self.machine.record(src as usize, dst as usize, words)?;
-        self.round_messages += count;
-        self.round_words += words;
-        self.messages += count;
-        self.words += words;
-        self.round_links.push((src, dst, words));
-        self.node_sent[src as usize] += words;
-        self.node_recv[dst as usize] += words;
+    /// Folds one round's batches at once: the rows
+    /// [`Tracer::record_batches`](cc_trace::Tracer::record_batches)
+    /// receives, the same fold as one [`Event::MessageBatch`] per row.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::NodeOutOfRange`] for the first row naming a node
+    /// outside the `n`-clique; the rows before it are kept, it and the
+    /// rows after it are not.
+    pub fn record_batches(&mut self, rows: &[LinkRow]) -> Result<(), ModelError> {
+        let n = self.n as u32;
+        let valid = rows
+            .iter()
+            .position(|&(src, dst, _, _)| src >= n || dst >= n)
+            .unwrap_or(rows.len());
+        self.round_links.extend_from_slice(&rows[..valid]);
+        match rows.get(valid) {
+            Some(&(src, dst, _, _)) => self.check_row((src, dst)),
+            None => Ok(()),
+        }
+    }
+
+    /// Refuses a link with an endpoint outside the clique.
+    fn check_row(&self, (src, dst): (u32, u32)) -> Result<(), ModelError> {
+        match [src, dst].into_iter().find(|&v| v as usize >= self.n) {
+            Some(node) => Err(ModelError::NodeOutOfRange {
+                node: node as usize,
+                n: self.n,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Charges `messages` and `words` to the innermost open phase.
+    fn charge_phase(&mut self, messages: u64, words: u64) {
         let phase = self.phase_stack.last().copied().unwrap_or(0);
         let p = self.phases[phase].1.get_or_insert_with(PhaseComm::default);
-        p.messages += count;
+        p.messages += messages;
         p.words += words;
-        Ok(())
+    }
+
+    /// Charges the open round's rows not yet charged to the innermost
+    /// phase, before a scope change mid-round moves it. Engine streams
+    /// never change scope mid-round, so this is a no-op for them.
+    fn charge_open_rows(&mut self) {
+        let fresh = &self.round_links[self.charged..];
+        if fresh.is_empty() {
+            return;
+        }
+        let messages = fresh.iter().map(|row| u64::from(row.2)).sum();
+        let words = fresh.iter().map(|row| row.3).sum();
+        self.charged = self.round_links.len();
+        self.charge_phase(messages, words);
     }
 
     fn close_round(&mut self, round: u64) {
+        // Rows already charged to a phase mid-round stay with it; the
+        // rest go to the phase open at the close, from the walk's totals
+        // when nothing was charged early.
+        let whole_round_uncharged = self.charged == 0 && !self.round_links.is_empty();
+        if !whole_round_uncharged {
+            self.charge_open_rows();
+        }
+        self.charged = 0;
         let budget = self.round_budget.max(1);
         let mut links = std::mem::take(&mut self.round_links);
-        // The engines emit one batch per link, `(src, dst)`-sorted, so
-        // this check is the whole cost for them; an out-of-order or
-        // repeated link (a hand-built file) is sorted and merged.
+        // The engines emit one row per link, `(src, dst)`-sorted, so this
+        // check is the whole cost for them; an out-of-order or repeated
+        // link (a hand-built file) is sorted and merged.
         if !links.is_sorted_by(|a, b| (a.0, a.1) < (b.0, b.1)) {
-            links.sort_unstable_by_key(|&(src, dst, _)| (src, dst));
+            links.sort_unstable_by_key(|&(src, dst, _, _)| (src, dst));
             links.dedup_by(|later, kept| {
                 let same = (later.0, later.1) == (kept.0, kept.1);
                 if same {
                     kept.2 += later.2;
+                    kept.3 += later.3;
                 }
                 same
             });
@@ -282,35 +349,45 @@ impl CommLedger {
         // (exact under broadcast-only send rules, a structural heuristic
         // under unicast). Sorted links group by sender.
         let full = (self.n as u64).saturating_sub(1);
-        let mut peak_words = 0u64;
+        let (mut round_messages, mut round_words) = (0u64, 0u64);
+        // The round's first busiest link: utilization rises with words,
+        // so it is also the round's most utilized one.
+        let (mut peak_words, mut peak_link) = (0u64, (0u32, 0u32));
+        // Per-link word counts below `TALLIED`, counted by value (and a
+        // bit mask of the values present): each distinct value feeds
+        // both histograms once, after the walk.
+        let (mut tally, mut tallied) = ([0u64; TALLIED], 0u64);
+        let mut over_budget = 0;
+        let node_recv = &mut self.node_recv[..];
         for fanout in links.chunk_by(|a, b| a.0 == b.0) {
-            let mut total = 0u64;
-            for &(src, dst, words) in fanout {
+            let src = fanout[0].0;
+            let (mut total, mut uniform) = (0u64, true);
+            for &(_, dst, count, words) in fanout {
+                round_messages += u64::from(count);
                 total += words;
-                self.link_round_words.observe(words);
-                let util = words * 1000 / budget;
-                self.util.observe(util);
-                if words > budget {
-                    self.over_budget += 1;
+                uniform &= words == fanout[0].3;
+                node_recv[dst as usize] += words;
+                over_budget += u64::from(words > budget);
+                if words > peak_words {
+                    peak_words = words;
+                    peak_link = (src, dst);
                 }
-                peak_words = peak_words.max(words);
-                self.peak_link_words = self.peak_link_words.max(words);
-                // The reported peak location is the most *utilized*
-                // (round, link) observation — words break ties, and the
-                // earliest such observation wins (deterministic fold).
-                if util > self.peak_util_milli
-                    || (util == self.peak_util_milli && words > self.peak_obs_words)
-                {
-                    self.peak_util_milli = util;
-                    self.peak_obs_words = words;
-                    self.peak_round = round;
-                    self.peak_src = src;
-                    self.peak_dst = dst;
+                match tally.get_mut(words as usize) {
+                    Some(seen) => {
+                        *seen += 1;
+                        tallied |= 1 << words;
+                    }
+                    None => {
+                        self.link_round_words.observe(words);
+                        self.util.observe(words * 1000 / budget);
+                    }
                 }
             }
+            round_words += total;
+            self.node_sent[src as usize] += total;
             self.link_totals.fold_run(
-                fanout[0].0,
-                fanout.iter().map(|&(_, dst, words)| (dst, words)),
+                src,
+                fanout.iter().map(|&(_, dst, _, words)| (dst, words)),
                 |link, words| {
                     link.words += words;
                     if words > link.peak_round_words {
@@ -319,20 +396,47 @@ impl CommLedger {
                     }
                 },
             );
-            let uniform = fanout.iter().all(|&(_, _, words)| words == fanout[0].2);
             if fanout.len() as u64 == full && full > 0 && uniform {
                 self.broadcast_words += total;
             } else {
                 self.unicast_words += total;
             }
         }
-        let before = self.machine.stats().machine_rounds;
-        let machine_rounds = self.machine.end_round();
-        debug_assert_eq!(self.machine.stats().machine_rounds, before + machine_rounds);
+        while tallied != 0 {
+            let words = tallied.trailing_zeros();
+            tallied &= tallied - 1;
+            let seen = tally[words as usize];
+            let words = u64::from(words);
+            self.link_round_words.observe_n(words, seen);
+            self.util.observe_n(words * 1000 / budget, seen);
+        }
+        self.over_budget += over_budget;
+        // The reported peak location is the most *utilized* (round, link)
+        // observation — words break ties, and the earliest such
+        // observation wins (deterministic fold).
+        let peak_util = peak_words * 1000 / budget;
+        if !links.is_empty()
+            && (peak_util > self.peak_util_milli
+                || (peak_util == self.peak_util_milli && peak_words > self.peak_obs_words))
+        {
+            self.peak_util_milli = peak_util;
+            self.peak_obs_words = peak_words;
+            self.peak_round = round;
+            (self.peak_src, self.peak_dst) = peak_link;
+        }
+        self.peak_link_words = self.peak_link_words.max(peak_words);
+        self.messages += round_messages;
+        self.words += round_words;
+        if whole_round_uncharged {
+            self.charge_phase(round_messages, round_words);
+        }
+        let machine_rounds = self
+            .machine
+            .price_round(links.iter().map(|&(src, dst, _, words)| (src, dst, words)));
         self.rounds.push(RoundComm {
             round,
-            messages: self.round_messages,
-            words: self.round_words,
+            messages: round_messages,
+            words: round_words,
             links: links.len() as u64,
             peak_link_words: peak_words,
             budget_words: budget,
@@ -342,8 +446,6 @@ impl CommLedger {
         // both buffers are reused.
         self.round_links = std::mem::replace(&mut self.closed_links, links);
         self.round_links.clear();
-        self.round_messages = 0;
-        self.round_words = 0;
         self.round_budget = self.spec.bandwidth_words_per_link;
     }
 
@@ -367,7 +469,7 @@ impl CommLedger {
     pub fn closed_round_links(&self) -> impl Iterator<Item = ((u32, u32), u64)> + '_ {
         self.closed_links
             .iter()
-            .map(|&(src, dst, words)| ((src, dst), words))
+            .map(|&(src, dst, _, words)| ((src, dst), words))
     }
 
     /// Rounds skipped via fast-forward (no traffic by construction).
@@ -409,7 +511,7 @@ impl CommLedger {
     }
 
     /// Machine-level accounting under the spec's mapping: the
-    /// [`MachineLedger`] fed every batch of the stream.
+    /// [`MachineLedger`] that priced every closed round's link table.
     pub fn machine_stats(&self) -> MachineStats {
         self.machine.stats()
     }
@@ -457,7 +559,15 @@ impl CommLedger {
         let util = self.util.snapshot();
         let k = self.spec.machines(self.n) as u64;
         let remote = self.machine.stats().remote_words;
-        let max_pair = self.machine.max_pair_total();
+        // Under the one-to-one mapping the pairs are the links.
+        let max_pair = self.machine.max_pair_total().unwrap_or_else(|| {
+            self.link_totals
+                .iter()
+                .filter(|&(src, dst, _)| src != dst)
+                .map(|(_, _, link)| link.words)
+                .max()
+                .unwrap_or(0)
+        });
         // Cumulative pair skew: worst ordered pair vs the mean over all
         // k(k−1) ordered remote pairs, in thousandths (1000 = perfectly
         // balanced; 0 = no remote traffic at all).
@@ -735,6 +845,103 @@ mod tests {
         let err = CommLedger::fold(4, &ModelSpec::clique(), &events).unwrap_err();
         assert_eq!(err, ModelError::NodeOutOfRange { node: 6, n: 4 });
         assert!(err.to_string().contains("node 6"), "{err}");
+    }
+
+    #[test]
+    fn a_round_of_rows_folds_like_its_batch_events() {
+        let spec = ModelSpec::clique().with_bandwidth(4).kmachine(2);
+        let rows = [(0, 1, 2, 3), (0, 2, 1, 4), (2, 1, 1, 1), (3, 0, 1, 2)];
+        let mut events = vec![Event::RoundStart { round: 0 }];
+        events.extend(
+            rows.iter()
+                .map(|&(src, dst, count, words)| batch(0, src, dst, count, words)),
+        );
+        events.push(round_end(0, 5, 10));
+        let by_event = CommLedger::fold(4, &spec, &events).unwrap();
+        let mut by_rows = CommLedger::new(4, &spec).unwrap();
+        by_rows.record(&Event::RoundStart { round: 0 }).unwrap();
+        by_rows.record_batches(&rows).unwrap();
+        by_rows.record(&round_end(0, 5, 10)).unwrap();
+        assert_eq!(by_rows.report(), by_event.report());
+        assert_eq!(by_rows.rounds(), by_event.rounds());
+        assert_eq!(by_rows.top_links(9), by_event.top_links(9));
+        assert_eq!(by_rows.machine_stats(), by_event.machine_stats());
+    }
+
+    #[test]
+    fn a_round_counts_at_its_close() {
+        let spec = ModelSpec::clique();
+        let mut lg = CommLedger::new(3, &spec).unwrap();
+        lg.record(&Event::RoundStart { round: 0 }).unwrap();
+        lg.record(&batch(0, 0, 1, 1, 2)).unwrap();
+        assert_eq!((lg.messages(), lg.words(), lg.rounds().len()), (0, 0, 0));
+        assert_eq!(lg.node_sent(), &[0, 0, 0]);
+        lg.record(&round_end(0, 1, 2)).unwrap();
+        assert_eq!((lg.messages(), lg.words(), lg.rounds().len()), (1, 2, 1));
+        assert_eq!(lg.node_sent(), &[2, 0, 0]);
+    }
+
+    #[test]
+    fn a_scope_change_mid_round_splits_the_round_between_phases() {
+        // Engine streams open and close scopes between rounds; a
+        // hand-built one may not, and each batch still goes to the scope
+        // that was innermost when it arrived.
+        let spec = ModelSpec::clique();
+        let events = vec![
+            Event::RoundStart { round: 0 },
+            batch(0, 0, 1, 1, 1),
+            Event::ScopeEnter {
+                name: "late".into(),
+                round: 0,
+            },
+            batch(0, 1, 0, 2, 5),
+            round_end(0, 3, 6),
+            Event::ScopeExit {
+                name: "late".into(),
+                delta: cc_trace::Cost::default(),
+            },
+        ];
+        let lg = CommLedger::fold(2, &spec, &events).unwrap();
+        let phases = lg.report().phases;
+        assert_eq!(
+            phases,
+            [
+                (
+                    "(unscoped)".to_string(),
+                    PhaseComm {
+                        messages: 1,
+                        words: 1
+                    }
+                ),
+                (
+                    "late".to_string(),
+                    PhaseComm {
+                        messages: 2,
+                        words: 5
+                    }
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn one_to_one_pair_skew_reads_the_link_totals() {
+        // n = 3, one-to-one: 6 ordered pairs. Link 0→1 carries 2 + 4
+        // words over two rounds, 2→0 carries 5 in one: the worst pair
+        // holds 6 of 11 remote words, 6 × 1000 × 6 / 11 = 3272‰.
+        let spec = ModelSpec::clique();
+        let events = vec![
+            Event::RoundStart { round: 0 },
+            batch(0, 0, 1, 1, 2),
+            batch(0, 2, 0, 1, 5),
+            round_end(0, 2, 7),
+            Event::RoundStart { round: 1 },
+            batch(1, 0, 1, 1, 4),
+            round_end(1, 1, 4),
+        ];
+        let lg = CommLedger::fold(3, &spec, &events).unwrap();
+        assert_eq!(lg.report().pair_skew_milli, 3272);
+        assert_eq!(lg.machine_stats().max_pair_words, 5);
     }
 
     #[test]

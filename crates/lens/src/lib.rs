@@ -16,7 +16,7 @@
 //!    broadcast/unicast mix.
 //! 2. **Phase** — the `route:*`/`kt1-mst:*` scope events attribute every
 //!    word to the innermost open phase.
-//! 3. **Machine** — each batch is folded through a
+//! 3. **Machine** — each closed round's link table is priced through a
 //!    [`cc_model::MachineLedger`] under the spec's mapping, which makes
 //!    this fold the one k-machine price: machine rounds, local/remote
 //!    splits, and pair skew (the k-machine invariants are test-enforced
@@ -25,8 +25,10 @@
 //! There is deliberately no second bookkeeping path: everything here is
 //! derived from the one trace stream — the same philosophy as `cc-obs`,
 //! one layer down. The fold runs after the fact over a recorded file
-//! ([`CommLedger::fold`]) or live, event by event, as a tracer
-//! ([`LedgerTracer`]), so a traced run need not keep its stream.
+//! ([`CommLedger::fold`], batch event by batch event) or live as a
+//! tracer ([`LedgerTracer`], one row slice per round), so a traced run
+//! need not keep its stream. Either way a round's rows are walked once,
+//! when it closes.
 //! [`CommLedger`] is also the workspace's only traffic fold: the links
 //! report, the heatmap, the grid's utilization section, and the `comm`
 //! snapshot in serve and `--emit-json` artifacts ([`comm_metrics`]) are
@@ -37,7 +39,7 @@ mod render;
 mod report;
 mod tracer;
 
-pub use ledger::{infer_n, CommLedger, LinkTotal, RoundComm, UNSCOPED};
+pub use ledger::{infer_n, CommLedger, LinkRow, LinkTotal, RoundComm, UNSCOPED};
 pub use render::{links_report, render_heatmap, render_links_report};
 pub use report::{comm_metrics, CommAggregate, CommReport, PhaseComm};
 pub use tracer::LedgerTracer;

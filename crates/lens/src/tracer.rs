@@ -1,12 +1,15 @@
 //! [`LedgerTracer`]: the [`CommLedger`] fold as a live [`Tracer`].
 
-use crate::ledger::CommLedger;
+use crate::ledger::{CommLedger, LinkRow};
 use cc_model::{ModelError, ModelSpec};
 use cc_trace::{Event, Tracer};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A [`Tracer`] that folds each event into one shared [`CommLedger`] as
 /// it arrives, so a traced run never holds its event stream in memory.
+/// A round's batches arrive as one row slice
+/// ([`Tracer::record_batches`]), so the fold takes its lock a few times
+/// per round, not once per link.
 ///
 /// Cloning yields a handle onto the same ledger: attach one clone to the
 /// engine and keep one to [`finish`](LedgerTracer::finish) after the run.
@@ -82,10 +85,21 @@ impl Tracer for LedgerTracer {
     }
 
     fn record(&mut self, event: Event) {
-        let mut fold = self.lock();
-        if fold.error.is_none() {
-            if let Err(error) = fold.ledger.record(&event) {
-                fold.error = Some(error);
+        self.lock().fold(|ledger| ledger.record(&event));
+    }
+
+    fn record_batches(&mut self, _round: u64, rows: &[LinkRow]) {
+        // One lock per round, not per link.
+        self.lock().fold(|ledger| ledger.record_batches(rows));
+    }
+}
+
+impl Fold {
+    /// Applies `step` unless an earlier step failed; keeps its error.
+    fn fold(&mut self, step: impl FnOnce(&mut CommLedger) -> Result<(), ModelError>) {
+        if self.error.is_none() {
+            if let Err(error) = step(&mut self.ledger) {
+                self.error = Some(error);
             }
         }
     }
@@ -128,11 +142,34 @@ mod tests {
     }
 
     #[test]
+    fn a_row_slice_outside_the_clique_sticks_too() {
+        let fold = LedgerTracer::new(4, &ModelSpec::clique()).unwrap();
+        let mut sink = fold.clone();
+        sink.record(Event::RoundStart { round: 0 });
+        sink.record_batches(0, &[(0, 1, 1, 1), (2, 7, 1, 1), (3, 0, 1, 1)]);
+        sink.record_batches(0, &[(1, 2, 1, 1)]);
+        drop(sink);
+        assert_eq!(
+            fold.finish().unwrap_err(),
+            ModelError::NodeOutOfRange { node: 7, n: 4 }
+        );
+    }
+
+    #[test]
     fn finish_with_a_live_handle_copies_the_fold_so_far() {
         let fold = LedgerTracer::new(2, &ModelSpec::clique()).unwrap();
         let mut sink = fold.clone();
         assert!(!sink.wants_timing());
-        sink.record(batch(0, 1));
+        sink.record(Event::RoundStart { round: 0 });
+        sink.record_batches(0, &[(0, 1, 1, 1)]);
+        sink.record(Event::RoundEnd {
+            round: 0,
+            messages: 1,
+            words: 1,
+        });
+        // A round counts once it closes: the open one is not in the copy.
+        sink.record(Event::RoundStart { round: 1 });
+        sink.record(batch(1, 0));
         assert_eq!(fold.finish().unwrap().messages(), 1);
         sink.record(batch(1, 0));
     }

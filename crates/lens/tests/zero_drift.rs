@@ -1,6 +1,8 @@
 //! Zero-drift contract: a [`CommLedger`] folded from a recorded event
 //! stream is bit-identical to the live accounting of the engine that
-//! produced it — on both runtime backends, clean or under chaos.
+//! produced it — on both runtime backends, clean or under chaos — and a
+//! live [`LedgerTracer`] fold, which takes each round's batches as one
+//! row slice, is bit-identical to the fold of the recorded stream.
 //!
 //! The observatory is a *view*, not a second measurement: if these
 //! folds ever disagree with `Cost`, every utilization column the grid,
@@ -9,11 +11,15 @@
 //! model's pricing invariants are asserted on it here.
 
 use cc_chaos::{FaultPlan, LinkSelector, RoundRange};
-use cc_lens::CommLedger;
+use cc_core::catalog::Entry;
+use cc_graph::generators;
+use cc_lens::{CommLedger, LedgerTracer, LinkRow};
 use cc_model::{MachineStats, ModelSpec};
 use cc_net::{Cost, Envelope, NetConfig};
 use cc_runtime::{Ctx, Program, Runtime};
-use cc_trace::{Event, RecordingTracer};
+use cc_trace::{Event, RecordingTracer, Tracer};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// A two-successor pulse: each node sends `[me, beat]` (two words) to
 /// its next two ring neighbors for `beats` rounds and xor-folds
@@ -217,6 +223,87 @@ fn kmachine_pricing_invariants_hold_on_the_fold() {
                 assert!(
                     s.local_words > 0 && s.remote_words > 0,
                     "{label} k={k}: an intermediate mapping splits traffic"
+                );
+            }
+        }
+    }
+}
+
+/// One run, two sinks: the live fold gets each round's rows in one call,
+/// the recorder gets the per-event stream the default method makes of
+/// them.
+struct Tee {
+    live: LedgerTracer,
+    recorded: RecordingTracer,
+}
+
+impl Tracer for Tee {
+    fn wants_timing(&self) -> bool {
+        false
+    }
+
+    fn record(&mut self, event: Event) {
+        self.recorded.record(event.clone());
+        self.live.record(event);
+    }
+
+    fn record_batches(&mut self, round: u64, rows: &[LinkRow]) {
+        self.recorded.record_batches(round, rows);
+        self.live.record_batches(round, rows);
+    }
+}
+
+#[test]
+fn live_folds_equal_recorded_folds_on_every_catalog_entry() {
+    let n = 16;
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    let plain = generators::random_connected_graph(n, 0.3, &mut rng);
+    let complete = generators::complete_wgraph(n, &mut rng);
+    let sparse = generators::random_connected_wgraph(n, 0.3, 1_000, &mut rng);
+    let entries = [
+        Entry::GcSketch(&plain),
+        Entry::ExactMst(&complete),
+        Entry::Kt1Mst(&sparse),
+    ];
+    let squeeze_and_crash = FaultPlan::new(5)
+        .squeeze(RoundRange::between(2, 6), 4)
+        .crash(3, 4);
+    for entry in entries {
+        for spec in [ModelSpec::clique(), ModelSpec::clique().kmachine(4)] {
+            for (label, plan) in [
+                ("clean", FaultPlan::new(0)),
+                ("squeeze+crash", squeeze_and_crash.clone()),
+            ] {
+                let what = format!("{} {} {label}", entry.id(), spec.cell_key());
+                let live = LedgerTracer::new(n, &spec).unwrap();
+                let recorded = RecordingTracer::new();
+                let mut net = cc_route::Net::new(NetConfig::kt1(n).with_seed(9).with_model(&spec));
+                net.set_tracer(Box::new(Tee {
+                    live: live.clone(),
+                    recorded: recorded.clone(),
+                }));
+                if !plan.is_empty() {
+                    net.set_fault_injector(Box::new(plan.injector()));
+                }
+                // A faulted run may end in an error; its stream is folded
+                // all the same.
+                let _ = entry.run(&mut net);
+                drop(net);
+                let live = live.finish().unwrap();
+                let folded = CommLedger::fold(n, &spec, &recorded.events()).unwrap();
+                assert!(folded.messages() > 0, "{what}: no traffic");
+                assert_eq!(folded.faults() > 0, !plan.is_empty(), "{what}: faults");
+                assert_eq!(live.report(), folded.report(), "{what}: report");
+                assert_eq!(
+                    live.top_links(usize::MAX),
+                    folded.top_links(usize::MAX),
+                    "{what}: top_links"
+                );
+                assert_eq!(live.rounds(), folded.rounds(), "{what}: rounds");
+                assert_eq!(
+                    live.machine_stats(),
+                    folded.machine_stats(),
+                    "{what}: machine_stats"
                 );
             }
         }

@@ -13,10 +13,13 @@ use std::fmt;
 /// What is wrong with a received message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Defect {
-    /// An edge message `[w, u, v]` arrived with `found` words.
+    /// An edge message arrived with `found` words, not the `expected`
+    /// (3 for `[w, u, v]`, 2 for an unweighted `[u, v]`).
     Length {
         /// Words that arrived.
         found: usize,
+        /// Words the edge message takes.
+        expected: usize,
     },
     /// The endpoint words are not two distinct nodes of the clique.
     Endpoints {
@@ -40,7 +43,9 @@ pub enum Defect {
 impl fmt::Display for Defect {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Defect::Length { found } => write!(f, "{found}-word message where an edge takes 3"),
+            Defect::Length { found, expected } => {
+                write!(f, "{found}-word message where an edge takes {expected}")
+            }
             Defect::Endpoints { u, v } => write!(f, "endpoints {u}, {v} are not two nodes"),
             Defect::Fragments { u, v } => write!(f, "edge {u}-{v} joins the wrong fragments"),
             Defect::Sender => write!(f, "sender is not a fragment leader"),
@@ -125,7 +130,10 @@ mod tests {
             round: 3,
             sender: 5,
             receiver: 0,
-            defect: Defect::Length { found: 1 },
+            defect: Defect::Length {
+                found: 1,
+                expected: 3,
+            },
         };
         assert_eq!(
             LotkerError::from(e).to_string(),

@@ -43,6 +43,6 @@ pub mod run;
 pub use error::{Defect, LotkerError, MalformedMessage};
 pub use merge::{controlled_boruvka, Candidate, MergeOutcome};
 pub use run::{
-    cc_mst, min_fragment_size_before_phase, read_edge, read_pair, reduce_components_phases,
-    CcMstRun,
+    cc_mst, min_fragment_size_before_phase, read_edge, read_inbox, read_pair,
+    reduce_components_phases, CcMstRun,
 };

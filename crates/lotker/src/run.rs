@@ -101,7 +101,10 @@ pub fn read_pair(u: u64, v: u64, n: usize) -> Result<(usize, usize), Defect> {
 /// [`Defect::Length`] for any other word count, else as [`read_pair`].
 pub fn read_edge(msg: &[u64], n: usize) -> Result<WEdge, Defect> {
     let &[w, u, v] = msg else {
-        return Err(Defect::Length { found: msg.len() });
+        return Err(Defect::Length {
+            found: msg.len(),
+            expected: 3,
+        });
     };
     read_pair(u, v, n).map(|(a, b)| WEdge::new(a, b, w))
 }
@@ -117,20 +120,25 @@ fn joining(edge: WEdge, joins: impl Fn(usize, usize) -> bool) -> Result<WEdge, D
 }
 
 /// Runs one receive-only round: every message `src → node` is read by
-/// `read(node, src, words)`, and the edges it accepts are appended to
-/// `into[node]`. The first message it refuses (lowest receiver, then
-/// lowest sender) is the error.
-fn receive_edges(
+/// `read(node, src, words)`, and what it accepts is handed to
+/// `accept(node, item)`. The first message it refuses (lowest receiver,
+/// then lowest sender) is the error.
+///
+/// # Errors
+///
+/// [`LotkerError::Net`] propagates simulator errors;
+/// [`LotkerError::Malformed`] names the first refused message.
+pub fn read_inbox<T>(
     net: &mut Net,
-    into: &mut [Vec<WEdge>],
-    read: impl Fn(usize, usize, &[u64]) -> Result<WEdge, Defect>,
+    read: impl Fn(usize, usize, &[u64]) -> Result<T, Defect>,
+    mut accept: impl FnMut(usize, T),
 ) -> Result<(), LotkerError> {
     let round = net.cost().rounds;
     let mut malformed = None;
     net.step(|node, inbox, _out| {
         for env in inbox {
             match read(node, env.src, &env.msg) {
-                Ok(e) => into[node].push(e),
+                Ok(item) => accept(node, item),
                 Err(defect) => {
                     malformed.get_or_insert(MalformedMessage {
                         round,
@@ -239,14 +247,19 @@ pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstR
             }
         })?;
         // An edge from its sender into this leader's fragment.
-        receive_edges(net, &mut inbound, |node, src, msg| {
-            read_edge(msg, n).and_then(|e| {
-                joining(e, |u, v| {
-                    frag_of[src] != node
-                        && ((u == src && frag_of[v] == node) || (v == src && frag_of[u] == node))
+        read_inbox(
+            net,
+            |node, src, msg| {
+                read_edge(msg, n).and_then(|e| {
+                    joining(e, |u, v| {
+                        frag_of[src] != node
+                            && ((u == src && frag_of[v] == node)
+                                || (v == src && frag_of[u] == node))
+                    })
                 })
-            })
-        })?;
+            },
+            |node, e| inbound[node].push(e),
+        )?;
 
         // ---- Step 3: leader of F' reduces per source fragment and returns
         // the row entries to each source fragment's leader.
@@ -283,17 +296,21 @@ pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstR
         })?;
         // A row entry from another fragment's leader: an edge between
         // its fragment and this one.
-        receive_edges(net, &mut rows, |node, src, msg| {
-            if frag_of[src] != src {
-                return Err(Defect::Sender);
-            }
-            read_edge(msg, n).and_then(|e| {
-                joining(e, |u, v| {
-                    let (fu, fv) = (frag_of[u], frag_of[v]);
-                    (fu == node && fv == src) || (fu == src && fv == node)
+        read_inbox(
+            net,
+            |node, src, msg| {
+                if frag_of[src] != src {
+                    return Err(Defect::Sender);
+                }
+                read_edge(msg, n).and_then(|e| {
+                    joining(e, |u, v| {
+                        let (fu, fv) = (frag_of[u], frag_of[v]);
+                        (fu == node && fv == src) || (fu == src && fv == node)
+                    })
                 })
-            })
-        })?;
+            },
+            |node, e| rows[node].push(e),
+        )?;
 
         // ---- Step 4: each leader keeps its `cap` lightest row entries and
         // routes them to the coordinator.
@@ -563,7 +580,10 @@ mod tests {
         // A label deferred into the candidate round: one word, not three.
         assert_eq!(
             faulted_run(0, FaultDecision::Defer { rounds: 2 }),
-            at_round_3(Defect::Length { found: 1 })
+            at_round_3(Defect::Length {
+                found: 1,
+                expected: 3
+            })
         );
         // Bit 40 of the first endpoint word: no such node.
         let err = faulted_run(2, FaultDecision::Corrupt { bit: 64 + 40 });

@@ -22,10 +22,12 @@
 //!   co-located nodes are free, and each ordered machine pair carries at
 //!   most the spec's bandwidth per machine round.
 //! * [`MachineLedger`] — the per-machine-pair bandwidth accounting rule,
-//!   applied to a run's sends by `cc-lens`'s `CommLedger` fold (the one
-//!   k-machine price), live or over a recorded trace.
+//!   applied to each closed round's link table by `cc-lens`'s
+//!   `CommLedger` fold (the one k-machine price), live or over a
+//!   recorded trace.
 //! * [`PairRows`] — per-ordered-pair values stored as one sorted row per
-//!   source, the storage behind both ledgers' pair totals.
+//!   source: the lens's link totals and, under a k-machine mapping, the
+//!   machine ledger's pair totals.
 //!
 //! Logical semantics never depend on the mapping: programs, RNG streams,
 //! fault decisions, inboxes, and metered cost are functions of the
@@ -280,12 +282,6 @@ impl ModelSpec {
         self.mapping.machine_of(n, v)
     }
 
-    /// Whether a logical `src → dst` message stays inside one machine
-    /// (and therefore consumes no link bandwidth).
-    pub fn is_local(&self, n: usize, src: usize, dst: usize) -> bool {
-        self.machine_of(n, src) == self.machine_of(n, dst)
-    }
-
     /// The grid cell name: `bw<B>-<uni|bc>-<1to1|kK>` — used as the
     /// `backend` column of `grid-*` baseline cases and in artifacts.
     pub fn cell_key(&self) -> String {
@@ -353,15 +349,6 @@ mod tests {
             assert_eq!(Mapping::OneToOne.machine_of(10, v), v);
             assert_eq!(Mapping::KMachine(1).machine_of(10, v), 0);
         }
-    }
-
-    #[test]
-    fn locality_follows_the_mapping() {
-        let spec = ModelSpec::clique().kmachine(2);
-        assert!(spec.is_local(8, 0, 3));
-        assert!(spec.is_local(8, 4, 7));
-        assert!(!spec.is_local(8, 3, 4));
-        assert!(!ModelSpec::clique().is_local(8, 0, 1));
     }
 
     #[test]

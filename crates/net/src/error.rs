@@ -88,6 +88,20 @@ pub enum NetError {
         /// shorter than its header.
         word: Option<u64>,
     },
+    /// A KT0 bootstrap announcement reached a node as something other
+    /// than one word naming another node of the clique — what a
+    /// corrupting fault makes of it.
+    BadAnnouncement {
+        /// The 0-based round whose inbox held the announcement.
+        round: u64,
+        /// The node that read it.
+        node: usize,
+        /// The node that sent it.
+        src: usize,
+        /// The announced word; `None` for an announcement that is not
+        /// one word long.
+        word: Option<u64>,
+    },
 }
 
 impl NetError {
@@ -103,6 +117,7 @@ impl NetError {
             NetError::RoundCapExceeded { .. } => "round-cap",
             NetError::UnicastInBroadcastModel { .. } => "unicast-in-broadcast",
             NetError::BadHeader { .. } => "bad-header",
+            NetError::BadAnnouncement { .. } => "bad-announcement",
         }
     }
 }
@@ -164,6 +179,24 @@ impl fmt::Display for NetError {
             } => write!(
                 f,
                 "round {round}: node {node} read a routed frame shorter than its header"
+            ),
+            NetError::BadAnnouncement {
+                round,
+                node,
+                src,
+                word: Some(word),
+            } => write!(
+                f,
+                "round {round}: node {node} read an ID announcement from {src} whose word {word} names no other node"
+            ),
+            NetError::BadAnnouncement {
+                round,
+                node,
+                src,
+                word: None,
+            } => write!(
+                f,
+                "round {round}: node {node} read an ID announcement from {src} that is not one word"
             ),
         }
     }
@@ -262,6 +295,12 @@ mod tests {
                 node: 0,
                 word: None,
             },
+            NetError::BadAnnouncement {
+                round: 0,
+                node: 0,
+                src: 1,
+                word: None,
+            },
         ];
         for e in &witnesses {
             match e {
@@ -272,7 +311,8 @@ mod tests {
                 | NetError::PendingMessages { .. }
                 | NetError::RoundCapExceeded { .. }
                 | NetError::UnicastInBroadcastModel { .. }
-                | NetError::BadHeader { .. } => {}
+                | NetError::BadHeader { .. }
+                | NetError::BadAnnouncement { .. } => {}
             }
         }
         // Tags are stable artifact vocabulary: lowercase-kebab, unique.
@@ -294,6 +334,7 @@ mod tests {
         assert_eq!(
             unique.into_iter().collect::<Vec<_>>(),
             vec![
+                "bad-announcement",
                 "bad-destination",
                 "bad-header",
                 "link-busy",

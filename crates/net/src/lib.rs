@@ -37,8 +37,9 @@
 //! once, as one [`LinkUse`] charge (the one its budget check makes, or
 //! under [`CliqueNet::step_staged`] the one the net makes for it); after
 //! a sender's last message the net drains that ledger into the [`Cost`]
-//! totals and, when tracing, the round's `MessageBatch` rows. A
-//! delivered [`Envelope`] holds only its sender and payload.
+//! totals and, when tracing, the round's `MessageBatch` rows, which the
+//! round's close hands the tracer in one `Tracer::record_batches` call.
+//! A delivered [`Envelope`] holds only its sender and payload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -769,15 +769,7 @@ impl<M: Wire + Clone> CliqueNet<M> {
         self.recycle(delivered);
         self.cost.rounds += 1;
         if self.tracing {
-            for &(src, dst, count, words) in &self.batches {
-                self.tracer.record(Event::MessageBatch {
-                    round,
-                    src,
-                    dst,
-                    count,
-                    words,
-                });
-            }
+            self.tracer.record_batches(round, &self.batches);
             for rec in fault_records {
                 self.tracer.record(rec.to_event());
             }

@@ -24,7 +24,9 @@ use cc_net::{Knowledge, NetError};
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates simulator errors. An announcement that is not one word
+/// naming another node of the clique is [`NetError::BadAnnouncement`]
+/// (the first one, lowest receiver then lowest sender).
 pub fn kt0_bootstrap(net: &mut Net) -> Result<Vec<Vec<u32>>, NetError> {
     let n = net.n();
     match net.config().knowledge {
@@ -40,15 +42,33 @@ pub fn kt0_bootstrap(net: &mut Net) -> Result<Vec<Vec<u32>>, NetError> {
                     }
                 }
             })?;
-            let mut learned: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+            let round = net.cost().rounds;
+            let mut bad = None;
             net.step(|node, inbox, _out| {
                 for env in inbox {
-                    learned[node].push((env.src, env.msg[0] as u32));
+                    let id = match *env.msg {
+                        [word] => usize::try_from(word)
+                            .ok()
+                            .filter(|&id| id < n && id != node)
+                            .ok_or(Some(word)),
+                        _ => Err(None),
+                    };
+                    if let Err(word) = id {
+                        bad.get_or_insert(NetError::BadAnnouncement {
+                            round,
+                            node,
+                            src: env.src,
+                            word,
+                        });
+                    }
                 }
             })?;
-            // Associate learned IDs with ports via the hidden map (the
-            // simulator's delivery is the ground truth the announcement
-            // established).
+            if let Some(e) = bad {
+                return Err(e);
+            }
+            // Associate the announced IDs with ports via the hidden map
+            // (the simulator's delivery is the ground truth the
+            // announcement established).
             let ports = net.ports().expect("KT0 networks have a port map").clone();
             Ok((0..n)
                 .map(|u| (0..n - 1).map(|p| ports.neighbor_at(u, p) as u32).collect())
@@ -60,7 +80,7 @@ pub fn kt0_bootstrap(net: &mut Net) -> Result<Vec<Vec<u32>>, NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_net::NetConfig;
+    use cc_net::{FaultDecision, NetConfig};
 
     #[test]
     fn kt1_is_free() {
@@ -84,6 +104,59 @@ mod tests {
             let expect: Vec<u32> = (0..n as u32).filter(|&v| v as usize != u).collect();
             assert_eq!(ids, expect);
         }
+    }
+
+    /// Corrupts one bit of the announcement `src → dst`.
+    struct FlipOne {
+        src: usize,
+        dst: usize,
+        bit: u64,
+    }
+
+    impl cc_net::FaultInjector for FlipOne {
+        fn decision(&self, _round: u64, src: usize, dst: usize, _index: u32) -> FaultDecision {
+            if (src, dst) == (self.src, self.dst) {
+                FaultDecision::Corrupt { bit: self.bit }
+            } else {
+                FaultDecision::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupted_announcement_is_a_typed_error() {
+        // A flipped bit 40 makes node 2's announcement name no node; a
+        // flipped bit 2 makes node 1's name its receiver, node 5.
+        for (src, bit, word) in [(2, 40, 2 + (1 << 40)), (1, 2, 5)] {
+            let mut net = Net::new(NetConfig::kt0(6).with_seed(3));
+            net.set_fault_injector(Box::new(FlipOne { src, dst: 5, bit }));
+            assert_eq!(
+                kt0_bootstrap(&mut net),
+                Err(NetError::BadAnnouncement {
+                    round: 1,
+                    node: 5,
+                    src,
+                    word: Some(word),
+                }),
+                "bit {bit}"
+            );
+        }
+        // A flip that names another node (2 → 3) reads as an ID.
+        let mut net = Net::new(NetConfig::kt0(6).with_seed(3));
+        net.set_fault_injector(Box::new(FlipOne {
+            src: 2,
+            dst: 5,
+            bit: 0,
+        }));
+        assert!(kt0_bootstrap(&mut net).is_ok());
+        let shown = NetError::BadAnnouncement {
+            round: 1,
+            node: 5,
+            src: 2,
+            word: None,
+        };
+        assert_eq!(shown.kind(), "bad-announcement");
+        assert!(shown.to_string().contains("not one word"), "{shown}");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::cache::{CacheStats, ResultCache};
 use crate::hash::Digest;
 use crate::job::{execute, JobSpec};
-use cc_lens::{comm_metrics, CommAggregate, LedgerTracer};
+use cc_lens::{comm_metrics, CommAggregate, LedgerTracer, LinkRow};
 use cc_model::ModelSpec;
 use cc_obs::{
     render_prometheus, AlertEngine, AlertEvent, HealthReport, SharedClock, SloKind, SloRule,
@@ -473,8 +473,9 @@ pub fn default_slo_rules() -> Vec<SloRule> {
 /// keeps cache hits byte-identical.
 type PhaseMarks = Arc<Mutex<Vec<(String, u64)>>>;
 
-/// The tracer workers attach: folds every event into the job's
-/// [`LedgerTracer`] as it arrives, collects the phase marks, and
+/// The tracer workers attach: folds every event, and each round's batch
+/// rows in one call, into the job's [`LedgerTracer`] as they arrive,
+/// collects the phase marks, and
 /// forwards phase boundaries (plus coarse round milestones) as streamed
 /// `progress` responses.
 struct StreamTracer {
@@ -518,6 +519,10 @@ impl Tracer for StreamTracer {
             _ => {}
         }
         self.ledger.record(event);
+    }
+
+    fn record_batches(&mut self, round: u64, rows: &[LinkRow]) {
+        self.ledger.record_batches(round, rows);
     }
 }
 

@@ -17,7 +17,9 @@
 //! * [`Tracer`] — the sink trait, with [`NullTracer`] (disabled;
 //!   zero-overhead by caching `enabled()` as a bool at attach time),
 //!   [`RecordingTracer`] (shared in-memory buffer), and [`JsonlTracer`]
-//!   (streaming JSONL file).
+//!   (streaming JSONL file). A round's message batches reach a sink in
+//!   one [`Tracer::record_batches`] call, whose default makes one
+//!   [`Event::MessageBatch`] per row.
 //! * [`MetricsRegistry`] — monotonic counters plus log-scaled
 //!   [`LogHistogram`]s, built directly and snapshotable as JSON. The
 //!   traffic views of a recorded stream are `cc-lens`'s `CommLedger`

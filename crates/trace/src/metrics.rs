@@ -62,9 +62,19 @@ impl LogHistogram {
 
     /// Records one observation.
     pub fn observe(&mut self, v: u64) {
-        self.buckets[Self::bucket(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
+        self.observe_n(v, 1);
+    }
+
+    /// Records `times` observations of `v` at once: the same histogram
+    /// as `times` calls of [`observe`](LogHistogram::observe) (the sum
+    /// saturates either way). `times == 0` records nothing.
+    pub fn observe_n(&mut self, v: u64, times: u64) {
+        if times == 0 {
+            return;
+        }
+        self.buckets[Self::bucket(v)] += times;
+        self.count += times;
+        self.sum = self.sum.saturating_add(v.saturating_mul(times));
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -372,6 +382,24 @@ mod tests {
         assert_eq!(lows, vec![0, 1, 2, 4, 1024, 1 << 63]);
         let counts: Vec<u64> = s.buckets.iter().map(|&(_, c)| c).collect();
         assert_eq!(counts, vec![1, 1, 2, 1, 1, 1]);
+    }
+
+    #[test]
+    fn observe_n_is_n_observations() {
+        let (mut one_by_one, mut at_once) = (LogHistogram::new(), LogHistogram::new());
+        for (v, times) in [(5, 3), (0, 2), (u64::MAX / 2, 3), (u64::MAX, 0)] {
+            for _ in 0..times {
+                one_by_one.observe(v);
+            }
+            at_once.observe_n(v, times);
+        }
+        assert_eq!(at_once.snapshot(), one_by_one.snapshot());
+        assert_eq!(at_once.snapshot().sum, u64::MAX, "the sum saturates");
+        assert_eq!(
+            at_once.snapshot().max,
+            u64::MAX / 2,
+            "a zero-count value is unseen"
+        );
     }
 
     #[test]

@@ -36,6 +36,28 @@ pub trait Tracer: Send {
     /// Receives one event.
     fn record(&mut self, event: Event);
 
+    /// Receives one round's per-link traffic as `(src, dst, count,
+    /// words)` rows, `(src, dst)`-sorted, one per link: the
+    /// [`Event::MessageBatch`] events of `round`, handed over in one
+    /// call. The engine calls this once per executed round, before the
+    /// round's delivery-fault records and its `RoundEnd`.
+    ///
+    /// The default emits one `MessageBatch` per row, in row order, so a
+    /// sink that only implements [`record`](Tracer::record) sees exactly
+    /// the per-event stream. A sink that folds whole rounds (say, one
+    /// that takes a lock per call) overrides it.
+    fn record_batches(&mut self, round: u64, rows: &[(u32, u32, u32, u64)]) {
+        for &(src, dst, count, words) in rows {
+            self.record(Event::MessageBatch {
+                round,
+                src,
+                dst,
+                count,
+                words,
+            });
+        }
+    }
+
     /// Flushes any buffered output.
     fn flush(&mut self) {}
 }
@@ -193,6 +215,33 @@ mod tests {
         assert_eq!(rec.model_events().len(), 1);
         assert_eq!(rec.take_events().len(), 2);
         assert!(rec.is_empty());
+    }
+
+    #[test]
+    fn record_batches_defaults_to_one_batch_event_per_row() {
+        let rec = RecordingTracer::new();
+        let mut sink = rec.clone();
+        sink.record_batches(4, &[(0, 1, 2, 3), (2, 0, 1, 1)]);
+        sink.record_batches(5, &[]);
+        assert_eq!(
+            rec.events(),
+            [
+                Event::MessageBatch {
+                    round: 4,
+                    src: 0,
+                    dst: 1,
+                    count: 2,
+                    words: 3,
+                },
+                Event::MessageBatch {
+                    round: 4,
+                    src: 2,
+                    dst: 0,
+                    count: 1,
+                    words: 1,
+                },
+            ]
+        );
     }
 
     #[test]

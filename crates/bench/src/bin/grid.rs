@@ -23,8 +23,8 @@
 //! and `docs/grid_e23.md` (see `scripts/model_record.sh`).
 //!
 //! Exit codes: 0 ok, 1 failed cell (a rejected or silently wrong answer,
-//! an exhausted sketch, or a panic) or artifact invariant violation, 2
-//! usage or I/O error.
+//! or an exhausted sketch) or artifact invariant violation, 2 usage or
+//! I/O error, 101 a panic (a bug, never a cell status).
 
 use cc_bench::cli::{Args, Usage};
 use cc_bench::grid::{render_markdown, render_utilization_markdown, run_grid, GridConfig};
@@ -42,8 +42,7 @@ fn emit(args: &Args, path: &str, text: &str) {
     if path == "-" {
         out!("{text}");
     } else {
-        std::fs::write(path, text)
-            .unwrap_or_else(|e| args.fail(&format!("cannot write {path}: {e}")));
+        args.write_file(path, text);
         eprintln!("wrote {path}");
     }
 }

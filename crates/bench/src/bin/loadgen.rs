@@ -80,8 +80,7 @@ fn main() {
     if let Some(path) = args.value("--log") {
         let mut text = lines.join("\n");
         text.push('\n');
-        std::fs::write(path, text)
-            .unwrap_or_else(|e| args.fail(&format!("cannot write {path}: {e}")));
+        args.write_file(path, &text);
         eprintln!("logged {} response lines to {path}", lines.len());
     }
     outln!(

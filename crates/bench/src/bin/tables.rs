@@ -8,9 +8,9 @@
 //!   tables --csv DIR       # additionally write one CSV per table to DIR
 //!   tables --emit-json F   # additionally write a RunArtifact JSON to F
 //!
-//! An unknown experiment ID or flag exits 2. The full run's stdout is
-//! the committed `docs/experiment_tables.txt` (see
-//! `scripts/model_record.sh`).
+//! An unknown experiment ID or flag, or a file it cannot write, exits 2.
+//! The full run's stdout is the committed `docs/experiment_tables.txt`
+//! (see `scripts/model_record.sh`).
 //!
 //! The `--emit-json` [`cc_trace::RunArtifact`] stores the printed tables
 //! themselves, followed by the headline phase breakdowns.
@@ -35,7 +35,8 @@ fn main() {
     let selected = select_experiments(&wanted).unwrap_or_else(|e| args.fail(&e));
     let csv_dir = args.value("--csv");
     if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv directory");
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| args.fail(&format!("cannot create {dir}: {e}")));
     }
     let mut tables: Vec<Table> = Vec::new();
     for (id, f) in selected {
@@ -57,11 +58,11 @@ fn main() {
     if let Some(dir) = csv_dir {
         for table in &tables {
             let path = format!("{dir}/{}.csv", table.id.to_lowercase());
-            std::fs::write(&path, table.to_csv()).expect("write csv");
+            args.write_file(&path, &table.to_csv());
         }
     }
     if let Some(path) = args.value("--emit-json") {
-        std::fs::write(path, artifact.to_json_string()).expect("write artifact");
+        args.write_file(path, &artifact.to_json_string());
         eprintln!("wrote {path}");
     }
     for table in &tables {

@@ -42,7 +42,7 @@ fn main() {
     }
     // The file first: a stdout reader that closes early ends the run.
     if let Some(path) = args.value("--emit-json") {
-        std::fs::write(path, artifact.to_json_string()).expect("write artifact");
+        args.write_file(path, &artifact.to_json_string());
         eprintln!("wrote {path}");
     }
     out!("{}", render_checklist_txt(quick, &records[0]));

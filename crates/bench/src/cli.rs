@@ -131,6 +131,13 @@ impl Args {
         })
     }
 
+    /// Writes `contents` to the file `path`; exits 2 naming the path if
+    /// it cannot.
+    pub fn write_file(&self, path: &str, contents: &str) {
+        std::fs::write(path, contents)
+            .unwrap_or_else(|e| self.fail(&format!("cannot write {path}: {e}")));
+    }
+
     /// Prints `msg` and the usage line, then exits 2.
     pub fn fail(&self, msg: &str) -> ! {
         usage_error(self.usage.line, msg)

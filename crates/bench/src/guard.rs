@@ -5,23 +5,26 @@
 //! weaken the model or inject faults, and does the algorithm still answer
 //! correctly, fail loudly, or lie? [`run`] answers it once. It builds one
 //! [`Net`] under [`ROUND_CAP`] with one [`LedgerTracer`] on the net's own
-//! model, attaches the fault plan's injector if there is one, runs the
-//! entry inside `catch_unwind`, applies the entry's check, and finally
-//! the independent differential against the sequential reference
-//! (component labels for GC, Kruskal's weight for both MSTs). Each
-//! harness only renders the verdict: the grid as `ok` / `model-reject` /
-//! `failed` plus a kind, E17 as `correct`, `detected-failure` or
-//! `silent-wrong-answer` ([`Verdict::outcome`]).
+//! model, attaches the fault injector if there is one, runs the entry,
+//! applies the entry's check, and finally the independent differential
+//! against the sequential reference (component labels for GC, Kruskal's
+//! weight for both MSTs). Each harness only renders the verdict: the grid
+//! as `ok` / `model-reject` / `failed` plus a kind, E17 as `correct`,
+//! `detected-failure` or `silent-wrong-answer` ([`Verdict::outcome`]).
+//!
+//! A panic is a bug, not a verdict: it unwinds out of [`run`], and the
+//! harness binary exits 101. The single-fault census
+//! (`crates/bench/tests/census.rs`) checks that every single message
+//! fault of its runs ends correct, in a typed error other than
+//! `round-cap`, or rejected by the check.
 
-use cc_chaos::FaultPlan;
 use cc_core::catalog::{Answer, Entry};
 use cc_core::CoreError;
 use cc_graph::connectivity::component_labels;
 use cc_graph::{mst, WGraph};
 use cc_lens::{CommLedger, LedgerTracer};
-use cc_net::{Cost, NetConfig, NetError};
+use cc_net::{Cost, FaultInjector, NetConfig, NetError};
 use cc_route::Net;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Round watchdog for every guarded run: a weakened model or a fault
@@ -61,11 +64,6 @@ pub enum Verdict {
         /// `bad-header`, `bad-announcement` or `wrong-answer`.
         kind: &'static str,
         /// The error display, or the check's reason.
-        detail: String,
-    },
-    /// The run panicked.
-    Panic {
-        /// The panic payload.
         detail: String,
     },
     /// The check accepted an answer that disagrees with the sequential
@@ -145,7 +143,6 @@ impl Verdict {
         match self {
             Verdict::Ok => None,
             Verdict::ModelReject { kind, .. } | Verdict::DetectedError { kind, .. } => Some(kind),
-            Verdict::Panic { .. } => Some("panic"),
             Verdict::SilentWrong { .. } => Some("silent-wrong"),
         }
     }
@@ -156,7 +153,6 @@ impl Verdict {
             Verdict::Ok => None,
             Verdict::ModelReject { detail, .. }
             | Verdict::DetectedError { detail, .. }
-            | Verdict::Panic { detail }
             | Verdict::SilentWrong { detail } => Some(detail),
         }
     }
@@ -172,8 +168,8 @@ impl Verdict {
         }
     }
 
-    /// The E17 detail: errors as `error: …`, panics as `panic: …`, a
-    /// check's reason verbatim, empty when correct.
+    /// The E17 detail: errors as `error: …`, a check's reason verbatim,
+    /// empty when correct.
     pub fn outcome_detail(&self) -> String {
         match self {
             Verdict::Ok => String::new(),
@@ -185,7 +181,6 @@ impl Verdict {
             Verdict::ModelReject { detail, .. } | Verdict::DetectedError { detail, .. } => {
                 format!("error: {detail}")
             }
-            Verdict::Panic { detail } => format!("panic: {detail}"),
         }
     }
 }
@@ -206,9 +201,9 @@ pub struct Run {
 }
 
 /// Runs `entry` on a fresh net built from `cfg` (capped at
-/// [`ROUND_CAP`]) under `plan`, and judges it.
-pub fn run(cfg: NetConfig, plan: Option<&FaultPlan>, entry: Entry) -> Run {
-    run_with(cfg, plan, entry, |net| entry.run(net))
+/// [`ROUND_CAP`]) under `faults`, and judges it.
+pub fn run(cfg: NetConfig, faults: Option<Box<dyn FaultInjector>>, entry: Entry) -> Run {
+    run_with(cfg, faults, entry, |net| entry.run(net))
 }
 
 /// [`run`] with `runner` in place of `entry`'s own algorithm; the answer
@@ -216,34 +211,22 @@ pub fn run(cfg: NetConfig, plan: Option<&FaultPlan>, entry: Entry) -> Run {
 /// broadcast-only `gc-sketch` cell is the one caller.
 pub fn run_with(
     cfg: NetConfig,
-    plan: Option<&FaultPlan>,
+    faults: Option<Box<dyn FaultInjector>>,
     entry: Entry,
     runner: impl FnOnce(&mut Net) -> Result<Answer, CoreError>,
 ) -> Run {
     let fold = LedgerTracer::new(cfg.n, &cfg.model()).expect("a net config is a valid model");
     let mut net = Net::new(cfg.with_round_cap(ROUND_CAP));
     net.set_tracer(Box::new(fold.clone()));
-    if let Some(plan) = plan {
-        net.set_fault_injector(Box::new(plan.injector()));
+    if let Some(faults) = faults {
+        net.set_fault_injector(faults);
     }
     let t0 = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| runner(&mut net)));
+    let result = runner(&mut net);
     let nanos = t0.elapsed().as_nanos() as u64;
     let cost = net.cost();
     drop(net);
-    let verdict = match result {
-        Ok(result) => {
-            Verdict::returned(result, |a| entry.check(a), |a| matches_reference(entry, a))
-        }
-        Err(payload) => Verdict::Panic {
-            detail: payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic")
-                .to_string(),
-        },
-    };
+    let verdict = Verdict::returned(result, |a| entry.check(a), |a| matches_reference(entry, a));
     let ledger = fold
         .finish()
         .expect("an engine's batches stay inside its clique");
@@ -370,15 +353,6 @@ mod tests {
                 Some("bad-announcement"),
                 "detected-failure",
                 "error: network error: round 1: node 3",
-            ),
-            (
-                Verdict::Panic {
-                    detail: "boom".into(),
-                },
-                "failed",
-                Some("panic"),
-                "detected-failure",
-                "panic: boom",
             ),
         ];
         for (verdict, status, kind, outcome, detail) in cases {

@@ -5,7 +5,8 @@
 //!
 //! A binary whose stdout reader is gone exits 141, the status of a
 //! process killed by `SIGPIPE`, without a panic, and the files it was
-//! asked to write are already written.
+//! asked to write are already written. A file it cannot write exits 2
+//! naming the path, also without a panic.
 
 use std::process::Command;
 
@@ -38,6 +39,41 @@ fn unknown_flags_and_experiment_ids_are_usage_errors() {
     refuses(env!("CARGO_BIN_EXE_verify_claims"), &["--bogus"]);
     refuses(env!("CARGO_BIN_EXE_chaos"), &["--bogus"]);
     refuses(env!("CARGO_BIN_EXE_cc-top"), &["--once", "--bogus"]);
+}
+
+/// Runs `bin` asking it to write to `path`, which it cannot create: it
+/// must exit 2 naming the path, without a panic.
+fn cannot_write(bin: &str, args: &[&str], path: &str) {
+    let out = Command::new(bin).args(args).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(path), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+}
+
+#[test]
+fn an_unwritable_output_path_exits_2_without_a_panic() {
+    let missing = format!("{}/no_such_dir/out.json", env!("CARGO_TARGET_TMPDIR"));
+    let blocker = format!("{}/a_plain_file", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&blocker, "").expect("write file");
+    let csv_dir = format!("{blocker}/csv");
+    let tables = env!("CARGO_BIN_EXE_tables");
+    cannot_write(
+        tables,
+        &["--quick", "--emit-json", &missing, "e1"],
+        &missing,
+    );
+    cannot_write(tables, &["--quick", "--csv", &csv_dir, "e1"], &csv_dir);
+    cannot_write(
+        env!("CARGO_BIN_EXE_verify_claims"),
+        &["--emit-json", &missing],
+        &missing,
+    );
+    cannot_write(
+        env!("CARGO_BIN_EXE_chaos"),
+        &["--emit-json", &missing],
+        &missing,
+    );
 }
 
 /// Runs `bin` with stdout on a pipe whose read end is already closed, so

@@ -78,8 +78,9 @@ pub fn controlled_boruvka(
     let mut chosen: Vec<WEdge> = Vec::new();
 
     loop {
-        // Snapshot phase: best outgoing candidate per active component.
-        let mut best: HashMap<usize, (Weight, WEdge, usize)> = HashMap::new();
+        // Snapshot phase: best outgoing candidate per active component,
+        // indexed by root.
+        let mut best: Vec<Option<(Weight, WEdge, usize)>> = vec![None; m];
         for root in 0..m {
             if uf.find(root) != root || frozen[root] || members[root].len() > cap {
                 continue;
@@ -109,16 +110,16 @@ pub fn controlled_boruvka(
                     }
                 }
             }
-            if let Some(b) = comp_best {
-                best.insert(root, b);
-            }
+            best[root] = comp_best;
         }
-        if best.is_empty() {
-            break;
-        }
-        // Apply phase.
+        // Apply phase, in root order: when corrupted candidates make two
+        // components name different edges between them, the lower root's
+        // edge wins, so a run replays the same answer.
         let mut progressed = false;
-        for (root, (_w, edge, far)) in best {
+        for (root, pick) in best.into_iter().enumerate() {
+            let Some((_w, edge, far)) = pick else {
+                continue;
+            };
             let (a, b) = (uf.find(root), uf.find(far));
             if a == b {
                 continue;
@@ -238,6 +239,18 @@ mod tests {
         let candidates = vec![vec![cand(3, 7, 2, 7)], vec![cand(3, 7, 2, 3)]];
         let out = controlled_boruvka(&leaders, &candidates, 2);
         assert_eq!(out.chosen.len(), 1);
+    }
+
+    #[test]
+    fn disagreeing_candidates_resolve_by_root_order() {
+        // The two fragments name different edges between them (a
+        // corrupted weight): the lower root's edge always wins.
+        let leaders = vec![0, 1];
+        let candidates = vec![vec![cand(0, 1, 5, 1)], vec![cand(0, 1, 6, 0)]];
+        for _ in 0..64 {
+            let out = controlled_boruvka(&leaders, &candidates, 1);
+            assert_eq!(out.chosen, vec![WEdge::new(0, 1, 5)]);
+        }
     }
 
     #[test]

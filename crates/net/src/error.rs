@@ -89,8 +89,9 @@ pub enum NetError {
         word: Option<u64>,
     },
     /// A KT0 bootstrap announcement reached a node as something other
-    /// than one word naming another node of the clique — what a
-    /// corrupting fault makes of it.
+    /// than one word naming another node of the clique, or repeated an
+    /// ID the node had already read — what a corrupting or duplicating
+    /// fault makes of it.
     BadAnnouncement {
         /// The 0-based round whose inbox held the announcement.
         round: u64,
@@ -187,7 +188,7 @@ impl fmt::Display for NetError {
                 word: Some(word),
             } => write!(
                 f,
-                "round {round}: node {node} read an ID announcement from {src} whose word {word} names no other node"
+                "round {round}: node {node} read an ID announcement from {src} whose word {word} names no other node or repeats an ID"
             ),
             NetError::BadAnnouncement {
                 round,

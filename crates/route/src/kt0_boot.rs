@@ -7,8 +7,7 @@
 //! bound shows is unavoidable in KT0 anyway).
 //!
 //! The exchange is executed and metered: every node sends its ID along
-//! every port. The returned tables give, per node and per port, the ID
-//! now known to sit behind that port.
+//! every port, and every node checks what it reads.
 
 use crate::{Net, Packet};
 use cc_net::{Knowledge, NetError};
@@ -16,65 +15,51 @@ use cc_net::{Knowledge, NetError};
 /// Runs the ID broadcast if the network is KT0; a no-op (zero cost) under
 /// KT1, where the knowledge is part of the model.
 ///
-/// Returns `port_ids[u][p]` = ID behind port `p` of node `u` (for KT1
-/// networks the ports are identity-ordered by convention: port `p` of `u`
-/// leads to the `p`-th other node in ID order).
-///
 /// Cost under KT0: 1 send round (+1 delivery), `n(n−1)` messages.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors. An announcement that is not one word
-/// naming another node of the clique is [`NetError::BadAnnouncement`]
-/// (the first one, lowest receiver then lowest sender).
-pub fn kt0_bootstrap(net: &mut Net) -> Result<Vec<Vec<u32>>, NetError> {
-    let n = net.n();
-    match net.config().knowledge {
-        Knowledge::Kt1 => Ok((0..n)
-            .map(|u| (0..n as u32).filter(|&v| v as usize != u).collect())
-            .collect()),
-        Knowledge::Kt0 => {
-            // Every node announces its ID on every link.
-            net.step(|node, _inbox, out| {
-                for dst in 0..n {
-                    if dst != node {
-                        let _ = out.send(dst, Packet::one(node as u64));
-                    }
-                }
-            })?;
-            let round = net.cost().rounds;
-            let mut bad = None;
-            net.step(|node, inbox, _out| {
-                for env in inbox {
-                    let id = match *env.msg {
-                        [word] => usize::try_from(word)
-                            .ok()
-                            .filter(|&id| id < n && id != node)
-                            .ok_or(Some(word)),
-                        _ => Err(None),
-                    };
-                    if let Err(word) = id {
-                        bad.get_or_insert(NetError::BadAnnouncement {
-                            round,
-                            node,
-                            src: env.src,
-                            word,
-                        });
-                    }
-                }
-            })?;
-            if let Some(e) = bad {
-                return Err(e);
-            }
-            // Associate the announced IDs with ports via the hidden map
-            // (the simulator's delivery is the ground truth the
-            // announcement established).
-            let ports = net.ports().expect("KT0 networks have a port map").clone();
-            Ok((0..n)
-                .map(|u| (0..n - 1).map(|p| ports.neighbor_at(u, p) as u32).collect())
-                .collect())
-        }
+/// naming another node of the clique, or that repeats an ID its reader
+/// already read, is [`NetError::BadAnnouncement`] (the first one, lowest
+/// receiver then inbox order).
+pub fn kt0_bootstrap(net: &mut Net) -> Result<(), NetError> {
+    if net.config().knowledge == Knowledge::Kt1 {
+        return Ok(());
     }
+    let n = net.n();
+    // Every node announces its ID on every link.
+    net.step(|node, _inbox, out| {
+        for dst in 0..n {
+            if dst != node {
+                let _ = out.send(dst, Packet::one(node as u64));
+            }
+        }
+    })?;
+    let round = net.cost().rounds;
+    let mut bad = None;
+    net.step(|node, inbox, _out| {
+        let mut heard = vec![false; n];
+        for env in inbox {
+            let word = match *env.msg {
+                [word] => match usize::try_from(word) {
+                    Ok(id) if id < n && id != node && !heard[id] => {
+                        heard[id] = true;
+                        continue;
+                    }
+                    _ => Some(word),
+                },
+                _ => None,
+            };
+            bad.get_or_insert(NetError::BadAnnouncement {
+                round,
+                node,
+                src: env.src,
+                word,
+            });
+        }
+    })?;
+    bad.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -85,38 +70,30 @@ mod tests {
     #[test]
     fn kt1_is_free() {
         let mut net = Net::new(NetConfig::kt1(6));
-        let tables = kt0_bootstrap(&mut net).unwrap();
+        assert_eq!(kt0_bootstrap(&mut net), Ok(()));
         assert_eq!(net.cost().messages, 0);
-        assert_eq!(tables[2], vec![0, 1, 3, 4, 5]);
     }
 
     #[test]
-    fn kt0_pays_quadratic_messages_and_learns_ports() {
+    fn kt0_pays_quadratic_messages_in_two_rounds() {
         let n = 8;
         let mut net = Net::new(NetConfig::kt0(n).with_seed(3));
-        let tables = kt0_bootstrap(&mut net).unwrap();
+        assert_eq!(kt0_bootstrap(&mut net), Ok(()));
         assert_eq!(net.cost().messages, (n * (n - 1)) as u64);
         assert_eq!(net.cost().rounds, 2);
-        // Tables agree with the hidden permutation and cover all peers.
-        for (u, table) in tables.iter().enumerate() {
-            let mut ids = table.clone();
-            ids.sort_unstable();
-            let expect: Vec<u32> = (0..n as u32).filter(|&v| v as usize != u).collect();
-            assert_eq!(ids, expect);
-        }
     }
 
-    /// Corrupts one bit of the announcement `src → dst`.
-    struct FlipOne {
+    /// Applies `decision` to the announcement `src → dst`.
+    struct FaultOne {
         src: usize,
         dst: usize,
-        bit: u64,
+        decision: FaultDecision,
     }
 
-    impl cc_net::FaultInjector for FlipOne {
+    impl cc_net::FaultInjector for FaultOne {
         fn decision(&self, _round: u64, src: usize, dst: usize, _index: u32) -> FaultDecision {
             if (src, dst) == (self.src, self.dst) {
-                FaultDecision::Corrupt { bit: self.bit }
+                self.decision
             } else {
                 FaultDecision::Deliver
             }
@@ -124,45 +101,43 @@ mod tests {
     }
 
     #[test]
-    fn a_corrupted_announcement_is_a_typed_error() {
+    fn a_corrupted_or_repeated_announcement_is_a_typed_error() {
         // A flipped bit 40 makes node 2's announcement name no node; a
-        // flipped bit 2 makes node 1's name its receiver, node 5.
-        for (src, bit, word) in [(2, 40, 2 + (1 << 40)), (1, 2, 5)] {
+        // flipped bit 2 makes node 1's name its receiver, node 5; a
+        // flipped bit 0 makes node 2's name node 3, whose own
+        // announcement then repeats an ID; a duplicate repeats node 2's.
+        let corrupt = |bit| FaultDecision::Corrupt { bit };
+        for (src, decision, culprit, word) in [
+            (2, corrupt(40), 2, 2 + (1 << 40)),
+            (1, corrupt(2), 1, 5),
+            (2, corrupt(0), 3, 3),
+            (2, FaultDecision::Duplicate, 2, 2),
+        ] {
             let mut net = Net::new(NetConfig::kt0(6).with_seed(3));
-            net.set_fault_injector(Box::new(FlipOne { src, dst: 5, bit }));
+            net.set_fault_injector(Box::new(FaultOne {
+                src,
+                dst: 5,
+                decision,
+            }));
             assert_eq!(
                 kt0_bootstrap(&mut net),
                 Err(NetError::BadAnnouncement {
                     round: 1,
                     node: 5,
-                    src,
+                    src: culprit,
                     word: Some(word),
                 }),
-                "bit {bit}"
+                "{decision:?}"
             );
         }
-        // A flip that names another node (2 → 3) reads as an ID.
-        let mut net = Net::new(NetConfig::kt0(6).with_seed(3));
-        net.set_fault_injector(Box::new(FlipOne {
-            src: 2,
-            dst: 5,
-            bit: 0,
-        }));
-        assert!(kt0_bootstrap(&mut net).is_ok());
-        let shown = NetError::BadAnnouncement {
+        let shown = |word| NetError::BadAnnouncement {
             round: 1,
             node: 5,
             src: 2,
-            word: None,
+            word,
         };
-        assert_eq!(shown.kind(), "bad-announcement");
-        assert!(shown.to_string().contains("not one word"), "{shown}");
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let a = kt0_bootstrap(&mut Net::new(NetConfig::kt0(6).with_seed(1))).unwrap();
-        let b = kt0_bootstrap(&mut Net::new(NetConfig::kt0(6).with_seed(1))).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(shown(None).kind(), "bad-announcement");
+        assert!(shown(None).to_string().contains("not one word"));
+        assert!(shown(Some(3)).to_string().contains("repeats an ID"));
     }
 }

@@ -630,6 +630,40 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_answer_is_a_failed_cell_in_the_artifact() {
+        // A runner whose answer the check rejects ends as a `failed` cell
+        // of kind `wrong-answer`, still metered, and the artifact keeps
+        // it: `validate` accepts it and `failed` counts it.
+        let n = 12;
+        let spec = ModelSpec::clique().with_bandwidth(8).kmachine(4);
+        let mut rng = ChaCha8Rng::seed_from_u64(0xE22);
+        let g = generators::random_connected_graph(n, 0.3, &mut rng);
+        let cfg = NetConfig::from_model(n, &spec).unwrap().with_seed(0xE22);
+        let run = guard::run_with(cfg, None, Entry::GcSketch(&g), |net| {
+            let mut answer = broadcast_gc_answer(net, &g)?;
+            if let Answer::Gc(out) = &mut answer {
+                out.labels.pop();
+            }
+            Ok(answer)
+        });
+        let cell = CellResult::new(spec, "gc-sketch", run);
+        assert_eq!(cell.verdict.status(), "failed");
+        assert_eq!(cell.verdict.kind(), Some("wrong-answer"));
+        assert_eq!(
+            cell.verdict.detail(),
+            Some("label vector has 11 entries for 12 nodes")
+        );
+        assert!(cell.rounds > 0, "the broadcast run is metered");
+        let mut art = GridArtifact::new(n, 0xE22);
+        art.cells.push(cell);
+        art.validate().expect("a failed cell is a valid cell");
+        assert_eq!(art.failed().len(), 1);
+        let json = art.to_json_string();
+        assert!(json.contains("\"status\": \"failed\""), "{json}");
+        assert!(json.contains("\"error\": \"wrong-answer\""), "{json}");
+    }
+
+    #[test]
     fn net_cell_fold_matches_the_metered_cost_exactly() {
         // Zero drift on the CliqueNet path: the lens fold of a traced gc
         // run reproduces the engine's own counters bit for bit.

@@ -292,6 +292,7 @@ mod tests {
             node: 3,
             src: 0,
             word: Some(9),
+            first: None,
         });
         // (verdict, grid status, grid kind, E17 outcome, E17 detail prefix)
         let cases = [

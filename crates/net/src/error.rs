@@ -102,6 +102,10 @@ pub enum NetError {
         /// The announced word; `None` for an announcement that is not
         /// one word long.
         word: Option<u64>,
+        /// For a repeated ID, the sender of the node's first
+        /// announcement of it; `None` otherwise. Either of the two
+        /// announcements may be the faulty one.
+        first: Option<usize>,
     },
 }
 
@@ -186,15 +190,27 @@ impl fmt::Display for NetError {
                 node,
                 src,
                 word: Some(word),
+                first: None,
             } => write!(
                 f,
-                "round {round}: node {node} read an ID announcement from {src} whose word {word} names no other node or repeats an ID"
+                "round {round}: node {node} read an ID announcement from {src} whose word {word} names no other node"
+            ),
+            NetError::BadAnnouncement {
+                round,
+                node,
+                src,
+                word: Some(word),
+                first: Some(first),
+            } => write!(
+                f,
+                "round {round}: node {node} read ID {word} from {src} after reading it from {first}; one of the two announcements is faulty"
             ),
             NetError::BadAnnouncement {
                 round,
                 node,
                 src,
                 word: None,
+                ..
             } => write!(
                 f,
                 "round {round}: node {node} read an ID announcement from {src} that is not one word"
@@ -301,6 +317,7 @@ mod tests {
                 node: 0,
                 src: 1,
                 word: None,
+                first: None,
             },
         ];
         for e in &witnesses {

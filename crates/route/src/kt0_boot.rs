@@ -22,7 +22,9 @@ use cc_net::{Knowledge, NetError};
 /// Propagates simulator errors. An announcement that is not one word
 /// naming another node of the clique, or that repeats an ID its reader
 /// already read, is [`NetError::BadAnnouncement`] (the first one, lowest
-/// receiver then inbox order).
+/// receiver then inbox order). A repeat names both senders of the ID:
+/// the reader cannot tell which of the two announcements is the faulty
+/// one.
 pub fn kt0_bootstrap(net: &mut Net) -> Result<(), NetError> {
     if net.config().knowledge == Knowledge::Kt1 {
         return Ok(());
@@ -39,23 +41,28 @@ pub fn kt0_bootstrap(net: &mut Net) -> Result<(), NetError> {
     let round = net.cost().rounds;
     let mut bad = None;
     net.step(|node, inbox, _out| {
-        let mut heard = vec![false; n];
+        // `heard[id]`: the sender of the first announcement of `id`.
+        let mut heard = vec![None; n];
         for env in inbox {
-            let word = match *env.msg {
+            let (word, first) = match *env.msg {
                 [word] => match usize::try_from(word) {
-                    Ok(id) if id < n && id != node && !heard[id] => {
-                        heard[id] = true;
-                        continue;
-                    }
-                    _ => Some(word),
+                    Ok(id) if id < n && id != node => match heard[id] {
+                        None => {
+                            heard[id] = Some(env.src);
+                            continue;
+                        }
+                        first => (Some(word), first),
+                    },
+                    _ => (Some(word), None),
                 },
-                _ => None,
+                _ => (None, None),
             };
             bad.get_or_insert(NetError::BadAnnouncement {
                 round,
                 node,
                 src: env.src,
                 word,
+                first,
             });
         }
     })?;
@@ -104,14 +111,14 @@ mod tests {
     fn a_corrupted_or_repeated_announcement_is_a_typed_error() {
         // A flipped bit 40 makes node 2's announcement name no node; a
         // flipped bit 2 makes node 1's name its receiver, node 5; a
-        // flipped bit 0 makes node 2's name node 3, whose own
-        // announcement then repeats an ID; a duplicate repeats node 2's.
+        // flipped bit 0 makes node 2's name node 3, so node 5 reads ID 3
+        // from both 2 and 3; a duplicate repeats node 2's.
         let corrupt = |bit| FaultDecision::Corrupt { bit };
-        for (src, decision, culprit, word) in [
-            (2, corrupt(40), 2, 2 + (1 << 40)),
-            (1, corrupt(2), 1, 5),
-            (2, corrupt(0), 3, 3),
-            (2, FaultDecision::Duplicate, 2, 2),
+        for (src, decision, culprit, word, first) in [
+            (2, corrupt(40), 2, 2 + (1 << 40), None),
+            (1, corrupt(2), 1, 5, None),
+            (2, corrupt(0), 3, 3, Some(2)),
+            (2, FaultDecision::Duplicate, 2, 2, Some(2)),
         ] {
             let mut net = Net::new(NetConfig::kt0(6).with_seed(3));
             net.set_fault_injector(Box::new(FaultOne {
@@ -126,18 +133,27 @@ mod tests {
                     node: 5,
                     src: culprit,
                     word: Some(word),
+                    first,
                 }),
                 "{decision:?}"
             );
         }
-        let shown = |word| NetError::BadAnnouncement {
-            round: 1,
-            node: 5,
-            src: 2,
-            word,
+        let shown = |word, first| {
+            NetError::BadAnnouncement {
+                round: 1,
+                node: 5,
+                src: 3,
+                word,
+                first,
+            }
+            .to_string()
         };
-        assert_eq!(shown(None).kind(), "bad-announcement");
-        assert!(shown(None).to_string().contains("not one word"));
-        assert!(shown(Some(3)).to_string().contains("repeats an ID"));
+        assert!(shown(None, None).contains("not one word"));
+        assert!(shown(Some(9), None).contains("names no other node"));
+        let repeat = shown(Some(3), Some(2));
+        assert!(
+            repeat.contains("ID 3 from 3 after reading it from 2"),
+            "{repeat}"
+        );
     }
 }

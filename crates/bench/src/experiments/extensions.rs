@@ -133,7 +133,7 @@ pub fn e14_broadcast_model(quick: bool) -> Table {
         t.push_row(vec![
             name.to_string(),
             d.to_string(),
-            b.cost.rounds.to_string(),
+            bnet.cost().rounds.to_string(),
             u.cost.rounds.to_string(),
         ]);
     }

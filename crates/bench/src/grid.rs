@@ -6,12 +6,12 @@
 //! runner executes the reproduction's three flagship workloads
 //! (`gc-sketch`, `exact-mst`, `rt-conn`) in every cell. `gc-sketch` and
 //! `exact-mst` are [`guard::run`]s of their [`cc_core::catalog`] entries:
-//! checked and compared with the sequential reference.
-//! The two special cases are broadcast-only `gc-sketch` (label
-//! propagation, passed to [`guard::run_with`] as its runner and judged by
-//! the `gc-sketch` entry) and `rt-conn` (judged against sequential
-//! component labels by [`Verdict::returned`]). Each cell renders its
-//! [`Verdict`] as exactly one of three statuses:
+//! checked and compared with the sequential reference. In a
+//! broadcast-only cell the `gc-sketch` entry runs label propagation
+//! (the paper's footnote-1 algorithm), whose own spanning forest faces
+//! the entry's check. `rt-conn` is judged against sequential component
+//! labels by [`Verdict::returned`]. Each cell renders its [`Verdict`] as
+//! exactly one of three statuses:
 //!
 //! * **ok** — the run completed, its check accepted the answer, and the
 //!   answer equals the sequential reference.
@@ -23,9 +23,10 @@
 //! * **failed** — everything a weaker model must never cause: a rejected
 //!   answer (`wrong-answer`), an exhausted Monte Carlo sampler
 //!   (`sketch-exhausted`, a detected failure the paper bounds by
-//!   `1/n^{Ω(1)}`), a lost or duplicated fragment (`fragment-lost`), a
-//!   message its protocol cannot have sent (`malformed-message`), or an
-//!   accepted answer that disagrees with the reference (`silent-wrong`).
+//!   `1/n^{Ω(1)}`), a message its protocol cannot have sent
+//!   (`malformed-message`: a lost or duplicated fragment, a corrupted
+//!   word), or an accepted answer that disagrees with the reference
+//!   (`silent-wrong`).
 //!   The `grid` binary exits 1 on any failed cell. A panic is a bug, not
 //!   a status: it ends the sweep, and the binary exits 101.
 //!
@@ -45,13 +46,12 @@
 //! time stays in the grid artifact only.
 
 use crate::guard::{self, Run, Verdict};
-use cc_core::catalog::{Answer, Entry};
-use cc_core::{broadcast_gc, run_connectivity, CoreError, GcOutput, RtGcOutput};
-use cc_graph::{connectivity, generators, Edge, Graph};
+use cc_core::catalog::Entry;
+use cc_core::{run_connectivity, RtGcOutput};
+use cc_graph::{connectivity, generators, Graph};
 use cc_lens::{CommReport, LedgerTracer};
 use cc_model::{LinkMode, MachineStats, Mapping, ModelSpec};
 use cc_net::NetConfig;
-use cc_route::Net;
 use cc_runtime::Runtime;
 use cc_trace::Json;
 use rand::SeedableRng;
@@ -413,23 +413,6 @@ pub fn render_utilization_markdown(artifact: &GridArtifact) -> String {
     out
 }
 
-/// Label-propagation GC, the broadcast-only cells' `gc-sketch` runner
-/// (the paper's footnote-1 algorithm). Its labels are completed with an
-/// independently built spanning forest ([`connectivity::spanning_forest`])
-/// so the entry's check pins the labels to the true components.
-fn broadcast_gc_answer(net: &mut Net, g: &Graph) -> Result<Answer, CoreError> {
-    let run = broadcast_gc(net, g)?;
-    Ok(Answer::Gc(GcOutput {
-        connected: run.connected,
-        component_count: run.component_count,
-        labels: run.labels,
-        spanning_forest: connectivity::spanning_forest(g)
-            .into_iter()
-            .map(|(u, v)| Edge::new(u, v))
-            .collect(),
-    }))
-}
-
 /// `rt-conn` on the serial `cc-runtime` backend, judged against the
 /// sequential component labels.
 fn rt_run(n: usize, seed: u64, g: &Graph, spec: &ModelSpec) -> Run {
@@ -487,13 +470,7 @@ pub fn run_grid(cfg: &GridConfig) -> GridArtifact {
         let net_cfg = NetConfig::from_model(n, &spec)
             .expect("grid cells are pre-validated")
             .with_seed(cfg.seed);
-        let gc_run = if spec.allows_unicast() {
-            guard::run(net_cfg.clone(), None, gc)
-        } else {
-            guard::run_with(net_cfg.clone(), None, gc, |net| {
-                broadcast_gc_answer(net, &g)
-            })
-        };
+        let gc_run = guard::run(net_cfg.clone(), None, gc);
         artifact.cells.push(CellResult::new(spec, gc.id(), gc_run));
         // EXACT-MST is a unicast protocol: in broadcast-only cells its
         // first point-to-point send is the typed rejection the grid
@@ -511,7 +488,9 @@ pub fn run_grid(cfg: &GridConfig) -> GridArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_core::catalog::Answer;
     use cc_lens::CommLedger;
+    use cc_route::Net;
     use cc_trace::RecordingTracer;
 
     fn small_grid() -> GridArtifact {
@@ -631,7 +610,7 @@ mod tests {
 
     #[test]
     fn a_rejected_answer_is_a_failed_cell_in_the_artifact() {
-        // A runner whose answer the check rejects ends as a `failed` cell
+        // A run whose answer the check rejects ends as a `failed` cell
         // of kind `wrong-answer`, still metered, and the artifact keeps
         // it: `validate` accepts it and `failed` counts it.
         let n = 12;
@@ -639,13 +618,15 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0xE22);
         let g = generators::random_connected_graph(n, 0.3, &mut rng);
         let cfg = NetConfig::from_model(n, &spec).unwrap().with_seed(0xE22);
-        let run = guard::run_with(cfg, None, Entry::GcSketch(&g), |net| {
-            let mut answer = broadcast_gc_answer(net, &g)?;
-            if let Answer::Gc(out) = &mut answer {
-                out.labels.pop();
-            }
-            Ok(answer)
-        });
+        let entry = Entry::GcSketch(&g);
+        let mut answer = entry.run(&mut Net::new(cfg.clone())).expect("gc");
+        if let Answer::Gc(out) = &mut answer {
+            out.labels.pop();
+        }
+        let run = Run {
+            verdict: Verdict::returned(Ok(answer), |a| entry.check(a), |_| true),
+            ..guard::run(cfg, None, entry)
+        };
         let cell = CellResult::new(spec, "gc-sketch", run);
         assert_eq!(cell.verdict.status(), "failed");
         assert_eq!(cell.verdict.kind(), Some("wrong-answer"));
@@ -653,7 +634,7 @@ mod tests {
             cell.verdict.detail(),
             Some("label vector has 11 entries for 12 nodes")
         );
-        assert!(cell.rounds > 0, "the broadcast run is metered");
+        assert!(cell.rounds > 0, "the run is metered");
         let mut art = GridArtifact::new(n, 0xE22);
         art.cells.push(cell);
         art.validate().expect("a failed cell is a valid cell");

@@ -12,6 +12,13 @@
 //! as `ok` / `model-reject` / `failed` plus a kind, E17 as `correct`,
 //! `detected-failure` or `silent-wrong-answer` ([`Verdict::outcome`]).
 //!
+//! A message no protocol could have sent is one error,
+//! [`NetError::Malformed`]: the run read bad input rather than broke a
+//! rule, so it is a [`Verdict::DetectedError`] of kind
+//! `malformed-message` whose detail names the round, the link and the
+//! [`Defect`](cc_net::Defect). Every other [`NetError`] is a
+//! [`Verdict::ModelReject`].
+//!
 //! A panic is a bug, not a verdict: it unwinds out of [`run`], and the
 //! harness binary exits 101. The single-fault census
 //! (`crates/bench/tests/census.rs`) checks that every single message
@@ -43,9 +50,9 @@ pub enum Verdict {
     /// reference.
     Ok,
     /// The simulator refused the run: a [`CoreError::Net`] other than
-    /// [`NetError::BadHeader`] and [`NetError::BadAnnouncement`], whose
-    /// [`kind`](cc_net::NetError::kind) and display name the round and
-    /// link where the run first left the model.
+    /// [`NetError::Malformed`], whose [`kind`](cc_net::NetError::kind)
+    /// and display name the round and link where the run first left the
+    /// model.
     ModelReject {
         /// The [`cc_net::NetError`] kind tag.
         kind: &'static str,
@@ -53,15 +60,13 @@ pub enum Verdict {
         detail: String,
     },
     /// The run failed loudly: the sketch budget ran out
-    /// (`sketch-exhausted`), a shipped bundle lost or duplicated a
-    /// fragment or a sketch arrived short (`fragment-lost`), a node read
-    /// a message its protocol cannot have sent (`malformed-message`,
-    /// `bad-header` for a routed frame whose header names no node, or
-    /// `bad-announcement` for a KT0 ID announcement that names none), or
-    /// the check rejected the answer (`wrong-answer`).
+    /// (`sketch-exhausted`), a node read a message its protocol cannot
+    /// have sent (`malformed-message`, [`NetError::Malformed`]: a lost or
+    /// duplicated fragment, a short sketch, a corrupted header or KT0
+    /// announcement, a word that names no node; the detail names the
+    /// defect), or the check rejected the answer (`wrong-answer`).
     DetectedError {
-        /// `sketch-exhausted`, `fragment-lost`, `malformed-message`,
-        /// `bad-header`, `bad-announcement` or `wrong-answer`.
+        /// `sketch-exhausted`, `malformed-message` or `wrong-answer`.
         kind: &'static str,
         /// The error display, or the check's reason.
         detail: String,
@@ -85,33 +90,20 @@ impl Verdict {
         let answer = match result {
             Ok(answer) => answer,
             Err(e) => {
-                let detail = e.to_string();
                 return match e {
-                    // A corrupted routed-frame header or KT0 announcement
-                    // is bad input read, not a rule the run broke.
-                    CoreError::Net(
-                        net @ (NetError::BadHeader { .. } | NetError::BadAnnouncement { .. }),
-                    ) => Verdict::DetectedError {
+                    // A malformed message is bad input read, not a rule
+                    // the run broke.
+                    CoreError::Net(net @ NetError::Malformed(_)) => Verdict::DetectedError {
                         kind: net.kind(),
-                        detail,
+                        detail: net.to_string(),
                     },
-                    CoreError::Net(net) => Verdict::ModelReject {
+                    CoreError::Net(ref net) => Verdict::ModelReject {
                         kind: net.kind(),
-                        detail,
+                        detail: e.to_string(),
                     },
                     CoreError::SketchExhausted { .. } => Verdict::DetectedError {
                         kind: "sketch-exhausted",
-                        detail,
-                    },
-                    CoreError::Fragment(_) | CoreError::SketchSize { .. } => {
-                        Verdict::DetectedError {
-                            kind: "fragment-lost",
-                            detail,
-                        }
-                    }
-                    CoreError::Malformed(_) => Verdict::DetectedError {
-                        kind: "malformed-message",
-                        detail,
+                        detail: e.to_string(),
                     },
                 };
             }
@@ -203,18 +195,6 @@ pub struct Run {
 /// Runs `entry` on a fresh net built from `cfg` (capped at
 /// [`ROUND_CAP`]) under `faults`, and judges it.
 pub fn run(cfg: NetConfig, faults: Option<Box<dyn FaultInjector>>, entry: Entry) -> Run {
-    run_with(cfg, faults, entry, |net| entry.run(net))
-}
-
-/// [`run`] with `runner` in place of `entry`'s own algorithm; the answer
-/// still faces `entry`'s check and differential. The grid's
-/// broadcast-only `gc-sketch` cell is the one caller.
-pub fn run_with(
-    cfg: NetConfig,
-    faults: Option<Box<dyn FaultInjector>>,
-    entry: Entry,
-    runner: impl FnOnce(&mut Net) -> Result<Answer, CoreError>,
-) -> Run {
     let fold = LedgerTracer::new(cfg.n, &cfg.model()).expect("a net config is a valid model");
     let mut net = Net::new(cfg.with_round_cap(ROUND_CAP));
     net.set_tracer(Box::new(fold.clone()));
@@ -222,7 +202,7 @@ pub fn run_with(
         net.set_fault_injector(faults);
     }
     let t0 = Instant::now();
-    let result = runner(&mut net);
+    let result = entry.run(&mut net);
     let nanos = t0.elapsed().as_nanos() as u64;
     let cost = net.cost();
     drop(net);
@@ -253,7 +233,7 @@ fn matches_reference(entry: Entry, answer: &Answer) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_net::NetError;
+    use cc_net::{Defect, MalformedMessage};
 
     fn judge(result: Result<(), CoreError>, accepted: bool, matches: bool) -> Verdict {
         Verdict::returned(
@@ -273,27 +253,19 @@ mod tests {
     fn verdict_truth_table_and_renderings() {
         let refused = CoreError::Net(NetError::RoundCapExceeded { cap: 3 });
         let exhausted = CoreError::SketchExhausted { failures: 2 };
-        let malformed = CoreError::Malformed(cc_lotker::MalformedMessage {
-            round: 4,
-            sender: 1,
-            receiver: 0,
-            defect: cc_lotker::Defect::Length {
-                found: 1,
-                expected: 3,
-            },
+        let malformed = |defect| {
+            CoreError::Net(NetError::Malformed(MalformedMessage {
+                round: 4,
+                sender: 1,
+                receiver: 0,
+                defect,
+            }))
+        };
+        let short_edge = malformed(Defect::Length {
+            found: 1,
+            expected: 3,
         });
-        let bad_header = CoreError::Net(NetError::BadHeader {
-            round: 1,
-            node: 2,
-            word: None,
-        });
-        let bad_announcement = CoreError::Net(NetError::BadAnnouncement {
-            round: 1,
-            node: 3,
-            src: 0,
-            word: Some(9),
-            first: None,
-        });
+        let bad_header = malformed(Defect::Header { word: None });
         // (verdict, grid status, grid kind, E17 outcome, E17 detail prefix)
         let cases = [
             (judge(Ok(()), true, true), "ok", None, "correct", ""),
@@ -334,26 +306,19 @@ mod tests {
                 "error: sketch families exhausted",
             ),
             (
-                judge(Err(malformed), true, true),
+                judge(Err(short_edge), true, true),
                 "failed",
                 Some("malformed-message"),
                 "detected-failure",
-                "error: malformed message: round 4",
+                "error: malformed message: round 4: link 1->0: 1-word",
             ),
             // A corrupted header is read input, not a broken model rule.
             (
                 judge(Err(bad_header), true, true),
                 "failed",
-                Some("bad-header"),
+                Some("malformed-message"),
                 "detected-failure",
-                "error: network error: round 1: node 2",
-            ),
-            (
-                judge(Err(bad_announcement), true, true),
-                "failed",
-                Some("bad-announcement"),
-                "detected-failure",
-                "error: network error: round 1: node 3",
+                "error: malformed message: round 4: link 1->0: routed frame",
             ),
         ];
         for (verdict, status, kind, outcome, detail) in cases {

@@ -14,7 +14,11 @@
 //!   component; two extra quiet rounds certify global stabilization
 //!   (every node sees everyone's final label via the broadcasts — the
 //!   clique is complete, so "quiet" is globally visible);
-//! * the graph is connected iff all final labels agree.
+//! * the graph is connected iff all final labels agree;
+//! * each node records the neighbour whose broadcast gave it its final
+//!   label: those links form a spanning forest of its component (the
+//!   neighbour held the label a round earlier, so following them reaches
+//!   the component's minimum without a cycle).
 //!
 //! `O(n · diameter)` messages, `O(diameter)` rounds — a useful baseline
 //! showing what the broadcast model costs relative to Theorem 4, and a
@@ -22,26 +26,14 @@
 //! the first.
 
 use crate::error::CoreError;
-use cc_graph::{Graph, UnionFind};
-use cc_net::Cost;
+use crate::gc::GcOutput;
+use cc_graph::{Edge, Graph, UnionFind};
 use cc_route::{Net, Packet};
-
-/// A completed broadcast-model GC run.
-#[derive(Clone, Debug)]
-pub struct BroadcastGcRun {
-    /// Whether the input graph is connected.
-    pub connected: bool,
-    /// Number of components.
-    pub component_count: usize,
-    /// Component label (minimum member) per node.
-    pub labels: Vec<usize>,
-    /// Metered cost (`O(n · diameter)` messages, `O(diameter)` rounds).
-    pub cost: Cost,
-}
 
 /// Runs label-propagation GC; valid in both model variants, but uses only
 /// broadcasts, so it also runs under
-/// [`NetConfig::broadcast_only`](cc_net::NetConfig::broadcast_only).
+/// [`NetConfig::broadcast_only`](cc_net::NetConfig::broadcast_only). Its
+/// cost is `O(n · diameter)` messages in `O(diameter)` rounds.
 ///
 /// # Errors
 ///
@@ -50,10 +42,12 @@ pub struct BroadcastGcRun {
 /// # Panics
 ///
 /// Panics if `g.n() != net.n()`.
-pub fn broadcast_gc(net: &mut Net, g: &Graph) -> Result<BroadcastGcRun, CoreError> {
+pub fn broadcast_gc(net: &mut Net, g: &Graph) -> Result<GcOutput, CoreError> {
     let n = net.n();
     assert_eq!(g.n(), n, "graph must span the clique");
     let mut label: Vec<usize> = (0..n).collect();
+    // The neighbour whose broadcast gave each node its current label.
+    let mut parent: Vec<Option<usize>> = vec![None; n];
     let mut announce: Vec<bool> = vec![true; n]; // everyone announces once
     let mut quiet_rounds = 0usize;
     // Everyone hears every broadcast (complete network), so each node can
@@ -70,6 +64,7 @@ pub fn broadcast_gc(net: &mut Net, g: &Graph) -> Result<BroadcastGcRun, CoreErro
                     let heard = env.msg[0] as usize;
                     if heard < label[node] {
                         label[node] = heard;
+                        parent[node] = Some(env.src);
                         announce[node] = true;
                     }
                 }
@@ -99,25 +94,34 @@ pub fn broadcast_gc(net: &mut Net, g: &Graph) -> Result<BroadcastGcRun, CoreErro
         uf.union(v, l);
     }
     let component_count = uf.set_count();
-    Ok(BroadcastGcRun {
+    let spanning_forest = parent
+        .iter()
+        .enumerate()
+        .filter_map(|(v, p)| p.map(|u| Edge::new(v, u)))
+        .collect();
+    Ok(GcOutput {
         connected: component_count == 1,
         component_count,
         labels: label,
-        cost: net.cost(),
+        spanning_forest,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::validate_gc;
     use cc_graph::{connectivity, generators, stats};
-    use cc_net::NetConfig;
+    use cc_net::{Cost, NetConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn run(g: &Graph, seed: u64) -> BroadcastGcRun {
+    /// A broadcast-only run, checked by [`validate_gc`], and its cost.
+    fn run(g: &Graph, seed: u64) -> (GcOutput, Cost) {
         let mut net = Net::new(NetConfig::kt1(g.n()).with_seed(seed).broadcast_only());
-        broadcast_gc(&mut net, g).unwrap()
+        let out = broadcast_gc(&mut net, g).unwrap();
+        validate_gc(g, &out).unwrap();
+        (out, net.cost())
     }
 
     #[test]
@@ -132,7 +136,7 @@ mod tests {
             generators::star(12),
         ];
         for (i, g) in cases.into_iter().enumerate() {
-            let r = run(&g, i as u64);
+            let (r, _) = run(&g, i as u64);
             assert_eq!(r.connected, connectivity::is_connected(&g), "case {i}");
             assert_eq!(r.labels, connectivity::component_labels(&g), "case {i}");
         }
@@ -141,14 +145,14 @@ mod tests {
     #[test]
     fn rounds_track_the_diameter() {
         let g = generators::path(40);
-        let r = run(&g, 3);
+        let (r, cost) = run(&g, 3);
         assert!(r.connected);
         let d = stats::diameter(&g).unwrap() as u64;
-        assert!(r.cost.rounds >= d, "cannot beat the diameter");
+        assert!(cost.rounds >= d, "cannot beat the diameter");
         assert!(
-            r.cost.rounds <= d + 8,
+            cost.rounds <= d + 8,
             "rounds {} ≫ diameter {d}",
-            r.cost.rounds
+            cost.rounds
         );
     }
 
@@ -160,6 +164,7 @@ mod tests {
         let mut net = Net::new(NetConfig::kt1(12).broadcast_only());
         let r = broadcast_gc(&mut net, &g).unwrap();
         assert!(r.connected);
+        validate_gc(&g, &r).unwrap();
     }
 
     #[test]
@@ -167,7 +172,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         for trial in 0..4u64 {
             let g = generators::gnp(18, 0.12, &mut rng);
-            let a = run(&g, trial);
+            let (a, _) = run(&g, trial);
             let b = crate::gc::run(&g, &NetConfig::kt1(18).with_seed(trial)).unwrap();
             assert_eq!(a.connected, b.output.connected);
             assert_eq!(a.labels, b.output.labels);
@@ -178,9 +183,9 @@ mod tests {
     fn low_diameter_beats_theorem4_high_diameter_loses() {
         // A star stabilizes in O(1) rounds — fewer than the Lotker
         // preprocessing; a long path pays its diameter.
-        let star = run(&generators::star(32), 5);
-        let path = run(&generators::path(32), 6);
-        assert!(star.cost.rounds < 12);
-        assert!(path.cost.rounds > star.cost.rounds);
+        let (_, star) = run(&generators::star(32), 5);
+        let (_, path) = run(&generators::path(32), 6);
+        assert!(star.rounds < 12);
+        assert!(path.rounds > star.rounds);
     }
 }

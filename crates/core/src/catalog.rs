@@ -6,6 +6,7 @@
 //! An [`Entry`] carries its input in its variant, so a wrong
 //! algorithm/input pairing cannot be built.
 
+use crate::broadcast_gc::broadcast_gc;
 use crate::error::CoreError;
 use crate::exact_mst::{exact_mst, ExactMstConfig, ExactMstRun};
 use crate::gc::{self, GcConfig, GcOutput};
@@ -17,7 +18,9 @@ use cc_route::Net;
 /// One catalog algorithm together with its input.
 #[derive(Clone, Copy, Debug)]
 pub enum Entry<'g> {
-    /// Theorem 4 sketch connectivity, checked by [`validate_gc`].
+    /// Theorem 4 sketch connectivity, checked by [`validate_gc`]; on a
+    /// broadcast-only net, where no unicast algorithm runs, footnote 1's
+    /// label propagation ([`broadcast_gc`]).
     GcSketch(&'g Graph),
     /// Theorem 7 EXACT-MST, checked by [`validate_mst_minimal`].
     ExactMst(&'g WGraph),
@@ -58,6 +61,7 @@ impl Entry<'_> {
     /// Panics if the input does not span `net`'s clique.
     pub fn run(&self, net: &mut Net) -> Result<Answer, CoreError> {
         Ok(match *self {
+            Entry::GcSketch(g) if net.config().broadcast_only => Answer::Gc(broadcast_gc(net, g)?),
             Entry::GcSketch(g) => Answer::Gc(gc::run_on(net, g, &GcConfig::default())?),
             Entry::ExactMst(g) => Answer::ExactMst(exact_mst(net, g, &ExactMstConfig::default())?),
             Entry::Kt1Mst(g) => Answer::Kt1Mst(kt1_mst(net, g, &Kt1MstConfig::default())?),
@@ -201,6 +205,9 @@ mod tests {
         let err = Entry::GcSketch(&g)
             .run(&mut net)
             .expect_err("a deferred witness edge cannot be read as sent");
-        assert!(matches!(err, CoreError::Malformed(_)), "{err}");
+        assert!(
+            matches!(err, CoreError::Net(cc_net::NetError::Malformed(_))),
+            "{err}"
+        );
     }
 }

@@ -14,8 +14,9 @@
 
 use crate::error::CoreError;
 use cc_graph::{Graph, WEdge, WGraph};
-use cc_lotker::{read_edge, read_inbox, read_pair, Defect};
-use cc_route::{Net, Packet};
+use cc_lotker::{read_edge, read_pair};
+use cc_net::Defect;
+use cc_route::{read_inbox, Net, Packet};
 use std::collections::{BTreeSet, HashMap};
 
 /// The component graph, as established knowledge at component leaders.
@@ -69,7 +70,8 @@ impl ComponentGraph {
 ///
 /// Propagates simulator errors. A received witness that is not two
 /// nodes `[u, v]` with `v` in the receiving leader's component and `u`
-/// in the sender's (another component) is [`CoreError::Malformed`].
+/// in the sender's (another component) is
+/// [`NetError::Malformed`](cc_net::NetError::Malformed).
 ///
 /// # Panics
 ///
@@ -165,7 +167,8 @@ pub fn build_component_graph(
 ///
 /// Propagates simulator errors. A received edge that is not `[w, u, v]`
 /// with one endpoint in the receiving leader's component and the other
-/// in the sender's (another component) is [`CoreError::Malformed`].
+/// in the sender's (another component) is
+/// [`NetError::Malformed`](cc_net::NetError::Malformed).
 ///
 /// # Panics
 ///

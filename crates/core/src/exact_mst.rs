@@ -60,10 +60,10 @@ pub struct ExactMstRun {
 ///
 /// # Errors
 ///
-/// * [`CoreError::Net`] on simulator violations.
+/// * [`CoreError::Net`] on simulator violations, and with
+///   [`NetError::Malformed`](cc_net::NetError::Malformed) when a node reads a message
+///   the Lotker preprocessing or the sort cannot have sent.
 /// * [`CoreError::SketchExhausted`] on Monte Carlo sampler failure.
-/// * [`CoreError::Malformed`] when a node reads a message the Lotker
-///   preprocessing cannot have sent.
 ///
 /// # Panics
 ///

@@ -14,7 +14,7 @@ use crate::component_graph::ComponentGraph;
 use crate::error::CoreError;
 use crate::reduce_components::{reduce_components, ReduceOutcome};
 use cc_graph::{Edge, Graph, UnionFind};
-use cc_net::{Cost, NetConfig};
+use cc_net::{Cost, Defect, NetConfig};
 use cc_route::{broadcast_large, gather_direct, route_bundles, shared_seed, Bundles, Net, Packet};
 use cc_sketch::{
     decode_bundle, encode_bundle, recommended_families, spanning_forest_via_sketches,
@@ -75,10 +75,10 @@ pub struct SpanOutcome {
 ///
 /// # Errors
 ///
-/// * [`CoreError::Fragment`] if the bundle lost or duplicated a middle
-///   fragment.
-/// * [`CoreError::SketchSize`] if it arrived short (its last fragment
-///   lost, which sequence numbers cannot see) or not at all (`found` 0).
+/// [`NetError::Malformed`](cc_net::NetError::Malformed) if the bundle
+/// lost or duplicated a middle fragment ([`Defect::Sequence`]), or arrived
+/// short (its last fragment lost, which sequence numbers cannot see) or
+/// not at all ([`Defect::SketchSize`], `found` 0).
 pub(crate) fn take_sketches<'a, 'r>(
     bundles: &mut Bundles,
     referee: usize,
@@ -89,11 +89,12 @@ pub(crate) fn take_sketches<'a, 'r>(
     // A bundle that never arrived reads as an empty one; no sketch space
     // is zero words wide, so the size check catches both.
     let words = bundles.take(referee, sender)?.unwrap_or_default();
-    let sketches = decode_bundle(spaces, &words).map_err(|e| CoreError::SketchSize {
-        leader: referee,
-        member: sender,
-        expected: e.expected,
-        found: e.found,
+    let sketches = decode_bundle(spaces, &words).map_err(|e| {
+        let defect = Defect::SketchSize {
+            expected: e.expected,
+            found: e.found,
+        };
+        bundles.malformed(referee, sender, defect)
     })?;
     for (row, sk) in rows.into_iter().zip(sketches) {
         row.push(sk);
@@ -110,13 +111,12 @@ pub(crate) fn take_sketches<'a, 'r>(
 ///
 /// # Errors
 ///
-/// * [`CoreError::Net`] on simulator violations.
+/// * [`CoreError::Net`] on simulator violations, and with
+///   [`NetError::Malformed`](cc_net::NetError::Malformed) if a sketch
+///   bundle lost or duplicated a fragment on the way, arrived short (its
+///   last fragment lost) or not at all.
 /// * [`CoreError::SketchExhausted`] if sampling fails too often (Monte
 ///   Carlo failure, probability `1/n^{Ω(1)}`).
-/// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
-///   fragment on the way.
-/// * [`CoreError::SketchSize`] if a sketch bundle arrived short (its last
-///   fragment lost) or not at all.
 pub fn sketch_and_span(
     net: &mut Net,
     g1: &ComponentGraph,
@@ -299,6 +299,7 @@ pub fn run_with(g: &Graph, net_cfg: &NetConfig, cfg: &GcConfig) -> Result<GcRun,
 mod tests {
     use super::*;
     use cc_graph::{connectivity, generators};
+    use cc_net::{MalformedMessage, NetError};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -493,12 +494,12 @@ mod tests {
         assert!(
             matches!(
                 err,
-                CoreError::SketchSize {
-                    leader: 0,
-                    member: 1,
-                    expected,
-                    found: 0,
-                } if expected > 0
+                CoreError::Net(NetError::Malformed(MalformedMessage {
+                    sender: 1,
+                    receiver: 0,
+                    defect: Defect::SketchSize { expected, found: 0 },
+                    ..
+                })) if expected > 0
             ),
             "{err:?}"
         );
@@ -524,12 +525,12 @@ mod tests {
         assert!(
             matches!(
                 err,
-                CoreError::SketchSize {
-                    leader: 0,
-                    member: 1,
-                    expected,
-                    found,
-                } if 0 < found && found < expected
+                CoreError::Net(NetError::Malformed(MalformedMessage {
+                    sender: 1,
+                    receiver: 0,
+                    defect: Defect::SketchSize { expected, found },
+                    ..
+                })) if 0 < found && found < expected
             ),
             "{err:?}"
         );

@@ -32,9 +32,9 @@
 
 use crate::error::CoreError;
 use cc_graph::{UnionFind, WEdge, WGraph, Weight};
-use cc_lotker::{read_edge, read_pair, MalformedMessage};
-use cc_net::Cost;
-use cc_route::{broadcast_large, route, ship_direct, Net, Packet, RoutedPacket};
+use cc_lotker::{read_edge, read_pair};
+use cc_net::{Cost, Defect, MalformedMessage, NetError};
+use cc_route::{broadcast_large, read_inbox, route, ship_direct, Net, Packet, RoutedPacket};
 use cc_sketch::{EdgeSample, GraphSketchSpace, Sketch};
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
@@ -72,14 +72,12 @@ pub struct Kt1MstRun {
 ///
 /// # Errors
 ///
-/// * [`CoreError::Net`] on simulator violations.
-/// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
-///   fragment on the way.
-/// * [`CoreError::SketchSize`] if a member's sketch arrived with the
-///   wrong word count.
-/// * [`CoreError::Malformed`] if a weight query, its answer or a merge
-///   report arrived with the wrong word count or with a word that names
-///   no node (or an edge whose endpoints coincide).
+/// [`CoreError::Net`] on simulator violations, and with
+/// [`NetError::Malformed`] if a member's sketch lost or duplicated a
+/// fragment on the way or arrived with the wrong word count, or if a
+/// weight query, its answer or a merge report arrived with the wrong word
+/// count or with a word that names no node (or an edge whose endpoints
+/// coincide).
 ///
 /// # Panics
 ///
@@ -201,12 +199,11 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                 for &m in &members_of[&l] {
                     if let Some(words) = arrived.take(l, m)? {
                         let sk = Sketch::try_from_words(sp.inner(), words).map_err(|e| {
-                            CoreError::SketchSize {
-                                leader: l,
-                                member: m,
+                            let defect = Defect::SketchSize {
                                 expected: e.expected,
                                 found: e.found,
-                            }
+                            };
+                            arrived.malformed(l, m, defect)
                         })?;
                         sum.add_assign_sketch(&sk);
                     }
@@ -311,8 +308,8 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                         }
                     }
                 })?;
-                if let Some(e) = malformed {
-                    return Err(CoreError::Malformed(e));
+                if let Some(m) = malformed {
+                    return Err(NetError::Malformed(m).into());
                 }
             }
 
@@ -350,54 +347,55 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
 
         // (4) Report MWOEs / finished status to the coordinator and merge.
         net.begin_scope("kt1-mst:merge-report");
-        let mut reports: HashMap<usize, Packet> = HashMap::new();
+        // `None` reports a finished component.
+        let mut reports: HashMap<usize, Option<WEdge>> = HashMap::new();
         for &l in &active {
             if newly_finished.contains(&l) {
-                reports.insert(l, Packet::one(FINISHED));
-            } else if let Some(e) = best.get(&l) {
-                reports.insert(l, Packet::of(&[e.w, e.u as u64, e.v as u64]));
+                reports.insert(l, None);
+            } else if let Some(&e) = best.get(&l) {
+                reports.insert(l, Some(e));
             }
             // A leader with neither (all decodes failed) stays silent and
             // retries next phase.
         }
-        let mut received: Vec<(usize, Packet)> = Vec::new();
-        if let Some(own) = reports.get(&coordinator) {
-            received.push((coordinator, own.clone()));
+        let mut received: Vec<(usize, Option<WEdge>)> = Vec::new();
+        if let Some(&own) = reports.get(&coordinator) {
+            received.push((coordinator, own));
         }
         net.step(|node, _inbox, out| {
             if node != coordinator {
-                if let Some(msg) = reports.get(&node) {
-                    let _ = out.send(coordinator, msg.clone());
-                }
+                let msg = match reports.get(&node) {
+                    Some(None) => Packet::one(FINISHED),
+                    Some(Some(e)) => Packet::of(&[e.w, e.u as u64, e.v as u64]),
+                    None => return,
+                };
+                let _ = out.send(coordinator, msg);
             }
         })?;
-        let report_round = net.cost().rounds;
-        net.step(|node, inbox, _out| {
-            if node == coordinator {
-                for env in inbox {
-                    received.push((env.src, env.msg.clone()));
-                }
-            }
-        })?;
+        // Only the coordinator reads what arrives.
+        read_inbox(
+            net,
+            |node, src, msg| match msg {
+                _ if node != coordinator => Ok(None),
+                [FINISHED] => Ok(Some((src, None))),
+                _ => read_edge(msg, n).map(|e| Some((src, Some(e)))),
+            },
+            |_, report| received.extend(report),
+        )?;
         received.sort_by_key(|&(src, _)| src);
         let mut merged_any = false;
         let mut finished_roots: HashSet<usize> =
             finished_labels.iter().map(|&l| uf.find(l)).collect();
-        for (src, msg) in received {
-            if *msg == [FINISHED] {
-                finished_roots.insert(uf.find(src));
-            } else {
-                let e = read_edge(&msg, n).map_err(|defect| {
-                    CoreError::Malformed(MalformedMessage {
-                        round: report_round,
-                        sender: src,
-                        receiver: coordinator,
-                        defect,
-                    })
-                })?;
-                if uf.union(e.u as usize, e.v as usize) {
-                    chosen.push(e);
-                    merged_any = true;
+        for (src, report) in received {
+            match report {
+                None => {
+                    finished_roots.insert(uf.find(src));
+                }
+                Some(e) => {
+                    if uf.union(e.u as usize, e.v as usize) {
+                        chosen.push(e);
+                        merged_any = true;
+                    }
                 }
             }
         }

@@ -44,7 +44,7 @@ pub mod sq_mst;
 pub mod time_encoding;
 pub mod validate;
 
-pub use broadcast_gc::{broadcast_gc, BroadcastGcRun};
+pub use broadcast_gc::broadcast_gc;
 pub use component_graph::{build_component_graph, build_weighted_component_graph, ComponentGraph};
 pub use error::CoreError;
 pub use exact_mst::{exact_mst, ExactMstConfig, ExactMstRun};

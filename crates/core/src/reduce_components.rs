@@ -35,8 +35,9 @@ pub struct ReduceOutcome {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors, and [`CoreError::Malformed`] when a node
-/// reads a message CC-MST cannot have sent.
+/// Propagates simulator errors, and [`CoreError::Net`] with
+/// [`NetError::Malformed`](cc_net::NetError::Malformed) when a node reads a message
+/// CC-MST cannot have sent.
 ///
 /// # Panics
 ///

@@ -58,12 +58,10 @@ pub struct SqMstConfig {
 ///
 /// # Errors
 ///
-/// * [`CoreError::Net`] on simulator violations.
+/// * [`CoreError::Net`] on simulator violations, and with
+///   [`NetError::Malformed`](cc_net::NetError::Malformed) if a sketch bundle lost or
+///   duplicated a fragment on the way, arrived short or not at all.
 /// * [`CoreError::SketchExhausted`] on Monte Carlo sampler failure.
-/// * [`CoreError::Fragment`] if a shipped bundle lost or duplicated a
-///   fragment on the way.
-/// * [`CoreError::SketchSize`] if a sketch bundle arrived short (its last
-///   fragment lost) or not at all.
 ///
 /// # Panics
 ///

@@ -7,9 +7,9 @@
 //!   why it only ever adds MST edges while squaring fragment sizes.
 //! * [`run`] — the distributed phase protocol: candidate collection in a
 //!   constant number of rounds, the routed hand-off to the coordinator,
-//!   and the broadcast of merge decisions.
-//! * [`error`] — why a run stops: a refused send, or a received message
-//!   the protocol cannot have sent.
+//!   and the broadcast of merge decisions. A run stops with a
+//!   [`NetError`](cc_net::NetError): a refused send, or a received
+//!   message the protocol cannot have sent (`NetError::Malformed`).
 //!
 //! Running [`cc_mst`] to completion computes the MST of a weighted clique
 //! in `O(log log n)` phases of `O(1)` rounds each; running it for
@@ -36,13 +36,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
 pub mod merge;
 pub mod run;
 
-pub use error::{Defect, LotkerError, MalformedMessage};
 pub use merge::{controlled_boruvka, Candidate, MergeOutcome};
 pub use run::{
-    cc_mst, min_fragment_size_before_phase, read_edge, read_inbox, read_pair,
-    reduce_components_phases, CcMstRun,
+    cc_mst, min_fragment_size_before_phase, read_edge, read_pair, reduce_components_phases,
+    CcMstRun,
 };

@@ -28,12 +28,14 @@
 //!
 //! Every edge a node reads in steps 2, 3 and 5 is checked before use: its
 //! word count, its endpoints, its sender, and that it joins the fragments
-//! it was sent between ([`MalformedMessage`]).
+//! it was sent between ([`NetError::Malformed`]).
 
-use crate::error::{Defect, LotkerError, MalformedMessage};
 use crate::merge::{controlled_boruvka, Candidate};
 use cc_graph::{WEdge, WGraph};
-use cc_route::{all_to_all_share, broadcast_large, route, Net, Packet, RoutedPacket};
+use cc_net::{Defect, NetError};
+use cc_route::{
+    all_to_all_share, broadcast_large, malformed, read_inbox, route, Net, Packet, RoutedPacket,
+};
 
 /// Result of running CC-MST for some number of phases.
 #[derive(Clone, Debug)]
@@ -119,40 +121,6 @@ fn joining(edge: WEdge, joins: impl Fn(usize, usize) -> bool) -> Result<WEdge, D
     }
 }
 
-/// Runs one receive-only round: every message `src → node` is read by
-/// `read(node, src, words)`, and what it accepts is handed to
-/// `accept(node, item)`. The first message it refuses (lowest receiver,
-/// then lowest sender) is the error.
-///
-/// # Errors
-///
-/// [`LotkerError::Net`] propagates simulator errors;
-/// [`LotkerError::Malformed`] names the first refused message.
-pub fn read_inbox<T>(
-    net: &mut Net,
-    read: impl Fn(usize, usize, &[u64]) -> Result<T, Defect>,
-    mut accept: impl FnMut(usize, T),
-) -> Result<(), LotkerError> {
-    let round = net.cost().rounds;
-    let mut malformed = None;
-    net.step(|node, inbox, _out| {
-        for env in inbox {
-            match read(node, env.src, &env.msg) {
-                Ok(item) => accept(node, item),
-                Err(defect) => {
-                    malformed.get_or_insert(MalformedMessage {
-                        round,
-                        sender: env.src,
-                        receiver: node,
-                        defect,
-                    });
-                }
-            }
-        }
-    })?;
-    malformed.map_or(Ok(()), |e| Err(e.into()))
-}
-
 /// Runs CC-MST on the weighted-clique closure of `g` (absent clique links
 /// weigh `∞`) for at most `phases` phases (`None` = to completion).
 ///
@@ -160,15 +128,15 @@ pub fn read_inbox<T>(
 ///
 /// # Errors
 ///
-/// * [`LotkerError::Net`] propagates simulator errors.
-/// * [`LotkerError::Malformed`] names the first message (lowest receiver,
-///   then lowest sender) that the protocol cannot have sent — what a
+/// * Propagates simulator errors.
+/// * [`NetError::Malformed`] names the first message (lowest receiver,
+///   then inbox order) that the protocol cannot have sent — what a
 ///   corrupting or deferring fault plan produces.
 ///
 /// # Panics
 ///
 /// Panics if the graph and network sizes disagree.
-pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstRun, LotkerError> {
+pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstRun, NetError> {
     let n = net.n();
     assert_eq!(g.n(), n, "graph must span the clique");
     let coordinator = 0usize;
@@ -337,12 +305,7 @@ pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstR
             } else {
                 Err(Defect::Sender)
             };
-            let e = edge.map_err(|defect| MalformedMessage {
-                round: net.cost().rounds - 1,
-                sender: src,
-                receiver: coordinator,
-                defect,
-            })?;
+            let e = edge.map_err(|defect| malformed(net, src, coordinator, defect))?;
             let (u, v) = e.endpoints();
             let src_frag = src; // sender leader == its fragment label
             let far = if frag_of[u] == src_frag {
@@ -402,7 +365,7 @@ pub fn cc_mst(net: &mut Net, g: &WGraph, phases: Option<usize>) -> Result<CcMstR
 mod tests {
     use super::*;
     use cc_graph::{generators, mst};
-    use cc_net::{FaultDecision, FaultInjector, NetConfig};
+    use cc_net::{FaultDecision, FaultInjector, MalformedMessage, NetConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::collections::HashMap;
@@ -554,7 +517,7 @@ mod tests {
     /// node's candidate to every other node (all are leaders), round 3
     /// reads them, round 4 returns the row entries and round 5 reads
     /// those. A fault on link 5 → 0 surfaces as a typed error.
-    fn faulted_run(round: u64, decision: FaultDecision) -> LotkerError {
+    fn faulted_run(round: u64, decision: FaultDecision) -> NetError {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let g = generators::complete_wgraph(8, &mut rng);
         let mut nt = net(8, 1);
@@ -570,7 +533,7 @@ mod tests {
     #[test]
     fn malformed_candidates_are_typed_errors() {
         let at_round_3 = |defect| {
-            LotkerError::Malformed(MalformedMessage {
+            NetError::Malformed(MalformedMessage {
                 round: 3,
                 sender: 5,
                 receiver: 0,
@@ -588,7 +551,7 @@ mod tests {
         // Bit 40 of the first endpoint word: no such node.
         let err = faulted_run(2, FaultDecision::Corrupt { bit: 64 + 40 });
         assert!(
-            matches!(&err, LotkerError::Malformed(m) if m.round == 3
+            matches!(&err, NetError::Malformed(m) if m.round == 3
                 && matches!(m.defect, Defect::Endpoints { u, v: 5 } if u == 1 << 40)),
             "{err:?}"
         );
@@ -602,7 +565,7 @@ mod tests {
         // read in round 5).
         assert_eq!(
             faulted_run(4, FaultDecision::Corrupt { bit: 2 * 64 }),
-            LotkerError::Malformed(MalformedMessage {
+            NetError::Malformed(MalformedMessage {
                 round: 5,
                 sender: 5,
                 receiver: 0,

@@ -1,8 +1,15 @@
-//! Simulator errors.
+//! Simulator errors, and the one error for a message no protocol could
+//! have sent.
 //!
 //! The simulator is strict: a message that would exceed the per-link budget
 //! or target an invalid destination is an error that aborts the round, so
 //! algorithms cannot silently exceed the model's constraints.
+//!
+//! Every word a node reads and then uses as a length, an index or a node
+//! id is checked first. A fault that corrupts, drops, duplicates or
+//! defers a message therefore ends the run with
+//! [`NetError::Malformed`], naming the round, the link and the
+//! [`Defect`], never with an index out of bounds.
 
 use std::error::Error;
 use std::fmt;
@@ -76,37 +83,8 @@ pub enum NetError {
         /// The addressed destination.
         dst: usize,
     },
-    /// A routed frame reached a node with a header word that names no
-    /// node of the clique, or too short to hold its header — what a
-    /// corrupting fault makes of a frame in flight.
-    BadHeader {
-        /// The 0-based round whose inbox held the frame.
-        round: u64,
-        /// The node that read the frame.
-        node: usize,
-        /// The header word that names no node; `None` for a frame
-        /// shorter than its header.
-        word: Option<u64>,
-    },
-    /// A KT0 bootstrap announcement reached a node as something other
-    /// than one word naming another node of the clique, or repeated an
-    /// ID the node had already read — what a corrupting or duplicating
-    /// fault makes of it.
-    BadAnnouncement {
-        /// The 0-based round whose inbox held the announcement.
-        round: u64,
-        /// The node that read it.
-        node: usize,
-        /// The node that sent it.
-        src: usize,
-        /// The announced word; `None` for an announcement that is not
-        /// one word long.
-        word: Option<u64>,
-        /// For a repeated ID, the sender of the node's first
-        /// announcement of it; `None` otherwise. Either of the two
-        /// announcements may be the faulty one.
-        first: Option<usize>,
-    },
+    /// A node read a message its protocol cannot have sent.
+    Malformed(MalformedMessage),
 }
 
 impl NetError {
@@ -121,8 +99,7 @@ impl NetError {
             NetError::PendingMessages { .. } => "pending-messages",
             NetError::RoundCapExceeded { .. } => "round-cap",
             NetError::UnicastInBroadcastModel { .. } => "unicast-in-broadcast",
-            NetError::BadHeader { .. } => "bad-header",
-            NetError::BadAnnouncement { .. } => "bad-announcement",
+            NetError::Malformed(_) => "malformed-message",
         }
     }
 }
@@ -169,57 +146,164 @@ impl fmt::Display for NetError {
                     "round {round}: node {src} attempted a point-to-point send to {dst} in the broadcast-only model"
                 )
             }
-            NetError::BadHeader {
-                round,
-                node,
-                word: Some(word),
-            } => write!(
-                f,
-                "round {round}: node {node} read a routed frame whose header word {word} names no node"
-            ),
-            NetError::BadHeader {
-                round,
-                node,
-                word: None,
-            } => write!(
-                f,
-                "round {round}: node {node} read a routed frame shorter than its header"
-            ),
-            NetError::BadAnnouncement {
-                round,
-                node,
-                src,
-                word: Some(word),
-                first: None,
-            } => write!(
-                f,
-                "round {round}: node {node} read an ID announcement from {src} whose word {word} names no other node"
-            ),
-            NetError::BadAnnouncement {
-                round,
-                node,
-                src,
-                word: Some(word),
-                first: Some(first),
-            } => write!(
-                f,
-                "round {round}: node {node} read ID {word} from {src} after reading it from {first}; one of the two announcements is faulty"
-            ),
-            NetError::BadAnnouncement {
-                round,
-                node,
-                src,
-                word: None,
-                ..
-            } => write!(
-                f,
-                "round {round}: node {node} read an ID announcement from {src} that is not one word"
-            ),
+            NetError::Malformed(m) => write!(f, "malformed message: {m}"),
         }
     }
 }
 
 impl Error for NetError {}
+
+impl From<MalformedMessage> for NetError {
+    fn from(m: MalformedMessage) -> Self {
+        NetError::Malformed(m)
+    }
+}
+
+/// What is wrong with a received message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Defect {
+    /// A message arrived with `found` words, not the `expected` its
+    /// protocol sends (3 for an edge `[w, u, v]`, 2 for an unweighted
+    /// `[u, v]`).
+    Length {
+        /// Words that arrived.
+        found: usize,
+        /// Words the message takes.
+        expected: usize,
+    },
+    /// The endpoint words are not two distinct nodes of the clique.
+    Endpoints {
+        /// First endpoint word.
+        u: u64,
+        /// Second endpoint word.
+        v: u64,
+    },
+    /// The edge does not join the fragments its sender and receiver put
+    /// it between.
+    Fragments {
+        /// Smaller endpoint.
+        u: usize,
+        /// Larger endpoint.
+        v: usize,
+    },
+    /// The sender is not a fragment leader, and only leaders send this.
+    Sender,
+    /// A routed frame whose header word names no node of the clique.
+    Header {
+        /// The header word; `None` for a frame shorter than its header.
+        word: Option<u64>,
+    },
+    /// A KT0 ID announcement that is not one word naming another node,
+    /// or that repeats an ID its reader already read.
+    Announcement {
+        /// The announced word; `None` for an announcement that is not
+        /// one word long.
+        word: Option<u64>,
+        /// For a repeated ID, the sender of the reader's first
+        /// announcement of it; `None` otherwise. Either of the two
+        /// announcements may be the faulty one.
+        first: Option<usize>,
+    },
+    /// A bundle whose fragments arrived with sequence numbers other than
+    /// exactly `0..k`: a fragment was lost or duplicated on the way.
+    Sequence {
+        /// The first sequence number missing from the sorted arrivals.
+        expected: u64,
+        /// The sequence number that arrived in its place.
+        found: u64,
+    },
+    /// A sketch bundle with the wrong word count: a lost *last*
+    /// fragment, which sequence numbers cannot see, or no bundle at all
+    /// (`found` 0).
+    SketchSize {
+        /// Words the sketches occupy.
+        expected: usize,
+        /// Words that arrived.
+        found: usize,
+    },
+    /// A sorted item whose rank message names no item its holder holds,
+    /// repeats one, or never arrived (the sender named is then the
+    /// bucket owner that owed it).
+    Rank {
+        /// The item index the rank message carried, or the held item
+        /// that got none.
+        item: u64,
+    },
+}
+
+impl fmt::Display for Defect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Defect::Length { found, expected } => {
+                write!(
+                    f,
+                    "{found}-word message where the protocol sends {expected}"
+                )
+            }
+            Defect::Endpoints { u, v } => write!(f, "endpoints {u}, {v} are not two nodes"),
+            Defect::Fragments { u, v } => write!(f, "edge {u}-{v} joins the wrong fragments"),
+            Defect::Sender => write!(f, "sender is not a fragment leader"),
+            Defect::Header { word: Some(word) } => {
+                write!(f, "routed frame whose header word {word} names no node")
+            }
+            Defect::Header { word: None } => write!(f, "routed frame shorter than its header"),
+            Defect::Announcement {
+                word: Some(word),
+                first: None,
+            } => write!(f, "ID announcement whose word {word} names no other node"),
+            Defect::Announcement {
+                word: Some(word),
+                first: Some(first),
+            } => write!(
+                f,
+                "ID {word} already read from {first}; one of the two announcements is faulty"
+            ),
+            Defect::Announcement { word: None, .. } => {
+                write!(f, "ID announcement that is not one word")
+            }
+            Defect::Sequence { expected, found } => {
+                write!(
+                    f,
+                    "expected fragment {expected} of the bundle, found {found}"
+                )
+            }
+            Defect::SketchSize { expected, found } => {
+                write!(
+                    f,
+                    "sketch bundle of {found} words where the sketches take {expected}"
+                )
+            }
+            Defect::Rank { item } => write!(f, "no single rank for item {item}"),
+        }
+    }
+}
+
+/// A message that cannot be what the protocol sent, as its receiver read
+/// it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MalformedMessage {
+    /// The 0-based round whose inbox held the message (for a routed or
+    /// shipped one, the last round of its delivery).
+    pub round: u64,
+    /// The node that sent it (as the receiver sees it).
+    pub sender: usize,
+    /// The node that read it.
+    pub receiver: usize,
+    /// What is wrong with it.
+    pub defect: Defect,
+}
+
+impl fmt::Display for MalformedMessage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let MalformedMessage {
+            round,
+            sender,
+            receiver,
+            defect,
+        } = self;
+        write!(f, "round {round}: link {sender}->{receiver}: {defect}")
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -256,20 +340,55 @@ mod tests {
                 src: 2,
                 dst: 3,
             },
-            NetError::BadHeader {
-                round: 4,
-                node: 2,
-                word: Some(99),
-            },
-            NetError::BadHeader {
-                round: 4,
-                node: 2,
-                word: None,
-            },
         ];
         for e in cases {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn malformed_displays_name_the_round_the_link_and_the_defect() {
+        let e: NetError = MalformedMessage {
+            round: 3,
+            sender: 5,
+            receiver: 0,
+            defect: Defect::Length {
+                found: 1,
+                expected: 3,
+            },
+        }
+        .into();
+        assert_eq!(
+            e.to_string(),
+            "malformed message: round 3: link 5->0: 1-word message where the protocol sends 3"
+        );
+        for defect in [
+            Defect::Endpoints { u: 99, v: 2 },
+            Defect::Fragments { u: 1, v: 2 },
+            Defect::Sender,
+            Defect::Header { word: Some(99) },
+            Defect::Header { word: None },
+            Defect::Announcement {
+                word: None,
+                first: None,
+            },
+            Defect::Sequence {
+                expected: 1,
+                found: 2,
+            },
+            Defect::SketchSize {
+                expected: 720,
+                found: 714,
+            },
+            Defect::Rank { item: 7 },
+        ] {
+            assert!(!defect.to_string().is_empty());
+        }
+        let shown = |word, first| Defect::Announcement { word, first }.to_string();
+        assert!(shown(None, None).contains("not one word"));
+        assert!(shown(Some(9), None).contains("names no other node"));
+        let repeat = shown(Some(3), Some(2));
+        assert!(repeat.contains("ID 3 already read from 2"), "{repeat}");
     }
 
     #[test]
@@ -307,18 +426,12 @@ mod tests {
                 src: 0,
                 dst: 1,
             },
-            NetError::BadHeader {
+            NetError::Malformed(MalformedMessage {
                 round: 0,
-                node: 0,
-                word: None,
-            },
-            NetError::BadAnnouncement {
-                round: 0,
-                node: 0,
-                src: 1,
-                word: None,
-                first: None,
-            },
+                sender: 1,
+                receiver: 0,
+                defect: Defect::Sender,
+            }),
         ];
         for e in &witnesses {
             match e {
@@ -329,8 +442,7 @@ mod tests {
                 | NetError::PendingMessages { .. }
                 | NetError::RoundCapExceeded { .. }
                 | NetError::UnicastInBroadcastModel { .. }
-                | NetError::BadHeader { .. }
-                | NetError::BadAnnouncement { .. } => {}
+                | NetError::Malformed(_) => {}
             }
         }
         // Tags are stable artifact vocabulary: lowercase-kebab, unique.
@@ -352,10 +464,9 @@ mod tests {
         assert_eq!(
             unique.into_iter().collect::<Vec<_>>(),
             vec![
-                "bad-announcement",
                 "bad-destination",
-                "bad-header",
                 "link-busy",
+                "malformed-message",
                 "message-too-large",
                 "pending-messages",
                 "round-cap",

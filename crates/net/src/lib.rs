@@ -19,6 +19,9 @@
 //!   [`CliqueNet::end_scope`] attribute cost to algorithm phases, and the
 //!   attached [`cc_trace::Tracer`]'s event stream is the run's one
 //!   per-link, per-phase record.
+//! * [`NetError`] — a send the model refuses, and
+//!   [`NetError::Malformed`], the one error for a received message no
+//!   protocol could have sent ([`MalformedMessage`], with its [`Defect`]).
 //! * [`Wire`] — message-size declaration every payload type provides.
 //! * [`PortMap`] — the hidden port permutation of the KT0 variant.
 //! * [`ModelSpec`] (re-exported from `cc-model`) — the bandwidth /
@@ -57,7 +60,7 @@ pub use budget::{LinkUse, SendRules};
 pub use cc_model::{LinkMode, Mapping, ModelError, ModelSpec};
 pub use cc_trace::Cost;
 pub use config::{Knowledge, NetConfig, DEFAULT_LINK_WORDS};
-pub use error::NetError;
+pub use error::{Defect, MalformedMessage, NetError};
 pub use fault::{apply_faults, FaultDecision, FaultInjector, FaultOutcome, FaultRecord, NoFaults};
 pub use net::{CliqueNet, Envelope, Outbox, RoundPlan, StagedRound};
 pub use packet::{WordVec, INLINE_WORDS};

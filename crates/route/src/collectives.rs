@@ -1,4 +1,5 @@
-//! Basic one-to-all / all-to-all / all-to-one primitives.
+//! Basic one-to-all / all-to-all / all-to-one primitives, and the
+//! checked read of what they deliver.
 //!
 //! Each returns the "global knowledge" the primitive establishes; callers
 //! distribute that into per-node state. The data genuinely crossed the
@@ -6,8 +7,59 @@
 //! shortcut.
 
 use crate::{Net, Packet};
-use cc_net::NetError;
+use cc_net::{Defect, MalformedMessage, NetError};
 use std::collections::VecDeque;
+
+/// Runs one receive-only round: every message `src → node` is read by
+/// `read(node, src, words)`, and what it accepts is handed to
+/// `accept(node, item)`. The first message it refuses (lowest receiver,
+/// then inbox order) is the error.
+///
+/// # Errors
+///
+/// Propagates simulator errors; [`NetError::Malformed`] names the first
+/// refused message.
+pub fn read_inbox<T>(
+    net: &mut Net,
+    read: impl Fn(usize, usize, &[u64]) -> Result<T, Defect>,
+    mut accept: impl FnMut(usize, T),
+) -> Result<(), NetError> {
+    let round = net.cost().rounds;
+    let mut malformed = None;
+    net.step(|node, inbox, _out| {
+        for env in inbox {
+            match read(node, env.src, &env.msg) {
+                Ok(item) => accept(node, item),
+                Err(defect) => {
+                    malformed.get_or_insert(MalformedMessage {
+                        round,
+                        sender: env.src,
+                        receiver: node,
+                        defect,
+                    });
+                }
+            }
+        }
+    })?;
+    malformed.map_or(Ok(()), |m| Err(m.into()))
+}
+
+/// The error naming `defect` in a message `sender → receiver` that a
+/// collective delivered, read after the collective returned: its round is
+/// the last one `net` ran.
+pub fn malformed(net: &Net, sender: usize, receiver: usize, defect: Defect) -> NetError {
+    NetError::Malformed(MalformedMessage {
+        round: last_round(net),
+        sender,
+        receiver,
+        defect,
+    })
+}
+
+/// The 0-based round the last delivery of a collective landed in.
+pub(crate) fn last_round(net: &Net) -> u64 {
+    net.cost().rounds.saturating_sub(1)
+}
 
 /// Broadcast of up to `n · link_words` words from `src` to everyone via the
 /// paper's standard trick: distribute distinct chunks to distinct nodes,

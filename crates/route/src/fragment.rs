@@ -18,14 +18,14 @@
 //! a receiver's frames by sender with a counting sort over their
 //! indices, puts one pair's frames in sequence order in linear time when
 //! the pair is read and copies each chunk straight into an exactly sized
-//! buffer; a lost or duplicated fragment is a [`FragmentError`].
+//! buffer; a lost or duplicated fragment, or a frame too short to hold its
+//! sequence number, is a [`NetError::Malformed`].
 
-use crate::collectives::fill_links;
+use crate::collectives::{fill_links, last_round};
 use crate::routing::{route_frames, HEADER_WORDS};
 use crate::{Net, Packet};
-use cc_net::NetError;
+use cc_net::{Defect, MalformedMessage, NetError};
 use std::collections::VecDeque;
-use std::fmt;
 use std::ops::Range;
 
 /// Splits `data` into packets of at most `chunk_payload` payload words,
@@ -71,29 +71,35 @@ fn cut(head: &[u64], data: &[u64], chunk: usize) -> impl Iterator<Item = Packet>
 /// the checked reader.
 pub fn reassemble(packets: Vec<Packet>) -> Vec<u64> {
     let mut order: Vec<usize> = (0..packets.len()).collect();
-    read(&mut order, |i| &packets[i], 0).unwrap_or_else(|(expected, found)| {
-        panic!("fragment sequence corrupted: expected fragment {expected}, found {found}")
-    })
+    read(&mut order, |i| &packets[i], 0)
+        .unwrap_or_else(|defect| panic!("fragment sequence corrupted: {defect}"))
 }
 
 /// Puts the frame indices `order` in order of the sequence number at
 /// `offset` of each `frame(i)` and concatenates the frames' chunks into
-/// one exactly sized buffer. Sequence numbers other than exactly
+/// one exactly sized buffer. A frame with no word at `offset` is a
+/// [`Defect::Length`]; sequence numbers other than exactly
 /// `0..order.len()` mean a fragment was lost or duplicated: the error is
-/// the first `(expected, found)` mismatch of the sorted sequence numbers.
+/// the first mismatch of the sorted sequence numbers.
 fn read<'a>(
     order: &mut [usize],
     frame: impl Fn(usize) -> &'a [u64],
     offset: usize,
-) -> Result<Vec<u64>, (u64, u64)> {
+) -> Result<Vec<u64>, Defect> {
+    if let Some(&i) = order.iter().find(|&&i| frame(i).len() <= offset) {
+        return Err(Defect::Length {
+            found: frame(i).len(),
+            expected: offset + 1,
+        });
+    }
     let seq = |i: usize| frame(i)[offset];
     if !place_by_seq(order, seq) {
         order.sort_unstable_by_key(|&i| seq(i));
-        let mismatch = (0..)
+        let (expected, found) = (0..)
             .zip(order.iter().map(|&i| seq(i)))
             .find(|&(expected, found)| found != expected)
             .expect("sequence numbers other than 0..k");
-        return Err(mismatch);
+        return Err(Defect::Sequence { expected, found });
     }
     let total = order.iter().map(|&i| frame(i).len() - offset - 1).sum();
     let mut words = Vec::with_capacity(total);
@@ -124,32 +130,6 @@ fn place_by_seq(order: &mut [usize], seq: impl Fn(usize) -> u64) -> bool {
     true
 }
 
-/// A bundle whose fragments arrived with sequence numbers other than
-/// exactly `0..k`: a fragment was lost or duplicated on the way.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FragmentError {
-    /// The node reading the bundle.
-    pub receiver: usize,
-    /// The node that sent it.
-    pub sender: usize,
-    /// The first sequence number missing from the sorted arrivals.
-    pub expected: u64,
-    /// The sequence number that arrived in its place.
-    pub found: u64,
-}
-
-impl fmt::Display for FragmentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "node {} expected fragment {} of node {}'s bundle, found {}",
-            self.receiver, self.expected, self.sender, self.found
-        )
-    }
-}
-
-impl std::error::Error for FragmentError {}
-
 /// A whole payload `(src, dst, words)` of any width.
 pub type Bundle = (usize, usize, Vec<u64>);
 
@@ -166,8 +146,12 @@ fn chunk_payload(link_words: u64, overhead: u64) -> usize {
 /// As [`route`](crate::route).
 pub fn route_bundles(net: &mut Net, bundles: Vec<Bundle>) -> Result<Bundles, NetError> {
     let frames = routed_frames(net.config().link_words, bundles);
-    let arrivals = route_frames(net, frames, true)?;
-    Ok(Bundles::new(arrivals, HEADER_WORDS as usize))
+    let arrivals = route_frames(net, frames)?;
+    Ok(Bundles::new(
+        arrivals,
+        HEADER_WORDS as usize,
+        last_round(net),
+    ))
 }
 
 /// The frames [`route_bundles`] routes, in bundle order.
@@ -197,7 +181,8 @@ pub fn ship_direct(net: &mut Net, bundles: Vec<Bundle>) -> Result<Bundles, NetEr
     for (src, dst, words) in bundles {
         queues[src].extend(cut(&[], &words, chunk).map(|p| (dst, p)));
     }
-    Ok(Bundles::new(fill_links(net, queues)?, 0))
+    let arrivals = fill_links(net, queues)?;
+    Ok(Bundles::new(arrivals, 0, last_round(net)))
 }
 
 /// Delivered fragment frames, per receiver, read per (receiver, sender)
@@ -216,13 +201,16 @@ pub struct Bundles {
     /// Words before a frame's sequence number: the routing header, or
     /// none for direct frames.
     offset: usize,
+    /// The round the shipment's last delivery landed in, which a
+    /// malformed bundle's error names.
+    round: u64,
 }
 
 impl Bundles {
     /// Groups each receiver's arrivals by sender with a counting sort
     /// over the senders it heard from: linear in the frames, no
     /// comparison sort over them.
-    fn new(arrivals: Vec<Vec<(usize, Packet)>>, offset: usize) -> Bundles {
+    fn new(arrivals: Vec<Vec<(usize, Packet)>>, offset: usize, round: u64) -> Bundles {
         let mut order = vec![0; arrivals.iter().map(Vec::len).sum()];
         let mut runs = Vec::new();
         // Per sender: its frame count, then the next free slot of its run.
@@ -258,7 +246,19 @@ impl Bundles {
             order,
             runs,
             offset,
+            round,
         }
+    }
+
+    /// The error naming `defect` in `sender`'s bundle at `receiver`, for
+    /// readers that check what a bundle holds.
+    pub fn malformed(&self, receiver: usize, sender: usize, defect: Defect) -> NetError {
+        NetError::Malformed(MalformedMessage {
+            round: self.round,
+            sender,
+            receiver,
+            defect,
+        })
     }
 
     /// Reassembles `sender`'s bundle at `receiver` (`Ok(None)` if none of
@@ -266,13 +266,10 @@ impl Bundles {
     ///
     /// # Errors
     ///
-    /// [`FragmentError`] if the pair's sequence numbers are not exactly
-    /// `0..k`.
-    pub fn take(
-        &mut self,
-        receiver: usize,
-        sender: usize,
-    ) -> Result<Option<Vec<u64>>, FragmentError> {
+    /// [`NetError::Malformed`] if the pair's sequence numbers are not
+    /// exactly `0..k` ([`Defect::Sequence`]) or a frame is too short to
+    /// hold one ([`Defect::Length`]).
+    pub fn take(&mut self, receiver: usize, sender: usize) -> Result<Option<Vec<u64>>, NetError> {
         let Ok(at) = self
             .runs
             .binary_search_by_key(&(receiver, sender), |&(pair, _)| pair)
@@ -291,12 +288,10 @@ impl Bundles {
         for &i in order.iter() {
             per[i].1 = Packet::new();
         }
-        words.map(Some).map_err(|(expected, found)| FragmentError {
-            receiver,
-            sender,
-            expected,
-            found,
-        })
+        match words {
+            Ok(words) => Ok(Some(words)),
+            Err(defect) => Err(self.malformed(receiver, sender, defect)),
+        }
     }
 }
 
@@ -369,7 +364,7 @@ mod tests {
             let mut sorted = seqs.clone();
             sorted.sort_unstable();
             let expected = match (0..).zip(&sorted).find(|&(e, &s)| e != s) {
-                Some((e, &s)) => Err((e, s)),
+                Some((e, &s)) => Err(Defect::Sequence { expected: e, found: s }),
                 None => Ok(sorted.iter().flat_map(|&s| frame(s)[1..].to_vec()).collect::<Vec<u64>>()),
             };
             let frames: Vec<Packet> = seqs.iter().map(|&s| Packet::from(frame(s))).collect();
@@ -427,36 +422,46 @@ mod tests {
                 vec![(0, Packet::of(&[9, 9]))], // no sequence 0: unreadable
             ],
             0,
+            4,
         );
         assert_eq!(got.take(0, 1), Ok(Some(vec![5])));
         assert_eq!(got.take(0, 2), Ok(None));
     }
 
     #[test]
-    fn lost_or_duplicated_fragments_are_typed_errors() {
+    fn lost_duplicated_or_short_fragments_are_typed_errors() {
         let frames = |seqs: &[u64]| {
             seqs.iter()
                 .map(|&s| (3, Packet::of(&[s, 10 + s])))
                 .collect()
         };
         let mut got = Bundles::new(
-            vec![frames(&[2, 0]), frames(&[1, 0, 1]), frames(&[1, 0])],
+            vec![
+                frames(&[2, 0]),
+                frames(&[1, 0, 1]),
+                frames(&[1, 0]),
+                vec![(3, Packet::of(&[0, 10])), (3, Packet::new())],
+            ],
             0,
+            7,
         );
-        let err = |receiver, expected, found| FragmentError {
-            receiver,
-            sender: 3,
-            expected,
-            found,
+        let err = |receiver, defect| {
+            NetError::Malformed(MalformedMessage {
+                round: 7,
+                sender: 3,
+                receiver,
+                defect,
+            })
         };
-        assert_eq!(got.take(0, 3), Err(err(0, 1, 2)), "fragment 1 lost");
-        assert_eq!(got.take(1, 3), Err(err(1, 2, 1)), "fragment 1 twice");
+        let seq = |expected, found| Defect::Sequence { expected, found };
+        assert_eq!(got.take(0, 3), Err(err(0, seq(1, 2))), "fragment 1 lost");
+        assert_eq!(got.take(1, 3), Err(err(1, seq(2, 1))), "fragment 1 twice");
         assert_eq!(got.take(2, 3), Ok(Some(vec![10, 11])));
-        let shown = err(0, 1, 2).to_string();
-        assert!(
-            shown.contains("node 0") && shown.contains("node 3"),
-            "{shown}"
-        );
+        let short = Defect::Length {
+            found: 0,
+            expected: 1,
+        };
+        assert_eq!(got.take(3, 3), Err(err(3, short)), "no sequence word");
     }
 
     /// The skewed schedule SKETCHANDSPAN runs: every node ships a

@@ -10,7 +10,7 @@
 //! every port, and every node checks what it reads.
 
 use crate::{Net, Packet};
-use cc_net::{Knowledge, NetError};
+use cc_net::{Defect, Knowledge, MalformedMessage, NetError};
 
 /// Runs the ID broadcast if the network is KT0; a no-op (zero cost) under
 /// KT1, where the knowledge is part of the model.
@@ -21,8 +21,9 @@ use cc_net::{Knowledge, NetError};
 ///
 /// Propagates simulator errors. An announcement that is not one word
 /// naming another node of the clique, or that repeats an ID its reader
-/// already read, is [`NetError::BadAnnouncement`] (the first one, lowest
-/// receiver then inbox order). A repeat names both senders of the ID:
+/// already read, is [`NetError::Malformed`] with a
+/// [`Defect::Announcement`] (the first one, lowest receiver then inbox
+/// order). A repeat names both senders of the ID:
 /// the reader cannot tell which of the two announcements is the faulty
 /// one.
 pub fn kt0_bootstrap(net: &mut Net) -> Result<(), NetError> {
@@ -57,16 +58,15 @@ pub fn kt0_bootstrap(net: &mut Net) -> Result<(), NetError> {
                 },
                 _ => (None, None),
             };
-            bad.get_or_insert(NetError::BadAnnouncement {
+            bad.get_or_insert(MalformedMessage {
                 round,
-                node,
-                src: env.src,
-                word,
-                first,
+                sender: env.src,
+                receiver: node,
+                defect: Defect::Announcement { word, first },
             });
         }
     })?;
-    bad.map_or(Ok(()), Err)
+    bad.map_or(Ok(()), |m| Err(m.into()))
 }
 
 #[cfg(test)]
@@ -128,32 +128,17 @@ mod tests {
             }));
             assert_eq!(
                 kt0_bootstrap(&mut net),
-                Err(NetError::BadAnnouncement {
+                Err(NetError::Malformed(MalformedMessage {
                     round: 1,
-                    node: 5,
-                    src: culprit,
-                    word: Some(word),
-                    first,
-                }),
+                    sender: culprit,
+                    receiver: 5,
+                    defect: Defect::Announcement {
+                        word: Some(word),
+                        first,
+                    },
+                })),
                 "{decision:?}"
             );
         }
-        let shown = |word, first| {
-            NetError::BadAnnouncement {
-                round: 1,
-                node: 5,
-                src: 3,
-                word,
-                first,
-            }
-            .to_string()
-        };
-        assert!(shown(None, None).contains("not one word"));
-        assert!(shown(Some(9), None).contains("names no other node"));
-        let repeat = shown(Some(3), Some(2));
-        assert!(
-            repeat.contains("ID 3 from 3 after reading it from 2"),
-            "{repeat}"
-        );
     }
 }

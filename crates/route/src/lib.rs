@@ -9,8 +9,13 @@
 //! * [`mod@fragment`] — the one path for payloads wider than a link: word
 //!   bundles are cut once, into frames sharing one buffer, shipped routed
 //!   ([`route_bundles`]) or direct ([`ship_direct`]), and reassembled per
-//!   pair ([`Bundles`]);
-//!   a lost or duplicated fragment is a [`FragmentError`].
+//!   pair ([`Bundles`]).
+//! * [`read_inbox`] — the checked receive: a message its protocol cannot
+//!   have sent ends the run with
+//!   [`NetError::Malformed`](cc_net::NetError::Malformed), as does every
+//!   read in this crate (a routed frame's header, a fragment's sequence
+//!   number, a KT0 announcement, a sort key or rank); [`malformed`]
+//!   builds that error for a message read after its collective returned.
 //! * [`routing`] — the "Lenzen contract": any instance where every node
 //!   sends at most `n` messages and every node receives at most `n`
 //!   messages is delivered in `O(1)` rounds. The paper cites Lenzen's
@@ -52,11 +57,9 @@ pub type Packet = cc_net::WordVec;
 /// The network type every collective (and every algorithm crate) runs on.
 pub type Net = CliqueNet<Packet>;
 
-pub use collectives::{all_to_all_share, broadcast_large, gather_direct};
-pub use fragment::{
-    fragment, reassemble, route_bundles, ship_direct, Bundle, Bundles, FragmentError,
-};
+pub use collectives::{all_to_all_share, broadcast_large, gather_direct, malformed, read_inbox};
+pub use fragment::{fragment, reassemble, route_bundles, ship_direct, Bundle, Bundles};
 pub use kt0_boot::kt0_bootstrap;
-pub use routing::{route, route_deterministic, RoutedPacket};
+pub use routing::{route, RoutedPacket};
 pub use shared_rand::shared_seed;
 pub use sort::{distributed_sort, SortItem};

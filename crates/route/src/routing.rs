@@ -27,10 +27,13 @@
 //! shared frame), so a packet is never copied on its way. [`route`]
 //! strips the header at the receiver and sorts;
 //! [`route_bundles`](crate::route_bundles) takes the frames as they
-//! arrived, without that sort.
+//! arrived, without that sort. Every node checks the header of each frame
+//! it reads: one that names no node (a stray, or a frame a fault
+//! corrupted in flight) ends the call with
+//! [`NetError::Malformed`].
 
 use crate::{Net, Packet};
-use cc_net::NetError;
+use cc_net::{Defect, MalformedMessage, NetError};
 use std::collections::{BTreeMap, VecDeque};
 
 /// A packet to route: `payload` words from `src` to `dst`.
@@ -53,22 +56,15 @@ pub(crate) fn header(frame: &[u64]) -> (usize, usize) {
     (frame[0] as usize, frame[1] as usize)
 }
 
-/// The `(final_dst, orig_src)` header of a frame `node` read in `round`,
-/// if the frame holds one and both words name nodes of an `n`-clique. A
-/// frame that fails is a stray from another collective or was corrupted
-/// in flight.
-fn read_header(
-    frame: &[u64],
-    n: usize,
-    round: u64,
-    node: usize,
-) -> Result<(usize, usize), NetError> {
-    let bad = |word| NetError::BadHeader { round, node, word };
+/// The `(final_dst, orig_src)` header of a frame, if the frame holds one
+/// and both words name nodes of an `n`-clique. A frame that fails is a
+/// stray from another collective or was corrupted in flight.
+fn read_header(frame: &[u64], n: usize) -> Result<(usize, usize), Defect> {
     let &[dst, src, ..] = frame else {
-        return Err(bad(None));
+        return Err(Defect::Header { word: None });
     };
     match [dst, src].into_iter().find(|&w| w >= n as u64) {
-        Some(word) => Err(bad(Some(word))),
+        Some(word) => Err(Defect::Header { word: Some(word) }),
         None => Ok((dst as usize, src as usize)),
     }
 }
@@ -84,7 +80,7 @@ fn read_header(
 /// link's budget (ship wide payloads with
 /// [`route_bundles`](crate::route_bundles), which fragments them). A
 /// frame that arrives with a header naming no node (a fault corrupted
-/// it in flight) ends the call with [`NetError::BadHeader`].
+/// it in flight) ends the call with [`NetError::Malformed`].
 ///
 /// # Panics
 ///
@@ -93,31 +89,6 @@ fn read_header(
 pub fn route(
     net: &mut Net,
     packets: Vec<RoutedPacket>,
-) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
-    route_sorted(net, packets, true)
-}
-
-/// Deterministic variant of [`route`]: the spread rotation starts at the
-/// sender's own index instead of a random offset. This mirrors the
-/// determinism of Lenzen's algorithm (the paper's black box) at the cost
-/// of worst-case instances where senders collide systematically; the
-/// contract tests exercise both variants.
-///
-/// # Errors
-///
-/// Same as [`route`].
-pub fn route_deterministic(
-    net: &mut Net,
-    packets: Vec<RoutedPacket>,
-) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
-    route_sorted(net, packets, false)
-}
-
-/// Frames `packets`, routes them, and strips and sorts the arrivals.
-fn route_sorted(
-    net: &mut Net,
-    packets: Vec<RoutedPacket>,
-    random_offsets: bool,
 ) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
     // Every frame is laid out in one buffer and handed out as a view
     // into it (inline when narrow).
@@ -129,7 +100,7 @@ fn route_sorted(
     }
     let lens = packets.into_iter().map(|p| width(&p));
     let frames = Packet::shared_views(words, lens).collect();
-    let arrivals = route_frames(net, frames, random_offsets)?;
+    let arrivals = route_frames(net, frames)?;
     Ok(arrivals
         .into_iter()
         .map(|frames| {
@@ -149,7 +120,6 @@ fn route_sorted(
 pub(crate) fn route_frames(
     net: &mut Net,
     frames: Vec<Packet>,
-    random_offsets: bool,
 ) -> Result<Vec<Vec<(usize, Packet)>>, NetError> {
     let n = net.n();
     let link_words = net.config().link_words;
@@ -196,20 +166,14 @@ pub(crate) fn route_frames(
     }
 
     net.begin_scope("route:route");
-    // Rotation per sender so that hot destinations spread evenly across
-    // intermediaries: random (default, the w.h.p. analysis) or the
-    // sender's index (deterministic variant).
-    let offsets: Vec<usize> = if random_offsets {
-        (0..n)
-            .map(|u| {
-                use rand::Rng;
-                net.node_rng(u).gen_range(0..n)
-            })
-            .collect()
-    } else {
-        (0..n).map(|u| (u + 1) % n).collect()
-    };
-    let mut rr: Vec<usize> = offsets;
+    // A random rotation per sender (the w.h.p. analysis), so that hot
+    // destinations spread evenly across intermediaries.
+    let mut rr: Vec<usize> = (0..n)
+        .map(|u| {
+            use rand::Rng;
+            net.node_rng(u).gen_range(0..n)
+        })
+        .collect();
 
     // Held frames awaiting phase-2 delivery: per node, keyed by
     // destination. A BTreeMap (not a dense `n`-vector) keeps both memory
@@ -242,14 +206,19 @@ pub(crate) fn route_frames(
         rounds_used += 1;
 
         let round = net.cost().rounds;
-        let mut bad_header = None;
+        let mut malformed = None;
         net.step(|node, inbox, out| {
             // 1. Process arrivals: final deliveries vs. held forwards.
             for env in inbox {
-                let (dst, src) = match read_header(&env.msg, n, round, node) {
+                let (dst, src) = match read_header(&env.msg, n) {
                     Ok(h) => h,
-                    Err(e) => {
-                        bad_header.get_or_insert(e);
+                    Err(defect) => {
+                        malformed.get_or_insert(MalformedMessage {
+                            round,
+                            sender: env.src,
+                            receiver: node,
+                            defect,
+                        });
                         continue;
                     }
                 };
@@ -309,8 +278,8 @@ pub(crate) fn route_frames(
                 }
             }
         })?;
-        if let Some(e) = bad_header {
-            return Err(e);
+        if let Some(m) = malformed {
+            return Err(m.into());
         }
     }
     net.end_scope();
@@ -409,10 +378,10 @@ mod tests {
     }
 
     /// Flips bit 40 of one frame in flight: the `dst` header word of
-    /// sender 1's first round-0 frame.
-    struct FlipFirstFrameOf1;
+    /// sender 1's round-0 frame to intermediary 2.
+    struct FlipFrameOf1To2;
 
-    impl cc_net::FaultInjector for FlipFirstFrameOf1 {
+    impl cc_net::FaultInjector for FlipFrameOf1To2 {
         fn decision(
             &self,
             round: u64,
@@ -420,8 +389,6 @@ mod tests {
             dst: usize,
             index: u32,
         ) -> cc_net::FaultDecision {
-            // The deterministic rotation spreads sender 1's first frame to
-            // intermediary 2.
             if (round, src, dst, index) == (0, 1, 2, 0) {
                 cc_net::FaultDecision::Corrupt { bit: 40 }
             } else {
@@ -434,7 +401,7 @@ mod tests {
     fn corrupted_header_in_flight_is_a_typed_error() {
         let n = 8;
         let mut nt = net(n);
-        nt.set_fault_injector(Box::new(FlipFirstFrameOf1));
+        nt.set_fault_injector(Box::new(FlipFrameOf1To2));
         let packets = (0..n)
             .flat_map(|src| {
                 (0..n).map(move |dst| RoutedPacket {
@@ -444,38 +411,31 @@ mod tests {
                 })
             })
             .collect();
-        // Sender 1's first queued frame is bound for node 0; the flip
-        // turns its `dst` word into 2^40, and node 2 reads it in round 1.
-        let err = route_deterministic(&mut nt, packets).unwrap_err();
+        // At seed 3 sender 1's rotation starts at intermediary 2, so its
+        // first frame, bound for node 0, goes there; the flip turns that
+        // `dst` word into 2^40, and node 2 reads it in round 1.
+        let err = route(&mut nt, packets).unwrap_err();
         assert_eq!(
             err,
-            NetError::BadHeader {
+            NetError::Malformed(MalformedMessage {
                 round: 1,
-                node: 2,
-                word: Some(1 << 40),
-            }
+                sender: 1,
+                receiver: 2,
+                defect: Defect::Header {
+                    word: Some(1 << 40)
+                },
+            })
         );
     }
 
     #[test]
     fn short_or_out_of_range_headers_are_refused() {
-        assert_eq!(read_header(&[3, 1, 9], 4, 5, 2), Ok((3, 1)));
-        assert_eq!(
-            read_header(&[3], 4, 5, 2),
-            Err(NetError::BadHeader {
-                round: 5,
-                node: 2,
-                word: None
-            })
-        );
+        assert_eq!(read_header(&[3, 1, 9], 4), Ok((3, 1)));
+        assert_eq!(read_header(&[3], 4), Err(Defect::Header { word: None }));
         for (frame, word) in [([4, 1], 4), ([3, 7], 7)] {
             assert_eq!(
-                read_header(&frame, 4, 5, 2),
-                Err(NetError::BadHeader {
-                    round: 5,
-                    node: 2,
-                    word: Some(word)
-                })
+                read_header(&frame, 4),
+                Err(Defect::Header { word: Some(word) })
             );
         }
     }
@@ -599,57 +559,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod deterministic_tests {
-    use super::*;
-    use cc_net::NetConfig;
-
-    #[test]
-    fn deterministic_variant_delivers_the_contract_instance() {
-        let n = 12;
-        let mut nt = Net::new(NetConfig::kt1(n).with_seed(9));
-        let packets: Vec<RoutedPacket> = (0..n)
-            .flat_map(|src| {
-                (0..n).map(move |dst| RoutedPacket {
-                    src,
-                    dst,
-                    payload: Packet::one((src * n + dst) as u64),
-                })
-            })
-            .collect();
-        let got = route_deterministic(&mut nt, packets).unwrap();
-        for (dst, msgs) in got.iter().enumerate() {
-            assert_eq!(msgs.len(), n, "dst {dst}");
-        }
-        assert!(nt.cost().rounds <= 24, "rounds {}", nt.cost().rounds);
-    }
-
-    #[test]
-    fn deterministic_variant_is_seed_independent() {
-        let run = |seed: u64| {
-            let mut nt = Net::new(NetConfig::kt1(8).with_seed(seed));
-            let packets = vec![
-                RoutedPacket {
-                    src: 1,
-                    dst: 5,
-                    payload: Packet::one(7),
-                },
-                RoutedPacket {
-                    src: 2,
-                    dst: 5,
-                    payload: Packet::one(8),
-                },
-            ];
-            let out = route_deterministic(&mut nt, packets).unwrap();
-            (out, nt.cost())
-        };
-        let (a, ca) = run(1);
-        let (b, cb) = run(999);
-        assert_eq!(a, b);
-        assert_eq!(ca, cb, "identical schedule regardless of seed");
-    }
-}
-
-#[cfg(test)]
 mod property_tests {
     use super::*;
     use cc_net::NetConfig;
@@ -684,33 +593,6 @@ mod property_tests {
                 e.sort();
             }
             let got = route(&mut nt, packets).unwrap();
-            prop_assert_eq!(got, expect);
-        }
-
-        /// The deterministic variant delivers the same multiset too.
-        #[test]
-        fn deterministic_exactly_once(
-            n in 3usize..10,
-            spec in proptest::collection::vec((0usize..10, 0usize..10), 0..40),
-        ) {
-            let mut nt = Net::new(NetConfig::kt1(n).with_seed(0));
-            let packets: Vec<RoutedPacket> = spec
-                .iter()
-                .enumerate()
-                .map(|(i, &(s, d))| RoutedPacket {
-                    src: s % n,
-                    dst: d % n,
-                    payload: Packet::one(i as u64),
-                })
-                .collect();
-            let mut expect: Vec<Vec<(usize, Packet)>> = vec![Vec::new(); n];
-            for p in &packets {
-                expect[p.dst].push((p.src, p.payload.clone()));
-            }
-            for e in &mut expect {
-                e.sort();
-            }
-            let got = route_deterministic(&mut nt, packets).unwrap();
             prop_assert_eq!(got, expect);
         }
     }

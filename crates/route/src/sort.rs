@@ -18,10 +18,10 @@
 //! makes all keys distinct in the MST use case. Duplicate keys are still
 //! handled (ranked in deterministic order of holder).
 
-use crate::collectives::{all_to_all_share, broadcast_large, gather_direct};
+use crate::collectives::{all_to_all_share, broadcast_large, gather_direct, malformed};
 use crate::routing::{route, RoutedPacket};
 use crate::{Net, Packet};
-use cc_net::NetError;
+use cc_net::{Defect, NetError};
 
 /// A sortable key: compared lexicographically.
 pub type SortItem = [u64; 3];
@@ -29,12 +29,25 @@ pub type SortItem = [u64; 3];
 /// Number of splitter samples each node contributes.
 const SAMPLES_PER_NODE: usize = 8;
 
+/// The key leading a message that must be `len` words long.
+fn read_key(msg: &[u64], len: usize) -> Result<SortItem, Defect> {
+    match *msg {
+        [a, b, c, ..] if msg.len() == len => Ok([a, b, c]),
+        _ => Err(Defect::Length {
+            found: msg.len(),
+            expected: len,
+        }),
+    }
+}
+
 /// Sorts all items globally; returns, for each node, its own items paired
 /// with their global 0-based rank (same multiset of items it submitted).
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates simulator errors. A sample or key of the wrong length, and
+/// a rank message that is short, names no item its holder holds, repeats
+/// one or never arrives, is [`NetError::Malformed`].
 pub fn distributed_sort(
     net: &mut Net,
     per_node: Vec<Vec<SortItem>>,
@@ -62,7 +75,10 @@ pub fn distributed_sort(
         }
     }
     let gathered = gather_direct(net, coordinator, sample_msgs)?;
-    let mut samples: Vec<SortItem> = gathered.iter().map(|(_, p)| [p[0], p[1], p[2]]).collect();
+    let mut samples = Vec::with_capacity(gathered.len());
+    for (src, p) in &gathered {
+        samples.push(read_key(p, 3).map_err(|d| malformed(net, *src, coordinator, d))?);
+    }
     // Coordinator's own samples are free (local).
     {
         let items = &local[coordinator];
@@ -118,10 +134,11 @@ pub fn distributed_sort(
     // 5. Owners sort (key, holder, idx) and route ranks back.
     let mut rank_packets = Vec::new();
     for (owner, bucket) in buckets.iter().enumerate() {
-        let mut entries: Vec<(SortItem, usize, u64)> = bucket
-            .iter()
-            .map(|(src, p)| ([p[0], p[1], p[2]], *src, p[3]))
-            .collect();
+        let mut entries: Vec<(SortItem, usize, u64)> = Vec::with_capacity(bucket.len());
+        for (src, p) in bucket {
+            let key = read_key(p, 4).map_err(|d| malformed(net, *src, owner, d))?;
+            entries.push((key, *src, p[3]));
+        }
         entries.sort_unstable();
         for (offset, (_k, holder, idx)) in entries.into_iter().enumerate() {
             rank_packets.push(RoutedPacket {
@@ -133,20 +150,37 @@ pub fn distributed_sort(
     }
     let ranked = route(net, rank_packets)?;
 
-    // 6. Assemble per-holder results.
+    // 6. Assemble per-holder results: exactly one rank per held item.
     let mut out: Vec<Vec<(SortItem, u64)>> = vec![Vec::new(); n];
     for (holder, msgs) in ranked.iter().enumerate() {
-        let mut by_idx: Vec<Option<u64>> = vec![None; local[holder].len()];
-        for (_owner, p) in msgs {
-            let idx = p[0] as usize;
-            assert!(by_idx[idx].is_none(), "duplicate rank for one item");
-            by_idx[idx] = Some(p[1]);
+        let items = &local[holder];
+        let mut by_idx: Vec<Option<u64>> = vec![None; items.len()];
+        for &(owner, ref p) in msgs {
+            let defect = match **p {
+                [idx, rank] => match usize::try_from(idx).ok().and_then(|i| by_idx.get_mut(i)) {
+                    Some(slot @ None) => {
+                        *slot = Some(rank);
+                        continue;
+                    }
+                    _ => Defect::Rank { item: idx },
+                },
+                _ => Defect::Length {
+                    found: p.len(),
+                    expected: 2,
+                },
+            };
+            return Err(malformed(net, owner, holder, defect));
         }
-        out[holder] = local[holder]
-            .iter()
-            .enumerate()
-            .map(|(idx, &k)| (k, by_idx[idx].expect("missing rank")))
-            .collect();
+        // An item with no rank names the bucket owner that owed it.
+        let mut ranked_items = Vec::with_capacity(items.len());
+        for (idx, (&k, rank)) in items.iter().zip(by_idx).enumerate() {
+            let Some(rank) = rank else {
+                let defect = Defect::Rank { item: idx as u64 };
+                return Err(malformed(net, bucket_of(&k), holder, defect));
+            };
+            ranked_items.push((k, rank));
+        }
+        out[holder] = ranked_items;
     }
     net.end_scope();
     Ok(out)
@@ -155,7 +189,7 @@ pub fn distributed_sort(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_net::NetConfig;
+    use cc_net::{MalformedMessage, NetConfig};
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -242,6 +276,70 @@ mod tests {
         per_node[5] = (0..100u64).rev().map(|i| [i, 0, 0]).collect();
         let res = distributed_sort(&mut nt, per_node).unwrap();
         assert_valid_ranking(&res);
+    }
+
+    /// Applies `decision` to the first message to `dst` that `round`
+    /// stages, and delivers everything else.
+    struct FirstTo {
+        round: u64,
+        dst: usize,
+        decision: cc_net::FaultDecision,
+        fired: std::sync::atomic::AtomicBool,
+    }
+
+    impl cc_net::FaultInjector for FirstTo {
+        fn decision(
+            &self,
+            round: u64,
+            _src: usize,
+            dst: usize,
+            _index: u32,
+        ) -> cc_net::FaultDecision {
+            use std::sync::atomic::Ordering::Relaxed;
+            if (round, dst) == (self.round, self.dst) && !self.fired.swap(true, Relaxed) {
+                self.decision
+            } else {
+                cc_net::FaultDecision::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupted_duplicated_or_dropped_rank_is_a_typed_error() {
+        // Node 2 holds every item, so the last round that sends anything
+        // carries rank frames `[2, owner, idx, rank]` to node 2 only.
+        let n = 4;
+        let mut per_node = vec![Vec::new(); n];
+        per_node[2] = (0..24u64).map(|i| [(i * 37) % 101, i, 0]).collect();
+        let mut clean = net(n);
+        distributed_sort(&mut clean, per_node.clone()).unwrap();
+        let last_send = clean.cost().rounds - 2;
+        for decision in [
+            // Bit 40 of the `idx` word: an item node 2 does not hold.
+            cc_net::FaultDecision::Corrupt { bit: 2 * 64 + 40 },
+            cc_net::FaultDecision::Duplicate,
+            cc_net::FaultDecision::Drop,
+        ] {
+            let mut nt = net(n);
+            nt.set_fault_injector(Box::new(FirstTo {
+                round: last_send,
+                dst: 2,
+                decision,
+                fired: false.into(),
+            }));
+            let err = distributed_sort(&mut nt, per_node.clone()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    NetError::Malformed(MalformedMessage {
+                        receiver: 2,
+                        defect: Defect::Rank { item },
+                        ..
+                    }) if (item >= 1 << 40) == matches!(decision, cc_net::FaultDecision::Corrupt { .. })
+                ),
+                "{decision:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

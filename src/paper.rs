@@ -34,7 +34,7 @@
 //! | CC-MST (Lotker et al., Theorem 2) | [`cc_lotker::cc_mst`]; merge logic in [`cc_lotker::controlled_boruvka`] (see DESIGN.md on Theorem 2(iii)) |
 //! | BUILDCOMPONENTGRAPH | [`cc_core::build_component_graph`] |
 //! | Algorithm 2 SKETCHANDSPAN | [`cc_core::gc::sketch_and_span`] |
-//! | Lenzen's routing (black box) | [`cc_route::route`] (the "Lenzen contract"; deterministic variant [`cc_route::route_deterministic`]) |
+//! | Lenzen's routing (black box) | [`cc_route::route`] (the "Lenzen contract": a random spread rotation, then direct delivery) |
 //! | the full GC algorithm | [`cc_core::gc::run`] |
 //! | Remark 5 (bipartiteness, k-edge-connectivity) | [`cc_core::bipartiteness::bipartiteness`], [`cc_core::kecc::k_edge_connectivity`] |
 //! | experiments | E1 (rounds), E4 (Lemma 3), E9 (bandwidth "furthermore"), E10 (Remark 5) |

@@ -90,20 +90,21 @@ impl Verdict {
         let answer = match result {
             Ok(answer) => answer,
             Err(e) => {
+                let detail = e.to_string();
                 return match e {
                     // A malformed message is bad input read, not a rule
                     // the run broke.
                     CoreError::Net(net @ NetError::Malformed(_)) => Verdict::DetectedError {
                         kind: net.kind(),
-                        detail: net.to_string(),
+                        detail,
                     },
-                    CoreError::Net(ref net) => Verdict::ModelReject {
+                    CoreError::Net(net) => Verdict::ModelReject {
                         kind: net.kind(),
-                        detail: e.to_string(),
+                        detail,
                     },
                     CoreError::SketchExhausted { .. } => Verdict::DetectedError {
                         kind: "sketch-exhausted",
-                        detail: e.to_string(),
+                        detail,
                     },
                 };
             }

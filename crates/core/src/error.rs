@@ -25,6 +25,8 @@ pub enum CoreError {
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // Bad input read, not a rule the run broke: no network prefix.
+            CoreError::Net(e @ NetError::Malformed(_)) => write!(f, "{e}"),
             CoreError::Net(e) => write!(f, "network error: {e}"),
             CoreError::SketchExhausted { failures } => write!(
                 f,
@@ -59,6 +61,17 @@ mod tests {
         assert!(e.to_string().contains("3"));
         let n: CoreError = NetError::SelfMessage { node: 1 }.into();
         assert!(n.to_string().contains("network"));
+        let m: CoreError = NetError::Malformed(cc_net::MalformedMessage {
+            round: 4,
+            sender: 1,
+            receiver: 0,
+            defect: cc_net::Defect::Header { word: None },
+        })
+        .into();
+        assert!(
+            m.to_string().starts_with("malformed message: round 4"),
+            "{m}"
+        );
     }
 
     #[test]

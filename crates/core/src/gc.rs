@@ -94,7 +94,7 @@ pub(crate) fn take_sketches<'a, 'r>(
             expected: e.expected,
             found: e.found,
         };
-        bundles.malformed(referee, sender, defect)
+        bundles.malformed(sender, referee, defect)
     })?;
     for (row, sk) in rows.into_iter().zip(sketches) {
         row.push(sk);

@@ -203,7 +203,7 @@ pub fn kt1_mst(net: &mut Net, g: &WGraph, cfg: &Kt1MstConfig) -> Result<Kt1MstRu
                                 expected: e.expected,
                                 found: e.found,
                             };
-                            arrived.malformed(l, m, defect)
+                            arrived.malformed(m, l, defect)
                         })?;
                         sum.add_assign_sketch(&sk);
                     }

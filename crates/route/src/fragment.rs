@@ -251,8 +251,9 @@ impl Bundles {
     }
 
     /// The error naming `defect` in `sender`'s bundle at `receiver`, for
-    /// readers that check what a bundle holds.
-    pub fn malformed(&self, receiver: usize, sender: usize, defect: Defect) -> NetError {
+    /// readers that check what a bundle holds. Sender first, as in
+    /// [`MalformedMessage`].
+    pub fn malformed(&self, sender: usize, receiver: usize, defect: Defect) -> NetError {
         NetError::Malformed(MalformedMessage {
             round: self.round,
             sender,
@@ -290,7 +291,7 @@ impl Bundles {
         }
         match words {
             Ok(words) => Ok(Some(words)),
-            Err(defect) => Err(self.malformed(receiver, sender, defect)),
+            Err(defect) => Err(self.malformed(sender, receiver, defect)),
         }
     }
 }

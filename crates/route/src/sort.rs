@@ -122,9 +122,19 @@ pub fn distributed_sort(
         }
     }
     let buckets = route(net, packets)?;
+    // Owners read their keys as the routing delivered them.
+    let mut owned: Vec<Vec<(SortItem, usize, u64)>> = Vec::with_capacity(n);
+    for (owner, bucket) in buckets.into_iter().enumerate() {
+        let mut entries = Vec::with_capacity(bucket.len());
+        for (src, p) in &bucket {
+            let key = read_key(p, 4).map_err(|d| malformed(net, *src, owner, d))?;
+            entries.push((key, *src, p[3]));
+        }
+        owned.push(entries);
+    }
 
     // 4. Bucket sizes → base ranks via all-to-all + prefix sums.
-    let sizes: Vec<u64> = buckets.iter().map(|b| b.len() as u64).collect();
+    let sizes: Vec<u64> = owned.iter().map(|b| b.len() as u64).collect();
     let shared_sizes = all_to_all_share(net, &sizes)?;
     let mut base = vec![0u64; n];
     for b in 1..n {
@@ -133,12 +143,7 @@ pub fn distributed_sort(
 
     // 5. Owners sort (key, holder, idx) and route ranks back.
     let mut rank_packets = Vec::new();
-    for (owner, bucket) in buckets.iter().enumerate() {
-        let mut entries: Vec<(SortItem, usize, u64)> = Vec::with_capacity(bucket.len());
-        for (src, p) in bucket {
-            let key = read_key(p, 4).map_err(|d| malformed(net, *src, owner, d))?;
-            entries.push((key, *src, p[3]));
-        }
+    for (owner, mut entries) in owned.into_iter().enumerate() {
         entries.sort_unstable();
         for (offset, (_k, holder, idx)) in entries.into_iter().enumerate() {
             rank_packets.push(RoutedPacket {
@@ -305,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn a_corrupted_duplicated_or_dropped_rank_is_a_typed_error() {
+    fn a_stray_key_or_a_corrupted_duplicated_or_dropped_rank_is_a_typed_error() {
         // Node 2 holds every item, so the last round that sends anything
         // carries rank frames `[2, owner, idx, rank]` to node 2 only.
         let n = 4;
@@ -340,6 +345,31 @@ mod tests {
                 "{decision:?}: {err:?}"
             );
         }
+        // Node 2's first sample `[0, 0, 0]`, deferred past the broadcast,
+        // lands in the key routing as a frame for node 0 from node 0 with
+        // a 1-word key; the routing waits for it, so its arrival round is
+        // the routing's last, and the error names that round.
+        let defer = clean.cost().rounds;
+        let mut nt = net(n);
+        nt.set_fault_injector(Box::new(FirstTo {
+            round: 0,
+            dst: 0,
+            decision: cc_net::FaultDecision::Defer { rounds: defer },
+            fired: false.into(),
+        }));
+        let err = distributed_sort(&mut nt, per_node).unwrap_err();
+        assert_eq!(
+            err,
+            NetError::Malformed(MalformedMessage {
+                round: 1 + defer,
+                sender: 0,
+                receiver: 0,
+                defect: Defect::Length {
+                    found: 1,
+                    expected: 4
+                },
+            })
+        );
     }
 
     #[test]

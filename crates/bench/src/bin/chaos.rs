@@ -12,8 +12,9 @@
 //! ```
 //!
 //! The emitted [`cc_trace::RunArtifact`] stores the E17 and E17b tables
-//! it prints, so a failure's detail is kept as printed: cut at 48
-//! characters, with no fault-plan seed column.
+//! it prints, so a failure's detail is kept as printed (a malformed
+//! message's defect, any other detail cut at 48 characters), with no
+//! fault-plan seed column.
 //!
 //! Exit codes: 0 no silent wrong answer, 1 a silent wrong answer, 2
 //! usage or I/O error, 3 an invalid artifact, 101 a panic (a bug: no

@@ -4,8 +4,8 @@
 //! failure rate across seeds and clique sizes with a deliberately starved
 //! sketch budget, probing the `1/n^c` shape of Theorem 1's failure bound.
 //!
-//! The harness is the consumer the `cc-chaos` subsystem exists for: a
-//! fault plan interposes on the very same `CliqueNet` the algorithms
+//! The harness is the consumer `cc_net::fault` exists for: a
+//! [`FaultPlan`] interposes on the very same `CliqueNet` the algorithms
 //! run on, every run is replayable from `(schedule, seed)`, and the
 //! headline claim — **zero silent wrong answers with validation
 //! enabled** — is enforced by `verify the table` tests and the `chaos`
@@ -16,12 +16,11 @@
 
 use crate::guard::{self, Verdict};
 use crate::table::{f, Table};
-use cc_chaos::{FaultPlan, LinkSelector, RoundRange};
 use cc_core::catalog::Entry;
 use cc_core::gc::{self, GcConfig};
 use cc_graph::connectivity::component_labels;
 use cc_graph::generators;
-use cc_net::NetConfig;
+use cc_net::{FaultPlan, LinkSelector, NetConfig, RoundRange};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -106,7 +105,7 @@ pub fn fault_matrix(quick: bool) -> Vec<FaultRun> {
     let mut matrix = Vec::new();
     for (schedule, plan) in ci_schedules(seed) {
         for &(algo, entry) in &rows {
-            let faults = Some(Box::new(plan.injector()) as _);
+            let faults = Some(Box::new(plan.clone()) as _);
             let run = guard::run(NetConfig::kt1(n).with_seed(seed), faults, entry);
             matrix.push(FaultRun {
                 algo,
@@ -136,8 +135,10 @@ pub fn e17_robustness(quick: bool) -> Table {
     e17_table(&fault_matrix(quick))
 }
 
-/// Renders the fault matrix as the E17 table (`detail` cut at 48
-/// characters) — the one renderer `tables` and `chaos` share.
+/// Renders the fault matrix as the E17 table — the one renderer `tables`
+/// and `chaos` share. A malformed message's `detail` is
+/// `malformed: {defect}`, the defect in full; any other is cut at 48
+/// characters.
 pub fn e17_table(runs: &[FaultRun]) -> Table {
     let mut t = Table::new(
         "E17",
@@ -146,22 +147,34 @@ pub fn e17_table(runs: &[FaultRun]) -> Table {
         &["algo", "schedule", "n", "outcome", "faults", "detail"],
     );
     for r in runs {
-        let detail = r.verdict.outcome_detail();
         t.push_row(vec![
             r.algo.into(),
             r.schedule.into(),
             r.n.to_string(),
             r.verdict.outcome().into(),
             r.faults.to_string(),
-            if detail.chars().count() > 48 {
-                let head: String = detail.chars().take(48).collect();
-                format!("{head}…")
-            } else {
-                detail
-            },
+            e17_detail(&r.verdict),
         ]);
     }
     t
+}
+
+/// The E17 `detail` cell of `verdict`. A malformed message's detail reads
+/// `malformed message: round R: link S->D: {defect}`, and only the defect
+/// at its end tells one fault from another, so the cell keeps just that.
+fn e17_detail(verdict: &Verdict) -> String {
+    if let (Some("malformed-message"), Some(detail)) = (verdict.kind(), verdict.detail()) {
+        if let Some(defect) = detail.splitn(4, ": ").nth(3) {
+            return format!("malformed: {defect}");
+        }
+    }
+    let detail = verdict.outcome_detail();
+    if detail.chars().count() > 48 {
+        let head: String = detail.chars().take(48).collect();
+        format!("{head}…")
+    } else {
+        detail
+    }
 }
 
 /// The starved family budget of the whp sweep. Calibrated empirically:
@@ -338,6 +351,30 @@ mod tests {
         let e17 = e17_table(&runs);
         assert_eq!(e17.rows[2][3], "silent-wrong-answer");
         assert_eq!(e17.rows[1][3], "detected-failure");
+    }
+
+    /// A malformed message's E17 cell is its whole defect, however long;
+    /// any other detail is cut at 48 characters.
+    #[test]
+    fn e17_detail_shows_a_malformed_messages_defect() {
+        use cc_core::CoreError;
+        use cc_net::{Defect, MalformedMessage, NetError};
+        let failed = |e: CoreError| Verdict::returned::<()>(Err(e), |_| Ok(()), |_| true);
+        let defect = Defect::Announcement {
+            word: Some(1 << 40),
+            first: Some(12),
+        };
+        let malformed = failed(CoreError::Net(NetError::Malformed(MalformedMessage {
+            round: 227,
+            sender: 14,
+            receiver: 0,
+            defect,
+        })));
+        assert_eq!(e17_detail(&malformed), format!("malformed: {defect}"));
+        let refused = failed(CoreError::Net(NetError::RoundCapExceeded { cap: 100_000 }));
+        let cell = e17_detail(&refused);
+        assert_eq!(cell.chars().count(), 49, "{cell}");
+        assert!(cell.starts_with("error: ") && cell.ends_with('…'), "{cell}");
     }
 
     #[test]

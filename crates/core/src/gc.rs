@@ -15,7 +15,9 @@ use crate::error::CoreError;
 use crate::reduce_components::{reduce_components, ReduceOutcome};
 use cc_graph::{Edge, Graph, UnionFind};
 use cc_net::{Cost, Defect, NetConfig};
-use cc_route::{broadcast_large, gather_direct, route_bundles, shared_seed, Bundles, Net, Packet};
+use cc_route::{
+    broadcast_large, gather_direct, malformed, route_bundles, shared_seed, Bundles, Net, Packet,
+};
 use cc_sketch::{
     decode_bundle, encode_bundle, recommended_families, spanning_forest_via_sketches,
     GraphSketchSpace, Sketch,
@@ -114,7 +116,9 @@ pub(crate) fn take_sketches<'a, 'r>(
 /// * [`CoreError::Net`] on simulator violations, and with
 ///   [`NetError::Malformed`](cc_net::NetError::Malformed) if a sketch
 ///   bundle lost or duplicated a fragment on the way, arrived short (its
-///   last fragment lost) or not at all.
+///   last fragment lost) or not at all, or if a gathered witness is not
+///   two words ([`Defect::Length`]) or not the edge its sender owes
+///   ([`Defect::Endpoints`]).
 /// * [`CoreError::SketchExhausted`] if sampling fails too often (Monte
 ///   Carlo failure, probability `1/n^{Ω(1)}`).
 pub fn sketch_and_span(
@@ -190,17 +194,35 @@ pub fn sketch_and_span(
 
     let mut items: Vec<Vec<Packet>> = vec![Vec::new(); net.n()];
     let mut witnesses: Vec<Edge> = Vec::new();
+    // `(leader, [u, v])`: the witnesses the coordinator is owed, sorted
+    // so each arrival is checked against its sender's.
+    let mut owed: Vec<(usize, [u64; 2])> = Vec::new();
     for &(a, b) in &t2 {
         let w = g1.min_edge[&(a, b)];
         if a == coordinator {
             witnesses.push(w.edge()); // coordinator's own witnesses are local
         } else {
-            items[a].push(Packet::of(&[w.u as u64, w.v as u64]));
+            let words = [u64::from(w.u), u64::from(w.v)];
+            items[a].push(Packet::of(&words));
+            owed.push((a, words));
         }
     }
+    owed.sort_unstable();
     let collected = gather_direct(net, coordinator, items)?;
-    for (_src, p) in collected {
-        witnesses.push(Edge::new(p[0] as usize, p[1] as usize));
+    for (src, p) in collected {
+        let refused = |defect| malformed(net, src, coordinator, defect);
+        let &[u, v] = &p[..] else {
+            return Err(refused(Defect::Length {
+                found: p.len(),
+                expected: 2,
+            })
+            .into());
+        };
+        // A pair its sender owes is two distinct nodes of the clique.
+        if owed.binary_search(&(src, [u, v])).is_err() {
+            return Err(refused(Defect::Endpoints { u, v }).into());
+        }
+        witnesses.push(Edge::new(u as usize, v as usize));
     }
     witnesses.sort();
 
@@ -531,6 +553,70 @@ mod tests {
                     defect: Defect::SketchSize { expected, found },
                     ..
                 })) if 0 < found && found < expected
+            ),
+            "{err:?}"
+        );
+    }
+
+    /// The round of the witness gather and a leader that sends the
+    /// coordinator exactly one witness in it, in a fault-free run.
+    fn a_lone_witness() -> (u64, usize) {
+        use cc_trace::{Event, RecordingTracer};
+        let (g, net_cfg, cfg) = span_setup();
+        let mut net = Net::new(net_cfg);
+        let rec = RecordingTracer::new();
+        net.set_tracer(Box::new(rec.clone()));
+        run_on(&mut net, &g, &cfg).unwrap();
+        let events = rec.events();
+        let gather = events
+            .iter()
+            .rev()
+            .find_map(|e| match e {
+                Event::ScopeEnter { name, round } if name == "route:gather" => Some(*round),
+                _ => None,
+            })
+            .expect("phase 2 gathered its witnesses");
+        let src = events
+            .iter()
+            .find_map(|e| match *e {
+                Event::MessageBatch {
+                    round,
+                    src,
+                    dst: 0,
+                    count: 1,
+                    ..
+                } if round == gather => Some(src as usize),
+                _ => None,
+            })
+            .expect("some leader owes one witness");
+        (gather, src)
+    }
+
+    #[test]
+    fn a_corrupted_witness_is_an_error() {
+        use cc_net::{FaultPlan, LinkSelector, RoundRange};
+        // One bit of the leader's one witness is flipped on the gather
+        // (under plan seed 0, bit 12 of its second word: an endpoint far
+        // past n). The coordinator must refuse the pair, not index with it.
+        let (round, src) = a_lone_witness();
+        let (g, net_cfg, cfg) = span_setup();
+        let mut net = Net::new(net_cfg);
+        let plan = FaultPlan::new(0).corrupt_messages(
+            RoundRange::only(round),
+            LinkSelector::Link(src, 0),
+            1.0,
+        );
+        net.set_fault_injector(Box::new(plan));
+        let err = run_on(&mut net, &g, &cfg).expect_err("a corrupted witness is an error");
+        assert!(
+            matches!(
+                err,
+                CoreError::Net(NetError::Malformed(MalformedMessage {
+                    sender,
+                    receiver: 0,
+                    defect: Defect::Endpoints { .. },
+                    ..
+                })) if sender == src
             ),
             "{err:?}"
         );

@@ -3,9 +3,9 @@
 //! Under fault injection, an algorithm may return garbage without
 //! erroring. These validators decide — from the input graph and the
 //! claimed output alone — whether an output is acceptable. The
-//! robustness taxonomy (see `cc-chaos`) then distinguishes a *detected*
-//! failure (the validator rejects) from a *silent wrong answer* (the
-//! validator accepts but a reference disagrees).
+//! robustness taxonomy (`cc-bench`'s `guard`) then distinguishes a
+//! *detected* failure (the validator rejects) from a *silent wrong
+//! answer* (the validator accepts but a reference disagrees).
 //!
 //! [`validate_gc`] is **complete** for graph connectivity: the checks
 //! (labels split no edge, the forest is an acyclic subgraph, the forest

@@ -10,12 +10,11 @@
 //! the fold is also the only machine price there is, so the k-machine
 //! model's pricing invariants are asserted on it here.
 
-use cc_chaos::{FaultPlan, LinkSelector, RoundRange};
 use cc_core::catalog::Entry;
 use cc_graph::generators;
 use cc_lens::{CommLedger, LedgerTracer, LinkRow};
 use cc_model::{MachineStats, ModelSpec};
-use cc_net::{Cost, Envelope, NetConfig};
+use cc_net::{Cost, Envelope, FaultPlan, LinkSelector, NetConfig, RoundRange};
 use cc_runtime::{Ctx, Program, Runtime};
 use cc_trace::{Event, RecordingTracer, Tracer};
 use rand::SeedableRng;
@@ -108,7 +107,7 @@ fn run_both_ways(n: usize, beats: u64, plan: &FaultPlan) -> Vec<(&'static str, V
     let mut rt = Runtime::serial(cfg.clone());
     rt.set_tracer(Box::new(rec.clone()));
     if !plan.is_empty() {
-        rt.set_fault_injector(Box::new(plan.injector()));
+        rt.set_fault_injector(Box::new(plan.clone()));
     }
     rt.run(pulses(n, beats), 64).unwrap();
     out.push(("serial backend", rec.model_events(), rt.cost()));
@@ -117,7 +116,7 @@ fn run_both_ways(n: usize, beats: u64, plan: &FaultPlan) -> Vec<(&'static str, V
     let mut rt = Runtime::parallel_with_threads(cfg, 4);
     rt.set_tracer(Box::new(rec.clone()));
     if !plan.is_empty() {
-        rt.set_fault_injector(Box::new(plan.injector()));
+        rt.set_fault_injector(Box::new(plan.clone()));
     }
     rt.run(pulses(n, beats), 64).unwrap();
     out.push(("parallel backend", rec.model_events(), rt.cost()));
@@ -175,7 +174,7 @@ fn fold_pulse(n: usize, beats: u64, spec: &ModelSpec, plan: &FaultPlan) -> (Comm
     let mut rt = Runtime::serial(NetConfig::kt1(n).with_model(spec));
     rt.set_tracer(Box::new(rec.clone()));
     if !plan.is_empty() {
-        rt.set_fault_injector(Box::new(plan.injector()));
+        rt.set_fault_injector(Box::new(plan.clone()));
     }
     rt.run(pulses(n, beats), 64).unwrap();
     let lens = CommLedger::fold(n, spec, &rec.model_events()).unwrap();
@@ -283,7 +282,7 @@ fn live_folds_equal_recorded_folds_on_every_catalog_entry() {
                     recorded: recorded.clone(),
                 }));
                 if !plan.is_empty() {
-                    net.set_fault_injector(Box::new(plan.injector()));
+                    net.set_fault_injector(Box::new(plan.clone()));
                 }
                 // A faulted run may end in an error; its stream is folded
                 // all the same.

@@ -1,27 +1,64 @@
-//! Fault-injection interposition points.
+//! Fault injection: the simulator's interposition points and the
+//! declarative [`FaultPlan`] that drives them.
 //!
-//! The simulator itself stays fault-free by default; a driver may attach
-//! a [`FaultInjector`] (see [`CliqueNet::set_fault_injector`]) and every
-//! staged message then passes through [`apply_faults`] *after* being
-//! metered but *before* delivery. The split matters for the model's
-//! accounting: a dropped or corrupted message was still **sent** — it
-//! consumed its link budget and counts toward the word/message totals —
-//! only its delivery is perturbed. Crashes and bandwidth squeezes are
-//! separate hooks consulted at the top of each round.
+//! The simulator executes the Congested Clique model *faithfully* by
+//! default: every staged message arrives, every node computes every
+//! round. A driver may attach a [`FaultInjector`] (see
+//! [`CliqueNet::set_fault_injector`]) to weaken the model on purpose, and
+//! every staged message then passes through the injector's
+//! [`decision`](FaultInjector::decision) *after* being metered but
+//! *before* delivery. The split matters for the model's accounting: a
+//! dropped or corrupted message was still **sent** — it consumed its link
+//! budget and counts toward the word/message totals — only its delivery
+//! is perturbed. Crashes and bandwidth squeezes are separate hooks
+//! consulted at the top of each round.
 //!
-//! Determinism contract: an injector's answers must be pure functions of
-//! `(round, src, dst, index)` (for per-message decisions), `(round,
-//! node)` (for crashes), and `round` (for squeezes) — no interior
-//! mutability, no iteration-order dependence. Under that contract the
-//! same plan replays byte-identically however a round's callbacks run —
-//! [`CliqueNet::step`] or the worker threads behind
-//! [`CliqueNet::step_staged`] — which the cross-backend equivalence tests
-//! enforce. The `cc-chaos` crate provides the declarative plan → injector
-//! implementation; this module only defines the seam.
+//! [`FaultPlan`] is the injector the workspace uses: a seed plus link
+//! rules that drop, duplicate, corrupt, or defer messages on selected
+//! links, fail-stop crashes at chosen rounds, and per-link bandwidth
+//! squeezes, all driven by its own seeded `ChaCha8` streams. An empty
+//! `FaultPlan::new(seed)` injects nothing.
+//!
+//! # Determinism contract
+//!
+//! An injector's answers must be pure functions of `(round, src, dst,
+//! index)` (for per-message decisions), `(round, node)` (for crashes),
+//! and `round` (for squeezes) — no interior mutability, no
+//! iteration-order dependence. Under that contract the same plan replays
+//! byte-identically however a round's callbacks run — [`CliqueNet::step`]
+//! or the worker threads behind [`CliqueNet::step_staged`]. [`FaultPlan`]
+//! meets it by giving each `(plan seed, rule index, round, src, dst,
+//! index)` tuple its own `ChaCha8` stream, so the verdict for one message
+//! cannot depend on how many other messages were inspected, in what
+//! order, or on which thread; a crash, once its round has come, lasts,
+//! and a squeeze is the tightest cap among the windows covering the
+//! round.
+//!
+//! This crate's `tests/fault_equivalence.rs` runs one plan exercising
+//! all six fault kinds on every engine and asserts identical model-event
+//! streams, costs, and final program states.
+//!
+//! # Example
+//!
+//! ```
+//! use cc_net::{CliqueNet, FaultPlan, LinkSelector, NetConfig, RoundRange};
+//!
+//! let plan = FaultPlan::new(7)
+//!     .drop_messages(RoundRange::all(), LinkSelector::All, 0.5)
+//!     .crash(2, 1);
+//! let mut net: CliqueNet<u64> = CliqueNet::new(NetConfig::kt1(4));
+//! net.set_fault_injector(Box::new(plan));
+//! // ... drive the net; same plan + seed replays identically.
+//! ```
 //!
 //! [`CliqueNet::set_fault_injector`]: crate::CliqueNet::set_fault_injector
 //! [`CliqueNet::step`]: crate::CliqueNet::step
 //! [`CliqueNet::step_staged`]: crate::CliqueNet::step_staged
+
+mod plan;
+mod rng;
+
+pub use plan::{Crash, FaultPlan, LinkFault, LinkRule, LinkSelector, RoundRange, Squeeze};
 
 use crate::net::Envelope;
 use crate::wire::Wire;
@@ -54,11 +91,10 @@ pub enum FaultDecision {
 
 /// A source of fault decisions, consulted by the execution engines.
 ///
-/// Every method has a benign default, so a no-op injector is
-/// `struct NoFaults; impl FaultInjector for NoFaults {}`. Implementations
-/// must be deterministic (see the [module docs](self)) and `Send + Sync`
-/// so the parallel backend's workers can consult one injector
-/// concurrently.
+/// Every method has a benign default: deliver, never crash, never
+/// squeeze. Implementations must be deterministic (see the
+/// [module docs](self)) and `Send + Sync` so the parallel backend's
+/// workers can consult one injector concurrently.
 pub trait FaultInjector: Send + Sync {
     /// The fate of the `index`-th message staged by `src` **to `dst`**
     /// this `round` (indices count the sends on one directed link in
@@ -90,12 +126,6 @@ pub trait FaultInjector: Send + Sync {
     }
 }
 
-/// The injector that never injects (useful as an explicit default).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {}
-
 /// One injected fault, recorded for the trace stream.
 ///
 /// Converted to [`Event::Fault`] by [`FaultRecord::to_event`]; engines
@@ -103,7 +133,7 @@ impl FaultInjector for NoFaults {}
 /// `(src, index)` — the order [`apply_faults`] produces when invoked per
 /// node in ID order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultRecord {
+pub(crate) struct FaultRecord {
     /// Round the faulted message was sent in.
     pub round: u64,
     /// What was injected.
@@ -122,7 +152,7 @@ pub struct FaultRecord {
 
 impl FaultRecord {
     /// The trace event this record corresponds to.
-    pub fn to_event(&self) -> Event {
+    pub(crate) fn to_event(self) -> Event {
         Event::Fault {
             round: self.round,
             kind: self.kind,
@@ -136,7 +166,7 @@ impl FaultRecord {
 
 /// The result of passing staged messages through an injector.
 #[derive(Clone, Debug)]
-pub struct FaultOutcome<M> {
+pub(crate) struct FaultOutcome<M> {
     /// `(dst, envelope)` pairs to deliver next round
     /// (post-drop/duplicate/corrupt).
     pub deliver: Vec<(usize, Envelope<M>)>,
@@ -156,7 +186,7 @@ pub struct FaultOutcome<M> {
 /// senders' sends concatenated in (node, send) order. Metering is the
 /// caller's job and must happen *before* this call (see the
 /// [module docs](self)).
-pub fn apply_faults<M: Wire + Clone>(
+pub(crate) fn apply_faults<M: Wire + Clone>(
     injector: &dyn FaultInjector,
     round: u64,
     staged: Vec<(usize, Envelope<M>)>,
@@ -228,7 +258,7 @@ mod tests {
     #[test]
     fn no_faults_delivers_everything_unchanged() {
         let staged = vec![env(0, 1, 7), env(0, 2, 8)];
-        let out = apply_faults(&NoFaults, 3, staged.clone());
+        let out = apply_faults(&FaultPlan::new(0), 3, staged.clone());
         assert_eq!(out.deliver, staged);
         assert!(out.deferred.is_empty() && out.records.is_empty());
     }

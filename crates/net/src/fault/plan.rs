@@ -3,10 +3,12 @@
 //! A [`FaultPlan`] is data, not code: a seed plus three lists — link
 //! rules, crashes, bandwidth squeezes — that fully determine every fault
 //! an execution will see. Plans are `Clone`, cheap to build with the
-//! fluent constructors, and turn into a live
-//! [`ChaosInjector`] with [`FaultPlan::injector`].
+//! fluent constructors, and are themselves the [`FaultInjector`] a net
+//! consults: `net.set_fault_injector(Box::new(plan.clone()))`.
 
-use crate::inject::ChaosInjector;
+use super::rng::{decision_rng, unit_f64};
+use super::{FaultDecision, FaultInjector};
+use rand::RngCore;
 
 /// An inclusive round window, optionally open-ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,30 +186,29 @@ impl FaultPlan {
         self.rules.is_empty() && self.crashes.is_empty() && self.squeezes.is_empty()
     }
 
-    /// Appends a pre-built link rule.
-    #[must_use]
-    pub fn rule(mut self, rule: LinkRule) -> Self {
-        self.rules.push(rule);
+    /// Appends a link rule (rules are tried in the order they were added).
+    fn rule(mut self, rounds: RoundRange, links: LinkSelector, p: f64, fault: LinkFault) -> Self {
+        self.rules.push(LinkRule::new(rounds, links, p, fault));
         self
     }
 
     /// Drops each matching message with probability `p`.
     #[must_use]
     pub fn drop_messages(self, rounds: RoundRange, links: LinkSelector, p: f64) -> Self {
-        self.rule(LinkRule::new(rounds, links, p, LinkFault::Drop))
+        self.rule(rounds, links, p, LinkFault::Drop)
     }
 
     /// Duplicates each matching message with probability `p`.
     #[must_use]
     pub fn duplicate_messages(self, rounds: RoundRange, links: LinkSelector, p: f64) -> Self {
-        self.rule(LinkRule::new(rounds, links, p, LinkFault::Duplicate))
+        self.rule(rounds, links, p, LinkFault::Duplicate)
     }
 
     /// Flips one payload bit of each matching message with probability
     /// `p`.
     #[must_use]
     pub fn corrupt_messages(self, rounds: RoundRange, links: LinkSelector, p: f64) -> Self {
-        self.rule(LinkRule::new(rounds, links, p, LinkFault::Corrupt))
+        self.rule(rounds, links, p, LinkFault::Corrupt)
     }
 
     /// Defers each matching message by `extra_rounds` with probability
@@ -220,14 +221,14 @@ impl FaultPlan {
         p: f64,
         extra_rounds: u64,
     ) -> Self {
-        self.rule(LinkRule::new(
+        self.rule(
             rounds,
             links,
             p,
             LinkFault::Defer {
                 rounds: extra_rounds,
             },
-        ))
+        )
     }
 
     /// Fail-stops `node` from `at_round` on.
@@ -243,11 +244,51 @@ impl FaultPlan {
         self.squeezes.push(Squeeze { rounds, link_words });
         self
     }
+}
 
-    /// A live injector for this plan (the plan is cloned, so one plan can
-    /// drive many runs — the replay property depends on it).
-    pub fn injector(&self) -> ChaosInjector {
-        ChaosInjector::new(self.clone())
+/// Evaluates the plan deterministically.
+///
+/// Rule precedence: for each message the rules are scanned in plan
+/// order; the first rule whose round window and link selector match
+/// *and* whose coin (drawn from that rule's own stream) lands under `p`
+/// decides the fate. Rules that match but do not fire fall through.
+/// Because each `(rule, round, src, dst, index)` tuple has its own
+/// stream, a rule's verdict never shifts when other rules, messages, or
+/// threads come and go.
+impl FaultInjector for FaultPlan {
+    fn decision(&self, round: u64, src: usize, dst: usize, index: u32) -> FaultDecision {
+        for (i, rule) in self.rules.iter().enumerate() {
+            if !rule.rounds.contains(round) || !rule.links.matches(src, dst) {
+                continue;
+            }
+            let mut rng = decision_rng(self.seed, i as u64, round, src, dst, index);
+            if unit_f64(rng.next_u64()) >= rule.p {
+                continue;
+            }
+            return match rule.fault {
+                LinkFault::Drop => FaultDecision::Drop,
+                LinkFault::Duplicate => FaultDecision::Duplicate,
+                LinkFault::Corrupt => FaultDecision::Corrupt {
+                    bit: rng.next_u64(),
+                },
+                LinkFault::Defer { rounds } => FaultDecision::Defer { rounds },
+            };
+        }
+        FaultDecision::Deliver
+    }
+
+    fn crashed(&self, round: u64, node: usize) -> bool {
+        self.crashes
+            .iter()
+            .any(|c| c.node == node && round >= c.at_round)
+    }
+
+    fn link_words(&self, round: u64) -> Option<u64> {
+        self.squeezes
+            .iter()
+            .filter(|s| s.rounds.contains(round))
+            .map(|s| s.link_words)
+            .min()
     }
 }
 
@@ -318,5 +359,115 @@ mod tests {
         );
         assert!(!plan.is_empty());
         assert!(FaultPlan::new(0).is_empty());
+    }
+
+    #[test]
+    fn decisions_are_a_pure_function_of_the_coordinates() {
+        let plan = FaultPlan::new(42)
+            .drop_messages(RoundRange::all(), LinkSelector::All, 0.5)
+            .duplicate_messages(RoundRange::all(), LinkSelector::All, 0.5);
+        let a = plan.clone();
+        let b = plan;
+        for round in 0..8 {
+            for src in 0..6 {
+                for dst in 0..6 {
+                    for index in 0..4 {
+                        assert_eq!(
+                            a.decision(round, src, dst, index),
+                            b.decision(round, src, dst, index),
+                            "divergence at {:?}",
+                            (round, src, dst, index)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn certain_rules_always_fire_and_impossible_rules_never_do() {
+        let always = FaultPlan::new(1).drop_messages(RoundRange::all(), LinkSelector::All, 1.0);
+        let never = FaultPlan::new(1).drop_messages(RoundRange::all(), LinkSelector::All, 0.0);
+        for index in 0..64 {
+            assert_eq!(always.decision(3, 0, 1, index), FaultDecision::Drop);
+            assert_eq!(never.decision(3, 0, 1, index), FaultDecision::Deliver);
+        }
+    }
+
+    #[test]
+    fn empirical_rate_tracks_the_probability() {
+        let inj = FaultPlan::new(9).drop_messages(RoundRange::all(), LinkSelector::All, 0.25);
+        let mut fired = 0u32;
+        let trials = 4000;
+        for index in 0..trials {
+            if inj.decision(0, 0, 1, index) == FaultDecision::Drop {
+                fired += 1;
+            }
+        }
+        let rate = f64::from(fired) / f64::from(trials);
+        assert!(
+            (rate - 0.25).abs() < 0.05,
+            "empirical drop rate {rate} far from 0.25"
+        );
+    }
+
+    #[test]
+    fn first_matching_and_firing_rule_wins() {
+        // Rule 0 only covers round 0; rule 1 covers everything. In round 0
+        // the certain drop shadows the certain duplicate; later rounds
+        // fall through to the duplicate.
+        let inj = FaultPlan::new(5)
+            .drop_messages(RoundRange::only(0), LinkSelector::All, 1.0)
+            .duplicate_messages(RoundRange::all(), LinkSelector::All, 1.0);
+        assert_eq!(inj.decision(0, 2, 3, 0), FaultDecision::Drop);
+        assert_eq!(inj.decision(1, 2, 3, 0), FaultDecision::Duplicate);
+    }
+
+    #[test]
+    fn selectors_scope_rules_to_their_links() {
+        let inj = FaultPlan::new(5).drop_messages(RoundRange::all(), LinkSelector::Link(0, 1), 1.0);
+        assert_eq!(inj.decision(0, 0, 1, 0), FaultDecision::Drop);
+        assert_eq!(inj.decision(0, 1, 0, 0), FaultDecision::Deliver);
+        assert_eq!(inj.decision(0, 0, 2, 0), FaultDecision::Deliver);
+    }
+
+    #[test]
+    fn corrupt_decisions_carry_a_stream_chosen_bit() {
+        let inj = FaultPlan::new(11).corrupt_messages(RoundRange::all(), LinkSelector::All, 1.0);
+        let FaultDecision::Corrupt { bit: b1 } = inj.decision(0, 0, 1, 0) else {
+            panic!("expected a corruption");
+        };
+        let FaultDecision::Corrupt { bit: b2 } = inj.decision(0, 0, 1, 0) else {
+            panic!("expected a corruption");
+        };
+        assert_eq!(b1, b2, "replay must choose the same bit");
+        let FaultDecision::Corrupt { bit: b3 } = inj.decision(0, 0, 1, 1) else {
+            panic!("expected a corruption");
+        };
+        assert_ne!(b1, b3, "different coordinates should pick different bits");
+    }
+
+    #[test]
+    fn crashes_are_monotone_in_the_round() {
+        let inj = FaultPlan::new(0).crash(4, 3);
+        for round in 0..3 {
+            assert!(!inj.crashed(round, 4));
+        }
+        for round in 3..10 {
+            assert!(inj.crashed(round, 4), "round {round}: crash must persist");
+        }
+        assert!(!inj.crashed(9, 5), "only the scheduled node dies");
+    }
+
+    #[test]
+    fn overlapping_squeezes_take_the_tightest_cap() {
+        let inj = FaultPlan::new(0)
+            .squeeze(RoundRange::between(1, 4), 6)
+            .squeeze(RoundRange::between(3, 5), 2);
+        assert_eq!(inj.link_words(0), None);
+        assert_eq!(inj.link_words(1), Some(6));
+        assert_eq!(inj.link_words(3), Some(2));
+        assert_eq!(inj.link_words(5), Some(2));
+        assert_eq!(inj.link_words(6), None);
     }
 }

@@ -21,9 +21,12 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// The `ChaCha8` stream for one `(seed, rule, round, src, dst, index)`
 /// fault-decision coordinate.
 ///
-/// Draw order inside a stream is fixed by the injector: word 0 is the
-/// fire/skip coin, word 1 (when drawn) selects the corruption bit.
-pub fn decision_rng(
+/// Draw order inside a stream is fixed by [`FaultPlan`]'s decision: word
+/// 0 is the fire/skip coin, word 1 (when drawn) selects the corruption
+/// bit.
+///
+/// [`FaultPlan`]: super::FaultPlan
+pub(super) fn decision_rng(
     seed: u64,
     rule: u64,
     round: u64,
@@ -54,7 +57,7 @@ pub fn decision_rng(
 }
 
 /// Maps a `u64` draw onto a uniform `f64` in `[0, 1)` (53-bit mantissa).
-pub fn unit_f64(draw: u64) -> f64 {
+pub(super) fn unit_f64(draw: u64) -> f64 {
     (draw >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
 }
 

@@ -61,7 +61,10 @@ pub use cc_model::{LinkMode, Mapping, ModelError, ModelSpec};
 pub use cc_trace::Cost;
 pub use config::{Knowledge, NetConfig, DEFAULT_LINK_WORDS};
 pub use error::{Defect, MalformedMessage, NetError};
-pub use fault::{apply_faults, FaultDecision, FaultInjector, FaultOutcome, FaultRecord, NoFaults};
+pub use fault::{
+    Crash, FaultDecision, FaultInjector, FaultPlan, LinkFault, LinkRule, LinkSelector, RoundRange,
+    Squeeze,
+};
 pub use net::{CliqueNet, Envelope, Outbox, RoundPlan, StagedRound};
 pub use packet::{WordVec, INLINE_WORDS};
 pub use ports::PortMap;

@@ -55,7 +55,7 @@ use std::time::Instant;
 /// The receiver is implied by the inbox the envelope sits in, so it is
 /// not stored: an inbox entry is the sender and the payload alone (40
 /// bytes for a [`WordVec`](crate::WordVec) payload). On its way there —
-/// staged in an [`Outbox`], through [`apply_faults`], deferred, or handed
+/// staged in an [`Outbox`], through a [fault](crate::fault) decision, deferred, or handed
 /// back in a [`StagedRound`] — a message travels as `(dst, Envelope)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Envelope<M> {

@@ -2,14 +2,13 @@
 //! model-event streams, identical cost totals, and identical final
 //! program states on the serial and the parallel runtime backend.
 //!
-//! This is the chaos extension of `cc-runtime`'s equivalence suite: the
+//! This is the fault extension of `cc-runtime`'s equivalence suite: the
 //! fault layer interposes on both backends' rounds, so the determinism
 //! contract — same plan + seed ⇒ same faults — is only worth anything if
 //! the backends agree byte-for-byte *including* the injected fault and
 //! crash events.
 
-use cc_chaos::{FaultPlan, LinkSelector, RoundRange};
-use cc_net::{Envelope, Mapping, ModelSpec, NetConfig};
+use cc_net::{Envelope, FaultPlan, LinkSelector, Mapping, ModelSpec, NetConfig, RoundRange};
 use cc_runtime::{Ctx, Program, Runtime};
 use cc_trace::{Event, RecordingTracer};
 
@@ -103,14 +102,14 @@ fn run_both_ways(
     let rec = RecordingTracer::new();
     let mut rt = Runtime::serial(cfg.clone());
     rt.set_tracer(Box::new(rec.clone()));
-    rt.set_fault_injector(Box::new(plan.injector()));
+    rt.set_fault_injector(Box::new(plan.clone()));
     let states = rt.run(programs(n, send_rounds), max_rounds).unwrap();
     results.push((outputs(&states), rt.cost(), rec.model_events()));
 
     let rec = RecordingTracer::new();
     let mut rt = Runtime::parallel_with_threads(cfg, 4);
     rt.set_tracer(Box::new(rec.clone()));
-    rt.set_fault_injector(Box::new(plan.injector()));
+    rt.set_fault_injector(Box::new(plan.clone()));
     let states = rt.run(programs(n, send_rounds), max_rounds).unwrap();
     results.push((outputs(&states), rt.cost(), rec.model_events()));
 
@@ -252,7 +251,7 @@ fn mayhem_replays_byte_identically_on_any_machine_mapping() {
     let rec = RecordingTracer::new();
     let mut serial = Runtime::serial(cfg.clone());
     serial.set_tracer(Box::new(rec.clone()));
-    serial.set_fault_injector(Box::new(plan.injector()));
+    serial.set_fault_injector(Box::new(plan.clone()));
     let states = serial.run(programs(n, send_rounds), 64).unwrap();
     let ref_out = outputs(&states);
     let ref_record = record(&rec.model_events());
@@ -266,7 +265,7 @@ fn mayhem_replays_byte_identically_on_any_machine_mapping() {
         };
         let mut rt = Runtime::serial(cfg.clone().with_model(&spec));
         rt.set_tracer(Box::new(rec.clone()));
-        rt.set_fault_injector(Box::new(plan.injector()));
+        rt.set_fault_injector(Box::new(plan.clone()));
         let states = rt.run(programs(n, send_rounds), 64).unwrap();
         let out = outputs(&states);
         assert_eq!(out, ref_out, "k={k}: outputs diverged under faults");

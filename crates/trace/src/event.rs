@@ -30,10 +30,11 @@ pub struct SpanTiming {
     pub nanos: u64,
 }
 
-/// The kind of an injected fault (see `cc-chaos`). Model-level: a fault
-/// decision is a pure function of the fault plan, its seed, and the
-/// `(round, src, dst, send-index)` coordinates, so fault events are part
-/// of the model-event stream every engine must reproduce identically.
+/// The kind of an injected fault (see `cc_net::fault`). Model-level: a
+/// fault decision is a pure function of the fault plan, its seed, and
+/// the `(round, src, dst, send-index)` coordinates, so fault events are
+/// part of the model-event stream every engine must reproduce
+/// identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The message was discarded in flight.

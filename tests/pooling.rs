@@ -12,7 +12,7 @@
 //! delivery path; the same traffic runs down each of them, and once more
 //! with a sender that breaks its budget mid-round.
 
-use congested_clique::net::{CliqueNet, NetConfig, NetError, NoFaults};
+use congested_clique::net::{CliqueNet, FaultPlan, NetConfig, NetError};
 use congested_clique::runtime::{Ctx, Program, Runtime};
 use congested_clique::trace::{Event, RecordingTracer};
 use proptest::prelude::*;
@@ -114,8 +114,8 @@ enum Path {
     Plain,
     /// A [`RecordingTracer`]: batches are folded per message.
     Traced,
-    /// A traced run under an injector that always decides `Deliver`:
-    /// every sender goes through `apply_faults`.
+    /// A traced run under an empty [`FaultPlan`], which always decides
+    /// `Deliver`: every sender goes through the fault path.
     Faulted,
 }
 
@@ -130,7 +130,7 @@ fn net_on(path: Path, seed: u64, n: usize) -> (CliqueNet<Vec<u64>>, Option<Recor
     let rec = RecordingTracer::new();
     nt.set_tracer(Box::new(rec.clone()));
     if let Path::Faulted = path {
-        nt.set_fault_injector(Box::new(NoFaults));
+        nt.set_fault_injector(Box::new(FaultPlan::new(0)));
     }
     (nt, Some(rec))
 }
